@@ -7,18 +7,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use suj_bench::{build_workload, UqOptions};
-use suj_core::algorithm1::UnionSamplerConfig;
 use suj_core::prelude::*;
-use suj_join::WeightKind;
 use suj_stats::SujRng;
 
 fn bench_cover_policies(c: &mut Criterion) {
     let opts = UqOptions::new(2, 42, 0.2);
     let w = Arc::new(build_workload("uq2", &opts).expect("workload"));
-    let exact = full_join_union(&w).expect("ground truth");
-    let sizes: Vec<f64> = (0..w.n_joins())
-        .map(|j| exact.join_size(j) as f64)
-        .collect();
 
     let mut group = c.benchmark_group("cover_ablation");
     group.sample_size(10);
@@ -27,30 +21,22 @@ fn bench_cover_policies(c: &mut Criterion) {
         ("record", CoverPolicy::Record),
         ("oracle", CoverPolicy::MembershipOracle),
     ] {
-        let mut sampler = SetUnionSampler::new(
-            w.clone(),
-            &exact.overlap,
-            UnionSamplerConfig {
-                weights: WeightKind::Exact,
-                policy,
-                strategy: CoverStrategy::AsGiven,
-                ..Default::default()
-            },
-        )
-        .expect("sampler");
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Exact)
+            .cover_policy(policy)
+            .build()
+            .expect("sampler");
         group.bench_function(format!("{label}/N=200"), |b| {
             let mut rng = SujRng::seed_from_u64(3);
             b.iter(|| black_box(sampler.sample(200, &mut rng).expect("run").0.len()))
         });
     }
 
-    let mut bernoulli = BernoulliUnionSampler::new(
-        w.clone(),
-        &sizes,
-        exact.union_size() as f64,
-        WeightKind::Exact,
-    )
-    .expect("bernoulli");
+    let mut bernoulli = SamplerBuilder::for_workload(w.clone())
+        .estimator(Estimator::Exact)
+        .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
+        .build()
+        .expect("bernoulli");
     group.bench_function("bernoulli/N=200", |b| {
         let mut rng = SujRng::seed_from_u64(4);
         b.iter(|| black_box(bernoulli.sample(200, &mut rng).expect("run").0.len()))

@@ -19,8 +19,7 @@
 
 use std::sync::Arc;
 use suj_bench::*;
-use suj_core::algorithm1::UnionSamplerConfig;
-use suj_core::algorithm2::{OnlineConfig, OnlineUnionSampler};
+use suj_core::algorithm2::OnlineConfig;
 use suj_core::prelude::*;
 use suj_core::walk_estimator::WalkEstimatorConfig;
 use suj_join::template::{build_template, split_join, Template};
@@ -40,7 +39,6 @@ fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
 fn cover_policy_panel(scale: usize, seed: u64) {
     let opts = UqOptions::new(scale, seed, 0.2);
     let w = Arc::new(build_workload("uq2", &opts).expect("uq2"));
-    let exact = full_join_union(&w).expect("truth");
     let n = 2000;
 
     let mut table = FigureTable::new(
@@ -58,15 +56,11 @@ fn cover_policy_panel(scale: usize, seed: u64) {
         ("record (paper)", CoverPolicy::Record),
         ("oracle", CoverPolicy::MembershipOracle),
     ] {
-        let mut sampler = SetUnionSampler::new(
-            w.clone(),
-            &exact.overlap,
-            UnionSamplerConfig {
-                policy,
-                ..Default::default()
-            },
-        )
-        .expect("sampler");
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Exact)
+            .cover_policy(policy)
+            .build()
+            .expect("sampler");
         let mut rng = SujRng::seed_from_u64(seed);
         let ((_, report), t) = timed(|| sampler.sample(n, &mut rng).expect("run"));
         table.push_row(vec![
@@ -78,16 +72,11 @@ fn cover_policy_panel(scale: usize, seed: u64) {
         ]);
     }
 
-    let sizes: Vec<f64> = (0..w.n_joins())
-        .map(|j| exact.join_size(j) as f64)
-        .collect();
-    let mut bern = BernoulliUnionSampler::new(
-        w.clone(),
-        &sizes,
-        exact.union_size() as f64,
-        WeightKind::Exact,
-    )
-    .expect("bernoulli");
+    let mut bern = SamplerBuilder::for_workload(w.clone())
+        .estimator(Estimator::Exact)
+        .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
+        .build()
+        .expect("bernoulli");
     let mut rng = SujRng::seed_from_u64(seed);
     let ((_, report), t) = timed(|| bern.sample(n, &mut rng).expect("run"));
     table.push_row(vec![
@@ -314,7 +303,10 @@ fn phi_panel(scale: usize, seed: u64) {
             ci_threshold: 0.02,
             ..Default::default()
         };
-        let mut sampler = OnlineUnionSampler::new(w.clone(), cfg, CoverStrategy::AsGiven);
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
+            .strategy(Strategy::Online(cfg))
+            .build()
+            .expect("sampler");
         let mut rng = SujRng::seed_from_u64(seed);
         let ((_, report), t) = timed(|| sampler.sample(500, &mut rng).expect("run"));
         table.push_row(vec![
@@ -355,15 +347,11 @@ fn cyclic_panel(scale: usize, seed: u64) {
     ]);
 
     // Sampling overhead from consistency rejection.
-    let mut sampler = SetUnionSampler::new(
-        w.clone(),
-        &exact.overlap,
-        UnionSamplerConfig {
-            policy: CoverPolicy::MembershipOracle,
-            ..Default::default()
-        },
-    )
-    .expect("sampler");
+    let mut sampler = SamplerBuilder::for_workload(w.clone())
+        .estimator(Estimator::Exact)
+        .cover_policy(CoverPolicy::MembershipOracle)
+        .build()
+        .expect("sampler");
     let ((_, report), t) = timed(|| sampler.sample(1000, &mut rng).expect("run"));
     table.push_row(vec!["sample 1000: time_ms".into(), ms(t)]);
     table.push_row(vec![
@@ -402,16 +390,12 @@ fn skew_panel(scale: usize, seed: u64) {
         let hist_err = mean(&ratio_errors(&hist_map, &exact));
         let walk_err = mean(&ratio_errors(&walk_map, &exact));
 
-        let mut sampler = SetUnionSampler::new(
-            w.clone(),
-            &exact.overlap,
-            UnionSamplerConfig {
-                weights: WeightKind::ExtendedOlken,
-                policy: CoverPolicy::MembershipOracle,
-                ..Default::default()
-            },
-        )
-        .expect("sampler");
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Exact)
+            .weights(WeightKind::ExtendedOlken)
+            .cover_policy(CoverPolicy::MembershipOracle)
+            .build()
+            .expect("sampler");
         let (_, report) = sampler.sample(500, &mut rng).expect("run");
         let subroutine_acceptance =
             report.accepted as f64 / (report.accepted + report.rejected_join).max(1) as f64;

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 use suj_bench::*;
-use suj_core::algorithm2::{OnlineConfig, OnlineUnionSampler};
+use suj_core::algorithm2::OnlineConfig;
 use suj_core::prelude::*;
 use suj_core::walk_estimator::WalkEstimatorConfig;
 use suj_stats::SujRng;
@@ -34,6 +34,13 @@ fn online_config(reuse: bool) -> OnlineConfig {
     }
 }
 
+fn online_sampler(w: Arc<UnionWorkload>, config: OnlineConfig) -> Box<dyn UnionSampler + Send> {
+    SamplerBuilder::for_workload(w)
+        .strategy(Strategy::Online(config))
+        .build()
+        .expect("sampler")
+}
+
 /// Fig 6a: total sampling time with and without reuse.
 fn reuse_panel(scale: usize, seed: u64) {
     for name in ["uq1", "uq2", "uq3"] {
@@ -48,13 +55,11 @@ fn reuse_panel(scale: usize, seed: u64) {
         );
         for n in [100usize, 200, 400, 800] {
             let mut rng_a = SujRng::seed_from_u64(seed);
-            let mut with =
-                OnlineUnionSampler::new(w.clone(), online_config(true), CoverStrategy::AsGiven);
+            let mut with = online_sampler(w.clone(), online_config(true));
             let (_, ra) = with.sample(n, &mut rng_a).expect("run");
 
             let mut rng_b = SujRng::seed_from_u64(seed);
-            let mut without =
-                OnlineUnionSampler::new(w.clone(), online_config(false), CoverStrategy::AsGiven);
+            let mut without = online_sampler(w.clone(), online_config(false));
             let (_, rb) = without.sample(n, &mut rng_b).expect("run");
 
             table.push_row(vec![
@@ -87,7 +92,7 @@ fn per_sample_panel(scale: usize, seed: u64) {
             },
             ..online_config(true)
         };
-        let mut sampler = OnlineUnionSampler::new(w, cfg, CoverStrategy::AsGiven);
+        let mut sampler = online_sampler(w, cfg);
         let mut rng = SujRng::seed_from_u64(seed);
         let (_, report) = sampler.sample(2000, &mut rng).expect("run");
         let regular = report

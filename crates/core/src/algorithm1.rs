@@ -19,8 +19,7 @@
 //!
 //! Expected cost is `N + N log N` total join-sampling calls (Theorem 2).
 //!
-//! The sampler implements [`UnionSampler`]; construct it directly or —
-//! preferably — through
+//! The sampler implements [`UnionSampler`]; build it through
 //! [`SamplerBuilder`](crate::session::SamplerBuilder) with
 //! [`Strategy::Rejection`](crate::session::Strategy).
 
@@ -33,7 +32,6 @@ use crate::workload::UnionWorkload;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use suj_join::weights::build_sampler;
 use suj_join::{JoinSampler, WeightKind};
 use suj_stats::{Categorical, SujRng};
 use suj_storage::{FxHashMap, Tuple};
@@ -57,16 +55,18 @@ pub struct UnionSamplerConfig {
     pub policy: CoverPolicy,
     /// Cover ordering strategy.
     pub strategy: CoverStrategy,
-    /// Attempt budget inside the join-sampling subroutine per draw
-    /// (guards pathological estimates).
-    pub max_join_tries: u64,
-    /// Cover-rejection retries within one join selection. Theorem 1
-    /// requires the tuple accepted after selecting `J_j` to be uniform
-    /// over the cover region `J'_j`, so cover-rejected tuples are
-    /// redrawn from the *same* join; this caps that loop when a cover
-    /// region is (near-)empty but its estimated size is positive.
-    pub max_cover_retries: u64,
 }
+
+/// Attempt budget inside the join-sampling subroutine per draw (guards
+/// pathological estimates).
+const MAX_JOIN_TRIES: u64 = 1_000_000;
+
+/// Cover-rejection retries within one join selection. Theorem 1
+/// requires the tuple accepted after selecting `J_j` to be uniform over
+/// the cover region `J'_j`, so cover-rejected tuples are redrawn from
+/// the *same* join; this caps that loop when a cover region is
+/// (near-)empty but its estimated size is positive.
+const MAX_COVER_RETRIES: u64 = 100_000;
 
 impl Default for UnionSamplerConfig {
     fn default() -> Self {
@@ -74,8 +74,6 @@ impl Default for UnionSamplerConfig {
             weights: WeightKind::Exact,
             policy: CoverPolicy::Record,
             strategy: CoverStrategy::AsGiven,
-            max_join_tries: 1_000_000,
-            max_cover_retries: 100_000,
         }
     }
 }
@@ -86,8 +84,8 @@ pub struct SetUnionSampler {
     cover: Cover,
     selection: Option<Categorical>,
     /// Per-join samplers. Shared (`Arc`) so a frozen
-    /// [`PreparedSampler`](crate::session::PreparedSampler) can mint
-    /// many independent handles without re-running the per-join weight
+    /// [`PreparedQuery`](crate::catalog::PreparedQuery) can mint many
+    /// independent handles without re-running the per-join weight
     /// precomputation; sampling goes through `&self`, so sharing is
     /// free.
     samplers: Vec<Arc<dyn JoinSampler>>,
@@ -108,26 +106,13 @@ pub struct SetUnionSampler {
 }
 
 impl SetUnionSampler {
-    /// Builds the sampler from an overlap map (exact or estimated).
+    /// Builds the sampler from an overlap map (exact or estimated) over
+    /// pre-built per-join samplers (shared with other handles of the
+    /// same prepared query; `config.weights` records how they were
+    /// built). All mutable record / report state starts fresh, so
+    /// handles built over the same shared parts are fully independent
+    /// sampling processes.
     pub fn new(
-        workload: Arc<UnionWorkload>,
-        overlap: &OverlapMap,
-        config: UnionSamplerConfig,
-    ) -> Result<Self, CoreError> {
-        let samplers = workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), config.weights).map(Arc::from))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::Join)?;
-        Self::with_shared(workload, overlap, config, samplers)
-    }
-
-    /// Builds the sampler over pre-built per-join samplers (shared with
-    /// other handles of the same prepared query). All mutable record /
-    /// report state starts fresh, so handles built over the same shared
-    /// parts are fully independent sampling processes.
-    pub fn with_shared(
         workload: Arc<UnionWorkload>,
         overlap: &OverlapMap,
         config: UnionSamplerConfig,
@@ -199,11 +184,10 @@ impl UnionSampler for SetUnionSampler {
             // must be uniform over the cover region J'_j, so cover
             // rejections redraw from the SAME join.
             let mut retries = 0u64;
-            while retries < self.config.max_cover_retries {
+            while retries < MAX_COVER_RETRIES {
                 retries += 1;
                 let start = Instant::now();
-                let (t_local, tries) =
-                    self.samplers[j].sample_until_accepted(rng, self.config.max_join_tries);
+                let (t_local, tries) = self.samplers[j].sample_until_accepted(rng, MAX_JOIN_TRIES);
                 self.report.rejected_join += tries.saturating_sub(1);
                 let Some(t_local) = t_local else {
                     self.report.rejected_time += start.elapsed();
@@ -297,7 +281,19 @@ impl UnionSampler for SetUnionSampler {
 mod tests {
     use super::*;
     use crate::exact::full_join_union;
+    use crate::session::{shared_samplers, Estimator, HistogramOptions, SamplerBuilder};
     use suj_storage::{Relation, Schema, Value};
+
+    /// The builder's Algorithm 1 over exact parameters.
+    fn build(w: Arc<UnionWorkload>, config: UnionSamplerConfig) -> Box<dyn UnionSampler + Send> {
+        SamplerBuilder::for_workload(w)
+            .estimator(Estimator::Exact)
+            .weights(config.weights)
+            .cover_policy(config.policy)
+            .cover_strategy(config.strategy)
+            .build()
+            .unwrap()
+    }
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
         let schema = Schema::new(attrs.iter().copied()).unwrap();
@@ -371,15 +367,13 @@ mod tests {
     fn oracle_policy_is_uniform() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = build(
             w,
-            &exact.overlap,
             UnionSamplerConfig {
                 policy: CoverPolicy::MembershipOracle,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let mut rng = SujRng::seed_from_u64(1);
         let n = 2_000 * exact.union_size();
         let (samples, report) = sampler.sample(n, &mut rng).unwrap();
@@ -392,15 +386,13 @@ mod tests {
     fn record_policy_is_uniform_and_revises() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = build(
             w,
-            &exact.overlap,
             UnionSamplerConfig {
                 policy: CoverPolicy::Record,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let mut rng = SujRng::seed_from_u64(2);
         let n = 2_000 * exact.union_size();
         let (samples, report) = sampler.sample(n, &mut rng).unwrap();
@@ -418,16 +410,14 @@ mod tests {
     fn eo_weights_also_uniform() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = build(
             w,
-            &exact.overlap,
             UnionSamplerConfig {
                 weights: WeightKind::ExtendedOlken,
                 policy: CoverPolicy::MembershipOracle,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let mut rng = SujRng::seed_from_u64(3);
         let n = 1_500 * exact.union_size();
         let (samples, report) = sampler.sample(n, &mut rng).unwrap();
@@ -440,16 +430,14 @@ mod tests {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
         for strategy in [CoverStrategy::DescendingSize, CoverStrategy::AscendingSize] {
-            let mut sampler = SetUnionSampler::new(
+            let mut sampler = build(
                 w.clone(),
-                &exact.overlap,
                 UnionSamplerConfig {
                     policy: CoverPolicy::MembershipOracle,
                     strategy,
                     ..Default::default()
                 },
-            )
-            .unwrap();
+            );
             let mut rng = SujRng::seed_from_u64(4);
             let n = 1_500 * exact.union_size();
             let (samples, _) = sampler.sample(n, &mut rng).unwrap();
@@ -463,21 +451,11 @@ mod tests {
         // members and the requested count is met; uniformity degrades
         // gracefully with estimate quality (§9 measures this).
         let w = workload();
-        let est = crate::hist_estimator::HistogramEstimator::with_olken(
-            &w,
-            crate::hist_estimator::DegreeMode::Max,
-        )
-        .unwrap();
-        let map = est.overlap_map().unwrap();
-        let mut sampler = SetUnionSampler::new(
-            w.clone(),
-            &map,
-            UnionSamplerConfig {
-                policy: CoverPolicy::MembershipOracle,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Histogram(HistogramOptions::default()))
+            .cover_policy(CoverPolicy::MembershipOracle)
+            .build()
+            .unwrap();
         let mut rng = SujRng::seed_from_u64(5);
         let (samples, _) = sampler.sample(500, &mut rng).unwrap();
         assert_eq!(samples.len(), 500);
@@ -490,9 +468,7 @@ mod tests {
     #[test]
     fn zero_requested_samples() {
         let w = workload();
-        let exact = full_join_union(&w).unwrap();
-        let mut sampler =
-            SetUnionSampler::new(w, &exact.overlap, UnionSamplerConfig::default()).unwrap();
+        let mut sampler = build(w, UnionSamplerConfig::default());
         let mut rng = SujRng::seed_from_u64(6);
         let (samples, report) = sampler.sample(0, &mut rng).unwrap();
         assert!(samples.is_empty());
@@ -523,7 +499,9 @@ mod tests {
         let w = Arc::new(UnionWorkload::new(vec![Arc::new(live), Arc::new(empty)]).unwrap());
         // Deliberately wrong estimates giving the empty join mass.
         let map = OverlapMap::new(2, vec![0.0, 2.0, 5.0, 0.0]).unwrap();
-        let mut sampler = SetUnionSampler::new(w, &map, UnionSamplerConfig::default()).unwrap();
+        let config = UnionSamplerConfig::default();
+        let samplers = shared_samplers(&w, config.weights).unwrap();
+        let mut sampler = SetUnionSampler::new(w, &map, config, samplers).unwrap();
         let mut rng = SujRng::seed_from_u64(8);
         let (samples, report) = sampler.sample(50, &mut rng).unwrap();
         assert_eq!(samples.len(), 50);
@@ -534,7 +512,9 @@ mod tests {
     fn mismatched_overlap_map_rejected() {
         let w = workload();
         let bad = OverlapMap::new(1, vec![0.0, 5.0]).unwrap();
-        assert!(SetUnionSampler::new(w, &bad, UnionSamplerConfig::default()).is_err());
+        let config = UnionSamplerConfig::default();
+        let samplers = shared_samplers(&w, config.weights).unwrap();
+        assert!(SetUnionSampler::new(w, &bad, config, samplers).is_err());
     }
 
     #[test]
@@ -543,16 +523,13 @@ mod tests {
         // exact weights the only waste is cover rejection, so total
         // draws should sit well under the bound.
         let w = workload();
-        let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
+        let mut sampler = build(
             w,
-            &exact.overlap,
             UnionSamplerConfig {
                 policy: CoverPolicy::MembershipOracle,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let mut rng = SujRng::seed_from_u64(7);
         let n = 4_000usize;
         let (_, report) = sampler.sample(n, &mut rng).unwrap();
@@ -569,13 +546,12 @@ mod tests {
         // draw()-by-draw consumption equals one batch call seed-for-seed
         // (the oracle policy never retracts, so the streams align 1:1).
         let w = workload();
-        let exact = full_join_union(&w).unwrap();
         let cfg = UnionSamplerConfig {
             policy: CoverPolicy::MembershipOracle,
             ..Default::default()
         };
-        let mut batch = SetUnionSampler::new(w.clone(), &exact.overlap, cfg).unwrap();
-        let mut incremental = SetUnionSampler::new(w, &exact.overlap, cfg).unwrap();
+        let mut batch = build(w.clone(), cfg);
+        let mut incremental = build(w, cfg);
         let mut rng_a = SujRng::seed_from_u64(17);
         let mut rng_b = SujRng::seed_from_u64(17);
         let (samples, _) = batch.sample(200, &mut rng_a).unwrap();
@@ -591,9 +567,7 @@ mod tests {
     #[test]
     fn record_policy_retractions_reference_live_emissions() {
         let w = workload();
-        let exact = full_join_union(&w).unwrap();
-        let mut sampler =
-            SetUnionSampler::new(w, &exact.overlap, UnionSamplerConfig::default()).unwrap();
+        let mut sampler = build(w, UnionSamplerConfig::default());
         let mut rng = SujRng::seed_from_u64(18);
         let mut emitted = 0u64;
         let mut retracted = 0u64;

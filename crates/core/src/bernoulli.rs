@@ -27,8 +27,7 @@ use crate::workload::UnionWorkload;
 use std::sync::Arc;
 use std::time::Instant;
 use suj_join::membership::first_containing;
-use suj_join::weights::build_sampler;
-use suj_join::{JoinSampler, WeightKind};
+use suj_join::JoinSampler;
 use suj_stats::SujRng;
 use suj_storage::Tuple;
 
@@ -44,16 +43,19 @@ pub enum DesignationPolicy {
     Record,
 }
 
+/// Attempt budget inside the join-sampling subroutine per draw (guards
+/// pathological estimates).
+const MAX_JOIN_TRIES: u64 = 1_000_000;
+
 /// Bernoulli union-trick sampler.
 pub struct BernoulliUnionSampler {
     workload: Arc<UnionWorkload>,
     /// Shared per-join samplers (see
-    /// [`SetUnionSampler::with_shared`](crate::algorithm1::SetUnionSampler::with_shared)).
+    /// [`SetUnionSampler::new`](crate::algorithm1::SetUnionSampler::new)).
     samplers: Vec<Arc<dyn JoinSampler>>,
     /// Selection probability per join: `|J_j| / |U|`.
     probabilities: Vec<f64>,
     policy: DesignationPolicy,
-    max_join_tries: u64,
     /// First join each value was SAMPLED from (Record policy).
     record: suj_storage::FxHashMap<Tuple, usize>,
     /// Round-robin cursor into the joins of the current round.
@@ -67,45 +69,11 @@ pub struct BernoulliUnionSampler {
 }
 
 impl BernoulliUnionSampler {
-    /// Builds the sampler with the exact membership-oracle designation.
-    /// `join_sizes` and `union_size` typically come from an estimator's
-    /// `OverlapMap`.
-    pub fn new(
-        workload: Arc<UnionWorkload>,
-        join_sizes: &[f64],
-        union_size: f64,
-        weights: WeightKind,
-    ) -> Result<Self, CoreError> {
-        Self::with_policy(
-            workload,
-            join_sizes,
-            union_size,
-            weights,
-            DesignationPolicy::Oracle,
-        )
-    }
-
-    /// Builds the sampler with an explicit designation policy.
-    pub fn with_policy(
-        workload: Arc<UnionWorkload>,
-        join_sizes: &[f64],
-        union_size: f64,
-        weights: WeightKind,
-        policy: DesignationPolicy,
-    ) -> Result<Self, CoreError> {
-        let samplers = workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), weights).map(Arc::from))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::Join)?;
-        Self::with_shared(workload, join_sizes, union_size, samplers, policy)
-    }
-
     /// Builds the sampler over pre-built per-join samplers (shared with
     /// other handles of the same prepared query); record state starts
-    /// fresh per handle.
-    pub fn with_shared(
+    /// fresh per handle. `join_sizes` and `union_size` typically come
+    /// from an estimator's `OverlapMap`.
+    pub fn new(
         workload: Arc<UnionWorkload>,
         join_sizes: &[f64],
         union_size: f64,
@@ -137,7 +105,6 @@ impl BernoulliUnionSampler {
             samplers,
             probabilities,
             policy,
-            max_join_tries: 1_000_000,
             record: Default::default(),
             cursor: 0,
             fired_this_round: false,
@@ -151,12 +118,6 @@ impl BernoulliUnionSampler {
     /// The designation policy in use.
     pub fn policy(&self) -> DesignationPolicy {
         self.policy
-    }
-
-    /// Overrides the per-draw attempt budget of the join-sampling
-    /// subroutine.
-    pub fn set_max_join_tries(&mut self, tries: u64) {
-        self.max_join_tries = tries;
     }
 }
 
@@ -186,7 +147,7 @@ impl UnionSampler for BernoulliUnionSampler {
             self.fired_this_round = true;
             self.report.join_draws[j] += 1;
             let start = Instant::now();
-            let (t_local, tries) = self.samplers[j].sample_until_accepted(rng, self.max_join_tries);
+            let (t_local, tries) = self.samplers[j].sample_until_accepted(rng, MAX_JOIN_TRIES);
             self.report.rejected_join += tries.saturating_sub(1);
             let Some(t_local) = t_local else {
                 self.report.rejected_time += start.elapsed();
@@ -247,6 +208,17 @@ impl UnionSampler for BernoulliUnionSampler {
 mod tests {
     use super::*;
     use crate::exact::full_join_union;
+    use crate::session::{shared_samplers, Estimator, SamplerBuilder, Strategy};
+    use suj_join::WeightKind;
+
+    /// The builder's Bernoulli sampler over exact parameters.
+    fn build(w: Arc<UnionWorkload>, policy: DesignationPolicy) -> Box<dyn UnionSampler + Send> {
+        SamplerBuilder::for_workload(w)
+            .estimator(Estimator::Exact)
+            .strategy(Strategy::Bernoulli(policy))
+            .build()
+            .unwrap()
+    }
     use suj_storage::{FxHashMap, Relation, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
@@ -290,14 +262,7 @@ mod tests {
     fn uniform_over_set_union() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let sizes: Vec<f64> = (0..2).map(|j| exact.join_size(j) as f64).collect();
-        let mut sampler = BernoulliUnionSampler::new(
-            w.clone(),
-            &sizes,
-            exact.union_size() as f64,
-            WeightKind::Exact,
-        )
-        .unwrap();
+        let mut sampler = build(w.clone(), DesignationPolicy::Oracle);
         let mut rng = SujRng::seed_from_u64(55);
         let universe: Vec<Tuple> = exact.union_set.iter().cloned().collect();
         let n = 3_000 * universe.len();
@@ -338,15 +303,7 @@ mod tests {
             };
             Arc::new(UnionWorkload::new(vec![Arc::new(mk("x")), Arc::new(mk("y"))]).unwrap())
         };
-        let exact = full_join_union(&w_overlap).unwrap();
-        let sizes: Vec<f64> = (0..2).map(|j| exact.join_size(j) as f64).collect();
-        let mut sampler = BernoulliUnionSampler::new(
-            w_overlap,
-            &sizes,
-            exact.union_size() as f64,
-            WeightKind::Exact,
-        )
-        .unwrap();
+        let mut sampler = build(w_overlap, DesignationPolicy::Oracle);
         let mut rng = SujRng::seed_from_u64(66);
         let (_, report) = sampler.sample(2_000, &mut rng).unwrap();
         // Fully-overlapping joins: half of all selections hit the
@@ -359,15 +316,7 @@ mod tests {
     fn record_policy_samples_members_and_rejects_duplicates() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let sizes: Vec<f64> = (0..2).map(|j| exact.join_size(j) as f64).collect();
-        let mut sampler = BernoulliUnionSampler::with_policy(
-            w,
-            &sizes,
-            exact.union_size() as f64,
-            WeightKind::Exact,
-            DesignationPolicy::Record,
-        )
-        .unwrap();
+        let mut sampler = build(w, DesignationPolicy::Record);
         let mut rng = SujRng::seed_from_u64(77);
         let (samples, report) = sampler.sample(5_000, &mut rng).unwrap();
         assert_eq!(samples.len(), 5_000);
@@ -382,18 +331,25 @@ mod tests {
     #[test]
     fn invalid_inputs_rejected() {
         let w = workload();
-        assert!(BernoulliUnionSampler::new(w.clone(), &[1.0], 2.0, WeightKind::Exact).is_err());
-        assert!(BernoulliUnionSampler::new(w, &[1.0, 1.0], 0.0, WeightKind::Exact).is_err());
+        let new = |sizes: &[f64], union_size: f64| {
+            let samplers = shared_samplers(&w, WeightKind::Exact).unwrap();
+            BernoulliUnionSampler::new(
+                w.clone(),
+                sizes,
+                union_size,
+                samplers,
+                DesignationPolicy::Oracle,
+            )
+        };
+        assert!(new(&[1.0], 2.0).is_err());
+        assert!(new(&[1.0, 1.0], 0.0).is_err());
+        assert!(new(&[1.0, 1.0], 2.0).is_ok());
     }
 
     #[test]
     fn per_call_reports_are_deltas() {
         let w = workload();
-        let exact = full_join_union(&w).unwrap();
-        let sizes: Vec<f64> = (0..2).map(|j| exact.join_size(j) as f64).collect();
-        let mut sampler =
-            BernoulliUnionSampler::new(w, &sizes, exact.union_size() as f64, WeightKind::Exact)
-                .unwrap();
+        let mut sampler = build(w, DesignationPolicy::Oracle);
         let mut rng = SujRng::seed_from_u64(88);
         let (_, first) = sampler.sample(100, &mut rng).unwrap();
         let (_, second) = sampler.sample(100, &mut rng).unwrap();

@@ -2,12 +2,11 @@
 //! [`Engine`], and shareable [`PreparedQuery`] plans.
 //!
 //! This is the declarative counterpart to
-//! [`SamplerBuilder`]: register
+//! [`SamplerBuilder`](crate::session::SamplerBuilder): register
 //! relations once (in memory, from CSV, or imported from a generated
-//! [`suj_storage::Catalog`]), describe a
-//! [`UnionQuery`] by relation *name*, and
-//! let the engine's [`Planner`] pick the
-//! estimator × strategy × cover × predicate-mode configuration.
+//! catalog), describe a [`UnionQuery`] by relation *name*, and let the
+//! engine's [`Planner`] pick the estimator × strategy × cover ×
+//! predicate-mode configuration.
 //!
 //! # Concurrency model
 //!
@@ -58,126 +57,17 @@
 
 use crate::error::CoreError;
 use crate::planner::{Plan, Planner};
-use crate::query::UnionQuery;
+use crate::predicate_mode::{can_push_down, PredicateMode};
+use crate::query::{UnionQuery, UnionSemantics};
 use crate::report::RunReport;
-use crate::sampler::UnionSampler;
-use crate::session::{PreparedSampler, SamplerBuilder};
+use crate::session::{freeze, lock, rewrite, FreezeConfig, Given, DEFAULT_ROOT_SEED};
 use crate::workload::UnionWorkload;
-use std::io::Read;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use suj_stats::SujRng;
-use suj_storage::{read_csv, FxHashMap, Relation, StorageError, Tuple};
+use suj_storage::{FxHashMap, Predicate, Tuple};
 
-/// Locks a mutex, recovering from poisoning (a panicked sampling
-/// request must not wedge the whole engine).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A named collection of relations — the "database" union queries are
-/// resolved against. Relations are shared (`Arc`), so registering a
-/// relation in several catalogs or joins copies nothing.
-#[derive(Debug, Clone, Default)]
-pub struct Catalog {
-    relations: FxHashMap<Arc<str>, Arc<Relation>>,
-    order: Vec<Arc<str>>,
-}
-
-impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a relation under its own name. Fails on duplicates.
-    pub fn register(&mut self, relation: Relation) -> Result<Arc<Relation>, CoreError> {
-        self.register_arc(Arc::new(relation))
-    }
-
-    /// Registers an already-shared relation under its own name.
-    pub fn register_arc(&mut self, relation: Arc<Relation>) -> Result<Arc<Relation>, CoreError> {
-        let name: Arc<str> = Arc::from(relation.name());
-        if self.relations.contains_key(&name) {
-            return Err(CoreError::Storage(StorageError::DuplicateRelation(
-                name.to_string(),
-            )));
-        }
-        self.relations.insert(name.clone(), relation.clone());
-        self.order.push(name);
-        Ok(relation)
-    }
-
-    /// Loads a relation from CSV (header row = schema; §4's
-    /// decentralized data-market setting usually means delimited files)
-    /// and registers it under `name`.
-    ///
-    /// Records stream straight into typed
-    /// [`ColumnBuilder`](suj_storage::ColumnBuilder)s — the file is
-    /// never buffered as tuples. Each field is inferred in the fixed
-    /// order **Int → Float → Str**, with the **empty field as NULL**;
-    /// a column whose fields infer to different variants falls back to
-    /// the mixed layout, so any input loads losslessly.
-    pub fn register_csv(
-        &mut self,
-        name: impl AsRef<str>,
-        reader: impl Read,
-    ) -> Result<Arc<Relation>, CoreError> {
-        let relation = read_csv(name, reader).map_err(CoreError::Storage)?;
-        self.register(relation)
-    }
-
-    /// Imports every relation of a storage-layer catalog (e.g. the
-    /// TPC-H generator's output); names must not collide with existing
-    /// registrations. Returns how many relations were added.
-    pub fn import(&mut self, source: &suj_storage::Catalog) -> Result<usize, CoreError> {
-        let names: Vec<String> = source.names().map(String::from).collect();
-        for name in &names {
-            if self.contains(name) {
-                return Err(CoreError::Storage(StorageError::DuplicateRelation(
-                    name.clone(),
-                )));
-            }
-        }
-        for name in &names {
-            let rel = source.get(name).map_err(CoreError::Storage)?;
-            self.register_arc(rel)?;
-        }
-        Ok(names.len())
-    }
-
-    /// Looks up a relation by name.
-    pub fn get(&self, name: &str) -> Result<Arc<Relation>, CoreError> {
-        self.relations
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CoreError::Storage(StorageError::UnknownRelation(name.to_string())))
-    }
-
-    /// Whether a relation is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.order.iter().map(|n| n.as_ref())
-    }
-
-    /// Number of registered relations.
-    pub fn len(&self) -> usize {
-        self.relations.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
-    }
-
-    /// Total rows across all relations.
-    pub fn total_rows(&self) -> usize {
-        self.relations.values().map(|r| r.len()).sum()
-    }
-}
+pub use crate::session::PreparedQuery;
+pub use suj_storage::Catalog;
 
 /// One cache slot: filled by the first successful prepare of its
 /// fingerprint, then shared.
@@ -240,10 +130,9 @@ impl PreparedCache {
 ///
 /// `Engine` is `Send + Sync`: all serving entry points take `&self`, so
 /// one engine (or clones of it, which share the prepared-query cache)
-/// can serve every worker thread. The catalog behaves as a snapshot:
-/// relations are append-only and shared by `Arc`, so a prepared query
-/// stays valid for the data it was planned against even while new
-/// relations are registered.
+/// can serve every worker thread. The catalog is fixed when the engine
+/// is built and its relations are shared by `Arc`, so a prepared query
+/// keeps serving exactly the data it was planned against.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     catalog: Catalog,
@@ -275,22 +164,48 @@ impl Engine {
         &self.catalog
     }
 
-    /// Mutable catalog access (register more relations). Requires
-    /// exclusive access; already-prepared queries keep serving their
-    /// snapshot of the data.
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// The planner.
     pub fn planner(&self) -> &Planner {
         &self.planner
     }
 
+    /// The stages every route to a sampler shares before the freeze:
+    /// resolve against the catalog, pick the predicate mode (pinned,
+    /// else by the predicate's shape — §8.3: push down conjunctive
+    /// comparisons, reject-during-sampling for everything else), apply
+    /// the push-down rewrite, and only then plan — so `plan_for` (the
+    /// planner's probe, or a snapshot's persisted plan) sees the
+    /// workload that is actually sampled. Returns that workload, the
+    /// plan, what `plan_for` already computed, and the predicate when
+    /// it is left to reject mode.
+    fn planned(
+        &self,
+        query: &UnionQuery,
+        plan_for: impl FnOnce(&Arc<UnionWorkload>, UnionSemantics) -> Result<(Plan, Given), CoreError>,
+    ) -> Result<(Arc<UnionWorkload>, Plan, Given, Option<Predicate>), CoreError> {
+        let resolved = query.resolve(&self.catalog)?;
+        let mode = resolved.predicate.as_ref().map(|p| {
+            resolved.predicate_mode.unwrap_or(if can_push_down(p) {
+                PredicateMode::PushDown
+            } else {
+                PredicateMode::Reject
+            })
+        });
+        let workload = rewrite(&resolved.workload, resolved.predicate.as_ref().zip(mode))?;
+        let (mut plan, given) = plan_for(&workload, resolved.semantics)?;
+        plan.predicate_mode = mode;
+        let reject_predicate = resolved
+            .predicate
+            .filter(|_| mode == Some(PredicateMode::Reject));
+        Ok((workload, plan, given, reject_predicate))
+    }
+
     /// Resolves and plans a query without building a sampler — the
     /// `EXPLAIN` path: cheap statistics only, no parameter estimation.
     pub fn plan(&self, query: &UnionQuery) -> Result<Plan, CoreError> {
-        Ok(self.planner.plan_query(&query.resolve(&self.catalog)?))
+        Ok(self
+            .planned(query, |w, s| Ok(self.planner.plan_with_given(w, s)))?
+            .1)
     }
 
     /// Identity of a query against this engine: the declarative shape
@@ -350,18 +265,30 @@ impl Engine {
     /// [`prepare`](Self::prepare) without consulting or filling the
     /// cache — pays planning and estimation unconditionally.
     pub fn prepare_uncached(&self, query: &UnionQuery) -> Result<PreparedQuery, CoreError> {
-        let resolved = query.resolve(&self.catalog)?;
-        let plan = self.planner.plan_query(&resolved);
-        let mut builder = plan.apply(SamplerBuilder::for_workload(resolved.workload));
-        if let (Some(p), Some(mode)) = (resolved.predicate, plan.predicate_mode) {
-            builder = builder.predicate(p, mode);
-        }
-        let prepared = builder.freeze()?.with_summary(plan.summary());
-        Ok(PreparedQuery::from_query_parts(
-            query.clone(),
+        self.prepare_via(query, DEFAULT_ROOT_SEED, |w, s| {
+            Ok(self.planner.plan_with_given(w, s))
+        })
+    }
+
+    /// The whole pipeline — resolve → rewrite → plan → freeze — with
+    /// the plan and whatever is already computed for the rewritten
+    /// workload supplied by `plan_for`: the planner's probe on a fresh
+    /// prepare, the persisted plan and artifacts on a snapshot restore.
+    pub(crate) fn prepare_via(
+        &self,
+        query: &UnionQuery,
+        root_seed: u64,
+        plan_for: impl FnOnce(&Arc<UnionWorkload>, UnionSemantics) -> Result<(Plan, Given), CoreError>,
+    ) -> Result<PreparedQuery, CoreError> {
+        let (workload, plan, given, reject_predicate) = self.planned(query, plan_for)?;
+        let config = FreezeConfig {
             plan,
-            prepared,
-        ))
+            cover_policy: None,
+            reject_predicate,
+            root_seed,
+            source: Some(query.clone()),
+        };
+        freeze(workload, config, given)
     }
 
     /// Prepared queries currently cached.
@@ -400,200 +327,12 @@ impl Engine {
     }
 }
 
-/// A planned, estimated, ready-to-serve query.
-///
-/// Overlap maps, covers, estimator state, and the per-join weight
-/// precomputation were paid once at [`Engine::prepare`] time and are
-/// frozen — `PreparedQuery` is `Send + Sync` and meant to be shared as
-/// `Arc<PreparedQuery>` across every serving thread. Threads draw by
-/// minting independent handles ([`sampler`](Self::sampler)) or through
-/// the seed-addressed conveniences ([`sample`](Self::sample),
-/// [`run`](Self::run)); per-handle reports fold into a cumulative
-/// aggregate readable via [`report`](Self::report).
-pub struct PreparedQuery {
-    plan: Plan,
-    prepared: PreparedSampler,
-    /// The declarative query this plan was prepared from, when it came
-    /// through the engine — retained so snapshots can persist and
-    /// re-fingerprint it ([`auto`](Self::auto) plans have none).
-    source: Option<UnionQuery>,
-    aggregate: Mutex<RunReport>,
-}
-
-impl std::fmt::Debug for PreparedQuery {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreparedQuery")
-            .field("plan", &self.plan.summary())
-            .field("estimations", &self.estimations())
-            .field("handles", &self.handles())
-            .finish_non_exhaustive()
-    }
-}
-
-impl PreparedQuery {
-    /// Assembles a prepared query from a plan and a frozen pipeline
-    /// (the engine's path; [`auto`](Self::auto) is the catalog-free
-    /// one).
-    pub fn from_parts(plan: Plan, prepared: PreparedSampler) -> Self {
-        let mut aggregate = RunReport::new(prepared.workload().n_joins());
-        aggregate.config = Some(prepared.summary().clone());
-        Self {
-            plan,
-            prepared,
-            source: None,
-            aggregate: Mutex::new(aggregate),
-        }
-    }
-
-    /// [`from_parts`](Self::from_parts), additionally retaining the
-    /// declarative query the plan came from (snapshot persistence).
-    pub(crate) fn from_query_parts(
-        query: UnionQuery,
-        plan: Plan,
-        prepared: PreparedSampler,
-    ) -> Self {
-        let mut out = Self::from_parts(plan, prepared);
-        out.source = Some(query);
-        out
-    }
-
-    /// The declarative query this plan was prepared from, when known.
-    pub(crate) fn source_query(&self) -> Option<&UnionQuery> {
-        self.source.as_ref()
-    }
-
-    /// The frozen pipeline (snapshot serialization).
-    pub(crate) fn prepared(&self) -> &PreparedSampler {
-        &self.prepared
-    }
-
-    /// Plans and freezes a set-union workload with the default planner
-    /// — the catalog-free entry point benches and embedded callers use
-    /// to get a shareable `PreparedQuery` straight from a
-    /// [`UnionWorkload`].
-    pub fn auto(workload: Arc<UnionWorkload>) -> Result<Self, CoreError> {
-        let plan = Planner::default().plan(&workload, crate::query::UnionSemantics::Set);
-        let prepared = plan
-            .apply(SamplerBuilder::for_workload(workload))
-            .freeze()?
-            .with_summary(plan.summary());
-        Ok(Self::from_parts(plan, prepared))
-    }
-
-    /// The configuration the planner selected.
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// [`Plan::explain`] for this query.
-    pub fn explain(&self) -> String {
-        self.plan.explain()
-    }
-
-    /// The resolved configuration summary stamped at freeze time —
-    /// including provenance (rule, size provenance) that a summary
-    /// recomputed from [`Self::plan`] cannot always re-derive after a
-    /// snapshot restore (frozen stats carry no histogram map). This is
-    /// the same summary every [`RunReport`] from this query carries in
-    /// its `config`.
-    pub fn summary(&self) -> &crate::report::PlanSummary {
-        self.prepared.summary()
-    }
-
-    /// The workload being sampled (after any predicate push-down).
-    pub fn workload(&self) -> &Arc<UnionWorkload> {
-        self.prepared.workload()
-    }
-
-    /// Mints an independent `Send` sampler handle over the frozen
-    /// state; `seed` names the handle's RNG stream. Minting is cheap
-    /// and re-estimates nothing (exception: an online plan estimates
-    /// per handle *by design* — see [`estimations`](Self::estimations));
-    /// every handle is a fresh i.i.d. sampling process, safe to use
-    /// concurrently with any number of sibling handles.
-    ///
-    /// The handle itself carries no mint-time randomness: two handles
-    /// minted with different seeds are identical until driven. The seed
-    /// realizes its stream through the paired [`rng(seed)`](Self::rng)
-    /// — drive the handle with that RNG (as [`sample`](Self::sample)
-    /// and the [`SamplingService`](crate::serve::SamplingService)
-    /// workers do) to get the deterministic per-seed output; driving it
-    /// with any other RNG is equally valid but keyed by that RNG
-    /// instead.
-    pub fn sampler(&self, seed: u64) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
-        let _ = seed; // stream identity lives in `rng(seed)`; eager strategies carry no mint-time randomness
-        self.prepared.instantiate()
-    }
-
-    /// The deterministic RNG stream for handle/request `seed`, derived
-    /// from the prepared root seed by
-    /// [`SujRng::derive`] — independent of
-    /// threads, interleaving, and mint order.
-    pub fn rng(&self, seed: u64) -> SujRng {
-        SujRng::derive(self.prepared.root_seed(), seed)
-    }
-
-    /// Seed-addressed sampling: mints a handle, drives it with
-    /// [`rng(seed)`](Self::rng), and folds the per-request report into
-    /// the cumulative aggregate. Same `(prepared state, n, seed)` →
-    /// bit-identical samples, on any thread — the serving determinism
-    /// contract.
-    pub fn sample(&self, n: usize, seed: u64) -> Result<(Vec<Tuple>, RunReport), CoreError> {
-        let mut handle = self.sampler(seed)?;
-        let mut rng = self.rng(seed);
-        let (tuples, report) = handle.sample(n, &mut rng)?;
-        lock(&self.aggregate).merge(&report);
-        Ok((tuples, report))
-    }
-
-    /// Draws `n` i.i.d. samples with a caller-supplied RNG — the thin
-    /// convenience over one minted handle. Reuses the frozen estimator
-    /// state (no re-estimation); the returned report covers this call
-    /// only.
-    pub fn run(&self, n: usize, rng: &mut SujRng) -> Result<(Vec<Tuple>, RunReport), CoreError> {
-        let mut handle = self.prepared.instantiate()?;
-        let (tuples, report) = handle.sample(n, rng)?;
-        lock(&self.aggregate).merge(&report);
-        Ok((tuples, report))
-    }
-
-    /// Cumulative counters across every [`sample`](Self::sample) /
-    /// [`run`](Self::run) on this prepared query (reports of handles
-    /// minted via [`sampler`](Self::sampler) are the caller's to
-    /// aggregate), including the stamped configuration.
-    pub fn report(&self) -> RunReport {
-        lock(&self.aggregate).clone()
-    }
-
-    /// Parameter-estimation passes paid when this query was prepared
-    /// (1, or 0 when the planner's probe already paid it). Constant
-    /// afterwards: minting handles and sampling never repeat
-    /// prepare-time estimation — the "estimate once, serve many"
-    /// assertion for served workloads.
-    ///
-    /// Exception: plans using [`Strategy::Online`](crate::session::Strategy)
-    /// (the no-statistics rule) estimate *while sampling* by design —
-    /// Algorithm 2's warm-up and refinement consume each handle's own
-    /// RNG stream, so that work is inherently per-handle, is not
-    /// counted here, and shows up as `warmup_time` in per-request
-    /// reports instead.
-    pub fn estimations(&self) -> u64 {
-        self.prepared.estimation_passes()
-    }
-
-    /// Sampler handles minted so far (via [`sampler`](Self::sampler),
-    /// [`sample`](Self::sample), or [`run`](Self::run)).
-    pub fn handles(&self) -> u64 {
-        self.prepared.minted()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::planner::PlanRule;
     use crate::predicate_mode::PredicateMode;
-    use suj_storage::{CompareOp, Predicate, Schema, Value};
+    use suj_storage::{CompareOp, Predicate, Relation, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Relation {
         let schema = Schema::new(attrs.iter().copied()).unwrap();
@@ -667,7 +406,7 @@ mod tests {
 
     #[test]
     fn catalog_imports_storage_catalogs() {
-        let mut source = suj_storage::Catalog::new();
+        let mut source = Catalog::new();
         source.register(rel("x", &["a"], vec![vec![1]])).unwrap();
         source.register(rel("y", &["a"], vec![vec![2]])).unwrap();
         let mut c = Catalog::new();
@@ -741,19 +480,22 @@ mod tests {
 
     #[test]
     fn prepare_errors_are_not_cached() {
-        let mut engine = Engine::new(shop_catalog());
+        let engine = Engine::new(shop_catalog());
         let query = UnionQuery::set_union()
             .chain("j", ["a_items", "missing"])
             .unwrap();
         assert!(engine.prepare(&query).is_err());
+        assert!(engine.prepare(&query).is_err(), "errors are not cached");
         assert_eq!(engine.cached_queries(), 0);
-        // Registering the missing relation afterwards lets the same
-        // query prepare (the failed attempt left nothing poisoned).
-        engine
-            .catalog_mut()
+        // The failed attempts left nothing poisoned: the engine still
+        // prepares valid queries, and an engine whose catalog has the
+        // relation prepares this one.
+        assert!(engine.prepare(&shop_query()).is_ok());
+        let mut catalog = shop_catalog();
+        catalog
             .register(rel("missing", &["sale", "sku"], vec![vec![5, 1]]))
             .unwrap();
-        assert!(engine.prepare(&query).is_ok());
+        assert!(Engine::new(catalog).prepare(&query).is_ok());
     }
 
     #[test]

@@ -16,18 +16,16 @@ use crate::sampler::{Draw, UnionSampler};
 use crate::workload::UnionWorkload;
 use std::sync::Arc;
 use std::time::Instant;
-use suj_join::weights::build_sampler;
-use suj_join::{JoinSampler, WeightKind};
+use suj_join::JoinSampler;
 use suj_stats::{Categorical, SujRng};
 
 /// Sampler over the disjoint union of a workload's joins.
 pub struct DisjointUnionSampler {
     workload: Arc<UnionWorkload>,
     /// Shared per-join samplers (see
-    /// [`SetUnionSampler::with_shared`](crate::algorithm1::SetUnionSampler::with_shared)).
+    /// [`SetUnionSampler::new`](crate::algorithm1::SetUnionSampler::new)).
     samplers: Vec<Arc<dyn JoinSampler>>,
     selection: Option<Categorical>,
-    join_sizes: Vec<f64>,
     report: RunReport,
     emitted: u64,
     /// Reusable row-id draw scratch: rejected attempts allocate
@@ -38,27 +36,12 @@ pub struct DisjointUnionSampler {
 }
 
 impl DisjointUnionSampler {
-    /// Builds the sampler. `join_sizes` drive join selection — exact
-    /// EW sizes give exactly `1/|V|` per tuple.
+    /// Builds the sampler over pre-built per-join samplers (shared with
+    /// other handles of the same prepared query). `join_sizes` drive
+    /// join selection — exact EW sizes give exactly `1/|V|` per tuple.
     pub fn new(
         workload: Arc<UnionWorkload>,
-        join_sizes: Vec<f64>,
-        weights: WeightKind,
-    ) -> Result<Self, CoreError> {
-        let samplers = workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), weights).map(Arc::from))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::Join)?;
-        Self::with_shared(workload, join_sizes, samplers)
-    }
-
-    /// Builds the sampler over pre-built per-join samplers (shared with
-    /// other handles of the same prepared query).
-    pub fn with_shared(
-        workload: Arc<UnionWorkload>,
-        join_sizes: Vec<f64>,
+        join_sizes: &[f64],
         samplers: Vec<Arc<dyn JoinSampler>>,
     ) -> Result<Self, CoreError> {
         if join_sizes.len() != workload.n_joins() {
@@ -75,33 +58,17 @@ impl DisjointUnionSampler {
                 workload.n_joins()
             )));
         }
-        let selection = Categorical::new(&join_sizes);
+        let selection = Categorical::new(join_sizes);
         let n_joins = workload.n_joins();
         Ok(Self {
             workload,
             samplers,
             selection,
-            join_sizes,
             report: RunReport::new(n_joins),
             emitted: 0,
             draw: suj_join::RowDraw::new(),
             canon_scratch: Vec::new(),
         })
-    }
-
-    /// Convenience: exact (EW) sizes and the given weight kind.
-    pub fn with_exact_sizes(
-        workload: Arc<UnionWorkload>,
-        weights: WeightKind,
-    ) -> Result<Self, CoreError> {
-        let sizes = workload.exact_join_sizes()?;
-        Self::new(workload, sizes, weights)
-    }
-
-    /// `Σ |J_j|` — the disjoint union size implied by the selection
-    /// weights.
-    pub fn disjoint_size(&self) -> f64 {
-        self.join_sizes.iter().sum()
     }
 }
 
@@ -158,6 +125,18 @@ impl UnionSampler for DisjointUnionSampler {
 mod tests {
     use super::*;
     use crate::exact::full_join_union;
+    use crate::session::{shared_samplers, Estimator, SamplerBuilder, Strategy};
+    use suj_join::WeightKind;
+
+    /// The builder's disjoint sampler over exact (EW) join sizes.
+    fn build(w: Arc<UnionWorkload>, weights: WeightKind) -> Box<dyn UnionSampler + Send> {
+        SamplerBuilder::for_workload(w)
+            .estimator(Estimator::Exact)
+            .strategy(Strategy::Disjoint)
+            .weights(weights)
+            .build()
+            .unwrap()
+    }
     use suj_storage::{FxHashMap, Relation, Schema, Tuple, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
@@ -197,12 +176,8 @@ mod tests {
     fn disjoint_distribution_counts_duplicates_twice() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler =
-            DisjointUnionSampler::with_exact_sizes(w.clone(), WeightKind::Exact).unwrap();
-        assert_eq!(
-            sampler.disjoint_size(),
-            (exact.join_size(0) + exact.join_size(1)) as f64
-        );
+        let mut sampler = build(w.clone(), WeightKind::Exact);
+        let v = (exact.join_size(0) + exact.join_size(1)) as f64;
 
         let mut rng = SujRng::seed_from_u64(7);
         let (samples, report) = sampler.sample(25_000, &mut rng).unwrap();
@@ -215,7 +190,6 @@ mod tests {
         for t in &samples {
             *counts.entry(t.clone()).or_insert(0) += 1;
         }
-        let v = sampler.disjoint_size();
         let shared = suj_storage::tuple![1i64, 10i64, 100i64];
         let single = suj_storage::tuple![3i64, 20i64, 200i64];
         let f_shared = counts[&shared] as f64 / 25_000.0;
@@ -227,8 +201,7 @@ mod tests {
     #[test]
     fn all_samples_are_members() {
         let w = workload();
-        let mut sampler =
-            DisjointUnionSampler::with_exact_sizes(w.clone(), WeightKind::Exact).unwrap();
+        let mut sampler = build(w.clone(), WeightKind::Exact);
         let mut rng = SujRng::seed_from_u64(9);
         let (samples, _) = sampler.sample(500, &mut rng).unwrap();
         for t in samples {
@@ -239,8 +212,7 @@ mod tests {
     #[test]
     fn works_with_olken_weights() {
         let w = workload();
-        let mut sampler =
-            DisjointUnionSampler::with_exact_sizes(w, WeightKind::ExtendedOlken).unwrap();
+        let mut sampler = build(w, WeightKind::ExtendedOlken);
         let mut rng = SujRng::seed_from_u64(10);
         let (samples, report) = sampler.sample(200, &mut rng).unwrap();
         assert_eq!(samples.len(), 200);
@@ -251,13 +223,14 @@ mod tests {
     #[test]
     fn wrong_size_vector_rejected() {
         let w = workload();
-        assert!(DisjointUnionSampler::new(w, vec![1.0], WeightKind::Exact).is_err());
+        let samplers = shared_samplers(&w, WeightKind::Exact).unwrap();
+        assert!(DisjointUnionSampler::new(w, &[1.0], samplers).is_err());
     }
 
     #[test]
     fn draw_never_retracts() {
         let w = workload();
-        let mut sampler = DisjointUnionSampler::with_exact_sizes(w, WeightKind::Exact).unwrap();
+        let mut sampler = build(w, WeightKind::Exact);
         let mut rng = SujRng::seed_from_u64(11);
         for _ in 0..500 {
             assert!(matches!(sampler.draw(&mut rng).unwrap(), Draw::Tuple(..)));

@@ -30,7 +30,7 @@
 //! * [`session`] — the fluent [`SamplerBuilder`]: estimator selection,
 //!   strategy selection, predicate push-down, all in one validated
 //!   place; [`SamplerBuilder::freeze`] yields the `Send + Sync`
-//!   [`PreparedSampler`] that mints independent per-thread handles.
+//!   [`PreparedQuery`] that mints independent per-thread handles.
 //! * [`serve`] — [`SamplingService`]: a bounded-queue `std::thread`
 //!   worker pool serving deterministic sampling requests over a shared
 //!   engine.
@@ -111,32 +111,8 @@ pub mod stream;
 pub mod walk_estimator;
 pub mod workload;
 
-pub use algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
-pub use algorithm2::{OnlineConfig, OnlineUnionSampler};
-pub use bernoulli::{BernoulliUnionSampler, DesignationPolicy};
-pub use catalog::{Catalog, Engine, PreparedQuery};
-pub use cover::{Cover, CoverStrategy};
-pub use error::CoreError;
-pub use exact::{full_join_union, ExactUnion};
-pub use hist_estimator::{DegreeMode, HistogramEstimator};
-pub use overlap::OverlapMap;
-pub use planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
-pub use predicate_mode::{
-    can_push_down, push_down, FilteredSampler, PredicateMode, PredicateSampler,
-};
-pub use query::{JoinDef, ResolvedQuery, UnionQuery, UnionSemantics};
-pub use report::{LatencyHistogram, PlanSummary, RunReport};
-pub use sampler::{Draw, UnionSampler};
-pub use serve::{
-    RequestTarget, SampleRequest, SampleResponse, SamplingService, ServiceConfig, ServiceStats,
-    SubmitError, Ticket,
-};
-pub use session::{Estimator, HistogramOptions, PreparedSampler, SamplerBuilder, Strategy};
-pub use stream::SampleStream;
-pub use walk_estimator::{WalkEstimate, WalkEstimatorConfig};
-pub use workload::{UnionWorkload, MAX_JOINS};
-
-/// Commonly used items.
+/// Commonly used items — the crate's public vocabulary, listed once;
+/// the crate root re-exports exactly this set.
 pub mod prelude {
     pub use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
     pub use crate::algorithm2::{OnlineConfig, OnlineUnionSampler};
@@ -149,9 +125,7 @@ pub mod prelude {
     pub use crate::hist_estimator::{DegreeMode, HistogramEstimator};
     pub use crate::overlap::OverlapMap;
     pub use crate::planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
-    pub use crate::predicate_mode::{
-        can_push_down, push_down, FilteredSampler, PredicateMode, PredicateSampler,
-    };
+    pub use crate::predicate_mode::{can_push_down, push_down, PredicateMode, PredicateSampler};
     pub use crate::query::{JoinDef, ResolvedQuery, UnionQuery, UnionSemantics};
     pub use crate::report::{LatencyHistogram, PlanSummary, RunReport};
     pub use crate::sampler::{Draw, UnionSampler};
@@ -159,10 +133,10 @@ pub mod prelude {
         RequestTarget, SampleRequest, SampleResponse, SamplingService, ServiceConfig, ServiceStats,
         SubmitError, Ticket,
     };
-    pub use crate::session::{
-        Estimator, HistogramOptions, PreparedSampler, SamplerBuilder, Strategy,
-    };
+    pub use crate::session::{Estimator, HistogramOptions, SamplerBuilder, Strategy};
     pub use crate::stream::SampleStream;
     pub use crate::walk_estimator::{WalkEstimate, WalkEstimatorConfig};
     pub use crate::workload::{UnionWorkload, MAX_JOINS};
 }
+
+pub use prelude::*;

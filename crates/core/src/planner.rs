@@ -29,18 +29,15 @@
 use crate::algorithm2::OnlineConfig;
 use crate::bernoulli::DesignationPolicy;
 use crate::cover::CoverStrategy;
-use crate::error::CoreError;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
 use crate::overlap::OverlapMap;
-use crate::predicate_mode::{can_push_down, PredicateMode};
-use crate::query::{ResolvedQuery, UnionSemantics};
+use crate::predicate_mode::PredicateMode;
+use crate::query::UnionSemantics;
 use crate::report::PlanSummary;
-use crate::session::{Estimator, HistogramOptions, Strategy};
+use crate::session::{shared_samplers, Estimator, FrozenParams, Given, HistogramOptions, Strategy};
 use crate::walk_estimator::WalkEstimatorConfig;
 use crate::workload::UnionWorkload;
-use std::fmt;
 use std::sync::Arc;
-use suj_join::weights::build_sampler;
 use suj_join::{JoinSampler, WeightKind};
 
 /// Cheap statistics the planner gathers before choosing a
@@ -63,25 +60,6 @@ pub struct WorkloadStats {
     /// from the Exact-Weight count tables (every member acyclic and
     /// unsaturated) rather than histogram estimates.
     pub exact_sizes: bool,
-    /// The overlap map the probe computed, kept so a plan that selects
-    /// the same histogram estimator can hand it to the builder instead
-    /// of re-estimating.
-    pub(crate) probed_map: Option<OverlapMap>,
-    /// The Exact-Weight samplers the exact-size refinement built (count
-    /// tables + alias arenas), kept so `freeze()` reuses them instead
-    /// of building the same structures a second time.
-    pub(crate) probed_samplers: Option<ProbedSamplers>,
-}
-
-/// Shared per-join samplers riding along on [`WorkloadStats`] from the
-/// planner's exact-size probe into the builder's freeze.
-#[derive(Clone)]
-pub(crate) struct ProbedSamplers(pub(crate) Vec<Arc<dyn JoinSampler>>);
-
-impl fmt::Debug for ProbedSamplers {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ProbedSamplers({})", self.0.len())
-    }
 }
 
 impl WorkloadStats {
@@ -90,29 +68,23 @@ impl WorkloadStats {
     /// [`WorkloadStats::unavailable`] rather than erroring: planning
     /// must always succeed.
     pub fn probe(workload: &UnionWorkload) -> Self {
+        Self::probe_with_map(workload).0
+    }
+
+    /// [`probe`](Self::probe), also returning the overlap map the
+    /// estimator produced so a plan that keeps the same estimator can
+    /// hand it to the freeze instead of estimating a second time.
+    fn probe_with_map(workload: &UnionWorkload) -> (Self, Option<OverlapMap>) {
         let mut stats = Self::unavailable(workload);
-        if let Ok(map) = HistogramEstimator::with_olken(workload, DegreeMode::Max)
+        let map = HistogramEstimator::with_olken(workload, DegreeMode::Max)
             .and_then(|est| est.overlap_map())
-        {
+            .ok();
+        if let Some(map) = &map {
             stats.join_size_hints =
                 Some((0..workload.n_joins()).map(|j| map.join_size(j)).collect());
             stats.union_size_hint = Some(map.union_size());
-            stats.probed_map = Some(map);
         }
-        stats
-    }
-
-    /// Statistics rebuilt from a persisted overlap map (snapshot
-    /// restore): the same shape [`probe`](Self::probe) would produce
-    /// for that map, without running any estimator. Note the map a
-    /// snapshot retains was frozen *after* any predicate push-down
-    /// rewrite, so restored hints may describe the rewritten workload.
-    pub(crate) fn from_probed(workload: &UnionWorkload, map: OverlapMap) -> Self {
-        let mut stats = Self::unavailable(workload);
-        stats.join_size_hints = Some((0..map.n()).map(|j| map.join_size(j)).collect());
-        stats.union_size_hint = Some(map.union_size());
-        stats.probed_map = Some(map);
-        stats
+        (stats, map)
     }
 
     /// Statistics-free stats (the decentralized cold start): only row
@@ -135,8 +107,6 @@ impl WorkloadStats {
             total_base_rows,
             n_joins: workload.n_joins(),
             exact_sizes: false,
-            probed_map: None,
-            probed_samplers: None,
         }
     }
 
@@ -203,19 +173,15 @@ pub enum PlanRule {
     LowOverlap,
     /// Overlapping joins: non-Bernoulli cover selection wastes nothing.
     HighOverlap,
+    /// No rule fired: the caller pinned the configuration through
+    /// [`SamplerBuilder`](crate::session::SamplerBuilder).
+    Explicit,
 }
 
 impl PlanRule {
     /// Stable rule name (used in summaries and assertions).
     pub fn name(&self) -> &'static str {
-        match self {
-            PlanRule::DisjointSemantics => "disjoint-semantics",
-            PlanRule::CyclicJoin => "cyclic-join",
-            PlanRule::SingleJoin => "single-join",
-            PlanRule::NoStatistics => "no-statistics",
-            PlanRule::LowOverlap => "low-overlap",
-            PlanRule::HighOverlap => "high-overlap",
-        }
+        self.label()
     }
 
     /// The paper section(s) justifying the rule.
@@ -229,6 +195,7 @@ impl PlanRule {
             PlanRule::NoStatistics => "§6–§7 (Algorithm 2)",
             PlanRule::LowOverlap => "§3 (Bernoulli union trick)",
             PlanRule::HighOverlap => "§4–§5 (Algorithm 1, cover selection)",
+            PlanRule::Explicit => "caller's choice",
         }
     }
 }
@@ -293,19 +260,35 @@ impl Planner {
         &self.config
     }
 
-    /// Plans a workload under the given union semantics.
+    /// Plans a workload under the given union semantics. Plan the
+    /// workload that will actually be sampled: a push-down predicate is
+    /// applied *before* planning, so the statistics describe the
+    /// filtered data.
     pub fn plan(&self, workload: &UnionWorkload, semantics: UnionSemantics) -> Plan {
-        let mut stats = if self.config.use_statistics {
-            WorkloadStats::probe(workload)
+        self.plan_with_given(workload, semantics).0
+    }
+
+    /// [`plan`](Self::plan), also handing over what the probe already
+    /// computed for exactly this workload — the overlap map (when the
+    /// plan keeps the probe's estimator) and the Exact-Weight samplers
+    /// behind the exact sizes — so the freeze computes neither twice.
+    pub(crate) fn plan_with_given(
+        &self,
+        workload: &UnionWorkload,
+        semantics: UnionSemantics,
+    ) -> (Plan, Given) {
+        let (mut stats, probed_map) = if self.config.use_statistics {
+            WorkloadStats::probe_with_map(workload)
         } else {
-            WorkloadStats::unavailable(workload)
+            (WorkloadStats::unavailable(workload), None)
         };
         let cyclic = workload
             .joins()
             .iter()
             .any(|j| suj_join::graph::has_graph_cycle(j));
+        let mut given = Given::default();
         if self.config.use_statistics && !cyclic {
-            Self::refine_exact_sizes(&mut stats, workload);
+            given.samplers = Self::refine_exact_sizes(&mut stats, workload);
         }
         let estimator = self.pick_estimator(&stats);
 
@@ -378,7 +361,12 @@ impl Planner {
             _ => None,
         };
 
-        Plan {
+        // The probe ran the default histogram estimator; only a plan
+        // that keeps exactly that estimator may reuse its map.
+        if let Some(Estimator::Histogram(_)) = estimator {
+            given.params = probed_map.map(FrozenParams::Map);
+        }
+        let plan = Plan {
             strategy,
             estimator,
             weights,
@@ -386,24 +374,8 @@ impl Planner {
             predicate_mode: None,
             rule,
             stats,
-        }
-    }
-
-    /// Plans a resolved declarative query: [`plan`](Self::plan) plus
-    /// predicate-mode selection (§8.3: push down conjunctive
-    /// comparisons; reject-during-sampling for everything else).
-    pub fn plan_query(&self, resolved: &ResolvedQuery) -> Plan {
-        let mut plan = self.plan(&resolved.workload, resolved.semantics);
-        if let Some(p) = &resolved.predicate {
-            plan.predicate_mode = Some(resolved.predicate_mode.unwrap_or({
-                if can_push_down(p) {
-                    PredicateMode::PushDown
-                } else {
-                    PredicateMode::Reject
-                }
-            }));
-        }
-        plan
+        };
+        (plan, given)
     }
 
     /// On an all-acyclic workload, builds the Exact-Weight samplers
@@ -411,17 +383,15 @@ impl Planner {
     /// (when the probe's statistics are available to supply overlap
     /// context) replaces the histogram's size hints with the exact
     /// figures, clamping the union estimate into its sound bracket
-    /// `[max |Jᵢ|, Σ|Jᵢ|]`. The samplers ride along on the stats so
-    /// `freeze()` reuses their alias arenas instead of building them a
-    /// second time. Skipped entirely when any count saturated `u64`
-    /// (the hints would not be exact) or a sampler failed to build.
-    fn refine_exact_sizes(stats: &mut WorkloadStats, workload: &UnionWorkload) {
-        let built: Result<Vec<Arc<dyn JoinSampler>>, _> = workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), WeightKind::Exact).map(Arc::from))
-            .collect();
-        let Ok(samplers) = built else { return };
+    /// `[max |Jᵢ|, Σ|Jᵢ|]`. Returns the samplers so the freeze reuses
+    /// their alias arenas instead of building them a second time. The
+    /// hints stay as probed when any count saturated `u64` (they would
+    /// not be exact); `None` when a sampler failed to build.
+    fn refine_exact_sizes(
+        stats: &mut WorkloadStats,
+        workload: &UnionWorkload,
+    ) -> Option<Vec<Arc<dyn JoinSampler>>> {
+        let samplers = shared_samplers(workload, WeightKind::Exact).ok()?;
         let exact: Option<Vec<u64>> = samplers.iter().map(|s| s.size_info().exact).collect();
         if let (Some(exact), true) = (exact, stats.available()) {
             let hints: Vec<f64> = exact.iter().map(|&n| n as f64).collect();
@@ -434,7 +404,7 @@ impl Planner {
             stats.join_size_hints = Some(hints);
             stats.exact_sizes = true;
         }
-        stats.probed_samplers = Some(ProbedSamplers(samplers));
+        Some(samplers)
     }
 
     /// Estimator for strategies that need parameters up front.
@@ -471,16 +441,10 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Applies the planned knobs to a builder (only where the caller
-    /// left them unset, so explicit choices always win). When the plan
-    /// keeps the histogram estimator the probe already ran, the probed
-    /// overlap map rides along so the build does not re-estimate.
-    pub fn apply(&self, builder: crate::session::SamplerBuilder) -> crate::session::SamplerBuilder {
-        builder.apply_plan(self)
-    }
-
     /// The compact configuration record stamped into
-    /// [`RunReport::config`](crate::report::RunReport::config).
+    /// [`RunReport::config`](crate::report::RunReport::config) — the
+    /// one place a configuration is rendered, whether a rule chose it,
+    /// the caller pinned it, or a snapshot restored it.
     pub fn summary(&self) -> PlanSummary {
         PlanSummary {
             strategy: self.strategy.to_string(),
@@ -488,17 +452,11 @@ impl Plan {
                 Some(est) => est.to_string(),
                 None => "online".to_string(),
             },
-            weights: self.weights.map(weights_label),
-            cover: self.cover_strategy.map(cover_label),
-            predicate: self.predicate_mode.map(|m| {
-                match m {
-                    PredicateMode::PushDown => "push-down",
-                    PredicateMode::Reject => "reject",
-                }
-                .to_string()
-            }),
+            weights: self.weights.map(|w| w.label().to_string()),
+            cover: self.cover_strategy.map(|cs| cs.label().to_string()),
+            predicate: self.predicate_mode.map(|m| m.label().to_string()),
             sizing: self.sizing_label(),
-            rule: Some(self.rule.name().to_string()),
+            rule: (self.rule != PlanRule::Explicit).then(|| self.rule.name().to_string()),
         }
     }
 
@@ -554,6 +512,9 @@ impl Plan {
                  selection, which wastes no samples",
                 self.stats.overlap_ratio().unwrap_or(f64::NAN),
             ),
+            PlanRule::Explicit => "the caller pinned this configuration on the builder; no \
+                 planner rule was consulted"
+                .to_string(),
         };
         out.push_str(&format!(
             "rule: {} — {} [{}]\n",
@@ -572,39 +533,66 @@ impl Plan {
         ));
         out
     }
+}
 
-    /// Builds the planned sampler over a workload (the
-    /// explicit-builder equivalent of this plan).
-    pub fn build(
-        &self,
-        workload: std::sync::Arc<UnionWorkload>,
-    ) -> Result<Box<dyn crate::sampler::UnionSampler + Send>, CoreError> {
-        let builder = crate::session::SamplerBuilder::for_workload(workload);
-        let mut sampler = self.apply(builder).build()?;
-        sampler.report_mut().config = Some(self.summary());
-        Ok(sampler)
+/// A fieldless plan enum: the position in [`TABLE`](Self::TABLE) is
+/// the variant's snapshot tag and the string its [`PlanSummary`]
+/// label, so persistence and rendering cannot drift apart.
+pub(crate) trait Labeled: Copy + PartialEq + 'static {
+    /// Every variant, in tag order (append only: tags are persisted).
+    const TABLE: &'static [(Self, &'static str)];
+
+    /// Stable label of the variant.
+    fn label(self) -> &'static str {
+        Self::TABLE[usize::from(self.tag())].1
+    }
+
+    /// Snapshot tag of the variant.
+    fn tag(self) -> u8 {
+        let pos = Self::TABLE.iter().position(|(v, _)| *v == self);
+        pos.expect("every variant is listed in TABLE") as u8
+    }
+
+    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
+    fn from_tag(tag: u8) -> Option<Self> {
+        Self::TABLE.get(usize::from(tag)).map(|(v, _)| *v)
     }
 }
 
-/// Stable label for a weight instantiation.
-pub(crate) fn weights_label(w: WeightKind) -> String {
-    match w {
-        WeightKind::Exact => "exact",
-        WeightKind::ExtendedOlken => "extended-olken",
-        WeightKind::WanderJoin => "wander",
-        WeightKind::AgmBox => "agm-box",
-    }
-    .to_string()
+impl Labeled for WeightKind {
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (WeightKind::Exact, "exact"),
+        (WeightKind::ExtendedOlken, "extended-olken"),
+        (WeightKind::WanderJoin, "wander"),
+        (WeightKind::AgmBox, "agm-box"),
+    ];
 }
 
-/// Stable label for a cover strategy.
-pub(crate) fn cover_label(cs: CoverStrategy) -> String {
-    match cs {
-        CoverStrategy::AsGiven => "as-given",
-        CoverStrategy::DescendingSize => "descending-size",
-        CoverStrategy::AscendingSize => "ascending-size",
-    }
-    .to_string()
+impl Labeled for CoverStrategy {
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (CoverStrategy::AsGiven, "as-given"),
+        (CoverStrategy::DescendingSize, "descending-size"),
+        (CoverStrategy::AscendingSize, "ascending-size"),
+    ];
+}
+
+impl Labeled for PredicateMode {
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (PredicateMode::PushDown, "push-down"),
+        (PredicateMode::Reject, "reject"),
+    ];
+}
+
+impl Labeled for PlanRule {
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (PlanRule::DisjointSemantics, "disjoint-semantics"),
+        (PlanRule::SingleJoin, "single-join"),
+        (PlanRule::NoStatistics, "no-statistics"),
+        (PlanRule::LowOverlap, "low-overlap"),
+        (PlanRule::HighOverlap, "high-overlap"),
+        (PlanRule::CyclicJoin, "cyclic-join"),
+        (PlanRule::Explicit, "explicit"),
+    ];
 }
 
 fn fmt_opt(v: Option<f64>) -> String {
@@ -733,9 +721,12 @@ mod tests {
             ..PlannerConfig::default()
         });
         let w = identical_workload();
-        let plan = planner.plan(&w, UnionSemantics::Set);
+        let (plan, given) = planner.plan_with_given(&w, UnionSemantics::Set);
         assert!(matches!(plan.estimator, Some(Estimator::Histogram(_))));
         assert!(matches!(plan.weights, Some(WeightKind::Exact)));
+        // The plan keeps the probe's estimator, so the probed map is
+        // handed to the freeze instead of being estimated again.
+        assert!(matches!(given.params, Some(FrozenParams::Map(_))));
     }
 
     #[test]
@@ -845,7 +836,7 @@ mod tests {
     #[test]
     fn acyclic_stats_carry_exact_sizes() {
         let w = identical_workload();
-        let plan = Planner::default().plan(&w, UnionSemantics::Set);
+        let (plan, given) = Planner::default().plan_with_given(&w, UnionSemantics::Set);
         assert!(plan.stats.exact_sizes);
         // Each member joins to exactly (1,10,100),(2,20,200),(3,20,200).
         assert_eq!(plan.stats.join_size_hints.as_deref(), Some(&[3.0, 3.0][..]));
@@ -862,24 +853,27 @@ mod tests {
             "{}",
             plan.explain()
         );
-        // The samplers built for the probe ride along for freeze reuse.
-        assert!(plan.stats.probed_samplers.is_some());
+        // The samplers built for the probe are handed over for freeze
+        // reuse; tiny data plans exact estimation, so no map is.
+        assert_eq!(given.samplers.map(|s| s.len()), Some(2));
+        assert!(given.params.is_none());
     }
 
     #[test]
     fn cyclic_plans_never_claim_exact_sizes() {
         let w = Arc::new(UnionWorkload::new(vec![triangle("t1", 0), triangle("t2", 100)]).unwrap());
-        let plan = Planner::default().plan(&w, UnionSemantics::Set);
+        let (plan, given) = Planner::default().plan_with_given(&w, UnionSemantics::Set);
         assert!(!plan.stats.exact_sizes);
-        assert!(plan.stats.probed_samplers.is_none());
+        assert!(given.samplers.is_none());
         assert_ne!(plan.summary().sizing.as_deref(), Some("exact"));
     }
 
     #[test]
     fn without_statistics_skips_exact_size_probe() {
-        let plan = Planner::without_statistics().plan(&identical_workload(), UnionSemantics::Set);
+        let (plan, given) = Planner::without_statistics()
+            .plan_with_given(&identical_workload(), UnionSemantics::Set);
         assert!(!plan.stats.exact_sizes);
-        assert!(plan.stats.probed_samplers.is_none());
+        assert!(given.samplers.is_none() && given.params.is_none());
         assert_eq!(plan.summary().sizing, None);
     }
 }

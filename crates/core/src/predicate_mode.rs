@@ -7,9 +7,9 @@
 //!   attributes, then sample the filtered join. Works for both
 //!   estimator families and is how the UQ2 workload applies its `Q2`
 //!   predicates.
-//! * **Reject-during-sampling** ([`FilteredSampler`] for a single join,
-//!   [`PredicateSampler`] / [`PredicateMode::Reject`] for a whole
-//!   union): wrap any sampler and reject samples failing the predicate
+//! * **Reject-during-sampling** ([`PredicateSampler`],
+//!   [`PredicateMode::Reject`]): wrap any union sampler and reject
+//!   samples failing the predicate
 //!   — "works with only random-walk [style sampling] … most appropriate
 //!   for selection predicates that are not very selective" since it
 //!   adds a rejection factor equal to the selectivity.
@@ -22,7 +22,7 @@ use crate::report::RunReport;
 use crate::sampler::{Draw, UnionSampler};
 use crate::workload::UnionWorkload;
 use std::sync::Arc;
-use suj_join::{JoinSampler, JoinSpec, SampleOutcome};
+use suj_join::JoinSpec;
 use suj_stats::SujRng;
 use suj_storage::{CompiledPredicate, FxHashMap, Predicate, Relation};
 
@@ -116,106 +116,13 @@ fn flatten_conjuncts(p: &Predicate) -> Result<Vec<&Predicate>, CoreError> {
             }
             Predicate::Or(_) | Predicate::Not(_) => Err(CoreError::Invalid(
                 "only conjunctions of comparisons can be pushed down; use \
-                 FilteredSampler for general predicates"
+                 PredicateMode::Reject for general predicates"
                     .into(),
             )),
         }
     }
     walk(p, &mut out)?;
     Ok(out)
-}
-
-/// Reject-during-sampling wrapper: uniform over `σ_pred(J)`.
-pub struct FilteredSampler {
-    inner: Box<dyn JoinSampler>,
-    predicate: CompiledPredicate,
-}
-
-impl FilteredSampler {
-    /// Wraps a sampler; the predicate is compiled against the join's
-    /// output schema.
-    pub fn new(inner: Box<dyn JoinSampler>, predicate: &Predicate) -> Result<Self, CoreError> {
-        let compiled = predicate
-            .compile(inner.spec().output_schema())
-            .map_err(CoreError::Storage)?;
-        Ok(Self {
-            inner,
-            predicate: compiled,
-        })
-    }
-}
-
-impl JoinSampler for FilteredSampler {
-    fn spec(&self) -> &JoinSpec {
-        self.inner.spec()
-    }
-
-    fn sample_rows(&self, rng: &mut SujRng, draw: &mut suj_join::RowDraw) -> bool {
-        // Predicate evaluation needs values, so inner-accepted attempts
-        // materialize here; inner-rejected attempts stay allocation-free.
-        self.inner.sample_rows(rng, draw) && self.predicate.eval(&self.inner.materialize(draw))
-    }
-
-    fn materialize(&self, draw: &suj_join::RowDraw) -> suj_storage::Tuple {
-        self.inner.materialize(draw)
-    }
-
-    fn sample(&self, rng: &mut SujRng) -> SampleOutcome {
-        // Override the provided method to materialize once, not twice.
-        match self.inner.sample(rng) {
-            SampleOutcome::Accepted(t) if self.predicate.eval(&t) => SampleOutcome::Accepted(t),
-            _ => SampleOutcome::Rejected,
-        }
-    }
-
-    fn sample_until_accepted(
-        &self,
-        rng: &mut SujRng,
-        max_tries: u64,
-    ) -> (Option<suj_storage::Tuple>, u64) {
-        // Loop over the overridden `sample` so each inner-accepted
-        // attempt materializes exactly once (the default loops
-        // `sample_rows`, which would evaluate-then-rematerialize).
-        for attempt in 1..=max_tries {
-            if let SampleOutcome::Accepted(t) = self.sample(rng) {
-                return (Some(t), attempt);
-            }
-        }
-        (None, max_tries)
-    }
-
-    fn sample_batch(
-        &self,
-        n: usize,
-        max_tries: u64,
-        rng: &mut SujRng,
-        out: &mut Vec<suj_storage::Tuple>,
-    ) -> u64 {
-        out.reserve(n);
-        let mut attempts = 0u64;
-        let mut accepted = 0usize;
-        while accepted < n && attempts < max_tries {
-            attempts += 1;
-            if let SampleOutcome::Accepted(t) = self.sample(rng) {
-                out.push(t);
-                accepted += 1;
-            }
-        }
-        attempts
-    }
-
-    fn join_size_hint(&self) -> f64 {
-        // The unfiltered hint remains a valid upper bound.
-        self.inner.join_size_hint()
-    }
-
-    // `size_info` deliberately stays the trait default: the predicate
-    // shrinks the result, so the inner sampler's exact size is only an
-    // upper bound here.
-
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
 }
 
 /// Reject-during-sampling over a whole union: wraps any
@@ -337,8 +244,6 @@ impl UnionSampler for PredicateSampler {
 mod tests {
     use super::*;
     use suj_join::exec::execute;
-    use suj_join::weights::build_sampler;
-    use suj_join::WeightKind;
     use suj_storage::{CompareOp, FxHashSet, Schema, Tuple, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
@@ -414,40 +319,6 @@ mod tests {
         let spec = spec();
         let pred = Predicate::eq("zz", Value::int(1));
         assert!(push_down(&spec, &pred, "bad").is_err());
-    }
-
-    #[test]
-    fn filtered_sampler_uniform_over_selection() {
-        let spec = Arc::new(spec());
-        let pred = Predicate::cmp("c", CompareOp::Le, Value::int(101));
-        let inner = build_sampler(spec.clone(), WeightKind::Exact).unwrap();
-        let sampler = FilteredSampler::new(inner, &pred).unwrap();
-
-        let compiled = pred.compile(spec.output_schema()).unwrap();
-        let expected: Vec<Tuple> = execute(&spec)
-            .tuples()
-            .iter()
-            .filter(|t| compiled.eval(t))
-            .cloned()
-            .collect();
-        assert!(expected.len() >= 2);
-
-        let mut rng = SujRng::seed_from_u64(3);
-        let mut counts: suj_storage::FxHashMap<Tuple, u64> = Default::default();
-        let mut accepted = 0;
-        while accepted < 2_000 * expected.len() {
-            if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
-                assert!(compiled.eval(&t));
-                *counts.entry(t).or_insert(0) += 1;
-                accepted += 1;
-            }
-        }
-        let observed: Vec<u64> = expected
-            .iter()
-            .map(|t| counts.get(t).copied().unwrap_or(0))
-            .collect();
-        let outcome = suj_stats::chi_square_test(&observed).unwrap();
-        assert!(outcome.p_value > 0.001, "p = {}", outcome.p_value);
     }
 
     #[test]

@@ -191,8 +191,8 @@ pub struct RunReport {
     pub join_draws: Vec<u64>,
     /// Approximate resident bytes of the prepared artifact's base
     /// relations (columns + dictionaries + validity bitmaps), stamped
-    /// at instantiation by
-    /// [`PreparedSampler`](crate::session::PreparedSampler). A
+    /// on every handle a
+    /// [`PreparedQuery`](crate::catalog::PreparedQuery) mints. A
     /// property of the prepared state, not a counter: `delta_since`
     /// carries it through and `merge` keeps the maximum.
     pub prepared_bytes: u64,

@@ -46,9 +46,18 @@
 //! [`UnionSampler::sample`], incremental via
 //! [`SampleStream`](crate::stream::SampleStream). For serving, split
 //! the pipeline with [`SamplerBuilder::freeze`]: the frozen
-//! [`PreparedSampler`] pays estimation and per-join precomputation
+//! [`PreparedQuery`] pays estimation and per-join precomputation
 //! once, is `Send + Sync`, and mints an independent `Send` handle per
-//! thread via [`PreparedSampler::instantiate`].
+//! thread via [`PreparedQuery::sampler`].
+//!
+//! Every serving sampler — built here explicitly, planned by
+//! [`Strategy::Auto`], prepared by the
+//! [`Engine`](crate::catalog::Engine), or restored from a snapshot — is
+//! assembled by the same chain: push-down `rewrite` → plan the
+//! rewritten workload → `freeze(workload, config, given)`, where
+//! `given` carries whatever the planner's probe or the snapshot already
+//! holds (union parameters, per-join samplers) and the freeze computes
+//! the rest.
 
 use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
 use crate::algorithm2::{OnlineConfig, OnlineUnionSampler};
@@ -59,21 +68,21 @@ use crate::error::CoreError;
 use crate::exact::full_join_union;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
 use crate::overlap::OverlapMap;
-use crate::planner::{cover_label, Planner};
+use crate::planner::{Plan, PlanRule, Planner, WorkloadStats};
 use crate::predicate_mode::{push_down, PredicateMode, PredicateSampler};
-use crate::query::UnionSemantics;
-use crate::report::PlanSummary;
+use crate::query::{UnionQuery, UnionSemantics};
+use crate::report::{PlanSummary, RunReport};
 use crate::sampler::UnionSampler;
 use crate::walk_estimator::{walk_warmup, WalkEstimatorConfig};
 use crate::workload::UnionWorkload;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 use suj_join::weights::build_sampler;
 use suj_join::{JoinSampler, JoinSpec, WeightKind};
 use suj_stats::SujRng;
-use suj_storage::Predicate;
+use suj_storage::{Predicate, Tuple};
 
 /// Histogram-estimator options for the builder.
 #[derive(Debug, Clone, Copy)]
@@ -160,6 +169,61 @@ impl fmt::Display for Strategy {
     }
 }
 
+impl Estimator {
+    /// Snapshot tag. Only the variant is persisted: the planner emits
+    /// default-configured estimators, which [`from_tag`](Self::from_tag)
+    /// reconstructs.
+    pub(crate) fn tag(&self) -> u8 {
+        match self {
+            Estimator::Exact => 0,
+            Estimator::Histogram(_) => 1,
+            Estimator::Walk(_) => 2,
+        }
+    }
+
+    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
+    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(Estimator::Exact),
+            1 => Some(Estimator::Histogram(HistogramOptions::default())),
+            2 => Some(Estimator::Walk(WalkEstimatorConfig::default())),
+            _ => None,
+        }
+    }
+}
+
+impl Strategy {
+    /// Snapshot tag (variant plus designation policy; configurations
+    /// are the planner's defaults). `None` for [`Strategy::Auto`],
+    /// which is resolved before anything is frozen or persisted.
+    pub(crate) fn tag(&self) -> Option<u8> {
+        match self {
+            Strategy::Rejection => Some(0),
+            Strategy::Online(_) => Some(1),
+            Strategy::Bernoulli(DesignationPolicy::Oracle) => Some(2),
+            Strategy::Bernoulli(DesignationPolicy::Record) => Some(3),
+            Strategy::Disjoint => Some(4),
+            Strategy::Auto => None,
+        }
+    }
+
+    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
+    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(Strategy::Rejection),
+            1 => Some(Strategy::Online(OnlineConfig::default())),
+            2 => Some(Strategy::Bernoulli(DesignationPolicy::Oracle)),
+            3 => Some(Strategy::Bernoulli(DesignationPolicy::Record)),
+            4 => Some(Strategy::Disjoint),
+            _ => None,
+        }
+    }
+}
+
+/// Root of the per-handle RNG stream derivation (and seed of build-time
+/// estimation) unless [`SamplerBuilder::estimation_seed`] names another.
+pub(crate) const DEFAULT_ROOT_SEED: u64 = 0x5eed;
+
 /// Fluent assembly of a union sampling pipeline.
 ///
 /// Defaults: histogram estimation with extended-Olken hints,
@@ -174,47 +238,6 @@ pub struct SamplerBuilder {
     cover_strategy: Option<CoverStrategy>,
     predicate: Option<(Predicate, PredicateMode)>,
     estimation_seed: u64,
-    max_join_tries: Option<u64>,
-    max_cover_retries: Option<u64>,
-    /// An overlap map the planner already computed for this workload
-    /// and estimator; consumed by `build()` instead of re-estimating.
-    /// Only set by [`apply_plan`](Self::apply_plan), and discarded
-    /// when a push-down predicate rewrites the workload.
-    prebuilt_overlap: Option<OverlapMap>,
-    /// Exact-weight per-join samplers the planner already built for
-    /// this workload (count tables + alias arenas); consumed by
-    /// `freeze()` instead of building the same structures again. Like
-    /// `prebuilt_overlap`, discarded when a push-down predicate
-    /// rewrites the workload. Only set by
-    /// [`apply_plan`](Self::apply_plan).
-    prebuilt_samplers: Option<Vec<Arc<dyn JoinSampler>>>,
-    /// Parameters restored from a snapshot; consumed by `freeze()`
-    /// instead of estimating. Unlike `prebuilt_overlap`, restored
-    /// parameters were frozen *after* any push-down rewrite, so they
-    /// survive it. Only set by [`with_restored`](Self::with_restored).
-    restored: Option<FrozenParams>,
-    /// Per-join Exact-Weight artifacts restored from a snapshot;
-    /// `freeze()` revives them through
-    /// [`ExactWeightSampler::from_artifacts`](suj_join::ExactWeightSampler::from_artifacts)
-    /// instead of rebuilding count tables and alias arenas. Frozen
-    /// after any push-down rewrite, so they survive it. Only set by
-    /// [`with_restored_artifacts`](Self::with_restored_artifacts).
-    restored_artifacts: Option<Vec<suj_join::EwArtifacts>>,
-}
-
-/// The estimated parameters a freeze committed to, retained on the
-/// [`PreparedSampler`] so a snapshot can persist them and a restore can
-/// rebuild the identical pipeline without paying estimation again.
-#[derive(Debug, Clone)]
-pub(crate) enum FrozenParams {
-    /// The strategy estimates per handle (online): nothing to persist.
-    None,
-    /// The overlap map the freeze consumed (rejection, Bernoulli, and
-    /// disjoint sampling under map-producing estimators).
-    Map(OverlapMap),
-    /// Exact per-join sizes (disjoint sampling under exact estimation,
-    /// which never builds a full map).
-    Sizes(Vec<f64>),
 }
 
 impl SamplerBuilder {
@@ -228,13 +251,7 @@ impl SamplerBuilder {
             cover_policy: None,
             cover_strategy: None,
             predicate: None,
-            estimation_seed: 0x5eed,
-            max_join_tries: None,
-            max_cover_retries: None,
-            prebuilt_overlap: None,
-            prebuilt_samplers: None,
-            restored: None,
-            restored_artifacts: None,
+            estimation_seed: DEFAULT_ROOT_SEED,
         }
     }
 
@@ -249,15 +266,6 @@ impl SamplerBuilder {
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
     pub fn estimator(mut self, estimator: Estimator) -> Self {
         self.estimator = Some(estimator);
-        self
-    }
-
-    /// Sets the estimator only if no explicit choice was made — how
-    /// [`Plan::apply`](crate::planner::Plan::apply) fills planned
-    /// values without overriding the caller.
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn estimator_if_unset(mut self, estimator: Estimator) -> Self {
-        self.estimator.get_or_insert(estimator);
         self
     }
 
@@ -276,14 +284,6 @@ impl SamplerBuilder {
         self
     }
 
-    /// Sets weights only if no explicit choice was made (see
-    /// [`estimator_if_unset`](Self::estimator_if_unset)).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn weights_if_unset(mut self, weights: WeightKind) -> Self {
-        self.weights.get_or_insert(weights);
-        self
-    }
-
     /// Cover ownership policy for [`Strategy::Rejection`] (default: the
     /// paper's record policy).
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
@@ -299,14 +299,6 @@ impl SamplerBuilder {
         self
     }
 
-    /// Sets the cover ordering only if no explicit choice was made
-    /// (see [`estimator_if_unset`](Self::estimator_if_unset)).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn cover_strategy_if_unset(mut self, strategy: CoverStrategy) -> Self {
-        self.cover_strategy.get_or_insert(strategy);
-        self
-    }
-
     /// Applies a selection predicate in the given mode.
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
     pub fn predicate(mut self, predicate: Predicate, mode: PredicateMode) -> Self {
@@ -317,574 +309,403 @@ impl SamplerBuilder {
     /// Seed of the RNG used by build-time estimation
     /// ([`Estimator::Walk`]); sampling itself always uses the RNG the
     /// caller passes to `draw` / `sample`. Doubles as the root of the
-    /// per-handle stream derivation of
-    /// [`PreparedQuery::sample`](crate::catalog::PreparedQuery::sample).
+    /// per-handle stream derivation of [`PreparedQuery::sample`].
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
     pub fn estimation_seed(mut self, seed: u64) -> Self {
         self.estimation_seed = seed;
         self
     }
 
-    /// Attempt budget inside the join-sampling subroutine per draw
-    /// (defaults to the strategy config's own default when unset).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn max_join_tries(mut self, tries: u64) -> Self {
-        self.max_join_tries = Some(tries);
-        self
-    }
-
-    /// Cover-rejection retry cap per join selection (defaults to the
-    /// strategy config's own default when unset).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn max_cover_retries(mut self, retries: u64) -> Self {
-        self.max_cover_retries = Some(retries);
-        self
-    }
-
-    /// Fills every knob a [`Plan`](crate::planner::Plan) names that the
-    /// caller left unset (explicit choices always win). When the plan
-    /// keeps the probe's histogram estimator, the probed overlap map is
-    /// attached so `build()` skips the second estimation pass.
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub(crate) fn apply_plan(mut self, plan: &crate::planner::Plan) -> Self {
-        self.strategy = plan.strategy;
-        if let Some(est) = plan.estimator {
-            if self.estimator.is_none() {
-                self.estimator = Some(est);
-                if let (Estimator::Histogram(opts), Some(map)) = (est, &plan.stats.probed_map) {
-                    // The probe ran `with_olken` under `DegreeMode::Max`
-                    // with default options; only that exact
-                    // configuration may reuse its map.
-                    if !opts.exact_size_hints
-                        && opts.zero_weight == 0.0
-                        && opts.degree_mode == DegreeMode::Max
-                    {
-                        self.prebuilt_overlap = Some(map.clone());
-                    }
-                }
-            }
-        }
-        if let Some(w) = plan.weights {
-            self = self.weights_if_unset(w);
-        }
-        if let Some(cs) = plan.cover_strategy {
-            self = self.cover_strategy_if_unset(cs);
-        }
-        // The planner's exact-size refinement already built the
-        // exact-weight samplers (count tables + alias arenas); reuse
-        // them unless the caller pinned a different weight kind.
-        if let Some(probed) = &plan.stats.probed_samplers {
-            if self.weights == Some(WeightKind::Exact) {
-                self.prebuilt_samplers = Some(probed.0.clone());
-            }
-        }
-        self
-    }
-
-    /// Supplies snapshot-restored parameters: `freeze()` consumes them
-    /// instead of estimating (the restore path's "no re-estimation"
-    /// guarantee — [`PreparedSampler::estimation_passes`] stays 0).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub(crate) fn with_restored(mut self, params: FrozenParams) -> Self {
-        self.restored = Some(params);
-        self
-    }
-
-    /// Supplies snapshot-restored Exact-Weight artifacts: `freeze()`
-    /// revives the per-join samplers from them (validated by
-    /// `from_artifacts`) instead of recomputing count tables and
-    /// rebuilding alias arenas — restored replicas serve without any
-    /// alias build (observable via [`suj_join::alias_builds`]).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub(crate) fn with_restored_artifacts(mut self, artifacts: Vec<suj_join::EwArtifacts>) -> Self {
-        self.restored_artifacts = Some(artifacts);
-        self
-    }
-
-    /// Estimates an overlap map with the configured estimator.
-    fn estimate(
-        workload: &Arc<UnionWorkload>,
-        estimator: &Estimator,
-        seed: u64,
-    ) -> Result<OverlapMap, CoreError> {
-        match estimator {
-            Estimator::Exact => Ok(full_join_union(workload)?.overlap),
-            Estimator::Histogram(opts) => {
-                let est = if opts.exact_size_hints {
-                    let sizes = workload.exact_join_sizes()?;
-                    HistogramEstimator::new(workload, opts.degree_mode, sizes, opts.zero_weight)?
-                } else if opts.zero_weight != 0.0 {
-                    let hints = workload
-                        .joins()
-                        .iter()
-                        .map(|j| suj_join::bounds::olken_bound(j))
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(CoreError::Join)?;
-                    HistogramEstimator::new(workload, opts.degree_mode, hints, opts.zero_weight)?
-                } else {
-                    HistogramEstimator::with_olken(workload, opts.degree_mode)?
-                };
-                est.overlap_map()
-            }
-            Estimator::Walk(cfg) => {
-                let mut rng = SujRng::seed_from_u64(seed);
-                walk_warmup(workload, cfg, &mut rng)?.overlap_map()
-            }
-        }
-    }
-
-    /// Rejects a knob that the selected strategy cannot honor.
-    fn reject_knob(set: bool, knob: &str, strategy: &str) -> Result<(), CoreError> {
-        if set {
-            Err(CoreError::Invalid(format!(
-                "`{knob}` does not apply to {strategy}; remove the call or pick a \
-                 strategy that uses it"
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// The [`PlanSummary`] of the resolved (non-`Auto`) configuration.
-    fn config_summary(&self, rule: Option<String>) -> PlanSummary {
-        let estimator = match self.strategy {
-            Strategy::Online(_) => "online".to_string(),
-            _ => self
-                .estimator
-                .unwrap_or(Estimator::Histogram(HistogramOptions::default()))
-                .to_string(),
-        };
-        let weights = match self.strategy {
-            Strategy::Online(_) => None,
-            _ => Some(crate::planner::weights_label(
-                self.weights.unwrap_or(WeightKind::Exact),
-            )),
-        };
-        let cover = match self.strategy {
-            Strategy::Rejection | Strategy::Online(_) => Some(cover_label(
-                self.cover_strategy.unwrap_or(CoverStrategy::AsGiven),
-            )),
-            _ => None,
-        };
-        let predicate = self.predicate.as_ref().map(|(_, m)| {
-            match m {
-                PredicateMode::PushDown => "push-down",
-                PredicateMode::Reject => "reject",
-            }
-            .to_string()
-        });
-        PlanSummary {
-            strategy: self.strategy.to_string(),
-            estimator,
-            weights,
-            cover,
-            predicate,
-            // The builder records no size provenance of its own; the
-            // planner (freeze_auto / engine) stamps it afterwards.
-            sizing: None,
-            rule,
-        }
-    }
-
-    /// [`Strategy::Auto`]: plan the configuration, fill every knob the
-    /// caller left unset, and freeze through the ordinary explicit path
-    /// (so an `Auto` build is seed-for-seed identical to the explicit
-    /// configuration the planner selected).
-    fn freeze_auto(self) -> Result<PreparedSampler, CoreError> {
-        let plan = Planner::default().plan(&self.workload, UnionSemantics::Set);
-        let rule = plan.rule.name();
-        let planned = plan.strategy.to_string();
-        let sizing = plan.summary().sizing;
-        let mut prepared = self.apply_plan(&plan).freeze().map_err(|e| match e {
-            // A knob the caller pinned can be incompatible with the
-            // strategy the planner picked for *this data*; say so
-            // instead of blaming a strategy the caller never chose.
-            CoreError::Invalid(msg) => CoreError::Invalid(format!(
-                "Strategy::Auto planned `{planned}` (rule {rule}): {msg}"
-            )),
-            other => other,
-        })?;
-        prepared.summary.rule = Some(rule.to_string());
-        prepared.summary.sizing = sizing;
-        Ok(prepared)
-    }
-
-    /// Uses a planner-probed overlap map when present (identical by
-    /// construction to what [`estimate`](Self::estimate) would
-    /// recompute for the same estimator), else estimates and counts the
-    /// pass in `passes` (the estimations-paid counter served workloads
-    /// assert on).
-    fn resolve_map(
-        prebuilt: Option<OverlapMap>,
-        workload: &Arc<UnionWorkload>,
-        estimator: &Estimator,
-        seed: u64,
-        passes: &mut u64,
-    ) -> Result<OverlapMap, CoreError> {
-        match prebuilt {
-            Some(map) => Ok(map),
-            None => {
-                *passes += 1;
-                Self::estimate(workload, estimator, seed)
-            }
-        }
-    }
-
-    /// Per-join samplers built once and shared by every handle the
-    /// frozen pipeline mints ([`JoinSampler`] samples through `&self`).
-    fn shared_samplers(
-        workload: &Arc<UnionWorkload>,
-        weights: WeightKind,
-    ) -> Result<Vec<Arc<dyn JoinSampler>>, CoreError> {
-        workload
-            .joins()
-            .iter()
-            .map(|j| build_sampler(j.clone(), weights).map(Arc::from))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::Join)
-    }
-
-    /// Shared samplers for a freeze arm, cheapest source first:
-    /// snapshot-restored samplers (revived from persisted artifacts, no
-    /// alias build), then the planner's probed samplers (identical by
-    /// construction to what [`shared_samplers`](Self::shared_samplers)
-    /// would rebuild), else a fresh build. Both prebuilt sources hold
-    /// exact-weight samplers, so any other weight kind always builds
-    /// fresh.
-    fn resolve_samplers(
-        restored: &mut Option<Vec<Arc<dyn JoinSampler>>>,
-        prebuilt: &mut Option<Vec<Arc<dyn JoinSampler>>>,
-        workload: &Arc<UnionWorkload>,
-        weights: WeightKind,
-    ) -> Result<Vec<Arc<dyn JoinSampler>>, CoreError> {
-        if weights == WeightKind::Exact {
-            if let Some(s) = restored.take().or_else(|| prebuilt.take()) {
-                if s.len() == workload.n_joins() {
-                    return Ok(s);
-                }
-            }
-        }
-        Self::shared_samplers(workload, weights)
-    }
-
     /// Validates the configuration, pays parameter estimation and
     /// per-join precomputation once, and returns the frozen
-    /// [`PreparedSampler`] — a `Send + Sync` artifact that mints any
+    /// [`PreparedQuery`] — a `Send + Sync` artifact that mints any
     /// number of independent sampler handles via
-    /// [`instantiate`](PreparedSampler::instantiate).
-    pub fn freeze(mut self) -> Result<PreparedSampler, CoreError> {
-        if let Strategy::Auto = self.strategy {
-            return self.freeze_auto();
-        }
-        let summary = self.config_summary(None);
-        let root_seed = self.estimation_seed;
-        let mut estimation_passes = 0u64;
-
-        // A push-down predicate rewrites the workload below, which
-        // invalidates any overlap map probed on the original. Restored
-        // parameters were frozen *after* that rewrite, so they survive
-        // it (the rewrite itself is deterministic).
-        let restored = self.restored.take();
-        let mut prebuilt = match (&restored, &self.predicate) {
-            (Some(FrozenParams::Map(map)), _) => Some(map.clone()),
-            (_, Some((_, PredicateMode::PushDown))) => None,
-            _ => self.prebuilt_overlap.take(),
-        };
-        let mut prebuilt_samplers = match &self.predicate {
-            // Planner-probed samplers were built on the original
-            // workload; a push-down rewrite invalidates them.
-            Some((_, PredicateMode::PushDown)) => None,
-            _ => self.prebuilt_samplers.take(),
-        };
-        let restored_sizes = match restored {
-            Some(FrozenParams::Sizes(sizes)) => Some(sizes),
-            _ => None,
-        };
-        let restored_artifacts = self.restored_artifacts.take();
-
-        // --- Predicate push-down rewrites the workload first. ---
-        let workload = match &self.predicate {
-            Some((p, PredicateMode::PushDown)) => {
-                let filtered: Vec<Arc<JoinSpec>> = self
-                    .workload
-                    .joins()
-                    .iter()
-                    .map(|j| push_down(j, p, &format!("{}__σ", j.name())).map(Arc::new))
-                    .collect::<Result<_, _>>()?;
-                Arc::new(UnionWorkload::new(filtered)?)
-            }
-            _ => self.workload.clone(),
-        };
-
-        // Revive snapshot-restored Exact-Weight samplers from their
-        // persisted artifacts. Artifacts were frozen after any
-        // push-down rewrite, so they line up with the (possibly
-        // rewritten) workload; `from_artifacts` validates every shape
-        // against the spec before serving from them.
-        let mut restored_samplers: Option<Vec<Arc<dyn JoinSampler>>> = match restored_artifacts {
-            Some(artifacts) => {
-                if artifacts.len() != workload.n_joins() {
-                    return Err(CoreError::Invalid(format!(
-                        "restored EW artifacts cover {} joins but the workload has {}",
-                        artifacts.len(),
-                        workload.n_joins()
-                    )));
+    /// [`sampler`](PreparedQuery::sampler).
+    ///
+    /// The same pipeline as [`Engine::prepare`](crate::catalog::Engine::prepare):
+    /// push-down rewrite, then (for [`Strategy::Auto`]) planning of the
+    /// rewritten workload with explicit knobs winning over planned
+    /// ones, then the freeze — so an `Auto` build is seed-for-seed
+    /// identical to the explicit configuration the planner selected.
+    pub fn freeze(self) -> Result<PreparedQuery, CoreError> {
+        let predicate = self.predicate.as_ref().map(|(p, mode)| (p, *mode));
+        let workload = rewrite(&self.workload, predicate)?;
+        let predicate_mode = predicate.map(|(_, mode)| mode);
+        let (plan, given) = match self.strategy {
+            Strategy::Auto => {
+                let (planned, mut given) =
+                    Planner::default().plan_with_given(&workload, UnionSemantics::Set);
+                if self.estimator.is_some() {
+                    // The probed map belongs to the planned estimator.
+                    given.params = None;
                 }
-                Some(
-                    workload
-                        .joins()
-                        .iter()
-                        .cloned()
-                        .zip(artifacts)
-                        .map(|(spec, art)| {
-                            suj_join::ExactWeightSampler::from_artifacts(spec, art)
-                                .map(|s| Arc::new(s) as Arc<dyn JoinSampler>)
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(CoreError::Join)?,
-                )
-            }
-            None => None,
-        };
-
-        let (kind, frozen_params) = match self.strategy {
-            Strategy::Rejection => {
-                let estimator = self
-                    .estimator
-                    .unwrap_or(Estimator::Histogram(HistogramOptions::default()));
-                let map = Self::resolve_map(
-                    prebuilt.take(),
-                    &workload,
-                    &estimator,
-                    self.estimation_seed,
-                    &mut estimation_passes,
-                )?;
-                let defaults = UnionSamplerConfig::default();
-                let config = UnionSamplerConfig {
-                    weights: self.weights.unwrap_or(defaults.weights),
-                    policy: self.cover_policy.unwrap_or(defaults.policy),
-                    strategy: self.cover_strategy.unwrap_or(defaults.strategy),
-                    max_join_tries: self.max_join_tries.unwrap_or(defaults.max_join_tries),
-                    max_cover_retries: self.max_cover_retries.unwrap_or(defaults.max_cover_retries),
+                let plan = Plan {
+                    estimator: self.estimator.or(planned.estimator),
+                    weights: self.weights.or(planned.weights),
+                    cover_strategy: self.cover_strategy.or(planned.cover_strategy),
+                    predicate_mode,
+                    ..planned
                 };
-                let samplers = Self::resolve_samplers(
-                    &mut restored_samplers,
-                    &mut prebuilt_samplers,
-                    &workload,
-                    config.weights,
-                )?;
-                let frozen = FrozenParams::Map(map.clone());
-                (
-                    PreparedKind::Rejection {
-                        samplers,
-                        map,
-                        config,
-                    },
-                    frozen,
-                )
+                (plan, given)
             }
-            Strategy::Online(mut config) => {
-                // Algorithm 2 always uses wander-join walks with the
-                // record policy; knobs it cannot honor are errors, not
-                // silent no-ops.
-                Self::reject_knob(self.weights.is_some(), "weights", "Strategy::Online")?;
-                Self::reject_knob(
-                    self.cover_policy.is_some(),
-                    "cover_policy",
-                    "Strategy::Online",
-                )?;
-                Self::reject_knob(
-                    self.max_join_tries.is_some(),
-                    "max_join_tries",
-                    "Strategy::Online",
-                )?;
-                // An explicit Walk estimator configures its warm-up,
-                // anything else is a contradiction worth surfacing.
-                match self.estimator {
-                    None => {}
-                    Some(Estimator::Walk(warmup)) => config.warmup = warmup,
-                    Some(_) => {
-                        return Err(CoreError::Invalid(
-                            "Strategy::Online estimates parameters online; combine it \
-                             with Estimator::Walk (warm-up configuration) or no \
-                             estimator"
-                                .into(),
-                        ));
-                    }
-                }
-                // Only an explicit builder-level override touches the
-                // caller's OnlineConfig.
-                if let Some(retries) = self.max_cover_retries {
-                    config.max_cover_retries = retries;
-                }
-                (
-                    PreparedKind::Online {
-                        config,
-                        cover_strategy: self.cover_strategy.unwrap_or(CoverStrategy::AsGiven),
-                    },
-                    FrozenParams::None,
-                )
-            }
-            Strategy::Bernoulli(policy) => {
-                Self::reject_knob(
-                    self.cover_policy.is_some(),
-                    "cover_policy",
-                    "Strategy::Bernoulli",
-                )?;
-                Self::reject_knob(
-                    self.cover_strategy.is_some(),
-                    "cover_strategy",
-                    "Strategy::Bernoulli",
-                )?;
-                Self::reject_knob(
-                    self.max_cover_retries.is_some(),
-                    "max_cover_retries",
-                    "Strategy::Bernoulli",
-                )?;
-                let estimator = self
-                    .estimator
-                    .unwrap_or(Estimator::Histogram(HistogramOptions::default()));
-                let map = Self::resolve_map(
-                    prebuilt.take(),
-                    &workload,
-                    &estimator,
-                    self.estimation_seed,
-                    &mut estimation_passes,
-                )?;
-                let sizes: Vec<f64> = (0..workload.n_joins()).map(|j| map.join_size(j)).collect();
-                let samplers = Self::resolve_samplers(
-                    &mut restored_samplers,
-                    &mut prebuilt_samplers,
-                    &workload,
-                    self.weights.unwrap_or(WeightKind::Exact),
-                )?;
-                let union_size = map.union_size();
-                (
-                    PreparedKind::Bernoulli {
-                        samplers,
-                        sizes,
-                        union_size,
-                        policy,
-                        max_join_tries: self.max_join_tries,
-                    },
-                    FrozenParams::Map(map),
-                )
-            }
-            Strategy::Disjoint => {
-                Self::reject_knob(
-                    self.cover_policy.is_some(),
-                    "cover_policy",
-                    "Strategy::Disjoint",
-                )?;
-                Self::reject_knob(
-                    self.cover_strategy.is_some(),
-                    "cover_strategy",
-                    "Strategy::Disjoint",
-                )?;
-                Self::reject_knob(
-                    self.max_join_tries.is_some(),
-                    "max_join_tries",
-                    "Strategy::Disjoint",
-                )?;
-                Self::reject_knob(
-                    self.max_cover_retries.is_some(),
-                    "max_cover_retries",
-                    "Strategy::Disjoint",
-                )?;
-                let samplers = Self::resolve_samplers(
-                    &mut restored_samplers,
-                    &mut prebuilt_samplers,
-                    &workload,
-                    self.weights.unwrap_or(WeightKind::Exact),
-                )?;
-                let (sizes, frozen) = match self
-                    .estimator
-                    .unwrap_or(Estimator::Histogram(HistogramOptions::default()))
-                {
-                    Estimator::Exact => {
-                        let sizes = match restored_sizes {
-                            // Snapshot-restored sizes replace the exact
-                            // estimation pass bit-for-bit.
-                            Some(sizes) => sizes,
-                            None => {
-                                estimation_passes += 1;
-                                // Exact-weight samplers already hold the
-                                // exact sizes in their count-table
-                                // roots (identical values to the
-                                // separate EW pass they replace).
-                                if samplers.iter().all(|s| s.as_exact().is_some()) {
-                                    samplers
-                                        .iter()
-                                        .map(|s| s.as_exact().expect("checked above").exact_size())
-                                        .collect()
-                                } else {
-                                    workload.exact_join_sizes()?
-                                }
-                            }
-                        };
-                        (sizes.clone(), FrozenParams::Sizes(sizes))
-                    }
-                    other => {
-                        let map = Self::resolve_map(
-                            prebuilt.take(),
-                            &workload,
-                            &other,
-                            self.estimation_seed,
-                            &mut estimation_passes,
-                        )?;
-                        let sizes = (0..workload.n_joins()).map(|j| map.join_size(j)).collect();
-                        (sizes, FrozenParams::Map(map))
-                    }
+            strategy => {
+                let plan = Plan {
+                    strategy,
+                    estimator: self.estimator,
+                    weights: self.weights,
+                    cover_strategy: self.cover_strategy,
+                    predicate_mode,
+                    rule: PlanRule::Explicit,
+                    stats: WorkloadStats::unavailable(&workload),
                 };
-                (PreparedKind::Disjoint { samplers, sizes }, frozen)
+                (plan, Given::default())
             }
-            Strategy::Auto => unreachable!("Auto is resolved in freeze_auto"),
         };
-
-        // Resident footprint of the frozen pipeline: base relations
-        // plus everything the per-join samplers precomputed (hash
-        // indexes, count tables, alias arenas).
-        let sampler_bytes: u64 = match &kind {
-            PreparedKind::Rejection { samplers, .. }
-            | PreparedKind::Bernoulli { samplers, .. }
-            | PreparedKind::Disjoint { samplers, .. } => {
-                samplers.iter().map(|s| s.memory_bytes() as u64).sum()
-            }
-            PreparedKind::Online { .. } => 0,
-        };
-        let prepared_bytes = workload.memory_bytes() as u64 + sampler_bytes;
-        Ok(PreparedSampler {
-            workload,
-            kind,
+        let (planned, rule) = (plan.strategy, plan.rule);
+        let config = FreezeConfig {
+            plan,
+            cover_policy: self.cover_policy,
             reject_predicate: match self.predicate {
                 Some((p, PredicateMode::Reject)) => Some(p),
                 _ => None,
             },
-            summary,
-            root_seed,
-            estimation_passes,
-            prepared_bytes,
-            frozen_params,
-            snapshot_bytes: 0,
-            restore_time: Duration::ZERO,
-            minted: AtomicU64::new(0),
+            root_seed: self.estimation_seed,
+            source: None,
+        };
+        freeze(workload, config, given).map_err(|e| match e {
+            // A knob the caller pinned can be incompatible with the
+            // strategy the planner picked for *this data*; say so
+            // instead of blaming a strategy the caller never chose.
+            CoreError::Invalid(msg) if rule != PlanRule::Explicit => CoreError::Invalid(format!(
+                "Strategy::Auto planned `{planned}` (rule {}): {msg}",
+                rule.name()
+            )),
+            other => other,
         })
     }
 
     /// Validates the configuration and assembles one sampler — the
     /// single-handle convenience over [`freeze`](Self::freeze) +
-    /// [`instantiate`](PreparedSampler::instantiate). The returned
-    /// trait object is `Send`, so it can be built on one thread and
-    /// driven on another.
+    /// [`sampler`](PreparedQuery::sampler). The returned trait object
+    /// is `Send`, so it can be built on one thread and driven on
+    /// another.
     pub fn build(self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
-        self.freeze()?.instantiate()
+        self.freeze()?.mint()
     }
+}
+
+/// The union parameters a freeze committed to, retained on the
+/// [`PreparedQuery`] so a snapshot can persist them and a restore can
+/// rebuild the identical pipeline without paying estimation again.
+/// Strategies that estimate per handle (online) have none.
+#[derive(Debug, Clone)]
+pub(crate) enum FrozenParams {
+    /// The overlap map (rejection, Bernoulli, and disjoint sampling
+    /// under map-producing estimators).
+    Map(OverlapMap),
+    /// Exact per-join sizes (disjoint sampling under exact estimation,
+    /// which never builds a full map).
+    Sizes(Vec<f64>),
+}
+
+/// What the caller of [`freeze`] already holds *for exactly the
+/// workload being frozen* — from the planner's probe or from a
+/// snapshot. Anything absent is computed.
+#[derive(Default)]
+pub(crate) struct Given {
+    /// The union parameters; when used, the freeze pays no estimation
+    /// pass ([`PreparedQuery::estimations`] stays 0).
+    pub params: Option<FrozenParams>,
+    /// Exact-Weight per-join samplers (count tables + alias arenas);
+    /// consulted only when the configuration's weights are exact.
+    pub samplers: Option<Vec<Arc<dyn JoinSampler>>>,
+    /// Size of the snapshot being restored and when the restore began;
+    /// the measured cost is stamped into every minted handle's report.
+    pub restore: Option<(u64, Instant)>,
+}
+
+/// Everything [`freeze`] commits to besides the workload.
+pub(crate) struct FreezeConfig {
+    /// Strategy (never `Auto`), estimator, weights, cover ordering, and
+    /// predicate mode — unset knobs take the documented defaults — plus
+    /// the rule and statistics that chose them.
+    pub plan: Plan,
+    /// Cover ownership policy (the planner never picks one).
+    pub cover_policy: Option<CoverPolicy>,
+    /// The predicate of [`PredicateMode::Reject`], compiled per handle;
+    /// a push-down predicate is already folded into the workload.
+    pub reject_predicate: Option<Predicate>,
+    /// Estimation seed and root of per-handle stream derivation.
+    pub root_seed: u64,
+    /// The declarative query, when the pipeline came through the
+    /// engine (snapshots persist and re-fingerprint it).
+    pub source: Option<UnionQuery>,
+}
+
+/// §8.3 push-down: filters every join's base relations with the
+/// predicate's conjuncts. Runs before planning and estimation, so both
+/// see the workload that is actually sampled; any other mode leaves the
+/// workload as it is.
+pub(crate) fn rewrite(
+    workload: &Arc<UnionWorkload>,
+    predicate: Option<(&Predicate, PredicateMode)>,
+) -> Result<Arc<UnionWorkload>, CoreError> {
+    let Some((p, PredicateMode::PushDown)) = predicate else {
+        return Ok(workload.clone());
+    };
+    let filtered = workload
+        .joins()
+        .iter()
+        .map(|j| push_down(j, p, &format!("{}__σ", j.name())).map(Arc::new))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Arc::new(UnionWorkload::new(filtered)?))
+}
+
+/// Per-join samplers built once and shared by every handle a frozen
+/// pipeline mints ([`JoinSampler`] samples through `&self`).
+pub(crate) fn shared_samplers(
+    workload: &UnionWorkload,
+    weights: WeightKind,
+) -> Result<Vec<Arc<dyn JoinSampler>>, CoreError> {
+    workload
+        .joins()
+        .iter()
+        .map(|j| build_sampler(j.clone(), weights).map(Arc::from))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(CoreError::Join)
+}
+
+/// Estimates an overlap map with the configured estimator.
+fn estimate(
+    workload: &Arc<UnionWorkload>,
+    estimator: &Estimator,
+    seed: u64,
+) -> Result<OverlapMap, CoreError> {
+    match estimator {
+        Estimator::Exact => Ok(full_join_union(workload)?.overlap),
+        Estimator::Histogram(opts) => {
+            let est = if opts.exact_size_hints {
+                let sizes = workload.exact_join_sizes()?;
+                HistogramEstimator::new(workload, opts.degree_mode, sizes, opts.zero_weight)?
+            } else if opts.zero_weight != 0.0 {
+                let hints = workload
+                    .joins()
+                    .iter()
+                    .map(|j| suj_join::bounds::olken_bound(j))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(CoreError::Join)?;
+                HistogramEstimator::new(workload, opts.degree_mode, hints, opts.zero_weight)?
+            } else {
+                HistogramEstimator::with_olken(workload, opts.degree_mode)?
+            };
+            est.overlap_map()
+        }
+        Estimator::Walk(cfg) => {
+            let mut rng = SujRng::seed_from_u64(seed);
+            walk_warmup(workload, cfg, &mut rng)?.overlap_map()
+        }
+    }
+}
+
+/// Rejects a knob that the selected strategy cannot honor.
+fn reject_knob(set: bool, knob: &str, strategy: &str) -> Result<(), CoreError> {
+    if set {
+        Err(CoreError::Invalid(format!(
+            "`{knob}` does not apply to {strategy}; remove the call or pick a \
+             strategy that uses it"
+        )))
+    } else {
+        Ok(())
+    }
+}
+
+/// The one place a serving sampler is assembled: validates the
+/// configuration, takes the union parameters and per-join samplers from
+/// `given` or computes them, and freezes the result. Fresh prepares,
+/// [`Strategy::Auto`] and snapshot restores differ only in where
+/// `config` and `given` come from.
+pub(crate) fn freeze(
+    workload: Arc<UnionWorkload>,
+    config: FreezeConfig,
+    given: Given,
+) -> Result<PreparedQuery, CoreError> {
+    let FreezeConfig {
+        mut plan,
+        cover_policy,
+        reject_predicate,
+        root_seed,
+        source,
+    } = config;
+    let n_joins = workload.n_joins();
+    let mut estimation_passes = 0u64;
+
+    // A given overlap map replaces the estimation pass (the
+    // estimations-paid counter served workloads assert on).
+    let mut union_map = |params: Option<FrozenParams>, estimator: &Estimator| match params {
+        Some(FrozenParams::Map(map)) => Ok(map),
+        _ => {
+            estimation_passes += 1;
+            estimate(&workload, estimator, root_seed)
+        }
+    };
+    // Given samplers are exact-weight, so any other weight kind builds
+    // fresh.
+    let samplers_for = |weights: WeightKind| match given.samplers {
+        Some(s) if weights == WeightKind::Exact && s.len() == n_joins => Ok(s),
+        _ => shared_samplers(&workload, weights),
+    };
+    let default_estimator = Estimator::Histogram(HistogramOptions::default());
+
+    let (kind, frozen_params) = match plan.strategy {
+        Strategy::Rejection => {
+            let estimator = *plan.estimator.get_or_insert(default_estimator);
+            let config = UnionSamplerConfig {
+                weights: *plan.weights.get_or_insert(WeightKind::Exact),
+                policy: cover_policy.unwrap_or(CoverPolicy::Record),
+                strategy: *plan.cover_strategy.get_or_insert(CoverStrategy::AsGiven),
+            };
+            let map = union_map(given.params, &estimator)?;
+            let samplers = samplers_for(config.weights)?;
+            let frozen = FrozenParams::Map(map.clone());
+            (
+                PreparedKind::Rejection {
+                    samplers,
+                    map,
+                    config,
+                },
+                Some(frozen),
+            )
+        }
+        Strategy::Online(mut config) => {
+            // Algorithm 2 always uses wander-join walks with the
+            // record policy; knobs it cannot honor are errors, not
+            // silent no-ops.
+            reject_knob(plan.weights.is_some(), "weights", "Strategy::Online")?;
+            reject_knob(cover_policy.is_some(), "cover_policy", "Strategy::Online")?;
+            // An explicit Walk estimator configures its warm-up,
+            // anything else is a contradiction worth surfacing.
+            match plan.estimator.take() {
+                None => {}
+                Some(Estimator::Walk(warmup)) => config.warmup = warmup,
+                Some(_) => {
+                    return Err(CoreError::Invalid(
+                        "Strategy::Online estimates parameters online; combine it \
+                         with Estimator::Walk (warm-up configuration) or no \
+                         estimator"
+                            .into(),
+                    ));
+                }
+            }
+            plan.strategy = Strategy::Online(config);
+            let cover_strategy = *plan.cover_strategy.get_or_insert(CoverStrategy::AsGiven);
+            (
+                PreparedKind::Online {
+                    config,
+                    cover_strategy,
+                },
+                None,
+            )
+        }
+        Strategy::Bernoulli(policy) => {
+            reject_knob(
+                cover_policy.is_some(),
+                "cover_policy",
+                "Strategy::Bernoulli",
+            )?;
+            reject_knob(
+                plan.cover_strategy.is_some(),
+                "cover_strategy",
+                "Strategy::Bernoulli",
+            )?;
+            let estimator = *plan.estimator.get_or_insert(default_estimator);
+            let map = union_map(given.params, &estimator)?;
+            let samplers = samplers_for(*plan.weights.get_or_insert(WeightKind::Exact))?;
+            (
+                PreparedKind::Bernoulli {
+                    samplers,
+                    sizes: (0..n_joins).map(|j| map.join_size(j)).collect(),
+                    union_size: map.union_size(),
+                    policy,
+                },
+                Some(FrozenParams::Map(map)),
+            )
+        }
+        Strategy::Disjoint => {
+            reject_knob(cover_policy.is_some(), "cover_policy", "Strategy::Disjoint")?;
+            reject_knob(
+                plan.cover_strategy.is_some(),
+                "cover_strategy",
+                "Strategy::Disjoint",
+            )?;
+            let samplers = samplers_for(*plan.weights.get_or_insert(WeightKind::Exact))?;
+            let frozen = match *plan.estimator.get_or_insert(default_estimator) {
+                // Exact disjoint sampling needs the join sizes only,
+                // never the full map.
+                Estimator::Exact => FrozenParams::Sizes(match given.params {
+                    Some(FrozenParams::Sizes(sizes)) => sizes,
+                    _ => {
+                        estimation_passes += 1;
+                        // Exact-weight samplers already hold the exact
+                        // sizes in their count-table roots (identical
+                        // values to the separate EW pass they replace).
+                        let held: Option<Vec<f64>> = samplers
+                            .iter()
+                            .map(|s| s.as_exact().map(|e| e.exact_size()))
+                            .collect();
+                        match held {
+                            Some(sizes) => sizes,
+                            None => workload.exact_join_sizes()?,
+                        }
+                    }
+                }),
+                other => FrozenParams::Map(union_map(given.params, &other)?),
+            };
+            let sizes = match &frozen {
+                FrozenParams::Sizes(sizes) => sizes.clone(),
+                FrozenParams::Map(map) => (0..n_joins).map(|j| map.join_size(j)).collect(),
+            };
+            (PreparedKind::Disjoint { samplers, sizes }, Some(frozen))
+        }
+        Strategy::Auto => unreachable!("Auto is planned before the freeze"),
+    };
+
+    // Resident footprint of the frozen pipeline: base relations plus
+    // everything the per-join samplers precomputed (hash indexes, count
+    // tables, alias arenas).
+    let sampler_bytes: u64 = kind
+        .samplers()
+        .iter()
+        .map(|s| s.memory_bytes() as u64)
+        .sum();
+    let summary = plan.summary();
+    let mut aggregate = RunReport::new(n_joins);
+    aggregate.config = Some(summary.clone());
+    let (snapshot_bytes, restore_time) = match given.restore {
+        Some((bytes, started)) => (bytes, started.elapsed()),
+        None => (0, Duration::ZERO),
+    };
+    Ok(PreparedQuery {
+        prepared_bytes: workload.memory_bytes() as u64 + sampler_bytes,
+        workload,
+        kind,
+        reject_predicate,
+        plan,
+        summary,
+        root_seed,
+        estimation_passes,
+        frozen_params,
+        snapshot_bytes,
+        restore_time,
+        minted: AtomicU64::new(0),
+        source,
+        aggregate: Mutex::new(aggregate),
+    })
 }
 
 /// What a frozen pipeline needs to mint a handle: the estimated
 /// parameters plus the shared per-join samplers (everything immutable);
 /// per-handle record/report state is created fresh at
-/// [`instantiate`](PreparedSampler::instantiate) time.
+/// [`mint`](Self::mint) time.
 enum PreparedKind {
     /// Algorithm 1 (rejection + revision).
     Rejection {
@@ -904,7 +725,6 @@ enum PreparedKind {
         sizes: Vec<f64>,
         union_size: f64,
         policy: DesignationPolicy,
-        max_join_tries: Option<u64>,
     },
     /// Disjoint-union sampling (Definition 1).
     Disjoint {
@@ -913,62 +733,32 @@ enum PreparedKind {
     },
 }
 
-/// A frozen, estimation-complete sampling pipeline.
-///
-/// Produced by [`SamplerBuilder::freeze`]: parameter estimation and the
-/// per-join weight precomputation ran exactly once, and the result is
-/// immutable — `PreparedSampler` is `Send + Sync`, so one instance
-/// (typically inside an
-/// [`Arc<PreparedQuery>`](crate::catalog::PreparedQuery)) serves any
-/// number of threads. Each [`instantiate`](Self::instantiate) call
-/// mints an independent sampler handle over the shared parts: handles
-/// start with fresh record/report state, making every handle its own
-/// i.i.d. sampling process whose output depends only on the RNG it is
-/// driven with — the determinism contract concurrent serving relies
-/// on.
-pub struct PreparedSampler {
-    workload: Arc<UnionWorkload>,
-    kind: PreparedKind,
-    /// Reject-mode predicate, compiled per handle (push-down
-    /// predicates were already folded into `workload` at freeze time).
-    reject_predicate: Option<Predicate>,
-    summary: PlanSummary,
-    root_seed: u64,
-    estimation_passes: u64,
-    /// Resident bytes of the workload's base relations, stamped into
-    /// every minted handle's report.
-    prepared_bytes: u64,
-    /// The estimated parameters the freeze committed to, retained so
-    /// snapshots can persist them (see
-    /// [`Engine::save_snapshot`](crate::catalog::Engine::save_snapshot)).
-    frozen_params: FrozenParams,
-    /// Size of the snapshot this pipeline was restored from (0 when it
-    /// was frozen in-process); stamped into every handle's report.
-    snapshot_bytes: u64,
-    /// Wall time of the snapshot restore that produced this pipeline
-    /// (zero when frozen in-process); stamped into every handle's
-    /// report for load-vs-prepare comparisons.
-    restore_time: Duration,
-    minted: AtomicU64,
-}
+impl PreparedKind {
+    /// The shared per-join samplers (none for online pipelines, whose
+    /// handles walk the base relations directly).
+    fn samplers(&self) -> &[Arc<dyn JoinSampler>] {
+        match self {
+            PreparedKind::Rejection { samplers, .. }
+            | PreparedKind::Bernoulli { samplers, .. }
+            | PreparedKind::Disjoint { samplers, .. } => samplers,
+            PreparedKind::Online { .. } => &[],
+        }
+    }
 
-impl PreparedSampler {
-    /// Mints an independent sampler handle over the frozen state.
-    ///
-    /// Cheap by construction: no estimation, no weight precomputation —
-    /// only fresh per-handle record/report state (plus, for
-    /// [`Strategy::Online`], the lazily-initialized online estimation
-    /// state, which by design is per-handle). The handle is `Send` and
-    /// exclusively owned; drive it with any RNG — same RNG stream, same
-    /// samples, regardless of which thread runs it.
-    pub fn instantiate(&self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
-        let base: Box<dyn UnionSampler + Send> = match &self.kind {
+    /// A fresh union sampler over the frozen parts — the only caller of
+    /// the union samplers' constructors.
+    fn mint(
+        &self,
+        workload: &Arc<UnionWorkload>,
+    ) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
+        let workload = workload.clone();
+        Ok(match self {
             PreparedKind::Rejection {
                 samplers,
                 map,
                 config,
-            } => Box::new(SetUnionSampler::with_shared(
-                self.workload.clone(),
+            } => Box::new(SetUnionSampler::new(
+                workload,
                 map,
                 *config,
                 samplers.clone(),
@@ -976,38 +766,134 @@ impl PreparedSampler {
             PreparedKind::Online {
                 config,
                 cover_strategy,
-            } => Box::new(OnlineUnionSampler::new(
-                self.workload.clone(),
-                *config,
-                *cover_strategy,
-            )),
+            } => Box::new(OnlineUnionSampler::new(workload, *config, *cover_strategy)),
             PreparedKind::Bernoulli {
                 samplers,
                 sizes,
                 union_size,
                 policy,
-                max_join_tries,
-            } => {
-                let mut sampler = BernoulliUnionSampler::with_shared(
-                    self.workload.clone(),
-                    sizes,
-                    *union_size,
-                    samplers.clone(),
-                    *policy,
-                )?;
-                if let Some(tries) = max_join_tries {
-                    sampler.set_max_join_tries(*tries);
-                }
-                Box::new(sampler)
-            }
-            PreparedKind::Disjoint { samplers, sizes } => {
-                Box::new(DisjointUnionSampler::with_shared(
-                    self.workload.clone(),
-                    sizes.clone(),
-                    samplers.clone(),
-                )?)
-            }
-        };
+            } => Box::new(BernoulliUnionSampler::new(
+                workload,
+                sizes,
+                *union_size,
+                samplers.clone(),
+                *policy,
+            )?),
+            PreparedKind::Disjoint { samplers, sizes } => Box::new(DisjointUnionSampler::new(
+                workload,
+                sizes,
+                samplers.clone(),
+            )?),
+        })
+    }
+}
+
+/// Locks a mutex, recovering from poisoning (a panicked sampling
+/// request must not wedge the whole engine).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A frozen, estimation-complete, ready-to-serve sampling pipeline.
+///
+/// Produced by [`SamplerBuilder::freeze`] and
+/// [`Engine::prepare`](crate::catalog::Engine::prepare): overlap maps,
+/// covers, estimator state, and the per-join weight precomputation ran
+/// exactly once and are immutable — `PreparedQuery` is `Send + Sync`
+/// and meant to be shared as `Arc<PreparedQuery>` across every serving
+/// thread. Threads draw by minting independent handles
+/// ([`sampler`](Self::sampler)) or through the seed-addressed
+/// conveniences ([`sample`](Self::sample), [`run`](Self::run));
+/// per-handle reports fold into a cumulative aggregate readable via
+/// [`report`](Self::report). Handles start with fresh record/report
+/// state, making every handle its own i.i.d. sampling process whose
+/// output depends only on the RNG it is driven with — the determinism
+/// contract concurrent serving relies on.
+pub struct PreparedQuery {
+    workload: Arc<UnionWorkload>,
+    kind: PreparedKind,
+    /// Reject-mode predicate, compiled per handle (push-down
+    /// predicates were already folded into `workload`).
+    reject_predicate: Option<Predicate>,
+    /// The resolved configuration (defaults filled in) with the rule
+    /// and statistics that chose it.
+    plan: Plan,
+    /// `plan.summary()`, rendered once and stamped into every report.
+    summary: PlanSummary,
+    root_seed: u64,
+    estimation_passes: u64,
+    /// Resident bytes of the workload's base relations plus the shared
+    /// per-join samplers, stamped into every minted handle's report.
+    prepared_bytes: u64,
+    /// The union parameters the freeze committed to, retained so
+    /// snapshots can persist them.
+    frozen_params: Option<FrozenParams>,
+    /// Size of the snapshot this pipeline was restored from and wall
+    /// time of that restore (both zero when frozen in-process);
+    /// stamped into every handle's report for load-vs-prepare
+    /// comparisons.
+    snapshot_bytes: u64,
+    restore_time: Duration,
+    minted: AtomicU64,
+    /// The declarative query this was prepared from, when it came
+    /// through the engine — retained so snapshots can persist and
+    /// re-fingerprint it.
+    source: Option<UnionQuery>,
+    aggregate: Mutex<RunReport>,
+}
+
+impl std::fmt::Debug for PreparedQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PreparedQuery")
+            .field("plan", &self.summary)
+            .field("estimations", &self.estimations())
+            .field("handles", &self.handles())
+            .finish_non_exhaustive()
+    }
+}
+
+impl PreparedQuery {
+    /// Plans and freezes a set-union workload with the default planner
+    /// — the catalog-free entry point benches and embedded callers use
+    /// to get a shareable `PreparedQuery` straight from a
+    /// [`UnionWorkload`].
+    pub fn auto(workload: Arc<UnionWorkload>) -> Result<Self, CoreError> {
+        SamplerBuilder::for_workload(workload)
+            .strategy(Strategy::Auto)
+            .freeze()
+    }
+
+    /// The configuration that was frozen, with the rule and statistics
+    /// that selected it ([`PlanRule::Explicit`] when the caller pinned
+    /// it on the builder).
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    /// [`Plan::explain`] for this query.
+    pub fn explain(&self) -> String {
+        self.plan.explain()
+    }
+
+    /// The resolved configuration summary — the same one every
+    /// [`RunReport`] from this query carries in its `config`.
+    pub fn summary(&self) -> &PlanSummary {
+        &self.summary
+    }
+
+    /// The workload being sampled (after any predicate push-down).
+    pub fn workload(&self) -> &Arc<UnionWorkload> {
+        &self.workload
+    }
+
+    /// Mints an independent sampler handle over the frozen state.
+    ///
+    /// Cheap by construction: no estimation, no weight precomputation —
+    /// only fresh per-handle record/report state (plus, for
+    /// [`Strategy::Online`], the lazily-initialized online estimation
+    /// state, which by design is per-handle).
+    pub(crate) fn mint(&self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
+        let base = self.kind.mint(&self.workload)?;
         let mut sampler: Box<dyn UnionSampler + Send> = match &self.reject_predicate {
             Some(p) => Box::new(PredicateSampler::new(base, p)?),
             None => base,
@@ -1021,45 +907,105 @@ impl PreparedSampler {
         Ok(sampler)
     }
 
+    /// Mints an independent `Send` sampler handle over the frozen
+    /// state; `seed` names the handle's RNG stream. Minting is cheap
+    /// and re-estimates nothing (exception: an online plan estimates
+    /// per handle *by design* — see [`estimations`](Self::estimations));
+    /// every handle is a fresh i.i.d. sampling process, safe to use
+    /// concurrently with any number of sibling handles.
+    ///
+    /// The handle itself carries no mint-time randomness: two handles
+    /// minted with different seeds are identical until driven. The seed
+    /// realizes its stream through the paired [`rng(seed)`](Self::rng)
+    /// — drive the handle with that RNG (as [`sample`](Self::sample)
+    /// and the [`SamplingService`](crate::serve::SamplingService)
+    /// workers do) to get the deterministic per-seed output; driving it
+    /// with any other RNG is equally valid but keyed by that RNG
+    /// instead.
+    pub fn sampler(&self, seed: u64) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
+        let _ = seed; // stream identity lives in `rng(seed)`; eager strategies carry no mint-time randomness
+        self.mint()
+    }
+
+    /// The deterministic RNG stream for handle/request `seed`, derived
+    /// from the prepared root seed by
+    /// [`SujRng::derive`] — independent of
+    /// threads, interleaving, and mint order.
+    pub fn rng(&self, seed: u64) -> SujRng {
+        SujRng::derive(self.root_seed, seed)
+    }
+
+    /// Seed-addressed sampling: mints a handle, drives it with
+    /// [`rng(seed)`](Self::rng), and folds the per-request report into
+    /// the cumulative aggregate. Same `(prepared state, n, seed)` →
+    /// bit-identical samples, on any thread — the serving determinism
+    /// contract.
+    pub fn sample(&self, n: usize, seed: u64) -> Result<(Vec<Tuple>, RunReport), CoreError> {
+        self.run(n, &mut self.rng(seed))
+    }
+
+    /// Draws `n` i.i.d. samples with a caller-supplied RNG — the thin
+    /// convenience over one minted handle. Reuses the frozen estimator
+    /// state (no re-estimation); the returned report covers this call
+    /// only.
+    pub fn run(&self, n: usize, rng: &mut SujRng) -> Result<(Vec<Tuple>, RunReport), CoreError> {
+        let mut handle = self.mint()?;
+        let (tuples, report) = handle.sample(n, rng)?;
+        lock(&self.aggregate).merge(&report);
+        Ok((tuples, report))
+    }
+
+    /// Cumulative counters across every [`sample`](Self::sample) /
+    /// [`run`](Self::run) on this prepared query (reports of handles
+    /// minted via [`sampler`](Self::sampler) are the caller's to
+    /// aggregate), including the stamped configuration.
+    pub fn report(&self) -> RunReport {
+        lock(&self.aggregate).clone()
+    }
+
+    /// Parameter-estimation passes paid when this query was prepared:
+    /// 1 normally, 0 when the planner's probe or a snapshot already
+    /// held the parameters. Constant afterwards: minting handles and
+    /// sampling never repeat prepare-time estimation — the "estimate
+    /// once, serve many" assertion for served workloads.
+    ///
+    /// Exception: plans using [`Strategy::Online`] (the no-statistics
+    /// rule) estimate *while sampling* by design — Algorithm 2's
+    /// warm-up and refinement consume each handle's own RNG stream, so
+    /// that work is inherently per-handle, is not counted here, and
+    /// shows up as `warmup_time` in per-request reports instead.
+    pub fn estimations(&self) -> u64 {
+        self.estimation_passes
+    }
+
+    /// Sampler handles minted so far (via [`sampler`](Self::sampler),
+    /// [`sample`](Self::sample), or [`run`](Self::run)).
+    pub fn handles(&self) -> u64 {
+        self.minted.load(Ordering::Relaxed)
+    }
+
     /// Approximate resident bytes of the prepared workload's base
-    /// relations (the number stamped into every handle's report).
+    /// relations plus the shared per-join samplers (the number stamped
+    /// into every handle's report).
     pub fn prepared_bytes(&self) -> u64 {
         self.prepared_bytes
     }
 
-    /// The estimated parameters the freeze committed to (snapshot
+    /// The root of per-handle RNG stream derivation (the builder's
+    /// [`estimation_seed`](SamplerBuilder::estimation_seed)).
+    pub(crate) fn root_seed(&self) -> u64 {
+        self.root_seed
+    }
+
+    /// The declarative query this was prepared from, when known.
+    pub(crate) fn source_query(&self) -> Option<&UnionQuery> {
+        self.source.as_ref()
+    }
+
+    /// The union parameters the freeze committed to (snapshot
     /// serialization).
-    pub(crate) fn frozen_params(&self) -> &FrozenParams {
-        &self.frozen_params
-    }
-
-    /// Stamps the cost of the snapshot restore that produced this
-    /// pipeline; every subsequently minted handle's report carries it.
-    pub(crate) fn set_restore_cost(&mut self, snapshot_bytes: u64, restore_time: Duration) {
-        self.snapshot_bytes = snapshot_bytes;
-        self.restore_time = restore_time;
-    }
-
-    /// Size of the snapshot this pipeline was restored from; 0 when it
-    /// was frozen in-process.
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_bytes
-    }
-
-    /// Wall time of the snapshot restore that produced this pipeline;
-    /// zero when it was frozen in-process.
-    pub fn restore_time(&self) -> Duration {
-        self.restore_time
-    }
-
-    /// The workload handles sample (after any push-down rewrite).
-    pub fn workload(&self) -> &Arc<UnionWorkload> {
-        &self.workload
-    }
-
-    /// The resolved configuration stamped into every handle's report.
-    pub fn summary(&self) -> &PlanSummary {
-        &self.summary
+    pub(crate) fn frozen_params(&self) -> Option<&FrozenParams> {
+        self.frozen_params.as_ref()
     }
 
     /// Per-join Exact-Weight artifacts (count tables + alias arenas)
@@ -1068,44 +1014,14 @@ impl PreparedSampler {
     /// recomputation or alias rebuild. `None` for online pipelines or
     /// any non-EW member (nothing to persist).
     pub(crate) fn ew_artifacts(&self) -> Option<Vec<suj_join::EwArtifacts>> {
-        let samplers = match &self.kind {
-            PreparedKind::Rejection { samplers, .. }
-            | PreparedKind::Bernoulli { samplers, .. }
-            | PreparedKind::Disjoint { samplers, .. } => samplers,
-            PreparedKind::Online { .. } => return None,
-        };
+        let samplers = self.kind.samplers();
+        if samplers.is_empty() {
+            return None;
+        }
         samplers
             .iter()
             .map(|s| s.as_exact().map(|e| e.artifacts()))
             .collect()
-    }
-
-    /// Overrides the stamped configuration record — used by the engine
-    /// to substitute the planner's summary (which names the rule that
-    /// fired) for the builder's.
-    #[must_use = "builder methods return the updated value; dropping it discards the change"]
-    pub fn with_summary(mut self, summary: PlanSummary) -> Self {
-        self.summary = summary;
-        self
-    }
-
-    /// The root of per-handle RNG stream derivation (the builder's
-    /// [`estimation_seed`](SamplerBuilder::estimation_seed)).
-    pub fn root_seed(&self) -> u64 {
-        self.root_seed
-    }
-
-    /// Estimation passes paid at freeze time: 1 normally, 0 when a
-    /// planner-probed overlap map was reused (the probe already paid
-    /// it). Never grows afterwards — minting handles re-estimates
-    /// nothing, which served workloads assert.
-    pub fn estimation_passes(&self) -> u64 {
-        self.estimation_passes
-    }
-
-    /// Handles minted so far.
-    pub fn minted(&self) -> u64 {
-        self.minted.load(Ordering::Relaxed)
     }
 }
 
@@ -1272,7 +1188,7 @@ mod tests {
         assert!(SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
             .strategy(Strategy::Disjoint)
-            .max_cover_retries(5)
+            .cover_policy(CoverPolicy::Record)
             .build()
             .is_err());
         // Applicable knobs still work.
@@ -1280,7 +1196,6 @@ mod tests {
             .estimator(Estimator::Exact)
             .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
             .weights(WeightKind::Exact)
-            .max_join_tries(500_000)
             .build()
             .is_ok());
     }
@@ -1378,14 +1293,17 @@ mod tests {
         assert!(SamplerBuilder::for_joins(vec![Arc::new(j1), Arc::new(j_bad)]).is_err());
     }
 
-    /// The builder path must be byte-identical to the legacy
-    /// direct-constructor path (same seed, same estimator inputs).
+    /// The freeze hands the estimated parameters and shared samplers to
+    /// the sampler's constructor unchanged: building through the
+    /// builder is byte-identical to constructing over the same parts by
+    /// hand (same seed, same estimator inputs).
     #[test]
     fn builder_matches_direct_construction() {
         let w = workload();
         let exact = crate::exact::full_join_union(&w).unwrap();
-        let mut direct =
-            SetUnionSampler::new(w.clone(), &exact.overlap, UnionSamplerConfig::default()).unwrap();
+        let config = UnionSamplerConfig::default();
+        let samplers = shared_samplers(&w, config.weights).unwrap();
+        let mut direct = SetUnionSampler::new(w.clone(), &exact.overlap, config, samplers).unwrap();
         let mut built = SamplerBuilder::for_workload(w)
             .estimator(Estimator::Exact)
             .build()

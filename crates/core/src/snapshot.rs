@@ -9,7 +9,7 @@
 //! [`Engine::load_snapshot`] rebuilds the catalog, re-resolves each
 //! query, and re-freezes each pipeline **consuming the restored
 //! parameters instead of estimating**: after a restore,
-//! [`PreparedQuery::estimations`] is 0 and samples are bit-identical
+//! [`PreparedQuery::estimations`](crate::catalog::PreparedQuery::estimations) is 0 and samples are bit-identical
 //! to the donor engine's for the same root seed and request seed.
 //!
 //! # File format
@@ -17,54 +17,58 @@
 //! The container is the storage layer's: magic `SUJSNAP\0`, version,
 //! section count, then per section a 16-byte header (`kind: u32`,
 //! `len: u64`, `crc: u32`) and an 8-aligned payload. This module adds
-//! two section kinds on top of [`SECTION_RELATION`]:
+//! three section kinds on top of [`SECTION_RELATION`]:
 //!
 //! | kind | payload |
 //! |------|---------|
 //! | 16 ([`SECTION_ENGINE_META`]) | engine format version `u32`, planner config (`f64`, `u64`, `f64`, `u8`) |
 //! | 1 ([`SECTION_RELATION`]) | one relation, in catalog registration order |
-//! | 17 ([`SECTION_PREPARED`]) | one prepared entry: query, root seed `u64`, plan tags, frozen parameters |
-//! | 18 ([`SECTION_EW_ARENAS`]) | per-join Exact-Weight artifacts (count tables + alias arenas) for the prepared entry immediately before it |
+//! | 17 ([`SECTION_PREPARED`]) | one prepared entry: entry id `u32`, query, root seed `u64`, plan, frozen parameters |
+//! | 18 ([`SECTION_EW_ARENAS`]) | entry id `u32` of the prepared entry it belongs to, then its per-join Exact-Weight artifacts (count tables + alias arenas) |
 //!
-//! Plans are stored as *tags* (strategy / estimator / weights / cover
-//! / predicate mode / rule discriminants), not full configurations:
-//! the engine's planner only ever emits default-configured variants,
-//! so the tags reconstruct the plan exactly. Prepared entries that did
-//! not come through the engine (no source query, e.g.
-//! [`PreparedQuery::auto`]) are not persisted.
+//! A plan is stored as its own enums' tags (strategy / estimator /
+//! weights / cover / rule — each through the one `tag`/`from_tag` pair
+//! that also yields its summary label) plus the statistics that drove
+//! it, not as full configurations: the engine's planner only ever emits
+//! default-configured variants, so the tags reconstruct the plan
+//! exactly, and a replica's summary and `EXPLAIN` equal the donor's.
+//! The predicate mode is not stored: it is a function of the query.
+//! Prepared entries that did not come through the engine (no source
+//! query, e.g. [`PreparedQuery::auto`](crate::catalog::PreparedQuery::auto))
+//! are not persisted.
 //!
 //! Frozen parameters are the overlap map (or exact per-join sizes)
 //! the freeze committed to — the restore path's substitute for
-//! estimation. They were captured *after* any predicate push-down
-//! rewrite, so restoring replays the rewrite deterministically and
-//! then installs the map over the rewritten workload.
+//! estimation. They describe the workload *after* any predicate
+//! push-down rewrite; restoring replays the rewrite deterministically
+//! (it is the first stage of the one prepare pipeline) and hands them
+//! to the freeze as given.
 //!
 //! When every member sampler of a prepared entry is exact-weight, its
-//! factorized count tables and alias arenas follow in a
-//! [`SECTION_EW_ARENAS`] section (paired with the preceding prepared
-//! entry by order). The restore revives the samplers from those
+//! factorized count tables and alias arenas travel in a
+//! [`SECTION_EW_ARENAS`] section carrying the entry's id (section
+//! order is irrelevant). The restore revives the samplers from those
 //! artifacts — validated slab-by-slab — so a restored replica performs
 //! **zero** alias builds ([`suj_join::alias_builds`] is flat across a
 //! restore) and serves draw streams bit-identical to the donor's.
 
-use crate::bernoulli::DesignationPolicy;
-use crate::catalog::{Catalog, Engine, PreparedQuery};
+use crate::catalog::{Catalog, Engine};
 use crate::error::CoreError;
 use crate::overlap::OverlapMap;
-use crate::planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
+use crate::planner::{Labeled, Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
 use crate::predicate_mode::PredicateMode;
 use crate::query::{JoinDef, Topology, UnionQuery, UnionSemantics};
-use crate::session::{Estimator, FrozenParams, HistogramOptions, SamplerBuilder, Strategy};
-use crate::walk_estimator::WalkEstimatorConfig;
+use crate::session::{Estimator, FrozenParams, Given, Strategy};
 use crate::workload::UnionWorkload;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use suj_join::JoinEdge;
+use suj_join::{ExactWeightSampler, JoinEdge, JoinSampler};
 use suj_storage::snapshot::{
     decode_predicate, decode_relation, encode_predicate, encode_relation, read_sections,
     write_sections, ByteReader, ByteWriter, SECTION_RELATION,
 };
+use suj_storage::FxHashMap;
 use suj_storage::SnapshotError;
 
 /// Section kind: engine metadata (format version + planner config).
@@ -72,11 +76,12 @@ pub const SECTION_ENGINE_META: u32 = 16;
 /// Section kind: one serialized prepared-query entry.
 pub const SECTION_PREPARED: u32 = 17;
 /// Section kind: the Exact-Weight artifacts (count tables + alias
-/// arenas) of the prepared entry immediately before this section.
+/// arenas) of the prepared entry whose id leads the payload.
 pub const SECTION_EW_ARENAS: u32 = 18;
 /// Version of the engine sections' encoding (independent of the
-/// container version).
-pub const ENGINE_FORMAT_VERSION: u32 = 1;
+/// container version). Version 2 stores plans through their enums'
+/// tags with the planning statistics, and pairs arenas by entry id.
+pub const ENGINE_FORMAT_VERSION: u32 = 2;
 
 fn corrupt(what: &str, got: impl std::fmt::Display) -> SnapshotError {
     SnapshotError::Corrupt(format!("{what}: unexpected value {got}"))
@@ -196,173 +201,104 @@ pub fn decode_query(r: &mut ByteReader<'_>) -> Result<UnionQuery, SnapshotError>
 // Plan codec (tags only — the planner emits default configurations)
 // ---------------------------------------------------------------------
 
-struct PlanTags {
-    strategy: u8,
-    policy: u8,
-    estimator: u8,
-    weights: u8,
-    cover: u8,
-    predicate_mode: u8,
-    /// Join-size provenance: 0 none, 1 exact (EW count tables),
-    /// 2 histogram.
-    sizing: u8,
-    rule: u8,
+/// `0` for `None`, else the variant's tag plus one.
+fn put_option_tag(tag: Option<u8>, w: &mut ByteWriter) {
+    w.put_u8(tag.map_or(0, |t| t + 1));
+}
+
+/// Inverse of [`put_option_tag`] through the enum's `from_tag`.
+fn get_option_tag<T>(
+    r: &mut ByteReader<'_>,
+    what: &str,
+    from_tag: impl Fn(u8) -> Option<T>,
+) -> Result<Option<T>, SnapshotError> {
+    match r.get_u8()? {
+        0 => Ok(None),
+        tag => from_tag(tag - 1)
+            .map(Some)
+            .ok_or_else(|| corrupt(what, tag)),
+    }
 }
 
 fn encode_plan(plan: &Plan, w: &mut ByteWriter) -> Result<(), SnapshotError> {
-    let (strategy, policy) = match plan.strategy {
-        Strategy::Rejection => (0u8, 0u8),
-        Strategy::Online(_) => (1, 0),
-        Strategy::Bernoulli(DesignationPolicy::Oracle) => (2, 0),
-        Strategy::Bernoulli(DesignationPolicy::Record) => (2, 1),
-        Strategy::Disjoint => (3, 0),
-        Strategy::Auto => {
-            return Err(SnapshotError::Corrupt(
-                "cannot snapshot an unresolved Auto plan".into(),
-            ))
-        }
-    };
+    let strategy = plan
+        .strategy
+        .tag()
+        .ok_or_else(|| SnapshotError::Corrupt("cannot snapshot an unresolved Auto plan".into()))?;
     w.put_u8(strategy);
-    w.put_u8(policy);
-    w.put_u8(match plan.estimator {
-        None => 0,
-        Some(Estimator::Exact) => 1,
-        Some(Estimator::Histogram(_)) => 2,
-        Some(Estimator::Walk(_)) => 3,
-    });
-    w.put_u8(match plan.weights {
-        None => 0,
-        Some(suj_join::WeightKind::Exact) => 1,
-        Some(suj_join::WeightKind::ExtendedOlken) => 2,
-        Some(suj_join::WeightKind::WanderJoin) => 3,
-        Some(suj_join::WeightKind::AgmBox) => 4,
-    });
-    w.put_u8(match plan.cover_strategy {
-        None => 0,
-        Some(crate::cover::CoverStrategy::AsGiven) => 1,
-        Some(crate::cover::CoverStrategy::DescendingSize) => 2,
-        Some(crate::cover::CoverStrategy::AscendingSize) => 3,
-    });
-    w.put_u8(match plan.predicate_mode {
-        None => 0,
-        Some(PredicateMode::PushDown) => 1,
-        Some(PredicateMode::Reject) => 2,
-    });
-    w.put_u8(if plan.stats.exact_sizes {
-        1
-    } else if plan.stats.available() {
-        2
-    } else {
-        0
-    });
-    w.put_u8(match plan.rule {
-        PlanRule::DisjointSemantics => 0,
-        PlanRule::SingleJoin => 1,
-        PlanRule::NoStatistics => 2,
-        PlanRule::LowOverlap => 3,
-        PlanRule::HighOverlap => 4,
-        PlanRule::CyclicJoin => 5,
-    });
+    put_option_tag(plan.estimator.map(|e| e.tag()), w);
+    put_option_tag(plan.weights.map(Labeled::tag), w);
+    put_option_tag(plan.cover_strategy.map(Labeled::tag), w);
+    w.put_u8(plan.rule.tag());
+    let stats = &plan.stats;
+    w.put_u64(stats.total_base_rows as u64);
+    w.put_u32(stats.n_joins as u32);
+    w.put_u8(u8::from(stats.exact_sizes));
+    // The size hints exist together (the probe sets both) or not at all.
+    match (&stats.join_size_hints, stats.union_size_hint) {
+        (Some(hints), Some(union)) => {
+            w.put_u8(1);
+            w.put_f64(union);
+            w.put_f64_slab(hints);
+        }
+        _ => w.put_u8(0),
+    }
     Ok(())
 }
 
-fn decode_plan_tags(r: &mut ByteReader<'_>) -> Result<PlanTags, SnapshotError> {
-    Ok(PlanTags {
-        strategy: r.get_u8()?,
-        policy: r.get_u8()?,
-        estimator: r.get_u8()?,
-        weights: r.get_u8()?,
-        cover: r.get_u8()?,
-        predicate_mode: r.get_u8()?,
-        sizing: r.get_u8()?,
-        rule: r.get_u8()?,
-    })
-}
-
-impl PlanTags {
-    /// Reconstructs the plan against a freshly resolved workload. The
-    /// statistics are rebuilt from the frozen overlap map (or marked
-    /// unavailable), which is exactly what the restored freeze
-    /// consumes.
-    fn into_plan(
-        self,
-        workload: &Arc<UnionWorkload>,
-        frozen: &FrozenParams,
-    ) -> Result<Plan, SnapshotError> {
-        let strategy = match (self.strategy, self.policy) {
-            (0, _) => Strategy::Rejection,
-            (1, _) => Strategy::Online(crate::algorithm2::OnlineConfig::default()),
-            (2, 0) => Strategy::Bernoulli(DesignationPolicy::Oracle),
-            (2, 1) => Strategy::Bernoulli(DesignationPolicy::Record),
-            (3, _) => Strategy::Disjoint,
-            (other, _) => return Err(corrupt("strategy tag", other)),
-        };
-        let estimator = match self.estimator {
-            0 => None,
-            1 => Some(Estimator::Exact),
-            2 => Some(Estimator::Histogram(HistogramOptions::default())),
-            3 => Some(Estimator::Walk(WalkEstimatorConfig::default())),
-            other => return Err(corrupt("estimator tag", other)),
-        };
-        let weights = match self.weights {
-            0 => None,
-            1 => Some(suj_join::WeightKind::Exact),
-            2 => Some(suj_join::WeightKind::ExtendedOlken),
-            3 => Some(suj_join::WeightKind::WanderJoin),
-            4 => Some(suj_join::WeightKind::AgmBox),
-            other => return Err(corrupt("weights tag", other)),
-        };
-        let cover_strategy = match self.cover {
-            0 => None,
-            1 => Some(crate::cover::CoverStrategy::AsGiven),
-            2 => Some(crate::cover::CoverStrategy::DescendingSize),
-            3 => Some(crate::cover::CoverStrategy::AscendingSize),
-            other => return Err(corrupt("cover tag", other)),
-        };
-        let predicate_mode = match self.predicate_mode {
-            0 => None,
-            1 => Some(PredicateMode::PushDown),
-            2 => Some(PredicateMode::Reject),
-            other => return Err(corrupt("plan predicate mode tag", other)),
-        };
-        let rule = match self.rule {
-            0 => PlanRule::DisjointSemantics,
-            1 => PlanRule::SingleJoin,
-            2 => PlanRule::NoStatistics,
-            3 => PlanRule::LowOverlap,
-            4 => PlanRule::HighOverlap,
-            5 => PlanRule::CyclicJoin,
-            other => return Err(corrupt("rule tag", other)),
-        };
-        let mut stats = match frozen {
-            FrozenParams::Map(map) => WorkloadStats::from_probed(workload, map.clone()),
-            _ => WorkloadStats::unavailable(workload),
-        };
-        match self.sizing {
-            0 | 2 => {}
-            1 => stats.exact_sizes = true,
-            other => return Err(corrupt("sizing tag", other)),
-        }
-        Ok(Plan {
-            strategy,
-            estimator,
-            weights,
-            cover_strategy,
-            predicate_mode,
-            rule,
-            stats,
-        })
+/// Inverse of [`encode_plan`]. The predicate mode is left unset: the
+/// prepare pipeline derives it from the query.
+fn decode_plan(r: &mut ByteReader<'_>) -> Result<Plan, SnapshotError> {
+    let tag = r.get_u8()?;
+    let strategy = Strategy::from_tag(tag).ok_or_else(|| corrupt("strategy tag", tag))?;
+    let estimator = get_option_tag(r, "estimator tag", Estimator::from_tag)?;
+    let weights = get_option_tag(r, "weights tag", Labeled::from_tag)?;
+    let cover_strategy = get_option_tag(r, "cover tag", Labeled::from_tag)?;
+    let tag = r.get_u8()?;
+    let rule = PlanRule::from_tag(tag).ok_or_else(|| corrupt("rule tag", tag))?;
+    let total_base_rows = usize::try_from(r.get_u64()?)
+        .map_err(|_| SnapshotError::Corrupt("total_base_rows overflow".into()))?;
+    let n_joins = r.get_u32()? as usize;
+    let exact_sizes = match r.get_u8()? {
+        0 => false,
+        1 => true,
+        other => return Err(corrupt("exact-sizes flag", other)),
+    };
+    let (union_size_hint, join_size_hints) = match r.get_u8()? {
+        0 => (None, None),
+        1 => (Some(r.get_f64()?), Some(r.get_f64_slab()?)),
+        other => return Err(corrupt("statistics flag", other)),
+    };
+    if join_size_hints.as_ref().is_some_and(|h| h.len() != n_joins) {
+        return Err(SnapshotError::Corrupt(
+            "size hints do not cover every join".into(),
+        ));
     }
+    Ok(Plan {
+        strategy,
+        estimator,
+        weights,
+        cover_strategy,
+        predicate_mode: None,
+        rule,
+        stats: WorkloadStats {
+            join_size_hints,
+            union_size_hint,
+            total_base_rows,
+            n_joins,
+            exact_sizes,
+        },
+    })
 }
 
 // ---------------------------------------------------------------------
 // Frozen-parameter codec
 // ---------------------------------------------------------------------
 
-fn encode_frozen(params: &FrozenParams, w: &mut ByteWriter) {
+fn encode_frozen(params: Option<&FrozenParams>, w: &mut ByteWriter) {
     match params {
-        FrozenParams::None => w.put_u8(0),
-        FrozenParams::Map(map) => {
+        None => w.put_u8(0),
+        Some(FrozenParams::Map(map)) => {
             w.put_u8(1);
             let n = map.n();
             w.put_u32(n as u32);
@@ -379,22 +315,22 @@ fn encode_frozen(params: &FrozenParams, w: &mut ByteWriter) {
                 .collect();
             w.put_f64_slab(&sizes);
         }
-        FrozenParams::Sizes(sizes) => {
+        Some(FrozenParams::Sizes(sizes)) => {
             w.put_u8(2);
             w.put_f64_slab(sizes);
         }
     }
 }
 
-fn decode_frozen(r: &mut ByteReader<'_>) -> Result<FrozenParams, SnapshotError> {
+fn decode_frozen(r: &mut ByteReader<'_>) -> Result<Option<FrozenParams>, SnapshotError> {
     match r.get_u8()? {
-        0 => Ok(FrozenParams::None),
+        0 => Ok(None),
         1 => {
             let n = r.get_u32()? as usize;
             let sizes = r.get_f64_slab()?;
             let map = OverlapMap::new(n, sizes)
                 .map_err(|e| SnapshotError::Corrupt(format!("invalid overlap map: {e}")))?;
-            Ok(FrozenParams::Map(map))
+            Ok(Some(FrozenParams::Map(map)))
         }
         2 => {
             let sizes = r.get_f64_slab()?;
@@ -403,7 +339,7 @@ fn decode_frozen(r: &mut ByteReader<'_>) -> Result<FrozenParams, SnapshotError> 
                     "frozen join sizes must be finite and non-negative".into(),
                 ));
             }
-            Ok(FrozenParams::Sizes(sizes))
+            Ok(Some(FrozenParams::Sizes(sizes)))
         }
         other => Err(corrupt("frozen-params tag", other)),
     }
@@ -543,24 +479,28 @@ impl Engine {
             sections.push((SECTION_RELATION, w.into_bytes()));
         }
 
+        let mut id = 0u32;
         for (_fingerprint, prepared) in self.cached_entries() {
             let Some(query) = prepared.source_query() else {
                 continue;
             };
             let mut w = ByteWriter::new();
+            w.put_u32(id);
             encode_query(query, &mut w);
-            w.put_u64(prepared.prepared().root_seed());
+            w.put_u64(prepared.root_seed());
             encode_plan(prepared.plan(), &mut w)?;
-            encode_frozen(prepared.prepared().frozen_params(), &mut w);
+            encode_frozen(prepared.frozen_params(), &mut w);
             sections.push((SECTION_PREPARED, w.into_bytes()));
             // Exact-weight pipelines also persist their count tables
-            // and alias arenas, paired with the entry by order, so a
-            // restore revives the samplers without rebuilding either.
-            if let Some(artifacts) = prepared.prepared().ew_artifacts() {
+            // and alias arenas under the entry's id, so a restore
+            // revives the samplers without rebuilding either.
+            if let Some(artifacts) = prepared.ew_artifacts() {
                 let mut w = ByteWriter::new();
+                w.put_u32(id);
                 encode_ew_artifacts(&artifacts, &mut w);
                 sections.push((SECTION_EW_ARENAS, w.into_bytes()));
             }
+            id += 1;
         }
 
         Ok(write_sections(&sections))
@@ -584,7 +524,7 @@ impl Engine {
     /// Restores an engine from a snapshot file: catalog, planner
     /// config, and every persisted prepared query — **without
     /// re-running parameter estimation** (each restored query reports
-    /// [`PreparedQuery::estimations`]` == 0`). The measured restore
+    /// [`estimations`](crate::catalog::PreparedQuery::estimations)` == 0`). The measured restore
     /// cost (snapshot size + wall time) is stamped into every report
     /// the restored queries mint.
     /// When the newest snapshot is missing, truncated, or corrupt, the
@@ -647,22 +587,27 @@ impl Engine {
         };
 
         let mut catalog = Catalog::new();
-        let mut prepared_payloads: Vec<(&[u8], Option<&[u8]>)> = Vec::new();
+        let mut prepared: Vec<(u32, ByteReader<'_>)> = Vec::new();
+        let mut arenas: FxHashMap<u32, ByteReader<'_>> = FxHashMap::default();
         for (kind, payload) in iter {
+            let mut r = ByteReader::new(payload);
             match kind {
                 SECTION_RELATION => {
-                    let mut r = ByteReader::new(payload);
                     catalog.register_arc(Arc::new(decode_relation(&mut r)?))?;
                 }
-                SECTION_PREPARED => prepared_payloads.push((payload, None)),
-                SECTION_EW_ARENAS => match prepared_payloads.last_mut() {
-                    Some((_, slot @ None)) => *slot = Some(payload),
-                    _ => {
-                        return Err(CoreError::Snapshot(SnapshotError::Corrupt(
-                            "EW arenas section must directly follow its prepared entry".into(),
-                        )))
+                SECTION_PREPARED => {
+                    let id = r.get_u32()?;
+                    if prepared.iter().any(|(other, _)| *other == id) {
+                        return Err(CoreError::Snapshot(corrupt("duplicate prepared id", id)));
                     }
-                },
+                    prepared.push((id, r));
+                }
+                SECTION_EW_ARENAS => {
+                    let id = r.get_u32()?;
+                    if arenas.insert(id, r).is_some() {
+                        return Err(CoreError::Snapshot(corrupt("duplicate EW arenas id", id)));
+                    }
+                }
                 other => {
                     return Err(CoreError::Snapshot(SnapshotError::Corrupt(format!(
                         "unknown engine section kind {other}"
@@ -673,53 +618,70 @@ impl Engine {
 
         let engine = Engine::with_planner(catalog, Planner::new(planner_config));
         let snapshot_bytes = bytes.len() as u64;
-        for (payload, arena_payload) in prepared_payloads {
-            let mut r = ByteReader::new(payload);
+        for (id, mut r) in prepared {
             let query = decode_query(&mut r)?;
             let root_seed = r.get_u64()?;
-            let tags = decode_plan_tags(&mut r)?;
-            let sizing_tag = tags.sizing;
-            let frozen = decode_frozen(&mut r)?;
-            let artifacts = match arena_payload {
-                Some(bytes) => {
-                    let mut r = ByteReader::new(bytes);
-                    Some(decode_ew_artifacts(&mut r)?)
-                }
+            let plan = decode_plan(&mut r)?;
+            let params = decode_frozen(&mut r)?;
+            let artifacts = match arenas.remove(&id) {
+                Some(mut r) => Some(decode_ew_artifacts(&mut r)?),
                 None => None,
             };
-
-            let resolved = query.resolve(engine.catalog())?;
-            let plan = tags.into_plan(&resolved.workload, &frozen)?;
-            let mut builder = plan
-                .apply(SamplerBuilder::for_workload(resolved.workload.clone()))
-                .estimation_seed(root_seed)
-                .with_restored(frozen);
-            if let Some(artifacts) = artifacts {
-                builder = builder.with_restored_artifacts(artifacts);
-            }
-            if let (Some(p), Some(mode)) = (resolved.predicate, plan.predicate_mode) {
-                builder = builder.predicate(p, mode);
-            }
-            // The sizing provenance the donor's summary carried is
-            // restored from its tag verbatim (restored stats cannot
-            // always re-derive it — e.g. frozen sizes carry no map).
-            let mut summary = plan.summary();
-            summary.sizing = match sizing_tag {
-                0 => None,
-                1 => Some("exact".to_string()),
-                _ => Some("histogram".to_string()),
-            };
-            let mut prepared = builder.freeze()?.with_summary(summary);
-            prepared.set_restore_cost(snapshot_bytes, start.elapsed());
-            let restored = Arc::new(PreparedQuery::from_query_parts(
-                query.clone(),
-                plan,
-                prepared,
-            ));
-            engine.install_prepared(&query, restored);
+            // The one prepare pipeline, with the plan and everything
+            // already computed for the rewritten workload given instead
+            // of probed.
+            let restored = engine.prepare_via(&query, root_seed, |workload, _| {
+                if plan.stats.n_joins != workload.n_joins() {
+                    return Err(CoreError::Snapshot(corrupt(
+                        "planned join count",
+                        plan.stats.n_joins,
+                    )));
+                }
+                let given = Given {
+                    params,
+                    samplers: artifacts.map(|a| revive(workload, a)).transpose()?,
+                    restore: Some((snapshot_bytes, start)),
+                };
+                Ok((plan, given))
+            })?;
+            engine.install_prepared(&query, Arc::new(restored));
+        }
+        if let Some(id) = arenas.keys().next() {
+            return Err(CoreError::Snapshot(corrupt(
+                "EW arenas for an absent prepared entry",
+                id,
+            )));
         }
         Ok(engine)
     }
+}
+
+/// Revives the per-join Exact-Weight samplers of `workload` from
+/// persisted artifacts — no count recomputation, no alias build;
+/// `from_artifacts` validates every shape against the join spec before
+/// anything is served from them.
+fn revive(
+    workload: &UnionWorkload,
+    artifacts: Vec<suj_join::EwArtifacts>,
+) -> Result<Vec<Arc<dyn JoinSampler>>, CoreError> {
+    if artifacts.len() != workload.n_joins() {
+        return Err(CoreError::Invalid(format!(
+            "restored EW artifacts cover {} joins but the workload has {}",
+            artifacts.len(),
+            workload.n_joins()
+        )));
+    }
+    workload
+        .joins()
+        .iter()
+        .cloned()
+        .zip(artifacts)
+        .map(|(spec, art)| {
+            ExactWeightSampler::from_artifacts(spec, art)
+                .map(|s| Arc::new(s) as Arc<dyn JoinSampler>)
+                .map_err(CoreError::Join)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -982,6 +944,26 @@ mod tests {
         assert!(matches!(
             Engine::load_snapshot_bytes(&bad),
             Err(CoreError::Snapshot(SnapshotError::BadMagic))
+        ));
+    }
+
+    #[test]
+    fn other_engine_format_versions_are_refused_by_name() {
+        // A snapshot from before the plan/arena layout changed (engine
+        // format 1) must be refused up front, never half-decoded.
+        let engine = shop_engine();
+        engine.prepare(&shop_query()).unwrap();
+        let bytes = engine.snapshot_to_bytes().unwrap();
+        let mut sections: Vec<(u32, Vec<u8>)> = read_sections(&bytes)
+            .unwrap()
+            .into_iter()
+            .map(|(kind, payload)| (kind, payload.to_vec()))
+            .collect();
+        assert_eq!(sections[0].0, SECTION_ENGINE_META);
+        sections[0].1[..4].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            Engine::load_snapshot_bytes(&write_sections(&sections)),
+            Err(CoreError::Snapshot(SnapshotError::UnsupportedVersion(1)))
         ));
     }
 

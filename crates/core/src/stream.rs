@@ -126,6 +126,7 @@ mod tests {
     use super::*;
     use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
     use crate::exact::full_join_union;
+    use crate::session::{shared_samplers, Estimator, SamplerBuilder};
     use crate::workload::UnionWorkload;
     use std::sync::Arc;
     use suj_storage::{Relation, Schema, Value};
@@ -157,19 +158,21 @@ mod tests {
         Arc::new(UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)]).unwrap())
     }
 
+    /// Algorithm 1 with the never-retracting oracle policy over exact
+    /// parameters.
+    fn oracle_sampler(w: Arc<UnionWorkload>) -> Box<dyn UnionSampler + Send> {
+        SamplerBuilder::for_workload(w)
+            .estimator(Estimator::Exact)
+            .cover_policy(CoverPolicy::MembershipOracle)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn stream_yields_members_lazily() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = SetUnionSampler::new(
-            w,
-            &exact.overlap,
-            UnionSamplerConfig {
-                policy: CoverPolicy::MembershipOracle,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut sampler = oracle_sampler(w);
         let mut rng = SujRng::seed_from_u64(1);
         let samples: Vec<_> = SampleStream::over(&mut sampler, &mut rng)
             .take(50)
@@ -184,13 +187,8 @@ mod tests {
     #[test]
     fn oracle_stream_matches_batch_seed_for_seed() {
         let w = workload();
-        let exact = full_join_union(&w).unwrap();
-        let cfg = UnionSamplerConfig {
-            policy: CoverPolicy::MembershipOracle,
-            ..Default::default()
-        };
-        let mut a = SetUnionSampler::new(w.clone(), &exact.overlap, cfg).unwrap();
-        let mut b = SetUnionSampler::new(w, &exact.overlap, cfg).unwrap();
+        let mut a = oracle_sampler(w.clone());
+        let mut b = oracle_sampler(w);
         let mut rng_a = SujRng::seed_from_u64(2);
         let mut rng_b = SujRng::seed_from_u64(2);
         let (batch, _) = a.sample(100, &mut rng_a).unwrap();
@@ -206,7 +204,9 @@ mod tests {
         let w = workload();
         // A zero overlap map → empty union → draw errors.
         let map = crate::overlap::OverlapMap::new(2, vec![0.0; 4]).unwrap();
-        let mut sampler = SetUnionSampler::new(w, &map, UnionSamplerConfig::default()).unwrap();
+        let config = UnionSamplerConfig::default();
+        let samplers = shared_samplers(&w, config.weights).unwrap();
+        let mut sampler = SetUnionSampler::new(w, &map, config, samplers).unwrap();
         let mut rng = SujRng::seed_from_u64(3);
         let mut stream = SampleStream::over(&mut sampler, &mut rng);
         assert!(matches!(stream.next(), Some(Err(_))));

@@ -4,9 +4,8 @@
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use std::sync::Arc;
-use suj_core::algorithm1::UnionSamplerConfig;
 use suj_core::prelude::*;
-use suj_join::{JoinSpec, WeightKind};
+use suj_join::JoinSpec;
 use suj_stats::SujRng;
 use suj_storage::{FxHashSet, Relation, Schema, Tuple, Value};
 
@@ -75,15 +74,11 @@ proptest! {
         prop_assume!(!exact.union_set.is_empty());
         let w = Arc::new(w);
         for policy in [CoverPolicy::Record, CoverPolicy::MembershipOracle] {
-            let mut sampler = SetUnionSampler::new(
-                w.clone(),
-                &exact.overlap,
-                UnionSamplerConfig {
-                    policy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let mut sampler = SamplerBuilder::for_workload(w.clone())
+                .estimator(Estimator::Exact)
+                .cover_policy(policy)
+                .build()
+                .unwrap();
             let mut rng = SujRng::seed_from_u64(seed);
             let (samples, report) = sampler.sample(25, &mut rng).unwrap();
             prop_assert_eq!(samples.len(), 25);
@@ -116,8 +111,11 @@ proptest! {
         let exact = full_join_union(&w).unwrap();
         prop_assume!(exact.join_size(0) + exact.join_size(1) > 0);
         let w = Arc::new(w);
-        let mut sampler =
-            DisjointUnionSampler::with_exact_sizes(w.clone(), WeightKind::Exact).unwrap();
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Exact)
+            .strategy(suj_core::session::Strategy::Disjoint)
+            .build()
+            .unwrap();
         let mut rng = SujRng::seed_from_u64(seed);
         let (samples, _) = sampler.sample(20, &mut rng).unwrap();
         prop_assert_eq!(samples.len(), 20);

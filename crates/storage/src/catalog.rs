@@ -1,16 +1,20 @@
 //! Relation catalogs.
 //!
-//! A [`Catalog`] is the "database" handed to workload builders: a named
-//! collection of relations. The union workloads (UQ1–UQ3) register one
-//! catalog per regional database variant (Fig. 1's `_W`, `_E`, `_MW`
-//! schemas) and build joins over them.
+//! A [`Catalog`] is the "database" handed to workload builders and
+//! the one declarative queries resolve against: a named collection of
+//! relations. The union workloads (UQ1–UQ3) register one catalog per
+//! regional database variant (Fig. 1's `_W`, `_E`, `_MW` schemas) and
+//! build joins over them.
 
+use crate::csv::read_csv;
 use crate::error::StorageError;
 use crate::hash::FxHashMap;
 use crate::relation::Relation;
+use std::io::Read;
 use std::sync::Arc;
 
-/// A named collection of relations.
+/// A named collection of relations. Relations are shared (`Arc`), so
+/// registering a relation in several catalogs or joins copies nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     relations: FxHashMap<Arc<str>, Arc<Relation>>,
@@ -25,14 +29,51 @@ impl Catalog {
 
     /// Registers a relation under its own name. Fails on duplicates.
     pub fn register(&mut self, relation: Relation) -> Result<Arc<Relation>, StorageError> {
+        self.register_arc(Arc::new(relation))
+    }
+
+    /// Registers an already-shared relation under its own name.
+    pub fn register_arc(&mut self, relation: Arc<Relation>) -> Result<Arc<Relation>, StorageError> {
         let name: Arc<str> = Arc::from(relation.name());
         if self.relations.contains_key(&name) {
             return Err(StorageError::DuplicateRelation(name.to_string()));
         }
-        let arc = Arc::new(relation);
-        self.relations.insert(name.clone(), arc.clone());
+        self.relations.insert(name.clone(), relation.clone());
         self.order.push(name);
-        Ok(arc)
+        Ok(relation)
+    }
+
+    /// Loads a relation from CSV (header row = schema; §4's
+    /// decentralized data-market setting usually means delimited files)
+    /// and registers it under `name`.
+    ///
+    /// Records stream straight into typed
+    /// [`ColumnBuilder`](crate::ColumnBuilder)s — the file is never
+    /// buffered as tuples. Each field is inferred in the fixed order
+    /// **Int → Float → Str**, with the **empty field as NULL**; a
+    /// column whose fields infer to different variants falls back to
+    /// the mixed layout, so any input loads losslessly.
+    pub fn register_csv(
+        &mut self,
+        name: impl AsRef<str>,
+        reader: impl Read,
+    ) -> Result<Arc<Relation>, StorageError> {
+        self.register(read_csv(name, reader)?)
+    }
+
+    /// Registers every relation of `source` (e.g. the TPC-H generator's
+    /// output), in its registration order. Fails — adding nothing — if
+    /// any name is already registered. Returns how many were added.
+    pub fn import(&mut self, source: &Catalog) -> Result<usize, StorageError> {
+        if let Some(name) = source.names().find(|name| self.contains(name)) {
+            return Err(StorageError::DuplicateRelation(name.to_string()));
+        }
+        for name in &source.order {
+            self.relations
+                .insert(name.clone(), source.relations[name].clone());
+            self.order.push(name.clone());
+        }
+        Ok(source.len())
     }
 
     /// Looks up a relation by name.

@@ -156,37 +156,6 @@ impl FrequencyHistogram {
         self.counts.iter().map(|(v, &c)| (v, c))
     }
 
-    /// Reassembles a histogram from `(value, frequency)` entries and a
-    /// total row count (the snapshot decode path). `max_degree` is
-    /// recomputed; duplicate values or zero frequencies are rejected so
-    /// a corrupt snapshot cannot smuggle in an inconsistent histogram.
-    pub(crate) fn from_entries(
-        entries: Vec<(Value, u64)>,
-        total: u64,
-    ) -> Result<Self, &'static str> {
-        let mut counts: FxHashMap<Value, u64> = FxHashMap::default();
-        counts.reserve(entries.len());
-        let mut sum = 0u64;
-        for (v, c) in entries {
-            if c == 0 {
-                return Err("histogram entry with zero frequency");
-            }
-            sum = sum.checked_add(c).ok_or("histogram frequency overflow")?;
-            if counts.insert(v, c).is_some() {
-                return Err("duplicate value in histogram entries");
-            }
-        }
-        if sum > total {
-            return Err("histogram frequencies exceed total row count");
-        }
-        let max_degree = counts.values().copied().max().unwrap_or(0);
-        Ok(Self {
-            counts,
-            total,
-            max_degree,
-        })
-    }
-
     /// Summary statistics.
     pub fn stats(&self) -> DegreeStats {
         DegreeStats {

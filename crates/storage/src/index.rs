@@ -43,7 +43,6 @@
 use crate::column::{hash_cells, CellRef, Column, StrPool, Validity};
 use crate::hash::{hash_values, FxHasher};
 use crate::relation::Relation;
-use crate::snapshot::{decode_value, encode_value, ByteReader, ByteWriter, SnapshotError};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::hash::Hasher;
@@ -776,188 +775,6 @@ impl HashIndex {
             Probe::StrCodes { code_kid, .. } => code_kid.len() * 4,
         };
         dict + probe_bytes + (self.offsets.len() + self.row_ids.len() + self.row_keys.len()) * 4
-    }
-
-    /// Serializes the index for the snapshot codec: attributes,
-    /// dictionary values, probe structure, and the CSR arrays as
-    /// aligned slabs. The open-addressing table behind [`Probe::Hash`]
-    /// is *not* stored — key ids are fixed by dictionary order, so the
-    /// table is rebuilt deterministically on read.
-    pub(crate) fn snapshot_write(&self, w: &mut ByteWriter) {
-        w.put_u64(self.attrs.len() as u64);
-        for a in &self.attrs {
-            w.put_str(a);
-        }
-        w.put_u64(self.n_keys() as u64);
-        for v in &self.key_values {
-            encode_value(v, w);
-        }
-        match &self.probe {
-            Probe::Hash(_) => w.put_u8(0),
-            Probe::DenseInt { min, val_kid } => {
-                w.put_u8(1);
-                w.put_i64(*min);
-                w.put_u32_slab(val_kid);
-            }
-            Probe::StrCodes {
-                pos,
-                code_kid,
-                null_kid,
-                ..
-            } => {
-                w.put_u8(2);
-                w.put_u64(*pos as u64);
-                w.put_u32_slab(code_kid);
-                w.put_u32(*null_kid);
-            }
-        }
-        w.put_u32_slab(&self.offsets);
-        w.put_u32_slab(&self.row_ids);
-        w.put_u32_slab(&self.row_keys);
-    }
-
-    /// Deserializes an index written by
-    /// [`snapshot_write`](Self::snapshot_write) against the relation it
-    /// indexes (string-code probes share the relation's columns; every
-    /// stored attribute must exist in its schema). All cross-references
-    /// — attribute names, key ids, row ids, CSR offsets — are validated,
-    /// so corrupt input yields [`SnapshotError::Corrupt`], never a
-    /// panic or an out-of-bounds probe at query time.
-    pub(crate) fn snapshot_read(
-        r: &mut ByteReader<'_>,
-        relation: &Relation,
-    ) -> Result<Self, SnapshotError> {
-        fn corrupt(msg: impl Into<String>) -> SnapshotError {
-            SnapshotError::Corrupt(format!("index: {}", msg.into()))
-        }
-        let n_attrs = r.get_u64()?;
-        if n_attrs == 0 || n_attrs > relation.schema().arity() as u64 {
-            return Err(corrupt("attribute count out of range"));
-        }
-        let mut attrs: Vec<Arc<str>> = Vec::with_capacity(n_attrs as usize);
-        let mut positions: Vec<usize> = Vec::with_capacity(n_attrs as usize);
-        for _ in 0..n_attrs {
-            let name = r.get_str()?;
-            let pos = relation
-                .schema()
-                .position(name)
-                .ok_or_else(|| corrupt(format!("attribute `{name}` not in relation schema")))?;
-            attrs.push(Arc::from(name));
-            positions.push(pos);
-        }
-        let key_arity = attrs.len();
-        let n_keys_claimed = r.get_u64()?;
-        // Every dictionary value costs at least its one-byte tag.
-        if n_keys_claimed.saturating_mul(key_arity as u64) > r.remaining() as u64 {
-            return Err(SnapshotError::Truncated);
-        }
-        let n_keys = n_keys_claimed as usize;
-        let mut key_values: Vec<Value> = Vec::with_capacity(n_keys * key_arity);
-        for _ in 0..n_keys * key_arity {
-            key_values.push(decode_value(r)?);
-        }
-        let probe_tag = r.get_u8()?;
-        let mut probe = match probe_tag {
-            0 => None,
-            1 => {
-                let min = r.get_i64()?;
-                let val_kid = r.get_u32_slab()?;
-                if val_kid.iter().any(|&k| k != NO_KEY && k as usize >= n_keys) {
-                    return Err(corrupt("dense-int probe key id out of range"));
-                }
-                Some(Probe::DenseInt { min, val_kid })
-            }
-            2 => {
-                let pos = r.get_u64()? as usize;
-                if key_arity != 1 || pos != positions[0] {
-                    return Err(corrupt("string probe position mismatch"));
-                }
-                let code_kid = r.get_u32_slab()?;
-                let null_kid = r.get_u32()?;
-                let columns = relation.shared_columns();
-                let pool_len = match &columns[pos] {
-                    Column::Str { pool, .. } => pool.len(),
-                    _ => return Err(corrupt("string probe over a non-string column")),
-                };
-                if code_kid.len() != pool_len {
-                    return Err(corrupt("string probe code map length mismatch"));
-                }
-                if code_kid
-                    .iter()
-                    .chain(std::iter::once(&null_kid))
-                    .any(|&k| k != NO_KEY && k as usize >= n_keys)
-                {
-                    return Err(corrupt("string probe key id out of range"));
-                }
-                Some(Probe::StrCodes {
-                    columns,
-                    pos,
-                    code_kid,
-                    null_kid,
-                })
-            }
-            tag => return Err(corrupt(format!("unknown probe tag {tag}"))),
-        };
-        let offsets = r.get_u32_slab()?;
-        let row_ids = r.get_u32_slab()?;
-        let row_keys = r.get_u32_slab()?;
-        let n = relation.len();
-        if row_keys.len() != n || row_ids.len() != n {
-            return Err(corrupt("postings length does not match relation"));
-        }
-        if offsets.len() != n_keys + 1 || offsets.first() != Some(&0) {
-            return Err(corrupt("offsets shape mismatch"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) || offsets[n_keys] as usize != n {
-            return Err(corrupt("offsets not monotone over the row count"));
-        }
-        if row_keys.iter().any(|&k| k as usize >= n_keys) {
-            return Err(corrupt("row key id out of range"));
-        }
-        // CSR consistency: every posting's row must carry that key id.
-        for kid in 0..n_keys {
-            let (lo, hi) = (offsets[kid] as usize, offsets[kid + 1] as usize);
-            for &rid in &row_ids[lo..hi] {
-                if rid as usize >= n || row_keys[rid as usize] as usize != kid {
-                    return Err(corrupt("postings inconsistent with row keys"));
-                }
-            }
-        }
-        if probe.is_none() {
-            // Rebuild the open-addressing table: key ids are fixed by
-            // dictionary order, and the build paths size the table from
-            // the row count, so inserting kid 0..n_keys with the same
-            // value hashes reproduces an equivalent table.
-            let mut table = IdTable::with_capacity_for(row_keys.len());
-            for kid in 0..n_keys as u32 {
-                let base = kid as usize * key_arity;
-                let key = &key_values[base..base + key_arity];
-                let hash = hash_values(key.iter());
-                let got = table.lookup_or_insert(hash, kid, |k| {
-                    let kb = k as usize * key_arity;
-                    &key_values[kb..kb + key_arity] == key
-                });
-                if got != kid {
-                    return Err(corrupt("duplicate key in dictionary"));
-                }
-            }
-            probe = Some(Probe::Hash(table));
-        }
-        let max_degree = (0..n_keys)
-            .map(|kid| (offsets[kid + 1] - offsets[kid]) as usize)
-            .max()
-            .unwrap_or(0);
-        Ok(Self {
-            attrs,
-            positions,
-            key_arity,
-            key_values,
-            probe: probe.expect("probe decoded or rebuilt"),
-            offsets,
-            row_ids,
-            row_keys,
-            max_degree,
-        })
     }
 }
 

@@ -78,22 +78,8 @@ pub mod sorted;
 pub mod tuple;
 pub mod value;
 
-pub use catalog::Catalog;
-pub use column::{hash_cells, CellRef, Column, ColumnBuilder, StrPool, Validity};
-pub use csv::{read_csv, write_csv};
-pub use error::StorageError;
-pub use hash::{hash_values, FxHashMap, FxHashSet};
-pub use histogram::{DegreeStats, EquiDepthHistogram, FrequencyHistogram};
-pub use index::{HashIndex, RowMembership, NO_KEY};
-pub use predicate::{CompareOp, CompiledPredicate, Predicate, SelectionBitmap};
-pub use relation::{Relation, RelationBuilder, RowRef};
-pub use schema::Schema;
-pub use snapshot::{Snapshot, SnapshotError};
-pub use sorted::SortedIndex;
-pub use tuple::Tuple;
-pub use value::Value;
-
-/// Commonly used items.
+/// Commonly used items — the crate's public vocabulary, listed once;
+/// the crate root re-exports exactly this set.
 pub mod prelude {
     pub use crate::catalog::Catalog;
     pub use crate::column::{hash_cells, CellRef, Column, ColumnBuilder, StrPool, Validity};
@@ -105,8 +91,10 @@ pub mod prelude {
     pub use crate::predicate::{CompareOp, CompiledPredicate, Predicate, SelectionBitmap};
     pub use crate::relation::{Relation, RelationBuilder, RowRef};
     pub use crate::schema::Schema;
-    pub use crate::snapshot::{Snapshot, SnapshotError};
+    pub use crate::snapshot::SnapshotError;
     pub use crate::sorted::SortedIndex;
     pub use crate::tuple::Tuple;
     pub use crate::value::Value;
 }
+
+pub use prelude::*;

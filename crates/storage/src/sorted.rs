@@ -31,7 +31,6 @@
 
 use crate::column::Column;
 use crate::relation::Relation;
-use crate::snapshot::{ByteReader, ByteWriter, SnapshotError};
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -211,108 +210,6 @@ impl SortedIndex {
     /// (the columns are shared with the relation).
     pub fn memory_bytes(&self) -> usize {
         self.perm.len() * 4 + self.head_prefix.len() * 4
-    }
-
-    /// Serializes the index (attributes, row count, permutation, block
-    /// prefix sums). The columns are not stored — on read the index is
-    /// rewired to the restored relation and fully re-validated against
-    /// its cells.
-    pub(crate) fn snapshot_write(&self, w: &mut ByteWriter) {
-        w.put_u32(self.attrs.len() as u32);
-        for a in &self.attrs {
-            w.put_str(a);
-        }
-        w.put_u64(self.perm.len() as u64);
-        w.put_u32_slab(&self.perm);
-        w.put_u32_slab(&self.head_prefix);
-        w.put_u32(self.max_block);
-    }
-
-    /// Deserializes an index against the relation it sorts, validating
-    /// every structural invariant: the attributes resolve, `perm` is a
-    /// permutation of the relation's row ids, the permutation really is
-    /// sorted (ties by row id), and the block prefix sums plus
-    /// `max_block` match the actual cells.
-    pub(crate) fn snapshot_read(
-        r: &mut ByteReader<'_>,
-        relation: &Relation,
-    ) -> Result<Self, SnapshotError> {
-        let corrupt = |msg: String| SnapshotError::Corrupt(format!("sorted index: {msg}"));
-        let n_attrs = r.get_u32()? as usize;
-        if n_attrs == 0 || n_attrs > relation.schema().arity() {
-            return Err(corrupt(format!("bad attribute count {n_attrs}")));
-        }
-        let mut attrs = Vec::with_capacity(n_attrs);
-        let mut positions = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let name = r.get_str()?;
-            let pos = relation.schema().position(name).ok_or_else(|| {
-                corrupt(format!(
-                    "attribute `{name}` not in relation `{}`",
-                    relation.name()
-                ))
-            })?;
-            attrs.push(Arc::from(name));
-            positions.push(pos);
-        }
-        let n = r.get_u64()?;
-        if n as usize != relation.len() {
-            return Err(corrupt(format!(
-                "row count {n} does not match relation `{}` ({})",
-                relation.name(),
-                relation.len()
-            )));
-        }
-        let n = n as usize;
-        let perm = r.get_u32_slab()?;
-        if perm.len() != n {
-            return Err(corrupt(format!(
-                "permutation has {} entries for {n} rows",
-                perm.len()
-            )));
-        }
-        let mut seen = vec![false; n];
-        for &row in &perm {
-            let slot = seen
-                .get_mut(row as usize)
-                .ok_or_else(|| corrupt(format!("row id {row} out of range")))?;
-            if std::mem::replace(slot, true) {
-                return Err(corrupt(format!("row id {row} appears twice")));
-            }
-        }
-        let columns = relation.shared_columns();
-        for pair in perm.windows(2) {
-            let (a, b) = (pair[0] as usize, pair[1] as usize);
-            let mut cmp = Ordering::Equal;
-            for &p in &positions {
-                cmp = columns[p].cells_cmp(a, b);
-                if cmp != Ordering::Equal {
-                    break;
-                }
-            }
-            if cmp == Ordering::Greater || (cmp == Ordering::Equal && a >= b) {
-                return Err(corrupt("permutation is not sorted".into()));
-            }
-        }
-        let head_prefix = r.get_u32_slab()?;
-        let max_block = r.get_u32()?;
-        let (expect_prefix, expect_max) = block_stats(&columns, &positions, &perm);
-        if head_prefix != expect_prefix {
-            return Err(corrupt("block prefix sums do not match cells".into()));
-        }
-        if max_block != expect_max {
-            return Err(corrupt(format!(
-                "max block {max_block} does not match cells ({expect_max})"
-            )));
-        }
-        Ok(Self {
-            attrs,
-            positions,
-            columns,
-            perm,
-            head_prefix,
-            max_block,
-        })
     }
 }
 

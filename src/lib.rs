@@ -59,7 +59,7 @@ pub trait CatalogTpchExt {
 
 impl CatalogTpchExt for Catalog {
     fn register_tpch(&mut self, config: &TpchConfig) -> Result<usize, CoreError> {
-        self.import(&suj_tpch::generate_catalog(config))
+        Ok(self.import(&suj_tpch::generate_catalog(config))?)
     }
 }
 
@@ -71,11 +71,7 @@ pub mod prelude {
     pub use suj_storage::prelude::*;
     pub use suj_tpch::prelude::*;
 
-    // Two crates export a `Catalog` (the storage-layer registry and
-    // the core query-facing one); the explicit import makes the core
-    // catalog — the one queries resolve against — win the glob.
     pub use crate::CatalogTpchExt;
-    pub use suj_core::catalog::Catalog;
 }
 
 #[cfg(test)]

@@ -1,17 +1,27 @@
-//! Determinism / equivalence suite for the unified API.
+//! Determinism / equivalence suite for the one construction pipeline.
 //!
-//! For a fixed `SujRng` seed, every sampler reached through
-//! `SamplerBuilder` (and consumed through the `UnionSampler` trait or a
-//! `SampleStream`) must produce byte-identical tuples to the legacy
-//! direct-constructor path. Samplers that never retract also get
-//! stream-vs-batch parity; the suite closes with a chi-squared
-//! uniformity check run entirely through `Box<dyn UnionSampler>`.
+//! * **Per-sampler pins.** For a fixed `SujRng` seed, every explicit
+//!   `SamplerBuilder` configuration (consumed through the
+//!   `UnionSampler` trait or a `SampleStream`) reproduces, tuple for
+//!   tuple, what the legacy direct constructors produced at the last
+//!   commit that had them — recorded here as golden first tuples plus a
+//!   checksum of the whole batch, so a refactor of the construction
+//!   path cannot drift a stream unnoticed. Samplers that never retract
+//!   also get stream-vs-batch parity.
+//! * **One case per plan rule.** A fresh `Engine::prepare`, the
+//!   builder (`Strategy::Auto` wherever the default planner reaches
+//!   the rule, else the explicit configuration the plan names) and a
+//!   snapshot-restored replica must agree on the `summary()` string and
+//!   on `sample(n, seed)` bit for bit, and match the golden recorded
+//!   from the same commit.
+//!
+//! The suite closes with a chi-squared uniformity check run entirely
+//! through `Box<dyn UnionSampler>`.
 
 use sample_union_joins::prelude::*;
 use std::sync::Arc;
 use suj_core::algorithm2::OnlineConfig;
-use suj_core::walk_estimator::{walk_warmup, WalkEstimatorConfig};
-use suj_join::WeightKind;
+use suj_core::walk_estimator::WalkEstimatorConfig;
 use suj_storage::{CompareOp, FxHashMap, Predicate, Value};
 
 fn workload() -> Arc<UnionWorkload> {
@@ -31,17 +41,25 @@ fn streamed(sampler: &mut dyn UnionSampler, n: usize, seed: u64) -> Vec<Tuple> {
         .expect("stream")
 }
 
+/// Order-sensitive digest of a batch (the workspace's own Fx hash of
+/// each tuple's values, so it is stable across runs and toolchains).
+fn checksum(tuples: &[Tuple]) -> u64 {
+    tuples.iter().fold(0u64, |h, t| {
+        h.rotate_left(5) ^ suj_storage::hash_values(t.values())
+    })
+}
+
+/// Asserts a batch equals the recorded one: first tuple verbatim (a
+/// readable failure) and the checksum of all of it.
+#[track_caller]
+fn assert_golden(out: &[Tuple], first: &str, sum: u64) {
+    assert_eq!(out[0].to_string(), first, "first tuple drifted");
+    assert_eq!(checksum(out), sum, "batch drifted after its first tuple");
+}
+
 #[test]
 fn algorithm1_oracle_builder_and_stream_match_legacy() {
     let w = workload();
-    let exact = full_join_union(&w).unwrap();
-    let cfg = UnionSamplerConfig {
-        policy: CoverPolicy::MembershipOracle,
-        ..Default::default()
-    };
-    let mut legacy = SetUnionSampler::new(w.clone(), &exact.overlap, cfg).unwrap();
-    let legacy_out = batch(&mut legacy, 300, 7);
-
     let build = || {
         SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
@@ -49,13 +67,15 @@ fn algorithm1_oracle_builder_and_stream_match_legacy() {
             .build()
             .unwrap()
     };
-    let mut via_builder = build();
-    assert_eq!(batch(&mut via_builder, 300, 7), legacy_out);
-
+    let out = batch(&mut build(), 300, 7);
+    assert_golden(
+        &out,
+        "[9, 0, Customer#000000009, 2, 762594, Supplier#000000002, 10, 6629053, 362453]",
+        0x65233a0c3f66973f,
+    );
     // The oracle policy never retracts → streaming is byte-identical
     // too.
-    let mut via_stream = build();
-    assert_eq!(streamed(&mut via_stream, 300, 7), legacy_out);
+    assert_eq!(streamed(&mut build(), 300, 7), out);
 }
 
 #[test]
@@ -63,57 +83,47 @@ fn algorithm1_record_builder_matches_legacy() {
     // UQ2 is the high-overlap workload: the record machinery (cover
     // rejections and revisions) actually fires here.
     let w = Arc::new(uq2(&UqOptions::new(1, 62, 0.2)).expect("uq2"));
-    let exact = full_join_union(&w).unwrap();
-    let mut legacy =
-        SetUnionSampler::new(w.clone(), &exact.overlap, UnionSamplerConfig::default()).unwrap();
-    let legacy_out = batch(&mut legacy, 300, 8);
-    assert!(
-        legacy.report().revised > 0 || legacy.report().rejected_cover > 0,
-        "workload must exercise the record machinery"
-    );
-
     let mut via_builder = SamplerBuilder::for_workload(w)
         .estimator(Estimator::Exact)
         .cover_policy(CoverPolicy::Record)
         .build()
         .unwrap();
-    assert_eq!(batch(&mut via_builder, 300, 8), legacy_out);
+    let out = batch(&mut via_builder, 300, 8);
+    assert!(
+        via_builder.report().revised > 0 || via_builder.report().rejected_cover > 0,
+        "workload must exercise the record machinery"
+    );
+    assert_golden(
+        &out,
+        "[4, MIDDLE EAST, 9, INDONESIA, 7, 305600, Supplier#000000007, 14, 45547, \
+         blanched steel, ECONOMY POLISHED NICKEL, 33]",
+        0x53b6b6d65a052132,
+    );
 }
 
 #[test]
 fn algorithm1_walk_estimator_builder_matches_legacy() {
-    let w = workload();
-    let walk_cfg = WalkEstimatorConfig {
-        max_walks_per_join: 300,
-        ..Default::default()
-    };
-    // Legacy path: hand-wired walk warm-up feeding the constructor.
-    let mut est_rng = SujRng::seed_from_u64(123);
-    let est = walk_warmup(&w, &walk_cfg, &mut est_rng).unwrap();
-    let map = est.overlap_map().unwrap();
-    let mut legacy = SetUnionSampler::new(
-        w.clone(),
-        &map,
-        UnionSamplerConfig {
-            policy: CoverPolicy::MembershipOracle,
+    // The legacy path hand-wired `walk_warmup` under seed 123 into the
+    // constructor; the builder's estimation seed must drive the same
+    // warm-up.
+    let mut via_builder = SamplerBuilder::for_workload(workload())
+        .estimator(Estimator::Walk(WalkEstimatorConfig {
+            max_walks_per_join: 300,
             ..Default::default()
-        },
-    )
-    .unwrap();
-    let legacy_out = batch(&mut legacy, 200, 9);
-
-    let mut via_builder = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Walk(walk_cfg))
+        }))
         .estimation_seed(123)
         .cover_policy(CoverPolicy::MembershipOracle)
         .build()
         .unwrap();
-    assert_eq!(batch(&mut via_builder, 200, 9), legacy_out);
+    assert_golden(
+        &batch(&mut via_builder, 200, 9),
+        "[21, 21, Customer#000000021, 4, 674471, Supplier#000000004, 44, 42638152, 556570]",
+        0x96d4863ce2ed2ea3,
+    );
 }
 
 #[test]
 fn online_builder_matches_legacy() {
-    let w = workload();
     let cfg = OnlineConfig {
         phi: 64,
         warmup: WalkEstimatorConfig {
@@ -123,33 +133,20 @@ fn online_builder_matches_legacy() {
         },
         ..Default::default()
     };
-    let mut legacy = OnlineUnionSampler::new(w.clone(), cfg, CoverStrategy::AsGiven);
-    let legacy_out = batch(&mut legacy, 250, 10);
-
-    let mut via_builder = SamplerBuilder::for_workload(w)
+    let mut via_builder = SamplerBuilder::for_workload(workload())
         .strategy(Strategy::Online(cfg))
         .build()
         .unwrap();
-    assert_eq!(batch(&mut via_builder, 250, 10), legacy_out);
+    assert_golden(
+        &batch(&mut via_builder, 250, 10),
+        "[19, 10, Customer#000000019, 9, 892173, Supplier#000000009, 38, 31758618, -35783]",
+        0x293a63c27d3ceb6c,
+    );
 }
 
 #[test]
 fn bernoulli_builder_and_stream_match_legacy() {
     let w = workload();
-    let exact = full_join_union(&w).unwrap();
-    // Legacy path fed with the same estimator outputs the builder uses.
-    let sizes: Vec<f64> = (0..w.n_joins())
-        .map(|j| exact.overlap.join_size(j))
-        .collect();
-    let mut legacy = BernoulliUnionSampler::new(
-        w.clone(),
-        &sizes,
-        exact.overlap.union_size(),
-        WeightKind::Exact,
-    )
-    .unwrap();
-    let legacy_out = batch(&mut legacy, 300, 11);
-
     let build = || {
         SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
@@ -157,18 +154,18 @@ fn bernoulli_builder_and_stream_match_legacy() {
             .build()
             .unwrap()
     };
-    let mut via_builder = build();
-    assert_eq!(batch(&mut via_builder, 300, 11), legacy_out);
-    let mut via_stream = build();
-    assert_eq!(streamed(&mut via_stream, 300, 11), legacy_out);
+    let out = batch(&mut build(), 300, 11);
+    assert_golden(
+        &out,
+        "[12, 11, Customer#000000012, 7, 855498, Supplier#000000007, 33, 31185070, 887496]",
+        0xe6bdeed9b761b95c,
+    );
+    assert_eq!(streamed(&mut build(), 300, 11), out);
 }
 
 #[test]
 fn disjoint_builder_and_stream_match_legacy() {
     let w = workload();
-    let mut legacy = DisjointUnionSampler::with_exact_sizes(w.clone(), WeightKind::Exact).unwrap();
-    let legacy_out = batch(&mut legacy, 300, 12);
-
     let build = || {
         SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
@@ -176,41 +173,37 @@ fn disjoint_builder_and_stream_match_legacy() {
             .build()
             .unwrap()
     };
-    let mut via_builder = build();
-    assert_eq!(batch(&mut via_builder, 300, 12), legacy_out);
-    let mut via_stream = build();
-    assert_eq!(streamed(&mut via_stream, 300, 12), legacy_out);
+    let out = batch(&mut build(), 300, 12);
+    assert_golden(
+        &out,
+        "[9, 10, Customer#000000009, 9, 892173, Supplier#000000009, 5, 8608423, -55883]",
+        0x9c5e591b4d7fb43,
+    );
+    assert_eq!(streamed(&mut build(), 300, 12), out);
 }
 
 #[test]
 fn predicate_wrapper_matches_hand_wrapped_sampler() {
     let w = workload();
-    let exact = full_join_union(&w).unwrap();
     let pred = Predicate::cmp(
         w.canonical_schema().attrs()[0].as_ref(),
         CompareOp::Ge,
         Value::int(0),
     );
-    // Legacy-ish path: construct the sampler directly, wrap by hand.
-    let inner = SetUnionSampler::new(
-        w.clone(),
-        &exact.overlap,
-        UnionSamplerConfig {
-            policy: CoverPolicy::MembershipOracle,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let mut hand_wrapped = PredicateSampler::new(Box::new(inner), &pred).unwrap();
-    let legacy_out = batch(&mut hand_wrapped, 200, 13);
+    let builder = || {
+        SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Exact)
+            .cover_policy(CoverPolicy::MembershipOracle)
+    };
+    // Build the unfiltered sampler, wrap by hand.
+    let mut hand_wrapped = PredicateSampler::new(builder().build().unwrap(), &pred).unwrap();
+    let hand_out = batch(&mut hand_wrapped, 200, 13);
 
-    let mut via_builder = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Exact)
-        .cover_policy(CoverPolicy::MembershipOracle)
+    let mut via_builder = builder()
         .predicate(pred, PredicateMode::Reject)
         .build()
         .unwrap();
-    assert_eq!(batch(&mut via_builder, 200, 13), legacy_out);
+    assert_eq!(batch(&mut via_builder, 200, 13), hand_out);
 }
 
 #[test]
@@ -235,6 +228,246 @@ fn repeated_batches_continue_deterministically() {
     let (second, _) = split.sample(100, &mut rng).unwrap();
     first.extend(second);
     assert_eq!(first, whole_out);
+}
+
+// ---------------------------------------------------------------------
+// One case per plan rule: fresh prepare ≡ builder ≡ restored replica.
+// ---------------------------------------------------------------------
+
+fn relation(name: &str, attrs: [&str; 2], rows: impl Iterator<Item = [i64; 2]>) -> Relation {
+    let schema = Schema::new(attrs).unwrap();
+    let tuples = rows
+        .map(|r| r.iter().map(|&v| Value::int(v)).collect())
+        .collect();
+    Relation::new(name, schema, tuples).unwrap()
+}
+
+/// One chain `{name}_r(a, b) ⋈ {name}_s(b, c)` per `(name, range)`:
+/// `|range|` result tuples `(a, b, 100 + b)` with `b = a mod 20`,
+/// shifted past every small value when `a ≥ 1000` so such a chain
+/// shares no value with one over small `a`.
+fn chains(ranges: &[(&str, std::ops::Range<i64>)]) -> Catalog {
+    let mut catalog = Catalog::new();
+    for (name, range) in ranges {
+        let base = if range.start >= 1000 { 1000 } else { 0 };
+        let r = relation(
+            &format!("{name}_r"),
+            ["a", "b"],
+            range.clone().map(|i| [i, base + i % 20]),
+        );
+        let s = relation(
+            &format!("{name}_s"),
+            ["b", "c"],
+            (base..base + 20).map(|b| [b, 100 + b]),
+        );
+        catalog.register(r).unwrap();
+        catalog.register(s).unwrap();
+    }
+    catalog
+}
+
+fn chain_union(query: UnionQuery, names: &[&str]) -> UnionQuery {
+    names.iter().fold(query, |q, name| {
+        q.chain(*name, [format!("{name}_r"), format!("{name}_s")])
+            .unwrap()
+    })
+}
+
+/// A triangle `x ⋈ y ⋈ z` and the sub-triangle over a shrunken `z2`.
+fn triangles() -> Catalog {
+    let mut catalog = Catalog::new();
+    for rel in [
+        relation(
+            "x",
+            ["a", "b"],
+            [[1, 2], [1, 9], [5, 2], [5, 6]].into_iter(),
+        ),
+        relation(
+            "y",
+            ["b", "c"],
+            [[2, 3], [2, 4], [9, 4], [6, 3]].into_iter(),
+        ),
+        relation(
+            "z",
+            ["c", "a"],
+            [[3, 1], [4, 5], [4, 1], [3, 5]].into_iter(),
+        ),
+        relation("z2", ["c", "a"], [[3, 1], [4, 5]].into_iter()),
+    ] {
+        catalog.register(rel).unwrap();
+    }
+    catalog
+}
+
+struct RuleCase {
+    rule: PlanRule,
+    planner: Planner,
+    catalog: Catalog,
+    query: UnionQuery,
+    /// Whether `Strategy::Auto` (default planner, set semantics) reaches
+    /// the rule on the builder; otherwise the builder leg pins the
+    /// configuration the plan names, and its summary carries no rule.
+    auto: bool,
+    /// The summary, first tuple and checksum of `sample(48, 3)`.
+    golden: (&'static str, &'static str, u64),
+}
+
+fn rule_cases() -> Vec<RuleCase> {
+    let two_small = || chains(&[("p", 0..12), ("q", 6..18)]);
+    vec![
+        RuleCase {
+            rule: PlanRule::DisjointSemantics,
+            planner: Planner::default(),
+            catalog: two_small(),
+            query: chain_union(UnionQuery::disjoint_union(), &["p", "q"]),
+            auto: false,
+            golden: (
+                "strategy=disjoint estimator=exact weights=exact sizing=exact \
+                 rule=disjoint-semantics",
+                "[8, 8, 108]",
+                0xebd5c6e72c4b77f9,
+            ),
+        },
+        RuleCase {
+            rule: PlanRule::CyclicJoin,
+            planner: Planner::default(),
+            catalog: triangles(),
+            query: UnionQuery::set_union()
+                .join(JoinDef::natural("t1", ["x", "y", "z"]))
+                .unwrap()
+                .join(JoinDef::natural("t2", ["x", "y", "z2"]))
+                .unwrap(),
+            auto: true,
+            golden: (
+                "strategy=rejection estimator=exact weights=agm-box cover=as-given \
+                 sizing=histogram rule=cyclic-join",
+                "[1, 2, 4]",
+                0xcc05d6140ca1108f,
+            ),
+        },
+        RuleCase {
+            rule: PlanRule::SingleJoin,
+            planner: Planner::default(),
+            catalog: chains(&[("p", 0..12)]),
+            query: chain_union(UnionQuery::set_union(), &["p"]),
+            auto: true,
+            golden: (
+                "strategy=disjoint estimator=exact weights=exact sizing=exact rule=single-join",
+                "[2, 2, 102]",
+                0xcf5a54dc8bb90333,
+            ),
+        },
+        RuleCase {
+            rule: PlanRule::NoStatistics,
+            planner: Planner::without_statistics(),
+            catalog: two_small(),
+            query: chain_union(UnionQuery::set_union(), &["p", "q"]),
+            auto: false,
+            golden: (
+                "strategy=online estimator=online cover=as-given rule=no-statistics",
+                "[13, 13, 113]",
+                0x25665626694c1a0c,
+            ),
+        },
+        // 640 base rows: past the exact-estimation threshold, so these
+        // two also cover histogram estimation and the hand-over of the
+        // planner's probed map and samplers to the freeze.
+        RuleCase {
+            rule: PlanRule::LowOverlap,
+            planner: Planner::default(),
+            catalog: chains(&[("p", 0..300), ("q", 1000..1300)]),
+            query: chain_union(UnionQuery::set_union(), &["p", "q"]),
+            auto: true,
+            golden: (
+                "strategy=bernoulli(record) estimator=histogram(EO) weights=exact \
+                 sizing=exact rule=low-overlap",
+                "[1132, 1012, 1112]",
+                0x9f033f08a65f86a5,
+            ),
+        },
+        RuleCase {
+            rule: PlanRule::HighOverlap,
+            planner: Planner::default(),
+            catalog: chains(&[("p", 0..300), ("q", 0..300)]),
+            query: chain_union(UnionQuery::set_union(), &["p", "q"]),
+            auto: true,
+            golden: (
+                "strategy=rejection estimator=histogram(EO) weights=exact cover=as-given \
+                 sizing=exact rule=high-overlap",
+                "[57, 17, 117]",
+                0xe7c99c4c3dfba0b1,
+            ),
+        },
+    ]
+}
+
+#[test]
+fn every_plan_rule_agrees_across_prepare_builder_and_restore() {
+    for case in rule_cases() {
+        let rule = case.rule.name();
+        let engine = Engine::with_planner(case.catalog, case.planner);
+        let fresh = engine.prepare(&case.query).unwrap();
+        assert_eq!(fresh.plan().rule, case.rule);
+        let (summary, first, sum) = case.golden;
+        assert_eq!(fresh.summary().to_string(), summary, "{rule}");
+        let (expected, _) = fresh.sample(48, 3).unwrap();
+        assert_golden(&expected, first, sum);
+
+        // The builder: Auto, or the knobs the plan names.
+        let workload = case.query.resolve(engine.catalog()).unwrap().workload;
+        let mut builder = SamplerBuilder::for_workload(workload).strategy(Strategy::Auto);
+        let mut builder_summary = fresh.summary().clone();
+        if !case.auto {
+            let plan = fresh.plan();
+            builder = builder.strategy(plan.strategy);
+            if let Some(estimator) = plan.estimator {
+                builder = builder.estimator(estimator);
+            }
+            if let Some(weights) = plan.weights {
+                builder = builder.weights(weights);
+            }
+            // No rule fired and no statistics were consulted.
+            builder_summary.rule = None;
+            builder_summary.sizing = None;
+        }
+        let built = builder.freeze().unwrap();
+        assert_eq!(built.summary(), &builder_summary, "{rule}: builder summary");
+
+        // A replica restored from the engine's snapshot.
+        let bytes = engine.snapshot_to_bytes().unwrap();
+        let replica = Engine::load_snapshot_bytes(&bytes).unwrap();
+        let restored = replica.prepare(&case.query).unwrap();
+        assert_eq!(restored.estimations(), 0, "{rule}: restore re-estimated");
+        assert_eq!(
+            restored.summary(),
+            fresh.summary(),
+            "{rule}: replica summary"
+        );
+        assert_eq!(
+            restored.explain(),
+            fresh.explain(),
+            "{rule}: replica EXPLAIN"
+        );
+        assert_eq!(
+            replica.snapshot_to_bytes().unwrap(),
+            bytes,
+            "{rule}: re-taken snapshot"
+        );
+
+        for seed in [3u64, 99] {
+            let (expected, _) = fresh.sample(48, seed).unwrap();
+            assert_eq!(
+                built.sample(48, seed).unwrap().0,
+                expected,
+                "{rule}: builder"
+            );
+            assert_eq!(
+                restored.sample(48, seed).unwrap().0,
+                expected,
+                "{rule}: replica"
+            );
+        }
+    }
 }
 
 #[test]

@@ -196,10 +196,22 @@ fn no_statistics_auto_runs_online() {
     let w = high_overlap_workload();
     let plan = Planner::without_statistics().plan(&w, UnionSemantics::Set);
     assert!(matches!(plan.strategy, SujStrategy::Online(_)));
-    let mut sampler = plan.build(w.clone()).unwrap();
+    // An engine whose planner consults no statistics serves that plan.
+    let mut catalog = Catalog::new();
+    let mut query = UnionQuery::set_union();
+    for join in w.joins() {
+        for relation in join.relations() {
+            catalog.register_arc(relation.clone()).unwrap();
+        }
+        let names = join.relations().iter().map(|r| r.name().to_string());
+        query = query.chain(join.name(), names).unwrap();
+    }
+    let engine = Engine::with_planner(catalog, Planner::without_statistics());
+    let prepared = engine.prepare(&query).unwrap();
+    assert!(matches!(prepared.plan().strategy, SujStrategy::Online(_)));
     let exact = full_join_union(&w).unwrap();
     let mut rng = SujRng::seed_from_u64(17);
-    let (samples, report) = sampler.sample(40, &mut rng).unwrap();
+    let (samples, report) = prepared.run(40, &mut rng).unwrap();
     assert_eq!(samples.len(), 40);
     for t in &samples {
         assert!(exact.union_set.contains(t));

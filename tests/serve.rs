@@ -81,7 +81,6 @@ fn serving_surface_is_send_sync() {
     assert_send_sync::<PreparedQuery>();
     assert_send_sync::<Arc<PreparedQuery>>();
     assert_send_sync::<SamplingService>();
-    assert_send_sync::<suj_core::PreparedSampler>();
     assert_send::<Box<dyn UnionSampler>>();
     assert_send::<Box<dyn UnionSampler + Send>>();
 }

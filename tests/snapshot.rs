@@ -1,20 +1,19 @@
 //! Property-based tests for snapshot persistence: random relations
-//! (every column variant, NULLs, `Mixed`) and hash indexes survive a
-//! write → read round trip bit-identically, and corrupted, truncated,
-//! or wrong-version snapshot files always fail with a named
-//! [`SnapshotError`] — never a panic.
+//! (every column variant, NULLs, `Mixed`) survive a write → read round
+//! trip bit-identically, and corrupted, truncated, or wrong-version
+//! snapshot files always fail with a named [`SnapshotError`] — never a
+//! panic.
 
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use suj_core::catalog::{Catalog, Engine};
 use suj_core::query::UnionQuery;
+use suj_core::CoreError;
 use suj_storage::snapshot::{
-    decode_index, decode_relation, decode_sorted_index, encode_index, encode_relation,
-    encode_sorted_index, read_sections, write_sections, ByteReader, ByteWriter, SECTION_RELATION,
+    decode_relation, encode_relation, read_sections, write_sections, ByteReader, ByteWriter,
+    SECTION_RELATION,
 };
-use suj_storage::{
-    HashIndex, Relation, Schema, Snapshot, SnapshotError, SortedIndex, Tuple, Value,
-};
+use suj_storage::{Relation, Schema, SnapshotError, Tuple, Value};
 
 // ---------------------------------------------------------------------
 // Random relation generator: per-column kind (Int / Float / Str /
@@ -112,116 +111,6 @@ proptest! {
         prop_assert_eq!(bytes, encode_rel_bytes(&back));
     }
 
-    /// A hash index on any prefix of the attributes behaves
-    /// identically after a round trip, and re-encodes to the same
-    /// bytes.
-    #[test]
-    fn index_round_trip_is_bit_identical(
-        rel in random_relation(),
-        key_arity_seed in 0usize..3,
-    ) {
-        let arity = rel.schema().arity();
-        let key_arity = 1 + key_arity_seed % arity;
-        let attrs: Vec<Arc<str>> = rel.schema().attrs()[..key_arity].to_vec();
-        let idx = HashIndex::build(&rel, &attrs);
-
-        let mut w = ByteWriter::new();
-        encode_index(&idx, &mut w);
-        let bytes = w.into_bytes();
-        let back = decode_index(&mut ByteReader::new(&bytes), &rel).unwrap();
-
-        prop_assert_eq!(idx.n_keys(), back.n_keys());
-        for kid in 0..idx.n_keys() as u32 {
-            prop_assert_eq!(idx.key_values(kid), back.key_values(kid));
-            prop_assert_eq!(idx.postings(kid), back.postings(kid));
-        }
-        for rid in 0..rel.len() as u32 {
-            prop_assert_eq!(idx.key_id_of_row(rid), back.key_id_of_row(rid));
-        }
-
-        let mut w2 = ByteWriter::new();
-        encode_index(&back, &mut w2);
-        prop_assert_eq!(bytes, w2.into_bytes());
-    }
-
-    /// A sorted index over any prefix of the attributes behaves
-    /// identically after a round trip (same permutation, block prefix
-    /// sums, and range counts), and re-encodes to the same bytes.
-    #[test]
-    fn sorted_index_round_trip_is_bit_identical(
-        rel in random_relation(),
-        key_arity_seed in 0usize..3,
-    ) {
-        let arity = rel.schema().arity();
-        let key_arity = 1 + key_arity_seed % arity;
-        let attrs: Vec<Arc<str>> = rel.schema().attrs()[..key_arity].to_vec();
-        let idx = SortedIndex::build(&rel, &attrs);
-
-        let mut w = ByteWriter::new();
-        encode_sorted_index(&idx, &mut w);
-        let bytes = w.into_bytes();
-        let back = decode_sorted_index(&mut ByteReader::new(&bytes), &rel).unwrap();
-
-        prop_assert_eq!(idx.attrs(), back.attrs());
-        prop_assert_eq!(idx.len(), back.len());
-        prop_assert_eq!(idx.max_block(), back.max_block());
-        for pos in 0..idx.len() {
-            prop_assert_eq!(idx.row_at(pos), back.row_at(pos));
-        }
-        for hi in 0..=idx.len() {
-            prop_assert_eq!(idx.distinct_in(0, hi), back.distinct_in(0, hi));
-        }
-
-        let mut w2 = ByteWriter::new();
-        encode_sorted_index(&back, &mut w2);
-        prop_assert_eq!(bytes, w2.into_bytes());
-    }
-
-    /// Single-byte corruption of a serialized sorted index either
-    /// fails with a named error or decodes to the exact original —
-    /// the decoder re-validates the permutation, sortedness, and block
-    /// sums against the relation's cells, so it can never return an
-    /// index that lies.
-    #[test]
-    fn corrupted_sorted_indexes_never_panic_or_lie(
-        rel in random_relation(),
-        flip_seed in 0usize..10_000,
-        flip_bit in 0u8..8,
-    ) {
-        let attrs: Vec<Arc<str>> = rel.schema().attrs().to_vec();
-        let idx = SortedIndex::build(&rel, &attrs);
-        let mut w = ByteWriter::new();
-        encode_sorted_index(&idx, &mut w);
-        let mut bytes = w.into_bytes();
-        let pos = flip_seed % bytes.len();
-        bytes[pos] ^= 1 << flip_bit;
-        match decode_sorted_index(&mut ByteReader::new(&bytes), &rel) {
-            Err(_) => {} // named error: fine
-            Ok(back) => {
-                for p in 0..idx.len() {
-                    prop_assert_eq!(idx.row_at(p), back.row_at(p));
-                }
-                prop_assert_eq!(idx.max_block(), back.max_block());
-            }
-        }
-    }
-
-    /// Truncating a serialized sorted index anywhere fails with a
-    /// named error — never a panic.
-    #[test]
-    fn truncated_sorted_indexes_fail(
-        rel in random_relation(),
-        cut_seed in 0usize..10_000,
-    ) {
-        let attrs: Vec<Arc<str>> = rel.schema().attrs().to_vec();
-        let idx = SortedIndex::build(&rel, &attrs);
-        let mut w = ByteWriter::new();
-        encode_sorted_index(&idx, &mut w);
-        let bytes = w.into_bytes();
-        let cut = cut_seed % bytes.len();
-        prop_assert!(decode_sorted_index(&mut ByteReader::new(&bytes[..cut]), &rel).is_err());
-    }
-
     /// Every strict prefix of a sectioned snapshot file fails with a
     /// named error — never a panic, never a silent partial read.
     #[test]
@@ -278,25 +167,33 @@ proptest! {
 // Deterministic edge cases the random sweeps don't pin precisely.
 // ---------------------------------------------------------------------
 
+/// The container-level failures, seen through both readers of the
+/// container: the section parser and the engine loader on top of it.
+fn container_error(bytes: &[u8]) -> SnapshotError {
+    let parsed = read_sections(bytes).unwrap_err();
+    match Engine::load_snapshot_bytes(bytes) {
+        Err(CoreError::Snapshot(loaded)) => assert_eq!(loaded, parsed),
+        other => panic!("engine load must fail like the parser ({parsed:?}), got {other:?}"),
+    }
+    parsed
+}
+
 #[test]
 fn wrong_version_fails_with_unsupported_version() {
-    let mut bytes = write_sections(&[]);
+    let mut bytes = engine_snapshot_bytes().to_vec();
     // Layout: 8-byte magic, then the u32 format version.
     bytes[8] = 99;
     assert_eq!(
-        Snapshot::read_bytes(&bytes).unwrap_err(),
+        container_error(&bytes),
         SnapshotError::UnsupportedVersion(99)
     );
 }
 
 #[test]
 fn flipped_magic_fails_with_bad_magic() {
-    let mut bytes = write_sections(&[]);
+    let mut bytes = engine_snapshot_bytes().to_vec();
     bytes[0] ^= 0xff;
-    assert_eq!(
-        Snapshot::read_bytes(&bytes).unwrap_err(),
-        SnapshotError::BadMagic
-    );
+    assert_eq!(container_error(&bytes), SnapshotError::BadMagic);
 }
 
 #[test]
@@ -304,9 +201,17 @@ fn empty_file_fails_with_named_error() {
     // An empty file has no magic to speak of; either structural error
     // is acceptable, a panic is not.
     assert!(matches!(
-        Snapshot::read_bytes(&[]).unwrap_err(),
+        container_error(&[]),
         SnapshotError::BadMagic | SnapshotError::Truncated
     ));
+}
+
+#[test]
+fn trailing_bytes_fail_as_corrupt() {
+    // A corrupted section count would otherwise drop sections silently.
+    let mut bytes = engine_snapshot_bytes().to_vec();
+    bytes.extend_from_slice(&[0; 8]);
+    assert!(matches!(container_error(&bytes), SnapshotError::Corrupt(_)));
 }
 
 // ---------------------------------------------------------------------
@@ -399,7 +304,7 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Exact-weight alias arenas ride in their own section (kind 18),
-// paired by order with the prepared entry they belong to.
+// paired by entry id with the prepared entry they belong to.
 // ---------------------------------------------------------------------
 
 use suj_core::snapshot::{SECTION_EW_ARENAS, SECTION_PREPARED};
@@ -419,25 +324,70 @@ fn ew_arena_span() -> (usize, usize) {
     (offset, payload.len())
 }
 
+/// Entry id leading a prepared or arenas payload.
+fn entry_id(payload: &[u8]) -> u32 {
+    u32::from_le_bytes(payload[..4].try_into().unwrap())
+}
+
 /// An acyclic prepared query persists its count tables + alias arenas
-/// as a `SECTION_EW_ARENAS` entry directly after its prepared section
-/// — the pairing the restore path depends on.
+/// as a `SECTION_EW_ARENAS` entry carrying the id of its prepared
+/// section — the pairing the restore path depends on. Section order
+/// carries no meaning: a shuffled file restores the same engine, and
+/// arenas naming no prepared entry are corruption, never a mis-pairing.
 #[test]
 fn engine_snapshots_carry_ew_arena_sections() {
-    let sections = read_sections(engine_snapshot_bytes()).unwrap();
-    let kinds: Vec<u32> = sections.iter().map(|(kind, _)| *kind).collect();
-    let pos = kinds
-        .iter()
-        .position(|&k| k == SECTION_EW_ARENAS)
-        .expect("acyclic prepared query must persist an EW arenas section");
-    assert!(pos > 0, "arenas can never lead the section list");
-    assert_eq!(
-        kinds[pos - 1],
-        SECTION_PREPARED,
-        "arenas must directly follow their prepared entry: {kinds:?}"
-    );
+    let engine = small_engine();
+    let second = UnionQuery::set_union().chain("q2", ["s", "r"]).unwrap();
+    engine.prepare(&second).unwrap();
+    let bytes = engine.snapshot_to_bytes().unwrap();
+    let sections = read_sections(&bytes).unwrap();
+    let ids = |kind: u32| -> Vec<u32> {
+        sections
+            .iter()
+            .filter(|(k, _)| *k == kind)
+            .map(|(_, payload)| entry_id(payload))
+            .collect()
+    };
+    assert_eq!(ids(SECTION_PREPARED), vec![0, 1]);
+    assert_eq!(ids(SECTION_EW_ARENAS), vec![0, 1], "one per prepared entry");
     let (_, len) = ew_arena_span();
-    assert!(len > 0, "arena payload must not be empty");
+    assert!(len > 4, "arena payload must hold more than its id");
+
+    // Arenas first, in reverse: pairing is by id, so nothing changes.
+    let mut shuffled: Vec<(u32, Vec<u8>)> = sections
+        .iter()
+        .map(|(kind, payload)| (*kind, payload.to_vec()))
+        .collect();
+    shuffled.sort_by_key(|(kind, payload)| match *kind {
+        SECTION_EW_ARENAS => (1, u32::MAX - entry_id(payload)),
+        SECTION_PREPARED => (2, entry_id(payload)),
+        _ => (0, 0),
+    });
+    let replica = Engine::load_snapshot_bytes(&write_sections(&shuffled)).unwrap();
+    for query in [
+        UnionQuery::set_union().chain("q", ["r", "s"]).unwrap(),
+        second,
+    ] {
+        let donor = engine.prepare(&query).unwrap();
+        let restored = replica.prepare(&query).unwrap();
+        assert_eq!(restored.estimations(), 0);
+        assert_eq!(
+            restored.sample(32, 5).unwrap().0,
+            donor.sample(32, 5).unwrap().0
+        );
+    }
+
+    // An arenas section whose id names no prepared entry.
+    let mut orphaned = shuffled.clone();
+    let arenas = orphaned
+        .iter_mut()
+        .find(|(kind, _)| *kind == SECTION_EW_ARENAS)
+        .unwrap();
+    arenas.1[..4].copy_from_slice(&7u32.to_le_bytes());
+    assert!(matches!(
+        Engine::load_snapshot_bytes(&write_sections(&orphaned)),
+        Err(CoreError::Snapshot(SnapshotError::Corrupt(_)))
+    ));
 }
 
 /// Restoring an engine snapshot and re-snapshotting it reproduces the
