@@ -27,14 +27,6 @@ use suj_join::WeightKind;
 use suj_stats::SujRng;
 use suj_storage::{Relation, Schema, Tuple, Value};
 
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Ablation 1: cover policy comparison on the high-overlap workload.
 fn cover_policy_panel(scale: usize, seed: u64) {
     let opts = UqOptions::new(scale, seed, 0.2);

@@ -12,14 +12,6 @@ use suj_stats::SujRng;
 
 const OVERLAPS: [f64; 6] = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8];
 
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn ratio_error_panel(workload_name: &str, scale: usize, seed: u64) {
     let mut table = FigureTable::new(
         format!(

@@ -11,14 +11,6 @@ use suj_bench::*;
 use suj_core::prelude::*;
 use suj_stats::SujRng;
 
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Fig 5a: per-join ratio error — histogram+EO vs random-walk on UQ1.
 fn ratio_error_panel(scale: usize, seed: u64) {
     let opts = UqOptions::new(scale, seed, 0.2);

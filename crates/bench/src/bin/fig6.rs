@@ -11,14 +11,6 @@ use suj_core::prelude::*;
 use suj_core::walk_estimator::WalkEstimatorConfig;
 use suj_stats::SujRng;
 
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn online_config(reuse: bool) -> OnlineConfig {
     OnlineConfig {
         reuse,

@@ -1,11 +1,12 @@
-//! Benchmark harness shared by the figure binaries and Criterion
-//! benches.
+//! The library the figure binaries share.
 //!
 //! Every panel of the paper's evaluation (Figures 4, 5, 6 — §9) has a
 //! regenerating binary in `src/bin/`; this library holds the common
 //! machinery: aligned table printing, timing, the three estimator
 //! configurations the paper compares (histogram+EO, histogram+EW,
-//! random-walk), and ratio-error metrics.
+//! random-walk), and ratio-error metrics. System performance (draw,
+//! union, prepare, restore, serve, wire) is measured by `benchmark/`,
+//! not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,6 +87,16 @@ pub fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
+/// The `u64` following `flag` on a figure binary's command line, or
+/// `default` when the flag is absent or its value does not parse.
+pub fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// The estimator configurations §9 compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimatorKind {
@@ -133,7 +144,7 @@ pub fn estimate_overlaps(
 }
 
 /// The weight kind a configuration uses in the join subroutine.
-pub fn weight_kind_for(kind: EstimatorKind) -> WeightKind {
+fn weight_kind_for(kind: EstimatorKind) -> WeightKind {
     match kind {
         EstimatorKind::HistogramEo => WeightKind::ExtendedOlken,
         EstimatorKind::HistogramEw | EstimatorKind::RandomWalk => WeightKind::Exact,
@@ -177,7 +188,7 @@ pub fn build_workload(name: &str, opts: &UqOptions) -> Result<UnionWorkload, Cor
 }
 
 /// The builder-level estimator for a §9 configuration.
-pub fn estimator_for(kind: EstimatorKind) -> Estimator {
+fn estimator_for(kind: EstimatorKind) -> Estimator {
     match kind {
         EstimatorKind::HistogramEo => Estimator::Histogram(HistogramOptions::default()),
         EstimatorKind::HistogramEw => Estimator::Histogram(HistogramOptions {
@@ -215,147 +226,123 @@ pub fn run_set_union(
     Ok((report, warmup))
 }
 
-/// Builds a [`Strategy::Auto`] sampler: the planner picks the
-/// configuration, which lands in the report's
-/// [`config`](RunReport::config).
-pub fn build_auto_sampler(
-    workload: Arc<UnionWorkload>,
-    seed: u64,
-) -> Result<Box<dyn suj_core::UnionSampler + Send>, CoreError> {
-    SamplerBuilder::for_workload(workload)
-        .strategy(Strategy::Auto)
-        .estimation_seed(seed)
-        .build()
-}
-
-/// The manual set-union configurations `Strategy::Auto` competes with
-/// (§9's matrix: Algorithm 1 under each estimator, the Bernoulli
-/// union trick, and online Algorithm 2).
-pub fn manual_set_union_candidates(
-    workload: &Arc<UnionWorkload>,
-    seed: u64,
-) -> Vec<(String, Box<dyn suj_core::UnionSampler>)> {
-    let mut out: Vec<(String, Box<dyn suj_core::UnionSampler>)> = Vec::new();
-    for kind in [
-        EstimatorKind::HistogramEo,
-        EstimatorKind::HistogramEw,
-        EstimatorKind::RandomWalk,
-    ] {
-        let sampler = SamplerBuilder::for_workload(workload.clone())
-            .estimator(estimator_for(kind))
-            .weights(weight_kind_for(kind))
-            .estimation_seed(seed)
-            .build()
-            .expect("rejection candidate");
-        out.push((format!("rejection/{}", kind.label()), sampler));
-    }
-    let bernoulli = SamplerBuilder::for_workload(workload.clone())
-        .estimator(estimator_for(EstimatorKind::HistogramEw))
-        .strategy(Strategy::Bernoulli(DesignationPolicy::Record))
-        .estimation_seed(seed)
-        .build()
-        .expect("bernoulli candidate");
-    out.push(("bernoulli/hist+EW".into(), bernoulli));
-    // Reuse is disabled for the comparison: the reuse phase emits
-    // *copies* of previously drawn tuples (§7's rate R), so with it on
-    // the per-sample time measures duplication, not fresh-sample
-    // throughput.
-    let online = SamplerBuilder::for_workload(workload.clone())
-        .strategy(Strategy::Online(OnlineConfig {
-            reuse: false,
-            ..OnlineConfig::default()
-        }))
-        .estimation_seed(seed)
-        .build()
-        .expect("online candidate");
-    out.push(("online".into(), online));
-    out
-}
-
-/// Steady-state sampling time: one warm-up batch (fills records /
-/// reuse pools), then the timed batch.
-pub fn steady_sampling_time(
-    sampler: &mut dyn suj_core::UnionSampler,
-    n: usize,
-    seed: u64,
-) -> Duration {
-    let mut rng = SujRng::seed_from_u64(seed);
-    sampler.sample(n.min(100), &mut rng).expect("warm-up batch");
-    let (result, t) = timed(|| sampler.sample(n, &mut rng));
-    result.expect("timed batch");
-    t
-}
-
-/// Serves `requests` deterministic sampling requests (ids `0..requests`,
-/// `n` samples each) over a shared prepared query with a
-/// `workers`-thread [`SamplingService`]; returns the responses sorted
-/// by request id, the batch wall time, and the final service stats.
-/// Same `root_seed` + same ids ⇒ bit-identical responses for any
-/// worker count — the serving determinism contract the concurrent
-/// benches assert.
-pub fn serve_prepared(
-    prepared: &Arc<suj_core::PreparedQuery>,
-    workers: usize,
-    requests: u64,
-    n: usize,
-    root_seed: u64,
-) -> (Vec<SampleResponse>, Duration, ServiceStats) {
-    let service = SamplingService::start(
-        Engine::default(),
-        ServiceConfig::with_workers(workers).root_seed(root_seed),
-    );
-    let batch = (0..requests)
-        .map(|id| SampleRequest::prepared(id, n, prepared))
-        .collect();
-    let start = Instant::now();
-    let mut responses = service.run_batch(batch).expect("serve batch");
-    let elapsed = start.elapsed();
-    responses.sort_by_key(|r| r.id);
-    (responses, elapsed, service.shutdown())
-}
-
-/// Best-of-`reps` serving wall time (load spikes from concurrently
-/// running test binaries hit single measurements hard; the minimum is
-/// the stable statistic).
-pub fn best_serve_time(
-    prepared: &Arc<suj_core::PreparedQuery>,
-    workers: usize,
-    requests: u64,
-    n: usize,
-    reps: usize,
-) -> Duration {
-    (0..reps.max(1))
-        .map(|rep| serve_prepared(prepared, workers, requests, n, 1000 + rep as u64).1)
-        .min()
-        .expect("at least one rep")
-}
-
-/// Builds an Algorithm 1 sampler for a named workload through the
-/// fluent [`SamplerBuilder`] — the harness entry point Criterion
-/// benches share.
-pub fn build_set_union_sampler(
-    workload: Arc<UnionWorkload>,
-    kind: EstimatorKind,
-    seed: u64,
-) -> Result<Box<dyn suj_core::UnionSampler + Send>, CoreError> {
-    let estimator = match kind {
-        EstimatorKind::HistogramEo => Estimator::Histogram(HistogramOptions::default()),
-        EstimatorKind::HistogramEw => Estimator::Histogram(HistogramOptions {
-            exact_size_hints: true,
-            ..Default::default()
-        }),
-        EstimatorKind::RandomWalk => Estimator::Walk(WalkEstimatorConfig::default()),
-    };
-    SamplerBuilder::for_workload(workload)
-        .estimator(estimator)
-        .weights(weight_kind_for(kind))
-        .estimation_seed(seed)
-        .build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds a [`Strategy::Auto`] sampler: the planner picks the
+    /// configuration, which lands in the report's
+    /// [`config`](RunReport::config).
+    fn build_auto_sampler(
+        workload: Arc<UnionWorkload>,
+        seed: u64,
+    ) -> Result<Box<dyn suj_core::UnionSampler + Send>, CoreError> {
+        SamplerBuilder::for_workload(workload)
+            .strategy(Strategy::Auto)
+            .estimation_seed(seed)
+            .build()
+    }
+
+    /// The manual set-union configurations `Strategy::Auto` competes with
+    /// (§9's matrix: Algorithm 1 under each estimator, the Bernoulli
+    /// union trick, and online Algorithm 2).
+    fn manual_set_union_candidates(
+        workload: &Arc<UnionWorkload>,
+        seed: u64,
+    ) -> Vec<(String, Box<dyn suj_core::UnionSampler>)> {
+        let mut out: Vec<(String, Box<dyn suj_core::UnionSampler>)> = Vec::new();
+        for kind in [
+            EstimatorKind::HistogramEo,
+            EstimatorKind::HistogramEw,
+            EstimatorKind::RandomWalk,
+        ] {
+            let sampler = SamplerBuilder::for_workload(workload.clone())
+                .estimator(estimator_for(kind))
+                .weights(weight_kind_for(kind))
+                .estimation_seed(seed)
+                .build()
+                .expect("rejection candidate");
+            out.push((format!("rejection/{}", kind.label()), sampler));
+        }
+        let bernoulli = SamplerBuilder::for_workload(workload.clone())
+            .estimator(estimator_for(EstimatorKind::HistogramEw))
+            .strategy(Strategy::Bernoulli(DesignationPolicy::Record))
+            .estimation_seed(seed)
+            .build()
+            .expect("bernoulli candidate");
+        out.push(("bernoulli/hist+EW".into(), bernoulli));
+        // Reuse is disabled for the comparison: the reuse phase emits
+        // *copies* of previously drawn tuples (§7's rate R), so with it on
+        // the per-sample time measures duplication, not fresh-sample
+        // throughput.
+        let online = SamplerBuilder::for_workload(workload.clone())
+            .strategy(Strategy::Online(OnlineConfig {
+                reuse: false,
+                ..OnlineConfig::default()
+            }))
+            .estimation_seed(seed)
+            .build()
+            .expect("online candidate");
+        out.push(("online".into(), online));
+        out
+    }
+
+    /// Steady-state sampling time: one warm-up batch (fills records /
+    /// reuse pools), then the timed batch.
+    fn steady_sampling_time(
+        sampler: &mut dyn suj_core::UnionSampler,
+        n: usize,
+        seed: u64,
+    ) -> Duration {
+        let mut rng = SujRng::seed_from_u64(seed);
+        sampler.sample(n.min(100), &mut rng).expect("warm-up batch");
+        let (result, t) = timed(|| sampler.sample(n, &mut rng));
+        result.expect("timed batch");
+        t
+    }
+
+    /// Serves `requests` deterministic sampling requests (ids `0..requests`,
+    /// `n` samples each) over a shared prepared query with a
+    /// `workers`-thread [`SamplingService`]; returns the responses sorted
+    /// by request id, the batch wall time, and the final service stats.
+    /// Same `root_seed` + same ids ⇒ bit-identical responses for any
+    /// worker count — the serving determinism contract.
+    fn serve_prepared(
+        prepared: &Arc<suj_core::PreparedQuery>,
+        workers: usize,
+        requests: u64,
+        n: usize,
+        root_seed: u64,
+    ) -> (Vec<SampleResponse>, Duration, ServiceStats) {
+        let service = SamplingService::start(
+            Engine::default(),
+            ServiceConfig::with_workers(workers).root_seed(root_seed),
+        );
+        let batch = (0..requests)
+            .map(|id| SampleRequest::prepared(id, n, prepared))
+            .collect();
+        let start = Instant::now();
+        let mut responses = service.run_batch(batch).expect("serve batch");
+        let elapsed = start.elapsed();
+        responses.sort_by_key(|r| r.id);
+        (responses, elapsed, service.shutdown())
+    }
+
+    /// Best-of-`reps` serving wall time (load spikes from concurrently
+    /// running test binaries hit single measurements hard; the minimum is
+    /// the stable statistic).
+    fn best_serve_time(
+        prepared: &Arc<suj_core::PreparedQuery>,
+        workers: usize,
+        requests: u64,
+        n: usize,
+        reps: usize,
+    ) -> Duration {
+        (0..reps.max(1))
+            .map(|rep| serve_prepared(prepared, workers, requests, n, 1000 + rep as u64).1)
+            .min()
+            .expect("at least one rep")
+    }
 
     #[test]
     fn figure_table_formats_aligned() {

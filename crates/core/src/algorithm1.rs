@@ -150,11 +150,6 @@ impl SetUnionSampler {
             canon_scratch: Vec::new(),
         })
     }
-
-    /// The cover in use.
-    pub fn cover(&self) -> &Cover {
-        &self.cover
-    }
 }
 
 impl UnionSampler for SetUnionSampler {

@@ -114,11 +114,6 @@ impl BernoulliUnionSampler {
             canon_scratch: Vec::new(),
         })
     }
-
-    /// The designation policy in use.
-    pub fn policy(&self) -> DesignationPolicy {
-        self.policy
-    }
 }
 
 impl UnionSampler for BernoulliUnionSampler {

@@ -161,11 +161,6 @@ impl PredicateSampler {
         })
     }
 
-    /// Samples rejected by the predicate so far.
-    pub fn predicate_rejections(&self) -> u64 {
-        self.rejected_predicate
-    }
-
     fn sync_report(&mut self) {
         // The builder stamps the resolved configuration on the outer
         // report, and the batch `sample` loop records draw latencies on

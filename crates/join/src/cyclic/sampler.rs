@@ -525,6 +525,54 @@ mod tests {
         assert!(seen > 0);
     }
 
+    /// Each result tuple is hit with probability `1 / size_bound` per
+    /// attempt, so acceptance is `OUT / size_bound` — here at scale, on
+    /// a seeded random graph rather than the hand-built fixtures. A
+    /// drift beyond binomial noise (4σ) means the descent's branch
+    /// probabilities stopped telescoping.
+    #[test]
+    fn acceptance_matches_out_over_size_bound_on_a_random_graph() {
+        let mut rng = SujRng::seed_from_u64(2023);
+        let mut edges: Vec<[i64; 2]> = Vec::new();
+        for u in 0..64 {
+            for v in (u + 1)..64 {
+                if rng.bernoulli(0.15) {
+                    edges.push([u, v]);
+                    edges.push([v, u]);
+                }
+            }
+        }
+        let rows: Vec<&[i64]> = edges.iter().map(|e| e.as_slice()).collect();
+        let spec = Arc::new(
+            JoinSpec::natural(
+                "tri-random",
+                vec![
+                    rel("x", &["a", "b"], &rows),
+                    rel("y", &["b", "c"], &rows),
+                    rel("z", &["c", "a"], &rows),
+                ],
+            )
+            .unwrap(),
+        );
+        let out = execute(&spec).tuples().len();
+        assert!(out > 0, "the random graph has no triangle");
+        let sampler = CyclicJoinSampler::new(spec).unwrap();
+        let expected = out as f64 / sampler.join_size_hint();
+
+        const ATTEMPTS: usize = 50_000;
+        let mut rng = SujRng::seed_from_u64(42);
+        let mut draw = RowDraw::new();
+        let accepted = (0..ATTEMPTS)
+            .filter(|_| sampler.sample_rows(&mut rng, &mut draw))
+            .count();
+        let measured = accepted as f64 / ATTEMPTS as f64;
+        let sigma = (expected * (1.0 - expected) / ATTEMPTS as f64).sqrt();
+        assert!(
+            (measured - expected).abs() <= 4.0 * sigma,
+            "acceptance {measured:.5} strayed from OUT/size_bound {expected:.5} (σ = {sigma:.5})"
+        );
+    }
+
     #[test]
     fn empty_relation_never_accepts() {
         let spec = Arc::new(

@@ -76,20 +76,8 @@ pub mod tree;
 pub mod wander;
 pub mod weights;
 
-pub use cyclic::{CyclicJoinSampler, FractionalEdgeCover};
-pub use error::JoinError;
-pub use exec::JoinResult;
-pub use graph::{JoinGraph, JoinShape};
-pub use membership::MembershipOracle;
-pub use spec::{JoinEdge, JoinSpec};
-pub use tree::JoinTree;
-pub use wander::{WalkOutcome, WanderJoin, WanderSampler};
-pub use weights::{
-    alias_builds, EwArtifacts, ExactWeightSampler, JoinSampler, OlkenSampler, RowDraw,
-    SampleOutcome, SizeInfo, WeightKind,
-};
-
-/// Commonly used items.
+/// Commonly used items — the crate's public vocabulary, listed once;
+/// the crate root re-exports exactly this set.
 pub mod prelude {
     pub use crate::bounds::olken_bound;
     pub use crate::cyclic::{CyclicJoinSampler, FractionalEdgeCover};
@@ -107,3 +95,5 @@ pub mod prelude {
         SampleOutcome, SizeInfo, WeightKind,
     };
 }
+
+pub use prelude::*;

@@ -229,8 +229,8 @@ pub trait JoinSampler: Send + Sync {
     /// Returns the attempts consumed. One thread-local scratch access
     /// and one pre-sized output reservation are amortized across the
     /// whole batch of draws on one RNG stream — the cheapest way to
-    /// pull many samples from a single join (measured by the
-    /// `join-batch` rows of `benches/hot_path.rs`).
+    /// pull many samples from a single join (measured by
+    /// `join.sample_batch.ns_per_tuple` in `benchmark/`).
     fn sample_batch(
         &self,
         n: usize,
@@ -687,8 +687,8 @@ impl ExactWeightSampler {
 
     /// The pre-arena reference draw path: root alias pick plus a
     /// linear scan of each key's postings weighted by the exact
-    /// counts. Retained for the `alias_path` bench comparison and the
-    /// distribution-equivalence proptests; per-tuple marginals are
+    /// counts. Retained as the reference the distribution-equivalence
+    /// proptests compare the cascade against; per-tuple marginals are
     /// identical to [`JoinSampler::sample_rows`] (RNG consumption
     /// differs). Allocation-free like the cascade.
     pub fn sample_rows_linear(&self, rng: &mut SujRng, draw: &mut RowDraw) -> bool {

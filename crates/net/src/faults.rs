@@ -57,9 +57,8 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// The standard chaos mix used by the chaos suite and the
-    /// `chaos_path` bench: frequent small delays, occasional drops,
-    /// short writes, and byte flips.
+    /// The standard chaos mix used by the chaos suite: frequent small
+    /// delays, occasional drops, short writes, and byte flips.
     pub fn standard() -> Self {
         FaultConfig {
             delay_per_mille: 100,

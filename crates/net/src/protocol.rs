@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic        "SUJN" (0x4e4a5553 LE)
-//!      4     2  version      protocol version, currently 2
+//!      4     2  version      protocol version, currently 3
 //!      6     2  opcode       see below
 //!      8     8  request id   echoed verbatim in the response
 //!     16     4  payload len  bytes following the header (≤ 1 GiB)
@@ -18,7 +18,9 @@
 //!
 //! Version 2 added the payload checksum (a flipped bit on the wire is
 //! a typed [`NetError::Checksum`], never silently corrupt samples) and
-//! an optional per-request deadline budget in the `Sample` payload.
+//! a per-request deadline budget in the `Sample` payload; version 3
+//! made that budget word mandatory, so a `Sample` payload is exactly
+//! four words and any other length is refused.
 //!
 //! # Opcodes
 //!
@@ -60,7 +62,7 @@ use suj_storage::{ColumnBuilder, SnapshotError, Tuple};
 /// Frame magic: `b"SUJN"` little-endian.
 pub const NET_MAGIC: u32 = u32::from_le_bytes(*b"SUJN");
 /// Protocol version spoken by this implementation.
-pub const NET_VERSION: u16 = 2;
+pub const NET_VERSION: u16 = 3;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 24;
 /// Upper bound on a frame payload (1 GiB) — a malformed or malicious
@@ -301,28 +303,30 @@ pub fn decode_prepare(payload: &[u8]) -> Result<UnionQuery, NetError> {
     Ok(q)
 }
 
-/// Encodes a `Sample` request payload. `budget_ns` is the per-request
-/// deadline budget in nanoseconds; 0 means no deadline.
+/// Encodes a `Sample` request payload: four `u64` words. `budget_ns`
+/// is the per-request deadline budget in nanoseconds; 0 means no
+/// deadline.
 pub fn encode_sample(prepared_id: u64, n: u64, seed: u64, budget_ns: u64) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(prepared_id);
     w.put_u64(n);
     w.put_u64(seed);
-    if budget_ns != 0 {
-        w.put_u64(budget_ns);
-    }
+    w.put_u64(budget_ns);
     w.into_bytes()
 }
 
 /// Decodes a `Sample` request payload into
-/// `(prepared_id, n, seed, budget_ns)`. The trailing budget word is
-/// optional on the wire (version-1 peers sent three words); absence
-/// decodes as 0, meaning no deadline.
+/// `(prepared_id, n, seed, budget_ns)`. Any length other than the four
+/// words [`encode_sample`] writes is a [`NetError::Protocol`].
 pub fn decode_sample(payload: &[u8]) -> Result<(u64, u64, u64, u64), NetError> {
+    if payload.len() != 32 {
+        return Err(NetError::Protocol(format!(
+            "Sample payload must be 32 bytes (four u64 words), got {}",
+            payload.len()
+        )));
+    }
     let mut r = ByteReader::new(payload);
-    let (prepared_id, n, seed) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
-    let budget_ns = if r.is_empty() { 0 } else { r.get_u64()? };
-    Ok((prepared_id, n, seed, budget_ns))
+    Ok((r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?))
 }
 
 /// Encodes a `Prepared` response payload.
@@ -479,17 +483,8 @@ mod tests {
         let read = Frame::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(read, frame);
         assert_eq!(decode_sample(&read.payload).unwrap(), (7, 100, 9, 0));
-    }
-
-    #[test]
-    fn sample_budget_word_is_optional_on_the_wire() {
         let with_budget = encode_sample(7, 100, 9, 2_000_000);
         assert_eq!(decode_sample(&with_budget).unwrap(), (7, 100, 9, 2_000_000));
-        // A version-1 peer sends exactly three words; budget decodes
-        // as 0 (no deadline).
-        let legacy = encode_sample(7, 100, 9, 0);
-        assert_eq!(legacy.len(), 24);
-        assert_eq!(decode_sample(&legacy).unwrap(), (7, 100, 9, 0));
     }
 
     #[test]

@@ -231,11 +231,6 @@ impl Server {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Open connections currently being served.
-    pub fn active_connections(&self) -> u64 {
-        self.shared.active_conns.load(Ordering::SeqCst)
-    }
-
     /// Requests shutdown without a wire round-trip. Idempotent.
     /// Draining connections answer their buffered frames with typed
     /// `ShuttingDown` errors before closing.

@@ -38,15 +38,6 @@ impl RunningMoments {
         self.mean
     }
 
-    /// Population variance (`m2 / n`); `0.0` for fewer than one observation.
-    pub fn variance_population(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample variance (`m2 / (n − 1)`); `0.0` for fewer than two
     /// observations. This is the `T_{n,2}` term of §6.2.
     pub fn variance_sample(&self) -> f64 {
@@ -60,15 +51,6 @@ impl RunningMoments {
     /// Sample standard deviation.
     pub fn std_dev_sample(&self) -> f64 {
         self.variance_sample().sqrt()
-    }
-
-    /// Standard error of the mean (`s / √n`).
-    pub fn standard_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev_sample() / (self.count as f64).sqrt()
-        }
     }
 
     /// Merges another accumulator into this one (parallel Welford / Chan).

@@ -245,17 +245,6 @@ impl<'a> CellRef<'a> {
         matches!(self, CellRef::Null)
     }
 
-    /// Materializes the cell (allocates for strings — prefer
-    /// [`Column::value`], which bumps the pool's `Arc` instead).
-    pub fn to_value(&self) -> Value {
-        match self {
-            CellRef::Null => Value::Null,
-            CellRef::Int(i) => Value::Int(*i),
-            CellRef::Float(f) => Value::Float(*f),
-            CellRef::Str(s) => Value::str(s),
-        }
-    }
-
     /// Whether the cell denotes the same value as `v` (the [`Value`]
     /// equality relation).
     #[inline]

@@ -398,12 +398,6 @@ impl<'a> RowRef<'a> {
         self.relation.columns[pos].value(self.row)
     }
 
-    /// Appends every cell's value to `out` (the output fill used by
-    /// join materialization).
-    pub fn fill_into(&self, out: &mut Vec<Value>) {
-        out.extend((0..self.arity()).map(|p| self.value(p)));
-    }
-
     /// Materializes the row as an output [`Tuple`].
     pub fn to_tuple(&self) -> Tuple {
         (0..self.arity()).map(|p| self.value(p)).collect()
@@ -461,21 +455,6 @@ impl RelationBuilder {
         }
         for (b, v) in self.builders.iter_mut().zip(values) {
             b.push(v);
-        }
-        self.len += 1;
-        Ok(self)
-    }
-
-    /// Appends a pre-built tuple, validating arity.
-    pub fn push_tuple(&mut self, tuple: Tuple) -> Result<&mut Self, StorageError> {
-        if tuple.arity() != self.schema.arity() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.arity(),
-                actual: tuple.arity(),
-            });
-        }
-        for (b, v) in self.builders.iter_mut().zip(tuple.values()) {
-            b.push_ref(v);
         }
         self.len += 1;
         Ok(self)

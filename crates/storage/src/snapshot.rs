@@ -183,11 +183,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Appends raw bytes.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u64(s.len() as u64);

@@ -28,11 +28,11 @@ pub mod tables;
 pub mod text;
 pub mod workload;
 
-pub use gen::{generate_catalog, TpchConfig};
-pub use workload::{uq1, uq2, uq3, uq4_cyclic, UqOptions};
-
-/// Commonly used items.
+/// Commonly used items — the crate's public vocabulary, listed once;
+/// the crate root re-exports exactly this set.
 pub mod prelude {
     pub use crate::gen::{generate_catalog, TpchConfig};
     pub use crate::workload::{uq1, uq2, uq3, uq4_cyclic, UqOptions};
 }
+
+pub use prelude::*;

@@ -166,6 +166,50 @@ fn unknown_opcode_gets_error_frame() {
     server.join().unwrap();
 }
 
+/// A `Sample` payload is exactly four words: the three-word shape a
+/// version-1 peer sent and a payload with trailing bytes are both
+/// refused by name, and the server answers each with a typed `Error`
+/// frame — never a sample — on a connection that stays usable.
+#[test]
+fn mis_sized_sample_payloads_are_refused_by_name() {
+    let well_formed = protocol::encode_sample(1, 4, 0, 0);
+    assert_eq!(well_formed.len(), 32);
+    let mut long = well_formed.clone();
+    long.extend_from_slice(&[0u8; 8]);
+    let server = Server::bind(
+        default_engine(),
+        "127.0.0.1:0",
+        ServiceConfig::with_workers(1),
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    for (request_id, payload) in [(7, well_formed[..24].to_vec()), (8, long)] {
+        let got = payload.len();
+        match protocol::decode_sample(&payload) {
+            Err(NetError::Protocol(message)) => {
+                assert!(message.contains("Sample payload"), "{message}");
+                assert!(message.contains(&got.to_string()), "{message}");
+            }
+            other => panic!("{got}-byte payload: expected a protocol error, got {other:?}"),
+        }
+        let request = Frame {
+            opcode: protocol::OP_SAMPLE,
+            request_id,
+            payload,
+        };
+        request.write_to(&mut stream).unwrap();
+        let response = Frame::read_from(&mut stream).unwrap();
+        assert_eq!(response.opcode, protocol::OP_ERROR);
+        assert_eq!(response.request_id, request_id);
+        let (code, message) = protocol::decode_error(&response.payload).unwrap();
+        assert_eq!(code, ERR_BAD_REQUEST);
+        assert!(message.contains("Sample payload"), "{message}");
+    }
+    drop(stream);
+    server.stop();
+    server.join().unwrap();
+}
+
 /// A request whose deadline budget cannot possibly be met comes back
 /// as the typed [`NetError::DeadlineExceeded`] — and a generous budget
 /// changes nothing about the sampled bits.
