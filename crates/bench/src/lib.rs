@@ -305,19 +305,16 @@ mod tests {
     /// `n` samples each) over a shared prepared query with a
     /// `workers`-thread [`SamplingService`]; returns the responses sorted
     /// by request id, the batch wall time, and the final service stats.
-    /// Same `root_seed` + same ids ⇒ bit-identical responses for any
+    /// Same prepared query + same ids ⇒ bit-identical responses for any
     /// worker count — the serving determinism contract.
     fn serve_prepared(
         prepared: &Arc<suj_core::PreparedQuery>,
         workers: usize,
         requests: u64,
         n: usize,
-        root_seed: u64,
     ) -> (Vec<SampleResponse>, Duration, ServiceStats) {
-        let service = SamplingService::start(
-            Engine::default(),
-            ServiceConfig::with_workers(workers).root_seed(root_seed),
-        );
+        let service =
+            SamplingService::start(Engine::default(), ServiceConfig::with_workers(workers));
         let batch = (0..requests)
             .map(|id| SampleRequest::prepared(id, n, prepared))
             .collect();
@@ -339,7 +336,7 @@ mod tests {
         reps: usize,
     ) -> Duration {
         (0..reps.max(1))
-            .map(|rep| serve_prepared(prepared, workers, requests, n, 1000 + rep as u64).1)
+            .map(|_| serve_prepared(prepared, workers, requests, n).1)
             .min()
             .expect("at least one rep")
     }
@@ -469,8 +466,8 @@ mod tests {
                 suj_core::PreparedQuery::auto(Arc::new(build_workload(name, &opts).unwrap()))
                     .unwrap(),
             );
-            let (one, _, stats1) = serve_prepared(&prepared, 1, 24, 64, 42);
-            let (four, _, stats4) = serve_prepared(&prepared, 4, 24, 64, 42);
+            let (one, _, stats1) = serve_prepared(&prepared, 1, 24, 64);
+            let (four, _, stats4) = serve_prepared(&prepared, 4, 24, 64);
             assert_eq!(stats1.completed, 24);
             assert_eq!(stats4.completed, 24);
             assert_eq!(one.len(), four.len());

@@ -71,8 +71,9 @@ pub struct BernoulliUnionSampler {
 impl BernoulliUnionSampler {
     /// Builds the sampler over pre-built per-join samplers (shared with
     /// other handles of the same prepared query); record state starts
-    /// fresh per handle. `join_sizes` and `union_size` typically come
-    /// from an estimator's `OverlapMap`.
+    /// fresh per handle. The freeze reads `join_sizes` from the samplers
+    /// (`size_info()`) wherever they know their size exactly, and
+    /// `union_size` — which no single join knows — from an estimator.
     pub fn new(
         workload: Arc<UnionWorkload>,
         join_sizes: &[f64],
@@ -153,11 +154,9 @@ impl UnionSampler for BernoulliUnionSampler {
                 .to_canonical_into(j, &t_local, &mut self.canon_scratch);
             let accept = match self.policy {
                 DesignationPolicy::Oracle => {
-                    // Designated join: first (workload order)
-                    // containing t.
-                    first_containing(self.workload.oracles(), &t)
-                        .expect("sampled tuple must belong somewhere")
-                        == j
+                    // `t` was just drawn from join j, so j designates
+                    // it iff no earlier join (workload order) holds it.
+                    first_containing(&self.workload.oracles()[..j], &t).is_none()
                 }
                 DesignationPolicy::Record => {
                     // "retained only if it is sampled from the

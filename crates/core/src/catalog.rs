@@ -200,8 +200,13 @@ impl Engine {
         Ok((workload, plan, given, reject_predicate))
     }
 
-    /// Resolves and plans a query without building a sampler — the
-    /// `EXPLAIN` path: cheap statistics only, no parameter estimation.
+    /// Resolves and plans a query without freezing a sampler — the
+    /// `EXPLAIN` path. No estimator pass beyond the planner's histogram
+    /// probe, but not cheap on an acyclic workload: the overlap rule
+    /// reads exact join sizes from the Exact-Weight samplers, which
+    /// know them only once their count tables and alias arenas are
+    /// built (see [`Planner::plan`]) — most of what
+    /// [`prepare`](Self::prepare) costs, paid here for the plan alone.
     pub fn plan(&self, query: &UnionQuery) -> Result<Plan, CoreError> {
         Ok(self
             .planned(query, |w, s| Ok(self.planner.plan_with_given(w, s)))?

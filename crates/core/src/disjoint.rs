@@ -38,7 +38,8 @@ pub struct DisjointUnionSampler {
 impl DisjointUnionSampler {
     /// Builds the sampler over pre-built per-join samplers (shared with
     /// other handles of the same prepared query). `join_sizes` drive
-    /// join selection — exact EW sizes give exactly `1/|V|` per tuple.
+    /// join selection — the freeze reads them from the samplers
+    /// (`size_info()`), and exact sizes give exactly `1/|V|` per tuple.
     pub fn new(
         workload: Arc<UnionWorkload>,
         join_sizes: &[f64],

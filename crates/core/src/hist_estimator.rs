@@ -46,25 +46,25 @@ pub struct HistogramEstimator {
     mode: DegreeMode,
     /// Per-join size hints (EW exact sizes or EO bounds) used for
     /// singleton entries and the trivial cap.
-    join_size_hints: Vec<f64>,
+    size_hints: Vec<f64>,
 }
 
 impl HistogramEstimator {
-    /// Builds the estimator. `join_size_hints` supplies `|J_j|`
+    /// Builds the estimator. `size_hints` supplies `|J_j|`
     /// estimates (the paper instantiates these with EW ground truth or
     /// EO bounds). `zero_weight` is the §8.1.2 alternating-score
     /// hyper-parameter (0.0 = plain scores).
     pub fn new(
         workload: &UnionWorkload,
         mode: DegreeMode,
-        join_size_hints: Vec<f64>,
+        size_hints: Vec<f64>,
         zero_weight: f64,
     ) -> Result<Self, CoreError> {
         let n = workload.n_joins();
-        if join_size_hints.len() != n {
+        if size_hints.len() != n {
             return Err(CoreError::Invalid(format!(
                 "expected {n} join size hints, got {}",
-                join_size_hints.len()
+                size_hints.len()
             )));
         }
         // §8.2: treat each cyclic join as skeleton + residual before
@@ -89,7 +89,7 @@ impl HistogramEstimator {
             template,
             splits,
             mode,
-            join_size_hints,
+            size_hints,
         })
     }
 
@@ -116,8 +116,8 @@ impl HistogramEstimator {
     }
 
     /// The join size hints in use.
-    pub fn join_size_hints(&self) -> &[f64] {
-        &self.join_size_hints
+    pub fn size_hints(&self) -> &[f64] {
+        &self.size_hints
     }
 
     fn mode_degree(&self, bound: &DegreeBound) -> f64 {
@@ -133,7 +133,7 @@ impl HistogramEstimator {
         assert!(!joins.is_empty(), "overlap of the empty set is undefined");
         let cap = joins
             .iter()
-            .map(|&j| self.join_size_hints[j])
+            .map(|&j| self.size_hints[j])
             .fold(f64::INFINITY, f64::min);
         if joins.len() == 1 {
             return cap;
@@ -371,7 +371,7 @@ mod tests {
         let w = overlapping_chains();
         let est = HistogramEstimator::with_olken(&w, DegreeMode::Max).unwrap();
         let exact_sizes = w.exact_join_sizes().unwrap();
-        for (hint, exact) in est.join_size_hints().iter().zip(&exact_sizes) {
+        for (hint, exact) in est.size_hints().iter().zip(&exact_sizes) {
             assert!(hint >= exact);
         }
     }

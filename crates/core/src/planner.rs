@@ -34,7 +34,7 @@ use crate::overlap::OverlapMap;
 use crate::predicate_mode::PredicateMode;
 use crate::query::UnionSemantics;
 use crate::report::PlanSummary;
-use crate::session::{shared_samplers, Estimator, FrozenParams, Given, HistogramOptions, Strategy};
+use crate::session::{shared_samplers, Estimator, Given, HistogramOptions, Strategy};
 use crate::walk_estimator::WalkEstimatorConfig;
 use crate::workload::UnionWorkload;
 use std::sync::Arc;
@@ -46,8 +46,10 @@ use suj_join::{JoinSampler, WeightKind};
 /// scanned beyond per-attribute frequency histograms).
 #[derive(Debug, Clone)]
 pub struct WorkloadStats {
-    /// Estimated `|J_j|` per join, when statistics are available.
-    pub join_size_hints: Option<Vec<f64>>,
+    /// `|J_j|` per join, when statistics are available: the exact sizes
+    /// the Exact-Weight samplers report on an all-acyclic workload,
+    /// histogram bounds otherwise.
+    pub size_hints: Option<Vec<f64>>,
     /// Estimated `|∪ J_j|`, when statistics are available.
     pub union_size_hint: Option<f64>,
     /// Total rows across all distinct base relations (relations shared
@@ -56,10 +58,6 @@ pub struct WorkloadStats {
     pub total_base_rows: usize,
     /// Number of joins.
     pub n_joins: usize,
-    /// Whether `join_size_hints` are exact integer join cardinalities
-    /// from the Exact-Weight count tables (every member acyclic and
-    /// unsaturated) rather than histogram estimates.
-    pub exact_sizes: bool,
 }
 
 impl WorkloadStats {
@@ -80,8 +78,7 @@ impl WorkloadStats {
             .and_then(|est| est.overlap_map())
             .ok();
         if let Some(map) = &map {
-            stats.join_size_hints =
-                Some((0..workload.n_joins()).map(|j| map.join_size(j)).collect());
+            stats.size_hints = Some((0..workload.n_joins()).map(|j| map.join_size(j)).collect());
             stats.union_size_hint = Some(map.union_size());
         }
         (stats, map)
@@ -102,22 +99,21 @@ impl WorkloadStats {
             .map(|r| r.len())
             .sum();
         Self {
-            join_size_hints: None,
+            size_hints: None,
             union_size_hint: None,
             total_base_rows,
             n_joins: workload.n_joins(),
-            exact_sizes: false,
         }
     }
 
     /// Whether the probe produced size estimates.
     pub fn available(&self) -> bool {
-        self.join_size_hints.is_some() && self.union_size_hint.is_some()
+        self.size_hints.is_some() && self.union_size_hint.is_some()
     }
 
     /// `Σ |Jᵢ|` over the hints.
     pub fn sum_join_sizes(&self) -> Option<f64> {
-        self.join_size_hints.as_ref().map(|h| h.iter().sum())
+        self.size_hints.as_ref().map(|h| h.iter().sum())
     }
 
     /// The §3 overlap ratio `Σ|Jᵢ| / |∪Jᵢ|`, clamped to `≥ 1` (exact
@@ -142,7 +138,7 @@ impl WorkloadStats {
     /// Join-size skew: largest hint over smallest non-zero hint.
     /// `None` without statistics or with all-empty joins.
     pub fn size_skew(&self) -> Option<f64> {
-        let hints = self.join_size_hints.as_ref()?;
+        let hints = self.size_hints.as_ref()?;
         let max = hints.iter().cloned().fold(0.0f64, f64::max);
         let min = hints
             .iter()
@@ -200,22 +196,24 @@ impl PlanRule {
     }
 }
 
-/// Planner thresholds. Defaults follow the §9 evaluation's crossover
-/// points; every threshold is overridable for ablation.
+/// Use exact (full-join) estimation when the base data has at most
+/// this many rows — the §9 ground-truth configuration, affordable at
+/// toy scale and the most accurate.
+const EXACT_MAX_BASE_ROWS: usize = 512;
+
+/// Order the cover by descending size when the largest join hint
+/// exceeds the smallest by this factor (claiming overlaps early leaves
+/// later joins small residuals, §3.1).
+const SKEWED_COVER_RATIO: f64 = 8.0;
+
+/// What a deployment decides about planning. Defaults follow the §9
+/// evaluation's crossover points.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
     /// Pick Bernoulli when `Σ|Jᵢ|/|∪Jᵢ|` is at most this (§3: the
     /// expected rejection fraction is `1 − 1/ratio`, so 1.25 caps it
     /// at 20%).
     pub bernoulli_max_overlap_ratio: f64,
-    /// Use exact (full-join) estimation when the base data has at most
-    /// this many rows — the §9 ground-truth configuration, affordable
-    /// at toy scale and the most accurate.
-    pub exact_max_base_rows: usize,
-    /// Order the cover by descending size when the largest join hint
-    /// exceeds the smallest by this factor (claiming overlaps early
-    /// leaves later joins small residuals, §3.1).
-    pub skewed_cover_ratio: f64,
     /// Probe catalog statistics at all; `false` models the
     /// decentralized cold start and always plans Algorithm 2.
     pub use_statistics: bool,
@@ -225,8 +223,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         Self {
             bernoulli_max_overlap_ratio: 1.25,
-            exact_max_base_rows: 512,
-            skewed_cover_ratio: 8.0,
             use_statistics: true,
         }
     }
@@ -264,6 +260,13 @@ impl Planner {
     /// workload that will actually be sampled: a push-down predicate is
     /// applied *before* planning, so the statistics describe the
     /// filtered data.
+    ///
+    /// Not cheap on an acyclic workload: the overlap rule divides
+    /// `Σ|Jᵢ|` by `|∪Jᵢ|`, join sizes are read from the join samplers,
+    /// and a sampler knows its size only once its count tables exist —
+    /// so planning builds every member's hash indexes, count tables and
+    /// alias arenas (almost all of a cold prepare). A prepare loses
+    /// nothing by it: the freeze serves from those same samplers.
     pub fn plan(&self, workload: &UnionWorkload, semantics: UnionSemantics) -> Plan {
         self.plan_with_given(workload, semantics).0
     }
@@ -350,9 +353,7 @@ impl Planner {
 
         let cover_strategy = match strategy {
             Strategy::Rejection => Some(match stats.size_skew() {
-                Some(skew) if skew >= self.config.skewed_cover_ratio => {
-                    CoverStrategy::DescendingSize
-                }
+                Some(skew) if skew >= SKEWED_COVER_RATIO => CoverStrategy::DescendingSize,
                 _ => CoverStrategy::AsGiven,
             }),
             // Algorithm 2 also orders its cover; record the default so
@@ -364,7 +365,7 @@ impl Planner {
         // The probe ran the default histogram estimator; only a plan
         // that keeps exactly that estimator may reuse its map.
         if let Some(Estimator::Histogram(_)) = estimator {
-            given.params = probed_map.map(FrozenParams::Map);
+            given.map = probed_map;
         }
         let plan = Plan {
             strategy,
@@ -372,6 +373,7 @@ impl Planner {
             weights,
             cover_strategy,
             predicate_mode: None,
+            sizing: None,
             rule,
             stats,
         };
@@ -401,15 +403,14 @@ impl Planner {
             // (exact member sizes say nothing about overlap) but is
             // clamped into the bracket the exact sizes prove.
             stats.union_size_hint = stats.union_size_hint.map(|u| u.clamp(max, sum));
-            stats.join_size_hints = Some(hints);
-            stats.exact_sizes = true;
+            stats.size_hints = Some(hints);
         }
         Some(samplers)
     }
 
     /// Estimator for strategies that need parameters up front.
     fn pick_estimator(&self, stats: &WorkloadStats) -> Estimator {
-        if stats.total_base_rows <= self.config.exact_max_base_rows {
+        if stats.total_base_rows <= EXACT_MAX_BASE_ROWS {
             Estimator::Exact
         } else if stats.available() {
             Estimator::Histogram(HistogramOptions::default())
@@ -417,6 +418,19 @@ impl Planner {
             Estimator::Walk(WalkEstimatorConfig::default())
         }
     }
+}
+
+/// Provenance of the join sizes a frozen pipeline selects joins by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sizing {
+    /// Every size is an exact `|Jⱼ|`: read from the member samplers'
+    /// [`size_info`](suj_join::JoinSampler::size_info), or counted by
+    /// the full-join estimator.
+    Exact,
+    /// Some size is a §5 histogram bound.
+    Histogram,
+    /// Some size is a §6 random-walk estimate.
+    Walk,
 }
 
 /// An executable configuration: strategy, estimator, weights, cover,
@@ -434,6 +448,11 @@ pub struct Plan {
     pub cover_strategy: Option<CoverStrategy>,
     /// Predicate execution mode, when the query carries a predicate.
     pub predicate_mode: Option<PredicateMode>,
+    /// Where the join sizes the sampler selects by came from. `None`
+    /// until the freeze stamps what it actually read (a planner's plan
+    /// has selected nothing yet), and for strategies that size nothing
+    /// up front (online).
+    pub sizing: Option<Sizing>,
     /// The rule that fired.
     pub rule: PlanRule,
     /// The statistics that drove the decision.
@@ -455,19 +474,8 @@ impl Plan {
             weights: self.weights.map(|w| w.label().to_string()),
             cover: self.cover_strategy.map(|cs| cs.label().to_string()),
             predicate: self.predicate_mode.map(|m| m.label().to_string()),
-            sizing: self.sizing_label(),
+            sizing: self.sizing.map(|s| s.label().to_string()),
             rule: (self.rule != PlanRule::Explicit).then(|| self.rule.name().to_string()),
-        }
-    }
-
-    /// Provenance of the join-size figures the decision consumed.
-    fn sizing_label(&self) -> Option<String> {
-        if self.stats.exact_sizes {
-            Some("exact".to_string())
-        } else if self.stats.available() {
-            Some("histogram".to_string())
-        } else {
-            None
         }
     }
 
@@ -529,7 +537,7 @@ impl Plan {
             fmt_opt(self.stats.sum_join_sizes()),
             fmt_opt(self.stats.union_size_hint),
             fmt_opt(self.stats.size_skew()),
-            self.sizing_label().as_deref().unwrap_or("none"),
+            self.sizing.map_or("none", Labeled::label),
         ));
         out
     }
@@ -557,6 +565,14 @@ pub(crate) trait Labeled: Copy + PartialEq + 'static {
     fn from_tag(tag: u8) -> Option<Self> {
         Self::TABLE.get(usize::from(tag)).map(|(v, _)| *v)
     }
+}
+
+impl Labeled for Sizing {
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (Sizing::Exact, "exact"),
+        (Sizing::Histogram, "histogram"),
+        (Sizing::Walk, "walk"),
+    ];
 }
 
 impl Labeled for WeightKind {
@@ -716,17 +732,23 @@ mod tests {
 
     #[test]
     fn big_workloads_get_histogram_estimation() {
-        let planner = Planner::new(PlannerConfig {
-            exact_max_base_rows: 0,
-            ..PlannerConfig::default()
-        });
-        let w = identical_workload();
-        let (plan, given) = planner.plan_with_given(&w, UnionSemantics::Set);
+        // Two identical chains over 300 + 20 rows each: past
+        // `EXACT_MAX_BASE_ROWS`.
+        let side = |name| {
+            chain(
+                name,
+                (0..300).map(|i| vec![i, i % 20]).collect(),
+                (0..20).map(|b| vec![b, 100 + b]).collect(),
+            )
+        };
+        let w = UnionWorkload::new(vec![side("j1"), side("j2")]).unwrap();
+        let (plan, given) = Planner::default().plan_with_given(&w, UnionSemantics::Set);
+        assert!(plan.stats.total_base_rows > EXACT_MAX_BASE_ROWS);
         assert!(matches!(plan.estimator, Some(Estimator::Histogram(_))));
         assert!(matches!(plan.weights, Some(WeightKind::Exact)));
         // The plan keeps the probe's estimator, so the probed map is
         // handed to the freeze instead of being estimated again.
-        assert!(matches!(given.params, Some(FrozenParams::Map(_))));
+        assert!(given.map.is_some());
     }
 
     #[test]
@@ -837,9 +859,8 @@ mod tests {
     fn acyclic_stats_carry_exact_sizes() {
         let w = identical_workload();
         let (plan, given) = Planner::default().plan_with_given(&w, UnionSemantics::Set);
-        assert!(plan.stats.exact_sizes);
         // Each member joins to exactly (1,10,100),(2,20,200),(3,20,200).
-        assert_eq!(plan.stats.join_size_hints.as_deref(), Some(&[3.0, 3.0][..]));
+        assert_eq!(plan.stats.size_hints.as_deref(), Some(&[3.0, 3.0][..]));
         // The union estimate is clamped into the bracket the exact
         // member sizes prove: [max |Jᵢ|, Σ|Jᵢ|].
         let union = plan.stats.union_size_hint.unwrap();
@@ -847,33 +868,30 @@ mod tests {
             (3.0..=6.0).contains(&union),
             "union {union} outside bracket"
         );
-        assert_eq!(plan.summary().sizing.as_deref(), Some("exact"));
-        assert!(
-            plan.explain().contains("sizing=exact"),
-            "{}",
-            plan.explain()
-        );
         // The samplers built for the probe are handed over for freeze
         // reuse; tiny data plans exact estimation, so no map is.
         assert_eq!(given.samplers.map(|s| s.len()), Some(2));
-        assert!(given.params.is_none());
+        assert!(given.map.is_none());
+        // What the sampler sizes by is the freeze's to stamp.
+        assert_eq!(plan.sizing, None);
+        assert!(plan.explain().contains("sizing=none"), "{}", plan.explain());
     }
 
     #[test]
     fn cyclic_plans_never_claim_exact_sizes() {
         let w = Arc::new(UnionWorkload::new(vec![triangle("t1", 0), triangle("t2", 100)]).unwrap());
         let (plan, given) = Planner::default().plan_with_given(&w, UnionSemantics::Set);
-        assert!(!plan.stats.exact_sizes);
+        // No Exact-Weight probe on a cyclic workload: no samplers are
+        // handed over and the hints stay the histogram's bounds.
         assert!(given.samplers.is_none());
-        assert_ne!(plan.summary().sizing.as_deref(), Some("exact"));
+        assert!(plan.stats.available());
     }
 
     #[test]
     fn without_statistics_skips_exact_size_probe() {
         let (plan, given) = Planner::without_statistics()
             .plan_with_given(&identical_workload(), UnionSemantics::Set);
-        assert!(!plan.stats.exact_sizes);
-        assert!(given.samplers.is_none() && given.params.is_none());
-        assert_eq!(plan.summary().sizing, None);
+        assert!(!plan.stats.available());
+        assert!(given.samplers.is_none() && given.map.is_none());
     }
 }

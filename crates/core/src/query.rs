@@ -275,12 +275,6 @@ impl UnionQuery {
         }
     }
 
-    /// Validates the query against a catalog without keeping the
-    /// resolved workload.
-    pub fn validate(&self, catalog: &Catalog) -> Result<(), CoreError> {
-        self.resolve(catalog).map(|_| ())
-    }
-
     /// Binds every relation name, validates the common output schema,
     /// and returns the executable form.
     pub fn resolve(&self, catalog: &Catalog) -> Result<ResolvedQuery, CoreError> {

@@ -21,12 +21,14 @@
 //!
 //! Every request carries a `seed` (defaulting to its `id`). A worker
 //! serves it by minting a fresh handle from the prepared query and
-//! driving it with `SujRng::derive(root_seed, request.seed)` — a pure
-//! function of the service's root seed and the request. Therefore:
-//! **same root seed + same request ids ⇒ bit-identical per-request
-//! samples**, for any worker count, any thread interleaving, and any
-//! submission order. A 4-worker service is sample-for-sample equal to a
-//! 1-worker service; only wall time changes.
+//! driving it with [`PreparedQuery::rng`]`(request.seed)` — a pure
+//! function of the prepared query (which owns the root seed) and the
+//! request, and the stream [`PreparedQuery::sample`] draws from.
+//! Therefore: **same prepared query + same request seeds ⇒
+//! bit-identical per-request samples**, in-process or served, for any
+//! worker count, any thread interleaving, and any submission order. A
+//! 4-worker service is sample-for-sample equal to a 1-worker service;
+//! only wall time changes.
 //!
 //! ```
 //! use suj_core::catalog::{Catalog, Engine};
@@ -66,7 +68,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
-use suj_stats::SujRng;
 use suj_storage::Tuple;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -81,9 +82,6 @@ pub struct ServiceConfig {
     /// Bounded request-queue capacity ([`SamplingService::submit`]
     /// blocks, [`SamplingService::try_submit`] fails fast when full).
     pub queue_capacity: usize,
-    /// Root of the per-request RNG derivation (see the module-level
-    /// determinism contract).
-    pub root_seed: u64,
 }
 
 impl Default for ServiceConfig {
@@ -91,7 +89,6 @@ impl Default for ServiceConfig {
         Self {
             workers: thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 1024,
-            root_seed: 0x5eed,
         }
     }
 }
@@ -103,13 +100,6 @@ impl ServiceConfig {
             workers: workers.max(1),
             ..Self::default()
         }
-    }
-
-    /// Sets the root seed of the per-request RNG derivation.
-    #[must_use = "builder methods return the updated configuration"]
-    pub fn root_seed(mut self, seed: u64) -> Self {
-        self.root_seed = seed;
-        self
     }
 
     /// Sets the bounded queue capacity.
@@ -149,7 +139,8 @@ pub struct SampleRequest {
     pub id: u64,
     /// Number of samples to draw.
     pub n: usize,
-    /// RNG stream of this request (mixed with the service root seed).
+    /// RNG stream of this request (mixed with the prepared query's
+    /// root seed).
     /// The constructors default it to `id`, which yields the "same ids
     /// ⇒ same samples" contract.
     pub seed: u64,
@@ -395,13 +386,10 @@ impl fmt::Display for ServiceStats {
 }
 
 /// Serves one request: resolve the target (cached), mint a handle,
-/// drive it with the derived stream. Pure in `(engine, root_seed,
-/// request)` — the source of the cross-thread determinism guarantee.
-fn serve_request(
-    engine: &Engine,
-    root_seed: u64,
-    request: &SampleRequest,
-) -> Result<SampleResponse, CoreError> {
+/// drive it with the stream the prepared query derives for the
+/// request's seed. Pure in `(engine, request)` — the source of the
+/// cross-thread determinism guarantee.
+fn serve_request(engine: &Engine, request: &SampleRequest) -> Result<SampleResponse, CoreError> {
     #[cfg(feature = "faults")]
     if request.panic_for_test {
         panic!(
@@ -414,7 +402,7 @@ fn serve_request(
         RequestTarget::Query(q) => engine.prepare(q)?,
     };
     let mut handle = prepared.sampler(request.seed)?;
-    let mut rng = SujRng::derive(root_seed, request.seed);
+    let mut rng = prepared.rng(request.seed);
     let (tuples, report) = handle.sample_within(request.n, &mut rng, request.deadline)?;
     Ok(SampleResponse {
         id: request.id,
@@ -444,7 +432,6 @@ impl SamplingService {
         let rx = Arc::new(Mutex::new(rx));
         let engine = Arc::new(engine);
         let counters = Arc::new(Counters::default());
-        let root_seed = config.root_seed;
         let handles = (0..workers)
             .map(|_| {
                 let rx = rx.clone();
@@ -466,7 +453,7 @@ impl SamplingService {
                         Err(CoreError::DeadlineExceeded)
                     } else {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            serve_request(&engine, root_seed, &job.request)
+                            serve_request(&engine, &job.request)
                         }))
                         .unwrap_or_else(|_| {
                             Err(CoreError::Invalid(format!(
@@ -689,10 +676,7 @@ mod tests {
 
     fn responses_by_id(engine: &Engine, workers: usize, requests: usize) -> Vec<SampleResponse> {
         let prepared = engine.prepare(&union_query()).unwrap();
-        let service = SamplingService::start(
-            engine.clone(),
-            ServiceConfig::with_workers(workers).root_seed(77),
-        );
+        let service = SamplingService::start(engine.clone(), ServiceConfig::with_workers(workers));
         let batch = (0..requests as u64)
             .map(|id| SampleRequest::prepared(id, 6, &prepared))
             .collect();
@@ -708,7 +692,7 @@ mod tests {
     fn serves_prepared_requests_and_counts() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
-        let service = SamplingService::start(engine, ServiceConfig::with_workers(2).root_seed(1));
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(2));
         let tickets: Vec<Ticket> = (0..10u64)
             .map(|id| {
                 service
@@ -746,8 +730,7 @@ mod tests {
     #[test]
     fn query_requests_share_the_prepared_cache() {
         let engine = engine();
-        let service =
-            SamplingService::start(engine.clone(), ServiceConfig::with_workers(3).root_seed(5));
+        let service = SamplingService::start(engine.clone(), ServiceConfig::with_workers(3));
         let batch = (0..9u64)
             .map(|id| SampleRequest::query(id, 3, union_query()))
             .collect();
@@ -883,7 +866,7 @@ mod tests {
     fn expired_deadline_is_a_typed_error_and_pool_survives() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
-        let service = SamplingService::start(engine, ServiceConfig::with_workers(1).root_seed(3));
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(1));
         // A deadline already in the past: rejected at dequeue, typed.
         let late = SampleRequest::prepared(1, 4, &prepared)
             .with_deadline(Instant::now() - Duration::from_millis(1));
@@ -908,7 +891,7 @@ mod tests {
     fn generous_deadline_does_not_change_samples() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
-        let service = SamplingService::start(engine, ServiceConfig::with_workers(1).root_seed(9));
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(1));
         let plain = service
             .submit(SampleRequest::prepared(5, 8, &prepared))
             .unwrap()

@@ -68,7 +68,7 @@ use crate::error::CoreError;
 use crate::exact::full_join_union;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
 use crate::overlap::OverlapMap;
-use crate::planner::{Plan, PlanRule, Planner, WorkloadStats};
+use crate::planner::{Plan, PlanRule, Planner, Sizing, WorkloadStats};
 use crate::predicate_mode::{push_down, PredicateMode, PredicateSampler};
 use crate::query::{UnionQuery, UnionSemantics};
 use crate::report::{PlanSummary, RunReport};
@@ -91,8 +91,9 @@ pub struct HistogramOptions {
     pub degree_mode: DegreeMode,
     /// §8.1.2 alternating-score hyper-parameter (0.0 = plain scores).
     pub zero_weight: f64,
-    /// Use exact (EW) join sizes as hints instead of extended-Olken
-    /// bounds (§9's hist+EW vs hist+EO configurations).
+    /// Use exact join sizes as hints instead of extended-Olken bounds
+    /// (§9's hist+EW vs hist+EO configurations) — read from the per-join
+    /// samplers that know theirs, counted for the rest.
     pub exact_size_hints: bool,
 }
 
@@ -337,7 +338,7 @@ impl SamplerBuilder {
                     Planner::default().plan_with_given(&workload, UnionSemantics::Set);
                 if self.estimator.is_some() {
                     // The probed map belongs to the planned estimator.
-                    given.params = None;
+                    given.map = None;
                 }
                 let plan = Plan {
                     estimator: self.estimator.or(planned.estimator),
@@ -355,6 +356,7 @@ impl SamplerBuilder {
                     weights: self.weights,
                     cover_strategy: self.cover_strategy,
                     predicate_mode,
+                    sizing: None,
                     rule: PlanRule::Explicit,
                     stats: WorkloadStats::unavailable(&workload),
                 };
@@ -394,28 +396,14 @@ impl SamplerBuilder {
     }
 }
 
-/// The union parameters a freeze committed to, retained on the
-/// [`PreparedQuery`] so a snapshot can persist them and a restore can
-/// rebuild the identical pipeline without paying estimation again.
-/// Strategies that estimate per handle (online) have none.
-#[derive(Debug, Clone)]
-pub(crate) enum FrozenParams {
-    /// The overlap map (rejection, Bernoulli, and disjoint sampling
-    /// under map-producing estimators).
-    Map(OverlapMap),
-    /// Exact per-join sizes (disjoint sampling under exact estimation,
-    /// which never builds a full map).
-    Sizes(Vec<f64>),
-}
-
 /// What the caller of [`freeze`] already holds *for exactly the
 /// workload being frozen* — from the planner's probe or from a
 /// snapshot. Anything absent is computed.
 #[derive(Default)]
 pub(crate) struct Given {
-    /// The union parameters; when used, the freeze pays no estimation
-    /// pass ([`PreparedQuery::estimations`] stays 0).
-    pub params: Option<FrozenParams>,
+    /// The configured estimator's overlap map; when used, the freeze
+    /// pays no estimation pass ([`PreparedQuery::estimations`] stays 0).
+    pub map: Option<OverlapMap>,
     /// Exact-Weight per-join samplers (count tables + alias arenas);
     /// consulted only when the configuration's weights are exact.
     pub samplers: Option<Vec<Arc<dyn JoinSampler>>>,
@@ -475,35 +463,71 @@ pub(crate) fn shared_samplers(
         .map_err(CoreError::Join)
 }
 
-/// Estimates an overlap map with the configured estimator.
+/// Runs the configured estimator for what no single join can know: the
+/// overlap structure and `|U|` — and with them a size for every join,
+/// which selection reads only for members whose sampler holds a bound.
 fn estimate(
     workload: &Arc<UnionWorkload>,
     estimator: &Estimator,
+    samplers: &[Arc<dyn JoinSampler>],
     seed: u64,
 ) -> Result<OverlapMap, CoreError> {
     match estimator {
         Estimator::Exact => Ok(full_join_union(workload)?.overlap),
         Estimator::Histogram(opts) => {
-            let est = if opts.exact_size_hints {
-                let sizes = workload.exact_join_sizes()?;
-                HistogramEstimator::new(workload, opts.degree_mode, sizes, opts.zero_weight)?
-            } else if opts.zero_weight != 0.0 {
-                let hints = workload
-                    .joins()
-                    .iter()
-                    .map(|j| suj_join::bounds::olken_bound(j))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(CoreError::Join)?;
-                HistogramEstimator::new(workload, opts.degree_mode, hints, opts.zero_weight)?
-            } else {
-                HistogramEstimator::with_olken(workload, opts.degree_mode)?
-            };
-            est.overlap_map()
+            // Exact hints are read from the samplers that know them;
+            // only a bound-only member pays a count of its own.
+            let hints = samplers
+                .iter()
+                .zip(workload.joins())
+                .map(|(s, j)| {
+                    if !opts.exact_size_hints {
+                        suj_join::bounds::olken_bound(j)
+                    } else if let Some(n) = s.size_info().exact {
+                        Ok(n as f64)
+                    } else {
+                        suj_join::weights::exact_join_size(j)
+                    }
+                })
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(CoreError::Join)?;
+            HistogramEstimator::new(workload, opts.degree_mode, hints, opts.zero_weight)?
+                .overlap_map()
         }
         Estimator::Walk(cfg) => {
             let mut rng = SujRng::seed_from_u64(seed);
             walk_warmup(workload, cfg, &mut rng)?.overlap_map()
         }
+    }
+}
+
+/// Each member's exact `|Jⱼ|` as its sampler reports it; `None` where
+/// the sampler holds only a bound (EO, wander, AGM box, saturated EW).
+fn exact_sizes(samplers: &[Arc<dyn JoinSampler>]) -> Vec<Option<f64>> {
+    samplers
+        .iter()
+        .map(|s| s.size_info().exact.map(|n| n as f64))
+        .collect()
+}
+
+/// The sizes Bernoulli and disjoint selection read: the sampler's exact
+/// `|Jⱼ|` wherever it knows one, the estimator's figure for the rest.
+fn selection_sizes(exact: &[Option<f64>], estimated: &OverlapMap) -> Vec<f64> {
+    exact
+        .iter()
+        .enumerate()
+        .map(|(j, size)| size.unwrap_or_else(|| estimated.join_size(j)))
+        .collect()
+}
+
+/// Provenance of the sizes a freeze selected by: exact join sizes when
+/// every one was `counted`, else whatever the estimator's are.
+fn sizing(estimator: &Estimator, counted: bool) -> Sizing {
+    match estimator {
+        _ if counted => Sizing::Exact,
+        Estimator::Exact => Sizing::Exact,
+        Estimator::Histogram(_) => Sizing::Histogram,
+        Estimator::Walk(_) => Sizing::Walk,
     }
 }
 
@@ -520,10 +544,12 @@ fn reject_knob(set: bool, knob: &str, strategy: &str) -> Result<(), CoreError> {
 }
 
 /// The one place a serving sampler is assembled: validates the
-/// configuration, takes the union parameters and per-join samplers from
-/// `given` or computes them, and freezes the result. Fresh prepares,
-/// [`Strategy::Auto`] and snapshot restores differ only in where
-/// `config` and `given` come from.
+/// configuration, takes the per-join samplers from `given` or builds
+/// them, reads every join size a sampler knows exactly from that
+/// sampler, and consults the estimator (`given.map`, else one pass)
+/// only for the rest — the overlap structure, `|U|`, and the size of
+/// bound-only members. Fresh prepares, [`Strategy::Auto`] and snapshot
+/// restores differ only in where `config` and `given` come from.
 pub(crate) fn freeze(
     workload: Arc<UnionWorkload>,
     config: FreezeConfig,
@@ -539,24 +565,24 @@ pub(crate) fn freeze(
     let n_joins = workload.n_joins();
     let mut estimation_passes = 0u64;
 
-    // A given overlap map replaces the estimation pass (the
-    // estimations-paid counter served workloads assert on).
-    let mut union_map = |params: Option<FrozenParams>, estimator: &Estimator| match params {
-        Some(FrozenParams::Map(map)) => Ok(map),
-        _ => {
-            estimation_passes += 1;
-            estimate(&workload, estimator, root_seed)
-        }
-    };
     // Given samplers are exact-weight, so any other weight kind builds
     // fresh.
     let samplers_for = |weights: WeightKind| match given.samplers {
         Some(s) if weights == WeightKind::Exact && s.len() == n_joins => Ok(s),
         _ => shared_samplers(&workload, weights),
     };
+    // A given overlap map replaces the estimation pass (the
+    // estimations-paid counter served workloads assert on).
+    let overlap = |estimator: &Estimator, samplers: &[Arc<dyn JoinSampler>]| match given.map {
+        Some(map) => Ok(map),
+        None => {
+            estimation_passes += 1;
+            estimate(&workload, estimator, samplers, root_seed)
+        }
+    };
     let default_estimator = Estimator::Histogram(HistogramOptions::default());
 
-    let (kind, frozen_params) = match plan.strategy {
+    let (kind, samplers, map) = match plan.strategy {
         Strategy::Rejection => {
             let estimator = *plan.estimator.get_or_insert(default_estimator);
             let config = UnionSamplerConfig {
@@ -564,17 +590,13 @@ pub(crate) fn freeze(
                 policy: cover_policy.unwrap_or(CoverPolicy::Record),
                 strategy: *plan.cover_strategy.get_or_insert(CoverStrategy::AsGiven),
             };
-            let map = union_map(given.params, &estimator)?;
             let samplers = samplers_for(config.weights)?;
-            let frozen = FrozenParams::Map(map.clone());
-            (
-                PreparedKind::Rejection {
-                    samplers,
-                    map,
-                    config,
-                },
-                Some(frozen),
-            )
+            // Algorithm 1's cover sizes are a function of the whole
+            // map, the estimator's own join sizes included.
+            let map = overlap(&estimator, &samplers)?;
+            let hinted = matches!(estimator, Estimator::Histogram(o) if o.exact_size_hints);
+            plan.sizing = Some(sizing(&estimator, hinted));
+            (PreparedKind::Rejection { config }, samplers, Some(map))
         }
         Strategy::Online(mut config) => {
             // Algorithm 2 always uses wander-join walks with the
@@ -598,13 +620,11 @@ pub(crate) fn freeze(
             }
             plan.strategy = Strategy::Online(config);
             let cover_strategy = *plan.cover_strategy.get_or_insert(CoverStrategy::AsGiven);
-            (
-                PreparedKind::Online {
-                    config,
-                    cover_strategy,
-                },
-                None,
-            )
+            let kind = PreparedKind::Online {
+                config,
+                cover_strategy,
+            };
+            (kind, Vec::new(), None)
         }
         Strategy::Bernoulli(policy) => {
             reject_knob(
@@ -618,17 +638,27 @@ pub(crate) fn freeze(
                 "Strategy::Bernoulli",
             )?;
             let estimator = *plan.estimator.get_or_insert(default_estimator);
-            let map = union_map(given.params, &estimator)?;
             let samplers = samplers_for(*plan.weights.get_or_insert(WeightKind::Exact))?;
-            (
-                PreparedKind::Bernoulli {
-                    samplers,
-                    sizes: (0..n_joins).map(|j| map.join_size(j)).collect(),
-                    union_size: map.union_size(),
-                    policy,
-                },
-                Some(FrozenParams::Map(map)),
-            )
+            let exact = exact_sizes(&samplers);
+            let all_exact = exact.iter().all(Option::is_some);
+            // `|U|` is the one figure no member knows.
+            let map = overlap(&estimator, &samplers)?;
+            let sizes = selection_sizes(&exact, &map);
+            let union_size = if all_exact {
+                // The estimate keeps its overlap information but is
+                // clamped into the bracket exact sizes prove.
+                let max = sizes.iter().cloned().fold(0.0f64, f64::max);
+                map.union_size().clamp(max, sizes.iter().sum())
+            } else {
+                map.union_size()
+            };
+            plan.sizing = Some(sizing(&estimator, all_exact));
+            let kind = PreparedKind::Bernoulli {
+                sizes,
+                union_size,
+                policy,
+            };
+            (kind, samplers, Some(map))
         }
         Strategy::Disjoint => {
             reject_knob(cover_policy.is_some(), "cover_policy", "Strategy::Disjoint")?;
@@ -637,34 +667,20 @@ pub(crate) fn freeze(
                 "cover_strategy",
                 "Strategy::Disjoint",
             )?;
+            let estimator = *plan.estimator.get_or_insert(default_estimator);
             let samplers = samplers_for(*plan.weights.get_or_insert(WeightKind::Exact))?;
-            let frozen = match *plan.estimator.get_or_insert(default_estimator) {
-                // Exact disjoint sampling needs the join sizes only,
-                // never the full map.
-                Estimator::Exact => FrozenParams::Sizes(match given.params {
-                    Some(FrozenParams::Sizes(sizes)) => sizes,
-                    _ => {
-                        estimation_passes += 1;
-                        // Exact-weight samplers already hold the exact
-                        // sizes in their count-table roots (identical
-                        // values to the separate EW pass they replace).
-                        let held: Option<Vec<f64>> = samplers
-                            .iter()
-                            .map(|s| s.as_exact().map(|e| e.exact_size()))
-                            .collect();
-                        match held {
-                            Some(sizes) => sizes,
-                            None => workload.exact_join_sizes()?,
-                        }
-                    }
-                }),
-                other => FrozenParams::Map(union_map(given.params, &other)?),
+            let exact = exact_sizes(&samplers);
+            let (sizes, map) = match exact.iter().copied().collect::<Option<Vec<f64>>>() {
+                // Every member knows its size and a disjoint union has
+                // no overlap to correct for: nothing is estimated.
+                Some(sizes) => (sizes, None),
+                None => {
+                    let map = overlap(&estimator, &samplers)?;
+                    (selection_sizes(&exact, &map), Some(map))
+                }
             };
-            let sizes = match &frozen {
-                FrozenParams::Sizes(sizes) => sizes.clone(),
-                FrozenParams::Map(map) => (0..n_joins).map(|j| map.join_size(j)).collect(),
-            };
-            (PreparedKind::Disjoint { samplers, sizes }, Some(frozen))
+            plan.sizing = Some(sizing(&estimator, map.is_none()));
+            (PreparedKind::Disjoint { sizes }, samplers, map)
         }
         Strategy::Auto => unreachable!("Auto is planned before the freeze"),
     };
@@ -672,11 +688,7 @@ pub(crate) fn freeze(
     // Resident footprint of the frozen pipeline: base relations plus
     // everything the per-join samplers precomputed (hash indexes, count
     // tables, alias arenas).
-    let sampler_bytes: u64 = kind
-        .samplers()
-        .iter()
-        .map(|s| s.memory_bytes() as u64)
-        .sum();
+    let sampler_bytes: u64 = samplers.iter().map(|s| s.memory_bytes() as u64).sum();
     let summary = plan.summary();
     let mut aggregate = RunReport::new(n_joins);
     aggregate.config = Some(summary.clone());
@@ -688,12 +700,13 @@ pub(crate) fn freeze(
         prepared_bytes: workload.memory_bytes() as u64 + sampler_bytes,
         workload,
         kind,
+        samplers,
+        map,
         reject_predicate,
         plan,
         summary,
         root_seed,
         estimation_passes,
-        frozen_params,
         snapshot_bytes,
         restore_time,
         minted: AtomicU64::new(0),
@@ -702,90 +715,28 @@ pub(crate) fn freeze(
     })
 }
 
-/// What a frozen pipeline needs to mint a handle: the estimated
-/// parameters plus the shared per-join samplers (everything immutable);
-/// per-handle record/report state is created fresh at
-/// [`mint`](Self::mint) time.
+/// What a frozen pipeline needs, besides the shared per-join samplers
+/// and the estimator's map, to mint a handle (everything immutable);
+/// per-handle record/report state is created fresh at mint time.
 enum PreparedKind {
-    /// Algorithm 1 (rejection + revision).
-    Rejection {
-        samplers: Vec<Arc<dyn JoinSampler>>,
-        map: OverlapMap,
-        config: UnionSamplerConfig,
-    },
+    /// Algorithm 1 (rejection + revision) over the frozen map.
+    Rejection { config: UnionSamplerConfig },
     /// Algorithm 2: estimates online, so each handle owns its own
     /// estimation state (warm-up consumes the handle's RNG).
     Online {
         config: OnlineConfig,
         cover_strategy: CoverStrategy,
     },
-    /// The §3 Bernoulli union trick.
+    /// The §3 Bernoulli union trick: join `j` fires with probability
+    /// `sizes[j] / union_size`.
     Bernoulli {
-        samplers: Vec<Arc<dyn JoinSampler>>,
         sizes: Vec<f64>,
         union_size: f64,
         policy: DesignationPolicy,
     },
-    /// Disjoint-union sampling (Definition 1).
-    Disjoint {
-        samplers: Vec<Arc<dyn JoinSampler>>,
-        sizes: Vec<f64>,
-    },
-}
-
-impl PreparedKind {
-    /// The shared per-join samplers (none for online pipelines, whose
-    /// handles walk the base relations directly).
-    fn samplers(&self) -> &[Arc<dyn JoinSampler>] {
-        match self {
-            PreparedKind::Rejection { samplers, .. }
-            | PreparedKind::Bernoulli { samplers, .. }
-            | PreparedKind::Disjoint { samplers, .. } => samplers,
-            PreparedKind::Online { .. } => &[],
-        }
-    }
-
-    /// A fresh union sampler over the frozen parts — the only caller of
-    /// the union samplers' constructors.
-    fn mint(
-        &self,
-        workload: &Arc<UnionWorkload>,
-    ) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
-        let workload = workload.clone();
-        Ok(match self {
-            PreparedKind::Rejection {
-                samplers,
-                map,
-                config,
-            } => Box::new(SetUnionSampler::new(
-                workload,
-                map,
-                *config,
-                samplers.clone(),
-            )?),
-            PreparedKind::Online {
-                config,
-                cover_strategy,
-            } => Box::new(OnlineUnionSampler::new(workload, *config, *cover_strategy)),
-            PreparedKind::Bernoulli {
-                samplers,
-                sizes,
-                union_size,
-                policy,
-            } => Box::new(BernoulliUnionSampler::new(
-                workload,
-                sizes,
-                *union_size,
-                samplers.clone(),
-                *policy,
-            )?),
-            PreparedKind::Disjoint { samplers, sizes } => Box::new(DisjointUnionSampler::new(
-                workload,
-                sizes,
-                samplers.clone(),
-            )?),
-        })
-    }
+    /// Disjoint-union sampling (Definition 1): join `j` is selected in
+    /// proportion to `sizes[j]`.
+    Disjoint { sizes: Vec<f64> },
 }
 
 /// Locks a mutex, recovering from poisoning (a panicked sampling
@@ -812,6 +763,14 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct PreparedQuery {
     workload: Arc<UnionWorkload>,
     kind: PreparedKind,
+    /// Per-join samplers built once and shared by every handle (none
+    /// for online pipelines, whose handles walk the base relations).
+    /// They own the join sizes: selection reads `size_info()`.
+    samplers: Vec<Arc<dyn JoinSampler>>,
+    /// The estimator's overlap map, when the freeze consulted one —
+    /// held here only: Algorithm 1 handles are minted over it and
+    /// snapshots persist it, so a restore pays no estimation.
+    map: Option<OverlapMap>,
     /// Reject-mode predicate, compiled per handle (push-down
     /// predicates were already folded into `workload`).
     reject_predicate: Option<Predicate>,
@@ -825,9 +784,6 @@ pub struct PreparedQuery {
     /// Resident bytes of the workload's base relations plus the shared
     /// per-join samplers, stamped into every minted handle's report.
     prepared_bytes: u64,
-    /// The union parameters the freeze committed to, retained so
-    /// snapshots can persist them.
-    frozen_params: Option<FrozenParams>,
     /// Size of the snapshot this pipeline was restored from and wall
     /// time of that restore (both zero when frozen in-process);
     /// stamped into every handle's report for load-vs-prepare
@@ -893,7 +849,34 @@ impl PreparedQuery {
     /// [`Strategy::Online`], the lazily-initialized online estimation
     /// state, which by design is per-handle).
     pub(crate) fn mint(&self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
-        let base = self.kind.mint(&self.workload)?;
+        let (workload, samplers) = (self.workload.clone(), self.samplers.clone());
+        let base: Box<dyn UnionSampler + Send> = match &self.kind {
+            PreparedKind::Rejection { config } => {
+                let map = self
+                    .map
+                    .as_ref()
+                    .expect("a rejection freeze always commits to a map");
+                Box::new(SetUnionSampler::new(workload, map, *config, samplers)?)
+            }
+            PreparedKind::Online {
+                config,
+                cover_strategy,
+            } => Box::new(OnlineUnionSampler::new(workload, *config, *cover_strategy)),
+            PreparedKind::Bernoulli {
+                sizes,
+                union_size,
+                policy,
+            } => Box::new(BernoulliUnionSampler::new(
+                workload,
+                sizes,
+                *union_size,
+                samplers,
+                *policy,
+            )?),
+            PreparedKind::Disjoint { sizes } => {
+                Box::new(DisjointUnionSampler::new(workload, sizes, samplers)?)
+            }
+        };
         let mut sampler: Box<dyn UnionSampler + Send> = match &self.reject_predicate {
             Some(p) => Box::new(PredicateSampler::new(base, p)?),
             None => base,
@@ -992,7 +975,8 @@ impl PreparedQuery {
     }
 
     /// The root of per-handle RNG stream derivation (the builder's
-    /// [`estimation_seed`](SamplerBuilder::estimation_seed)).
+    /// [`estimation_seed`](SamplerBuilder::estimation_seed)), persisted
+    /// by snapshots.
     pub(crate) fn root_seed(&self) -> u64 {
         self.root_seed
     }
@@ -1002,10 +986,10 @@ impl PreparedQuery {
         self.source.as_ref()
     }
 
-    /// The union parameters the freeze committed to (snapshot
-    /// serialization).
-    pub(crate) fn frozen_params(&self) -> Option<&FrozenParams> {
-        self.frozen_params.as_ref()
+    /// The estimator's overlap map the freeze consulted, if any
+    /// (snapshot serialization).
+    pub(crate) fn overlap_map(&self) -> Option<&OverlapMap> {
+        self.map.as_ref()
     }
 
     /// Per-join Exact-Weight artifacts (count tables + alias arenas)
@@ -1014,11 +998,10 @@ impl PreparedQuery {
     /// recomputation or alias rebuild. `None` for online pipelines or
     /// any non-EW member (nothing to persist).
     pub(crate) fn ew_artifacts(&self) -> Option<Vec<suj_join::EwArtifacts>> {
-        let samplers = self.kind.samplers();
-        if samplers.is_empty() {
+        if self.samplers.is_empty() {
             return None;
         }
-        samplers
+        self.samplers
             .iter()
             .map(|s| s.as_exact().map(|e| e.artifacts()))
             .collect()

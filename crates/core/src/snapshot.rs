@@ -3,12 +3,12 @@
 //! A cold replica should serve the first request without re-running
 //! parameter estimation. [`Engine::save_snapshot`] persists the
 //! catalog plus every cached prepared query — its declarative query,
-//! plan tags, root seed, and the *frozen estimated parameters* the
-//! freeze committed to — into the storage layer's sectioned,
+//! plan tags, root seed, and the *estimator's overlap map* the freeze
+//! consulted — into the storage layer's sectioned,
 //! checksummed container ([`suj_storage::snapshot`]).
 //! [`Engine::load_snapshot`] rebuilds the catalog, re-resolves each
-//! query, and re-freezes each pipeline **consuming the restored
-//! parameters instead of estimating**: after a restore,
+//! query, and re-freezes each pipeline **consuming the restored map
+//! instead of estimating**: after a restore,
 //! [`PreparedQuery::estimations`](crate::catalog::PreparedQuery::estimations) is 0 and samples are bit-identical
 //! to the donor engine's for the same root seed and request seed.
 //!
@@ -21,9 +21,9 @@
 //!
 //! | kind | payload |
 //! |------|---------|
-//! | 16 ([`SECTION_ENGINE_META`]) | engine format version `u32`, planner config (`f64`, `u64`, `f64`, `u8`) |
+//! | 16 ([`SECTION_ENGINE_META`]) | engine format version `u32`, planner config (`f64` Bernoulli threshold, `u8` use-statistics) |
 //! | 1 ([`SECTION_RELATION`]) | one relation, in catalog registration order |
-//! | 17 ([`SECTION_PREPARED`]) | one prepared entry: entry id `u32`, query, root seed `u64`, plan, frozen parameters |
+//! | 17 ([`SECTION_PREPARED`]) | one prepared entry: entry id `u32`, query, root seed `u64`, plan, overlap map (if the freeze consulted an estimator) |
 //! | 18 ([`SECTION_EW_ARENAS`]) | entry id `u32` of the prepared entry it belongs to, then its per-join Exact-Weight artifacts (count tables + alias arenas) |
 //!
 //! A plan is stored as its own enums' tags (strategy / estimator /
@@ -37,12 +37,15 @@
 //! query, e.g. [`PreparedQuery::auto`](crate::catalog::PreparedQuery::auto))
 //! are not persisted.
 //!
-//! Frozen parameters are the overlap map (or exact per-join sizes)
-//! the freeze committed to — the restore path's substitute for
-//! estimation. They describe the workload *after* any predicate
-//! push-down rewrite; restoring replays the rewrite deterministically
-//! (it is the first stage of the one prepare pipeline) and hands them
-//! to the freeze as given.
+//! The overlap map is what the freeze asked its estimator for — the
+//! restore path's substitute for estimation; join sizes are not stored
+//! beside it, the freeze reads them from the revived samplers as it
+//! does on a fresh prepare, and stamps the same `sizing=` label. A
+//! pipeline that estimated nothing (disjoint sampling over exact-weight
+//! members, Algorithm 2) stores no map. The map describes the workload
+//! *after* any predicate push-down rewrite; restoring replays the
+//! rewrite deterministically (it is the first stage of the one prepare
+//! pipeline) and hands the map to the freeze as given.
 //!
 //! When every member sampler of a prepared entry is exact-weight, its
 //! factorized count tables and alias arenas travel in a
@@ -58,7 +61,7 @@ use crate::overlap::OverlapMap;
 use crate::planner::{Labeled, Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
 use crate::predicate_mode::PredicateMode;
 use crate::query::{JoinDef, Topology, UnionQuery, UnionSemantics};
-use crate::session::{Estimator, FrozenParams, Given, Strategy};
+use crate::session::{Estimator, Given, Strategy};
 use crate::workload::UnionWorkload;
 use std::path::Path;
 use std::sync::Arc;
@@ -79,9 +82,11 @@ pub const SECTION_PREPARED: u32 = 17;
 /// arenas) of the prepared entry whose id leads the payload.
 pub const SECTION_EW_ARENAS: u32 = 18;
 /// Version of the engine sections' encoding (independent of the
-/// container version). Version 2 stores plans through their enums'
-/// tags with the planning statistics, and pairs arenas by entry id.
-pub const ENGINE_FORMAT_VERSION: u32 = 2;
+/// container version). Version 3 stores the two planner settings a
+/// deployment can change and, per prepared entry, the estimator's
+/// overlap map alone (version 2 carried four planner fields, an
+/// exact-sizes flag and a second copy of the join sizes).
+pub const ENGINE_FORMAT_VERSION: u32 = 3;
 
 fn corrupt(what: &str, got: impl std::fmt::Display) -> SnapshotError {
     SnapshotError::Corrupt(format!("{what}: unexpected value {got}"))
@@ -233,9 +238,8 @@ fn encode_plan(plan: &Plan, w: &mut ByteWriter) -> Result<(), SnapshotError> {
     let stats = &plan.stats;
     w.put_u64(stats.total_base_rows as u64);
     w.put_u32(stats.n_joins as u32);
-    w.put_u8(u8::from(stats.exact_sizes));
     // The size hints exist together (the probe sets both) or not at all.
-    match (&stats.join_size_hints, stats.union_size_hint) {
+    match (&stats.size_hints, stats.union_size_hint) {
         (Some(hints), Some(union)) => {
             w.put_u8(1);
             w.put_f64(union);
@@ -246,8 +250,9 @@ fn encode_plan(plan: &Plan, w: &mut ByteWriter) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Inverse of [`encode_plan`]. The predicate mode is left unset: the
-/// prepare pipeline derives it from the query.
+/// Inverse of [`encode_plan`]. The predicate mode and the sizing label
+/// are left unset: the prepare pipeline derives the one from the query
+/// and stamps the other from the sizes it reads.
 fn decode_plan(r: &mut ByteReader<'_>) -> Result<Plan, SnapshotError> {
     let tag = r.get_u8()?;
     let strategy = Strategy::from_tag(tag).ok_or_else(|| corrupt("strategy tag", tag))?;
@@ -259,17 +264,12 @@ fn decode_plan(r: &mut ByteReader<'_>) -> Result<Plan, SnapshotError> {
     let total_base_rows = usize::try_from(r.get_u64()?)
         .map_err(|_| SnapshotError::Corrupt("total_base_rows overflow".into()))?;
     let n_joins = r.get_u32()? as usize;
-    let exact_sizes = match r.get_u8()? {
-        0 => false,
-        1 => true,
-        other => return Err(corrupt("exact-sizes flag", other)),
-    };
-    let (union_size_hint, join_size_hints) = match r.get_u8()? {
+    let (union_size_hint, size_hints) = match r.get_u8()? {
         0 => (None, None),
         1 => (Some(r.get_f64()?), Some(r.get_f64_slab()?)),
         other => return Err(corrupt("statistics flag", other)),
     };
-    if join_size_hints.as_ref().is_some_and(|h| h.len() != n_joins) {
+    if size_hints.as_ref().is_some_and(|h| h.len() != n_joins) {
         return Err(SnapshotError::Corrupt(
             "size hints do not cover every join".into(),
         ));
@@ -280,25 +280,25 @@ fn decode_plan(r: &mut ByteReader<'_>) -> Result<Plan, SnapshotError> {
         weights,
         cover_strategy,
         predicate_mode: None,
+        sizing: None,
         rule,
         stats: WorkloadStats {
-            join_size_hints,
+            size_hints,
             union_size_hint,
             total_base_rows,
             n_joins,
-            exact_sizes,
         },
     })
 }
 
 // ---------------------------------------------------------------------
-// Frozen-parameter codec
+// Overlap-map codec
 // ---------------------------------------------------------------------
 
-fn encode_frozen(params: Option<&FrozenParams>, w: &mut ByteWriter) {
-    match params {
+fn encode_map(map: Option<&OverlapMap>, w: &mut ByteWriter) {
+    match map {
         None => w.put_u8(0),
-        Some(FrozenParams::Map(map)) => {
+        Some(map) => {
             w.put_u8(1);
             let n = map.n();
             w.put_u32(n as u32);
@@ -315,33 +315,20 @@ fn encode_frozen(params: Option<&FrozenParams>, w: &mut ByteWriter) {
                 .collect();
             w.put_f64_slab(&sizes);
         }
-        Some(FrozenParams::Sizes(sizes)) => {
-            w.put_u8(2);
-            w.put_f64_slab(sizes);
-        }
     }
 }
 
-fn decode_frozen(r: &mut ByteReader<'_>) -> Result<Option<FrozenParams>, SnapshotError> {
+fn decode_map(r: &mut ByteReader<'_>) -> Result<Option<OverlapMap>, SnapshotError> {
     match r.get_u8()? {
         0 => Ok(None),
         1 => {
             let n = r.get_u32()? as usize;
             let sizes = r.get_f64_slab()?;
-            let map = OverlapMap::new(n, sizes)
-                .map_err(|e| SnapshotError::Corrupt(format!("invalid overlap map: {e}")))?;
-            Ok(Some(FrozenParams::Map(map)))
+            OverlapMap::new(n, sizes)
+                .map(Some)
+                .map_err(|e| SnapshotError::Corrupt(format!("invalid overlap map: {e}")))
         }
-        2 => {
-            let sizes = r.get_f64_slab()?;
-            if sizes.iter().any(|s| !s.is_finite() || *s < 0.0) {
-                return Err(SnapshotError::Corrupt(
-                    "frozen join sizes must be finite and non-negative".into(),
-                ));
-            }
-            Ok(Some(FrozenParams::Sizes(sizes)))
-        }
-        other => Err(corrupt("frozen-params tag", other)),
+        other => Err(corrupt("overlap-map tag", other)),
     }
 }
 
@@ -452,8 +439,8 @@ fn snapshot_fallback_eligible(e: &CoreError) -> bool {
 
 impl Engine {
     /// Serializes this engine — catalog relations plus every cached
-    /// prepared query with its frozen estimated parameters — into the
-    /// sectioned snapshot container.
+    /// prepared query with the overlap map its freeze consulted — into
+    /// the sectioned snapshot container.
     ///
     /// Prepared entries that did not come through the engine (no
     /// source query) are skipped; everything else restores via
@@ -467,8 +454,6 @@ impl Engine {
         meta.put_u32(ENGINE_FORMAT_VERSION);
         let config = self.planner().config();
         meta.put_f64(config.bernoulli_max_overlap_ratio);
-        meta.put_u64(config.exact_max_base_rows as u64);
-        meta.put_f64(config.skewed_cover_ratio);
         meta.put_u8(u8::from(config.use_statistics));
         sections.push((SECTION_ENGINE_META, meta.into_bytes()));
 
@@ -489,7 +474,7 @@ impl Engine {
             encode_query(query, &mut w);
             w.put_u64(prepared.root_seed());
             encode_plan(prepared.plan(), &mut w)?;
-            encode_frozen(prepared.frozen_params(), &mut w);
+            encode_map(prepared.overlap_map(), &mut w);
             sections.push((SECTION_PREPARED, w.into_bytes()));
             // Exact-weight pipelines also persist their count tables
             // and alias arenas under the entry's id, so a restore
@@ -580,9 +565,6 @@ impl Engine {
         }
         let planner_config = PlannerConfig {
             bernoulli_max_overlap_ratio: r.get_f64()?,
-            exact_max_base_rows: usize::try_from(r.get_u64()?)
-                .map_err(|_| SnapshotError::Corrupt("exact_max_base_rows overflow".into()))?,
-            skewed_cover_ratio: r.get_f64()?,
             use_statistics: r.get_u8()? != 0,
         };
 
@@ -622,7 +604,7 @@ impl Engine {
             let query = decode_query(&mut r)?;
             let root_seed = r.get_u64()?;
             let plan = decode_plan(&mut r)?;
-            let params = decode_frozen(&mut r)?;
+            let map = decode_map(&mut r)?;
             let artifacts = match arenas.remove(&id) {
                 Some(mut r) => Some(decode_ew_artifacts(&mut r)?),
                 None => None,
@@ -631,14 +613,15 @@ impl Engine {
             // already computed for the rewritten workload given instead
             // of probed.
             let restored = engine.prepare_via(&query, root_seed, |workload, _| {
-                if plan.stats.n_joins != workload.n_joins() {
+                let n = workload.n_joins();
+                if plan.stats.n_joins != n || map.as_ref().is_some_and(|m| m.n() != n) {
                     return Err(CoreError::Snapshot(corrupt(
                         "planned join count",
                         plan.stats.n_joins,
                     )));
                 }
                 let given = Given {
-                    params,
+                    map,
                     samplers: artifacts.map(|a| revive(workload, a)).transpose()?,
                     restore: Some((snapshot_bytes, start)),
                 };
@@ -725,6 +708,15 @@ mod tests {
         ))
         .unwrap();
         Engine::new(c)
+    }
+
+    /// The sections of a snapshot, owned, so a test can patch one.
+    fn owned_sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
+        read_sections(bytes)
+            .unwrap()
+            .into_iter()
+            .map(|(kind, payload)| (kind, payload.to_vec()))
+            .collect()
     }
 
     fn shop_query() -> UnionQuery {
@@ -953,17 +945,38 @@ mod tests {
         // format 1) must be refused up front, never half-decoded.
         let engine = shop_engine();
         engine.prepare(&shop_query()).unwrap();
-        let bytes = engine.snapshot_to_bytes().unwrap();
-        let mut sections: Vec<(u32, Vec<u8>)> = read_sections(&bytes)
-            .unwrap()
-            .into_iter()
-            .map(|(kind, payload)| (kind, payload.to_vec()))
-            .collect();
+        let mut sections = owned_sections(&engine.snapshot_to_bytes().unwrap());
         assert_eq!(sections[0].0, SECTION_ENGINE_META);
         sections[0].1[..4].copy_from_slice(&1u32.to_le_bytes());
         assert!(matches!(
             Engine::load_snapshot_bytes(&write_sections(&sections)),
             Err(CoreError::Snapshot(SnapshotError::UnsupportedVersion(1)))
+        ));
+    }
+
+    #[test]
+    fn a_map_over_another_join_count_is_corrupt_not_a_panic() {
+        // The entry re-encoded with a one-join map in place of its own:
+        // selection would index the map by join.
+        let engine = shop_engine();
+        let prepared = engine.prepare(&shop_query()).unwrap();
+        let mut entry = ByteWriter::new();
+        entry.put_u32(0);
+        encode_query(&shop_query(), &mut entry);
+        entry.put_u64(prepared.root_seed());
+        encode_plan(prepared.plan(), &mut entry).unwrap();
+        let one_join = OverlapMap::new(1, vec![0.0, 3.0]).unwrap();
+        encode_map(Some(&one_join), &mut entry);
+
+        let mut sections = owned_sections(&engine.snapshot_to_bytes().unwrap());
+        let slot = sections
+            .iter_mut()
+            .find(|(kind, _)| *kind == SECTION_PREPARED)
+            .unwrap();
+        slot.1 = entry.into_bytes();
+        assert!(matches!(
+            Engine::load_snapshot_bytes(&write_sections(&sections)),
+            Err(CoreError::Snapshot(SnapshotError::Corrupt(_)))
         ));
     }
 

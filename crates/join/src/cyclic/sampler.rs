@@ -48,7 +48,7 @@
 use super::cover::{agm_bound, FractionalEdgeCover};
 use crate::error::JoinError;
 use crate::spec::JoinSpec;
-use crate::weights::{JoinSampler, RowDraw};
+use crate::weights::{JoinSampler, RowDraw, SizeInfo};
 use std::cell::RefCell;
 use std::sync::Arc;
 use suj_stats::SujRng;
@@ -343,8 +343,11 @@ impl JoinSampler for CyclicJoinSampler {
     /// `AGM(root) · Π_i max_block_i` — an upper bound on the bag-join
     /// size, and the inverse of the per-attempt acceptance probability
     /// of any fixed result row combination.
-    fn join_size_hint(&self) -> f64 {
-        self.size_bound
+    fn size_info(&self) -> SizeInfo {
+        SizeInfo {
+            bound: self.size_bound,
+            exact: None,
+        }
     }
 }
 
@@ -513,7 +516,7 @@ mod tests {
         let sampler = CyclicJoinSampler::new(triangle()).unwrap();
         let result = execute(sampler.spec());
         let members: std::collections::HashSet<_> = result.tuples().iter().cloned().collect();
-        assert!(sampler.join_size_hint() >= result.tuples().len() as f64);
+        assert!(sampler.size_info().bound >= result.tuples().len() as f64);
         let mut rng = SujRng::seed_from_u64(123);
         let mut seen = 0;
         for _ in 0..50_000 {
@@ -557,7 +560,7 @@ mod tests {
         let out = execute(&spec).tuples().len();
         assert!(out > 0, "the random graph has no triangle");
         let sampler = CyclicJoinSampler::new(spec).unwrap();
-        let expected = out as f64 / sampler.join_size_hint();
+        let expected = out as f64 / sampler.size_info().bound;
 
         const ATTEMPTS: usize = 50_000;
         let mut rng = SujRng::seed_from_u64(42);
@@ -587,7 +590,7 @@ mod tests {
             .unwrap(),
         );
         let sampler = CyclicJoinSampler::new(spec).unwrap();
-        assert_eq!(sampler.join_size_hint(), 0.0);
+        assert_eq!(sampler.size_info().bound, 0.0);
         let mut rng = SujRng::seed_from_u64(1);
         let mut draw = RowDraw::new();
         for _ in 0..100 {
@@ -613,6 +616,6 @@ mod tests {
         // Triangle of 4-row duplicate-free relations: 4^{3/2} = 8.
         let sampler = CyclicJoinSampler::new(triangle()).unwrap();
         assert_eq!(sampler.agm_root(), 8.0);
-        assert_eq!(sampler.join_size_hint(), 8.0); // max blocks all 1
+        assert_eq!(sampler.size_info().bound, 8.0); // max blocks all 1
     }
 }

@@ -50,7 +50,7 @@
 //!
 //! // Exact-weight sampling: uniform over the join result, no rejection.
 //! let sampler = build_sampler(spec, WeightKind::Exact)?;
-//! assert_eq!(sampler.join_size_hint(), 2.0);
+//! assert_eq!(sampler.size_info().exact, Some(2));
 //! let mut rng = SujRng::seed_from_u64(1);
 //! match sampler.sample(&mut rng) {
 //!     SampleOutcome::Accepted(t) => assert_eq!(t.arity(), 3),

@@ -17,7 +17,7 @@
 
 use crate::error::JoinError;
 use crate::spec::JoinSpec;
-use crate::weights::{with_draw_scratch, JoinSampler, Prepared, RowDraw};
+use crate::weights::{with_draw_scratch, JoinSampler, Prepared, RowDraw, SizeInfo};
 use std::sync::Arc;
 use suj_stats::{HorvitzThompson, SujRng};
 use suj_storage::{Tuple, NO_KEY};
@@ -206,8 +206,11 @@ impl JoinSampler for WanderSampler {
         self.wander.materialize(draw)
     }
 
-    fn join_size_hint(&self) -> f64 {
-        self.wander.bound
+    fn size_info(&self) -> SizeInfo {
+        SizeInfo {
+            bound: self.wander.bound,
+            exact: None,
+        }
     }
 }
 

@@ -172,18 +172,11 @@ pub trait JoinSampler: Send + Sync {
     /// schema order.
     fn materialize(&self, draw: &RowDraw) -> Tuple;
 
-    /// Size information implied by the weights: the exact join size for
-    /// EW on acyclic joins, an upper bound otherwise.
-    fn join_size_hint(&self) -> f64;
-
-    /// Structured size report: the bound plus the exact integer size
-    /// when the sampler knows it. The default reports no exact size.
-    fn size_info(&self) -> SizeInfo {
-        SizeInfo {
-            bound: self.join_size_hint(),
-            exact: None,
-        }
-    }
+    /// The join size implied by the weights — the one place a join's
+    /// size is read from: the normaliser this sampler rejects against
+    /// (always an upper bound), plus the exact integer size when the
+    /// sampler knows it.
+    fn size_info(&self) -> SizeInfo;
 
     /// Heap bytes owned by the sampler's prepared structures (hash
     /// indexes, encoded edge keys, count tables, alias arenas). Base
@@ -640,24 +633,6 @@ impl ExactWeightSampler {
         }
     }
 
-    /// The exact join size for acyclic joins; for cyclic joins this is
-    /// the spanning-join size, an upper bound on the true size.
-    pub fn exact_size(&self) -> f64 {
-        self.total as f64
-    }
-
-    /// The exact integer join size, when known (acyclic spec, no u64
-    /// saturation in the count DP).
-    pub fn exact_size_u64(&self) -> Option<u64> {
-        self.exact.then_some(self.total)
-    }
-
-    /// Whether [`ExactWeightSampler::exact_size`] is the true join size
-    /// (acyclic specs, no saturation) rather than an upper bound.
-    pub fn size_is_exact(&self) -> bool {
-        self.exact
-    }
-
     /// Per-row result counts of relation `i` (exposed for tests and
     /// the EO comparison benches).
     pub fn counts_of(&self, i: usize) -> &[u64] {
@@ -771,10 +746,8 @@ impl JoinSampler for ExactWeightSampler {
         self.prepared.materialize(&draw.rows)
     }
 
-    fn join_size_hint(&self) -> f64 {
-        self.total as f64
-    }
-
+    /// The spanning-join size: exact on acyclic specs whose count DP
+    /// did not saturate, an upper bound otherwise.
     fn size_info(&self) -> SizeInfo {
         SizeInfo {
             bound: self.total as f64,
@@ -853,16 +826,6 @@ impl OlkenSampler {
             bound,
         })
     }
-
-    /// The sampler's join-size upper bound (`|live roots| · Π M`).
-    pub fn bound(&self) -> f64 {
-        self.bound
-    }
-
-    /// Number of root rows surviving dangling elimination.
-    pub fn live_root_count(&self) -> usize {
-        self.live_roots.len()
-    }
 }
 
 impl JoinSampler for OlkenSampler {
@@ -901,8 +864,11 @@ impl JoinSampler for OlkenSampler {
         self.prepared.materialize(&draw.rows)
     }
 
-    fn join_size_hint(&self) -> f64 {
-        self.bound
+    fn size_info(&self) -> SizeInfo {
+        SizeInfo {
+            bound: self.bound,
+            exact: None,
+        }
     }
 
     fn memory_bytes(&self) -> usize {
@@ -939,7 +905,9 @@ pub fn exact_join_size(spec: &JoinSpec) -> Result<f64, JoinError> {
     if has_graph_cycle(spec) {
         Ok(execute(spec).len() as f64)
     } else {
-        Ok(ExactWeightSampler::new(Arc::new(spec.clone()))?.exact_size())
+        Ok(ExactWeightSampler::new(Arc::new(spec.clone()))?
+            .size_info()
+            .bound)
     }
 }
 
@@ -988,10 +956,10 @@ mod tests {
     fn ew_total_matches_execution() {
         let spec = skewed_chain();
         let sampler = ExactWeightSampler::new(spec.clone()).unwrap();
-        let actual = execute(&spec).len() as f64;
-        assert_eq!(sampler.exact_size(), actual);
-        assert_eq!(sampler.join_size_hint(), actual);
-        assert!(sampler.size_is_exact());
+        let actual = execute(&spec).len() as u64;
+        let size = sampler.size_info();
+        assert_eq!(size.exact, Some(actual));
+        assert_eq!(size.bound, actual as f64);
     }
 
     #[test]
@@ -1066,15 +1034,17 @@ mod tests {
         let spec = skewed_chain();
         let eo = OlkenSampler::new(spec.clone()).unwrap();
         let ew = ExactWeightSampler::new(spec).unwrap();
-        assert!(eo.bound() >= ew.exact_size());
+        assert!(eo.size_info().bound >= ew.size_info().bound);
+        assert_eq!(eo.size_info().exact, None);
     }
 
     #[test]
     fn eo_dangling_elimination_shrinks_bound() {
-        // Root row with b=30 has no match in s: live roots = 3 of 4.
+        // Root row with b=30 has no match in s: 3 of 4 roots are live,
+        // times the max degrees M_b(s) = 3 and M_c(t) = 2.
         let spec = skewed_chain();
         let eo = OlkenSampler::new(spec).unwrap();
-        assert_eq!(eo.live_root_count(), 3);
+        assert_eq!(eo.size_info().bound, 3.0 * 3.0 * 2.0);
     }
 
     #[test]
@@ -1155,9 +1125,9 @@ mod tests {
         assert_eq!(exact_join_size(&spec).unwrap(), actual);
         // The EW hint on a cyclic spec is the spanning-join size — an
         // upper bound, flagged as inexact.
-        let ew = ExactWeightSampler::new(spec).unwrap();
-        assert!(!ew.size_is_exact());
-        assert!(ew.join_size_hint() >= actual);
+        let size = ExactWeightSampler::new(spec).unwrap().size_info();
+        assert_eq!(size.exact, None);
+        assert!(size.bound >= actual);
     }
 
     #[test]
@@ -1266,7 +1236,7 @@ mod tests {
             .unwrap(),
         );
         let sampler = ExactWeightSampler::new(spec).unwrap();
-        assert_eq!(sampler.exact_size(), 3.0);
+        assert_eq!(sampler.size_info().exact, Some(3));
         assert_uniform(&sampler, 5);
     }
 
@@ -1347,7 +1317,7 @@ mod tests {
     fn dangling_heavy_cascade_samples_uniformly() {
         let spec = dangling_heavy_chain();
         let sampler = ExactWeightSampler::new(spec.clone()).unwrap();
-        assert_eq!(sampler.exact_size_u64(), Some(execute(&spec).len() as u64));
+        assert_eq!(sampler.size_info().exact, Some(execute(&spec).len() as u64));
         assert_uniform(&sampler, 52);
         assert_uniform_linear(&sampler, 53);
     }
@@ -1457,11 +1427,10 @@ mod tests {
             let sampler = ExactWeightSampler::new(spec.clone()).unwrap();
             let actual = execute(&spec).len() as u64;
             assert_eq!(
-                sampler.exact_size_u64(),
+                sampler.size_info().exact,
                 Some(actual),
                 "trial {trial}: DP size disagrees with brute force"
             );
-            assert_eq!(sampler.size_info().exact, Some(actual));
             assert_eq!(sampler.size_info().bound, actual as f64);
         }
     }
@@ -1483,8 +1452,6 @@ mod tests {
             .collect();
         let spec = Arc::new(JoinSpec::chain("wide", relations).unwrap());
         let sampler = ExactWeightSampler::new(spec).unwrap();
-        assert!(!sampler.size_is_exact());
-        assert_eq!(sampler.exact_size_u64(), None);
         assert_eq!(sampler.size_info().exact, None);
         assert_eq!(sampler.counts_of(0)[0], u64::MAX, "saturate, not wrap");
         let mut rng = SujRng::seed_from_u64(4);
@@ -1505,7 +1472,7 @@ mod tests {
         let sampler = ExactWeightSampler::new(spec.clone()).unwrap();
         let artifacts = sampler.artifacts();
         let restored = ExactWeightSampler::from_artifacts(spec.clone(), artifacts).unwrap();
-        assert_eq!(restored.exact_size_u64(), sampler.exact_size_u64());
+        assert_eq!(restored.size_info(), sampler.size_info());
         // Same artifacts ⇒ bit-identical draw streams.
         let mut ra = SujRng::seed_from_u64(33);
         let mut rb = SujRng::seed_from_u64(33);

@@ -61,7 +61,6 @@ fn restore_from_artifacts_builds_no_aliases() {
         "from_artifacts must not rebuild any alias table"
     );
 
-    assert_eq!(restored.exact_size_u64(), sampler.exact_size_u64());
     assert_eq!(restored.size_info(), sampler.size_info());
     assert_eq!(restored.memory_bytes(), sampler.memory_bytes());
 

@@ -15,8 +15,8 @@
 //!   file and serves `Sample` requests bit-identical to the original
 //!   engine, without re-running estimation.
 //!
-//! Determinism is end-to-end: for a given prepared query, service
-//! root seed, and request seed, the drawn samples are byte-identical
+//! Determinism is end-to-end: for a given prepared query (which owns
+//! the root seed) and request seed, the drawn samples are byte-identical
 //! whether obtained in-process via
 //! [`PreparedQuery::sample`](suj_core::catalog::PreparedQuery::sample),
 //! over TCP, or from a restored replica.

@@ -12,11 +12,11 @@
 //! of unbounded buffering inside the server.
 //!
 //! Determinism is preserved across the wire: a `Sample` frame carries
-//! an explicit seed, the worker derives its RNG stream from
-//! `(root_seed, seed)` exactly as the in-process path does, so the
-//! same prepared query + root seed + request seed yields bit-identical
-//! samples whether sampled in-process, over TCP, or on a
-//! snapshot-restored replica.
+//! an explicit seed and the worker draws from the prepared query's own
+//! `rng(seed)`, the stream the in-process path draws from, so the same
+//! prepared query + request seed yields bit-identical samples whether
+//! sampled in-process, over TCP, or on a snapshot-restored replica
+//! (whose snapshot carries the query's root seed).
 //!
 //! # Failure containment
 //!

@@ -443,8 +443,6 @@ pub struct HashIndex {
     /// `row_ids[offsets[k] .. offsets[k + 1]]`, in insertion order.
     offsets: Vec<u32>,
     row_ids: Vec<u32>,
-    /// Per base-relation row: its encoded key id (every row has one).
-    row_keys: Vec<u32>,
     max_degree: usize,
 }
 
@@ -529,7 +527,6 @@ impl HashIndex {
             probe,
             offsets,
             row_ids,
-            row_keys,
             max_degree,
         }
     }
@@ -685,12 +682,6 @@ impl HashIndex {
         })
     }
 
-    /// The encoded key id of base-relation row `rid`.
-    #[inline]
-    pub fn key_id_of_row(&self, rid: u32) -> u32 {
-        self.row_keys[rid as usize]
-    }
-
     /// CSR postings of key id `kid`: matching row ids in insertion
     /// order.
     #[inline]
@@ -774,7 +765,7 @@ impl HashIndex {
             // map is owned.
             Probe::StrCodes { code_kid, .. } => code_kid.len() * 4,
         };
-        dict + probe_bytes + (self.offsets.len() + self.row_ids.len() + self.row_keys.len()) * 4
+        dict + probe_bytes + (self.offsets.len() + self.row_ids.len()) * 4
     }
 }
 
@@ -941,12 +932,6 @@ mod tests {
         assert_eq!(idx.key_id(&[Value::int(7)]), None);
         // Wrong arity can never match.
         assert_eq!(idx.key_id(&[Value::int(1), Value::int(1)]), None);
-        // Row → key id mapping covers every row.
-        for rid in 0..r.len() as u32 {
-            let kid = idx.key_id_of_row(rid);
-            assert_eq!(idx.key_values(kid), &[r.column(0).value(rid as usize)]);
-            assert!(idx.postings(kid).contains(&rid));
-        }
     }
 
     #[test]

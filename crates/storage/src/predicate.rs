@@ -155,28 +155,6 @@ impl Predicate {
             Predicate::Not(child) => Node::Not(Box::new(child.compile_node(schema)?)),
         })
     }
-
-    /// Attribute names referenced by this predicate.
-    pub fn referenced_attrs(&self) -> Vec<Arc<str>> {
-        let mut out = Vec::new();
-        self.collect_attrs(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_attrs(&self, out: &mut Vec<Arc<str>>) {
-        match self {
-            Predicate::True => {}
-            Predicate::Compare { attr, .. } => out.push(attr.clone()),
-            Predicate::And(cs) | Predicate::Or(cs) => {
-                for c in cs {
-                    c.collect_attrs(out);
-                }
-            }
-            Predicate::Not(c) => c.collect_attrs(out),
-        }
-    }
 }
 
 /// A packed row-selection bitmap: bit `i` set means row `i` passes.
@@ -531,17 +509,6 @@ mod tests {
     fn unknown_attribute_fails_compile() {
         let s = schema();
         assert!(Predicate::eq("zz", Value::int(1)).compile(&s).is_err());
-    }
-
-    #[test]
-    fn referenced_attrs_deduplicated() {
-        let p = Predicate::And(vec![
-            Predicate::eq("a", Value::int(1)),
-            Predicate::eq("b", Value::int(2)),
-            Predicate::eq("a", Value::int(3)),
-        ]);
-        let attrs = p.referenced_attrs();
-        assert_eq!(attrs.len(), 2);
     }
 
     #[test]

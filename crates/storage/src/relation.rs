@@ -276,26 +276,6 @@ impl Relation {
         })
     }
 
-    /// Vertical split: returns two relations covering `left_attrs` and
-    /// `right_attrs` (each may repeat the linking attribute so the halves
-    /// can be re-joined). Duplicates are removed from each half so the
-    /// natural join of the halves is lossless when the shared attributes
-    /// functionally determine each half.
-    pub fn split_vertical(
-        &self,
-        left_name: impl AsRef<str>,
-        left_attrs: &[&str],
-        right_name: impl AsRef<str>,
-        right_attrs: &[&str],
-    ) -> Result<(Relation, Relation), StorageError> {
-        let left = self.project_distinct(left_name, left_attrs)?;
-        let right = self.project_distinct(right_name, right_attrs)?;
-        Ok((
-            left.with_original_size(self.len()),
-            right.with_original_size(self.len()),
-        ))
-    }
-
     /// Horizontal split at `fraction` (0..=1): the first relation keeps
     /// the leading `fraction` of rows, the second keeps the rest.
     pub fn split_horizontal(
@@ -371,11 +351,6 @@ pub struct RowRef<'a> {
 }
 
 impl<'a> RowRef<'a> {
-    /// The row id within the relation.
-    pub fn row_id(&self) -> usize {
-        self.row
-    }
-
     /// The relation this row belongs to.
     pub fn relation(&self) -> &'a Relation {
         self.relation
@@ -566,7 +541,6 @@ mod tests {
         assert!(row.get(0).eq_value(&Value::int(2)));
         assert_eq!(row.value(1), Value::int(20));
         assert_eq!(row.to_tuple(), tuple![2i64, 20i64]);
-        assert_eq!(row.row_id(), 1);
         // Structural equality across row ids.
         assert_eq!(r.row_ref(1), r.row_ref(2));
         assert_ne!(r.row_ref(0), r.row_ref(1));
@@ -604,23 +578,6 @@ mod tests {
     fn project_unknown_attr_fails() {
         let r = sample_relation();
         assert!(r.project("p", &["missing"]).is_err());
-    }
-
-    #[test]
-    fn vertical_split_preserves_link_attribute() {
-        let schema = Schema::new(["a", "b", "c"]).unwrap();
-        let r = Relation::new(
-            "r",
-            schema,
-            vec![tuple![1i64, 2i64, 3i64], tuple![4i64, 5i64, 6i64]],
-        )
-        .unwrap();
-        let (l, rr) = r
-            .split_vertical("l", &["a", "b"], "r2", &["b", "c"])
-            .unwrap();
-        assert!(l.schema().contains("b"));
-        assert!(rr.schema().contains("b"));
-        assert_eq!(l.original_size(), 2);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl Schema {
         Schema::new(names.iter().map(|a| a.as_ref()))
     }
 
-    /// Positions of `names` within this schema, failing on any miss.
-    pub fn positions_of(&self, names: &[Arc<str>]) -> Result<Vec<usize>, StorageError> {
-        names.iter().map(|n| self.require(n)).collect()
-    }
-
     /// A new schema with attributes renamed through `f`.
     pub fn rename(&self, mut f: impl FnMut(&str) -> String) -> Result<Schema, StorageError> {
         Schema::new(self.attrs.iter().map(|a| f(a)))
@@ -201,13 +196,6 @@ mod tests {
         let c = Schema::new(["x", "y"]).unwrap();
         assert_ne!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn positions_of_reports_missing() {
-        let s = Schema::new(["a", "b"]).unwrap();
-        let names = [Arc::from("a"), Arc::from("nope")];
-        assert!(s.positions_of(&names).is_err());
     }
 
     #[test]

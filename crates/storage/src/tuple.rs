@@ -76,16 +76,6 @@ impl Tuple {
         vals.extend_from_slice(&other.values);
         Tuple::new(vals)
     }
-
-    /// Concatenates through a reusable scratch buffer (see
-    /// [`Tuple::project_into`]).
-    pub fn concat_into(&self, other: &Tuple, scratch: &mut Vec<Value>) -> Tuple {
-        scratch.clear();
-        scratch.reserve(self.arity() + other.arity());
-        scratch.extend_from_slice(&self.values);
-        scratch.extend_from_slice(&other.values);
-        Tuple::from_slice(scratch)
-    }
 }
 
 impl Deref for Tuple {
@@ -182,14 +172,6 @@ mod tests {
     fn from_slice_equals_new() {
         let vals = vec![Value::int(1), Value::str("x")];
         assert_eq!(Tuple::from_slice(&vals), Tuple::new(vals));
-    }
-
-    #[test]
-    fn concat_into_matches_concat() {
-        let a = tuple![1i64, 2i64];
-        let b = tuple!["x"];
-        let mut scratch = Vec::new();
-        assert_eq!(a.concat_into(&b, &mut scratch), a.concat(&b));
     }
 
     #[test]

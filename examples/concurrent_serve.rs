@@ -9,8 +9,8 @@
 //! 4. read the service counters (throughput, queue, p50/p99 draw
 //!    latency),
 //! 5. verify the determinism contract: re-serving the same request ids
-//!    under the same root seed reproduces every sample bit for bit,
-//!    regardless of worker count.
+//!    against the same prepared query reproduces every sample bit for
+//!    bit, regardless of worker count.
 //!
 //! Run with: `cargo run --release --example concurrent_serve`
 
@@ -32,10 +32,7 @@ fn serve_once(engine: &Engine, workers: usize) -> Vec<SampleResponse> {
         prepared.plan().summary()
     );
 
-    let service = SamplingService::start(
-        engine.clone(),
-        ServiceConfig::with_workers(workers).root_seed(42),
-    );
+    let service = SamplingService::start(engine.clone(), ServiceConfig::with_workers(workers));
     let requests = (0..32u64)
         .map(|id| SampleRequest::prepared(id, 25, &prepared))
         .collect();
@@ -71,7 +68,7 @@ fn main() {
     let single = serve_once(&engine, 1);
     let pooled = serve_once(&engine, ServiceConfig::default().workers.max(2));
 
-    // Determinism contract: same root seed + same request ids ⇒
+    // Determinism contract: same prepared query + same request ids ⇒
     // identical per-request samples, whatever the interleaving.
     assert_eq!(single.len(), pooled.len());
     for (a, b) in single.iter().zip(&pooled) {

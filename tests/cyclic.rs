@@ -200,10 +200,7 @@ fn serve(
     requests: u64,
 ) -> Vec<SampleResponse> {
     let prepared = engine.prepare(query).unwrap();
-    let service = SamplingService::start(
-        engine.clone(),
-        ServiceConfig::with_workers(workers).root_seed(2023),
-    );
+    let service = SamplingService::start(engine.clone(), ServiceConfig::with_workers(workers));
     let batch = (0..requests)
         .map(|id| SampleRequest::prepared(id, 16, &prepared))
         .collect();
@@ -215,7 +212,7 @@ fn serve(
     responses
 }
 
-/// Same root seed + request ids ⇒ bit-identical samples at any worker
+/// Same prepared query + request ids ⇒ bit-identical samples at any worker
 /// count, for both cyclic shapes.
 #[test]
 fn cyclic_serving_is_worker_count_invariant() {
@@ -268,9 +265,9 @@ proptest! {
         let sampler = CyclicJoinSampler::new(spec.clone()).unwrap();
         let members: FxHashSet<Tuple> = execute(&spec).tuples().iter().cloned().collect();
         prop_assert!(
-            sampler.join_size_hint() + 1e-9 >= members.len() as f64,
+            sampler.size_info().bound + 1e-9 >= members.len() as f64,
             "AGM hint {} below OUT {}",
-            sampler.join_size_hint(),
+            sampler.size_info().bound,
             members.len()
         );
         let mut rng = SujRng::seed_from_u64(seed);

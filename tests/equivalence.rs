@@ -340,7 +340,7 @@ fn rule_cases() -> Vec<RuleCase> {
             auto: true,
             golden: (
                 "strategy=rejection estimator=exact weights=agm-box cover=as-given \
-                 sizing=histogram rule=cyclic-join",
+                 sizing=exact rule=cyclic-join",
                 "[1, 2, 4]",
                 0xcc05d6140ca1108f,
             ),
@@ -393,7 +393,7 @@ fn rule_cases() -> Vec<RuleCase> {
             auto: true,
             golden: (
                 "strategy=rejection estimator=histogram(EO) weights=exact cover=as-given \
-                 sizing=exact rule=high-overlap",
+                 sizing=histogram rule=high-overlap",
                 "[57, 17, 117]",
                 0xe7c99c4c3dfba0b1,
             ),
@@ -426,9 +426,9 @@ fn every_plan_rule_agrees_across_prepare_builder_and_restore() {
             if let Some(weights) = plan.weights {
                 builder = builder.weights(weights);
             }
-            // No rule fired and no statistics were consulted.
+            // No rule fired; the sizing label is the freeze's, stamped
+            // from the sizes it read, whoever configured it.
             builder_summary.rule = None;
-            builder_summary.sizing = None;
         }
         let built = builder.freeze().unwrap();
         assert_eq!(built.summary(), &builder_summary, "{rule}: builder summary");

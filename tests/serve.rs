@@ -55,10 +55,7 @@ fn union_query() -> UnionQuery {
 /// Serves ids `0..requests` and returns the responses sorted by id.
 fn serve(engine: &Engine, workers: usize, requests: u64, n: usize) -> Vec<SampleResponse> {
     let prepared = engine.prepare(&union_query()).unwrap();
-    let service = SamplingService::start(
-        engine.clone(),
-        ServiceConfig::with_workers(workers).root_seed(2023),
-    );
+    let service = SamplingService::start(engine.clone(), ServiceConfig::with_workers(workers));
     let batch = (0..requests)
         .map(|id| SampleRequest::prepared(id, n, &prepared))
         .collect();
@@ -135,6 +132,39 @@ fn concurrent_prepares_share_one_estimation() {
     assert_eq!(report.warmup_time, std::time::Duration::ZERO);
 }
 
+/// The prepared query owns the seed root: a pipeline frozen under its
+/// own root (`estimation_seed`) is served from exactly the streams
+/// `prepared.sample` draws from, at any worker count.
+#[test]
+fn served_samples_equal_library_samples_under_a_custom_root() {
+    let workload = union_query()
+        .resolve(default_engine().catalog())
+        .unwrap()
+        .workload;
+    let prepared = Arc::new(
+        SamplerBuilder::for_workload(workload)
+            .estimation_seed(99)
+            .freeze()
+            .unwrap(),
+    );
+    for workers in [1, 4] {
+        let service =
+            SamplingService::start(Engine::default(), ServiceConfig::with_workers(workers));
+        let batch = (0..12)
+            .map(|id| SampleRequest::prepared(id, 9, &prepared).with_seed(1000 + id))
+            .collect();
+        for response in service.run_batch(batch).unwrap() {
+            let (library, _) = prepared.sample(9, 1000 + response.id).unwrap();
+            assert_eq!(
+                response.tuples, library,
+                "workers={workers}: request {} left the library's stream",
+                response.id
+            );
+        }
+        service.shutdown();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -175,9 +205,7 @@ fn stress_worker_pools_stay_deterministic_under_load() {
     for workers in [2usize, 4, 8] {
         let service = SamplingService::start(
             engine.clone(),
-            ServiceConfig::with_workers(workers)
-                .root_seed(2023)
-                .queue_capacity(32),
+            ServiceConfig::with_workers(workers).queue_capacity(32),
         );
         let batch = (0..requests)
             .map(|id| SampleRequest::prepared(id, n, &prepared))

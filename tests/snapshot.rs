@@ -405,6 +405,37 @@ fn engine_snapshot_round_trip_is_bit_identical_with_arenas() {
     );
 }
 
+/// Engine format 3 keeps the two planner settings a deployment can
+/// change. A file whose meta section is laid out as format 2 wrote it
+/// (four planner fields) is refused by its version, before any of it is
+/// decoded under the new layout.
+#[test]
+fn format_2_engine_files_are_refused_by_version() {
+    use suj_core::snapshot::SECTION_ENGINE_META;
+    let mut sections: Vec<(u32, Vec<u8>)> = read_sections(engine_snapshot_bytes())
+        .unwrap()
+        .into_iter()
+        .map(|(kind, payload)| (kind, payload.to_vec()))
+        .collect();
+    let (kind, meta) = &mut sections[0];
+    assert_eq!(*kind, SECTION_ENGINE_META);
+    // Version, Bernoulli threshold, use-statistics flag.
+    assert_eq!(meta.len(), 4 + 8 + 1);
+    assert_eq!(meta[..4], 3u32.to_le_bytes());
+
+    let mut format_2 = ByteWriter::new();
+    format_2.put_u32(2);
+    format_2.put_f64(1.25);
+    format_2.put_u64(512);
+    format_2.put_f64(8.0);
+    format_2.put_u8(1);
+    *meta = format_2.into_bytes();
+    assert!(matches!(
+        Engine::load_snapshot_bytes(&write_sections(&sections)),
+        Err(CoreError::Snapshot(SnapshotError::UnsupportedVersion(2)))
+    ));
+}
+
 // ---------------------------------------------------------------------
 // Crash-safe on-disk protocol: temp-file staging, atomic rename, and
 // fallback to the previous generation.
