@@ -70,9 +70,10 @@ impl fmt::Display for PlanSummary {
 /// absorbs everything from ~1 s upward.
 const LATENCY_BUCKETS: usize = 32;
 
-/// A fixed-size log₂ histogram of per-draw latencies.
+/// A fixed-size log₂ histogram of latencies: per draw in a
+/// [`RunReport`], per request in the serving pool.
 ///
-/// Each bucket `i` counts draws whose wall time fell in
+/// Each bucket `i` counts events whose wall time fell in
 /// `[2^(i-1), 2^i)` nanoseconds (bucket 0 is sub-nanosecond); the top
 /// bucket saturates. Percentiles report the bucket's upper bound, so
 /// they are conservative to within a factor of two — plenty for the
@@ -95,13 +96,13 @@ impl LatencyHistogram {
         }
     }
 
-    /// Records one draw latency.
+    /// Records one latency.
     pub fn record(&mut self, d: Duration) {
         self.counts[Self::bucket(d)] += 1;
         self.recorded += 1;
     }
 
-    /// Total draws recorded.
+    /// Total events recorded.
     pub fn count(&self) -> u64 {
         self.recorded
     }

@@ -124,11 +124,13 @@ pub trait UnionSampler: Send {
     /// aborts with [`CoreError::DeadlineExceeded`] instead of running
     /// unbounded.
     ///
-    /// The check piggybacks on the per-draw latency timestamp, so it
-    /// costs nothing extra, and it never alters the draw sequence —
-    /// a run that finishes before the deadline is bit-identical to
-    /// [`sample`](UnionSampler::sample) with no deadline at all (the
-    /// serving tier's determinism contract depends on this).
+    /// The check piggybacks on the per-draw latency timestamp — one
+    /// clock read per event: the end of one event is the start of the
+    /// next — so it costs nothing extra, and it never alters the draw
+    /// sequence: a run that finishes before the deadline is
+    /// bit-identical to [`sample`](UnionSampler::sample) with no
+    /// deadline at all (the serving tier's determinism contract depends
+    /// on this).
     fn sample_within(
         &mut self,
         n: usize,
@@ -137,22 +139,28 @@ pub trait UnionSampler: Send {
     ) -> Result<(Vec<Tuple>, RunReport), CoreError> {
         let baseline = self.report().clone();
         let mut out: Vec<Tuple> = Vec::with_capacity(n);
-        let mut removed: Vec<bool> = Vec::with_capacity(n);
-        // Emission index → position in `out` for this batch.
+        // Retraction books, kept only for samplers that can retract:
+        // emission index → position in `out`, and which positions died.
+        let books = self.may_retract();
         let mut position: FxHashMap<u64, usize> = FxHashMap::default();
+        let mut removed: Vec<bool> = Vec::new();
         let mut live = 0usize;
+        let mut now = std::time::Instant::now();
         while live < n {
-            let draw_start = std::time::Instant::now();
-            if deadline.is_some_and(|d| draw_start >= d) {
+            if deadline.is_some_and(|d| now >= d) {
                 return Err(CoreError::DeadlineExceeded);
             }
             let event = self.draw(rng);
-            self.report_mut().draw_latency.record(draw_start.elapsed());
+            let end = std::time::Instant::now();
+            self.report_mut().draw_latency.record(end - now);
+            now = end;
             match event? {
                 Draw::Tuple(idx, t) => {
-                    position.insert(idx, out.len());
+                    if books {
+                        position.insert(idx, out.len());
+                        removed.push(false);
+                    }
                     out.push(t);
-                    removed.push(false);
                     live += 1;
                 }
                 Draw::Retract(idx) => {
@@ -167,13 +175,11 @@ pub trait UnionSampler: Send {
                 }
             }
         }
-        let result = out
-            .into_iter()
-            .zip(removed)
-            .filter(|(_, dead)| !dead)
-            .map(|(t, _)| t)
-            .collect();
-        Ok((result, self.report().delta_since(&baseline)))
+        if live < out.len() {
+            let mut dead = removed.into_iter();
+            out.retain(|_| !dead.next().expect("one flag per emission"));
+        }
+        Ok((out, self.report().delta_since(&baseline)))
     }
 }
 

@@ -61,7 +61,7 @@
 use crate::catalog::{Engine, PreparedQuery};
 use crate::error::CoreError;
 use crate::query::UnionQuery;
-use crate::report::RunReport;
+use crate::report::{LatencyHistogram, RunReport};
 use crate::sampler::UnionSampler;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -249,7 +249,7 @@ pub enum SubmitError {
         request: SampleRequest,
         /// Suggested back-off before retrying: roughly the time the
         /// pool needs to drain a full queue, derived from the observed
-        /// median draw latency (see
+        /// median request service time (see
         /// [`SamplingService::retry_after_hint`]).
         retry_after: Duration,
     },
@@ -319,6 +319,9 @@ struct Counters {
     /// Per-request reports folded together; its `draw_latency` is the
     /// service-wide latency histogram.
     aggregate: Mutex<RunReport>,
+    /// Service time of each completed request, dequeue to result: what
+    /// one queue slot costs one worker.
+    request_latency: Mutex<LatencyHistogram>,
 }
 
 /// A point-in-time snapshot of service counters.
@@ -340,6 +343,10 @@ pub struct ServiceStats {
     pub draw_p50: Option<Duration>,
     /// 99th-percentile per-draw latency across all served requests.
     pub draw_p99: Option<Duration>,
+    /// Median service time of a completed request (dequeue to result).
+    pub request_p50: Option<Duration>,
+    /// 99th-percentile service time of a completed request.
+    pub request_p99: Option<Duration>,
     /// Approximate resident bytes of the largest prepared artifact
     /// served so far (base-relation columns + dictionaries + validity
     /// bitmaps — see
@@ -370,6 +377,9 @@ impl fmt::Display for ServiceStats {
         )?;
         if let (Some(p50), Some(p99)) = (self.draw_p50, self.draw_p99) {
             write!(f, " draw_p50≤{p50:?} draw_p99≤{p99:?}")?;
+        }
+        if let (Some(p50), Some(p99)) = (self.request_p50, self.request_p99) {
+            write!(f, " request_p50≤{p50:?} request_p99≤{p99:?}")?;
         }
         if self.prepared_bytes > 0 {
             write!(f, " prepared_bytes={}", self.prepared_bytes)?;
@@ -444,7 +454,8 @@ impl SamplingService {
                     let Ok(job) = job else { return }; // queue closed: graceful exit
                                                        // A request whose deadline passed while queued is
                                                        // answered without touching the engine at all.
-                    let expired = job.request.deadline.is_some_and(|d| Instant::now() >= d);
+                    let dequeued = Instant::now();
+                    let expired = job.request.deadline.is_some_and(|d| dequeued >= d);
                     // Contain panics from pathological requests: the
                     // worker must survive (a shrinking pool would
                     // eventually deadlock submit), the caller must get
@@ -469,6 +480,7 @@ impl SamplingService {
                                 .tuples_served
                                 .fetch_add(response.tuples.len() as u64, Ordering::Relaxed);
                             lock(&counters.aggregate).merge(&response.report);
+                            lock(&counters.request_latency).record(dequeued.elapsed());
                         }
                         Err(_) => {
                             counters.failed.fetch_add(1, Ordering::Relaxed);
@@ -543,19 +555,20 @@ impl SamplingService {
     }
 
     /// Suggested back-off when the queue is full: the observed median
-    /// draw latency (10 µs until anything was measured) times the
-    /// queue capacity — roughly how long the pool needs to drain a
-    /// full queue — clamped to `[100 µs, 1 s]`.
+    /// service time of a request (10 µs until one completed) times the
+    /// queue capacity, divided by the workers draining it — roughly
+    /// how long the pool needs to drain a full queue — clamped to
+    /// `[100 µs, 1 s]`.
     pub fn retry_after_hint(&self) -> Duration {
-        const DEFAULT_DRAW: Duration = Duration::from_micros(10);
+        const DEFAULT_REQUEST: Duration = Duration::from_micros(10);
         const MIN_HINT: Duration = Duration::from_micros(100);
         const MAX_HINT: Duration = Duration::from_secs(1);
-        let per_draw = lock(&self.counters.aggregate)
-            .draw_latency
+        let per_request = lock(&self.counters.request_latency)
             .p50()
-            .unwrap_or(DEFAULT_DRAW);
+            .unwrap_or(DEFAULT_REQUEST);
         let capacity = u32::try_from(self.config.queue_capacity).unwrap_or(u32::MAX);
-        per_draw.saturating_mul(capacity).clamp(MIN_HINT, MAX_HINT)
+        let workers = u32::try_from(self.config.workers).unwrap_or(u32::MAX);
+        (per_request.saturating_mul(capacity) / workers).clamp(MIN_HINT, MAX_HINT)
     }
 
     /// Submits a batch and waits for every response, returned in
@@ -591,6 +604,7 @@ impl SamplingService {
         let completed = self.counters.completed.load(Ordering::Relaxed);
         let failed = self.counters.failed.load(Ordering::Relaxed);
         let aggregate = lock(&self.counters.aggregate).clone();
+        let request_latency = lock(&self.counters.request_latency).clone();
         ServiceStats {
             workers: self.config.workers,
             submitted,
@@ -600,6 +614,8 @@ impl SamplingService {
             tuples_served: self.counters.tuples_served.load(Ordering::Relaxed),
             draw_p50: aggregate.draw_latency.p50(),
             draw_p99: aggregate.draw_latency.p99(),
+            request_p50: request_latency.p50(),
+            request_p99: request_latency.p99(),
             prepared_bytes: aggregate.prepared_bytes,
             snapshot_bytes: aggregate.snapshot_bytes,
             restore_time: aggregate.restore_time,
@@ -825,6 +841,33 @@ mod tests {
             SamplingService::start(engine, ServiceConfig::with_workers(1).queue_capacity(1));
         assert_eq!(service.retry_after_hint(), Duration::from_micros(100));
         service.shutdown();
+    }
+
+    /// The queue holds requests, not draws: a pool that has been
+    /// serving 2048-draw requests must hint a far longer back-off than
+    /// an identical pool serving single draws.
+    #[test]
+    fn retry_after_hint_scales_with_request_size() {
+        let hint_after_serving = |n: usize| {
+            let engine = engine();
+            let prepared = engine.prepare(&union_query()).unwrap();
+            let service =
+                SamplingService::start(engine, ServiceConfig::with_workers(2).queue_capacity(64));
+            let batch = (0..32u64)
+                .map(|id| SampleRequest::prepared(id, n, &prepared))
+                .collect();
+            service.run_batch(batch).unwrap();
+            let stats = service.stats();
+            assert!(stats.request_p50.is_some() && stats.request_p50 <= stats.request_p99);
+            let hint = service.retry_after_hint();
+            service.shutdown();
+            hint
+        };
+        let (small, large) = (hint_after_serving(1), hint_after_serving(2048));
+        assert!(
+            large >= small * 10,
+            "hint after n=2048 requests ({large:?}) must be ≥ 10× the hint after n=1 ({small:?})"
+        );
     }
 
     #[test]

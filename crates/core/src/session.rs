@@ -685,9 +685,24 @@ pub(crate) fn freeze(
         Strategy::Auto => unreachable!("Auto is planned before the freeze"),
     };
 
-    // Resident footprint of the frozen pipeline: base relations plus
-    // everything the per-join samplers precomputed (hash indexes, count
-    // tables, alias arenas).
+    // Membership indexes are built by their first probe. The
+    // configurations that probe while drawing or estimating get theirs
+    // here, so "frozen" keeps meaning "first batch requestable" and no
+    // draw pays a build; every other plan never builds one.
+    let probes_membership = match &kind {
+        PreparedKind::Rejection { config } => config.policy == CoverPolicy::MembershipOracle,
+        PreparedKind::Bernoulli { policy, .. } => *policy == DesignationPolicy::Oracle,
+        PreparedKind::Online { .. } => true,
+        PreparedKind::Disjoint { .. } => false,
+    };
+    if probes_membership || matches!(plan.estimator, Some(Estimator::Walk(_))) {
+        workload.build_membership_indexes();
+    }
+
+    // Resident footprint of the frozen pipeline: base relations, the
+    // membership indexes just built (if any), and everything the
+    // per-join samplers precomputed (hash indexes, count tables, alias
+    // arenas).
     let sampler_bytes: u64 = samplers.iter().map(|s| s.memory_bytes() as u64).sum();
     let summary = plan.summary();
     let mut aggregate = RunReport::new(n_joins);
@@ -781,8 +796,9 @@ pub struct PreparedQuery {
     summary: PlanSummary,
     root_seed: u64,
     estimation_passes: u64,
-    /// Resident bytes of the workload's base relations plus the shared
-    /// per-join samplers, stamped into every minted handle's report.
+    /// Resident bytes of the workload's base relations, its built
+    /// membership indexes and the shared per-join samplers, stamped
+    /// into every minted handle's report.
     prepared_bytes: u64,
     /// Size of the snapshot this pipeline was restored from and wall
     /// time of that restore (both zero when frozen in-process);
@@ -968,8 +984,9 @@ impl PreparedQuery {
     }
 
     /// Approximate resident bytes of the prepared workload's base
-    /// relations plus the shared per-join samplers (the number stamped
-    /// into every handle's report).
+    /// relations, the membership indexes the freeze built (none unless
+    /// the plan probes membership) and the shared per-join samplers
+    /// (the number stamped into every handle's report).
     pub fn prepared_bytes(&self) -> u64 {
         self.prepared_bytes
     }
@@ -1128,12 +1145,15 @@ mod tests {
         let artifacts = prepared.ew_artifacts().expect("EW pipeline");
         assert_eq!(artifacts.len(), w.n_joins());
 
-        // Online builds no per-join samplers: workload bytes only.
+        // Online builds no per-join samplers: workload bytes only — which
+        // now include the membership indexes its freeze built (the
+        // rejection plan above, under the record policy, built none).
         let online = SamplerBuilder::for_workload(w.clone())
             .strategy(Strategy::Online(OnlineConfig::default()))
             .freeze()
             .unwrap();
-        assert_eq!(online.prepared_bytes(), workload_bytes);
+        assert_eq!(online.prepared_bytes(), w.memory_bytes() as u64);
+        assert!(online.prepared_bytes() > workload_bytes);
         assert!(online.ew_artifacts().is_none());
     }
 

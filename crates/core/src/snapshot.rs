@@ -54,6 +54,14 @@
 //! artifacts — validated slab-by-slab — so a restored replica performs
 //! **zero** alias builds ([`suj_join::alias_builds`] is flat across a
 //! restore) and serves draw streams bit-identical to the donor's.
+//!
+//! What a restore does, then: verify each section's CRC-32, decode the
+//! relations, decode the artifacts, revive the samplers, re-run the
+//! freeze over what was given. What it never does: estimate, build an
+//! alias table, or — unless the persisted plan probes membership while
+//! drawing — build a membership index
+//! ([`suj_storage::membership_builds`] is flat across a default-plan
+//! restore; the freeze indexes for the plans that need it).
 
 use crate::catalog::{Catalog, Engine};
 use crate::error::CoreError;

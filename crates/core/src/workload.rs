@@ -101,7 +101,9 @@ impl UnionWorkload {
         local.project_into(&self.projections[j], scratch)
     }
 
-    /// Membership oracle of join `j` over canonical tuples.
+    /// Membership oracle of join `j` over canonical tuples. Its indexes
+    /// are built by the first probe that reaches them (see
+    /// [`MembershipOracle`]).
     pub fn oracle(&self, j: usize) -> &Arc<MembershipOracle> {
         &self.oracles[j]
     }
@@ -111,14 +113,16 @@ impl UnionWorkload {
         &self.oracles
     }
 
-    /// Whether canonical tuple `t` belongs to join `j`.
+    /// Whether canonical tuple `t` belongs to join `j`. The first call
+    /// to reach a base relation of `j` indexes it.
     pub fn contains(&self, j: usize, t: &Tuple) -> bool {
         self.oracles[j].contains(t)
     }
 
     /// Membership bitmask of a canonical tuple over all joins. Sound
     /// for every constructible workload: `new` caps join counts at
-    /// [`MAX_JOINS`], so bit `j` never leaves the `u32`.
+    /// [`MAX_JOINS`], so bit `j` never leaves the `u32`. The first call
+    /// indexes every base relation its probes reach.
     pub fn membership_mask(&self, t: &Tuple) -> u32 {
         let mut mask = 0u32;
         for (j, oracle) in self.oracles.iter().enumerate() {
@@ -129,19 +133,32 @@ impl UnionWorkload {
         mask
     }
 
+    /// Builds every membership index not yet built. The freeze calls
+    /// this for the configurations that probe membership while drawing
+    /// or estimating, so that no draw pays a build.
+    pub(crate) fn build_membership_indexes(&self) {
+        for oracle in &self.oracles {
+            oracle.build_indexes();
+        }
+    }
+
     /// Approximate resident bytes of the workload's base relations
-    /// (columns, dictionaries, validity bitmaps). Relations shared by
-    /// several joins count once (`Arc` identity deduplicates) — the
-    /// prepared-footprint number stamped into
+    /// (columns, dictionaries, validity bitmaps) plus the membership
+    /// indexes built so far (none unless something probed membership).
+    /// Relations shared by several joins count once (`Arc` identity
+    /// deduplicates) — the prepared-footprint number stamped into
     /// [`RunReport`](crate::report::RunReport)s.
     pub fn memory_bytes(&self) -> usize {
         let mut seen = suj_storage::FxHashSet::default();
-        self.joins
+        let relations: usize = self
+            .joins
             .iter()
             .flat_map(|j| j.relations())
             .filter(|r| seen.insert(Arc::as_ptr(r) as usize))
             .map(|r| r.memory_bytes())
-            .sum()
+            .sum();
+        let membership: usize = self.oracles.iter().map(|o| o.memory_bytes()).sum();
+        relations + membership
     }
 
     /// Exact sizes of every join (EW dynamic program; cyclic joins fall

@@ -330,14 +330,15 @@ impl JoinSampler for CyclicJoinSampler {
     }
 
     fn materialize(&self, draw: &RowDraw) -> Tuple {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.out_src.len());
-        vals.extend(self.out_src.iter().map(|&(r, k)| {
-            self.spec
-                .relation(r as usize)
-                .column(k as usize)
-                .value(draw.rows[r as usize] as usize)
-        }));
-        Tuple::new(vals)
+        self.out_src
+            .iter()
+            .map(|&(r, k)| {
+                self.spec
+                    .relation(r as usize)
+                    .column(k as usize)
+                    .value(draw.rows[r as usize] as usize)
+            })
+            .collect()
     }
 
     /// `AGM(root) · Π_i max_block_i` — an upper bound on the bag-join

@@ -11,17 +11,39 @@
 
 use crate::error::JoinError;
 use crate::spec::JoinSpec;
-use std::sync::Arc;
-use suj_storage::{RowMembership, Schema, Tuple};
+use std::sync::{Arc, OnceLock};
+use suj_storage::{Relation, RowMembership, Schema, Tuple};
+
+/// One base relation of the join, as the oracle checks it.
+#[derive(Debug, Clone)]
+struct Member {
+    relation: Arc<Relation>,
+    /// Whole-row membership index, built by the first probe that
+    /// reaches this relation (concurrent first probes build it once).
+    index: OnceLock<RowMembership>,
+    /// Positions in the *canonical* schema of the relation's
+    /// attributes, in relation-schema order.
+    projection: Vec<usize>,
+}
+
+impl Member {
+    fn index(&self) -> &RowMembership {
+        self.index
+            .get_or_init(|| RowMembership::build(&self.relation))
+    }
+}
 
 /// Decides membership of canonical-schema tuples in one join.
+///
+/// Construction validates the projections and indexes nothing: each
+/// relation's [`RowMembership`] is built by the first
+/// [`contains`](Self::contains) that reaches it, so an oracle nothing
+/// probes costs no time and no memory. A caller about to serve draws
+/// that probe calls [`build_indexes`](Self::build_indexes) first, which
+/// keeps the build off the draw path.
 #[derive(Debug, Clone)]
 pub struct MembershipOracle {
-    /// Per relation: whole-row membership index.
-    memberships: Vec<RowMembership>,
-    /// Per relation: positions in the *canonical* schema of the
-    /// relation's attributes, in relation-schema order.
-    projections: Vec<Vec<usize>>,
+    members: Vec<Member>,
 }
 
 impl MembershipOracle {
@@ -29,29 +51,31 @@ impl MembershipOracle {
     /// `canonical` attribute order (which must cover the spec's output
     /// schema).
     pub fn new(spec: &JoinSpec, canonical: &Schema) -> Result<Self, JoinError> {
-        let mut memberships = Vec::with_capacity(spec.n_relations());
-        let mut projections = Vec::with_capacity(spec.n_relations());
-        for rel in spec.relations() {
-            memberships.push(RowMembership::build(rel));
-            let proj: Vec<usize> = rel
-                .schema()
-                .attrs()
-                .iter()
-                .map(|a| {
-                    canonical.position(a).ok_or_else(|| {
-                        JoinError::Invalid(format!(
-                            "canonical schema {canonical} lacks attribute `{a}` of `{}`",
-                            rel.name()
-                        ))
+        let members = spec
+            .relations()
+            .iter()
+            .map(|rel| {
+                let projection = rel
+                    .schema()
+                    .attrs()
+                    .iter()
+                    .map(|a| {
+                        canonical.position(a).ok_or_else(|| {
+                            JoinError::Invalid(format!(
+                                "canonical schema {canonical} lacks attribute `{a}` of `{}`",
+                                rel.name()
+                            ))
+                        })
                     })
+                    .collect::<Result<_, _>>()?;
+                Ok(Member {
+                    relation: rel.clone(),
+                    index: OnceLock::new(),
+                    projection,
                 })
-                .collect::<Result<_, _>>()?;
-            projections.push(proj);
-        }
-        Ok(Self {
-            memberships,
-            projections,
-        })
+            })
+            .collect::<Result<_, JoinError>>()?;
+        Ok(Self { members })
     }
 
     /// Builds an oracle whose canonical order is the spec's own output
@@ -63,18 +87,36 @@ impl MembershipOracle {
     /// Whether `tuple` (in canonical order) is a result tuple of the
     /// join. Each relation's check probes its membership index through
     /// the projection positions directly — the §6.2 "queries with key"
-    /// are hash lookups with zero allocation per check.
+    /// are hash lookups with zero allocation per check. The first probe
+    /// to reach a relation indexes it; a miss short-circuits, so a
+    /// relation no probe reaches is never indexed.
     #[inline]
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.memberships
+        self.members
             .iter()
-            .zip(&self.projections)
-            .all(|(membership, proj)| membership.contains_projection(tuple, proj))
+            .all(|m| m.index().contains_projection(tuple, &m.projection))
+    }
+
+    /// Indexes every relation not yet indexed, so that no later
+    /// [`contains`](Self::contains) pays a build.
+    pub fn build_indexes(&self) {
+        for m in &self.members {
+            m.index();
+        }
+    }
+
+    /// Resident bytes of the membership indexes built so far.
+    pub fn memory_bytes(&self) -> usize {
+        self.members
+            .iter()
+            .filter_map(|m| m.index.get())
+            .map(RowMembership::memory_bytes)
+            .sum()
     }
 
     /// Number of base relations consulted per check (the paper's `M`).
     pub fn n_relations(&self) -> usize {
-        self.memberships.len()
+        self.members.len()
     }
 }
 

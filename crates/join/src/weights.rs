@@ -57,7 +57,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use suj_stats::{AliasArena, AliasArenaBuilder, SujRng};
-use suj_storage::{HashIndex, Tuple, Value, NO_KEY};
+use suj_storage::{HashIndex, Tuple, NO_KEY};
 
 /// Weight instantiation for the join-sampling subroutine (§3.2 lists
 /// all three: "extended Olken's, exact, and Wander Join").
@@ -377,14 +377,15 @@ impl Prepared {
     /// (string cells are an `Arc` bump out of the column dictionary) —
     /// the one acceptance-path allocation.
     pub(crate) fn materialize(&self, rows: &[u32]) -> Tuple {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.out_src.len());
-        vals.extend(self.out_src.iter().map(|&(r, k)| {
-            self.spec
-                .relation(r as usize)
-                .column(k as usize)
-                .value(rows[r as usize] as usize)
-        }));
-        Tuple::new(vals)
+        self.out_src
+            .iter()
+            .map(|&(r, k)| {
+                self.spec
+                    .relation(r as usize)
+                    .column(k as usize)
+                    .value(rows[r as usize] as usize)
+            })
+            .collect()
     }
 }
 
@@ -915,7 +916,7 @@ pub fn exact_join_size(spec: &JoinSpec) -> Result<f64, JoinError> {
 mod tests {
     use super::*;
     use crate::exec::execute;
-    use suj_storage::{FxHashMap, Relation, Schema};
+    use suj_storage::{FxHashMap, Relation, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
         let schema = Schema::new(attrs.iter().copied()).unwrap();

@@ -379,7 +379,7 @@ pub fn decode_batch(payload: &[u8]) -> Result<(Vec<String>, Vec<Tuple>), NetErro
     }
     let mut tuples = Vec::with_capacity(n_rows);
     for i in 0..n_rows {
-        tuples.push(Tuple::new(columns.iter().map(|c| c.value(i)).collect()));
+        tuples.push(columns.iter().map(|c| c.value(i)).collect());
     }
     Ok((attrs, tuples))
 }

@@ -46,6 +46,7 @@ use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::hash::Hasher;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel key id: "this key is not in the dictionary" (no posting).
@@ -783,9 +784,20 @@ pub struct RowMembership {
     table: IdTable,
 }
 
+static MEMBERSHIP_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide count of [`RowMembership::build`] calls. Membership
+/// indexes are built by the first probe that needs them, and the plans
+/// the planner emits by default never probe one; the prepare and
+/// restore tests pin that by watching this counter.
+pub fn membership_builds() -> u64 {
+    MEMBERSHIP_BUILDS.load(Ordering::Relaxed)
+}
+
 impl RowMembership {
     /// Builds a membership index for all rows of a relation.
     pub fn build(relation: &Relation) -> Self {
+        MEMBERSHIP_BUILDS.fetch_add(1, Ordering::Relaxed);
         let columns: Arc<[Column]> = relation.shared_columns();
         let arity = relation.schema().arity();
         let mut table = IdTable::with_capacity_for(relation.len());
@@ -861,6 +873,12 @@ impl RowMembership {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.distinct.is_empty()
+    }
+
+    /// Approximate resident bytes the index owns (distinct row ids and
+    /// the probe table; the columns are shared with the relation).
+    pub fn memory_bytes(&self) -> usize {
+        self.distinct.capacity() * 4 + self.table.ids.len() * (4 + 8)
     }
 }
 

@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::error::StorageError;
     pub use crate::hash::{hash_values, FxHashMap, FxHashSet};
     pub use crate::histogram::{DegreeStats, EquiDepthHistogram, FrequencyHistogram};
-    pub use crate::index::{HashIndex, RowMembership, NO_KEY};
+    pub use crate::index::{membership_builds, HashIndex, RowMembership, NO_KEY};
     pub use crate::predicate::{CompareOp, CompiledPredicate, Predicate, SelectionBitmap};
     pub use crate::relation::{Relation, RelationBuilder, RowRef};
     pub use crate::schema::Schema;

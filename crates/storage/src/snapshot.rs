@@ -97,8 +97,11 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table, and
+/// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so the
+/// eight bytes of one step are looked up independently and xor-ed.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -111,20 +114,47 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the per-section
-/// checksum. Implemented locally; no external crates.
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the checksum of every
+/// snapshot section and every wire frame. Implemented locally (no
+/// external crates, no intrinsics): slicing-by-8, eight bytes a step
+/// with a byte-wise tail, the same value as the byte-at-a-time
+/// definition on every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -845,6 +875,62 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time definition `crc32` must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// SplitMix64 bytes: a fixed pseudo-random buffer.
+    fn random_bytes(len: usize, mut state: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_offset() {
+        // Every split between the eight-byte steps and the tail, at
+        // every alignment of the slice start.
+        let buf = random_bytes(8 + 300, 1);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_on_random_buffers() {
+        const MAX: usize = 1 << 20;
+        for seed in 0..16u64 {
+            let word: [u8; 8] = random_bytes(8, !seed).try_into().unwrap();
+            let len = if seed == 0 {
+                MAX
+            } else {
+                u64::from_le_bytes(word) as usize % MAX
+            };
+            let buf = random_bytes(len, seed);
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "seed {seed} len {len}");
+        }
     }
 
     #[test]

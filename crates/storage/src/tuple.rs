@@ -106,8 +106,12 @@ impl fmt::Display for Tuple {
 }
 
 impl FromIterator<Value> for Tuple {
+    /// Collects straight into the shared slice: one allocation when
+    /// the iterator knows its exact length, no intermediate `Vec`.
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        Tuple::new(iter.into_iter().collect())
+        Self {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
