@@ -24,8 +24,10 @@
 //! [`Strategy::Rejection`](crate::session::Strategy).
 
 use crate::cover::{Cover, CoverStrategy};
+use crate::draw_step::DrawStep;
 use crate::error::CoreError;
 use crate::overlap::OverlapMap;
+use crate::record::OwnershipRecord;
 use crate::report::RunReport;
 use crate::sampler::{Draw, UnionSampler};
 use crate::workload::UnionWorkload;
@@ -34,7 +36,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use suj_join::{JoinSampler, WeightKind};
 use suj_stats::{Categorical, SujRng};
-use suj_storage::{FxHashMap, Tuple};
 
 /// How cover ownership is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,10 +58,6 @@ pub struct UnionSamplerConfig {
     pub strategy: CoverStrategy,
 }
 
-/// Attempt budget inside the join-sampling subroutine per draw (guards
-/// pathological estimates).
-const MAX_JOIN_TRIES: u64 = 1_000_000;
-
 /// Cover-rejection retries within one join selection. Theorem 1
 /// requires the tuple accepted after selecting `J_j` to be uniform over
 /// the cover region `J'_j`, so cover-rejected tuples are redrawn from
@@ -78,31 +75,17 @@ impl Default for UnionSamplerConfig {
     }
 }
 
-/// The set-union sampler (Algorithm 1).
+/// The set-union sampler (Algorithm 1): cover selection and cover
+/// ownership, over the shared draw step and ownership record.
 pub struct SetUnionSampler {
-    workload: Arc<UnionWorkload>,
+    step: DrawStep,
     cover: Cover,
     selection: Option<Categorical>,
-    /// Per-join samplers. Shared (`Arc`) so a frozen
-    /// [`PreparedQuery`](crate::catalog::PreparedQuery) can mint many
-    /// independent handles without re-running the per-join weight
-    /// precomputation; sampling goes through `&self`, so sharing is
-    /// free.
-    samplers: Vec<Arc<dyn JoinSampler>>,
     config: UnionSamplerConfig,
-    report: RunReport,
-    /// `orig_join` record of seen tuples (paper line 4).
-    orig: FxHashMap<Tuple, usize>,
-    /// Live emission indices per tuple (Record policy), for revision
-    /// purges.
-    positions: FxHashMap<Tuple, Vec<u64>>,
-    /// Joins discovered to be unsampleable (estimate said nonempty,
-    /// data says empty).
-    dead: Vec<bool>,
-    emitted: u64,
+    /// `orig_join` record of seen tuples (paper line 4) with their live
+    /// emissions, for revision purges (Record policy).
+    record: OwnershipRecord,
     pending: VecDeque<Draw>,
-    /// Reusable canonicalization scratch (one accepted draw each).
-    canon_scratch: Vec<suj_storage::Value>,
 }
 
 impl SetUnionSampler {
@@ -118,36 +101,22 @@ impl SetUnionSampler {
         config: UnionSamplerConfig,
         samplers: Vec<Arc<dyn JoinSampler>>,
     ) -> Result<Self, CoreError> {
-        if overlap.n() != workload.n_joins() {
+        let n_joins = workload.n_joins();
+        if overlap.n() != n_joins {
             return Err(CoreError::Invalid(format!(
-                "overlap map covers {} joins, workload has {}",
-                overlap.n(),
-                workload.n_joins()
-            )));
-        }
-        if samplers.len() != workload.n_joins() {
-            return Err(CoreError::Invalid(format!(
-                "{} join samplers for {} joins",
-                samplers.len(),
-                workload.n_joins()
+                "overlap map covers {} joins, workload has {n_joins}",
+                overlap.n()
             )));
         }
         let cover = Cover::build(overlap, config.strategy);
         let selection = cover.selection();
-        let n_joins = workload.n_joins();
         Ok(Self {
-            workload,
+            step: DrawStep::new(workload, samplers)?,
             cover,
             selection,
-            samplers,
             config,
-            report: RunReport::new(n_joins),
-            orig: FxHashMap::default(),
-            positions: FxHashMap::default(),
-            dead: vec![false; n_joins],
-            emitted: 0,
+            record: OwnershipRecord::default(),
             pending: VecDeque::new(),
-            canon_scratch: Vec::new(),
         })
     }
 }
@@ -157,112 +126,70 @@ impl UnionSampler for SetUnionSampler {
         if let Some(event) = self.pending.pop_front() {
             return Ok(event);
         }
-        if self.selection.is_none() {
+        let Some(selection) = &self.selection else {
             return Err(CoreError::Invalid(
                 "cannot sample a nonempty set from an empty union".into(),
             ));
-        }
-        let n_joins = self.workload.n_joins();
+        };
         loop {
-            let j = self.selection.as_ref().expect("checked above").draw(rng);
-            if self.dead[j] {
-                if self.dead.iter().all(|&d| d) {
-                    return Err(CoreError::Invalid(
-                        "all joins are empty but the union estimate is positive".into(),
-                    ));
-                }
+            let j = selection.draw(rng);
+            if !self.step.live(j)? {
                 continue;
             }
-            self.report.join_draws[j] += 1;
+            self.step.report.join_draws[j] += 1;
 
             // Theorem 1 semantics: the tuple emitted for this selection
             // must be uniform over the cover region J'_j, so cover
             // rejections redraw from the SAME join.
-            let mut retries = 0u64;
-            while retries < MAX_COVER_RETRIES {
-                retries += 1;
+            for _ in 0..MAX_COVER_RETRIES {
                 let start = Instant::now();
-                let (t_local, tries) = self.samplers[j].sample_until_accepted(rng, MAX_JOIN_TRIES);
-                self.report.rejected_join += tries.saturating_sub(1);
-                let Some(t_local) = t_local else {
-                    self.report.rejected_time += start.elapsed();
-                    self.dead[j] = true;
-                    break;
+                let Some(t) = self.step.until_accepted(j, rng) else {
+                    self.step.report.rejected_time += start.elapsed();
+                    break; // the join just died: reselect
                 };
-                let t = self
-                    .workload
-                    .to_canonical_into(j, &t_local, &mut self.canon_scratch);
-
+                let idx = self.step.emitted;
                 let accept = match self.config.policy {
                     CoverPolicy::MembershipOracle => {
                         // Reject iff an earlier-cover join contains t.
-                        !(0..n_joins).any(|i| {
-                            i != j && self.cover.precedes(i, j) && self.workload.contains(i, &t)
-                        })
+                        let earlier = &self.cover.order()[..self.cover.rank(j)];
+                        !earlier.iter().any(|&i| self.step.workload.contains(i, &t))
                     }
-                    CoverPolicy::Record => match self.orig.get(&t).copied() {
-                        Some(i) if i == j => true,
-                        Some(i) if self.cover.precedes(i, j) => false, // line 8
-                        Some(i) => {
-                            // Revision (lines 10–12): j precedes i. Move
-                            // ownership to j and retract every live copy
-                            // of t.
-                            debug_assert!(self.cover.precedes(j, i));
-                            self.orig.insert(t.clone(), j);
-                            if let Some(ps) = self.positions.get_mut(&t) {
-                                for &p in ps.iter() {
-                                    self.pending.push_back(Draw::Retract(p));
-                                    self.report.revision_removed += 1;
-                                }
-                                ps.clear();
-                            }
-                            self.report.revised += 1;
-                            true
-                        }
-                        None => {
-                            self.orig.insert(t.clone(), j);
-                            true
-                        }
-                    },
+                    // Revision retractions queue ahead of the tuple.
+                    CoverPolicy::Record => self
+                        .record
+                        .claim(&t, j, idx..idx + 1, |i| self.cover.precedes(i, j))
+                        .settle(&mut self.pending, &mut self.step.report, |_| {}),
                 };
 
                 if accept {
-                    let idx = self.emitted;
-                    if self.config.policy == CoverPolicy::Record {
-                        self.positions.entry(t.clone()).or_default().push(idx);
-                    }
-                    self.emitted += 1;
-                    self.report.accepted += 1;
-                    self.report.accepted_time += start.elapsed();
+                    let event = self.step.emit(t, start);
                     if self.pending.is_empty() {
-                        return Ok(Draw::Tuple(idx, t));
+                        return Ok(event);
                     }
-                    // Revision retractions precede the accepted tuple.
-                    self.pending.push_back(Draw::Tuple(idx, t));
+                    self.pending.push_back(event);
                     return Ok(self.pending.pop_front().expect("nonempty queue"));
-                } else {
-                    self.report.rejected_cover += 1;
-                    self.report.rejected_time += start.elapsed();
                 }
+                self.step.report.rejected_cover += 1;
+                self.step.report.rejected_time += start.elapsed();
             }
             // Retry budget exhausted (or the join just died): reselect.
         }
     }
 
     fn report(&self) -> &RunReport {
-        &self.report
+        &self.step.report
     }
 
     fn report_mut(&mut self) -> &mut RunReport {
-        &mut self.report
+        &mut self.step.report
     }
 
     fn emitted(&self) -> u64 {
-        self.emitted
+        self.step.emitted
     }
 
     fn workload(&self) -> &Arc<UnionWorkload> {
-        &self.workload
+        &self.step.workload
     }
 
     fn may_retract(&self) -> bool {
@@ -277,7 +204,7 @@ mod tests {
     use super::*;
     use crate::exact::full_join_union;
     use crate::session::{shared_samplers, Estimator, HistogramOptions, SamplerBuilder};
-    use suj_storage::{Relation, Schema, Value};
+    use suj_storage::{FxHashMap, Relation, Schema, Tuple, Value};
 
     /// The builder's Algorithm 1 over exact parameters.
     fn build(w: Arc<UnionWorkload>, config: UnionSamplerConfig) -> Box<dyn UnionSampler + Send> {

@@ -33,6 +33,7 @@ use crate::cover::{Cover, CoverStrategy};
 use crate::error::CoreError;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
 use crate::overlap::OverlapMap;
+use crate::record::OwnershipRecord;
 use crate::report::RunReport;
 use crate::sampler::{Draw, UnionSampler};
 use crate::walk_estimator::{walk_warmup, WalkEstimate, WalkEstimatorConfig};
@@ -42,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use suj_join::WanderJoin;
 use suj_stats::{Categorical, SujRng};
-use suj_storage::{FxHashMap, Tuple};
+use suj_storage::Tuple;
 
 /// Configuration of the online union sampler.
 #[derive(Debug, Clone, Copy)]
@@ -126,9 +127,9 @@ struct OnlineState {
     /// bounding memory by the number of live pre-convergence emissions
     /// instead of the full stream length.
     live_emissions: BTreeMap<u64, (Tuple, usize, f64)>,
-    /// Live emission indices per tuple value (revision purges).
-    positions: FxHashMap<Tuple, Vec<u64>>,
-    orig: FxHashMap<Tuple, usize>,
+    /// `orig_join` record of seen tuples with their live emissions
+    /// (revision purges).
+    record: OwnershipRecord,
     /// In-progress join selection `(join, cover retries so far)`,
     /// persisted so a draw returning a retraction event can resume the
     /// selection loop exactly where it left off.
@@ -184,8 +185,7 @@ fn init_state(
         walks_at_last_update,
         converged,
         live_emissions: BTreeMap::new(),
-        positions: FxHashMap::default(),
-        orig: FxHashMap::default(),
+        record: OwnershipRecord::default(),
         cur: None,
         draw: suj_join::RowDraw::new(),
     })
@@ -277,15 +277,14 @@ impl UnionSampler for OnlineUnionSampler {
                 if obtained.is_none() {
                     let start = Instant::now();
                     // Row-id walk: a failed walk touches no tuple values
-                    // and allocates nothing; successful walks
-                    // materialize once for the estimator's membership
-                    // masks.
+                    // and allocates nothing; successful walks gather
+                    // once, in canonical order, for the estimator's
+                    // membership masks.
                     match st.wanders[j].walk_rows(rng, &mut st.draw) {
                         Some(probability) => {
-                            let tuple = st.wanders[j].materialize(&st.draw);
-                            let canonical =
-                                st.est
-                                    .record_success(workload, j, &tuple, probability, false);
+                            let canonical = workload.gather(j, st.draw.rows());
+                            st.est
+                                .record_success(workload, j, &canonical, probability, false);
                             // Uniformization: accept with (1/p)/B.
                             let accept =
                                 (1.0 / probability) / st.wanders[j].bound().max(f64::MIN_POSITIVE);
@@ -307,43 +306,28 @@ impl UnionSampler for OnlineUnionSampler {
 
                 // --- Cover / record logic (lines 11–17). ---
                 if let Some((t, copies)) = obtained {
-                    let accept = match st.orig.get(&t).copied() {
-                        Some(i) if i == j => true,
-                        Some(i) if st.cover.precedes(i, j) => false,
-                        Some(_) => {
-                            // Revision: ownership moves to the earlier
-                            // join j; retract existing live copies.
-                            st.orig.insert(t.clone(), j);
-                            if let Some(ps) = st.positions.get_mut(&t) {
-                                for &p in ps.iter() {
-                                    st.live_emissions.remove(&p);
-                                    pending.push_back(Draw::Retract(p));
-                                    report.revision_removed += 1;
-                                }
-                                ps.clear();
-                            }
-                            report.revised += 1;
-                            true
-                        }
-                        None => {
-                            st.orig.insert(t.clone(), j);
-                            true
-                        }
-                    };
+                    // A revision (ownership moves to the earlier join
+                    // j) retracts the existing live copies, which then
+                    // stop being backtracking candidates too.
+                    let indices = *emitted..*emitted + copies;
+                    let accept = st
+                        .record
+                        .claim(&t, j, indices.clone(), |i| st.cover.precedes(i, j))
+                        .settle(pending, report, |p| {
+                            st.live_emissions.remove(&p);
+                        });
                     if accept {
                         let q = q_emit(&st.cover, &st.est, j);
-                        for _ in 0..copies {
-                            let idx = *emitted;
-                            st.positions.entry(t.clone()).or_default().push(idx);
+                        for idx in indices {
                             // Post-convergence emissions can never be
                             // backtracked; keep the tracked set small.
                             if !st.converged && config.backtrack {
                                 st.live_emissions.insert(idx, (t.clone(), j, q));
                             }
                             pending.push_back(Draw::Tuple(idx, t.clone()));
-                            *emitted += 1;
-                            report.accepted += 1;
                         }
+                        *emitted += copies;
+                        report.accepted += copies;
                         st.cur = None;
                         return Ok(pending.pop_front().expect("copies >= 1"));
                     } else {
@@ -373,9 +357,7 @@ impl UnionSampler for OnlineUnionSampler {
                             let keep = (q_new / entry.2.max(f64::MIN_POSITIVE)).min(1.0);
                             if !rng.bernoulli(keep) {
                                 report.backtrack_dropped += 1;
-                                if let Some(ps) = st.positions.get_mut(&entry.0) {
-                                    ps.retain(|&p| p != pos);
-                                }
+                                st.record.forget(&entry.0, pos);
                                 pending.push_back(Draw::Retract(pos));
                                 dropped.push(pos);
                             } else {
@@ -427,7 +409,7 @@ impl UnionSampler for OnlineUnionSampler {
 mod tests {
     use super::*;
     use crate::exact::full_join_union;
-    use suj_storage::{Relation, Schema, Value};
+    use suj_storage::{FxHashMap, Relation, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
         let schema = Schema::new(attrs.iter().copied()).unwrap();

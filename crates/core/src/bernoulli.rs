@@ -20,7 +20,9 @@
 //! plain rejections (no sample is ever withdrawn), so both policies
 //! stream without retractions.
 
+use crate::draw_step::DrawStep;
 use crate::error::CoreError;
+use crate::record::{Claim, OwnershipRecord};
 use crate::report::RunReport;
 use crate::sampler::{Draw, UnionSampler};
 use crate::workload::UnionWorkload;
@@ -29,7 +31,6 @@ use std::time::Instant;
 use suj_join::membership::first_containing;
 use suj_join::JoinSampler;
 use suj_stats::SujRng;
-use suj_storage::Tuple;
 
 /// How the Bernoulli sampler designates each value's owning join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,29 +44,19 @@ pub enum DesignationPolicy {
     Record,
 }
 
-/// Attempt budget inside the join-sampling subroutine per draw (guards
-/// pathological estimates).
-const MAX_JOIN_TRIES: u64 = 1_000_000;
-
-/// Bernoulli union-trick sampler.
+/// Bernoulli union-trick sampler: round-robin Bernoulli selection and a
+/// designation rule, over the shared draw step.
 pub struct BernoulliUnionSampler {
-    workload: Arc<UnionWorkload>,
-    /// Shared per-join samplers (see
-    /// [`SetUnionSampler::new`](crate::algorithm1::SetUnionSampler::new)).
-    samplers: Vec<Arc<dyn JoinSampler>>,
+    step: DrawStep,
     /// Selection probability per join: `|J_j| / |U|`.
     probabilities: Vec<f64>,
     policy: DesignationPolicy,
     /// First join each value was SAMPLED from (Record policy).
-    record: suj_storage::FxHashMap<Tuple, usize>,
+    record: OwnershipRecord,
     /// Round-robin cursor into the joins of the current round.
     cursor: usize,
     fired_this_round: bool,
     stall_rounds: u64,
-    report: RunReport,
-    emitted: u64,
-    /// Reusable canonicalization scratch (one accepted draw each).
-    canon_scratch: Vec<suj_storage::Value>,
 }
 
 impl BernoulliUnionSampler {
@@ -91,35 +82,25 @@ impl BernoulliUnionSampler {
         if union_size <= 0.0 {
             return Err(CoreError::Invalid("union size must be positive".into()));
         }
-        if samplers.len() != n {
-            return Err(CoreError::Invalid(format!(
-                "{} join samplers for {n} joins",
-                samplers.len()
-            )));
-        }
         let probabilities = join_sizes
             .iter()
             .map(|&s| (s / union_size).clamp(0.0, 1.0))
             .collect();
         Ok(Self {
-            workload,
-            samplers,
+            step: DrawStep::new(workload, samplers)?,
             probabilities,
             policy,
-            record: Default::default(),
+            record: OwnershipRecord::default(),
             cursor: 0,
             fired_this_round: false,
             stall_rounds: 0,
-            report: RunReport::new(n),
-            emitted: 0,
-            canon_scratch: Vec::new(),
         })
     }
 }
 
 impl UnionSampler for BernoulliUnionSampler {
     fn draw(&mut self, rng: &mut SujRng) -> Result<Draw, CoreError> {
-        let n_joins = self.workload.n_joins();
+        let n_joins = self.probabilities.len();
         loop {
             if self.cursor >= n_joins {
                 self.stall_rounds = if self.fired_this_round {
@@ -137,60 +118,51 @@ impl UnionSampler for BernoulliUnionSampler {
             }
             let j = self.cursor;
             self.cursor += 1;
-            if !rng.bernoulli(self.probabilities[j]) {
+            if !self.step.live(j)? || !rng.bernoulli(self.probabilities[j]) {
                 continue;
             }
             self.fired_this_round = true;
-            self.report.join_draws[j] += 1;
+            self.step.report.join_draws[j] += 1;
             let start = Instant::now();
-            let (t_local, tries) = self.samplers[j].sample_until_accepted(rng, MAX_JOIN_TRIES);
-            self.report.rejected_join += tries.saturating_sub(1);
-            let Some(t_local) = t_local else {
-                self.report.rejected_time += start.elapsed();
-                continue; // join empty or pathological
+            let Some(t) = self.step.until_accepted(j, rng) else {
+                self.step.report.rejected_time += start.elapsed();
+                continue; // join empty or pathological: dead from here on
             };
-            let t = self
-                .workload
-                .to_canonical_into(j, &t_local, &mut self.canon_scratch);
             let accept = match self.policy {
                 DesignationPolicy::Oracle => {
                     // `t` was just drawn from join j, so j designates
                     // it iff no earlier join (workload order) holds it.
-                    first_containing(&self.workload.oracles()[..j], &t).is_none()
+                    first_containing(&self.step.workload.oracles()[..j], &t).is_none()
                 }
                 DesignationPolicy::Record => {
-                    // "retained only if it is sampled from the
-                    // first join where u was observed" (§3).
-                    *self.record.entry(t.clone()).or_insert(j) == j
+                    // "retained only if it is sampled from the first
+                    // join where u was observed" (§3): the owner always
+                    // precedes, and nothing is ever withdrawn.
+                    matches!(self.record.claim(&t, j, 0..0, |_| true), Claim::Accepted)
                 }
             };
             if accept {
-                let idx = self.emitted;
-                self.emitted += 1;
-                self.report.accepted += 1;
-                self.report.accepted_time += start.elapsed();
-                return Ok(Draw::Tuple(idx, t));
-            } else {
-                self.report.rejected_cover += 1;
-                self.report.rejected_time += start.elapsed();
+                return Ok(self.step.emit(t, start));
             }
+            self.step.report.rejected_cover += 1;
+            self.step.report.rejected_time += start.elapsed();
         }
     }
 
     fn report(&self) -> &RunReport {
-        &self.report
+        &self.step.report
     }
 
     fn report_mut(&mut self) -> &mut RunReport {
-        &mut self.report
+        &mut self.step.report
     }
 
     fn emitted(&self) -> u64 {
-        self.emitted
+        self.step.emitted
     }
 
     fn workload(&self) -> &Arc<UnionWorkload> {
-        &self.workload
+        &self.step.workload
     }
 
     fn may_retract(&self) -> bool {
@@ -213,7 +185,7 @@ mod tests {
             .build()
             .unwrap()
     }
-    use suj_storage::{FxHashMap, Relation, Schema, Value};
+    use suj_storage::{FxHashMap, Relation, Schema, Tuple, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
         let schema = Schema::new(attrs.iter().copied()).unwrap();

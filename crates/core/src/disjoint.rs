@@ -10,6 +10,7 @@
 //! [`Draw::Retract`](crate::sampler::Draw), so its
 //! [`SampleStream`](crate::stream::SampleStream) is exactly i.i.d.
 
+use crate::draw_step::DrawStep;
 use crate::error::CoreError;
 use crate::report::RunReport;
 use crate::sampler::{Draw, UnionSampler};
@@ -19,20 +20,12 @@ use std::time::Instant;
 use suj_join::JoinSampler;
 use suj_stats::{Categorical, SujRng};
 
-/// Sampler over the disjoint union of a workload's joins.
+/// Sampler over the disjoint union of a workload's joins: the selection
+/// rule alone, over the shared draw step — every drawn tuple is its
+/// own owner.
 pub struct DisjointUnionSampler {
-    workload: Arc<UnionWorkload>,
-    /// Shared per-join samplers (see
-    /// [`SetUnionSampler::new`](crate::algorithm1::SetUnionSampler::new)).
-    samplers: Vec<Arc<dyn JoinSampler>>,
+    step: DrawStep,
     selection: Option<Categorical>,
-    report: RunReport,
-    emitted: u64,
-    /// Reusable row-id draw scratch: rejected attempts allocate
-    /// nothing.
-    draw: suj_join::RowDraw,
-    /// Reusable canonicalization scratch (one accepted draw each).
-    canon_scratch: Vec<suj_storage::Value>,
 }
 
 impl DisjointUnionSampler {
@@ -45,76 +38,56 @@ impl DisjointUnionSampler {
         join_sizes: &[f64],
         samplers: Vec<Arc<dyn JoinSampler>>,
     ) -> Result<Self, CoreError> {
-        if join_sizes.len() != workload.n_joins() {
+        let n_joins = workload.n_joins();
+        if join_sizes.len() != n_joins {
             return Err(CoreError::Invalid(format!(
-                "expected {} join sizes, got {}",
-                workload.n_joins(),
+                "expected {n_joins} join sizes, got {}",
                 join_sizes.len()
             )));
         }
-        if samplers.len() != workload.n_joins() {
-            return Err(CoreError::Invalid(format!(
-                "{} join samplers for {} joins",
-                samplers.len(),
-                workload.n_joins()
-            )));
-        }
-        let selection = Categorical::new(join_sizes);
-        let n_joins = workload.n_joins();
         Ok(Self {
-            workload,
-            samplers,
-            selection,
-            report: RunReport::new(n_joins),
-            emitted: 0,
-            draw: suj_join::RowDraw::new(),
-            canon_scratch: Vec::new(),
+            step: DrawStep::new(workload, samplers)?,
+            selection: Categorical::new(join_sizes),
         })
     }
 }
 
 impl UnionSampler for DisjointUnionSampler {
     fn draw(&mut self, rng: &mut SujRng) -> Result<Draw, CoreError> {
-        if self.selection.is_none() {
+        let Some(selection) = &self.selection else {
             return Err(CoreError::Invalid(
                 "cannot sample from an empty disjoint union".into(),
             ));
-        }
+        };
         loop {
-            let j = self.selection.as_ref().expect("checked above").draw(rng);
-            self.report.join_draws[j] += 1;
-            let start = Instant::now();
-            if self.samplers[j].sample_rows(rng, &mut self.draw) {
-                let local = self.samplers[j].materialize(&self.draw);
-                let t = self
-                    .workload
-                    .to_canonical_into(j, &local, &mut self.canon_scratch);
-                let idx = self.emitted;
-                self.emitted += 1;
-                self.report.accepted += 1;
-                self.report.accepted_time += start.elapsed();
-                return Ok(Draw::Tuple(idx, t));
-            } else {
-                self.report.rejected_join += 1;
-                self.report.rejected_time += start.elapsed();
+            // One attempt per selection: a rejection re-selects the join.
+            let j = selection.draw(rng);
+            if !self.step.live(j)? {
+                continue;
             }
+            self.step.report.join_draws[j] += 1;
+            let start = Instant::now();
+            if let Some(t) = self.step.attempt(j, rng) {
+                return Ok(self.step.emit(t, start));
+            }
+            self.step.report.rejected_time += start.elapsed();
         }
     }
 
     fn report(&self) -> &RunReport {
-        &self.report
+        &self.step.report
     }
 
     fn report_mut(&mut self) -> &mut RunReport {
-        &mut self.report
+        &mut self.step.report
     }
 
     fn emitted(&self) -> u64 {
-        self.emitted
+        self.step.emitted
     }
 
     fn workload(&self) -> &Arc<UnionWorkload> {
-        &self.workload
+        &self.step.workload
     }
 
     fn may_retract(&self) -> bool {

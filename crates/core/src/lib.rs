@@ -95,6 +95,7 @@ pub mod bernoulli;
 pub mod catalog;
 pub mod cover;
 pub mod disjoint;
+mod draw_step;
 pub mod error;
 pub mod exact;
 pub mod hist_estimator;
@@ -102,6 +103,7 @@ pub mod overlap;
 pub mod planner;
 pub mod predicate_mode;
 pub mod query;
+mod record;
 pub mod report;
 pub mod sampler;
 pub mod serve;

@@ -16,7 +16,7 @@
 use crate::error::CoreError;
 use crate::overlap::OverlapMap;
 use crate::workload::UnionWorkload;
-use suj_join::{WalkOutcome, WanderJoin};
+use suj_join::{RowDraw, WanderJoin};
 use suj_stats::{z_value, ConfidenceInterval, HorvitzThompson, SujRng};
 use suj_storage::{FxHashMap, Tuple};
 
@@ -69,57 +69,30 @@ pub fn walk_warmup(
     rng: &mut SujRng,
 ) -> Result<WalkEstimate, CoreError> {
     let n = workload.n_joins();
-    let mut join_sizes = Vec::with_capacity(n);
-    let mut walks_spent = Vec::with_capacity(n);
-    let mut pools = Vec::with_capacity(n);
-    let mut hts = Vec::with_capacity(n);
-    let mut mask_weights = Vec::with_capacity(n);
-
+    let mut est = WalkEstimate::empty(n);
+    let mut draw = RowDraw::new();
     for j in 0..n {
         let wander = WanderJoin::new(workload.join(j).clone()).map_err(CoreError::Join)?;
-        let mut ht = HorvitzThompson::new();
-        let mut pool: Vec<(Tuple, f64)> = Vec::new();
-        let mut weights: FxHashMap<u32, f64> = FxHashMap::default();
         let mut walks = 0u64;
         while walks < cfg.max_walks_per_join {
-            match wander.walk(rng) {
-                WalkOutcome::Success { tuple, probability } => {
-                    ht.push_success(probability);
-                    let canonical = workload.to_canonical(j, &tuple);
-                    let mut mask = 1u32 << j;
-                    for (i, oracle) in workload.oracles().iter().enumerate() {
-                        if i != j && oracle.contains(&canonical) {
-                            mask |= 1 << i;
-                        }
-                    }
-                    *weights.entry(mask).or_insert(0.0) += 1.0 / probability;
-                    pool.push((canonical, probability));
+            match wander.walk_rows(rng, &mut draw) {
+                Some(probability) => {
+                    let canonical = workload.gather(j, draw.rows());
+                    est.record_success(workload, j, &canonical, probability, true);
                 }
-                WalkOutcome::Failure => ht.push_failure(),
+                None => est.record_failure(j),
             }
             walks += 1;
             if walks >= cfg.min_walks_per_join
                 && walks.is_multiple_of(32)
-                && ht.converged(cfg.confidence, cfg.rel_threshold)
+                && est.hts[j].converged(cfg.confidence, cfg.rel_threshold)
             {
                 break;
             }
         }
-        join_sizes.push(ht.estimate());
-        walks_spent.push(walks);
-        pools.push(pool);
-        hts.push(ht);
-        mask_weights.push(weights);
+        est.join_sizes[j] = est.hts[j].estimate();
     }
-
-    Ok(WalkEstimate {
-        n,
-        join_sizes,
-        walks_spent,
-        pools,
-        hts,
-        mask_weights,
-    })
+    Ok(est)
 }
 
 impl WalkEstimate {
@@ -141,23 +114,23 @@ impl WalkEstimate {
         self.n
     }
 
-    /// Records a successful walk of join `j` online: updates the HT
-    /// estimator and membership-mask weights, optionally adding the
-    /// tuple to the reuse pool. Returns the canonical tuple.
+    /// Records a successful walk of join `j` that produced `canonical`
+    /// (a canonical-order tuple): updates the HT estimator and
+    /// membership-mask weights, optionally adding the tuple to the
+    /// reuse pool.
     pub fn record_success(
         &mut self,
         workload: &UnionWorkload,
         j: usize,
-        local: &Tuple,
+        canonical: &Tuple,
         probability: f64,
         pool: bool,
-    ) -> Tuple {
+    ) {
         self.hts[j].push_success(probability);
         self.walks_spent[j] += 1;
-        let canonical = workload.to_canonical(j, local);
         let mut mask = 1u32 << j;
         for (i, oracle) in workload.oracles().iter().enumerate() {
-            if i != j && oracle.contains(&canonical) {
+            if i != j && oracle.contains(canonical) {
                 mask |= 1 << i;
             }
         }
@@ -165,7 +138,6 @@ impl WalkEstimate {
         if pool {
             self.pools[j].push((canonical.clone(), probability));
         }
-        canonical
     }
 
     /// Records a failed walk of join `j` (contributes `p(t) = 0`).

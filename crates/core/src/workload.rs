@@ -10,7 +10,7 @@
 use crate::error::CoreError;
 use std::sync::Arc;
 use suj_join::{JoinSpec, MembershipOracle};
-use suj_storage::{Schema, Tuple, Value};
+use suj_storage::{Schema, Tuple};
 
 /// Maximum number of joins in one workload.
 ///
@@ -94,11 +94,11 @@ impl UnionWorkload {
         local.project(&self.projections[j])
     }
 
-    /// [`UnionWorkload::to_canonical`] through a reusable scratch
-    /// buffer: repeated canonicalizations (one per accepted draw) pay
-    /// only the tuple's own allocation.
-    pub fn to_canonical_into(&self, j: usize, local: &Tuple, scratch: &mut Vec<Value>) -> Tuple {
-        local.project_into(&self.projections[j], scratch)
+    /// Gathers a row combination of join `j` (`rows[i]` = chosen row id
+    /// of its relation `i`) straight into canonical order:
+    /// [`to_canonical`](Self::to_canonical) without the local tuple.
+    pub fn gather(&self, j: usize, rows: &[u32]) -> Tuple {
+        self.joins[j].gather(rows, self.projections[j].iter().copied())
     }
 
     /// Membership oracle of join `j` over canonical tuples. Its indexes

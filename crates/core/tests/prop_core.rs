@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use std::sync::Arc;
 use suj_core::prelude::*;
-use suj_join::JoinSpec;
+use suj_join::weights::build_sampler;
+use suj_join::{JoinSpec, RowDraw, WeightKind};
 use suj_stats::SujRng;
 use suj_storage::{FxHashSet, Relation, Schema, Tuple, Value};
 
@@ -43,8 +44,87 @@ fn workload() -> impl Strategy<Value = UnionWorkload> {
         })
 }
 
+/// A random three-join workload over (a, b, c) whose members each list
+/// the attributes in another order: a chain in canonical order, the
+/// same chain declared back to front (local order c, b, a), and a
+/// triangle (local order c, a, b) — one structurally cyclic member.
+fn reordered_workload() -> impl Strategy<Value = UnionWorkload> {
+    (
+        prop::collection::vec((0i64..6, 0i64..4), 2..16),
+        prop::collection::vec((0i64..4, 0i64..5), 2..16),
+        prop::collection::vec((0i64..5, 0i64..6), 2..16),
+    )
+        .prop_map(|(ab, bc, ca)| {
+            let flip = |rows: &[(i64, i64)]| -> Vec<(i64, i64)> {
+                rows.iter().map(|&(x, y)| (y, x)).collect()
+            };
+            let forward = JoinSpec::chain(
+                "forward",
+                vec![rel("r1", ["a", "b"], &ab), rel("s1", ["b", "c"], &bc)],
+            )
+            .unwrap();
+            let backward = JoinSpec::chain(
+                "backward",
+                vec![
+                    rel("s2", ["c", "b"], &flip(&bc)),
+                    rel("r2", ["b", "a"], &flip(&ab)),
+                ],
+            )
+            .unwrap();
+            let triangle = JoinSpec::natural(
+                "triangle",
+                vec![
+                    rel("x", ["c", "a"], &ca),
+                    rel("y", ["a", "b"], &ab),
+                    rel("z", ["b", "c"], &bc),
+                ],
+            )
+            .unwrap();
+            UnionWorkload::new(vec![
+                Arc::new(forward),
+                Arc::new(backward),
+                Arc::new(triangle),
+            ])
+            .unwrap()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The one gather, in canonical order, is what canonicalizing the
+    /// join's own materialization gives — under every weight kind, for
+    /// members that order their attributes differently, the cyclic one
+    /// included.
+    #[test]
+    fn canonical_gather_equals_reordered_materialization(
+        w in reordered_workload(),
+        seed in 0u64..1000,
+    ) {
+        let mut rng = SujRng::seed_from_u64(seed);
+        let mut draw = RowDraw::new();
+        for kind in [
+            WeightKind::Exact,
+            WeightKind::ExtendedOlken,
+            WeightKind::WanderJoin,
+            WeightKind::AgmBox,
+        ] {
+            for j in 0..w.n_joins() {
+                let sampler = build_sampler(w.join(j).clone(), kind).unwrap();
+                for _ in 0..8 {
+                    // An empty member spends its budget and moves on.
+                    let (accepted, tries) = sampler.sample_rows_within(500, &mut rng, &mut draw);
+                    prop_assert!(if accepted { tries >= 1 } else { tries == 500 });
+                    if !accepted {
+                        break;
+                    }
+                    let gathered = w.gather(j, draw.rows());
+                    prop_assert_eq!(&gathered, &w.to_canonical(j, &sampler.materialize(&draw)));
+                    prop_assert!(w.contains(j, &gathered));
+                }
+            }
+        }
+    }
 
     /// Exact overlaps: union identities and cover partitioning hold on
     /// every random workload.

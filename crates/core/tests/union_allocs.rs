@@ -1,0 +1,184 @@
+//! One allocation per accepted tuple at the *union* level.
+//!
+//! `crates/join/tests/alloc_free.rs` holds the join layer to zero
+//! allocations per rejected attempt; this file holds the union layer to
+//! the tuple and nothing else. A draw gathers the accepted row ids
+//! straight into the canonical tuple it hands out — no join-local
+//! tuple, no canonicalizing copy — so once a handle is warm the
+//! allocation counter moves by exactly the number of tuples gathered
+//! (emitted ones plus those an ownership rule then rejected), however
+//! many join-level attempts were rejected on the way. The record
+//! policies add their record's growth, which is bounded by the number
+//! of *distinct* tuples, not by the number of draws.
+//!
+//! A counting global allocator wraps the system allocator. This file
+//! deliberately holds a single `#[test]` so no concurrent test thread
+//! can pollute the counter.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use suj_core::prelude::*;
+use suj_join::{JoinSpec, WeightKind};
+use suj_stats::SujRng;
+use suj_storage::{Relation, Schema, Value};
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
+    let schema = Schema::new(attrs.iter().copied()).unwrap();
+    let tuples = rows
+        .into_iter()
+        .map(|vals| vals.into_iter().map(Value::int).collect())
+        .collect();
+    Arc::new(Relation::new(name, schema, tuples).unwrap())
+}
+
+/// Two overlapping all-integer chains over (a, b, c); the second lists
+/// its relations and attributes back to front, so its local output
+/// order is (c, b, a). Skewed degrees (`b = 0` fans out three ways)
+/// make Extended Olken reject inside the join subroutine.
+fn workload() -> Arc<UnionWorkload> {
+    let r: Vec<Vec<i64>> = (0..12).map(|a| vec![a, a % 4]).collect();
+    let mut s: Vec<Vec<i64>> = (0..4).map(|b| vec![b, 100 + b]).collect();
+    s.extend([vec![0, 200], vec![0, 201]]);
+    let flipped = |rows: &[Vec<i64>]| rows.iter().map(|r| vec![r[1], r[0]]).collect();
+    let j1 = JoinSpec::chain(
+        "j1",
+        vec![
+            rel("r1", &["a", "b"], r.clone()),
+            rel("s1", &["b", "c"], s.clone()),
+        ],
+    )
+    .unwrap();
+    // Drops a few of j1's rows and adds a few of its own.
+    let (mut r2, mut s2) = (r[3..].to_vec(), s[1..].to_vec());
+    r2.push(vec![40, 1]);
+    s2.push(vec![2, 300]);
+    let j2 = JoinSpec::chain(
+        "j2",
+        vec![
+            rel("s2", &["c", "b"], flipped(&s2)),
+            rel("r2", &["b", "a"], flipped(&r2)),
+        ],
+    )
+    .unwrap();
+    Arc::new(UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)]).unwrap())
+}
+
+/// Draws `events` events from a warm handle; returns the allocations
+/// they cost and the report delta.
+fn measure(sampler: &mut dyn UnionSampler, rng: &mut SujRng, events: usize) -> (u64, RunReport) {
+    let baseline = sampler.report().clone();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..events {
+        sampler.draw(rng).unwrap();
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    (allocations, sampler.report().delta_since(&baseline))
+}
+
+#[test]
+fn a_warm_union_handle_allocates_the_tuple_and_nothing_else() {
+    let w = workload();
+    let distinct = full_join_union(&w).unwrap().union_size() as u64;
+    const EVENTS: usize = 4_000;
+    let build = |strategy: Strategy, cover: Option<CoverPolicy>| {
+        let mut builder = SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Exact)
+            .strategy(strategy)
+            .weights(WeightKind::ExtendedOlken);
+        if let Some(policy) = cover {
+            builder = builder.cover_policy(policy);
+        }
+        let mut sampler = builder.build().unwrap();
+        let mut rng = SujRng::seed_from_u64(11);
+        // Warm-up: sizes the row-id scratch and the event queue.
+        measure(sampler.as_mut(), &mut rng, 64);
+        (sampler, rng)
+    };
+
+    // Samplers with no record: exactly one allocation per gathered
+    // tuple, none per rejected attempt.
+    for (name, strategy, cover) in [
+        ("disjoint", Strategy::Disjoint, None),
+        (
+            "bernoulli(oracle)",
+            Strategy::Bernoulli(DesignationPolicy::Oracle),
+            None,
+        ),
+        (
+            "algorithm 1 (oracle cover)",
+            Strategy::Rejection,
+            Some(CoverPolicy::MembershipOracle),
+        ),
+    ] {
+        let (mut sampler, mut rng) = build(strategy, cover);
+        let (allocations, report) = measure(sampler.as_mut(), &mut rng, EVENTS);
+        assert_eq!(report.accepted, EVENTS as u64, "{name}");
+        assert!(report.rejected_join > 0, "{name}: EO must reject attempts");
+        assert_eq!(
+            report.rejected_cover > 0,
+            !matches!(strategy, Strategy::Disjoint),
+            "{name}: the joins overlap, and only a disjoint union keeps every copy"
+        );
+        assert_eq!(
+            allocations,
+            report.accepted + report.rejected_cover,
+            "{name}: one allocation per gathered tuple ({report:?})"
+        );
+    }
+
+    // Record policies: the same, plus the record's own growth — a few
+    // table doublings, and for Algorithm 1 the live-copy list of each
+    // distinct tuple (doubling as copies accumulate).
+    let doublings = u64::from(usize::BITS - EVENTS.leading_zeros());
+    for (name, strategy, cover, growth) in [
+        (
+            "bernoulli(record)",
+            Strategy::Bernoulli(DesignationPolicy::Record),
+            None,
+            doublings,
+        ),
+        (
+            "algorithm 1 (record cover)",
+            Strategy::Rejection,
+            Some(CoverPolicy::Record),
+            doublings + distinct * doublings,
+        ),
+    ] {
+        let (mut sampler, mut rng) = build(strategy, cover);
+        let (allocations, report) = measure(sampler.as_mut(), &mut rng, EVENTS);
+        assert!(
+            report.rejected_join > 0 && report.rejected_cover > 0,
+            "{name}"
+        );
+        let gathered = report.accepted + report.rejected_cover;
+        assert!(
+            (gathered..=gathered + growth).contains(&allocations),
+            "{name}: {allocations} allocations for {gathered} gathered tuples \
+             (record growth allowance {growth}; {report:?})"
+        );
+    }
+}

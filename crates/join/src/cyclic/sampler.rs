@@ -52,7 +52,7 @@ use crate::weights::{JoinSampler, RowDraw, SizeInfo};
 use std::cell::RefCell;
 use std::sync::Arc;
 use suj_stats::SujRng;
-use suj_storage::{SortedIndex, Tuple, Value};
+use suj_storage::{SortedIndex, Value};
 
 /// Per-thread descent scratch: one run, one distinct count, and one
 /// split point per relation.
@@ -90,9 +90,6 @@ pub struct CyclicJoinSampler {
     max_block: Vec<usize>,
     /// `agm_root · Π max_block` — the bag-semantics output bound.
     size_bound: f64,
-    /// Output fill plan: for each output position, the first relation
-    /// containing the attribute and its column there.
-    out_src: Vec<(u32, u32)>,
 }
 
 impl CyclicJoinSampler {
@@ -135,18 +132,6 @@ impl CyclicJoinSampler {
         let max_block: Vec<usize> = sorted.iter().map(|idx| idx.max_block().max(1)).collect();
         let size_bound = agm_root * max_block.iter().map(|&m| m as f64).product::<f64>();
 
-        let arity = spec.output_schema().arity();
-        let mut out_src = vec![(0u32, 0u32); arity];
-        let mut claimed = vec![false; arity];
-        for i in 0..n {
-            for (k, &p) in spec.out_positions(i).iter().enumerate() {
-                if !claimed[p] {
-                    claimed[p] = true;
-                    out_src[p] = (i as u32, k as u32);
-                }
-            }
-        }
-
         Ok(Self {
             spec,
             cover,
@@ -156,7 +141,6 @@ impl CyclicJoinSampler {
             agm_root,
             max_block,
             size_bound,
-            out_src,
         })
     }
 
@@ -327,18 +311,6 @@ impl JoinSampler for CyclicJoinSampler {
 
     fn sample_rows(&self, rng: &mut SujRng, draw: &mut RowDraw) -> bool {
         BOX_SCRATCH.with(|s| self.descend(rng, draw, &mut s.borrow_mut()))
-    }
-
-    fn materialize(&self, draw: &RowDraw) -> Tuple {
-        self.out_src
-            .iter()
-            .map(|&(r, k)| {
-                self.spec
-                    .relation(r as usize)
-                    .column(k as usize)
-                    .value(draw.rows[r as usize] as usize)
-            })
-            .collect()
     }
 
     /// `AGM(root) · Π_i max_block_i` — an upper bound on the bag-join

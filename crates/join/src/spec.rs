@@ -11,7 +11,7 @@
 use crate::error::JoinError;
 use std::fmt;
 use std::sync::Arc;
-use suj_storage::{Relation, Schema};
+use suj_storage::{Relation, Schema, Tuple};
 
 /// An equality edge between two relations of a join.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,6 +35,23 @@ pub struct JoinSpec {
     /// Per relation: position of each of its attributes in the output
     /// schema.
     out_positions: Vec<Vec<usize>>,
+    /// The output fill plan (inverse of `out_positions`): output position
+    /// `p` is read from relation `out_sources[p].0`, column `.1`.
+    pub(crate) out_sources: Vec<(u32, u32)>,
+}
+
+/// Builds the output fill plan: the first relation (in spec order)
+/// carrying an attribute supplies it. In a result row combination every
+/// carrier agrees on the value, so which one is read is immaterial.
+fn fill_plan(out_positions: &[Vec<usize>], arity: usize) -> Vec<(u32, u32)> {
+    let mut sources = vec![(0, 0); arity];
+    // The last write wins, so the relations are visited backwards.
+    for (i, positions) in out_positions.iter().enumerate().rev() {
+        for (k, &p) in positions.iter().enumerate() {
+            sources[p] = (i as u32, k as u32);
+        }
+    }
+    sources
 }
 
 impl JoinSpec {
@@ -127,7 +144,7 @@ impl JoinSpec {
         for r in &relations[1..] {
             output_schema = output_schema.union(r.schema())?;
         }
-        let out_positions = relations
+        let out_positions: Vec<Vec<usize>> = relations
             .iter()
             .map(|r| {
                 r.schema()
@@ -137,6 +154,7 @@ impl JoinSpec {
                     .collect()
             })
             .collect();
+        let out_sources = fill_plan(&out_positions, output_schema.arity());
 
         Ok(Self {
             name: Arc::from(name.as_ref()),
@@ -144,6 +162,7 @@ impl JoinSpec {
             edges,
             output_schema,
             out_positions,
+            out_sources,
         })
     }
 
@@ -229,6 +248,22 @@ impl JoinSpec {
     /// For relation `i`: positions of its attributes in the output schema.
     pub fn out_positions(&self, i: usize) -> &[usize] {
         &self.out_positions[i]
+    }
+
+    /// Gathers a row combination (`rows[i]` = chosen row id of relation
+    /// `i`) into a tuple whose `k`-th value is output position `order[k]`
+    /// (`0..arity` for the spec's own order) — the one place row ids
+    /// become a [`Tuple`]. Values go straight from the columns (string
+    /// cells are an `Arc` bump) into the tuple's single allocation.
+    pub fn gather(&self, rows: &[u32], order: impl Iterator<Item = usize>) -> Tuple {
+        order
+            .map(|p| {
+                let (r, k) = self.out_sources[p];
+                self.relations[r as usize]
+                    .column(k as usize)
+                    .value(rows[r as usize] as usize)
+            })
+            .collect()
     }
 
     /// The edge between relations `i` and `j`, if any.

@@ -74,8 +74,8 @@ impl WanderJoin {
 
     /// Performs one random walk over row ids — the allocation-free hot
     /// path. On success, returns the walk probability with the chosen
-    /// rows left in `draw`; materialize them with
-    /// [`WanderJoin::materialize`] only if the walk is kept.
+    /// rows left in `draw`; gather them ([`JoinSpec::gather`]) only if
+    /// the walk is kept.
     pub fn walk_rows(&self, rng: &mut SujRng, draw: &mut RowDraw) -> Option<f64> {
         let prepared = &self.prepared;
         let root = prepared.tree.root();
@@ -104,17 +104,13 @@ impl WanderJoin {
         Some(probability)
     }
 
-    /// Materializes a successful walk's rows into the output tuple.
-    pub fn materialize(&self, draw: &RowDraw) -> Tuple {
-        self.prepared.materialize(draw.rows())
-    }
-
     /// Performs one random walk, materializing the result tuple on
     /// success.
     pub fn walk(&self, rng: &mut SujRng) -> WalkOutcome {
+        let spec = self.spec();
         with_draw_scratch(|draw| match self.walk_rows(rng, draw) {
             Some(probability) => WalkOutcome::Success {
-                tuple: self.materialize(draw),
+                tuple: spec.gather(draw.rows(), 0..spec.output_schema().arity()),
                 probability,
             },
             None => WalkOutcome::Failure,
@@ -200,10 +196,6 @@ impl JoinSampler for WanderSampler {
             }
             None => false,
         }
-    }
-
-    fn materialize(&self, draw: &RowDraw) -> Tuple {
-        self.wander.materialize(draw)
     }
 
     fn size_info(&self) -> SizeInfo {

@@ -31,10 +31,10 @@
 //! child index's key id), so one walk step is two integer array reads
 //! (key id → CSR postings) plus the RNG draw. Attempts produce row ids
 //! only ([`JoinSampler::sample_rows`] into a caller-held [`RowDraw`]);
-//! the output [`Tuple`] is materialized *after* acceptance
-//! ([`JoinSampler::materialize`]), so rejected attempts perform zero
-//! heap allocations — pinned by the counting-allocator test in
-//! `tests/alloc_free.rs`.
+//! the output [`Tuple`] is gathered *after* acceptance
+//! ([`JoinSpec::gather`], the one place row ids become values), so
+//! rejected attempts perform zero heap allocations — pinned by the
+//! counting-allocator test in `tests/alloc_free.rs`.
 //!
 //! # The alias cascade
 //!
@@ -152,12 +152,13 @@ pub(crate) fn with_draw_scratch<R>(f: impl FnOnce(&mut RowDraw) -> R) -> R {
 ///
 /// The required surface is the row-id hot path:
 /// [`sample_rows`](JoinSampler::sample_rows) performs one attempt
-/// without allocating, and [`materialize`](JoinSampler::materialize)
-/// builds the output tuple for an accepted draw. The tuple-level
+/// without allocating. Provided on top:
+/// [`sample_rows_within`](JoinSampler::sample_rows_within) retries it
+/// under a budget, [`materialize`](JoinSampler::materialize) gathers
+/// an accepted draw into the output tuple, and the tuple-level
 /// methods ([`sample`](JoinSampler::sample),
-/// [`sample_until_accepted`](JoinSampler::sample_until_accepted),
-/// [`sample_batch`](JoinSampler::sample_batch)) are provided on top and
-/// only materialize on acceptance.
+/// [`sample_batch`](JoinSampler::sample_batch)) only materialize on
+/// acceptance.
 pub trait JoinSampler: Send + Sync {
     /// The join being sampled.
     fn spec(&self) -> &JoinSpec;
@@ -168,9 +169,30 @@ pub trait JoinSampler: Send + Sync {
     /// test, or a cycle-consistency violation).
     fn sample_rows(&self, rng: &mut SujRng, draw: &mut RowDraw) -> bool;
 
+    /// Attempts until one is accepted or `max_tries` are spent; returns
+    /// whether one was, and the attempts consumed. The retry loop lives
+    /// behind the trait object so that a low-acceptance sampler costs
+    /// one virtual call per accepted draw, not one per attempt.
+    fn sample_rows_within(
+        &self,
+        max_tries: u64,
+        rng: &mut SujRng,
+        draw: &mut RowDraw,
+    ) -> (bool, u64) {
+        for attempt in 1..=max_tries {
+            if self.sample_rows(rng, draw) {
+                return (true, attempt);
+            }
+        }
+        (false, max_tries)
+    }
+
     /// Materializes an accepted draw into a tuple in the spec's output
     /// schema order.
-    fn materialize(&self, draw: &RowDraw) -> Tuple;
+    fn materialize(&self, draw: &RowDraw) -> Tuple {
+        let spec = self.spec();
+        spec.gather(&draw.rows, 0..spec.output_schema().arity())
+    }
 
     /// The join size implied by the weights — the one place a join's
     /// size is read from: the normaliser this sampler rejects against
@@ -201,19 +223,6 @@ pub trait JoinSampler: Send + Sync {
             } else {
                 SampleOutcome::Rejected
             }
-        })
-    }
-
-    /// Draws until acceptance (or `max_tries`); returns the tuple and the
-    /// number of attempts consumed. Rejected attempts allocate nothing.
-    fn sample_until_accepted(&self, rng: &mut SujRng, max_tries: u64) -> (Option<Tuple>, u64) {
-        with_draw_scratch(|draw| {
-            for attempt in 1..=max_tries {
-                if self.sample_rows(rng, draw) {
-                    return (Some(self.materialize(draw)), attempt);
-                }
-            }
-            (None, max_tries)
         })
     }
 
@@ -264,10 +273,6 @@ pub(crate) struct Prepared {
     /// Whether the join graph was already a tree (no dropped equalities
     /// to re-check).
     pub(crate) exact_tree: bool,
-    /// Output fill plan: output position `p` is supplied by local
-    /// position `out_src[p].1` of relation `out_src[p].0` (the first
-    /// tree-order claimant).
-    out_src: Vec<(u32, u32)>,
     /// Equality constraints dropped by the spanning tree (cyclic specs
     /// only): `(rel_a, k_a, rel_b, k_b)` pairs whose values must agree
     /// in an accepted row combination.
@@ -306,21 +311,16 @@ impl Prepared {
             }
         }
 
-        // Output fill plan + dropped-equality checks.
-        let arity = spec.output_schema().arity();
-        let mut out_src = vec![(0u32, 0u32); arity];
-        let mut claimed = vec![false; arity];
+        // Dropped-equality checks: every other carrier of an output
+        // attribute must agree with the column the fill plan reads.
         let mut consistency = Vec::new();
-        for &v in tree.order() {
-            for (k, &p) in spec.out_positions(v).iter().enumerate() {
-                if claimed[p] {
-                    if !exact_tree {
-                        let (r0, k0) = out_src[p];
-                        consistency.push((r0, k0, v as u32, k as u32));
+        if !exact_tree {
+            for v in 0..n as u32 {
+                for (k, &p) in (0u32..).zip(spec.out_positions(v as usize)) {
+                    let (r0, k0) = spec.out_sources[p];
+                    if (r0, k0) != (v, k) {
+                        consistency.push((r0, k0, v, k));
                     }
-                } else {
-                    claimed[p] = true;
-                    out_src[p] = (v as u32, k as u32);
                 }
             }
         }
@@ -331,7 +331,6 @@ impl Prepared {
             indexes,
             edge_keys,
             exact_tree,
-            out_src,
             consistency,
         })
     }
@@ -357,7 +356,7 @@ impl Prepared {
     }
 
     /// Heap bytes of the prepared structures: child hash indexes plus
-    /// the encoded edge-key tables and output/consistency plans.
+    /// the encoded edge-key tables and output (the spec's)/consistency plans.
     pub(crate) fn memory_bytes(&self) -> usize {
         let indexes: usize = self
             .indexes
@@ -368,24 +367,8 @@ impl Prepared {
         let edges: usize = self.edge_keys.iter().map(|e| e.len() * 4).sum();
         indexes
             + edges
-            + self.out_src.len() * std::mem::size_of::<(u32, u32)>()
+            + self.spec.output_schema().arity() * std::mem::size_of::<(u32, u32)>()
             + self.consistency.len() * std::mem::size_of::<(u32, u32, u32, u32)>()
-    }
-
-    /// Materializes a row combination into an output tuple, filling
-    /// each output position straight from the owning relation's column
-    /// (string cells are an `Arc` bump out of the column dictionary) —
-    /// the one acceptance-path allocation.
-    pub(crate) fn materialize(&self, rows: &[u32]) -> Tuple {
-        self.out_src
-            .iter()
-            .map(|&(r, k)| {
-                self.spec
-                    .relation(r as usize)
-                    .column(k as usize)
-                    .value(rows[r as usize] as usize)
-            })
-            .collect()
     }
 }
 
@@ -743,10 +726,6 @@ impl JoinSampler for ExactWeightSampler {
         prepared.consistent(&draw.rows)
     }
 
-    fn materialize(&self, draw: &RowDraw) -> Tuple {
-        self.prepared.materialize(&draw.rows)
-    }
-
     /// The spanning-join size: exact on acyclic specs whose count DP
     /// did not saturate, an upper bound otherwise.
     fn size_info(&self) -> SizeInfo {
@@ -859,10 +838,6 @@ impl JoinSampler for OlkenSampler {
             draw.rows[v] = index.postings(kid)[rng.index(degree)];
         }
         prepared.consistent(&draw.rows)
-    }
-
-    fn materialize(&self, draw: &RowDraw) -> Tuple {
-        self.prepared.materialize(&draw.rows)
     }
 
     fn size_info(&self) -> SizeInfo {
@@ -1150,7 +1125,7 @@ mod tests {
     #[test]
     fn sample_batch_matches_sequential_draws() {
         // One batched call is seed-for-seed identical to a loop of
-        // sample_until_accepted — the batch only amortizes scratch.
+        // one-tuple batches — the batch only amortizes scratch.
         let sampler = OlkenSampler::new(skewed_chain()).unwrap();
         let mut rng_a = SujRng::seed_from_u64(9);
         let mut rng_b = SujRng::seed_from_u64(9);
@@ -1159,9 +1134,7 @@ mod tests {
         let mut sequential = Vec::new();
         let mut seq_attempts = 0u64;
         while sequential.len() < 50 {
-            let (t, tries) = sampler.sample_until_accepted(&mut rng_b, 1_000_000);
-            seq_attempts += tries;
-            sequential.push(t.expect("nonempty join accepts"));
+            seq_attempts += sampler.sample_batch(1, 1_000_000, &mut rng_b, &mut sequential);
         }
         assert_eq!(batch, sequential);
         assert_eq!(attempts, seq_attempts);
@@ -1222,9 +1195,9 @@ mod tests {
             assert_eq!(ew.sample(&mut rng), SampleOutcome::Rejected);
             assert_eq!(eo.sample(&mut rng), SampleOutcome::Rejected);
         }
-        let (t, tries) = ew.sample_until_accepted(&mut rng, 10);
-        assert!(t.is_none());
-        assert_eq!(tries, 10);
+        let mut out = Vec::new();
+        assert_eq!(ew.sample_batch(1, 10, &mut rng, &mut out), 10);
+        assert!(out.is_empty());
     }
 
     #[test]

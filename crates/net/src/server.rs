@@ -567,14 +567,14 @@ fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
         }
     };
     match ticket.wait() {
-        Ok(response) => {
-            let attrs = prepared.workload().canonical_schema().attrs().to_vec();
-            Frame {
-                opcode: OP_BATCH,
-                request_id: id,
-                payload: encode_batch(&attrs, &response.tuples),
-            }
-        }
+        Ok(response) => Frame {
+            opcode: OP_BATCH,
+            request_id: id,
+            payload: encode_batch(
+                prepared.workload().canonical_schema().attrs(),
+                &response.tuples,
+            ),
+        },
         Err(CoreError::DeadlineExceeded) => error_frame(
             id,
             ERR_DEADLINE,

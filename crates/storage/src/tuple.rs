@@ -60,15 +60,6 @@ impl Tuple {
         Tuple::new(vals)
     }
 
-    /// Projects onto the given positions through a reusable scratch
-    /// buffer: `scratch`'s capacity is reused across calls, so repeated
-    /// cold-path materializations pay only the tuple's own allocation.
-    pub fn project_into(&self, positions: &[usize], scratch: &mut Vec<Value>) -> Tuple {
-        scratch.clear();
-        scratch.extend(positions.iter().map(|&p| self.values[p].clone()));
-        Tuple::from_slice(scratch)
-    }
-
     /// Concatenates two tuples (one pre-sized allocation).
     pub fn concat(&self, other: &Tuple) -> Tuple {
         let mut vals = Vec::with_capacity(self.arity() + other.arity());
@@ -158,18 +149,6 @@ mod tests {
         let p = t.project(&[3, 0]);
         assert_eq!(p, tuple![4i64, 1i64]);
         assert_eq!(t.arity(), 4);
-    }
-
-    #[test]
-    fn project_into_reuses_scratch() {
-        let t = tuple![1i64, 2i64, 3i64, 4i64];
-        let mut scratch = Vec::new();
-        let p = t.project_into(&[3, 0], &mut scratch);
-        assert_eq!(p, t.project(&[3, 0]));
-        let cap = scratch.capacity();
-        let q = t.project_into(&[1, 2], &mut scratch);
-        assert_eq!(q, tuple![2i64, 3i64]);
-        assert_eq!(scratch.capacity(), cap, "scratch capacity is reused");
     }
 
     #[test]
