@@ -192,7 +192,7 @@ fn bound_under_template(w: &UnionWorkload, template: &Template) -> f64 {
         .map(|v| {
             splits
                 .iter()
-                .map(|s| s.relations[0].deg_y.degree(v) * s.relations[1].deg_x.degree(v))
+                .map(|s| s.relations[0].deg_y.degree(&v) * s.relations[1].deg_x.degree(&v))
                 .fold(f64::INFINITY, f64::min)
         })
         .filter(|m| *m > 0.0)

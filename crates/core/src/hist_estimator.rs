@@ -23,9 +23,11 @@
 use crate::error::CoreError;
 use crate::overlap::OverlapMap;
 use crate::workload::UnionWorkload;
+use suj_join::bounds::{olken_bound_with, StatsCache};
 use suj_join::residual::decompose_cyclic;
-use suj_join::template::{build_template, split_join, DegreeBound, SplitJoin, Template};
+use suj_join::template::{build_template, split_join_with, DegreeBound, SplitJoin, Template};
 use suj_join::JoinSpec;
+use suj_storage::Value;
 
 /// Which degree statistic drives the `K(i)` multipliers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +62,19 @@ impl HistogramEstimator {
         size_hints: Vec<f64>,
         zero_weight: f64,
     ) -> Result<Self, CoreError> {
+        let mut stats = StatsCache::default();
+        Self::with_stats(workload, mode, size_hints, zero_weight, &mut stats)
+    }
+
+    /// [`new`](Self::new) over a statistics cache the caller has
+    /// already read from: every member's split shares its histograms.
+    fn with_stats(
+        workload: &UnionWorkload,
+        mode: DegreeMode,
+        size_hints: Vec<f64>,
+        zero_weight: f64,
+        stats: &mut StatsCache,
+    ) -> Result<Self, CoreError> {
         let n = workload.n_joins();
         if size_hints.len() != n {
             return Err(CoreError::Invalid(format!(
@@ -80,7 +95,7 @@ impl HistogramEstimator {
         let template = build_template(&spec_refs, zero_weight).map_err(CoreError::Join)?;
         let splits: Vec<SplitJoin> = prepared_specs
             .iter()
-            .map(|s| split_join(s, &template))
+            .map(|s| split_join_with(s, &template, stats))
             .collect::<Result<_, _>>()
             .map_err(CoreError::Join)?;
 
@@ -94,15 +109,17 @@ impl HistogramEstimator {
     }
 
     /// Convenience: estimator with extended-Olken join size hints (the
-    /// pure-histogram configuration of §9).
+    /// pure-histogram configuration of §9). The bounds' maximum degrees
+    /// and the splits' histograms come from one statistics cache.
     pub fn with_olken(workload: &UnionWorkload, mode: DegreeMode) -> Result<Self, CoreError> {
+        let mut stats = StatsCache::default();
         let hints = workload
             .joins()
             .iter()
-            .map(|j| suj_join::bounds::olken_bound(j))
+            .map(|j| olken_bound_with(j, &mut stats))
             .collect::<Result<Vec<_>, _>>()
             .map_err(CoreError::Join)?;
-        Self::new(workload, mode, hints, 0.0)
+        Self::with_stats(workload, mode, hints, 0.0, &mut stats)
     }
 
     /// The selected template.
@@ -130,29 +147,24 @@ impl HistogramEstimator {
     /// Estimates `|O_Δ|` for a set of join indices (Theorem 4). A
     /// singleton returns its size hint.
     pub fn estimate_overlap(&self, joins: &[usize]) -> f64 {
+        self.theorem4(joins, || self.k1(joins))
+    }
+
+    /// Theorem 4 for one subset, given its `K(1)`: the trivial cases,
+    /// the `K(i)` recurrence and the cap by `min_j |J_j|`.
+    fn theorem4(&self, joins: &[usize], k1: impl FnOnce() -> f64) -> f64 {
         assert!(!joins.is_empty(), "overlap of the empty set is undefined");
         let cap = joins
             .iter()
             .map(|&j| self.size_hints[j])
             .fold(f64::INFINITY, f64::min);
-        if joins.len() == 1 {
-            return cap;
-        }
         let chain_len = self.splits[joins[0]].relations.len();
-        if chain_len == 0 {
-            // Single-attribute output schema — only the trivial bound.
+        // A singleton is its hint; a single-attribute output schema
+        // has only the trivial bound.
+        if joins.len() == 1 || chain_len == 0 {
             return cap;
         }
-
-        // K(1): exact per-value pass over the common domain of the first
-        // join attribute (SR_1.y == SR_2.x; for length-1 chains, the
-        // first attribute itself).
-        let k1 = if chain_len == 1 {
-            self.k1_single_relation(joins)
-        } else {
-            self.k1_pairwise(joins)
-        };
-        let mut k = k1;
+        let mut k = k1();
 
         // K(i) = K(i−1) · min_j M_{j,i}, with fake joins contributing 1.
         // K(1) consumed link 0 (relations[0] ⋈ relations[1]); link `s`
@@ -178,64 +190,107 @@ impl HistogramEstimator {
         k.min(cap).max(0.0)
     }
 
-    /// `K(1)` when each split chain is a single two-attribute relation:
-    /// `Σ_v min_j d_{X_1}(v, SR_1^j)`.
-    fn k1_single_relation(&self, joins: &[usize]) -> f64 {
-        let domain_join = self.smallest_domain_join(joins, |sj| &sj.relations[0].deg_x);
-        let domain = &self.splits[domain_join].relations[0].deg_x;
-        let mut total = 0.0;
-        for v in domain.values() {
-            let m = joins
-                .iter()
-                .map(|&j| self.splits[j].relations[0].deg_x.degree(v))
-                .fold(f64::INFINITY, f64::min);
-            if m > 0.0 {
-                total += m;
-            }
+    /// The value domain `K(1)` ranges over, as join `j` holds it: the
+    /// first join attribute `A_1 = SR_1.y = SR_2.x` (for length-1
+    /// chains, the first attribute itself).
+    fn k1_domain(&self, j: usize) -> &DegreeBound {
+        match self.splits[j].relations.as_slice() {
+            [only] => &only.deg_x,
+            [first, ..] => &first.deg_y,
+            [] => unreachable!("K(1) is only taken over nonempty chains"),
         }
-        total
     }
 
-    /// `K(1) = Σ_{v∈C} min_j d_{A1}(v, R_{j,1}) · d_{A1}(v, R_{j,2})`
-    /// over the first join attribute `A_1 = SR_1.y = SR_2.x`.
-    fn k1_pairwise(&self, joins: &[usize]) -> f64 {
-        let domain_join = self.smallest_domain_join(joins, |sj| &sj.relations[0].deg_y);
-        let domain = &self.splits[domain_join].relations[0].deg_y;
-        let mut total = 0.0;
-        for v in domain.values() {
-            let m = joins
-                .iter()
-                .map(|&j| {
-                    let split = &self.splits[j];
-                    let d1 = split.relations[0].deg_y.degree(v);
-                    let d2 = split.relations[1].deg_x.degree(v);
-                    d1 * d2
-                })
-                .fold(f64::INFINITY, f64::min);
-            if m > 0.0 {
-                total += m;
-            }
+    /// Join `j`'s term of `K(1)` at value `v`: `d_{A_1}(v, R_{j,1}) ·
+    /// d_{A_1}(v, R_{j,2})`, or `d_{X_1}(v, SR_1^j)` when the chain is
+    /// a single relation. A degree times a product of maximum degrees:
+    /// an integer, exactly, while it stays below 2⁵³.
+    fn k1_term(&self, j: usize, v: &Value) -> f64 {
+        match self.splits[j].relations.as_slice() {
+            [only] => only.deg_x.degree(v),
+            [first, second, ..] => first.deg_y.degree(v) * second.deg_x.degree(v),
+            [] => unreachable!("K(1) is only taken over nonempty chains"),
         }
-        total
     }
 
-    /// The member join whose degree-bound domain is smallest (cheapest
-    /// to iterate; the min over joins makes any choice correct).
-    fn smallest_domain_join<'a>(
-        &'a self,
-        joins: &[usize],
-        f: impl Fn(&'a SplitJoin) -> &'a DegreeBound,
-    ) -> usize {
-        *joins
+    /// `K(1) = Σ_{v∈C} min_j term_j(v)` for one subset, over the member
+    /// domain with the fewest values (a value outside any member's
+    /// domain has a zero term there, so any member's domain will do).
+    fn k1(&self, joins: &[usize]) -> f64 {
+        let domain = *joins
             .iter()
-            .min_by_key(|&&j| f(&self.splits[j]).distinct())
-            .expect("nonempty join set")
+            .min_by_key(|&&j| self.k1_domain(j).distinct())
+            .expect("nonempty join set");
+        let mut total = 0.0;
+        for v in self.k1_domain(domain).values() {
+            let m = joins
+                .iter()
+                .map(|&j| self.k1_term(j, &v))
+                .fold(f64::INFINITY, f64::min);
+            if m > 0.0 {
+                total += m;
+            }
+        }
+        total
+    }
+
+    /// `K(1)` of every subset of two or more joins, indexed by bitmask,
+    /// in one pass per member domain. A value with a positive term in
+    /// every member of a subset lies in the domain of the subset's
+    /// lowest member, so walking join `l`'s domain serves exactly the
+    /// subsets whose lowest member is `l`: each value is looked up once
+    /// per later member and its minimum credited to every submask of
+    /// the later members that hold it. The sums equal [`k1`](Self::k1)'s
+    /// bit for bit whatever the order: every term is an integer-valued
+    /// `f64`, and integer sums below 2⁵³ are exact.
+    fn k1_all_subsets(&self) -> Vec<f64> {
+        let n = self.n;
+        let mut k1 = vec![0.0f64; 1 << n];
+        // Indexed by submask of the later members (bit `i` ↔ join
+        // `lowest + 1 + i`): the minimum term over `lowest` and them.
+        let mut min_term = vec![0.0f64; 1 << (n - 1)];
+        let mut terms = vec![0.0f64; n];
+        for lowest in 0..n - 1 {
+            for v in self.k1_domain(lowest).values() {
+                min_term[0] = self.k1_term(lowest, &v);
+                if min_term[0] <= 0.0 {
+                    continue;
+                }
+                let mut held = 0usize;
+                for (i, term) in terms[..n - lowest - 1].iter_mut().enumerate() {
+                    *term = self.k1_term(lowest + 1 + i, &v);
+                    if *term > 0.0 {
+                        held |= 1 << i;
+                    }
+                }
+                // Nonempty submasks of `held` in ascending order, so a
+                // submask's minimum extends the one without its lowest
+                // bit.
+                let mut sub = held & held.wrapping_neg();
+                while sub != 0 {
+                    let low = sub & sub.wrapping_neg();
+                    let m = min_term[sub ^ low].min(terms[low.trailing_zeros() as usize]);
+                    min_term[sub] = m;
+                    k1[(1 << lowest) | (sub << (lowest + 1))] += m;
+                    sub = sub.wrapping_sub(held) & held;
+                }
+            }
+        }
+        k1
     }
 
     /// The full overlap map (singletons = hints, larger sets =
-    /// Theorem 4 estimates).
+    /// Theorem 4 estimates) — [`estimate_overlap`](Self::estimate_overlap)
+    /// of every subset, with `K(1)` taken for all of them at once.
     pub fn overlap_map(&self) -> Result<OverlapMap, CoreError> {
-        OverlapMap::from_fn(self.n, |indices| self.estimate_overlap(indices))
+        // Taken on first use: `from_fn` has validated `n` by then.
+        let mut k1: Option<Vec<f64>> = None;
+        OverlapMap::from_fn(self.n, |joins| {
+            self.theorem4(joins, || {
+                let mask = joins.iter().fold(0usize, |mask, &j| mask | 1 << j);
+                k1.get_or_insert_with(|| self.k1_all_subsets())[mask]
+            })
+        })
     }
 }
 

@@ -265,8 +265,14 @@ impl Planner {
     /// `Σ|Jᵢ|` by `|∪Jᵢ|`, join sizes are read from the join samplers,
     /// and a sampler knows its size only once its count tables exist —
     /// so planning builds every member's hash indexes, count tables and
-    /// alias arenas (almost all of a cold prepare). A prepare loses
-    /// nothing by it: the freeze serves from those same samplers.
+    /// alias arenas (half of a cold prepare). A prepare loses nothing
+    /// by it: the freeze serves from those same samplers. The other
+    /// half is the §5 probe, which costs what its data costs: each
+    /// column counted once, K(1) of every subset in one pass per domain
+    /// — on `bulk_cold`'s 1.13 M rows (scratch timers) Olken bounds
+    /// 12 → 3–4 ms, template 10 → 10–12, `split_join` 128–152 → 23–25,
+    /// `overlap_map` 23–26 (+15 of drops) → 5–7, samplers 33–79 → 40–57;
+    /// 235–268 → 86–99 ms in all (DESIGN.md, "What planning costs").
     pub fn plan(&self, workload: &UnionWorkload, semantics: UnionSemantics) -> Plan {
         self.plan_with_given(workload, semantics).0
     }
@@ -479,6 +485,13 @@ impl Plan {
         }
     }
 
+    /// Whether a multi-join plan's `|∪Jᵢ|` hint equals `Σ|Jᵢ|` — where
+    /// [`Planner`]'s clamp leaves a histogram bound that exceeded it.
+    fn union_hint_is_sum(&self) -> bool {
+        let (hint, sum) = (self.stats.union_size_hint, self.stats.sum_join_sizes());
+        self.stats.n_joins > 1 && hint.is_some() && hint == sum
+    }
+
     /// A human-readable account of the decision, citing the
     /// paper-derived rule that fired.
     pub fn explain(&self) -> String {
@@ -509,6 +522,16 @@ impl Plan {
                  backtracking"
                     .to_string()
             }
+            // Exact member sizes clamp the union estimate into
+            // [max |Jᵢ|, Σ|Jᵢ|]; an estimate sitting on the upper end
+            // says nothing about overlap, and the text must not claim
+            // it does.
+            PlanRule::LowOverlap if self.union_hint_is_sum() => format!(
+                "Σ|Jᵢ|/|∪Jᵢ| ≈ {:.3}, but the histogram bound on |∪Jᵢ| reached Σ|Jᵢ| \
+                 and was clamped: the ratio carries no overlap information, and a \
+                 ratio of 1 selects the Bernoulli union trick",
+                self.stats.overlap_ratio().unwrap_or(f64::NAN),
+            ),
             PlanRule::LowOverlap => format!(
                 "Σ|Jᵢ|/|∪Jᵢ| ≈ {:.3} is near 1: joins barely overlap, so the \
                  Bernoulli union trick rarely rejects",

@@ -6,15 +6,67 @@
 //! relation. For tree-shaped joins the product runs over every non-root
 //! node's probe attributes; for cyclic joins the bound over any spanning
 //! tree remains valid (the dropped edges only filter tuples out).
+//!
+//! A maximum degree is a column statistic, so the bounds read it from
+//! the [`StatsCache`] the rest of a §5 probe shares (the splitting
+//! method's histograms and path pre-estimates, [`crate::template`]) —
+//! no index is built to learn one number.
 
 use crate::error::JoinError;
 use crate::spec::JoinSpec;
-use suj_storage::HashIndex;
+use std::sync::Arc;
+use suj_storage::{FrequencyHistogram, FxHashMap, HashIndex, Relation};
+
+/// The column statistics of one §5 probe, counted once: every
+/// `(relation, attribute)` histogram the Olken bounds, the path
+/// pre-estimates and the split relations of *any* member join ask for
+/// is built on first use and shared afterwards. Relations are keyed by
+/// `Arc` identity, so a relation several joins share is counted once.
+#[derive(Debug, Default)]
+pub struct StatsCache {
+    /// Keyed by (relation address, attribute).
+    hists: FxHashMap<(usize, Arc<str>), Counted>,
+}
+
+/// A histogram and the relation it was counted from — pinned, so the
+/// address in the key cannot be reused while the cache lives.
+#[derive(Debug)]
+struct Counted {
+    _relation: Arc<Relation>,
+    hist: Arc<FrequencyHistogram>,
+}
+
+impl StatsCache {
+    /// The frequency histogram of `attr` in `relation`.
+    pub fn histogram(
+        &mut self,
+        relation: &Arc<Relation>,
+        attr: &Arc<str>,
+    ) -> Arc<FrequencyHistogram> {
+        let key = (Arc::as_ptr(relation) as usize, attr.clone());
+        let counted = self.hists.entry(key).or_insert_with(|| Counted {
+            _relation: relation.clone(),
+            hist: Arc::new(FrequencyHistogram::build(relation, attr)),
+        });
+        counted.hist.clone()
+    }
+
+    /// `M_key(R)`: the maximum multiplicity of any key over `attrs` in
+    /// `relation`. A single-attribute key reads its histogram (NULL
+    /// counts as a key value there exactly as in a [`HashIndex`]); a
+    /// composite key has no histogram and builds the index.
+    pub fn max_degree(&mut self, relation: &Arc<Relation>, attrs: &[Arc<str>]) -> usize {
+        match attrs {
+            [attr] => self.histogram(relation, attr).max_degree() as usize,
+            _ => HashIndex::build(relation, attrs).max_degree(),
+        }
+    }
+}
 
 /// Per-node maximum degrees along a spanning tree of the join graph,
 /// rooted at relation 0. `max_degrees[i]` is `M(probe attrs)(R_i)` for
 /// non-root nodes and 1 for the root.
-pub fn spanning_max_degrees(spec: &JoinSpec) -> Vec<usize> {
+pub fn spanning_max_degrees(spec: &JoinSpec, stats: &mut StatsCache) -> Vec<usize> {
     let n = spec.n_relations();
     let mut degrees = vec![1usize; n];
     let mut visited = vec![false; n];
@@ -26,8 +78,7 @@ pub fn spanning_max_degrees(spec: &JoinSpec) -> Vec<usize> {
             if !visited[u] {
                 visited[u] = true;
                 let edge = spec.edge_between(v, u).expect("neighbor implies edge");
-                let index = HashIndex::build(spec.relation(u), &edge.attrs);
-                degrees[u] = index.max_degree();
+                degrees[u] = stats.max_degree(spec.relation(u), &edge.attrs);
                 queue.push_back(u);
             }
         }
@@ -40,11 +91,17 @@ pub fn spanning_max_degrees(spec: &JoinSpec) -> Vec<usize> {
 /// Exact-zero relations yield a bound of zero. Works for chain, acyclic,
 /// and cyclic specs (spanning-tree relaxation).
 pub fn olken_bound(spec: &JoinSpec) -> Result<f64, JoinError> {
+    olken_bound_with(spec, &mut StatsCache::default())
+}
+
+/// [`olken_bound`] reading its maximum degrees through a probe's shared
+/// statistics cache.
+pub fn olken_bound_with(spec: &JoinSpec, stats: &mut StatsCache) -> Result<f64, JoinError> {
     if spec.n_relations() == 0 {
         return Err(JoinError::NoRelations);
     }
     let root_size = spec.relation(0).len() as f64;
-    let product: f64 = spanning_max_degrees(spec)
+    let product: f64 = spanning_max_degrees(spec, stats)
         .iter()
         .skip(1)
         .map(|&m| m as f64)

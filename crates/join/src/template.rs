@@ -23,10 +23,11 @@
 //! intermediate maximum degrees, mirroring the `M_A(R'_ij)` propagation
 //! rule of §8.1.2.
 
+use crate::bounds::StatsCache;
 use crate::error::JoinError;
 use crate::spec::JoinSpec;
 use std::sync::Arc;
-use suj_storage::{FrequencyHistogram, FxHashMap, HashIndex, Value};
+use suj_storage::{FrequencyHistogram, Value};
 
 /// An upper bound on per-value degrees of one attribute of a (possibly
 /// derived) split relation.
@@ -77,7 +78,7 @@ impl DegreeBound {
     }
 
     /// Iterates the value domain of the underlying histogram.
-    pub fn values(&self) -> impl Iterator<Item = &Value> {
+    pub fn values(&self) -> impl Iterator<Item = Value> + '_ {
         match self {
             DegreeBound::Exact(h) | DegreeBound::Scaled { base: h, .. } => {
                 h.entries().map(|(v, _)| v)
@@ -294,32 +295,19 @@ fn greedy_two_opt_path(score: &[Vec<f64>]) -> (Vec<usize>, f64) {
     (order, cost)
 }
 
-/// Histogram cache keyed by (relation index, attribute).
-struct HistCache<'a> {
-    spec: &'a JoinSpec,
-    cache: FxHashMap<(usize, Arc<str>), Arc<FrequencyHistogram>>,
-}
-
-impl<'a> HistCache<'a> {
-    fn new(spec: &'a JoinSpec) -> Self {
-        Self {
-            spec,
-            cache: FxHashMap::default(),
-        }
-    }
-
-    fn get(&mut self, rel: usize, attr: &Arc<str>) -> Arc<FrequencyHistogram> {
-        self.cache
-            .entry((rel, attr.clone()))
-            .or_insert_with(|| Arc::new(FrequencyHistogram::build(self.spec.relation(rel), attr)))
-            .clone()
-    }
-}
-
 /// Rewrites one join along a template.
 pub fn split_join(spec: &JoinSpec, template: &Template) -> Result<SplitJoin, JoinError> {
+    split_join_with(spec, template, &mut StatsCache::default())
+}
+
+/// [`split_join`] reading its histograms and hop degrees through a
+/// probe's shared statistics cache.
+pub fn split_join_with(
+    spec: &JoinSpec,
+    template: &Template,
+    stats: &mut StatsCache,
+) -> Result<SplitJoin, JoinError> {
     let order = &template.order;
-    let mut hists = HistCache::new(spec);
     let tree = crate::tree::JoinTree::spanning(spec, 0)?;
 
     let mut relations: Vec<SplitRelation> = Vec::with_capacity(order.len().saturating_sub(1));
@@ -353,39 +341,31 @@ pub fn split_join(spec: &JoinSpec, template: &Template) -> Result<SplitJoin, Joi
                 x: x.clone(),
                 y: y.clone(),
                 size_bound: spec.relation(r).len() as f64,
-                deg_x: DegreeBound::Exact(hists.get(r, x)),
-                deg_y: DegreeBound::Exact(hists.get(r, y)),
+                deg_x: DegreeBound::Exact(stats.histogram(spec.relation(r), x)),
+                deg_y: DegreeBound::Exact(stats.histogram(spec.relation(r), y)),
                 source: Some(r),
             });
         } else {
             // Pre-estimate along the tree path (Example 7's penalty).
             let path = tree_path(&tree, best_a, best_b);
-            let mut forward = 1.0f64; // multiplicity gained hopping a→b
-            for step in path.windows(2) {
-                let (u, v) = (step[0], step[1]);
-                let edge = spec.edge_between(u, v).expect("path follows edges");
-                let idx = HashIndex::build(spec.relation(v), &edge.attrs);
-                forward *= idx.max_degree() as f64;
-            }
-            let mut backward = 1.0f64; // multiplicity gained hopping b→a
-            for step in path.windows(2).rev() {
-                let (u, v) = (step[1], step[0]);
-                let _ = u;
-                let edge = spec.edge_between(step[0], step[1]).expect("path edge");
-                let idx = HashIndex::build(spec.relation(v), &edge.attrs);
-                backward *= idx.max_degree() as f64;
-            }
+            // Multiplicity gained hopping `from → to` across one edge.
+            let mut hop = |from: usize, to: usize| {
+                let edge = spec.edge_between(from, to).expect("path follows edges");
+                stats.max_degree(spec.relation(to), &edge.attrs) as f64
+            };
+            let forward: f64 = path.windows(2).map(|s| hop(s[0], s[1])).product();
+            let backward: f64 = path.windows(2).rev().map(|s| hop(s[1], s[0])).product();
             let size_bound = spec.relation(best_a).len() as f64 * forward;
             relations.push(SplitRelation {
                 x: x.clone(),
                 y: y.clone(),
                 size_bound,
                 deg_x: DegreeBound::Scaled {
-                    base: hists.get(best_a, x),
+                    base: stats.histogram(spec.relation(best_a), x),
                     factor: forward,
                 },
                 deg_y: DegreeBound::Scaled {
-                    base: hists.get(best_b, y),
+                    base: stats.histogram(spec.relation(best_b), y),
                     factor: backward,
                 },
                 source: None,
@@ -423,9 +403,8 @@ fn tree_path(tree: &crate::tree::JoinTree, a: usize, b: usize) -> Vec<usize> {
     };
     let pa = root_path(a);
     let pb = root_path(b);
-    let sa: std::collections::HashSet<usize> = pa.iter().copied().collect();
     // First vertex of b's root path that also lies on a's root path = LCA.
-    let lca = *pb.iter().find(|v| sa.contains(v)).expect("common root");
+    let lca = *pb.iter().find(|v| pa.contains(v)).expect("common root");
     let mut path: Vec<usize> = pa.iter().take_while(|&&v| v != lca).copied().collect();
     path.push(lca);
     let tail: Vec<usize> = pb.iter().take_while(|&&v| v != lca).copied().collect();

@@ -322,6 +322,20 @@ impl std::fmt::Display for CellRef<'_> {
     }
 }
 
+/// The slot count `max − min + 1` of a direct-address table over an
+/// integer column's values, when the column is **dense**: its value
+/// range spans at most 8 slots per row (plus a page of slack for tiny
+/// relations), so a table of 4-byte slots never costs more than 32
+/// bytes a row. A property of the column, read from one min/max scan —
+/// surrogate keys sit far inside the bound, hashes and timestamps far
+/// outside — so it is a constant, not a setting. `None` when sparse,
+/// when the range overflows `i64` (`i64::MIN..=i64::MAX`), or when no
+/// value was scanned (`max < min`).
+pub(crate) fn dense_int_slots(min: i64, max: i64, rows: usize) -> Option<usize> {
+    let range = max.checked_sub(min)?.checked_add(1)?;
+    (range > 0 && range as u128 <= 8 * rows as u128 + 4096).then_some(range as usize)
+}
+
 /// Fx-hashes a sequence of cells in place — the column-side counterpart
 /// of [`hash_values`](crate::hash::hash_values): equal value sequences
 /// produce equal hashes no matter which side they are read from.

@@ -40,7 +40,7 @@
 //!   straight off the canonical tuple, which is what makes the
 //!   membership oracle's `t ∈ Jᵢ` checks allocation-free.
 
-use crate::column::{hash_cells, CellRef, Column, StrPool, Validity};
+use crate::column::{dense_int_slots, hash_cells, CellRef, Column, StrPool, Validity};
 use crate::hash::{hash_values, FxHasher};
 use crate::relation::Relation;
 use crate::tuple::Tuple;
@@ -321,9 +321,8 @@ fn encode_i64_column(values: &[i64], validity: &Validity) -> Encoded {
         min = min.min(v);
         max = max.max(v);
     }
-    let range = match max.checked_sub(min).and_then(|r| r.checked_add(1)) {
-        Some(r) if (r as u128) <= 8 * values.len() as u128 + 4096 => r as usize,
-        _ => return encode_i64_hashed(values, validity),
+    let Some(range) = dense_int_slots(min, max, values.len()) else {
+        return encode_i64_hashed(values, validity);
     };
     let mut val_kid: Vec<u32> = vec![NO_KEY; range];
     let mut rep_rows: Vec<u32> = Vec::new();
@@ -447,6 +446,16 @@ pub struct HashIndex {
     max_degree: usize,
 }
 
+static HASH_INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide count of [`HashIndex::build`] calls. A cold prepare
+/// builds one index per join edge — for the sampler that walks it —
+/// and reads every statistic (maximum degrees included) from column
+/// histograms; the prepare test pins that by watching this counter.
+pub fn hash_index_builds() -> u64 {
+    HASH_INDEX_BUILDS.load(Ordering::Relaxed)
+}
+
 impl HashIndex {
     /// Builds an index over `attrs` of `relation`, reading the typed
     /// columns directly (no per-row tuple materialization).
@@ -455,6 +464,7 @@ impl HashIndex {
     /// Panics if any attribute is missing from the relation's schema
     /// (callers validate schemas when constructing join specs).
     pub fn build(relation: &Relation, attrs: &[Arc<str>]) -> Self {
+        HASH_INDEX_BUILDS.fetch_add(1, Ordering::Relaxed);
         let positions: Vec<usize> = attrs
             .iter()
             .map(|a| {

@@ -23,9 +23,9 @@
 //! * [`sorted`] — sorted row-id permutations with duplicate-block
 //!   prefix sums: O(log n) range-count / median / run-narrowing
 //!   oracles, the storage half of the cyclic-join box sampler.
-//! * [`histogram`] — value-frequency and equi-depth histograms plus
-//!   max/average degree statistics (§5's building blocks), counted from
-//!   typed column scans.
+//! * [`histogram`] — value-frequency histograms and max/average degree
+//!   statistics (§5's building blocks), counted once per column into
+//!   the column's own representation.
 //! * [`predicate`] — selection predicates with a tuple-at-a-time
 //!   oracle and a column-at-a-time [`SelectionBitmap`] path for §8.3
 //!   push-down.
@@ -86,8 +86,10 @@ pub mod prelude {
     pub use crate::csv::{read_csv, write_csv};
     pub use crate::error::StorageError;
     pub use crate::hash::{hash_values, FxHashMap, FxHashSet};
-    pub use crate::histogram::{DegreeStats, EquiDepthHistogram, FrequencyHistogram};
-    pub use crate::index::{membership_builds, HashIndex, RowMembership, NO_KEY};
+    pub use crate::histogram::{DegreeStats, FrequencyHistogram};
+    pub use crate::index::{
+        hash_index_builds, membership_builds, HashIndex, RowMembership, NO_KEY,
+    };
     pub use crate::predicate::{CompareOp, CompiledPredicate, Predicate, SelectionBitmap};
     pub use crate::relation::{Relation, RelationBuilder, RowRef};
     pub use crate::schema::Schema;

@@ -43,6 +43,24 @@ fn mixed_relation_strategy() -> impl Strategy<Value = Relation> {
     })
 }
 
+/// Strategy: a relation of two integer columns with NULLs — `dense`
+/// within a small window around a negative offset (direct-addressed
+/// once a few rows exist), `sparse` spread over all of `i64` (hashed).
+fn int_columns_strategy() -> impl Strategy<Value = Relation> {
+    prop::collection::vec((0u8..10, -40i64..-8, any::<i64>()), 8..40).prop_map(|rows| {
+        let schema = Schema::new(["dense", "sparse"]).unwrap();
+        let tuples = rows
+            .into_iter()
+            .map(|(null, d, s)| {
+                let cell =
+                    |v: i64, is_null: bool| if is_null { Value::Null } else { Value::int(v) };
+                Tuple::new(vec![cell(d, null == 0), cell(s, null == 1)])
+            })
+            .collect();
+        Relation::new("ints", schema, tuples).unwrap()
+    })
+}
+
 /// Strategy: a random predicate AST over the (a, b, s) schema, mixing
 /// typed and cross-variant constants, conjunction, disjunction, and
 /// negation.
@@ -238,33 +256,43 @@ proptest! {
         let total: u64 = h.entries().map(|(_, c)| c).sum();
         prop_assert_eq!(total, r.len() as u64);
         prop_assert!(h.max_degree() as f64 >= h.avg_degree() - 1e-12);
-
-        // Equi-depth upper bounds dominate exact degrees.
-        for buckets in [1usize, 2, 4] {
-            let ed = EquiDepthHistogram::build(&r, "b", buckets);
-            for (v, c) in h.entries() {
-                prop_assert!(
-                    ed.degree_upper_bound(v) >= c,
-                    "bucketed bound below exact degree for {v}"
-                );
-            }
-        }
     }
 
     /// Columnar histogram counts must equal a naive tuple scan — on
-    /// every column layout, NULLs included.
+    /// every column layout, NULLs included, and on both integer
+    /// representations: `dense` is direct-addressed (a range of ≤ 32 values),
+    /// `sparse` is spread over the whole `i64` range and takes the map.
     #[test]
-    fn histogram_matches_tuple_scan(r in mixed_relation_strategy()) {
-        for attr in ["x", "y", "z"] {
-            let h = FrequencyHistogram::build(&r, attr);
-            let pos = r.schema().position(attr).unwrap();
-            let mut naive: HashMap<Value, u64> = HashMap::new();
-            for t in r.tuples() {
-                *naive.entry(t.get(pos).clone()).or_insert(0) += 1;
-            }
-            prop_assert_eq!(h.distinct(), naive.len());
-            for (v, c) in &naive {
-                prop_assert_eq!(h.degree(v), *c, "value {} of {}", v, attr);
+    fn histogram_matches_tuple_scan(
+        r in mixed_relation_strategy(),
+        ints in int_columns_strategy(),
+    ) {
+        for (r, attrs) in [(&r, ["x", "y", "z"].as_slice()), (&ints, &["dense", "sparse"])] {
+            for &attr in attrs {
+                let h = FrequencyHistogram::build(r, attr);
+                let pos = r.schema().position(attr).unwrap();
+                let mut naive: HashMap<Value, u64> = HashMap::new();
+                for t in r.tuples() {
+                    *naive.entry(t.get(pos).clone()).or_insert(0) += 1;
+                }
+                prop_assert_eq!(h.distinct(), naive.len());
+                prop_assert_eq!(h.max_degree(), naive.values().copied().max().unwrap_or(0));
+                for (v, c) in &naive {
+                    prop_assert_eq!(h.degree(v), *c, "value {} of {}", v, attr);
+                }
+                let listed: HashMap<Value, u64> = h.entries().collect();
+                prop_assert_eq!(&listed, &naive, "entries of {}", attr);
+                // Absent values next to present ones (inside or just
+                // outside a table's range) and of another type.
+                for v in naive.keys().filter_map(Value::as_int) {
+                    for probe in [v.wrapping_sub(1), v.wrapping_add(1)].map(Value::int) {
+                        let want = naive.get(&probe).copied().unwrap_or(0);
+                        prop_assert_eq!(h.degree(&probe), want, "value {} of {}", probe, attr);
+                    }
+                    if !naive.contains_key(&Value::float(v as f64)) {
+                        prop_assert_eq!(h.degree(&Value::float(v as f64)), 0);
+                    }
+                }
             }
         }
     }

@@ -228,3 +228,307 @@ fn random_walk_estimates_cyclic_sizes() {
         );
     }
 }
+
+/// Everything the §5 probe computes for `w`, as bits: `olken_bound` per
+/// join, then every subset entry (mask 1..2ⁿ) of the Max-mode overlap
+/// map over Olken hints, then of the Avg-mode map. Also checks that the
+/// all-subsets pass and the single-subset entry point are one function:
+/// `overlap_map()` ≡ `from_fn(estimate_overlap)` entry for entry.
+fn probe_bits(w: &UnionWorkload) -> Vec<u64> {
+    let n = w.n_joins();
+    let mut bits: Vec<u64> = w
+        .joins()
+        .iter()
+        .map(|j| suj_join::bounds::olken_bound(j).unwrap().to_bits())
+        .collect();
+    for mode in [DegreeMode::Max, DegreeMode::Avg] {
+        let est = HistogramEstimator::with_olken(w, mode).unwrap();
+        let map = est.overlap_map().unwrap();
+        let one_by_one = OverlapMap::from_fn(n, |s| est.estimate_overlap(s)).unwrap();
+        for mask in 1..(1u32 << n) {
+            let entry = map.overlap_mask(mask).to_bits();
+            assert_eq!(
+                entry,
+                one_by_one.overlap_mask(mask).to_bits(),
+                "{mode:?} mask {mask:#b}: overlap_map and estimate_overlap disagree"
+            );
+            bits.push(entry);
+        }
+    }
+    bits
+}
+
+fn probe_rel(name: &str, attrs: &[&str], rows: Vec<Vec<Value>>) -> std::sync::Arc<Relation> {
+    let schema = Schema::new(attrs.iter().copied()).unwrap();
+    let tuples = rows.into_iter().map(Tuple::new).collect();
+    std::sync::Arc::new(Relation::new(name, schema, tuples).unwrap())
+}
+
+/// Two chains `r(a, s) ⋈ t(s, c)` whose link attribute `s` is a string
+/// (with a NULL), so Theorem 4's K(1) compares values held in four
+/// different dictionary pools.
+fn string_link_union() -> UnionWorkload {
+    let chain = |name: &str, shift: i64| {
+        let s = |i: i64| Value::str(format!("k{}", i % 11 + shift));
+        let mut r: Vec<Vec<Value>> = (0..40).map(|i| vec![Value::int(i), s(i * i)]).collect();
+        r.push(vec![Value::int(99), Value::Null]);
+        let mut t: Vec<Vec<Value>> = (0..30).map(|i| vec![s(i), Value::int(i % 7)]).collect();
+        t.push(vec![Value::Null, Value::int(3)]);
+        JoinSpec::chain(
+            name,
+            vec![
+                probe_rel(&format!("{name}_r"), &["a", "s"], r),
+                probe_rel(&format!("{name}_t"), &["s", "c"], t),
+            ],
+        )
+        .unwrap()
+    };
+    UnionWorkload::new(vec![
+        std::sync::Arc::new(chain("s0", 0)),
+        std::sync::Arc::new(chain("s1", 4)),
+        std::sync::Arc::new(chain("s2", 7)),
+    ])
+    .unwrap()
+}
+
+/// Two triangles over overlapping edge sets: the §8.2 skeleton +
+/// residual path of the probe.
+fn two_triangle_union() -> UnionWorkload {
+    let tri = |name: &str, from: i64| {
+        let edge = |m: i64, k: i64| -> Vec<Vec<Value>> {
+            (from..from + 24)
+                .map(|i| vec![Value::int(i % m), Value::int(i % k)])
+                .collect()
+        };
+        JoinSpec::natural(
+            name,
+            vec![
+                probe_rel(&format!("{name}_x"), &["a", "b"], edge(6, 4)),
+                probe_rel(&format!("{name}_y"), &["b", "c"], edge(4, 5)),
+                probe_rel(&format!("{name}_z"), &["c", "a"], edge(5, 6)),
+            ],
+        )
+        .unwrap()
+    };
+    UnionWorkload::new(vec![
+        std::sync::Arc::new(tri("t0", 0)),
+        std::sync::Arc::new(tri("t1", 7)),
+    ])
+    .unwrap()
+}
+
+/// A three-relation chain beside a member whose relations are empty.
+fn empty_member_union() -> UnionWorkload {
+    let chain = |name: &str, rows: i64, shift: i64| {
+        let ints = |f: &dyn Fn(i64) -> [i64; 2]| -> Vec<Vec<Value>> {
+            (0..rows)
+                .map(|i| f(i).iter().map(|&v| Value::int(v)).collect())
+                .collect()
+        };
+        JoinSpec::chain(
+            name,
+            vec![
+                probe_rel(
+                    &format!("{name}_r"),
+                    &["a", "b"],
+                    ints(&|i| [i, i % 9 + shift]),
+                ),
+                probe_rel(
+                    &format!("{name}_s"),
+                    &["b", "c"],
+                    ints(&|i| [i % 13 + shift, i % 4 + shift]),
+                ),
+                probe_rel(
+                    &format!("{name}_t"),
+                    &["c", "d"],
+                    ints(&|i| [i % 5 + shift, i]),
+                ),
+            ],
+        )
+        .unwrap()
+    };
+    UnionWorkload::new(vec![
+        std::sync::Arc::new(chain("full", 50, 0)),
+        std::sync::Arc::new(chain("empty", 0, 0)),
+        std::sync::Arc::new(chain("half", 25, 2)),
+    ])
+    .unwrap()
+}
+
+/// The probe's output, pinned: every number `Planner::plan` reads from
+/// the §5 statistics — Olken bounds and both overlap maps — recorded as
+/// `f64::to_bits` at the commit before column statistics were typed and
+/// K(1) became one pass per domain. A plan, a `sizing=` label and a
+/// Bernoulli RNG stream all hang off these bits.
+#[test]
+fn probe_output_is_pinned_bit_for_bit() {
+    let opts = UqOptions::new(4, 41, 0.3);
+    let cases: [(&str, UnionWorkload, &[u64]); 6] = [
+        ("uq1", uq1(&opts).unwrap(), PROBE_UQ1),
+        ("uq2", uq2(&opts).unwrap(), PROBE_UQ2),
+        ("uq3", uq3(&opts).unwrap(), PROBE_UQ3),
+        ("string-link", string_link_union(), PROBE_STRING_LINK),
+        ("two-triangle", two_triangle_union(), PROBE_TWO_TRIANGLE),
+        ("empty-member", empty_member_union(), PROBE_EMPTY_MEMBER),
+    ];
+    for (name, w, want) in cases {
+        let got = probe_bits(&w);
+        assert_eq!(got, want, "{name}: probe output moved");
+    }
+}
+
+const PROBE_UQ1: &[u64] = &[
+    0x40c82b8000000000,
+    0x40c3c68000000000,
+    0x40d01d0000000000,
+    0x40ca5e0000000000,
+    0x40cfa40000000000,
+    0x40c82b8000000000,
+    0x40c3c68000000000,
+    0x40c1148000000000,
+    0x40d01d0000000000,
+    0x40c0aa0000000000,
+    0x40c0a88000000000,
+    0x40bc1d0000000000,
+    0x40ca5e0000000000,
+    0x40c08d8000000000,
+    0x40be900000000000,
+    0x40ba8e0000000000,
+    0x40c6600000000000,
+    0x40baf40000000000,
+    0x40b9860000000000,
+    0x40b7850000000000,
+    0x40cfa40000000000,
+    0x40c02f0000000000,
+    0x40c10e8000000000,
+    0x40bc020000000000,
+    0x40c6840000000000,
+    0x40bb990000000000,
+    0x40bc0b0000000000,
+    0x40b9230000000000,
+    0x40c5a20000000000,
+    0x40ba490000000000,
+    0x40ba5e0000000000,
+    0x40b7550000000000,
+    0x40c1fc0000000000,
+    0x40b77c0000000000,
+    0x40b7430000000000,
+    0x40b5c60000000000,
+    0x40c82b8000000000,
+    0x40c3c68000000000,
+    0x40c1148000000000,
+    0x40d01d0000000000,
+    0x40c0aa0000000000,
+    0x40c0a88000000000,
+    0x40bc1d0000000000,
+    0x40ca5e0000000000,
+    0x40c08d8000000000,
+    0x40be900000000000,
+    0x40ba8e0000000000,
+    0x40c6600000000000,
+    0x40baf40000000000,
+    0x40b9860000000000,
+    0x40b7850000000000,
+    0x40cfa40000000000,
+    0x40c02f0000000000,
+    0x40c10e8000000000,
+    0x40bc020000000000,
+    0x40c6840000000000,
+    0x40bb990000000000,
+    0x40bc0b0000000000,
+    0x40b9230000000000,
+    0x40c5a20000000000,
+    0x40ba490000000000,
+    0x40ba5e0000000000,
+    0x40b7550000000000,
+    0x40c1fc0000000000,
+    0x40b77c0000000000,
+    0x40b7430000000000,
+    0x40b5c60000000000,
+];
+const PROBE_UQ2: &[u64] = &[
+    0x4080e00000000000,
+    0x408c200000000000,
+    0x408c200000000000,
+    0x4080e00000000000,
+    0x408c200000000000,
+    0x407ee00000000000,
+    0x408c200000000000,
+    0x4080e00000000000,
+    0x407ee00000000000,
+    0x407ee00000000000,
+    0x4080e00000000000,
+    0x408c200000000000,
+    0x407ee00000000000,
+    0x408c200000000000,
+    0x4080e00000000000,
+    0x407ee00000000000,
+    0x407ee00000000000,
+];
+const PROBE_UQ3: &[u64] = &[
+    0x409c200000000000,
+    0x409c200000000000,
+    0x409b800000000000,
+    0x409c200000000000,
+    0x409c200000000000,
+    0x4080e00000000000,
+    0x409b800000000000,
+    0x4080e00000000000,
+    0x4080e00000000000,
+    0x4080e00000000000,
+    0x409c200000000000,
+    0x409c200000000000,
+    0x40756db6db6db6db,
+    0x409b800000000000,
+    0x40756db6db6db6db,
+    0x4076800000000000,
+    0x40756db6db6db6db,
+];
+const PROBE_STRING_LINK: &[u64] = &[
+    0x405ec00000000000,
+    0x405ec00000000000,
+    0x405ec00000000000,
+    0x405ec00000000000,
+    0x405ec00000000000,
+    0x4048000000000000,
+    0x405ec00000000000,
+    0x3ff0000000000000,
+    0x4041000000000000,
+    0x3ff0000000000000,
+    0x405ec00000000000,
+    0x405ec00000000000,
+    0x4048000000000000,
+    0x405ec00000000000,
+    0x3ff0000000000000,
+    0x4041000000000000,
+    0x3ff0000000000000,
+];
+const PROBE_TWO_TRIANGLE: &[u64] = &[
+    0x4082000000000000,
+    0x4082000000000000,
+    0x4082000000000000,
+    0x4082000000000000,
+    0x405ac00000000000,
+    0x4082000000000000,
+    0x4082000000000000,
+    0x405ac00000000000,
+];
+const PROBE_EMPTY_MEMBER: &[u64] = &[
+    0x409f400000000000,
+    0x0000000000000000,
+    0x406f400000000000,
+    0x409f400000000000,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x406f400000000000,
+    0x4068600000000000,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x409f400000000000,
+    0x0000000000000000,
+    0x0000000000000000,
+    0x406f400000000000,
+    0x406691c71c71c71c,
+    0x0000000000000000,
+    0x0000000000000000,
+];

@@ -189,6 +189,30 @@ fn explain_cites_the_rule_that_fired() {
     );
 }
 
+/// On TPC-H data the histogram's `|∪Jᵢ|` (taken over Olken size
+/// bounds) exceeds the exact `Σ|Jᵢ|` and is clamped to it, so the ratio
+/// reads 1.000 whatever the overlap: the explanation says so instead of
+/// claiming the joins barely overlap. An estimate inside the bracket
+/// keeps the plain wording.
+#[test]
+fn explain_says_when_the_union_estimate_was_clamped() {
+    let clamped = "reached Σ|Jᵢ| and was clamped: the ratio carries no overlap information";
+
+    let w = uq1(&UqOptions::new(4, 7, 0.6)).unwrap();
+    let plan = Planner::default().plan(&w, UnionSemantics::Set);
+    assert_eq!(plan.rule, PlanRule::LowOverlap);
+    assert_eq!(plan.stats.union_size_hint, plan.stats.sum_join_sizes());
+    let explain = plan.explain();
+    assert!(explain.contains(clamped), "{explain}");
+    assert!(!explain.contains("barely overlap"), "{explain}");
+    assert!(explain.contains("Bernoulli"), "{explain}");
+
+    let plan = Planner::default().plan(&high_overlap_workload(), UnionSemantics::Set);
+    assert_eq!(plan.rule, PlanRule::HighOverlap);
+    assert!(plan.stats.union_size_hint < plan.stats.sum_join_sizes());
+    assert!(!plan.explain().contains("clamped"), "{}", plan.explain());
+}
+
 #[test]
 fn no_statistics_auto_runs_online() {
     // The no-statistics rule plans Algorithm 2, which estimates while
