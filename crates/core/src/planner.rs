@@ -508,7 +508,8 @@ impl Plan {
                  would drop the cycle-closing equalities and reject by consistency \
                  re-checks, so cyclic member joins sample by AGM-bound box \
                  splitting (accepted draws exactly uniform; acceptance rate \
-                 OUT/AGM), while acyclic members keep exact tree weights"
+                 OUT/Σ_F AGM over the pre-split frontier F of the box tree), \
+                 while acyclic members keep exact tree weights"
                     .to_string()
             }
             PlanRule::SingleJoin => {

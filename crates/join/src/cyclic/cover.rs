@@ -187,9 +187,27 @@ pub fn agm_bound(counts: &[f64], weights: &[f64]) -> f64 {
         if c <= 0.0 {
             return 0.0;
         }
-        bound *= c.powf(w);
+        bound *= pow_weight(c, w);
     }
     bound
+}
+
+/// `count^weight` for a positive count, the one place a cover weight is
+/// applied: the weights the covers of this module emit are ½ (cycles),
+/// 0 and 1 (greedy) and `1/(k−1)` (cliques), and only the last needs
+/// `powf` — a box descent raises six counts per level, and `sqrt` costs
+/// a fraction of it.
+#[inline]
+pub(super) fn pow_weight(count: f64, weight: f64) -> f64 {
+    if weight == 0.5 {
+        count.sqrt()
+    } else if weight == 1.0 {
+        count
+    } else if weight == 0.0 {
+        1.0
+    } else {
+        count.powf(weight)
+    }
 }
 
 #[cfg(test)]

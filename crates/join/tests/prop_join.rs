@@ -8,8 +8,8 @@ use suj_join::graph::{classify, gyo_acyclic, JoinShape};
 use suj_join::residual::decompose_cyclic;
 use suj_join::weights::{build_sampler, exact_join_size};
 use suj_join::{
-    ExactWeightSampler, JoinSampler, JoinSpec, JoinTree, MembershipOracle, RowDraw, SampleOutcome,
-    WanderJoin, WeightKind,
+    CyclicJoinSampler, ExactWeightSampler, JoinSampler, JoinSpec, JoinTree, MembershipOracle,
+    RowDraw, SampleOutcome, WanderJoin, WeightKind,
 };
 use suj_stats::SujRng;
 use suj_storage::{FxHashMap, FxHashSet, Relation, Schema, Tuple, Value};
@@ -141,6 +141,18 @@ proptest! {
                 prop_assert_eq!(emitted, 0);
             }
         }
+    }
+
+    #[test]
+    fn agm_box_bound_lies_between_the_join_and_the_root_bound(spec in triangle()) {
+        // `rel` drops duplicate rows, so every max block is 1 and the
+        // sampler's bound is the frontier's Σ_F itself: no less than
+        // the join, no more (to rounding) than the root's AGM bound.
+        let out = execute(&spec).len() as f64;
+        let sampler = CyclicJoinSampler::new(Arc::new(spec)).unwrap();
+        let bound = sampler.size_info().bound;
+        prop_assert!(out <= bound * (1.0 + 1e-12), "OUT {} > bound {}", out, bound);
+        prop_assert!(bound <= sampler.agm_root() * (1.0 + 1e-12));
     }
 
     #[test]

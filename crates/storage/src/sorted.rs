@@ -72,15 +72,18 @@ impl SortedIndex {
             .collect();
         let columns = relation.shared_columns();
         let n = relation.len();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            for &p in &positions {
-                match columns[p].cells_cmp(a as usize, b as usize) {
-                    Ordering::Equal => continue,
-                    non_eq => return non_eq,
+        let perm = sort_int_keys(&columns, &positions).unwrap_or_else(|| {
+            let mut perm: Vec<u32> = (0..n as u32).collect();
+            perm.sort_unstable_by(|&a, &b| {
+                for &p in &positions {
+                    match columns[p].cells_cmp(a as usize, b as usize) {
+                        Ordering::Equal => continue,
+                        non_eq => return non_eq,
+                    }
                 }
-            }
-            a.cmp(&b)
+                a.cmp(&b)
+            });
+            perm
         });
         let (head_prefix, max_block) = block_stats(&columns, &positions, &perm);
         Self {
@@ -210,6 +213,33 @@ impl SortedIndex {
     /// (the columns are shared with the relation).
     pub fn memory_bytes(&self) -> usize {
         self.perm.len() * 4 + self.head_prefix.len() * 4
+    }
+}
+
+/// The sorted permutation when every key column is `Int64` without
+/// NULLs (the cyclic sampler's graph edges) and there are at most three
+/// of them: `(keys, row)` tuples sorted as integers, which is the
+/// comparator sort's order — keys lexicographically, ties by row id —
+/// without a `Column` dispatch and a validity probe per comparison (a
+/// build over 1 290 rows and two keys takes 35 µs this way, 125–175 µs
+/// the other). `None` sends every other key shape to the comparator.
+fn sort_int_keys(columns: &[Column], positions: &[usize]) -> Option<Vec<u32>> {
+    fn sort_keyed<const K: usize>(keys: [&[i64]; K]) -> Vec<u32> {
+        let mut keyed: Vec<([i64; K], u32)> = (0..keys[0].len())
+            .map(|row| (keys.map(|k| k[row]), row as u32))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, row)| row).collect()
+    }
+    let ints = |p: usize| match &columns[p] {
+        Column::Int64 { values, validity } if !validity.has_nulls() => Some(values.as_slice()),
+        _ => None,
+    };
+    match *positions {
+        [p] => Some(sort_keyed([ints(p)?])),
+        [p, q] => Some(sort_keyed([ints(p)?, ints(q)?])),
+        [p, q, r] => Some(sort_keyed([ints(p)?, ints(q)?, ints(r)?])),
+        _ => None,
     }
 }
 

@@ -107,6 +107,93 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
         })
 }
 
+/// Strategy: a relation of three integer key columns with no NULLs —
+/// what `SortedIndex::build` sorts as integers — drawn from a small
+/// pool so duplicates are common, with both extremes of `i64`, and
+/// arranged as drawn, already sorted or reverse sorted.
+fn int_keys_strategy() -> impl Strategy<Value = Relation> {
+    const POOL: [i64; 8] = [i64::MIN, -7, -1, 0, 1, 2, 7, i64::MAX];
+    (
+        prop::collection::vec((0usize..8, 0usize..8, 0usize..2), 0..40),
+        0u8..3,
+    )
+        .prop_map(|(picks, arrangement)| {
+            let mut rows: Vec<[i64; 3]> = picks
+                .into_iter()
+                .map(|(a, b, c)| [POOL[a], POOL[b], POOL[c]])
+                .collect();
+            match arrangement {
+                0 => {}
+                1 => rows.sort_unstable(),
+                _ => rows.sort_unstable_by(|a, b| b.cmp(a)),
+            }
+            let tuples = rows
+                .into_iter()
+                .map(|row| Tuple::new(row.map(Value::int).to_vec()))
+                .collect();
+            Relation::new("keys", Schema::new(["k0", "k1", "k2"]).unwrap(), tuples).unwrap()
+        })
+}
+
+/// The comparator sort `SortedIndex::build` is defined by, over
+/// materialized cells and `Value`'s order: checks the index's
+/// permutation, its distinct count over every prefix and its longest
+/// duplicate block against it.
+fn assert_sorted_index_matches_value_order(r: &Relation, attrs: &[&str]) {
+    let attrs: Vec<std::sync::Arc<str>> = attrs.iter().map(|&a| a.into()).collect();
+    let positions: Vec<usize> = attrs
+        .iter()
+        .map(|a| r.schema().position(a).unwrap())
+        .collect();
+    let keys: Vec<Tuple> = r.tuples().iter().map(|t| t.project(&positions)).collect();
+    let mut reference: Vec<u32> = (0..r.len() as u32).collect();
+    reference.sort_by(|&a, &b| {
+        keys[a as usize]
+            .values()
+            .cmp(keys[b as usize].values())
+            .then(a.cmp(&b))
+    });
+
+    let idx = SortedIndex::build(r, &attrs);
+    let perm: Vec<u32> = (0..idx.len()).map(|p| idx.row_at(p)).collect();
+    assert_eq!(perm, reference, "permutation over {attrs:?}");
+    let (mut distinct, mut block, mut max_block) = (0, 0, 0);
+    for (j, &row) in reference.iter().enumerate() {
+        if j == 0 || keys[row as usize] != keys[reference[j - 1] as usize] {
+            distinct += 1;
+            block = 0;
+        }
+        block += 1;
+        max_block = max_block.max(block);
+        assert_eq!(idx.distinct_in(0, j + 1), distinct, "prefix {}", j + 1);
+    }
+    assert_eq!(idx.distinct_in(0, 0), 0);
+    assert_eq!(idx.max_block(), max_block);
+}
+
+#[test]
+fn sorted_index_int_keys_at_edge_sizes() {
+    let schema = || Schema::new(["k0", "k1"]).unwrap();
+    let row = |a: i64, b: i64| Tuple::new(vec![Value::int(a), Value::int(b)]);
+    let empty = Relation::new("e", schema(), vec![]).unwrap();
+    let one = Relation::new("o", schema(), vec![row(i64::MAX, i64::MIN)]).unwrap();
+    let extremes = Relation::new(
+        "x",
+        schema(),
+        vec![
+            row(i64::MAX, 0),
+            row(i64::MIN, i64::MAX),
+            row(i64::MIN, i64::MIN),
+            row(i64::MAX, 0),
+        ],
+    )
+    .unwrap();
+    for r in [&empty, &one, &extremes] {
+        assert_sorted_index_matches_value_order(r, &["k0"]);
+        assert_sorted_index_matches_value_order(r, &["k0", "k1"]);
+    }
+}
+
 proptest! {
     #[test]
     fn schema_union_laws(
@@ -436,5 +523,41 @@ proptest! {
                 prop_assert_eq!(&k, m);
             }
         }
+    }
+
+    #[test]
+    fn sorted_index_int_keys_match_comparator_sort(r in int_keys_strategy()) {
+        assert_sorted_index_matches_value_order(&r, &["k0"]);
+        assert_sorted_index_matches_value_order(&r, &["k1"]);
+        assert_sorted_index_matches_value_order(&r, &["k0", "k1"]);
+        assert_sorted_index_matches_value_order(&r, &["k1", "k0"]);
+        assert_sorted_index_matches_value_order(&r, &["k2", "k0", "k1"]);
+    }
+
+    #[test]
+    fn sorted_index_other_keys_match_value_order(
+        ints in int_columns_strategy(),
+        mixed in mixed_relation_strategy(),
+        typed in relation_strategy(),
+        halves in prop::collection::vec((-9i64..9, -3i64..3), 0..30),
+    ) {
+        // A NULL in either key column.
+        assert_sorted_index_matches_value_order(&ints, &["dense", "sparse"]);
+        assert_sorted_index_matches_value_order(&ints, &["sparse"]);
+        // `Mixed` columns, alone and under one another.
+        assert_sorted_index_matches_value_order(&mixed, &["x"]);
+        assert_sorted_index_matches_value_order(&mixed, &["y", "z"]);
+        // A `Str` key, first and second, and three keys.
+        assert_sorted_index_matches_value_order(&typed, &["s", "a"]);
+        assert_sorted_index_matches_value_order(&typed, &["a", "s"]);
+        assert_sorted_index_matches_value_order(&typed, &["a", "b", "s"]);
+        // A `Float64` key beside an `Int64` one.
+        let tuples = halves
+            .into_iter()
+            .map(|(f, k)| Tuple::new(vec![Value::float(f as f64 / 2.0), Value::int(k)]))
+            .collect();
+        let floats = Relation::new("f", Schema::new(["f", "k"]).unwrap(), tuples).unwrap();
+        assert_sorted_index_matches_value_order(&floats, &["f", "k"]);
+        assert_sorted_index_matches_value_order(&floats, &["k", "f"]);
     }
 }

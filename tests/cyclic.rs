@@ -128,8 +128,10 @@ fn auto_routes_four_cycle_to_cyclic_join_and_stays_uniform() {
 /// Determinism across transports: for each cyclic query, samples drawn
 /// (a) in-process, (b) over TCP from the original engine, and (c) over
 /// TCP from a snapshot-restored replica are identical tuple-for-tuple,
-/// and the replica prepares without a single estimation pass (the
-/// `SortedIndex` sections restore everything the box sampler needs).
+/// and the replica prepares without a single estimation pass (a
+/// snapshot stores no part of the box sampler: the replica rebuilds the
+/// sorted indexes and the frontier from the restored relations, and
+/// both are functions of those alone).
 #[test]
 fn cyclic_wire_and_replica_match_in_process() {
     let engine = cyclic_engine();

@@ -342,7 +342,7 @@ fn rule_cases() -> Vec<RuleCase> {
                 "strategy=rejection estimator=exact weights=agm-box cover=as-given \
                  sizing=exact rule=cyclic-join",
                 "[1, 2, 4]",
-                0xcc05d6140ca1108f,
+                0x3bb3a421927c63b0,
             ),
         },
         RuleCase {
