@@ -1,7 +1,8 @@
 //! The draw step under the eager union samplers.
 //!
-//! Disjoint, Bernoulli and Algorithm 1 differ in how they select a join
-//! and in who owns a drawn tuple. In between is the paper's one
+//! The one-join-per-draw sampler (disjoint, or designated for a set
+//! union) and Algorithm 1 differ in how they select a join and in who
+//! owns a drawn tuple. In between is the paper's one
 //! join-sampling subroutine, here once: attempt the join's sampler on
 //! row ids, count the rejections, gather the accepted rows into a
 //! canonical tuple, give up on a join that never accepts.
@@ -62,9 +63,10 @@ impl DrawStep {
     pub(crate) fn live(&self, j: usize) -> Result<bool, CoreError> {
         let dead = |&misses: &u64| misses >= MAX_JOIN_TRIES;
         if self.misses.iter().all(dead) {
-            return Err(CoreError::Invalid(
-                "all joins are empty but the union estimate is positive".into(),
-            ));
+            return Err(CoreError::Invalid(format!(
+                "every join ran out of its attempt budget ({MAX_JOIN_TRIES} \
+                     consecutive rejected attempts): all joins are empty"
+            )));
         }
         Ok(!dead(&self.misses[j]))
     }

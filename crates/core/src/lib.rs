@@ -15,8 +15,9 @@
 //! * [`walk_estimator`] — the random-walk overlap estimator with the
 //!   Eq. 3 confidence interval (§6), producing the reuse pools.
 //! * [`cover`] — cover construction over join orderings.
-//! * [`disjoint`] — sampling the disjoint union (Definition 1).
-//! * [`bernoulli`] — the Bernoulli "union trick" sampler (§3).
+//! * [`disjoint`] — one join per draw, in proportion to its sampler's
+//!   size bound: the disjoint union (Definition 1), and the set union
+//!   under the §3 union trick's designation rule.
 //! * [`algorithm1`] — non-Bernoulli union sampling with rejection and
 //!   revision (Algorithm 1).
 //! * [`algorithm2`] — online union sampling with sample reuse and
@@ -91,7 +92,6 @@
 
 pub mod algorithm1;
 pub mod algorithm2;
-pub mod bernoulli;
 pub mod catalog;
 pub mod cover;
 pub mod disjoint;
@@ -118,10 +118,9 @@ pub mod workload;
 pub mod prelude {
     pub use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
     pub use crate::algorithm2::{OnlineConfig, OnlineUnionSampler};
-    pub use crate::bernoulli::{BernoulliUnionSampler, DesignationPolicy};
     pub use crate::catalog::{Catalog, Engine, PreparedQuery};
     pub use crate::cover::{Cover, CoverStrategy};
-    pub use crate::disjoint::DisjointUnionSampler;
+    pub use crate::disjoint::{DesignationPolicy, DisjointUnionSampler};
     pub use crate::error::CoreError;
     pub use crate::exact::{full_join_union, ExactUnion};
     pub use crate::hist_estimator::{DegreeMode, HistogramEstimator};

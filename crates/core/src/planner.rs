@@ -10,11 +10,11 @@
 //!
 //! | Rule | Condition | Configuration | Paper |
 //! |---|---|---|---|
-//! | `DisjointSemantics` | query asks for `⊎` | disjoint-union sampling | Definition 1 |
+//! | `DisjointSemantics` | query asks for `⊎` | one join per draw, by its sampler's bound | Definition 1 |
 //! | `CyclicJoin` | some join graph is cyclic | AGM box-splitting weights | §8.2 + AGM bound |
 //! | `SingleJoin` | one join | per-join sampling, no union machinery | §2, §3.2 |
 //! | `NoStatistics` | no catalog statistics | Algorithm 2 (online estimation) | §6–§7 |
-//! | `LowOverlap` | `Σ|Jᵢ|/|∪Jᵢ|` near 1 | Bernoulli union trick | §3 |
+//! | `LowOverlap` | `Σ|Jᵢ|/|∪Jᵢ|` near 1 | one join per draw, kept by its designated join | §3 |
 //! | `HighOverlap` | otherwise | Algorithm 1 (cover selection) | §4–§5 |
 //!
 //! Cyclicity is decided *before* the statistics rules on purpose: the
@@ -27,8 +27,8 @@
 //! configurations stay auditable.
 
 use crate::algorithm2::OnlineConfig;
-use crate::bernoulli::DesignationPolicy;
 use crate::cover::CoverStrategy;
+use crate::disjoint::DesignationPolicy;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
 use crate::overlap::OverlapMap;
 use crate::predicate_mode::PredicateMode;
@@ -165,7 +165,8 @@ pub enum PlanRule {
     SingleJoin,
     /// No statistics: estimate online, while sampling.
     NoStatistics,
-    /// Overlap ratio near 1: the Bernoulli union trick rarely rejects.
+    /// Overlap ratio near 1: the union trick's designation rarely
+    /// rejects.
     LowOverlap,
     /// Overlapping joins: non-Bernoulli cover selection wastes nothing.
     HighOverlap,
@@ -437,6 +438,9 @@ pub enum Sizing {
     Histogram,
     /// Some size is a §6 random-walk estimate.
     Walk,
+    /// Some size is the upper bound its member sampler rejects against
+    /// (extended-Olken, wander-join, AGM box, saturated exact weights).
+    Bound,
 }
 
 /// An executable configuration: strategy, estimator, weights, cover,
@@ -499,8 +503,9 @@ impl Plan {
         let detail = match self.rule {
             PlanRule::DisjointSemantics => {
                 "query asks for the disjoint union: each join contributes its full \
-                 result, so sample joins proportionally to |Jᵢ| with no overlap \
-                 correction"
+                 result, so sample joins in proportion to the bound each member's \
+                 sampler rejects against (|Jᵢ| under exact weights), with no \
+                 overlap correction"
                     .to_string()
             }
             PlanRule::CyclicJoin => {
@@ -530,12 +535,14 @@ impl Plan {
             PlanRule::LowOverlap if self.union_hint_is_sum() => format!(
                 "Σ|Jᵢ|/|∪Jᵢ| ≈ {:.3}, but the histogram bound on |∪Jᵢ| reached Σ|Jᵢ| \
                  and was clamped: the ratio carries no overlap information, and a \
-                 ratio of 1 selects the Bernoulli union trick",
+                 ratio of 1 selects the union trick — one join per draw, a tuple \
+                 kept only by its designated join",
                 self.stats.overlap_ratio().unwrap_or(f64::NAN),
             ),
             PlanRule::LowOverlap => format!(
-                "Σ|Jᵢ|/|∪Jᵢ| ≈ {:.3} is near 1: joins barely overlap, so the \
-                 Bernoulli union trick rarely rejects",
+                "Σ|Jᵢ|/|∪Jᵢ| ≈ {:.3} is near 1: joins barely overlap, so the union \
+                 trick — one join per draw, a tuple kept only by its designated \
+                 join — rarely rejects",
                 self.stats.overlap_ratio().unwrap_or(f64::NAN),
             ),
             PlanRule::HighOverlap => format!(
@@ -596,6 +603,7 @@ impl Labeled for Sizing {
         (Sizing::Exact, "exact"),
         (Sizing::Histogram, "histogram"),
         (Sizing::Walk, "walk"),
+        (Sizing::Bound, "bound"),
     ];
 }
 

@@ -61,9 +61,8 @@
 
 use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
 use crate::algorithm2::{OnlineConfig, OnlineUnionSampler};
-use crate::bernoulli::{BernoulliUnionSampler, DesignationPolicy};
 use crate::cover::CoverStrategy;
-use crate::disjoint::DisjointUnionSampler;
+use crate::disjoint::{DesignationPolicy, DisjointUnionSampler};
 use crate::error::CoreError;
 use crate::exact::full_join_union;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
@@ -134,9 +133,12 @@ pub enum Strategy {
     /// and backtracking. Pairs with [`Estimator::Walk`] (which then
     /// configures the warm-up) or no explicit estimator.
     Online(OnlineConfig),
-    /// The §3 Bernoulli union trick with the given designation policy.
+    /// The §3 union trick: one join per draw in proportion to its
+    /// sampler's size bound, a tuple kept only by the join the given
+    /// policy designates — the set union, estimating nothing.
     Bernoulli(DesignationPolicy),
-    /// Disjoint-union sampling (Definition 1).
+    /// Disjoint-union sampling (Definition 1): one join per draw in
+    /// proportion to its sampler's size bound, every tuple kept.
     Disjoint,
     /// Let the [`Planner`] pick the strategy
     /// (and any estimator / weights / cover left unset) from cheap
@@ -464,8 +466,7 @@ pub(crate) fn shared_samplers(
 }
 
 /// Runs the configured estimator for what no single join can know: the
-/// overlap structure and `|U|` — and with them a size for every join,
-/// which selection reads only for members whose sampler holds a bound.
+/// overlap structure Algorithm 1 builds its cover from.
 fn estimate(
     workload: &Arc<UnionWorkload>,
     estimator: &Estimator,
@@ -501,27 +502,8 @@ fn estimate(
     }
 }
 
-/// Each member's exact `|Jⱼ|` as its sampler reports it; `None` where
-/// the sampler holds only a bound (EO, wander, AGM box, saturated EW).
-fn exact_sizes(samplers: &[Arc<dyn JoinSampler>]) -> Vec<Option<f64>> {
-    samplers
-        .iter()
-        .map(|s| s.size_info().exact.map(|n| n as f64))
-        .collect()
-}
-
-/// The sizes Bernoulli and disjoint selection read: the sampler's exact
-/// `|Jⱼ|` wherever it knows one, the estimator's figure for the rest.
-fn selection_sizes(exact: &[Option<f64>], estimated: &OverlapMap) -> Vec<f64> {
-    exact
-        .iter()
-        .enumerate()
-        .map(|(j, size)| size.unwrap_or_else(|| estimated.join_size(j)))
-        .collect()
-}
-
-/// Provenance of the sizes a freeze selected by: exact join sizes when
-/// every one was `counted`, else whatever the estimator's are.
+/// Provenance of the sizes Algorithm 1 selects by: exact join sizes
+/// when every one was `counted`, else whatever the estimator's are.
 fn sizing(estimator: &Estimator, counted: bool) -> Sizing {
     match estimator {
         _ if counted => Sizing::Exact,
@@ -545,11 +527,12 @@ fn reject_knob(set: bool, knob: &str, strategy: &str) -> Result<(), CoreError> {
 
 /// The one place a serving sampler is assembled: validates the
 /// configuration, takes the per-join samplers from `given` or builds
-/// them, reads every join size a sampler knows exactly from that
-/// sampler, and consults the estimator (`given.map`, else one pass)
-/// only for the rest — the overlap structure, `|U|`, and the size of
-/// bound-only members. Fresh prepares, [`Strategy::Auto`] and snapshot
-/// restores differ only in where `config` and `given` come from.
+/// them, and consults the estimator (`given.map`, else one pass) only
+/// for Algorithm 1, whose cover needs the overlap structure; the eager
+/// one-join-per-draw strategies select by the bounds their member
+/// samplers reject against and estimate nothing. Fresh prepares,
+/// [`Strategy::Auto`] and snapshot restores differ only in where
+/// `config` and `given` come from.
 pub(crate) fn freeze(
     workload: Arc<UnionWorkload>,
     config: FreezeConfig,
@@ -571,15 +554,6 @@ pub(crate) fn freeze(
         Some(s) if weights == WeightKind::Exact && s.len() == n_joins => Ok(s),
         _ => shared_samplers(&workload, weights),
     };
-    // A given overlap map replaces the estimation pass (the
-    // estimations-paid counter served workloads assert on).
-    let overlap = |estimator: &Estimator, samplers: &[Arc<dyn JoinSampler>]| match given.map {
-        Some(map) => Ok(map),
-        None => {
-            estimation_passes += 1;
-            estimate(&workload, estimator, samplers, root_seed)
-        }
-    };
     let default_estimator = Estimator::Histogram(HistogramOptions::default());
 
     let (kind, samplers, map) = match plan.strategy {
@@ -592,8 +566,16 @@ pub(crate) fn freeze(
             };
             let samplers = samplers_for(config.weights)?;
             // Algorithm 1's cover sizes are a function of the whole
-            // map, the estimator's own join sizes included.
-            let map = overlap(&estimator, &samplers)?;
+            // map, the estimator's own join sizes included. A given map
+            // replaces the estimation pass (the estimations-paid
+            // counter served workloads assert on).
+            let map = match given.map {
+                Some(map) => map,
+                None => {
+                    estimation_passes += 1;
+                    estimate(&workload, &estimator, &samplers, root_seed)?
+                }
+            };
             let hinted = matches!(estimator, Estimator::Histogram(o) if o.exact_size_hints);
             plan.sizing = Some(sizing(&estimator, hinted));
             (PreparedKind::Rejection { config }, samplers, Some(map))
@@ -626,61 +608,24 @@ pub(crate) fn freeze(
             };
             (kind, Vec::new(), None)
         }
-        Strategy::Bernoulli(policy) => {
-            reject_knob(
-                cover_policy.is_some(),
-                "cover_policy",
-                "Strategy::Bernoulli",
-            )?;
-            reject_knob(
-                plan.cover_strategy.is_some(),
-                "cover_strategy",
-                "Strategy::Bernoulli",
-            )?;
-            let estimator = *plan.estimator.get_or_insert(default_estimator);
+        Strategy::Disjoint | Strategy::Bernoulli(_) => {
+            let (name, designation) = match plan.strategy {
+                Strategy::Bernoulli(policy) => ("Strategy::Bernoulli", Some(policy)),
+                _ => ("Strategy::Disjoint", None),
+            };
+            reject_knob(cover_policy.is_some(), "cover_policy", name)?;
+            reject_knob(plan.cover_strategy.is_some(), "cover_strategy", name)?;
+            plan.estimator.get_or_insert(default_estimator);
             let samplers = samplers_for(*plan.weights.get_or_insert(WeightKind::Exact))?;
-            let exact = exact_sizes(&samplers);
-            let all_exact = exact.iter().all(Option::is_some);
-            // `|U|` is the one figure no member knows.
-            let map = overlap(&estimator, &samplers)?;
-            let sizes = selection_sizes(&exact, &map);
-            let union_size = if all_exact {
-                // The estimate keeps its overlap information but is
-                // clamped into the bracket exact sizes prove.
-                let max = sizes.iter().cloned().fold(0.0f64, f64::max);
-                map.union_size().clamp(max, sizes.iter().sum())
+            // Selection reads each member's own bound — its exact size
+            // wherever it knows one — so there is nothing to estimate.
+            let counted = samplers.iter().all(|s| s.size_info().exact.is_some());
+            plan.sizing = Some(if counted {
+                Sizing::Exact
             } else {
-                map.union_size()
-            };
-            plan.sizing = Some(sizing(&estimator, all_exact));
-            let kind = PreparedKind::Bernoulli {
-                sizes,
-                union_size,
-                policy,
-            };
-            (kind, samplers, Some(map))
-        }
-        Strategy::Disjoint => {
-            reject_knob(cover_policy.is_some(), "cover_policy", "Strategy::Disjoint")?;
-            reject_knob(
-                plan.cover_strategy.is_some(),
-                "cover_strategy",
-                "Strategy::Disjoint",
-            )?;
-            let estimator = *plan.estimator.get_or_insert(default_estimator);
-            let samplers = samplers_for(*plan.weights.get_or_insert(WeightKind::Exact))?;
-            let exact = exact_sizes(&samplers);
-            let (sizes, map) = match exact.iter().copied().collect::<Option<Vec<f64>>>() {
-                // Every member knows its size and a disjoint union has
-                // no overlap to correct for: nothing is estimated.
-                Some(sizes) => (sizes, None),
-                None => {
-                    let map = overlap(&estimator, &samplers)?;
-                    (selection_sizes(&exact, &map), Some(map))
-                }
-            };
-            plan.sizing = Some(sizing(&estimator, map.is_none()));
-            (PreparedKind::Disjoint { sizes }, samplers, map)
+                Sizing::Bound
+            });
+            (PreparedKind::Disjoint { designation }, samplers, None)
         }
         Strategy::Auto => unreachable!("Auto is planned before the freeze"),
     };
@@ -690,12 +635,14 @@ pub(crate) fn freeze(
     // here, so "frozen" keeps meaning "first batch requestable" and no
     // draw pays a build; every other plan never builds one.
     let probes_membership = match &kind {
-        PreparedKind::Rejection { config } => config.policy == CoverPolicy::MembershipOracle,
-        PreparedKind::Bernoulli { policy, .. } => *policy == DesignationPolicy::Oracle,
+        PreparedKind::Rejection { config } => {
+            config.policy == CoverPolicy::MembershipOracle
+                || matches!(plan.estimator, Some(Estimator::Walk(_)))
+        }
         PreparedKind::Online { .. } => true,
-        PreparedKind::Disjoint { .. } => false,
+        PreparedKind::Disjoint { designation } => *designation == Some(DesignationPolicy::Oracle),
     };
-    if probes_membership || matches!(plan.estimator, Some(Estimator::Walk(_))) {
+    if probes_membership {
         workload.build_membership_indexes();
     }
 
@@ -742,16 +689,12 @@ enum PreparedKind {
         config: OnlineConfig,
         cover_strategy: CoverStrategy,
     },
-    /// The §3 Bernoulli union trick: join `j` fires with probability
-    /// `sizes[j] / union_size`.
-    Bernoulli {
-        sizes: Vec<f64>,
-        union_size: f64,
-        policy: DesignationPolicy,
+    /// One join per draw in proportion to its sampler's bound: the
+    /// disjoint union (Definition 1), or the set union under the §3
+    /// designation rule.
+    Disjoint {
+        designation: Option<DesignationPolicy>,
     },
-    /// Disjoint-union sampling (Definition 1): join `j` is selected in
-    /// proportion to `sizes[j]`.
-    Disjoint { sizes: Vec<f64> },
 }
 
 /// Locks a mutex, recovering from poisoning (a panicked sampling
@@ -878,19 +821,8 @@ impl PreparedQuery {
                 config,
                 cover_strategy,
             } => Box::new(OnlineUnionSampler::new(workload, *config, *cover_strategy)),
-            PreparedKind::Bernoulli {
-                sizes,
-                union_size,
-                policy,
-            } => Box::new(BernoulliUnionSampler::new(
-                workload,
-                sizes,
-                *union_size,
-                samplers,
-                *policy,
-            )?),
-            PreparedKind::Disjoint { sizes } => {
-                Box::new(DisjointUnionSampler::new(workload, sizes, samplers)?)
+            PreparedKind::Disjoint { designation } => {
+                Box::new(DisjointUnionSampler::new(workload, samplers, *designation)?)
             }
         };
         let mut sampler: Box<dyn UnionSampler + Send> = match &self.reject_predicate {

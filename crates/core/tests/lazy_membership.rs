@@ -126,7 +126,7 @@ fn probing_plans_are_indexed_by_the_freeze() {
             b.strategy(Strategy::Online(OnlineConfig::default()))
         }),
         ("walk estimator", |b| {
-            b.strategy(Strategy::Bernoulli(DesignationPolicy::Record))
+            b.strategy(Strategy::Rejection)
                 .estimator(Estimator::Walk(WalkEstimatorConfig::default()))
         }),
     ];

@@ -1,7 +1,8 @@
-//! One owner per parameter, seen from outside the freeze: a member
-//! whose sampler knows its exact size is never sized by the estimator,
-//! the estimator runs only for what is left, and the stamped `sizing=`
-//! label says which of the two the sampler selects by.
+//! One owner per parameter, seen from outside the freeze: a member is
+//! selected by what its own sampler knows — its exact size, else the
+//! bound it rejects against — and never by the estimator, which runs
+//! only for Algorithm 1's cover; the stamped `sizing=` label says which
+//! the sampler selects by.
 
 use std::sync::Arc;
 use suj_core::prelude::*;
@@ -46,6 +47,7 @@ fn freeze(configure: fn(SamplerBuilder) -> SamplerBuilder) -> (Option<Sizing>, u
         Sizing::Exact => "exact",
         Sizing::Histogram => "histogram",
         Sizing::Walk => "walk",
+        Sizing::Bound => "bound",
     });
     assert_eq!(prepared.summary().sizing.as_deref(), label);
     assert_eq!(
@@ -59,24 +61,24 @@ fn freeze(configure: fn(SamplerBuilder) -> SamplerBuilder) -> (Option<Sizing>, u
 
 #[test]
 fn freeze_reads_sizes_where_they_are_computed() {
-    // Exact-weight members know their sizes: a disjoint union has
-    // nothing left to estimate…
+    // Exact-weight members know their sizes: neither the disjoint nor
+    // the designated set union has anything left to estimate…
     assert_eq!(
         freeze(|b| b.strategy(Strategy::Disjoint)),
         (Some(Sizing::Exact), 0)
     );
-    // …and Bernoulli asks the estimator for `|U|` alone.
     assert_eq!(
         freeze(|b| b.strategy(Strategy::Bernoulli(DesignationPolicy::Record))),
-        (Some(Sizing::Exact), 1)
+        (Some(Sizing::Exact), 0)
     );
-    // Bound-only members are sized by the configured estimator.
+    // …and bound-only members are selected by the bounds their samplers
+    // reject against, whatever the configured estimator.
     assert_eq!(
         freeze(|b| {
             b.strategy(Strategy::Disjoint)
                 .weights(WeightKind::ExtendedOlken)
         }),
-        (Some(Sizing::Histogram), 1)
+        (Some(Sizing::Bound), 0)
     );
     assert_eq!(
         freeze(|b| {
@@ -84,7 +86,7 @@ fn freeze_reads_sizes_where_they_are_computed() {
                 .weights(WeightKind::WanderJoin)
                 .estimator(Estimator::Exact)
         }),
-        (Some(Sizing::Exact), 1)
+        (Some(Sizing::Bound), 0)
     );
     // Algorithm 1 selects by the estimator's whole map, whose join
     // sizes are the samplers' only under `exact_size_hints`.

@@ -1,14 +1,26 @@
 //! Stored and transmitted bytes do not depend on which build wrote
-//! them: an engine snapshot and a `Sample`/`Batch` frame pair written
-//! by commit `0881a68` (byte-wise CRC-32, eager membership indexes)
-//! must load, replay and re-encode byte-identically today — so
+//! them: an engine snapshot and a `Sample`/`Batch` frame pair must
+//! load, replay and re-encode byte-identically today — so
 //! `ENGINE_FORMAT_VERSION`, `NET_VERSION` and every checksum are
-//! provably unchanged across a checksum-kernel swap.
+//! provably unchanged across a change of code.
 //!
 //! The files under `tests/data/` are the output of `write_fixtures`
-//! below, run at that commit
-//! (`cargo test --test format_stability -- --ignored`). Regenerate them
-//! only together with a format version bump.
+//! below (`cargo test --test format_stability -- --ignored`), in two
+//! generations:
+//!
+//! * `engine-v3.snap` and `sample-batch-v3.frames`, written at commit
+//!   `0881a68` (byte-wise CRC-32, eager membership indexes, Bernoulli
+//!   rounds over an estimated `|U|`, whose overlap map the snapshot
+//!   carries). They pin reading: every CRC verifies, the snapshot
+//!   restores without estimating and serves what a fresh prepare
+//!   serves, and the frames re-encode from their own tuples.
+//! * `engine-v3-bound-selection.snap` and
+//!   `sample-batch-v3-bound-selection.frames`, written once the set
+//!   union selected one join per draw by its sampler's bound (no map is
+//!   stored). They also pin the stream and the re-taken bytes.
+//!
+//! Regenerate the second pair only together with a format version bump
+//! or a deliberate change of the default stream.
 
 use sample_union_joins::prelude::*;
 use std::path::PathBuf;
@@ -67,6 +79,10 @@ fn exchange(attrs: &[Arc<str>], tuples: &[Tuple]) -> Vec<u8> {
     bytes
 }
 
+/// The newest fixtures' file names.
+const SNAPSHOT: &str = "engine-v3-bound-selection.snap";
+const FRAMES: &str = "sample-batch-v3-bound-selection.frames";
+
 #[test]
 #[ignore = "writes tests/data/; run at the commit whose formats the fixtures pin"]
 fn write_fixtures() {
@@ -75,17 +91,19 @@ fn write_fixtures() {
     let (tuples, _) = prepared.sample(N, SEED).unwrap();
     let attrs = prepared.workload().canonical_schema().attrs().to_vec();
     std::fs::create_dir_all(data("")).unwrap();
-    std::fs::write(data("engine-v3.snap"), engine.snapshot_to_bytes().unwrap()).unwrap();
-    std::fs::write(data("sample-batch-v3.frames"), exchange(&attrs, &tuples)).unwrap();
+    std::fs::write(data(SNAPSHOT), engine.snapshot_to_bytes().unwrap()).unwrap();
+    std::fs::write(data(FRAMES), exchange(&attrs, &tuples)).unwrap();
 }
 
-#[test]
-fn parent_written_snapshot_and_frames_load_replay_and_reencode() {
-    let snapshot = std::fs::read(data("engine-v3.snap")).unwrap();
-    let frames = std::fs::read(data("sample-batch-v3.frames")).unwrap();
-
-    // Every section CRC and both frame CRCs verify under today's kernel.
+/// A stored pair, read back: the replica restored from the snapshot
+/// (every section CRC verified), the reply's tuples, and the stored
+/// frames' bytes, which must re-encode from those tuples.
+fn load(snapshot: &str, frames: &str) -> (Vec<u8>, Engine, Vec<Tuple>) {
+    let snapshot = std::fs::read(data(snapshot)).unwrap();
+    let frames = std::fs::read(data(frames)).unwrap();
     let replica = Engine::load_snapshot_bytes(&snapshot).unwrap();
+
+    // Both frame CRCs verify under today's kernel.
     let mut wire = frames.as_slice();
     let request = Frame::read_from(&mut wire).unwrap();
     let reply = Frame::read_from(&mut wire).unwrap();
@@ -95,11 +113,32 @@ fn parent_written_snapshot_and_frames_load_replay_and_reencode() {
         decode_sample(&request.payload).unwrap(),
         (PREPARED_ID, N as u64, SEED, 0)
     );
+    let (attrs, tuples) = decode_batch(&reply.payload).unwrap();
+    assert_eq!(tuples.len(), N);
+    let attrs: Vec<Arc<str>> = attrs.into_iter().map(Arc::from).collect();
+    assert!(exchange(&attrs, &tuples) == frames);
+    (snapshot, replica, tuples)
+}
 
+#[test]
+fn parent_written_snapshot_and_frames_load_replay_and_reencode() {
+    let (_, replica, _) = load("engine-v3.snap", "sample-batch-v3.frames");
+    // The replica serves without estimating, sample for sample what a
+    // fresh prepare of the same inputs serves.
+    let (fresh, query) = uq1_engine();
+    let restored = replica.prepare(&query).unwrap();
+    assert_eq!(restored.estimations(), 0);
+    assert_eq!(
+        restored.sample(N, SEED).unwrap().0,
+        fresh.prepare(&query).unwrap().sample(N, SEED).unwrap().0
+    );
+}
+
+#[test]
+fn stored_stream_replays_and_snapshot_retakes_byte_identically() {
+    let (snapshot, replica, golden) = load(SNAPSHOT, FRAMES);
     // The recorded reply is the golden: the replica replays it without
     // estimating, and so does a fresh prepare of the same inputs.
-    let (attrs, golden) = decode_batch(&reply.payload).unwrap();
-    assert_eq!(golden.len(), N);
     let (fresh, query) = uq1_engine();
     let restored = replica.prepare(&query).unwrap();
     assert_eq!(restored.estimations(), 0);
@@ -109,9 +148,7 @@ fn parent_written_snapshot_and_frames_load_replay_and_reencode() {
         golden
     );
 
-    // Re-taking and re-encoding reproduce the stored bytes.
+    // Re-taking reproduces the stored bytes.
     assert!(replica.snapshot_to_bytes().unwrap() == snapshot);
     assert!(fresh.snapshot_to_bytes().unwrap() == snapshot);
-    let attrs: Vec<Arc<str>> = attrs.into_iter().map(Arc::from).collect();
-    assert!(exchange(&attrs, &golden) == frames);
 }

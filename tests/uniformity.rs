@@ -265,19 +265,13 @@ fn streamed_samples_are_uniform_through_trait_object() {
 // Planner-emitted configurations against exact ground truth.
 // ---------------------------------------------------------------------
 
-/// Tuples per request. A request keeps the first `n` acceptances of
-/// rounds that always start at join 0, which at `n = 16` costs the last
-/// of five joins ≈ 2% of its share (ROADMAP item 1, finding iii); at
-/// 512 that is far inside the tolerance below.
-const REQUEST_N: usize = 512;
-
-/// Pools requests of [`REQUEST_N`] tuples, each served by a fresh handle
-/// (`prepared.sample(n, seed)`), until every tuple of the union is
-/// expected `draws_per_tuple` times, and checks that joins were drawn
-/// in proportion to their exact sizes `|Jⱼ|/Σ|Jⱼ|` (4σ per join) — and,
-/// when no tuple is in two joins, that the pooled tuples are uniform
-/// over the union.
-fn assert_drawn_in_proportion(prepared: &PreparedQuery, draws_per_tuple: usize) {
+/// Pools requests of `request_n` tuples, each served by a fresh handle
+/// (`prepared.sample(request_n, seed)`), until every tuple of the union
+/// is expected `draws_per_tuple` times, and checks that joins were
+/// drawn in proportion to their exact sizes `|Jⱼ|/Σ|Jⱼ|` (4σ per join)
+/// — and, when no tuple is in two joins, that the pooled tuples are
+/// uniform over the union.
+fn assert_drawn_in_proportion(prepared: &PreparedQuery, request_n: usize, draws_per_tuple: usize) {
     let exact = full_join_union(prepared.workload()).expect("ground truth");
     let n_joins = prepared.workload().n_joins();
     let sizes: Vec<f64> = (0..n_joins).map(|j| exact.join_size(j) as f64).collect();
@@ -286,10 +280,10 @@ fn assert_drawn_in_proportion(prepared: &PreparedQuery, draws_per_tuple: usize) 
 
     let mut join_draws = vec![0u64; n_joins];
     let mut counts: FxHashMap<Tuple, u64> = FxHashMap::default();
-    let requests = (draws_per_tuple * exact.union_size()).div_ceil(REQUEST_N);
+    let requests = (draws_per_tuple * exact.union_size()).div_ceil(request_n);
     for seed in 0..requests as u64 {
-        let (tuples, report) = prepared.sample(REQUEST_N, seed).expect("sampling");
-        assert_eq!(tuples.len(), REQUEST_N);
+        let (tuples, report) = prepared.sample(request_n, seed).expect("sampling");
+        assert_eq!(tuples.len(), request_n);
         for (pooled, drawn) in join_draws.iter_mut().zip(&report.join_draws) {
             *pooled += drawn;
         }
@@ -374,10 +368,23 @@ fn default_plans() -> Vec<Arc<PreparedQuery>> {
     plans
 }
 
+/// `chatty_hot`'s request size. A selection rule whose short requests
+/// favour some joins (say, one that starts every fresh handle at join
+/// 0) shows up only at a size like this. At 640 expected draws per
+/// tuple, 4σ is ≈ 1% of a join's share; at 2 560 it is ≈ 0.5%.
+const CHATTY_N: usize = 16;
+
 #[test]
 fn default_plans_draw_joins_by_exact_size() {
     for prepared in default_plans() {
-        assert_drawn_in_proportion(&prepared, 20);
+        assert_drawn_in_proportion(&prepared, 512, 20);
+    }
+}
+
+#[test]
+fn default_plans_draw_joins_by_exact_size_at_request_size() {
+    for prepared in default_plans() {
+        assert_drawn_in_proportion(&prepared, CHATTY_N, 640);
     }
 }
 
@@ -385,6 +392,116 @@ fn default_plans_draw_joins_by_exact_size() {
 #[ignore = "large sample: run via CI's release-mode uniformity step"]
 fn default_plans_draw_joins_by_exact_size_at_large_sample() {
     for prepared in default_plans() {
-        assert_drawn_in_proportion(&prepared, 200);
+        assert_drawn_in_proportion(&prepared, 512, 200);
+        assert_drawn_in_proportion(&prepared, CHATTY_N, 2_560);
     }
+}
+
+// ---------------------------------------------------------------------
+// Members that hold only a bound on their size.
+// ---------------------------------------------------------------------
+
+/// Two triangle joins `x ⋈ y ⋈ z` and `x ⋈ y ⋈ z2` over an 8×8 grid,
+/// `z2 ⊂ z`, each relation padded with dangling rows to well over 512
+/// base rows — so the planner estimates by histogram and the members
+/// are AGM box samplers, which know only the bound they reject against.
+fn padded_triangles() -> (Engine, UnionQuery) {
+    let relation = |name: &str, attrs: [&str; 2], rows: Vec<[i64; 2]>| {
+        let schema = Schema::new(attrs).expect("schema");
+        let tuples = rows
+            .into_iter()
+            .map(|r| r.into_iter().map(Value::int).collect())
+            .collect();
+        Relation::new(name, schema, tuples).expect("relation")
+    };
+    let grid = |keep: fn(i64, i64) -> bool| {
+        let mut rows: Vec<[i64; 2]> = (0..8)
+            .flat_map(|u| (0..8).map(move |v| [u, v]))
+            .filter(|&[u, v]| keep(u, v))
+            .collect();
+        rows.extend((0..150).map(|i| [100 + i, 1_000 + i]));
+        rows
+    };
+    let mut catalog = Catalog::new();
+    for rel in [
+        relation("x", ["a", "b"], grid(|_, _| true)),
+        relation("y", ["b", "c"], grid(|_, _| true)),
+        relation("z", ["c", "a"], grid(|c, a| (c + 2 * a) % 3 != 0)),
+        relation("z2", ["c", "a"], grid(|c, a| (c + 2 * a) % 3 == 1 && a < 4)),
+    ] {
+        catalog.register(rel).expect("register");
+    }
+    let query = UnionQuery::disjoint_union()
+        .join(JoinDef::natural("t1", ["x", "y", "z"]))
+        .expect("t1")
+        .join(JoinDef::natural("t2", ["x", "y", "z2"]))
+        .expect("t2");
+    (Engine::new(catalog), query)
+}
+
+/// Pearson's χ² p-value of `samples` against each tuple of `expected`'s
+/// keys drawn in proportion to its weight.
+fn chi_square_p(samples: &[Tuple], expected: &FxHashMap<Tuple, f64>) -> f64 {
+    let mut counts: FxHashMap<&Tuple, u64> = FxHashMap::default();
+    for t in samples {
+        assert!(expected.contains_key(t), "sampled non-member {t}");
+        *counts.entry(t).or_insert(0) += 1;
+    }
+    let total: f64 = expected.values().sum();
+    let (observed, expected): (Vec<u64>, Vec<f64>) = expected
+        .iter()
+        .map(|(t, w)| {
+            let n = counts.get(t).copied().unwrap_or(0);
+            (n, w / total * samples.len() as f64)
+        })
+        .unzip();
+    let statistic = suj_stats::chi_square_statistic(&observed, &expected);
+    suj_stats::chi2::chi_square_survival(statistic, observed.len() as u64 - 1)
+}
+
+#[test]
+fn bound_only_members_sample_the_disjoint_union_by_multiplicity() {
+    let (engine, query) = padded_triangles();
+    let prepared = engine.prepare(&query).expect("prepare");
+    assert!(prepared.plan().stats.total_base_rows > 512);
+    assert_eq!(
+        prepared.summary().to_string(),
+        "strategy=disjoint estimator=histogram(EO) weights=agm-box sizing=bound \
+         rule=disjoint-semantics"
+    );
+
+    // A tuple in both joins is two copies of `V = t1 ⊎ t2`: 2/|V|.
+    let exact = full_join_union(prepared.workload()).expect("ground truth");
+    let mut multiplicity: FxHashMap<Tuple, f64> = FxHashMap::default();
+    for join in &exact.join_results {
+        for t in join.iter() {
+            *multiplicity.entry(t.clone()).or_insert(0.0) += 1.0;
+        }
+    }
+    assert!(multiplicity.values().any(|&m| m == 2.0));
+    let (samples, _) = prepared
+        .sample(60 * multiplicity.len(), 31)
+        .expect("sampling");
+    let p = chi_square_p(&samples, &multiplicity);
+    assert!(p > 1e-3, "not in proportion to multiplicity (p = {p:e})");
+}
+
+#[test]
+fn bound_only_members_sample_the_set_union_uniformly_under_designation() {
+    let (engine, query) = padded_triangles();
+    let workload = engine.prepare(&query).expect("prepare").workload().clone();
+    let prepared = SamplerBuilder::for_workload(workload.clone())
+        .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
+        .weights(WeightKind::AgmBox)
+        .freeze()
+        .expect("freeze");
+    assert_eq!(prepared.summary().sizing.as_deref(), Some("bound"));
+
+    let exact = full_join_union(&workload).expect("ground truth");
+    let uniform: FxHashMap<Tuple, f64> = exact.union_set.iter().map(|t| (t.clone(), 1.0)).collect();
+    let (samples, report) = prepared.sample(60 * uniform.len(), 32).expect("sampling");
+    assert!(report.rejected_join > 0, "AGM box members must reject");
+    assert!(report.rejected_cover > 0, "overlap must cause rejections");
+    let p = chi_square_p(&samples, &uniform);
+    assert!(p > 1e-3, "not uniform over the set union (p = {p:e})");
 }
