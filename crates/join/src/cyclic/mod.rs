@@ -19,8 +19,8 @@
 //!   (bag-semantics) join result.
 //!
 //! The storage half lives in [`suj_storage::sorted`]: per-relation
-//! sorted permutations whose O(1) distinct counts and O(log n) run
-//! narrowing make each split two binary searches per relation.
+//! sorted permutations whose O(1) distinct counts and order-preserving
+//! `i64` key runs make each split one `partition_point` per relation.
 //!
 //! [`ExactWeightSampler`]: crate::weights::ExactWeightSampler
 //! [`OlkenSampler`]: crate::weights::OlkenSampler

@@ -27,7 +27,7 @@
 //!    distinct keys in its run is cut at the positional midpoint,
 //!    snapped outward to a duplicate-block boundary so both children
 //!    are non-empty; every relation containing the attribute narrows at
-//!    the same value boundary by binary search.
+//!    the same boundary by one `partition_point` over its key run.
 //! 3. **Branch** by the AGM bound: with `r ~ U[0, AGM(B))`, descend
 //!    left if `r < AGM(B_l)`, right if `r < AGM(B_l) + AGM(B_r)`,
 //!    otherwise reject. The cover condition `Σ_{i ∋ A} w_i ≥ 1` makes
@@ -67,6 +67,14 @@
 //! third of a root start. The bound only falls steeply past `Σ|Rᵢ|`
 //! splits, which set-up cannot afford (DESIGN.md has the table).
 //!
+//! Every comparison in steps 1–2 is an `i64` compare: each index keeps
+//! its sort attributes as key runs of order-preserving codes
+//! ([`SortedIndex::key`]), and [`SortedIndex::build_all`] codes each
+//! attribute once over every relation that holds it, so a code read in
+//! one relation pins or cuts another. Integer keys are their own codes;
+//! strings, floats and NULLs take the same path through their ranks. A
+//! descent builds no `Value` and dispatches on no column type.
+//!
 //! The AGM bound is computed over *distinct* rows (an O(1) prefix-sum
 //! read per run); duplicate multiplicity is restored by step 4. All
 //! descent state lives in a thread-local scratch, so rejected attempts
@@ -86,12 +94,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use suj_stats::{AliasArena, AliasArenaBuilder, SujRng};
-use suj_storage::{SortedIndex, Value};
+use suj_storage::{Relation, SortedIndex};
 
 /// The frontier builder splits at most `Σ|Rᵢ| / 4` boxes: tied to the
 /// input's own size so that it stays a fixed fraction of the index
-/// sorts it follows (on `cyclic_tri` the builder is 0.46 ms of a
-/// 1.6 ms set-up; at `/2` set-up read +48%).
+/// sorts it follows (DESIGN.md "The frontier" has what `/2` costs in
+/// set-up).
 const ROWS_PER_SPLIT: usize = 4;
 
 /// The box being worked on: one run, one distinct count, and one split
@@ -220,16 +228,21 @@ impl CyclicJoinSampler {
         let out_attrs = spec.output_schema().attrs();
         let n = spec.n_relations();
 
-        let mut sorted = Vec::with_capacity(n);
-        for i in 0..n {
-            let rel = spec.relation(i);
-            let keys: Vec<Arc<str>> = out_attrs
-                .iter()
-                .filter(|a| rel.schema().position(a).is_some())
-                .cloned()
-                .collect();
-            sorted.push(SortedIndex::build(rel, &keys));
-        }
+        let keys: Vec<Vec<Arc<str>>> = spec
+            .relations()
+            .iter()
+            .map(|rel| {
+                out_attrs
+                    .iter()
+                    .filter(|a| rel.schema().position(a).is_some())
+                    .cloned()
+                    .collect()
+            })
+            .collect();
+        let parts: Vec<(&Relation, &[Arc<str>])> = (spec.relations().iter().map(|r| r.as_ref()))
+            .zip(keys.iter().map(Vec::as_slice))
+            .collect();
+        let sorted = SortedIndex::build_all(&parts);
 
         let mut attr_rels = vec![Vec::new(); out_attrs.len()];
         let mut attr_key = vec![vec![-1i32; n]; out_attrs.len()];
@@ -285,30 +298,22 @@ impl CyclicJoinSampler {
     fn step(&self, d: usize, s: &mut BoxScratch) -> Step {
         let mut split_rel: Option<usize> = None;
         let mut split_count = -1.0f64;
-        let mut pin: Option<Value> = None;
+        let mut pin: Option<i64> = None;
         for &(i, k) in &self.attr_rels[d] {
             let i = i as usize;
             let (lo, hi) = s.runs[i];
             if lo == hi {
                 return Step::Empty;
             }
-            let idx = &self.sorted[i];
-            let first = idx.value_at(k as usize, lo as usize);
-            let last = idx.value_at(k as usize, hi as usize - 1);
-            if first != last {
+            let run = &self.sorted[i].key(k as usize)[lo as usize..hi as usize];
+            let first = run[0];
+            if first != run[run.len() - 1] {
                 if s.counts[i] > split_count {
                     split_count = s.counts[i];
                     split_rel = Some(i);
                 }
-            } else {
-                match &pin {
-                    None => pin = Some(first),
-                    Some(v) => {
-                        if *v != first {
-                            return Step::Empty;
-                        }
-                    }
-                }
+            } else if *pin.get_or_insert(first) != first {
+                return Step::Empty;
             }
         }
         let Some(si) = split_rel else {
@@ -317,20 +322,19 @@ impl CyclicJoinSampler {
 
         // Split relation si's run at the positional midpoint, snapped
         // to a duplicate-block boundary on attribute d.
-        let k = self.attr_key[d][si] as usize;
         let (lo, hi) = s.runs[si];
         let (lo, hi) = (lo as usize, hi as usize);
-        let idx = &self.sorted[si];
-        let mid = lo + (hi - lo) / 2;
-        let v_mid = idx.value_at(k, mid);
-        let p = idx.lower_bound_in(k, lo, hi, &v_mid);
-        let (cut, boundary) = if p == lo {
+        let run = &self.sorted[si].key(self.attr_key[d][si] as usize)[lo..hi];
+        let v_mid = run[run.len() / 2];
+        let p = run.partition_point(|&v| v < v_mid);
+        let (cut, boundary) = if p == 0 {
             // v_mid is the run's smallest value; cut after its block
             // (the run is non-constant, so some larger value follows).
-            (idx.upper_bound_in(k, lo, hi, &v_mid), v_mid)
+            (run.partition_point(|&v| v <= v_mid), v_mid)
         } else {
-            (p, idx.value_at(k, p - 1))
+            (p, run[p - 1])
         };
+        let cut = lo + cut;
         debug_assert!(cut > lo && cut < hi);
 
         // AGM bounds of the two children: left pins attr_d ≤ boundary,
@@ -349,7 +353,8 @@ impl CyclicJoinSampler {
                 let m = if i == si {
                     cut
                 } else {
-                    self.sorted[i].upper_bound_in(key as usize, lo_i, hi_i, &boundary)
+                    let run = &self.sorted[i].key(key as usize)[lo_i..hi_i];
+                    lo_i + run.partition_point(|&v| v <= boundary)
                 };
                 s.mids[i] = m as u32;
                 // A zero distinct count empties the child for this
@@ -549,7 +554,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
     use suj_stats::chi_square_test;
-    use suj_storage::{Relation, Schema, Tuple};
+    use suj_storage::{Schema, Tuple, Value};
 
     /// Slack allowed where the module docs say `≤` between sums of
     /// products of square roots: a split with no Hölder slack (every
@@ -672,18 +677,21 @@ mod tests {
     }
 
     /// The duplicate block of relation `i` that result tuple `t`
-    /// projects onto, as sorted positions.
+    /// projects onto, as sorted positions: the rows whose sort-key
+    /// values are `t`'s, found by scanning the permutation.
     fn block_of(sampler: &CyclicJoinSampler, i: usize, t: &Tuple) -> (u32, u32) {
         let idx = &sampler.sorted[i];
-        let (mut lo, mut hi) = (0, idx.len());
-        for (k, a) in idx.attrs().iter().enumerate() {
-            let v = &t.values()[sampler.spec.output_schema().position(a).unwrap()];
-            (lo, hi) = (
-                idx.lower_bound_in(k, lo, hi, v),
-                idx.upper_bound_in(k, lo, hi, v),
-            );
-        }
-        assert!(lo < hi, "result tuple {t:?} has no row in relation {i}");
+        let rel = sampler.spec.relation(i);
+        let out = sampler.spec.output_schema();
+        let holds_t = |pos: &usize| {
+            idx.attrs().iter().all(|a| {
+                let cell = rel.column(rel.schema().position(a).unwrap());
+                cell.value(idx.row_at(*pos) as usize) == t.values()[out.position(a).unwrap()]
+            })
+        };
+        let lo = (0..idx.len()).find(holds_t);
+        let lo = lo.unwrap_or_else(|| panic!("result tuple {t:?} has no row in relation {i}"));
+        let hi = lo + (lo..idx.len()).take_while(holds_t).count();
         (lo as u32, hi as u32)
     }
 
@@ -981,6 +989,60 @@ mod tests {
         check_frontier(&triangle_over("tri-hub", &graph_edges(24, 0.1, 2, 8)));
     }
 
+    /// `spec` with every (integer) cell relabelled by `f`, which must be
+    /// strictly increasing.
+    fn relabel(spec: &JoinSpec, f: impl Fn(i64) -> Value) -> Arc<JoinSpec> {
+        let relabelled = |r: &Arc<Relation>| {
+            let cells = |t: &Tuple| t.values().iter().map(|v| f(v.as_int().unwrap())).collect();
+            let tuples = r.tuples().iter().map(cells).collect();
+            Arc::new(Relation::new(r.name(), r.schema().clone(), tuples).unwrap())
+        };
+        natural(
+            spec.name(),
+            spec.relations().iter().map(relabelled).collect(),
+        )
+    }
+
+    /// Non-integer keys are ranked per attribute over every relation
+    /// that holds it, so the ranks order *across* relations as the
+    /// values do: the same graph relabelled to zero-padded strings or
+    /// to floats keeps the frontier invariants and draws exactly the
+    /// row ids the integer graph draws, at every budget. The closing
+    /// edges lie among the second half of the vertices, so `a` and `c`
+    /// range over other values in `z` than in `x` and `y`, and ranks
+    /// taken per relation would disagree.
+    #[test]
+    fn relabelled_keys_draw_the_integer_graphs_rows() {
+        let edges = graph_edges(24, 0.3, 0, 7);
+        let closing: Vec<[i64; 2]> = edges
+            .iter()
+            .copied()
+            .filter(|e| e[0].min(e[1]) >= 12)
+            .collect();
+        let ints = triangle_of("tri-closing-half", &edges, &edges, &closing);
+        let strs = relabel(&ints, |v| Value::str(format!("v{v:03}")));
+        let floats = relabel(&ints, |v| Value::float((v - 12) as f64 / 4.0));
+        for budget in budgets(&ints) {
+            let draws = |spec: &Arc<JoinSpec>| {
+                let sampler = CyclicJoinSampler::with_budget(spec.clone(), budget).unwrap();
+                let (mut rng, mut draw) = (SujRng::seed_from_u64(31), RowDraw::new());
+                let mut rows = Vec::new();
+                for _ in 0..4000 {
+                    if sampler.sample_rows(&mut rng, &mut draw) {
+                        rows.extend_from_slice(draw.rows());
+                    }
+                }
+                (sampler.size_info().bound.to_bits(), rows)
+            };
+            let expected = draws(&ints);
+            assert!(!expected.1.is_empty(), "budget {budget}");
+            assert!(draws(&strs) == expected, "strings at budget {budget}");
+            assert!(draws(&floats) == expected, "floats at budget {budget}");
+        }
+        check_frontier(&strs);
+        check_frontier(&floats);
+    }
+
     /// A bipartite graph has no triangle, which the builder can prove:
     /// refined to the end nothing is left, the bound is 0 and an
     /// attempt returns at once.
@@ -1103,7 +1165,12 @@ mod tests {
         let indexes: usize = (0..3)
             .map(|i| {
                 let rel = spec.relation(i);
-                SortedIndex::build(rel, rel.schema().attrs()).memory_bytes()
+                let idx = SortedIndex::build_all(&[(rel, rel.schema().attrs())]).remove(0);
+                let bytes = idx.memory_bytes();
+                // A row id, two 8-byte key codes and a block prefix per
+                // row, and the prefix sums' leading zero.
+                assert_eq!(bytes, rel.len() * (4 + 2 * 8 + 4) + 4);
+                bytes
             })
             .sum();
         let one_box = CyclicJoinSampler::with_budget(spec.clone(), 0).unwrap();

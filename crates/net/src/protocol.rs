@@ -368,6 +368,11 @@ pub fn encode_batch(attrs: &[std::sync::Arc<str>], tuples: &[Tuple]) -> Vec<u8> 
 pub fn decode_batch(payload: &[u8]) -> Result<(Vec<String>, Vec<Tuple>), NetError> {
     let mut r = ByteReader::new(payload);
     let arity = r.get_u32()? as usize;
+    if arity == 0 {
+        // No column would bound `n_rows` by the payload's length, and no
+        // served schema is empty.
+        return Err(NetError::Protocol("sample batch with no attributes".into()));
+    }
     let mut attrs = Vec::with_capacity(arity.min(1024));
     for _ in 0..arity {
         attrs.push(r.get_str()?.to_string());
@@ -573,6 +578,22 @@ mod tests {
         let (names, decoded) = decode_batch(&payload).unwrap();
         assert_eq!(names, vec!["a"]);
         assert!(decoded.is_empty());
+    }
+
+    /// With no column to check it against the payload, a batch of
+    /// arity 0 would trust its row count: 12 bytes made 10⁸ empty
+    /// tuples, and 2⁶² overflowed the allocation.
+    #[test]
+    fn zero_arity_batch_is_refused() {
+        for n_rows in [1 << 62, 100_000_000, 0u64] {
+            let mut w = ByteWriter::new();
+            w.put_u32(0);
+            w.put_u64(n_rows);
+            assert!(
+                matches!(decode_batch(&w.into_bytes()), Err(NetError::Protocol(_))),
+                "n_rows = {n_rows}"
+            );
+        }
     }
 
     #[test]

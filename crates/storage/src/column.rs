@@ -211,10 +211,10 @@ impl Validity {
 
 /// Zero-copy view of one cell of one column.
 ///
-/// Hashes and compares exactly like the [`Value`] it denotes: the hash
-/// writes the same type rank and payload as [`Value`]'s `Hash` impl,
-/// equality and ordering follow the same total order (floats via
-/// `total_cmp`, cross-variant by type rank). This identity is what lets
+/// Hashes and tests equality exactly like the [`Value`] it denotes: the
+/// hash writes the same type rank and payload as [`Value`]'s `Hash`
+/// impl, and equality is [`Value`]'s (floats via `total_cmp`, never
+/// across variants). This identity is what lets
 /// [`HashIndex`](crate::index::HashIndex) build from columns while
 /// serving `&[Value]` probes out of the same table.
 #[derive(Debug, Clone, Copy)]
@@ -256,29 +256,6 @@ impl<'a> CellRef<'a> {
             (CellRef::Str(a), Value::Str(b)) => *a == b.as_ref(),
             _ => false,
         }
-    }
-
-    /// Total-order comparison against a [`Value`] (same order as
-    /// [`Value::cmp`]).
-    #[inline]
-    pub fn cmp_value(&self, v: &Value) -> Ordering {
-        match (self, v) {
-            (CellRef::Null, Value::Null) => Ordering::Equal,
-            (CellRef::Int(a), Value::Int(b)) => a.cmp(b),
-            (CellRef::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (CellRef::Str(a), Value::Str(b)) => (*a).cmp(b.as_ref()),
-            _ => self.type_rank().cmp(&value_rank(v)),
-        }
-    }
-}
-
-#[inline]
-fn value_rank(v: &Value) -> u8 {
-    match v {
-        Value::Null => 0,
-        Value::Int(_) => 1,
-        Value::Float(_) => 2,
-        Value::Str(_) => 3,
     }
 }
 
@@ -493,44 +470,6 @@ impl Column {
                 va == vb && (!va || codes[a] == codes[b])
             }
             Column::Mixed { values } => values[a] == values[b],
-        }
-    }
-
-    /// Total-order comparison of cells `a` and `b` *of this column* —
-    /// the same order as [`Value::cmp`] (floats via `total_cmp`, NULL
-    /// first, cross-variant by type rank). `Str` cells compare by pool
-    /// content, not dictionary code: codes are insertion-ordered and
-    /// carry no value order.
-    #[inline]
-    pub fn cells_cmp(&self, a: usize, b: usize) -> Ordering {
-        match self {
-            Column::Int64 { values, validity } => {
-                match (validity.is_valid(a), validity.is_valid(b)) {
-                    (true, true) => values[a].cmp(&values[b]),
-                    (va, vb) => va.cmp(&vb),
-                }
-            }
-            Column::Float64 { values, validity } => {
-                match (validity.is_valid(a), validity.is_valid(b)) {
-                    (true, true) => values[a].total_cmp(&values[b]),
-                    (va, vb) => va.cmp(&vb),
-                }
-            }
-            Column::Str {
-                codes,
-                pool,
-                validity,
-            } => match (validity.is_valid(a), validity.is_valid(b)) {
-                (true, true) => {
-                    if codes[a] == codes[b] {
-                        Ordering::Equal
-                    } else {
-                        pool.get(codes[a]).cmp(pool.get(codes[b]))
-                    }
-                }
-                (va, vb) => va.cmp(&vb),
-            },
-            Column::Mixed { values } => values[a].cmp(&values[b]),
         }
     }
 
@@ -1017,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn cell_cmp_matches_value_cmp() {
+    fn cell_eq_matches_value_eq() {
         let universe = vec![
             Value::Null,
             Value::int(-3),
@@ -1028,11 +967,10 @@ mod tests {
         ];
         let col = build(&universe);
         // Mixed layout: every cell vs every value must agree with
-        // Value::cmp.
+        // Value's equality.
         for (i, a) in universe.iter().enumerate() {
             for b in &universe {
-                assert_eq!(col.cell(i).cmp_value(b), a.cmp(b), "{a} vs {b}");
-                assert_eq!(col.cell(i).eq_value(b), (a == b));
+                assert_eq!(col.cell(i).eq_value(b), (a == b), "{a} vs {b}");
             }
         }
     }

@@ -11,7 +11,7 @@
 //! * [`mod@column`] — typed columns (`Int64` / `Float64` /
 //!   dictionary-encoded `Str` with null-validity bitmaps, plus a
 //!   `Mixed` fallback), streaming [`ColumnBuilder`]s, and the zero-copy
-//!   [`CellRef`] cell view whose hash/order match [`Value`]'s exactly.
+//!   [`CellRef`] cell view whose hash/equality match [`Value`]'s exactly.
 //! * [`relation`] — named relations stored column-major
 //!   (`Arc<[Column]>`) with zero-copy [`RowRef`] row views, builders,
 //!   vectorized filtering, projection, and the vertical/horizontal
@@ -20,9 +20,10 @@
 //! * [`index`] — hash indexes on join attributes (value → row ids) and
 //!   whole-row membership indexes, built straight off the columns; the
 //!   backbone of the membership oracle.
-//! * [`sorted`] — sorted row-id permutations with duplicate-block
-//!   prefix sums: O(log n) range-count / median / run-narrowing
-//!   oracles, the storage half of the cyclic-join box sampler.
+//! * [`sorted`] — sorted row-id permutations with order-preserving
+//!   `i64` key runs and duplicate-block prefix sums: run narrowing by
+//!   `partition_point` and O(1) distinct counts, the storage half of
+//!   the cyclic-join box sampler.
 //! * [`histogram`] — value-frequency histograms and max/average degree
 //!   statistics (§5's building blocks), counted once per column into
 //!   the column's own representation.

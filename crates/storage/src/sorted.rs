@@ -1,52 +1,55 @@
-//! Sorted permutations over relation columns: the range-count and
-//! median oracles behind the cyclic-join box-splitting sampler.
+//! Sorted permutations over relation columns: the range-count oracles
+//! behind the cyclic-join box-splitting sampler.
 //!
 //! A [`SortedIndex`] stores a permutation of a relation's row ids
 //! sorted lexicographically by a chosen attribute list (ties broken by
-//! row id, so the permutation is fully deterministic). On top of the
-//! permutation it keeps a *duplicate-block* prefix-sum array: position
-//! `j` starts a new block iff row `perm[j]` differs from `perm[j-1]`
-//! on any sort attribute. Together these answer, all in O(log n) or
-//! O(1):
+//! row id, so the permutation is fully deterministic) and, beside it,
+//! each sort attribute as an `i64` **key run**: position `pos` of run
+//! `k` holds the *order code* of attribute `k` of row `perm[pos]`. On
+//! top of the permutation it keeps a *duplicate-block* prefix-sum
+//! array: position `j` starts a new block iff row `perm[j]` differs
+//! from `perm[j-1]` on any sort attribute. Together these answer:
 //!
-//! * [`count_in_range`](SortedIndex::count_in_range) — how many rows
-//!   have their first sort attribute inside a closed value interval;
-//! * [`median_in_range`](SortedIndex::median_in_range) — the
-//!   lower-median first-attribute value inside that interval (the
-//!   split point of the AGM box recursion);
-//! * [`lower_bound_in`](SortedIndex::lower_bound_in) /
-//!   [`upper_bound_in`](SortedIndex::upper_bound_in) — binary searches
-//!   on *any* sort attribute restricted to a positional run, which is
-//!   how the sampler narrows a box constraint to a contiguous slice of
-//!   the permutation;
+//! * [`key`](SortedIndex::key) — one sort attribute's codes in sorted
+//!   order, as a plain `&[i64]`: inside a run where attributes
+//!   `0..k` are constant, run `k` is sorted, so narrowing a box
+//!   constraint to a contiguous slice of the permutation is one
+//!   `partition_point` and a pin is one integer compare;
 //! * [`distinct_in`](SortedIndex::distinct_in) — the number of
-//!   distinct sort-key tuples in a run, the quantity the AGM bound is
-//!   computed over (bag semantics would inflate it).
+//!   distinct sort-key tuples in a run, O(1), the quantity the AGM
+//!   bound is computed over (bag semantics would inflate it);
+//! * [`max_block`](SortedIndex::max_block) and
+//!   [`row_at`](SortedIndex::row_at) — what a unit box needs to draw a
+//!   duplicate.
 //!
-//! The value order is [`Value`]'s total order (NULL first, then Int <
-//! Float < Str by type rank; floats via `total_cmp`), so `Str` columns
-//! are served through their dictionary: codes are insertion-ordered
-//! and carry no value order, so comparisons go through the pool while
-//! equality stays a code compare.
+//! Codes preserve [`Value`]'s total order (NULL first, then Int <
+//! Float < Str by type rank; floats via `total_cmp`) and its equality.
+//! A key that is `Int64` without NULLs is its own code. Any other key —
+//! NULLs, floats, strings, `Mixed` columns — is coded by its dense rank
+//! among the distinct values of the attribute. [`SortedIndex::build_all`]
+//! ranks each attribute once over *every* relation it indexes that
+//! holds it, so codes compare across those indexes exactly as the
+//! values do; that is what lets the box sampler pin and cut several
+//! relations on one boundary code.
 
 use crate::column::Column;
 use crate::relation::Relation;
 use crate::value::Value;
-use std::cmp::Ordering;
+use std::borrow::Cow;
 use std::sync::Arc;
 
-/// A sorted row-id permutation over one relation plus duplicate-block
-/// prefix sums. See the [module docs](self) for the oracle menu.
+/// A sorted row-id permutation over one relation, its key runs and
+/// duplicate-block prefix sums. See the [module docs](self) for the
+/// oracle menu.
 #[derive(Debug, Clone)]
 pub struct SortedIndex {
     /// Sort attributes, most-significant first.
     attrs: Vec<Arc<str>>,
-    /// Column positions of `attrs` in the relation.
-    positions: Vec<usize>,
-    /// The relation's columns (shared, never copied).
-    columns: Arc<[Column]>,
     /// Row ids sorted lexicographically by `attrs`, ties by row id.
     perm: Vec<u32>,
+    /// The key runs, one after another: `keys[k·n + pos]` is the order
+    /// code of attribute `attrs[k]` of row `perm[pos]`.
+    keys: Vec<i64>,
     /// `head_prefix[j]` = number of duplicate-block heads among
     /// `perm[0..j]`; length `n + 1`.
     head_prefix: Vec<u32>,
@@ -55,50 +58,60 @@ pub struct SortedIndex {
 }
 
 impl SortedIndex {
-    /// Builds the index over `attrs` (most-significant first).
+    /// Builds one index per `(relation, attrs)` pair, sorted by `attrs`
+    /// most-significant first, coding each attribute name once over
+    /// every pair that sorts by it: a code of one index compares with a
+    /// code of another as their values do.
     ///
     /// # Panics
-    /// If any attribute is not in the relation's schema (same contract
+    /// If any attribute is not in its relation's schema (same contract
     /// as [`HashIndex::build`](crate::index::HashIndex::build)).
-    pub fn build(relation: &Relation, attrs: &[Arc<str>]) -> Self {
-        let positions: Vec<usize> = attrs
-            .iter()
-            .map(|a| {
-                relation
-                    .schema()
-                    .position(a)
-                    .unwrap_or_else(|| panic!("attribute `{a}` not in {}", relation.schema()))
-            })
-            .collect();
-        let columns = relation.shared_columns();
-        let n = relation.len();
-        let perm = sort_int_keys(&columns, &positions).unwrap_or_else(|| {
-            let mut perm: Vec<u32> = (0..n as u32).collect();
-            perm.sort_unstable_by(|&a, &b| {
-                for &p in &positions {
-                    match columns[p].cells_cmp(a as usize, b as usize) {
-                        Ordering::Equal => continue,
-                        non_eq => return non_eq,
-                    }
+    pub fn build_all(parts: &[(&Relation, &[Arc<str>])]) -> Vec<Self> {
+        // Every attribute name, with the `(part, key)` slots sorting by it.
+        let mut slots: Vec<(&str, Vec<(usize, usize)>)> = Vec::new();
+        for (j, &(_, attrs)) in parts.iter().enumerate() {
+            for (k, a) in attrs.iter().enumerate() {
+                match slots.iter_mut().find(|(b, _)| *b == a.as_ref()) {
+                    Some((_, held)) => held.push((j, k)),
+                    None => slots.push((a, vec![(j, k)])),
                 }
-                a.cmp(&b)
-            });
-            perm
-        });
-        let (head_prefix, max_block) = block_stats(&columns, &positions, &perm);
-        Self {
-            attrs: attrs.to_vec(),
-            positions,
-            columns,
-            perm,
-            head_prefix,
-            max_block,
+            }
         }
-    }
-
-    /// Convenience: a single-attribute index.
-    pub fn build_single(relation: &Relation, attr: &str) -> Self {
-        Self::build(relation, &[Arc::from(attr)])
+        let mut codes: Vec<Vec<Cow<[i64]>>> = parts
+            .iter()
+            .map(|(_, attrs)| vec![Cow::Borrowed(&[][..]); attrs.len()])
+            .collect();
+        for (a, held) in slots {
+            let columns: Vec<&Column> = held
+                .iter()
+                .map(|&(j, _)| {
+                    let relation = parts[j].0;
+                    let p = relation.schema().position(a);
+                    relation.column(
+                        p.unwrap_or_else(|| panic!("attribute `{a}` not in {}", relation.schema())),
+                    )
+                })
+                .collect();
+            for ((j, k), code) in held.into_iter().zip(order_codes(&columns)) {
+                codes[j][k] = code;
+            }
+        }
+        parts
+            .iter()
+            .zip(codes)
+            .map(|(&(relation, attrs), codes)| {
+                let codes: Vec<&[i64]> = codes.iter().map(|c| c.as_ref()).collect();
+                let (perm, keys) = sort_rows(&codes, relation.len());
+                let (head_prefix, max_block) = block_stats(&keys, perm.len());
+                Self {
+                    attrs: attrs.to_vec(),
+                    perm,
+                    keys,
+                    head_prefix,
+                    max_block,
+                }
+            })
+            .collect()
     }
 
     /// Number of rows covered.
@@ -116,22 +129,19 @@ impl SortedIndex {
         &self.attrs
     }
 
-    /// Column positions of the sort attributes.
-    pub fn positions(&self) -> &[usize] {
-        &self.positions
-    }
-
     /// Row id at sorted position `pos`.
     #[inline]
     pub fn row_at(&self, pos: usize) -> u32 {
         self.perm[pos]
     }
 
-    /// Materializes sort attribute `key` of the row at sorted position
-    /// `pos` (strings are an `Arc` bump — no byte copy).
+    /// The key run of sort attribute `k`: its order codes in sorted
+    /// position order. Sorted over any run of positions on which
+    /// attributes `0..k` are constant (the box-descent invariant).
     #[inline]
-    pub fn value_at(&self, key: usize, pos: usize) -> Value {
-        self.columns[self.positions[key]].value(self.perm[pos] as usize)
+    pub fn key(&self, k: usize) -> &[i64] {
+        let n = self.perm.len();
+        &self.keys[k * n..(k + 1) * n]
     }
 
     /// Length of the longest duplicate block (rows equal on *all* sort
@@ -151,122 +161,87 @@ impl SortedIndex {
         (self.head_prefix[hi] - self.head_prefix[lo + 1]) as usize + 1
     }
 
-    /// First position in `[lo, hi)` whose `key`-th sort attribute is
-    /// `>= v`, assuming those positions are sorted by that attribute
-    /// (true whenever attributes `0..key` are constant over the run —
-    /// the box-descent invariant).
-    pub fn lower_bound_in(&self, key: usize, lo: usize, hi: usize, v: &Value) -> usize {
-        let col = &self.columns[self.positions[key]];
-        let (mut lo, mut hi) = (lo, hi);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if col.cell(self.perm[mid] as usize).cmp_value(v) == Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// First position in `[lo, hi)` whose `key`-th sort attribute is
-    /// `> v` (same sortedness precondition as
-    /// [`lower_bound_in`](Self::lower_bound_in)).
-    pub fn upper_bound_in(&self, key: usize, lo: usize, hi: usize, v: &Value) -> usize {
-        let col = &self.columns[self.positions[key]];
-        let (mut lo, mut hi) = (lo, hi);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if col.cell(self.perm[mid] as usize).cmp_value(v) == Ordering::Greater {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
-    }
-
-    /// Number of rows whose *first* sort attribute lies in the closed
-    /// interval `[lo, hi]`. O(log n).
-    pub fn count_in_range(&self, lo: &Value, hi: &Value) -> usize {
-        let n = self.len();
-        let start = self.lower_bound_in(0, 0, n, lo);
-        let end = self.upper_bound_in(0, 0, n, hi);
-        end.saturating_sub(start)
-    }
-
-    /// Lower-median first-attribute value among rows whose first sort
-    /// attribute lies in `[lo, hi]`; `None` if no row qualifies.
-    /// O(log n) — the median of a value range is just the middle of its
-    /// positional span.
-    pub fn median_in_range(&self, lo: &Value, hi: &Value) -> Option<Value> {
-        let n = self.len();
-        let start = self.lower_bound_in(0, 0, n, lo);
-        let end = self.upper_bound_in(0, 0, n, hi);
-        if start >= end {
-            return None;
-        }
-        Some(self.value_at(0, start + (end - start - 1) / 2))
-    }
-
-    /// Approximate resident bytes of the permutation and prefix sums
-    /// (the columns are shared with the relation).
+    /// Approximate resident bytes of the permutation, the key runs and
+    /// the prefix sums (the columns belong to the relation).
     pub fn memory_bytes(&self) -> usize {
-        self.perm.len() * 4 + self.head_prefix.len() * 4
+        self.perm.len() * 4 + self.keys.len() * 8 + self.head_prefix.len() * 4
     }
 }
 
-/// The sorted permutation when every key column is `Int64` without
-/// NULLs (the cyclic sampler's graph edges) and there are at most three
-/// of them: `(keys, row)` tuples sorted as integers, which is the
-/// comparator sort's order — keys lexicographically, ties by row id —
-/// without a `Column` dispatch and a validity probe per comparison (a
-/// build over 1 290 rows and two keys takes 35 µs this way, 125–175 µs
-/// the other). `None` sends every other key shape to the comparator.
-fn sort_int_keys(columns: &[Column], positions: &[usize]) -> Option<Vec<u32>> {
-    fn sort_keyed<const K: usize>(keys: [&[i64]; K]) -> Vec<u32> {
-        let mut keyed: Vec<([i64; K], u32)> = (0..keys[0].len())
-            .map(|row| (keys.map(|k| k[row]), row as u32))
-            .collect();
+/// Row-indexed order codes of one attribute in each of `columns`: the
+/// values themselves when every column is `Int64` without NULLs,
+/// otherwise each cell's dense rank among the distinct values of all
+/// of them, in [`Value`]'s order.
+fn order_codes<'c>(columns: &[&'c Column]) -> Vec<Cow<'c, [i64]>> {
+    let ints: Option<Vec<&[i64]>> = columns
+        .iter()
+        .map(|c| match c {
+            Column::Int64 { values, validity } if !validity.has_nulls() => Some(values.as_slice()),
+            _ => None,
+        })
+        .collect();
+    if let Some(ints) = ints {
+        return ints.into_iter().map(Cow::Borrowed).collect();
+    }
+    let cells = |c: &'c Column| (0..c.len()).map(move |row| c.value(row));
+    let mut domain: Vec<Value> = columns.iter().flat_map(|c| cells(c)).collect();
+    domain.sort_unstable();
+    domain.dedup();
+    let rank = |v: Value| domain.binary_search(&v).expect("cell in its own domain") as i64;
+    columns
+        .iter()
+        .map(|c| Cow::Owned(cells(c).map(rank).collect()))
+        .collect()
+}
+
+/// The permutation sorting rows by `codes` lexicographically, ties by
+/// row id, and the key runs in that order: one sort of `(keys, row)`
+/// tuples, which needs no comparator and yields the runs in the same
+/// pass. Up to three keys (every relation of a cycle or clique) are
+/// held inline; more are a `Vec` per row.
+fn sort_rows(codes: &[&[i64]], n: usize) -> (Vec<u32>, Vec<i64>) {
+    fn sort_keyed<K: Ord + AsRef<[i64]>>(
+        width: usize,
+        n: usize,
+        key: impl Fn(usize) -> K,
+    ) -> (Vec<u32>, Vec<i64>) {
+        let mut keyed: Vec<(K, u32)> = (0..n).map(|row| (key(row), row as u32)).collect();
         keyed.sort_unstable();
-        keyed.into_iter().map(|(_, row)| row).collect()
+        let keys = (0..width)
+            .flat_map(|k| keyed.iter().map(move |(key, _)| key.as_ref()[k]))
+            .collect();
+        (keyed.into_iter().map(|(_, row)| row).collect(), keys)
     }
-    let ints = |p: usize| match &columns[p] {
-        Column::Int64 { values, validity } if !validity.has_nulls() => Some(values.as_slice()),
-        _ => None,
-    };
-    match *positions {
-        [p] => Some(sort_keyed([ints(p)?])),
-        [p, q] => Some(sort_keyed([ints(p)?, ints(q)?])),
-        [p, q, r] => Some(sort_keyed([ints(p)?, ints(q)?, ints(r)?])),
-        _ => None,
+    match *codes {
+        [a] => sort_keyed(1, n, |r| [a[r]]),
+        [a, b] => sort_keyed(2, n, |r| [a[r], b[r]]),
+        [a, b, c] => sort_keyed(3, n, |r| [a[r], b[r], c[r]]),
+        _ => sort_keyed(codes.len(), n, |r| {
+            codes.iter().map(|c| c[r]).collect::<Vec<_>>()
+        }),
     }
 }
 
-/// Computes the duplicate-block head prefix sums and the longest block
-/// length of a sorted permutation.
-fn block_stats(columns: &[Column], positions: &[usize], perm: &[u32]) -> (Vec<u32>, u32) {
-    let mut head_prefix = Vec::with_capacity(perm.len() + 1);
+/// The duplicate-block head prefix sums and the longest block length
+/// over `n` sorted positions whose key runs are `keys`.
+fn block_stats(keys: &[i64], n: usize) -> (Vec<u32>, u32) {
+    if n == 0 {
+        return (vec![0], 0);
+    }
+    let mut head_prefix = Vec::with_capacity(n + 1);
     head_prefix.push(0u32);
     let mut heads = 0u32;
     let mut block_start = 0usize;
     let mut max_block = 0u32;
-    for (j, &row) in perm.iter().enumerate() {
-        let head = j == 0
-            || positions
-                .iter()
-                .any(|&p| !columns[p].cells_eq(perm[j - 1] as usize, row as usize));
-        if head {
+    for j in 0..n {
+        if j == 0 || keys.chunks_exact(n).any(|run| run[j] != run[j - 1]) {
             heads += 1;
             max_block = max_block.max((j - block_start) as u32);
             block_start = j;
         }
         head_prefix.push(heads);
     }
-    max_block = max_block.max((perm.len() - block_start) as u32);
-    if perm.is_empty() {
-        max_block = 0;
-    }
+    max_block = max_block.max((n - block_start) as u32);
     (head_prefix, max_block)
 }
 
@@ -295,36 +270,26 @@ mod tests {
         .unwrap()
     }
 
+    fn build(r: &Relation, attrs: &[&str]) -> SortedIndex {
+        let attrs: Vec<Arc<str>> = attrs.iter().map(|&a| a.into()).collect();
+        SortedIndex::build_all(&[(r, &attrs)]).remove(0)
+    }
+
     #[test]
     fn sorts_lexicographically_with_row_id_ties() {
-        let idx = SortedIndex::build(&rel(), &[Arc::from("k"), Arc::from("v")]);
+        let idx = build(&rel(), &["k", "v"]);
         // Sorted (k, v) with ties by row id: (1,a)#1, (1,a)#5, (3,c)#3,
         // (5,a)#2, (5,a)#4, (5,b)#0.
         let order: Vec<u32> = (0..idx.len()).map(|p| idx.row_at(p)).collect();
         assert_eq!(order, vec![1, 5, 3, 2, 4, 0]);
-    }
-
-    #[test]
-    fn count_and_median_in_range() {
-        let idx = SortedIndex::build_single(&rel(), "k");
-        assert_eq!(idx.count_in_range(&Value::int(1), &Value::int(5)), 6);
-        assert_eq!(idx.count_in_range(&Value::int(2), &Value::int(4)), 1);
-        assert_eq!(idx.count_in_range(&Value::int(4), &Value::int(4)), 0);
-        assert_eq!(idx.count_in_range(&Value::int(5), &Value::int(5)), 3);
-        assert_eq!(
-            idx.median_in_range(&Value::int(1), &Value::int(5)),
-            Some(Value::int(3))
-        );
-        assert_eq!(
-            idx.median_in_range(&Value::int(5), &Value::int(9)),
-            Some(Value::int(5))
-        );
-        assert_eq!(idx.median_in_range(&Value::int(6), &Value::int(9)), None);
+        // An integer key is its own code; strings get their rank.
+        assert_eq!(idx.key(0), &[1, 1, 3, 5, 5, 5]);
+        assert_eq!(idx.key(1), &[0, 0, 2, 0, 0, 1]);
     }
 
     #[test]
     fn distinct_and_blocks() {
-        let idx = SortedIndex::build(&rel(), &[Arc::from("k"), Arc::from("v")]);
+        let idx = build(&rel(), &["k", "v"]);
         // Blocks: (1,a)×2, (3,c)×1, (5,a)×2, (5,b)×1.
         assert_eq!(idx.distinct_in(0, idx.len()), 4);
         assert_eq!(idx.distinct_in(0, 2), 1);
@@ -335,13 +300,18 @@ mod tests {
 
     #[test]
     fn bounds_restricted_to_runs() {
-        let idx = SortedIndex::build(&rel(), &[Arc::from("k"), Arc::from("v")]);
+        let idx = build(&rel(), &["k", "v"]);
         // Within the k=5 run (positions 3..6), search the second key.
-        let lo = idx.lower_bound_in(0, 0, idx.len(), &Value::int(5));
-        let hi = idx.upper_bound_in(0, 0, idx.len(), &Value::int(5));
+        let k0 = idx.key(0);
+        let (lo, hi) = (
+            k0.partition_point(|&c| c < 5),
+            k0.partition_point(|&c| c <= 5),
+        );
         assert_eq!((lo, hi), (3, 6));
-        assert_eq!(idx.upper_bound_in(1, lo, hi, &Value::str("a")), 5);
-        assert_eq!(idx.lower_bound_in(1, lo, hi, &Value::str("b")), 5);
+        let run = &idx.key(1)[lo..hi];
+        let (a, b) = (idx.key(1)[0], idx.key(1)[hi - 1]);
+        assert_eq!(lo + run.partition_point(|&c| c <= a), 5);
+        assert_eq!(lo + run.partition_point(|&c| c < b), 5);
     }
 
     #[test]
@@ -358,10 +328,10 @@ mod tests {
             ],
         )
         .unwrap();
-        let idx = SortedIndex::build_single(&r, "k");
+        let idx = build(&r, &["k"]);
         assert_eq!(idx.row_at(0), 1);
         assert_eq!(idx.row_at(1), 3);
-        assert_eq!(idx.count_in_range(&Value::Null, &Value::Null), 2);
+        assert_eq!(idx.key(0), &[0, 0, 1, 2]);
         assert_eq!(idx.distinct_in(0, 4), 3);
         assert_eq!(idx.max_block(), 2);
     }
@@ -369,18 +339,18 @@ mod tests {
     #[test]
     fn empty_relation() {
         let r = Relation::new("e", Schema::new(["k"]).unwrap(), vec![]).unwrap();
-        let idx = SortedIndex::build_single(&r, "k");
+        let idx = build(&r, &["k"]);
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.max_block(), 0);
-        assert_eq!(idx.count_in_range(&Value::int(0), &Value::int(9)), 0);
-        assert_eq!(idx.median_in_range(&Value::int(0), &Value::int(9)), None);
+        assert!(idx.key(0).is_empty());
         assert_eq!(idx.distinct_in(0, 0), 0);
+        assert_eq!(idx.memory_bytes(), 4);
     }
 
     #[test]
     #[should_panic(expected = "attribute `ghost` not in")]
     fn unknown_attribute_panics() {
-        SortedIndex::build_single(&rel(), "ghost");
+        build(&rel(), &["ghost"]);
     }
 
     #[test]
@@ -393,13 +363,10 @@ mod tests {
             vec![tuple!["zebra"], tuple!["ant"], tuple!["moth"]],
         )
         .unwrap();
-        let idx = SortedIndex::build_single(&r, "s");
+        let idx = build(&r, &["s"]);
         assert_eq!(idx.row_at(0), 1); // ant
         assert_eq!(idx.row_at(1), 2); // moth
         assert_eq!(idx.row_at(2), 0); // zebra
-        assert_eq!(
-            idx.count_in_range(&Value::str("ant"), &Value::str("moth")),
-            2
-        );
+        assert_eq!(idx.key(0), &[0, 1, 2]);
     }
 }

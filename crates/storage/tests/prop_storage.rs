@@ -108,7 +108,7 @@ fn predicate_strategy() -> impl Strategy<Value = Predicate> {
 }
 
 /// Strategy: a relation of three integer key columns with no NULLs —
-/// what `SortedIndex::build` sorts as integers — drawn from a small
+/// their own order codes in `SortedIndex` — drawn from a small
 /// pool so duplicates are common, with both extremes of `i64`, and
 /// arranged as drawn, already sorted or reverse sorted.
 fn int_keys_strategy() -> impl Strategy<Value = Relation> {
@@ -135,10 +135,32 @@ fn int_keys_strategy() -> impl Strategy<Value = Relation> {
         })
 }
 
-/// The comparator sort `SortedIndex::build` is defined by, over
+/// Strategy: four key columns that are not NULL-free `Int64` — a
+/// `Float64` over NULL, NaN, −0.0, +0.0 and ±1.5, a `Str` with NULLs, a
+/// `Mixed` column, and an `Int64` with NULLs — each from a small pool so
+/// duplicates are common.
+fn coded_keys_strategy() -> impl Strategy<Value = Relation> {
+    const FLOATS: [f64; 5] = [f64::NAN, -0.0, 0.0, -1.5, 1.5];
+    let row = (0usize..6, 0usize..4, any_value(), 0i64..4);
+    prop::collection::vec(row, 0..30).prop_map(|rows| {
+        let tuples = rows
+            .into_iter()
+            .map(|(f, s, m, i)| {
+                let f = FLOATS.get(f).map_or(Value::Null, |&f| Value::float(f));
+                let s = ["b", "a", "ab"].get(s).map_or(Value::Null, Value::str);
+                let i = if i == 0 { Value::Null } else { Value::int(i) };
+                Tuple::new(vec![f, s, m, i])
+            })
+            .collect();
+        Relation::new("c", Schema::new(["f", "s", "m", "i"]).unwrap(), tuples).unwrap()
+    })
+}
+
+/// The comparator sort a `SortedIndex` is defined by, over
 /// materialized cells and `Value`'s order: checks the index's
 /// permutation, its distinct count over every prefix and its longest
-/// duplicate block against it.
+/// duplicate block against it, and that its key runs order and equate
+/// as the values do.
 fn assert_sorted_index_matches_value_order(r: &Relation, attrs: &[&str]) {
     let attrs: Vec<std::sync::Arc<str>> = attrs.iter().map(|&a| a.into()).collect();
     let positions: Vec<usize> = attrs
@@ -154,7 +176,7 @@ fn assert_sorted_index_matches_value_order(r: &Relation, attrs: &[&str]) {
             .then(a.cmp(&b))
     });
 
-    let idx = SortedIndex::build(r, &attrs);
+    let idx = SortedIndex::build_all(&[(r, &attrs)]).remove(0);
     let perm: Vec<u32> = (0..idx.len()).map(|p| idx.row_at(p)).collect();
     assert_eq!(perm, reference, "permutation over {attrs:?}");
     let (mut distinct, mut block, mut max_block) = (0, 0, 0);
@@ -169,6 +191,15 @@ fn assert_sorted_index_matches_value_order(r: &Relation, attrs: &[&str]) {
     }
     assert_eq!(idx.distinct_in(0, 0), 0);
     assert_eq!(idx.max_block(), max_block);
+    for k in 0..attrs.len() {
+        let codes = idx.key(k);
+        for (a, &ra) in reference.iter().enumerate() {
+            for (b, &rb) in reference.iter().enumerate() {
+                let value = |row: u32| &keys[row as usize].values()[k];
+                assert_eq!(codes[a].cmp(&codes[b]), value(ra).cmp(value(rb)), "key {k}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -559,5 +590,46 @@ proptest! {
         let floats = Relation::new("f", Schema::new(["f", "k"]).unwrap(), tuples).unwrap();
         assert_sorted_index_matches_value_order(&floats, &["f", "k"]);
         assert_sorted_index_matches_value_order(&floats, &["k", "f"]);
+    }
+
+    #[test]
+    fn sorted_index_coded_keys_match_value_order(r in coded_keys_strategy()) {
+        for attr in ["f", "s", "m", "i"] {
+            assert_sorted_index_matches_value_order(&r, &[attr]);
+        }
+        assert_sorted_index_matches_value_order(&r, &["s", "f"]);
+        assert_sorted_index_matches_value_order(&r, &["m", "i", "f"]);
+        // Four keys: the sort past three inline keys.
+        assert_sorted_index_matches_value_order(&r, &["i", "f", "s", "m"]);
+    }
+
+    /// `build_all` codes an attribute once over every relation holding
+    /// it: any two cells of it, in either relation, compare by code as
+    /// they do by value.
+    #[test]
+    fn sorted_index_codes_order_across_relations(
+        left in coded_keys_strategy(),
+        right in mixed_relation_strategy(),
+    ) {
+        // Left's `f` is a `Float64` column, right's a `Mixed` one.
+        let right = right
+            .rename_attrs("m", |a| if a == "x" { "f".into() } else { a.into() })
+            .unwrap();
+        let attrs: Vec<std::sync::Arc<str>> = vec!["f".into()];
+        let idx = SortedIndex::build_all(&[(&left, &attrs), (&right, &attrs)]);
+        let cells: Vec<(i64, Value)> = [&left, &right]
+            .iter()
+            .zip(&idx)
+            .flat_map(|(r, idx)| {
+                let column = r.column(r.schema().position("f").unwrap());
+                let cell = move |pos| (idx.key(0)[pos], column.value(idx.row_at(pos) as usize));
+                (0..idx.len()).map(cell)
+            })
+            .collect();
+        for (ca, va) in &cells {
+            for (cb, vb) in &cells {
+                prop_assert_eq!(ca.cmp(cb), va.cmp(vb));
+            }
+        }
     }
 }
