@@ -39,6 +39,7 @@ use crate::walk_estimator::WalkEstimatorConfig;
 use crate::workload::UnionWorkload;
 use std::sync::Arc;
 use suj_join::{JoinSampler, WeightKind};
+use suj_storage::snapshot::Labeled;
 
 /// Cheap statistics the planner gathers before choosing a
 /// configuration: histogram-derived join-size hints and an
@@ -574,45 +575,12 @@ impl Plan {
     }
 }
 
-/// A fieldless plan enum: the position in [`TABLE`](Self::TABLE) is
-/// the variant's snapshot tag and the string its [`PlanSummary`]
-/// label, so persistence and rendering cannot drift apart.
-pub(crate) trait Labeled: Copy + PartialEq + 'static {
-    /// Every variant, in tag order (append only: tags are persisted).
-    const TABLE: &'static [(Self, &'static str)];
-
-    /// Stable label of the variant.
-    fn label(self) -> &'static str {
-        Self::TABLE[usize::from(self.tag())].1
-    }
-
-    /// Snapshot tag of the variant.
-    fn tag(self) -> u8 {
-        let pos = Self::TABLE.iter().position(|(v, _)| *v == self);
-        pos.expect("every variant is listed in TABLE") as u8
-    }
-
-    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
-    fn from_tag(tag: u8) -> Option<Self> {
-        Self::TABLE.get(usize::from(tag)).map(|(v, _)| *v)
-    }
-}
-
 impl Labeled for Sizing {
     const TABLE: &'static [(Self, &'static str)] = &[
         (Sizing::Exact, "exact"),
         (Sizing::Histogram, "histogram"),
         (Sizing::Walk, "walk"),
         (Sizing::Bound, "bound"),
-    ];
-}
-
-impl Labeled for WeightKind {
-    const TABLE: &'static [(Self, &'static str)] = &[
-        (WeightKind::Exact, "exact"),
-        (WeightKind::ExtendedOlken, "extended-olken"),
-        (WeightKind::WanderJoin, "wander"),
-        (WeightKind::AgmBox, "agm-box"),
     ];
 }
 

@@ -39,7 +39,8 @@ use crate::predicate_mode::PredicateMode;
 use crate::workload::UnionWorkload;
 use std::sync::Arc;
 use suj_join::{JoinEdge, JoinSpec};
-use suj_storage::Predicate;
+use suj_storage::snapshot::{ByteReader, ByteWriter, Codec, Labeled};
+use suj_storage::{Predicate, SnapshotError};
 
 /// Whether the query samples the set union (`J_1 ∪ … ∪ J_n`, §2) or
 /// the disjoint union (`J_1 ⊎ … ⊎ J_n`, Definition 1).
@@ -51,6 +52,13 @@ pub enum UnionSemantics {
     Disjoint,
 }
 
+impl Labeled for UnionSemantics {
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (UnionSemantics::Set, "set"),
+        (UnionSemantics::Disjoint, "disjoint"),
+    ];
+}
+
 /// How a declared join connects its relations.
 #[derive(Debug, Clone)]
 pub(crate) enum Topology {
@@ -60,6 +68,29 @@ pub(crate) enum Topology {
     Natural,
     /// Explicit equality edges (star / cyclic shapes).
     Edges(Vec<JoinEdge>),
+}
+
+/// A tag byte (`Chain`, `Natural`, `Edges`), then the edges (`u32`
+/// count) of an `Edges` topology.
+impl Codec for Topology {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            Topology::Chain => 0u8.encode(w),
+            Topology::Natural => 1u8.encode(w),
+            Topology::Edges(edges) => {
+                2u8.encode(w);
+                w.put_seq32(edges);
+            }
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_tag("topology", |t| (t < 3).then_some(t))? {
+            0 => Ok(Topology::Chain),
+            1 => Ok(Topology::Natural),
+            _ => r.get_seq32().map(Topology::Edges),
+        }
+    }
 }
 
 /// One join of a union query: a name plus relation *names* — data is
@@ -125,20 +156,6 @@ impl JoinDef {
         &self.relations
     }
 
-    /// The declared topology (snapshot serialization).
-    pub(crate) fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Rebuilds a definition from decoded snapshot parts.
-    pub(crate) fn from_restored(name: String, relations: Vec<String>, topology: Topology) -> Self {
-        Self {
-            name,
-            relations,
-            topology,
-        }
-    }
-
     /// Binds relation names against the catalog and builds the spec.
     fn resolve(&self, catalog: &Catalog) -> Result<JoinSpec, CoreError> {
         let relations = self
@@ -160,6 +177,23 @@ impl JoinDef {
             Topology::Edges(edges) => JoinSpec::with_edges(&self.name, relations, edges.clone()),
         };
         spec.map_err(CoreError::Join)
+    }
+}
+
+/// Name, relation names (`u32` count), topology.
+impl Codec for JoinDef {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(&self.name);
+        w.put_seq32(&self.relations);
+        self.topology.encode(w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            name: Codec::decode(r)?,
+            relations: r.get_seq32()?,
+            topology: Codec::decode(r)?,
+        })
     }
 }
 
@@ -248,33 +282,6 @@ impl UnionQuery {
         &self.joins
     }
 
-    /// The attached predicate, if any (snapshot serialization).
-    pub(crate) fn predicate_ref(&self) -> Option<&Predicate> {
-        self.predicate.as_ref()
-    }
-
-    /// The pinned predicate mode, if any (snapshot serialization).
-    pub(crate) fn predicate_mode_ref(&self) -> Option<PredicateMode> {
-        self.predicate_mode
-    }
-
-    /// Rebuilds a query from decoded snapshot parts. The result must
-    /// `Debug`-format identically to the original so engine cache
-    /// fingerprints keyed on the query shape still match.
-    pub(crate) fn from_restored(
-        semantics: UnionSemantics,
-        joins: Vec<JoinDef>,
-        predicate: Option<Predicate>,
-        predicate_mode: Option<PredicateMode>,
-    ) -> Self {
-        Self {
-            semantics,
-            joins,
-            predicate,
-            predicate_mode,
-        }
-    }
-
     /// Binds every relation name, validates the common output schema,
     /// and returns the executable form.
     pub fn resolve(&self, catalog: &Catalog) -> Result<ResolvedQuery, CoreError> {
@@ -299,6 +306,29 @@ impl UnionQuery {
             semantics: self.semantics,
             predicate: self.predicate.clone(),
             predicate_mode: self.predicate_mode,
+        })
+    }
+}
+
+/// Semantics, joins (`u32` count), optional predicate, optional pinned
+/// predicate mode — the snapshot's prepared entries and the wire's
+/// `Prepare` payload. A decoded query is `Debug`-identical to the
+/// original, so engine fingerprints (and therefore prepared-query cache
+/// hits) coincide across a round trip.
+impl Codec for UnionQuery {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.semantics.encode(w);
+        w.put_seq32(&self.joins);
+        self.predicate.encode(w);
+        w.put_opt_tag(self.predicate_mode.map(Labeled::tag));
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            semantics: Codec::decode(r)?,
+            joins: r.get_seq32()?,
+            predicate: Codec::decode(r)?,
+            predicate_mode: r.get_opt_tag("predicate mode", PredicateMode::from_tag)?,
         })
     }
 }

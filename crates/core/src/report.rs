@@ -32,11 +32,13 @@ pub struct PlanSummary {
     pub cover: Option<String>,
     /// Predicate mode, when a selection predicate is attached.
     pub predicate: Option<String>,
-    /// Provenance of the join-size figures the plan consumed: `exact`
-    /// when every member's size came from the Exact-Weight count tables
-    /// (integer join cardinalities, not estimates), `histogram` when
-    /// the §5 probe supplied them; `None` when no statistics drove the
-    /// decision.
+    /// Provenance of the join-size figures the plan consumed
+    /// ([`Sizing`](crate::planner::Sizing)): `exact` when every size is
+    /// an integer join cardinality (Exact-Weight count tables or the
+    /// full-join estimator), `histogram` when some size is a §5
+    /// histogram bound, `walk` when some is a §6 random-walk estimate,
+    /// `bound` when some is the upper bound a member sampler rejects
+    /// against; `None` when no sizes drove the decision.
     pub sizing: Option<String>,
     /// The planner rule that selected this configuration, when it came
     /// from [`Strategy::Auto`](crate::session::Strategy) or the
@@ -190,9 +192,10 @@ pub struct RunReport {
     pub update_rounds: u64,
     /// Per-join draw counts (how often each join was selected).
     pub join_draws: Vec<u64>,
-    /// Approximate resident bytes of the prepared artifact's base
-    /// relations (columns + dictionaries + validity bitmaps), stamped
-    /// on every handle a
+    /// Approximate resident bytes of the prepared artifact — the
+    /// workload (base-relation columns, dictionaries, validity bitmaps,
+    /// membership indexes) plus its shared join samplers (count tables,
+    /// alias arenas, indexes) — stamped at freeze on every handle a
     /// [`PreparedQuery`](crate::catalog::PreparedQuery) mints. A
     /// property of the prepared state, not a counter: `delta_since`
     /// carries it through and `merge` keeps the maximum.
@@ -274,7 +277,7 @@ impl RunReport {
         if regular == 0 {
             None
         } else {
-            Some(self.accepted_time / regular.max(1) as u32)
+            Some(per(self.accepted_time, regular))
         }
     }
 
@@ -284,7 +287,7 @@ impl RunReport {
         if self.reuse_copies == 0 {
             None
         } else {
-            Some(self.reuse_time / self.reuse_copies.max(1) as u32)
+            Some(per(self.reuse_time, self.reuse_copies))
         }
     }
 
@@ -486,6 +489,16 @@ impl RunReport {
     }
 }
 
+/// `total / n` in `u128` nanoseconds (`n > 0`): exact for every `u64`
+/// count, where `Duration / u32` would truncate `n` to 32 bits.
+fn per(total: Duration, n: u64) -> Duration {
+    let nanos = total.as_nanos() / u128::from(n);
+    Duration::new(
+        (nanos / 1_000_000_000) as u64,
+        (nanos % 1_000_000_000) as u32,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,6 +537,29 @@ mod tests {
         r.accepted += 2;
         assert_eq!(r.regular_accepted(), 4);
         assert_eq!(r.time_per_accepted(), Some(Duration::from_millis(10)));
+    }
+
+    /// Merged service aggregates pass 2³² accepted tuples: the mean
+    /// divides by the whole count, not by its low 32 bits (which are 0
+    /// at 2³², a division by zero, and 2³¹ at 3·2³¹).
+    #[test]
+    fn per_sample_times_past_u32_counts() {
+        for n in [1u64 << 32, 3 << 31] {
+            let mut r = RunReport::new(1);
+            r.accepted = n;
+            r.accepted_time = Duration::from_secs(n);
+            r.reuse_copies = n;
+            r.reuse_time = Duration::from_secs(3 * n);
+            // All accepted tuples are reuse copies here; count them as
+            // regular ones for the first mean.
+            assert_eq!(r.time_per_reuse_accepted(), Some(Duration::from_secs(3)));
+            r.reuse_copies = 0;
+            assert_eq!(
+                r.time_per_accepted(),
+                Some(Duration::from_secs(1)),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -348,9 +348,9 @@ pub struct ServiceStats {
     /// 99th-percentile service time of a completed request.
     pub request_p99: Option<Duration>,
     /// Approximate resident bytes of the largest prepared artifact
-    /// served so far (base-relation columns + dictionaries + validity
-    /// bitmaps — see
-    /// [`Relation::memory_bytes`](suj_storage::Relation::memory_bytes)).
+    /// served so far: its workload plus its shared join samplers, as
+    /// the freeze stamps them
+    /// ([`RunReport::prepared_bytes`](crate::report::RunReport::prepared_bytes)).
     pub prepared_bytes: u64,
     /// Size of the snapshot the served prepared artifact was restored
     /// from; 0 when everything served so far was frozen in-process.

@@ -16,22 +16,28 @@
 //!
 //! The container is the storage layer's: magic `SUJSNAP\0`, version,
 //! section count, then per section a 16-byte header (`kind: u32`,
-//! `len: u64`, `crc: u32`) and an 8-aligned payload. This module adds
-//! three section kinds on top of [`SECTION_RELATION`]:
+//! `len: u64`, `crc: u32`) and an 8-aligned payload. Every payload is
+//! one value of the storage layer's [`Codec`], decoded by
+//! [`Codec::from_bytes`] under its decoding rules (counts checked,
+//! padding zero, flags 0 or 1, no bytes left over), so each engine
+//! state has one byte string and a restored engine re-takes the bytes
+//! it was restored from. This module adds three section kinds on top of
+//! [`SECTION_RELATION`], each a `Codec` impl:
 //!
 //! | kind | payload |
 //! |------|---------|
-//! | 16 ([`SECTION_ENGINE_META`]) | engine format version `u32`, planner config (`f64` Bernoulli threshold, `u8` use-statistics) |
+//! | 16 ([`SECTION_ENGINE_META`]) | [`PlannerConfig`]: engine format version `u32`, `f64` Bernoulli threshold, use-statistics flag |
 //! | 1 ([`SECTION_RELATION`]) | one relation, in catalog registration order |
 //! | 17 ([`SECTION_PREPARED`]) | one prepared entry: entry id `u32`, query, root seed `u64`, plan, overlap map (if the freeze consulted an estimator) |
 //! | 18 ([`SECTION_EW_ARENAS`]) | entry id `u32` of the prepared entry it belongs to, then its per-join Exact-Weight artifacts (count tables + alias arenas) |
 //!
 //! A plan is stored as its own enums' tags (strategy / estimator /
-//! weights / cover / rule — each through the one `tag`/`from_tag` pair
-//! that also yields its summary label) plus the statistics that drove
-//! it, not as full configurations: the engine's planner only ever emits
-//! default-configured variants, so the tags reconstruct the plan
-//! exactly, and a replica's summary and `EXPLAIN` equal the donor's.
+//! weights / cover / rule — the label enums through their one
+//! [`Labeled`] table, which also yields the summary labels) plus the
+//! statistics that drove it, not as full configurations: the engine's
+//! planner only ever emits default-configured variants, so the tags
+//! reconstruct the plan exactly, and a replica's summary and `EXPLAIN`
+//! equal the donor's.
 //! The predicate mode is not stored: it is a function of the query.
 //! Prepared entries that did not come through the engine (no source
 //! query, e.g. [`PreparedQuery::auto`](crate::catalog::PreparedQuery::auto))
@@ -66,21 +72,18 @@
 use crate::catalog::{Catalog, Engine};
 use crate::error::CoreError;
 use crate::overlap::OverlapMap;
-use crate::planner::{Labeled, Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
-use crate::predicate_mode::PredicateMode;
-use crate::query::{JoinDef, Topology, UnionQuery, UnionSemantics};
+use crate::planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
+use crate::query::UnionQuery;
 use crate::session::{Estimator, Given, Strategy};
 use crate::workload::UnionWorkload;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use suj_join::{ExactWeightSampler, JoinEdge, JoinSampler};
+use suj_join::{EwArtifacts, ExactWeightSampler, JoinSampler, WeightKind};
 use suj_storage::snapshot::{
-    decode_predicate, decode_relation, encode_predicate, encode_relation, read_sections,
-    write_sections, ByteReader, ByteWriter, SECTION_RELATION,
+    read_sections, write_sections, ByteReader, ByteWriter, Codec, Labeled, SECTION_RELATION,
 };
-use suj_storage::FxHashMap;
-use suj_storage::SnapshotError;
+use suj_storage::{FxHashMap, Relation, SnapshotError};
 
 /// Section kind: engine metadata (format version + planner config).
 pub const SECTION_ENGINE_META: u32 = 16;
@@ -100,335 +103,162 @@ fn corrupt(what: &str, got: impl std::fmt::Display) -> SnapshotError {
     SnapshotError::Corrupt(format!("{what}: unexpected value {got}"))
 }
 
-// ---------------------------------------------------------------------
-// Query codec
-// ---------------------------------------------------------------------
+/// The meta section: [`ENGINE_FORMAT_VERSION`], the Bernoulli
+/// threshold, the use-statistics flag. Any other format version is
+/// refused before the rest is read.
+impl Codec for PlannerConfig {
+    fn encode(&self, w: &mut ByteWriter) {
+        ENGINE_FORMAT_VERSION.encode(w);
+        self.bernoulli_max_overlap_ratio.encode(w);
+        self.use_statistics.encode(w);
+    }
 
-/// Serializes a declarative [`UnionQuery`] — semantics, joins
-/// (name, relation names, topology), optional predicate, optional
-/// pinned predicate mode. Shared by the snapshot format and the wire
-/// protocol's `Prepare` payload.
-pub fn encode_query(q: &UnionQuery, w: &mut ByteWriter) {
-    w.put_u8(match q.semantics() {
-        UnionSemantics::Set => 0,
-        UnionSemantics::Disjoint => 1,
-    });
-    w.put_u32(q.joins().len() as u32);
-    for def in q.joins() {
-        w.put_str(def.name());
-        w.put_u32(def.relations().len() as u32);
-        for rel in def.relations() {
-            w.put_str(rel);
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        match u32::decode(r)? {
+            ENGINE_FORMAT_VERSION => Ok(PlannerConfig {
+                bernoulli_max_overlap_ratio: Codec::decode(r)?,
+                use_statistics: Codec::decode(r)?,
+            }),
+            format => Err(SnapshotError::UnsupportedVersion(format)),
         }
-        match def.topology() {
-            Topology::Chain => w.put_u8(0),
-            Topology::Natural => w.put_u8(1),
-            Topology::Edges(edges) => {
-                w.put_u8(2);
-                w.put_u32(edges.len() as u32);
-                for e in edges {
-                    w.put_u64(e.left as u64);
-                    w.put_u64(e.right as u64);
-                    w.put_u32(e.attrs.len() as u32);
-                    for a in &e.attrs {
-                        w.put_str(a);
-                    }
+    }
+}
+
+/// A plan as its enums' tags (strategy, then estimator / weights /
+/// cover as optional tags, then rule) plus the statistics that drove
+/// it: base rows, join count, and the size hints, which exist together
+/// (the probe sets both) or not at all. The planner only ever emits
+/// default-configured variants, so the tags reconstruct the plan
+/// exactly. The predicate mode and the sizing label are not stored: the
+/// prepare pipeline derives the one from the query and stamps the
+/// other from the sizes it reads.
+impl Codec for Plan {
+    fn encode(&self, w: &mut ByteWriter) {
+        // `Auto` never reaches here: `snapshot_to_bytes` refuses it, and
+        // its byte would fail the decode.
+        self.strategy.tag().unwrap_or(u8::MAX).encode(w);
+        w.put_opt_tag(self.estimator.as_ref().map(Estimator::tag));
+        w.put_opt_tag(self.weights.map(Labeled::tag));
+        w.put_opt_tag(self.cover_strategy.map(Labeled::tag));
+        self.rule.encode(w);
+        let stats = &self.stats;
+        (stats.total_base_rows as u64, stats.n_joins as u32).encode(w);
+        let hints = stats.union_size_hint.zip(stats.size_hints.clone());
+        hints.encode(w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let strategy = r.get_tag("strategy", Strategy::from_tag)?;
+        let estimator = r.get_opt_tag("estimator", Estimator::from_tag)?;
+        let weights = r.get_opt_tag("weights", WeightKind::from_tag)?;
+        let cover_strategy = r.get_opt_tag("cover", Labeled::from_tag)?;
+        let rule = PlanRule::decode(r)?;
+        let total_base_rows = usize::try_from(u64::decode(r)?)
+            .map_err(|_| SnapshotError::Corrupt("total_base_rows overflow".into()))?;
+        let n_joins = u32::decode(r)? as usize;
+        let (union_size_hint, size_hints) = Option::<(f64, Vec<f64>)>::decode(r)?.unzip();
+        if size_hints.as_ref().is_some_and(|h| h.len() != n_joins) {
+            return Err(SnapshotError::Corrupt(
+                "size hints do not cover every join".into(),
+            ));
+        }
+        Ok(Plan {
+            strategy,
+            estimator,
+            weights,
+            cover_strategy,
+            predicate_mode: None,
+            sizing: None,
+            rule,
+            stats: WorkloadStats {
+                size_hints,
+                union_size_hint,
+                total_base_rows,
+                n_joins,
+            },
+        })
+    }
+}
+
+/// The join count `n` as a `u32`, then all `2^n` sizes as one slab.
+/// Entry 0 (the empty overlap) is identically 0 and is written anyway,
+/// so the decode is one validated slab.
+impl Codec for OverlapMap {
+    fn encode(&self, w: &mut ByteWriter) {
+        let n = self.n();
+        (n as u32).encode(w);
+        let sizes: Vec<f64> = (0..1u32 << n)
+            .map(|mask| {
+                if mask == 0 {
+                    0.0
+                } else {
+                    self.overlap_mask(mask)
                 }
-            }
-        }
+            })
+            .collect();
+        sizes.encode(w);
     }
-    match q.predicate_ref() {
-        None => w.put_u8(0),
-        Some(p) => {
-            w.put_u8(1);
-            encode_predicate(p, w);
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let n = u32::decode(r)? as usize;
+        let sizes: Vec<f64> = r.get_slab()?;
+        if sizes.first().is_some_and(|s| s.to_bits() != 0) {
+            return Err(corrupt("empty-overlap size", sizes[0]));
         }
-    }
-    w.put_u8(match q.predicate_mode_ref() {
-        None => 0,
-        Some(PredicateMode::PushDown) => 1,
-        Some(PredicateMode::Reject) => 2,
-    });
-}
-
-/// Inverse of [`encode_query`]. The restored query is
-/// `Debug`-identical to the original, so engine fingerprints (and
-/// therefore prepared-query cache hits) coincide across a round trip.
-pub fn decode_query(r: &mut ByteReader<'_>) -> Result<UnionQuery, SnapshotError> {
-    let semantics = match r.get_u8()? {
-        0 => UnionSemantics::Set,
-        1 => UnionSemantics::Disjoint,
-        other => return Err(corrupt("union semantics tag", other)),
-    };
-    let n_joins = r.get_u32()? as usize;
-    let mut joins = Vec::with_capacity(n_joins.min(1024));
-    for _ in 0..n_joins {
-        let name = r.get_str()?.to_string();
-        let n_rels = r.get_u32()? as usize;
-        let mut relations = Vec::with_capacity(n_rels.min(1024));
-        for _ in 0..n_rels {
-            relations.push(r.get_str()?.to_string());
-        }
-        let topology = match r.get_u8()? {
-            0 => Topology::Chain,
-            1 => Topology::Natural,
-            2 => {
-                let n_edges = r.get_u32()? as usize;
-                let mut edges = Vec::with_capacity(n_edges.min(1024));
-                for _ in 0..n_edges {
-                    let left = r.get_u64()? as usize;
-                    let right = r.get_u64()? as usize;
-                    let n_attrs = r.get_u32()? as usize;
-                    let mut attrs = Vec::with_capacity(n_attrs.min(1024));
-                    for _ in 0..n_attrs {
-                        attrs.push(Arc::<str>::from(r.get_str()?));
-                    }
-                    edges.push(JoinEdge { left, right, attrs });
-                }
-                Topology::Edges(edges)
-            }
-            other => return Err(corrupt("topology tag", other)),
-        };
-        joins.push(JoinDef::from_restored(name, relations, topology));
-    }
-    let predicate = match r.get_u8()? {
-        0 => None,
-        1 => Some(decode_predicate(r)?),
-        other => return Err(corrupt("predicate option tag", other)),
-    };
-    let predicate_mode = match r.get_u8()? {
-        0 => None,
-        1 => Some(PredicateMode::PushDown),
-        2 => Some(PredicateMode::Reject),
-        other => return Err(corrupt("predicate mode tag", other)),
-    };
-    Ok(UnionQuery::from_restored(
-        semantics,
-        joins,
-        predicate,
-        predicate_mode,
-    ))
-}
-
-// ---------------------------------------------------------------------
-// Plan codec (tags only — the planner emits default configurations)
-// ---------------------------------------------------------------------
-
-/// `0` for `None`, else the variant's tag plus one.
-fn put_option_tag(tag: Option<u8>, w: &mut ByteWriter) {
-    w.put_u8(tag.map_or(0, |t| t + 1));
-}
-
-/// Inverse of [`put_option_tag`] through the enum's `from_tag`.
-fn get_option_tag<T>(
-    r: &mut ByteReader<'_>,
-    what: &str,
-    from_tag: impl Fn(u8) -> Option<T>,
-) -> Result<Option<T>, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        tag => from_tag(tag - 1)
-            .map(Some)
-            .ok_or_else(|| corrupt(what, tag)),
+        OverlapMap::new(n, sizes)
+            .map_err(|e| SnapshotError::Corrupt(format!("invalid overlap map: {e}")))
     }
 }
 
-fn encode_plan(plan: &Plan, w: &mut ByteWriter) -> Result<(), SnapshotError> {
-    let strategy = plan
-        .strategy
-        .tag()
-        .ok_or_else(|| SnapshotError::Corrupt("cannot snapshot an unresolved Auto plan".into()))?;
-    w.put_u8(strategy);
-    put_option_tag(plan.estimator.map(|e| e.tag()), w);
-    put_option_tag(plan.weights.map(Labeled::tag), w);
-    put_option_tag(plan.cover_strategy.map(Labeled::tag), w);
-    w.put_u8(plan.rule.tag());
-    let stats = &plan.stats;
-    w.put_u64(stats.total_base_rows as u64);
-    w.put_u32(stats.n_joins as u32);
-    // The size hints exist together (the probe sets both) or not at all.
-    match (&stats.size_hints, stats.union_size_hint) {
-        (Some(hints), Some(union)) => {
-            w.put_u8(1);
-            w.put_f64(union);
-            w.put_f64_slab(hints);
-        }
-        _ => w.put_u8(0),
-    }
-    Ok(())
+/// One [`SECTION_PREPARED`] payload: entry id, query, root seed, plan,
+/// and the overlap map the freeze consulted (if any).
+struct PreparedEntry {
+    id: u32,
+    query: UnionQuery,
+    root_seed: u64,
+    plan: Plan,
+    map: Option<OverlapMap>,
 }
 
-/// Inverse of [`encode_plan`]. The predicate mode and the sizing label
-/// are left unset: the prepare pipeline derives the one from the query
-/// and stamps the other from the sizes it reads.
-fn decode_plan(r: &mut ByteReader<'_>) -> Result<Plan, SnapshotError> {
-    let tag = r.get_u8()?;
-    let strategy = Strategy::from_tag(tag).ok_or_else(|| corrupt("strategy tag", tag))?;
-    let estimator = get_option_tag(r, "estimator tag", Estimator::from_tag)?;
-    let weights = get_option_tag(r, "weights tag", Labeled::from_tag)?;
-    let cover_strategy = get_option_tag(r, "cover tag", Labeled::from_tag)?;
-    let tag = r.get_u8()?;
-    let rule = PlanRule::from_tag(tag).ok_or_else(|| corrupt("rule tag", tag))?;
-    let total_base_rows = usize::try_from(r.get_u64()?)
-        .map_err(|_| SnapshotError::Corrupt("total_base_rows overflow".into()))?;
-    let n_joins = r.get_u32()? as usize;
-    let (union_size_hint, size_hints) = match r.get_u8()? {
-        0 => (None, None),
-        1 => (Some(r.get_f64()?), Some(r.get_f64_slab()?)),
-        other => return Err(corrupt("statistics flag", other)),
-    };
-    if size_hints.as_ref().is_some_and(|h| h.len() != n_joins) {
-        return Err(SnapshotError::Corrupt(
-            "size hints do not cover every join".into(),
-        ));
+impl Codec for PreparedEntry {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.id.encode(w);
+        self.query.encode(w);
+        self.root_seed.encode(w);
+        self.plan.encode(w);
+        self.map.encode(w);
     }
-    Ok(Plan {
-        strategy,
-        estimator,
-        weights,
-        cover_strategy,
-        predicate_mode: None,
-        sizing: None,
-        rule,
-        stats: WorkloadStats {
-            size_hints,
-            union_size_hint,
-            total_base_rows,
-            n_joins,
-        },
-    })
-}
 
-// ---------------------------------------------------------------------
-// Overlap-map codec
-// ---------------------------------------------------------------------
-
-fn encode_map(map: Option<&OverlapMap>, w: &mut ByteWriter) {
-    match map {
-        None => w.put_u8(0),
-        Some(map) => {
-            w.put_u8(1);
-            let n = map.n();
-            w.put_u32(n as u32);
-            // Entry 0 (the empty overlap) is identically 0; write the
-            // full 2^n slab anyway so the decode is one validated call.
-            let sizes: Vec<f64> = (0..(1usize << n))
-                .map(|mask| {
-                    if mask == 0 {
-                        0.0
-                    } else {
-                        map.overlap_mask(mask as u32)
-                    }
-                })
-                .collect();
-            w.put_f64_slab(&sizes);
-        }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            id: Codec::decode(r)?,
+            query: Codec::decode(r)?,
+            root_seed: Codec::decode(r)?,
+            plan: Codec::decode(r)?,
+            map: Codec::decode(r)?,
+        })
     }
 }
 
-fn decode_map(r: &mut ByteReader<'_>) -> Result<Option<OverlapMap>, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(None),
-        1 => {
-            let n = r.get_u32()? as usize;
-            let sizes = r.get_f64_slab()?;
-            OverlapMap::new(n, sizes)
-                .map(Some)
-                .map_err(|e| SnapshotError::Corrupt(format!("invalid overlap map: {e}")))
-        }
-        other => Err(corrupt("overlap-map tag", other)),
+/// One [`SECTION_EW_ARENAS`] payload: the id of the prepared entry it
+/// belongs to, then its per-join Exact-Weight artifacts (`u32` count).
+struct EwEntry {
+    id: u32,
+    artifacts: Vec<EwArtifacts>,
+}
+
+impl Codec for EwEntry {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.id.encode(w);
+        w.put_seq32(&self.artifacts);
     }
-}
 
-// ---------------------------------------------------------------------
-// Exact-Weight artifact codec (count tables + alias arenas)
-// ---------------------------------------------------------------------
-
-fn encode_arena(a: &suj_stats::AliasArena, w: &mut ByteWriter) {
-    w.put_u32_slab(a.offsets());
-    w.put_f64_slab(a.prob());
-    w.put_u32_slab(a.alias_slab());
-}
-
-fn decode_arena(r: &mut ByteReader<'_>) -> Result<suj_stats::AliasArena, SnapshotError> {
-    let offsets = r.get_u32_slab()?;
-    let prob = r.get_f64_slab()?;
-    let alias = r.get_u32_slab()?;
-    suj_stats::AliasArena::from_parts(offsets, prob, alias).ok_or_else(|| {
-        SnapshotError::Corrupt("alias arena slabs violate a structural invariant".into())
-    })
-}
-
-fn encode_ew_artifacts(artifacts: &[suj_join::EwArtifacts], w: &mut ByteWriter) {
-    w.put_u32(artifacts.len() as u32);
-    for a in artifacts {
-        w.put_u64(a.total);
-        w.put_u8(u8::from(a.exact));
-        w.put_u32(a.counts.len() as u32);
-        for counts in &a.counts {
-            w.put_u64_slab(counts);
-        }
-        for key_counts in &a.key_counts {
-            w.put_u64_slab(key_counts);
-        }
-        for arena in &a.arenas {
-            match arena {
-                None => w.put_u8(0),
-                Some(arena) => {
-                    w.put_u8(1);
-                    encode_arena(arena, w);
-                }
-            }
-        }
-        encode_arena(&a.root_arena, w);
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Self {
+            id: Codec::decode(r)?,
+            artifacts: r.get_seq32()?,
+        })
     }
-}
-
-/// Inverse of [`encode_ew_artifacts`]. Arena slabs are validated
-/// structurally here ([`suj_stats::AliasArena::from_parts`]); the
-/// cross-checks against the join spec (column lengths, key-table
-/// shapes, total consistency) happen in
-/// [`suj_join::ExactWeightSampler::from_artifacts`] at freeze time.
-fn decode_ew_artifacts(
-    r: &mut ByteReader<'_>,
-) -> Result<Vec<suj_join::EwArtifacts>, SnapshotError> {
-    let n_joins = r.get_u32()? as usize;
-    let mut artifacts = Vec::with_capacity(n_joins.min(1024));
-    for _ in 0..n_joins {
-        let total = r.get_u64()?;
-        let exact = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(corrupt("EW exact flag", other)),
-        };
-        let n_rels = r.get_u32()? as usize;
-        let mut counts = Vec::with_capacity(n_rels.min(1024));
-        for _ in 0..n_rels {
-            counts.push(r.get_u64_slab()?);
-        }
-        let mut key_counts = Vec::with_capacity(n_rels.min(1024));
-        for _ in 0..n_rels {
-            key_counts.push(r.get_u64_slab()?);
-        }
-        let mut arenas = Vec::with_capacity(n_rels.min(1024));
-        for _ in 0..n_rels {
-            arenas.push(match r.get_u8()? {
-                0 => None,
-                1 => Some(decode_arena(r)?),
-                other => return Err(corrupt("EW arena presence tag", other)),
-            });
-        }
-        let root_arena = decode_arena(r)?;
-        artifacts.push(suj_join::EwArtifacts {
-            counts,
-            key_counts,
-            arenas,
-            root_arena,
-            total,
-            exact,
-        });
-    }
-    Ok(artifacts)
 }
 
 // ---------------------------------------------------------------------
@@ -456,46 +286,37 @@ impl Engine {
     /// re-estimating. Cache entries are written in fingerprint order,
     /// so the same engine state always produces the same bytes.
     pub fn snapshot_to_bytes(&self) -> Result<Vec<u8>, CoreError> {
-        let mut sections: Vec<(u32, Vec<u8>)> = Vec::new();
-
-        let mut meta = ByteWriter::new();
-        meta.put_u32(ENGINE_FORMAT_VERSION);
-        let config = self.planner().config();
-        meta.put_f64(config.bernoulli_max_overlap_ratio);
-        meta.put_u8(u8::from(config.use_statistics));
-        sections.push((SECTION_ENGINE_META, meta.into_bytes()));
-
+        let mut sections = vec![(SECTION_ENGINE_META, self.planner().config().to_bytes())];
         for name in self.catalog().names() {
-            let rel = self.catalog().get(name)?;
-            let mut w = ByteWriter::new();
-            encode_relation(&rel, &mut w);
-            sections.push((SECTION_RELATION, w.into_bytes()));
+            sections.push((SECTION_RELATION, self.catalog().get(name)?.to_bytes()));
         }
-
         let mut id = 0u32;
         for (_fingerprint, prepared) in self.cached_entries() {
             let Some(query) = prepared.source_query() else {
                 continue;
             };
-            let mut w = ByteWriter::new();
-            w.put_u32(id);
-            encode_query(query, &mut w);
-            w.put_u64(prepared.root_seed());
-            encode_plan(prepared.plan(), &mut w)?;
-            encode_map(prepared.overlap_map(), &mut w);
-            sections.push((SECTION_PREPARED, w.into_bytes()));
+            if prepared.plan().strategy.tag().is_none() {
+                return Err(CoreError::Snapshot(SnapshotError::Corrupt(
+                    "cannot snapshot an unresolved Auto plan".into(),
+                )));
+            }
+            let entry = PreparedEntry {
+                id,
+                query: query.clone(),
+                root_seed: prepared.root_seed(),
+                plan: prepared.plan().clone(),
+                map: prepared.overlap_map().cloned(),
+            };
+            sections.push((SECTION_PREPARED, entry.to_bytes()));
             // Exact-weight pipelines also persist their count tables
             // and alias arenas under the entry's id, so a restore
             // revives the samplers without rebuilding either.
             if let Some(artifacts) = prepared.ew_artifacts() {
-                let mut w = ByteWriter::new();
-                w.put_u32(id);
-                encode_ew_artifacts(&artifacts, &mut w);
-                sections.push((SECTION_EW_ARENAS, w.into_bytes()));
+                let entry = EwEntry { id, artifacts };
+                sections.push((SECTION_EW_ARENAS, entry.to_bytes()));
             }
             id += 1;
         }
-
         Ok(write_sections(&sections))
     }
 
@@ -564,37 +385,29 @@ impl Engine {
                 "engine snapshot must start with a meta section".into(),
             )));
         };
-        let mut r = ByteReader::new(meta);
-        let format = r.get_u32()?;
-        if format != ENGINE_FORMAT_VERSION {
-            return Err(CoreError::Snapshot(SnapshotError::UnsupportedVersion(
-                format,
-            )));
-        }
-        let planner_config = PlannerConfig {
-            bernoulli_max_overlap_ratio: r.get_f64()?,
-            use_statistics: r.get_u8()? != 0,
-        };
+        let planner_config = PlannerConfig::from_bytes(meta)?;
 
         let mut catalog = Catalog::new();
-        let mut prepared: Vec<(u32, ByteReader<'_>)> = Vec::new();
-        let mut arenas: FxHashMap<u32, ByteReader<'_>> = FxHashMap::default();
+        let mut prepared: Vec<PreparedEntry> = Vec::new();
+        let mut arenas: FxHashMap<u32, Vec<EwArtifacts>> = FxHashMap::default();
         for (kind, payload) in iter {
-            let mut r = ByteReader::new(payload);
             match kind {
                 SECTION_RELATION => {
-                    catalog.register_arc(Arc::new(decode_relation(&mut r)?))?;
+                    catalog.register_arc(Arc::new(Relation::from_bytes(payload)?))?;
                 }
                 SECTION_PREPARED => {
-                    let id = r.get_u32()?;
-                    if prepared.iter().any(|(other, _)| *other == id) {
-                        return Err(CoreError::Snapshot(corrupt("duplicate prepared id", id)));
+                    let entry = PreparedEntry::from_bytes(payload)?;
+                    if prepared.iter().any(|other| other.id == entry.id) {
+                        return Err(CoreError::Snapshot(corrupt(
+                            "duplicate prepared id",
+                            entry.id,
+                        )));
                     }
-                    prepared.push((id, r));
+                    prepared.push(entry);
                 }
                 SECTION_EW_ARENAS => {
-                    let id = r.get_u32()?;
-                    if arenas.insert(id, r).is_some() {
+                    let EwEntry { id, artifacts } = EwEntry::from_bytes(payload)?;
+                    if arenas.insert(id, artifacts).is_some() {
                         return Err(CoreError::Snapshot(corrupt("duplicate EW arenas id", id)));
                     }
                 }
@@ -608,15 +421,15 @@ impl Engine {
 
         let engine = Engine::with_planner(catalog, Planner::new(planner_config));
         let snapshot_bytes = bytes.len() as u64;
-        for (id, mut r) in prepared {
-            let query = decode_query(&mut r)?;
-            let root_seed = r.get_u64()?;
-            let plan = decode_plan(&mut r)?;
-            let map = decode_map(&mut r)?;
-            let artifacts = match arenas.remove(&id) {
-                Some(mut r) => Some(decode_ew_artifacts(&mut r)?),
-                None => None,
-            };
+        for entry in prepared {
+            let PreparedEntry {
+                id,
+                query,
+                root_seed,
+                plan,
+                map,
+            } = entry;
+            let artifacts = arenas.remove(&id);
             // The one prepare pipeline, with the plan and everything
             // already computed for the rewritten workload given instead
             // of probed.
@@ -653,7 +466,7 @@ impl Engine {
 /// anything is served from them.
 fn revive(
     workload: &UnionWorkload,
-    artifacts: Vec<suj_join::EwArtifacts>,
+    artifacts: Vec<EwArtifacts>,
 ) -> Result<Vec<Arc<dyn JoinSampler>>, CoreError> {
     if artifacts.len() != workload.n_joins() {
         return Err(CoreError::Invalid(format!(
@@ -678,7 +491,8 @@ fn revive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use suj_storage::{CompareOp, Predicate, Relation, Schema, Value};
+    use crate::predicate_mode::PredicateMode;
+    use suj_storage::{CompareOp, Predicate, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Relation {
         let schema = Schema::new(attrs.iter().copied()).unwrap();
@@ -748,14 +562,11 @@ mod tests {
                 .predicate_mode(PredicateMode::Reject),
         ];
         for q in queries {
-            let mut w = ByteWriter::new();
-            encode_query(&q, &mut w);
-            let bytes = w.into_bytes();
-            let mut r = ByteReader::new(&bytes);
-            let restored = decode_query(&mut r).unwrap();
-            assert!(r.is_empty());
+            let bytes = q.to_bytes();
+            let restored = UnionQuery::from_bytes(&bytes).unwrap();
             // Fingerprint stability: Debug formatting must coincide.
             assert_eq!(format!("{q:?}"), format!("{restored:?}"));
+            assert_eq!(restored.to_bytes(), bytes);
         }
     }
 
@@ -968,20 +779,20 @@ mod tests {
         // selection would index the map by join.
         let engine = shop_engine();
         let prepared = engine.prepare(&shop_query()).unwrap();
-        let mut entry = ByteWriter::new();
-        entry.put_u32(0);
-        encode_query(&shop_query(), &mut entry);
-        entry.put_u64(prepared.root_seed());
-        encode_plan(prepared.plan(), &mut entry).unwrap();
-        let one_join = OverlapMap::new(1, vec![0.0, 3.0]).unwrap();
-        encode_map(Some(&one_join), &mut entry);
+        let entry = PreparedEntry {
+            id: 0,
+            query: shop_query(),
+            root_seed: prepared.root_seed(),
+            plan: prepared.plan().clone(),
+            map: Some(OverlapMap::new(1, vec![0.0, 3.0]).unwrap()),
+        };
 
         let mut sections = owned_sections(&engine.snapshot_to_bytes().unwrap());
         let slot = sections
             .iter_mut()
             .find(|(kind, _)| *kind == SECTION_PREPARED)
             .unwrap();
-        slot.1 = entry.into_bytes();
+        slot.1 = entry.to_bytes();
         assert!(matches!(
             Engine::load_snapshot_bytes(&write_sections(&sections)),
             Err(CoreError::Snapshot(SnapshotError::Corrupt(_)))

@@ -11,7 +11,8 @@
 use crate::error::JoinError;
 use std::fmt;
 use std::sync::Arc;
-use suj_storage::{Relation, Schema, Tuple};
+use suj_storage::snapshot::{ByteReader, ByteWriter, Codec};
+use suj_storage::{Relation, Schema, SnapshotError, Tuple};
 
 /// An equality edge between two relations of a join.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +24,26 @@ pub struct JoinEdge {
     /// Attribute names equated (same name on both sides — standardized
     /// names per §2).
     pub attrs: Vec<Arc<str>>,
+}
+
+/// `left` and `right` as `u64`, then the attributes (`u32` count).
+impl Codec for JoinEdge {
+    fn encode(&self, w: &mut ByteWriter) {
+        (self.left as u64, self.right as u64).encode(w);
+        w.put_seq32(&self.attrs);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let (left, right) = <(u64, u64)>::decode(r)?;
+        let index = |i: u64| {
+            usize::try_from(i).map_err(|_| SnapshotError::Corrupt("edge index overflow".into()))
+        };
+        Ok(JoinEdge {
+            left: index(left)?,
+            right: index(right)?,
+            attrs: r.get_seq32()?,
+        })
+    }
 }
 
 /// A multi-way equi-join over named relations.

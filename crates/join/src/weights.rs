@@ -57,7 +57,8 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use suj_stats::{AliasArena, AliasArenaBuilder, SujRng};
-use suj_storage::{HashIndex, Tuple, NO_KEY};
+use suj_storage::snapshot::{ByteReader, ByteWriter, Codec, Labeled};
+use suj_storage::{HashIndex, SnapshotError, Tuple, NO_KEY};
 
 /// Weight instantiation for the join-sampling subroutine (§3.2 lists
 /// all three: "extended Olken's, exact, and Wander Join").
@@ -75,6 +76,15 @@ pub enum WeightKind {
     /// structurally cyclic path — see [`crate::cyclic`]). On acyclic
     /// specs this degrades to exact weights, which dominate there.
     AgmBox,
+}
+
+impl Labeled for WeightKind {
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (WeightKind::Exact, "exact"),
+        (WeightKind::ExtendedOlken, "extended-olken"),
+        (WeightKind::WanderJoin, "wander"),
+        (WeightKind::AgmBox, "agm-box"),
+    ];
 }
 
 /// Join-size information implied by a sampler's weights.
@@ -394,6 +404,63 @@ pub struct EwArtifacts {
     /// Whether `total` is the exact join size (acyclic spec, no
     /// counter saturation).
     pub exact: bool,
+}
+
+/// `total`, `exact`, the count slabs (`u32` count, one per relation),
+/// then per relation its key-count slab and its optional arena, then
+/// the root arena. Arena slabs are validated structurally here
+/// ([`AliasArena::from_parts`]); the cross-checks against the join spec
+/// (column lengths, key-table shapes, total consistency) happen in
+/// [`ExactWeightSampler::from_artifacts`].
+impl Codec for EwArtifacts {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.total.encode(w);
+        self.exact.encode(w);
+        w.put_seq32(&self.counts);
+        self.key_counts.iter().for_each(|c| c.encode(w));
+        for arena in &self.arenas {
+            arena.is_some().encode(w);
+            arena.iter().for_each(|a| put_arena(a, w));
+        }
+        put_arena(&self.root_arena, w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let total = u64::decode(r)?;
+        let exact = bool::decode(r)?;
+        let counts: Vec<Vec<u64>> = r.get_seq32()?;
+        let n = counts.len();
+        let key_counts = r.get_n(n)?;
+        let arenas = (0..n)
+            .map(|_| match bool::decode(r)? {
+                true => get_arena(r).map(Some),
+                false => Ok(None),
+            })
+            .collect::<Result<_, SnapshotError>>()?;
+        Ok(EwArtifacts {
+            counts,
+            key_counts,
+            arenas,
+            root_arena: get_arena(r)?,
+            total,
+            exact,
+        })
+    }
+}
+
+/// An arena's offsets, probabilities and aliases, each a slab.
+fn put_arena(a: &AliasArena, w: &mut ByteWriter) {
+    w.put_slab(a.offsets());
+    w.put_slab(a.prob());
+    w.put_slab(a.alias_slab());
+}
+
+/// Inverse of [`put_arena`].
+fn get_arena(r: &mut ByteReader<'_>) -> Result<AliasArena, SnapshotError> {
+    let (offsets, prob, alias) = Codec::decode(r)?;
+    AliasArena::from_parts(offsets, prob, alias).ok_or_else(|| {
+        SnapshotError::Corrupt("alias arena slabs violate a structural invariant".into())
+    })
 }
 
 /// Exact-weight sampler: zero rejections on acyclic joins, exact size.

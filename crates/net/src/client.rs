@@ -27,16 +27,16 @@ use crate::faults::Conn;
 #[cfg(any(test, feature = "faults"))]
 use crate::faults::FaultPlan;
 use crate::protocol::{
-    decode_batch, decode_busy, decode_error, decode_prepared, decode_stats, encode_prepare,
-    encode_sample, Frame, NetError, WireStats, ERR_DEADLINE, ERR_SHUTTING_DOWN, OP_BATCH, OP_BUSY,
-    OP_ERROR, OP_PREPARE, OP_PREPARED, OP_SAMPLE, OP_SHUTDOWN, OP_SHUTDOWN_ACK, OP_STATS,
-    OP_STATS_REPLY,
+    decode_batch, decode_payload, ErrorReply, Frame, NetError, PreparedPayload, WireStats,
+    ERR_DEADLINE, ERR_SHUTTING_DOWN, OP_BATCH, OP_BUSY, OP_ERROR, OP_PREPARE, OP_PREPARED,
+    OP_SAMPLE, OP_SHUTDOWN, OP_SHUTDOWN_ACK, OP_STATS, OP_STATS_REPLY,
 };
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use suj_core::query::UnionQuery;
 use suj_stats::rng::SujRng;
+use suj_storage::snapshot::Codec;
 use suj_storage::Tuple;
 
 /// How many `Busy` responses a call absorbs before giving up.
@@ -209,7 +209,7 @@ impl Client {
             )));
         }
         if response.opcode == OP_ERROR {
-            let (code, message) = decode_error(&response.payload)?;
+            let ErrorReply { code, message } = decode_payload("Error", &response.payload)?;
             return Err(match code {
                 ERR_DEADLINE => NetError::DeadlineExceeded,
                 ERR_SHUTTING_DOWN => NetError::ShuttingDown,
@@ -224,13 +224,14 @@ impl Client {
         let request = Frame {
             opcode: OP_PREPARE,
             request_id: self.next_id(),
-            payload: encode_prepare(query),
+            payload: query.to_bytes(),
         };
         let response = self.round_trip(&request)?;
         if response.opcode != OP_PREPARED {
             return Err(unexpected(OP_PREPARED, response.opcode));
         }
-        let (id, estimations, summary) = decode_prepared(&response.payload)?;
+        let (id, estimations, summary): PreparedPayload =
+            decode_payload("Prepared", &response.payload)?;
         Ok(RemotePrepared {
             id,
             estimations,
@@ -288,7 +289,7 @@ impl Client {
             let request = Frame {
                 opcode: OP_SAMPLE,
                 request_id: self.next_id(),
-                payload: encode_sample(prepared_id, n as u64, seed, budget_ns),
+                payload: (prepared_id, n as u64, seed, budget_ns).to_bytes(),
             };
             let response = match self.round_trip(&request) {
                 Ok(r) => r,
@@ -318,7 +319,7 @@ impl Client {
                     return Ok(SampleBatch { attrs, tuples });
                 }
                 OP_BUSY => {
-                    let hint = decode_busy(&response.payload)?;
+                    let hint: Duration = decode_payload("Busy", &response.payload)?;
                     if busy_budget == 0 {
                         return Err(NetError::Busy(hint));
                     }
@@ -338,7 +339,7 @@ impl Client {
         if response.opcode != OP_STATS_REPLY {
             return Err(unexpected(OP_STATS_REPLY, response.opcode));
         }
-        decode_stats(&response.payload)
+        decode_payload("Stats", &response.payload)
     }
 
     /// Asks the server to shut down; returns once acknowledged.

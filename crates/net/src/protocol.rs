@@ -24,26 +24,31 @@
 //!
 //! # Opcodes
 //!
+//! Every payload is one value of the storage layer's [`Codec`]
+//! ([`suj_storage::snapshot`]): written by `to_bytes`, read by
+//! [`decode_payload`], which refuses bytes left over — so a payload has
+//! exactly one byte string, the same rules as a snapshot section.
+//!
 //! | opcode | direction | payload |
 //! |--------|-----------|---------|
-//! | 1 `Prepare` | request | serialized [`UnionQuery`] ([`suj_core::snapshot::encode_query`]) |
-//! | 2 `Sample` | request | `prepared_id: u64`, `n: u64`, `seed: u64`, `budget_ns: u64` (0 = none) |
+//! | 1 `Prepare` | request | a [`UnionQuery`](suj_core::query::UnionQuery) |
+//! | 2 `Sample` | request | [`SamplePayload`]: `prepared_id`, `n`, `seed`, `budget_ns` (0 = none), four `u64`s |
 //! | 3 `Stats` | request | empty |
 //! | 4 `Shutdown` | request | empty |
-//! | 0x81 `Prepared` | response | `prepared_id: u64`, `estimations: u64`, summary string |
-//! | 0x82 `Batch` | response | columnar tuple batch (below) |
-//! | 0x83 `Stats` | response | counters, see [`WireStats`] |
+//! | 0x81 `Prepared` | response | [`PreparedPayload`]: `prepared_id: u64`, `estimations: u64`, summary string |
+//! | 0x82 `Batch` | response | a columnar [`Batch`] (below) |
+//! | 0x83 `Stats` | response | [`WireStats`]: eight `u64` counters |
 //! | 0x84 `ShutdownAck` | response | empty |
-//! | 0x85 `Busy` | response | `retry_after_ns: u64` |
-//! | 0x86 `Error` | response | `code: u16`, message string |
+//! | 0x85 `Busy` | response | retry hint, a `Duration` as `u64` nanoseconds |
+//! | 0x86 `Error` | response | [`ErrorReply`]: `code` (a `u32` on the wire), message string |
 //!
 //! # Batch encoding
 //!
-//! Samples travel as a columnar batch, not tuple-at-a-time: arity
-//! `u32`, the attribute names, `n_rows: u64`, then each column in the
-//! storage layer's snapshot column codec ([`encode_column`]) — typed
-//! slabs with validity bitmaps, dictionary-coded strings. The decoder
-//! transposes back to row [`Tuple`]s.
+//! Samples travel as a columnar batch, not tuple-at-a-time: the
+//! attribute names (`u32` count), `n_rows: u64`, then each column in
+//! the storage layer's column codec — typed slabs with validity
+//! bitmaps, dictionary-coded strings. [`decode_batch`] transposes back
+//! to row [`Tuple`]s.
 //!
 //! # Backpressure
 //!
@@ -54,10 +59,9 @@
 
 use std::fmt;
 use std::io::{Read, Write};
-use suj_core::query::UnionQuery;
-use suj_core::snapshot::{decode_query, encode_query};
-use suj_storage::snapshot::{crc32, decode_column, encode_column, ByteReader, ByteWriter};
-use suj_storage::{ColumnBuilder, SnapshotError, Tuple};
+use std::sync::Arc;
+use suj_storage::snapshot::{crc32, ByteReader, ByteWriter, Codec};
+use suj_storage::{Column, ColumnBuilder, SnapshotError, Tuple};
 
 /// Frame magic: `b"SUJN"` little-endian.
 pub const NET_MAGIC: u32 = u32::from_le_bytes(*b"SUJN");
@@ -289,104 +293,87 @@ pub fn verify_payload(payload: &[u8], expected: u32) -> Result<(), NetError> {
     Ok(())
 }
 
-/// Encodes a `Prepare` request payload.
-pub fn encode_prepare(query: &UnionQuery) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    encode_query(query, &mut w);
-    w.into_bytes()
+/// Decodes the whole payload of a `what` frame (`"Sample"`, `"Batch"`,
+/// …): every opcode's one entry point, which refuses leftover bytes and
+/// names the frame and its length in the [`NetError::Protocol`] it
+/// returns.
+pub fn decode_payload<T: Codec>(what: &str, payload: &[u8]) -> Result<T, NetError> {
+    T::from_bytes(payload)
+        .map_err(|e| NetError::Protocol(format!("{what} payload of {} bytes: {e}", payload.len())))
 }
 
-/// Decodes a `Prepare` request payload.
-pub fn decode_prepare(payload: &[u8]) -> Result<UnionQuery, NetError> {
-    let mut r = ByteReader::new(payload);
-    let q = decode_query(&mut r)?;
-    Ok(q)
+/// A `Sample` request: `(prepared_id, n, seed, budget_ns)`, where
+/// `budget_ns` is the per-request deadline budget in nanoseconds and 0
+/// means no deadline.
+pub type SamplePayload = (u64, u64, u64, u64);
+
+/// A `Prepared` response: `(prepared_id, estimations, summary)`.
+pub type PreparedPayload = (u64, u64, String);
+
+/// A `Batch` response: the canonical attribute names and one column
+/// per attribute, every column as long as the batch.
+#[derive(Debug, Clone)]
+pub struct Batch {
+    /// Attribute names, in schema order.
+    pub attrs: Vec<Arc<str>>,
+    /// One column per attribute.
+    pub columns: Vec<Column>,
 }
 
-/// Encodes a `Sample` request payload: four `u64` words. `budget_ns`
-/// is the per-request deadline budget in nanoseconds; 0 means no
-/// deadline.
-pub fn encode_sample(prepared_id: u64, n: u64, seed: u64, budget_ns: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(prepared_id);
-    w.put_u64(n);
-    w.put_u64(seed);
-    w.put_u64(budget_ns);
-    w.into_bytes()
-}
-
-/// Decodes a `Sample` request payload into
-/// `(prepared_id, n, seed, budget_ns)`. Any length other than the four
-/// words [`encode_sample`] writes is a [`NetError::Protocol`].
-pub fn decode_sample(payload: &[u8]) -> Result<(u64, u64, u64, u64), NetError> {
-    if payload.len() != 32 {
-        return Err(NetError::Protocol(format!(
-            "Sample payload must be 32 bytes (four u64 words), got {}",
-            payload.len()
-        )));
+impl Codec for Batch {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_seq32(&self.attrs);
+        (self.columns.first().map_or(0, Column::len) as u64).encode(w);
+        self.columns.iter().for_each(|c| c.encode(w));
     }
-    let mut r = ByteReader::new(payload);
-    Ok((r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?))
-}
 
-/// Encodes a `Prepared` response payload.
-pub fn encode_prepared(prepared_id: u64, estimations: u64, summary: &str) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(prepared_id);
-    w.put_u64(estimations);
-    w.put_str(summary);
-    w.into_bytes()
-}
-
-/// Decodes a `Prepared` response payload into
-/// `(prepared_id, estimations, summary)`.
-pub fn decode_prepared(payload: &[u8]) -> Result<(u64, u64, String), NetError> {
-    let mut r = ByteReader::new(payload);
-    Ok((r.get_u64()?, r.get_u64()?, r.get_str()?.to_string()))
-}
-
-/// Encodes a tuple batch as columns: arity, attribute names, row
-/// count, then one storage-codec column per attribute.
-pub fn encode_batch(attrs: &[std::sync::Arc<str>], tuples: &[Tuple]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(attrs.len() as u32);
-    for a in attrs {
-        w.put_str(a);
-    }
-    w.put_u64(tuples.len() as u64);
-    for (pos, _) in attrs.iter().enumerate() {
-        let mut builder = ColumnBuilder::new();
-        for t in tuples {
-            builder.push_ref(t.get(pos));
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let attrs: Vec<Arc<str>> = r.get_seq32()?;
+        if attrs.is_empty() {
+            // No column would bound `n_rows` by the payload's length,
+            // and no served schema is empty.
+            return Err(SnapshotError::Corrupt(
+                "sample batch with no attributes".into(),
+            ));
         }
-        encode_column(&builder.finish(), &mut w);
+        let n_rows = u64::decode(r)?;
+        let columns: Vec<Column> = r.get_n(attrs.len())?;
+        if columns.iter().any(|c| c.len() as u64 != n_rows) {
+            return Err(SnapshotError::Corrupt(format!(
+                "batch column length differs from its {n_rows} rows"
+            )));
+        }
+        Ok(Batch { attrs, columns })
     }
-    w.into_bytes()
 }
 
-/// Decodes a tuple batch back into attribute names and row tuples.
+/// Encodes a tuple batch as a [`Batch`]: one column per attribute.
+pub fn encode_batch(attrs: &[Arc<str>], tuples: &[Tuple]) -> Vec<u8> {
+    let columns = (0..attrs.len())
+        .map(|pos| {
+            let mut builder = ColumnBuilder::new();
+            for t in tuples {
+                builder.push_ref(t.get(pos));
+            }
+            builder.finish()
+        })
+        .collect();
+    Batch {
+        attrs: attrs.to_vec(),
+        columns,
+    }
+    .to_bytes()
+}
+
+/// Decodes a [`Batch`] payload back into attribute names and row
+/// tuples.
 pub fn decode_batch(payload: &[u8]) -> Result<(Vec<String>, Vec<Tuple>), NetError> {
-    let mut r = ByteReader::new(payload);
-    let arity = r.get_u32()? as usize;
-    if arity == 0 {
-        // No column would bound `n_rows` by the payload's length, and no
-        // served schema is empty.
-        return Err(NetError::Protocol("sample batch with no attributes".into()));
-    }
-    let mut attrs = Vec::with_capacity(arity.min(1024));
-    for _ in 0..arity {
-        attrs.push(r.get_str()?.to_string());
-    }
-    let n_rows = r.get_u64()? as usize;
-    let mut columns = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        columns.push(decode_column(&mut r, n_rows)?);
-    }
-    let mut tuples = Vec::with_capacity(n_rows);
-    for i in 0..n_rows {
-        tuples.push(columns.iter().map(|c| c.value(i)).collect());
-    }
-    Ok((attrs, tuples))
+    let Batch { attrs, columns } = decode_payload("Batch", payload)?;
+    let n_rows = columns.first().map_or(0, Column::len);
+    let tuples = (0..n_rows)
+        .map(|i| columns.iter().map(|c| c.value(i)).collect())
+        .collect();
+    Ok((attrs.iter().map(|a| a.to_string()).collect(), tuples))
 }
 
 /// A compact snapshot of server-side service counters carried by a
@@ -412,62 +399,60 @@ pub struct WireStats {
     pub restore_time_ns: u64,
 }
 
-/// Encodes a `Stats` response payload.
-pub fn encode_stats(stats: &WireStats) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(stats.workers);
-    w.put_u64(stats.submitted);
-    w.put_u64(stats.completed);
-    w.put_u64(stats.failed);
-    w.put_u64(stats.tuples_served);
-    w.put_u64(stats.prepared_bytes);
-    w.put_u64(stats.snapshot_bytes);
-    w.put_u64(stats.restore_time_ns);
-    w.into_bytes()
+/// The eight counters, each a `u64`, in declaration order.
+impl Codec for WireStats {
+    fn encode(&self, w: &mut ByteWriter) {
+        for v in [
+            self.workers,
+            self.submitted,
+            self.completed,
+            self.failed,
+            self.tuples_served,
+            self.prepared_bytes,
+            self.snapshot_bytes,
+            self.restore_time_ns,
+        ] {
+            v.encode(w);
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(WireStats {
+            workers: Codec::decode(r)?,
+            submitted: Codec::decode(r)?,
+            completed: Codec::decode(r)?,
+            failed: Codec::decode(r)?,
+            tuples_served: Codec::decode(r)?,
+            prepared_bytes: Codec::decode(r)?,
+            snapshot_bytes: Codec::decode(r)?,
+            restore_time_ns: Codec::decode(r)?,
+        })
+    }
 }
 
-/// Decodes a `Stats` response payload.
-pub fn decode_stats(payload: &[u8]) -> Result<WireStats, NetError> {
-    let mut r = ByteReader::new(payload);
-    Ok(WireStats {
-        workers: r.get_u64()?,
-        submitted: r.get_u64()?,
-        completed: r.get_u64()?,
-        failed: r.get_u64()?,
-        tuples_served: r.get_u64()?,
-        prepared_bytes: r.get_u64()?,
-        snapshot_bytes: r.get_u64()?,
-        restore_time_ns: r.get_u64()?,
-    })
+/// An `Error` response.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ErrorReply {
+    /// One of the `ERR_*` codes (a `u32` on the wire).
+    pub code: u16,
+    /// Human-readable detail.
+    pub message: String,
 }
 
-/// Encodes a `Busy` response payload.
-pub fn encode_busy(retry_after: std::time::Duration) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(u64::try_from(retry_after.as_nanos()).unwrap_or(u64::MAX));
-    w.into_bytes()
-}
+impl Codec for ErrorReply {
+    fn encode(&self, w: &mut ByteWriter) {
+        u32::from(self.code).encode(w);
+        w.put_str(&self.message);
+    }
 
-/// Decodes a `Busy` response payload into the retry hint.
-pub fn decode_busy(payload: &[u8]) -> Result<std::time::Duration, NetError> {
-    let mut r = ByteReader::new(payload);
-    Ok(std::time::Duration::from_nanos(r.get_u64()?))
-}
-
-/// Encodes an `Error` response payload.
-pub fn encode_error(code: u16, message: &str) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(u32::from(code));
-    w.put_str(message);
-    w.into_bytes()
-}
-
-/// Decodes an `Error` response payload into `(code, message)`.
-pub fn decode_error(payload: &[u8]) -> Result<(u16, String), NetError> {
-    let mut r = ByteReader::new(payload);
-    let code = u16::try_from(r.get_u32()?)
-        .map_err(|_| NetError::Protocol("error code out of range".into()))?;
-    Ok((code, r.get_str()?.to_string()))
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let code = u16::try_from(u32::decode(r)?)
+            .map_err(|_| SnapshotError::Corrupt("error code out of range".into()))?;
+        Ok(ErrorReply {
+            code,
+            message: Codec::decode(r)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -480,16 +465,15 @@ mod tests {
         let frame = Frame {
             opcode: OP_SAMPLE,
             request_id: 42,
-            payload: encode_sample(7, 100, 9, 0),
+            payload: (7u64, 100u64, 9u64, 0u64).to_bytes(),
         };
         let mut buf = Vec::new();
         frame.write_to(&mut buf).unwrap();
         assert_eq!(buf.len(), HEADER_LEN + frame.payload.len());
         let read = Frame::read_from(&mut buf.as_slice()).unwrap();
         assert_eq!(read, frame);
-        assert_eq!(decode_sample(&read.payload).unwrap(), (7, 100, 9, 0));
-        let with_budget = encode_sample(7, 100, 9, 2_000_000);
-        assert_eq!(decode_sample(&with_budget).unwrap(), (7, 100, 9, 2_000_000));
+        let sample: SamplePayload = decode_payload("Sample", &read.payload).unwrap();
+        assert_eq!(sample, (7, 100, 9, 0));
     }
 
     #[test]
@@ -531,7 +515,7 @@ mod tests {
         let frame = Frame {
             opcode: OP_SAMPLE,
             request_id: 9,
-            payload: encode_sample(1, 64, 3, 0),
+            payload: (1u64, 64u64, 3u64, 0u64).to_bytes(),
         };
         let mut buf = Vec::new();
         frame.write_to(&mut buf).unwrap();
@@ -586,13 +570,24 @@ mod tests {
     #[test]
     fn zero_arity_batch_is_refused() {
         for n_rows in [1 << 62, 100_000_000, 0u64] {
-            let mut w = ByteWriter::new();
-            w.put_u32(0);
-            w.put_u64(n_rows);
+            let payload = (0u32, n_rows).to_bytes();
             assert!(
-                matches!(decode_batch(&w.into_bytes()), Err(NetError::Protocol(_))),
+                matches!(decode_batch(&payload), Err(NetError::Protocol(_))),
                 "n_rows = {n_rows}"
             );
+        }
+    }
+
+    /// A batch is its columns and nothing after them.
+    #[test]
+    fn batch_with_trailing_bytes_is_refused() {
+        let attrs: Vec<std::sync::Arc<str>> = vec!["a".into()];
+        let mut payload = encode_batch(&attrs, &[Tuple::new(vec![Value::int(5)])]);
+        assert!(decode_batch(&payload).is_ok());
+        payload.push(0);
+        match decode_batch(&payload) {
+            Err(NetError::Protocol(message)) => assert!(message.contains("left over"), "{message}"),
+            other => panic!("expected a protocol error, got {other:?}"),
         }
     }
 
@@ -608,27 +603,30 @@ mod tests {
             snapshot_bytes: 2048,
             restore_time_ns: 1_000_000,
         };
-        assert_eq!(decode_stats(&encode_stats(&stats)).unwrap(), stats);
-        let d = std::time::Duration::from_micros(250);
-        assert_eq!(decode_busy(&encode_busy(d)).unwrap(), d);
         assert_eq!(
-            decode_error(&encode_error(ERR_ENGINE, "boom")).unwrap(),
-            (ERR_ENGINE, "boom".to_string())
+            decode_payload::<WireStats>("Stats", &stats.to_bytes()).unwrap(),
+            stats
         );
-        let (id, est, summary) = decode_prepared(&encode_prepared(3, 1, "plan")).unwrap();
-        assert_eq!((id, est, summary.as_str()), (3, 1, "plan"));
-    }
-
-    #[test]
-    fn truncated_payloads_error_never_panic() {
-        let payload = encode_sample(1, 2, 3, 0);
-        for cut in 0..payload.len() {
-            assert!(decode_sample(&payload[..cut]).is_err());
-        }
-        let attrs: Vec<std::sync::Arc<str>> = vec!["a".into()];
-        let batch = encode_batch(&attrs, &[Tuple::new(vec![Value::int(5)])]);
-        for cut in 0..batch.len() {
-            assert!(decode_batch(&batch[..cut]).is_err(), "cut at {cut}");
-        }
+        let d = std::time::Duration::from_micros(250);
+        assert_eq!(
+            decode_payload::<std::time::Duration>("Busy", &d.to_bytes()).unwrap(),
+            d
+        );
+        let error = ErrorReply {
+            code: ERR_ENGINE,
+            message: "boom".into(),
+        };
+        assert_eq!(
+            decode_payload::<ErrorReply>("Error", &error.to_bytes()).unwrap(),
+            error
+        );
+        let prepared: PreparedPayload = (3, 1, "plan".into());
+        assert_eq!(
+            decode_payload::<PreparedPayload>("Prepared", &prepared.to_bytes()).unwrap(),
+            prepared
+        );
+        // A code past `u16` is refused, not truncated.
+        let wide = (u32::from(u16::MAX) + 1, String::from("boom")).to_bytes();
+        assert!(decode_payload::<ErrorReply>("Error", &wide).is_err());
     }
 }

@@ -42,11 +42,10 @@ use crate::faults::Conn;
 #[cfg(any(test, feature = "faults"))]
 use crate::faults::FaultPlan;
 use crate::protocol::{
-    decode_prepare, decode_sample, encode_batch, encode_busy, encode_error, encode_prepared,
-    encode_stats, parse_header, verify_payload, Frame, NetError, WireStats, ERR_BAD_REQUEST,
-    ERR_DEADLINE, ERR_ENGINE, ERR_SHUTTING_DOWN, ERR_UNKNOWN_PREPARED, HEADER_LEN, OP_BATCH,
-    OP_BUSY, OP_ERROR, OP_PREPARE, OP_PREPARED, OP_SAMPLE, OP_SHUTDOWN, OP_SHUTDOWN_ACK, OP_STATS,
-    OP_STATS_REPLY,
+    decode_payload, encode_batch, parse_header, verify_payload, ErrorReply, Frame, NetError,
+    SamplePayload, WireStats, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_ENGINE, ERR_SHUTTING_DOWN,
+    ERR_UNKNOWN_PREPARED, HEADER_LEN, OP_BATCH, OP_BUSY, OP_ERROR, OP_PREPARE, OP_PREPARED,
+    OP_SAMPLE, OP_SHUTDOWN, OP_SHUTDOWN_ACK, OP_STATS, OP_STATS_REPLY,
 };
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -58,7 +57,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use suj_core::catalog::{Engine, PreparedQuery};
 use suj_core::error::CoreError;
+use suj_core::query::UnionQuery;
 use suj_core::serve::{SampleRequest, SamplingService, ServiceConfig, SubmitError};
+use suj_storage::snapshot::Codec;
 
 /// How long a blocked connection read waits before re-checking the
 /// shutdown flag.
@@ -491,7 +492,7 @@ fn handle_frame(frame: Frame, shared: &Shared) -> Frame {
 }
 
 fn handle_prepare(id: u64, payload: &[u8], shared: &Shared) -> Frame {
-    let query = match decode_prepare(payload) {
+    let query = match decode_payload::<UnionQuery>("Prepare", payload) {
         Ok(q) => q,
         Err(e) => return error_frame(id, ERR_BAD_REQUEST, &e.to_string()),
     };
@@ -509,12 +510,13 @@ fn handle_prepare(id: u64, payload: &[u8], shared: &Shared) -> Frame {
     Frame {
         opcode: OP_PREPARED,
         request_id: id,
-        payload: encode_prepared(prepared_id, estimations, &summary),
+        payload: (prepared_id, estimations, summary).to_bytes(),
     }
 }
 
 fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
-    let (prepared_id, n, seed, budget_ns) = match decode_sample(payload) {
+    let (prepared_id, n, seed, budget_ns) = match decode_payload::<SamplePayload>("Sample", payload)
+    {
         Ok(parts) => parts,
         Err(e) => return error_frame(id, ERR_BAD_REQUEST, &e.to_string()),
     };
@@ -559,7 +561,7 @@ fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
             return Frame {
                 opcode: OP_BUSY,
                 request_id: id,
-                payload: encode_busy(retry_after),
+                payload: retry_after.to_bytes(),
             }
         }
         Err(SubmitError::ShutDown(_)) => {
@@ -599,7 +601,7 @@ fn handle_stats(id: u64, shared: &Shared) -> Frame {
     Frame {
         opcode: OP_STATS_REPLY,
         request_id: id,
-        payload: encode_stats(&wire),
+        payload: wire.to_bytes(),
     }
 }
 
@@ -607,6 +609,10 @@ fn error_frame(id: u64, code: u16, message: &str) -> Frame {
     Frame {
         opcode: OP_ERROR,
         request_id: id,
-        payload: encode_error(code, message),
+        payload: ErrorReply {
+            code,
+            message: message.to_string(),
+        }
+        .to_bytes(),
     }
 }

@@ -94,7 +94,7 @@ impl StrPool {
     }
 
     /// Iterates the pooled strings in code order.
-    pub fn strings(&self) -> impl Iterator<Item = &Arc<str>> {
+    pub fn strings(&self) -> impl ExactSizeIterator<Item = &Arc<str>> {
         self.strings.iter()
     }
 
@@ -183,6 +183,29 @@ impl Validity {
             self.null_count += 1;
         }
         self.len += 1;
+    }
+
+    /// The packed words (bit `i` set: row `i` is valid), present
+    /// exactly when some row is NULL — the persisted form.
+    pub(crate) fn words(&self) -> &Option<Vec<u64>> {
+        &self.bits
+    }
+
+    /// Inverse of [`words`](Self::words) over `len` rows; `None` unless
+    /// `words` is what `words` returns for some validity: one word per
+    /// 64 rows, no bit set past `len`, and at least one NULL.
+    pub(crate) fn from_words(words: Option<Vec<u64>>, len: usize) -> Option<Self> {
+        let Some(words) = words else {
+            return Some(Self::all_valid(len));
+        };
+        let tail_clear =
+            len.is_multiple_of(64) || words.last().is_some_and(|w| w >> (len % 64) == 0);
+        let valid: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        (words.len() == len.div_ceil(64) && tail_clear && valid < len).then(|| Self {
+            bits: Some(words),
+            len,
+            null_count: len - valid,
+        })
     }
 
     /// Validity restricted to rows `[lo, hi)`.

@@ -23,6 +23,7 @@ use crate::column::Column;
 use crate::error::StorageError;
 use crate::relation::Relation;
 use crate::schema::Schema;
+use crate::snapshot::Labeled;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -65,17 +66,21 @@ impl CompareOp {
     }
 }
 
+/// The operator's symbol is its label; its position, its tag byte.
+impl Labeled for CompareOp {
+    const TABLE: &'static [(Self, &'static str)] = &[
+        (CompareOp::Eq, "="),
+        (CompareOp::Ne, "!="),
+        (CompareOp::Lt, "<"),
+        (CompareOp::Le, "<="),
+        (CompareOp::Gt, ">"),
+        (CompareOp::Ge, ">="),
+    ];
+}
+
 impl fmt::Display for CompareOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CompareOp::Eq => "=",
-            CompareOp::Ne => "!=",
-            CompareOp::Lt => "<",
-            CompareOp::Le => "<=",
-            CompareOp::Gt => ">",
-            CompareOp::Ge => ">=",
-        };
-        f.write_str(s)
+        f.write_str(self.label())
     }
 }
 

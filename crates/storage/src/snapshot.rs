@@ -1,36 +1,47 @@
-//! Sectioned, checksummed on-disk snapshots of prepared artifacts.
+//! The one codec for every stored or transmitted byte, and the
+//! sectioned, checksummed snapshot container.
 //!
-//! A replica that cold-starts from a snapshot skips the prepare-path
-//! work the artifacts embody: column transposition, dictionary
-//! interning, parameter estimation. The format is built for that read
-//! path:
+//! A replica restores its prepared artifacts from a snapshot instead of
+//! recomputing them, and every sample leaves a server as a wire
+//! payload. Both are written by one [`Codec`] trait — `encode` into a
+//! [`ByteWriter`], `decode` from a [`ByteReader`] — implemented once
+//! per building block: little-endian scalars, strings (`u64` length +
+//! UTF-8), aligned slabs (a `Vec` of a fixed-width [`Scalar`], padded
+//! to an 8-byte offset and counted by a `u64`, one bulk loop per
+//! direction — the layout a later mmap needs), `Option<T>` (a flag
+//! byte), counted sequences (`u32` or `u64` count), tuples, and
+//! fieldless enums (the position in [`Labeled::TABLE`] is the tag
+//! byte; flags are `bool`'s table). On top: [`Value`], [`Column`],
+//! [`Relation`] and [`Predicate`] here, the engine sections in
+//! `suj-core`, the opcode payloads in `suj-net`.
 //!
-//! * **Sectioned** — a flat list of `(kind, payload)` sections behind
-//!   one magic/version header. Readers skip or reject unknown kinds
-//!   without parsing them; writers append new kinds without breaking
-//!   old payloads.
-//! * **Checksummed** — every section carries a CRC-32 of its payload,
-//!   verified before any decoding. Corruption surfaces as a named
-//!   [`SnapshotError`], never as a panic or a garbage artifact.
-//! * **Little-endian, aligned slabs** — fixed-width payloads (`i64` /
-//!   `f64` values, `u32` codes and CSR arrays, validity words) are
-//!   written as raw slabs at 8-byte-aligned offsets, so a later PR can
-//!   mmap a snapshot and point columns straight into the mapping
-//!   instead of copying.
+//! # Decoding rules
 //!
-//! This module is the container and the primitive codecs
-//! ([`ByteWriter`] / [`ByteReader`] / [`write_sections`] /
-//! [`read_sections`], relations, predicates, crash-safe file
-//! replacement); the one snapshot that is ever written — the engine's
-//! catalog + prepared-query cache — is composed in `suj-core`.
+//! [`ByteReader`] holds the only rules: every count is checked against
+//! the bytes left before anything is allocated by it; padding bytes
+//! must be zero, flag bytes 0 or 1, tags known; and every section or
+//! wire payload is decoded through [`Codec::from_bytes`], which refuses
+//! bytes left over. So each value has exactly one byte string: a
+//! decoded value re-encodes to the bytes it came from, and take →
+//! restore → re-take is byte-identical by construction.
+//!
+//! # Container
+//!
+//! A flat list of `(kind, payload)` sections behind one magic/version
+//! header, each with a CRC-32 of its payload verified before any
+//! decoding; readers reject unknown kinds. Corruption surfaces as a
+//! named [`SnapshotError`], never as a panic or a garbage artifact. The
+//! one snapshot ever written — the engine's catalog + prepared-query
+//! cache — is composed in `suj-core`.
 
 use crate::column::{Column, StrPool, Validity};
-use crate::predicate::{CompareOp, Predicate};
+use crate::predicate::Predicate;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Snapshot file magic: identifies the container, not any section.
 pub const MAGIC: [u8; 8] = *b"SUJSNAP\0";
@@ -47,8 +58,9 @@ pub const SECTION_RELATION: u32 = 1;
 /// additionally bounds any up-front allocation.
 const MAX_LEN: u64 = 1 << 40;
 
-/// Errors raised while writing or reading snapshots. Corrupt input
-/// always lands in one of the named variants — decoding never panics.
+/// Errors raised while writing or reading snapshots and wire payloads.
+/// Corrupt input always lands in one of the named variants — decoding
+/// never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The file does not start with [`MAGIC`].
@@ -63,7 +75,8 @@ pub enum SnapshotError {
     /// The input ended before a declared length was satisfied.
     Truncated,
     /// Structurally invalid content (bad tags, inconsistent lengths,
-    /// out-of-range references) with context.
+    /// out-of-range references, non-zero padding, bytes left over) with
+    /// context.
     Corrupt(String),
     /// An underlying I/O failure (message of the `std::io::Error`).
     Io(String),
@@ -82,8 +95,8 @@ impl fmt::Display for SnapshotError {
             SnapshotError::ChecksumMismatch { kind } => {
                 write!(f, "checksum mismatch in section kind {kind}")
             }
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
+            SnapshotError::Truncated => write!(f, "truncated input"),
+            SnapshotError::Corrupt(msg) => write!(f, "corrupt input: {msg}"),
             SnapshotError::Io(msg) => write!(f, "snapshot i/o error: {msg}"),
         }
     }
@@ -95,6 +108,10 @@ impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e.to_string())
     }
+}
+
+fn corrupt(msg: impl Into<String>) -> SnapshotError {
+    SnapshotError::Corrupt(msg.into())
 }
 
 /// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table, and
@@ -159,8 +176,193 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Little-endian byte sink with 8-byte alignment control. All snapshot
-/// encoders write through this, so alignment invariants live in one
+// ---------------------------------------------------------------------
+// The codec
+// ---------------------------------------------------------------------
+
+/// A value with exactly one byte string. `decode` inverts `encode`,
+/// and refuses every byte string `encode` cannot produce.
+pub trait Codec: Sized {
+    /// Appends the value's bytes.
+    fn encode(&self, w: &mut ByteWriter);
+
+    /// Reads one value, leaving the reader just past it.
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError>;
+
+    /// The value's bytes, alone.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        self.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// Decodes a whole payload — a snapshot section or a wire payload —
+    /// refusing bytes left over after the value.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = ByteReader::new(bytes);
+        let value = Self::decode(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    }
+}
+
+/// A fieldless enum whose variants are persisted and rendered: the
+/// position in [`TABLE`](Self::TABLE) is the variant's tag byte and the
+/// string its label, so the bytes and the text cannot drift apart.
+pub trait Labeled: Copy + PartialEq + 'static {
+    /// Every variant, in tag order (append only: tags are persisted).
+    const TABLE: &'static [(Self, &'static str)];
+
+    /// Stable label of the variant.
+    fn label(self) -> &'static str {
+        Self::TABLE[usize::from(self.tag())].1
+    }
+
+    /// Tag byte of the variant.
+    fn tag(self) -> u8 {
+        let pos = Self::TABLE.iter().position(|(v, _)| *v == self);
+        pos.expect("every variant is listed in TABLE") as u8
+    }
+
+    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
+    fn from_tag(tag: u8) -> Option<Self> {
+        Self::TABLE.get(usize::from(tag)).map(|(v, _)| *v)
+    }
+}
+
+impl<T: Labeled> Codec for T {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.buf.push(self.tag());
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        r.get_tag(std::any::type_name::<T>(), T::from_tag)
+    }
+}
+
+/// Flag bytes: `false` is 0, `true` is 1, anything else is corrupt.
+impl Labeled for bool {
+    const TABLE: &'static [(Self, &'static str)] = &[(false, "false"), (true, "true")];
+}
+
+/// A fixed-width little-endian number: a codec of its own and the
+/// element of an aligned slab.
+pub trait Scalar: Copy {
+    /// Encoded width in bytes.
+    const WIDTH: usize;
+    /// Appends the little-endian bytes.
+    fn put_le(self, out: &mut Vec<u8>);
+    /// Reads from exactly [`WIDTH`](Self::WIDTH) bytes.
+    fn get_le(bytes: &[u8]) -> Self;
+}
+
+macro_rules! scalars {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+
+            #[inline]
+            fn put_le(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            #[inline]
+            fn get_le(bytes: &[u8]) -> Self {
+                Self::from_le_bytes(bytes.try_into().expect("a scalar reads WIDTH bytes"))
+            }
+        }
+
+        impl Codec for $t {
+            fn encode(&self, w: &mut ByteWriter) {
+                self.put_le(&mut w.buf);
+            }
+
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+                Ok(Self::get_le(r.take(Self::WIDTH)?))
+            }
+        }
+    )*};
+}
+
+scalars!(u8, u32, u64, i64, f64);
+
+/// An aligned slab.
+impl<T: Scalar> Codec for Vec<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_slab(self);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        r.get_slab()
+    }
+}
+
+impl Codec for String {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(self);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        r.get_str().map(str::to_string)
+    }
+}
+
+impl Codec for Arc<str> {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(self);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        r.get_str().map(Arc::from)
+    }
+}
+
+/// Nanoseconds as a `u64` (saturating on encode).
+impl Codec for Duration {
+    fn encode(&self, w: &mut ByteWriter) {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX).encode(w);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        u64::decode(r).map(Duration::from_nanos)
+    }
+}
+
+/// A flag byte, then the value when present.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.is_some().encode(w);
+        if let Some(v) = self {
+            v.encode(w);
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        match bool::decode(r)? {
+            true => T::decode(r).map(Some),
+            false => Ok(None),
+        }
+    }
+}
+
+macro_rules! tuples {
+    ($(($($t:ident $i:tt),+))*) => {$(
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            fn encode(&self, w: &mut ByteWriter) {
+                $(self.$i.encode(w);)+
+            }
+
+            fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+                Ok(($($t::decode(r)?,)+))
+            }
+        }
+    )*};
+}
+
+tuples!((A 0, B 1) (A 0, B 1, C 2) (A 0, B 1, C 2, D 3));
+
+/// Little-endian byte sink with 8-byte alignment control. Every
+/// encoder writes through this, so alignment invariants live in one
 /// place.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -173,102 +375,71 @@ impl ByteWriter {
         Self::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Appends a single byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i64`, little-endian.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` by bit pattern, little-endian.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
-        self.put_u64(s.len() as u64);
+        (s.len() as u64).encode(self);
         self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Pads with zero bytes to the next 8-byte boundary — slabs written
     /// after this sit at aligned offsets (relative to the payload
     /// start, which the section container also keeps 8-aligned).
-    pub fn align8(&mut self) {
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
+    fn align8(&mut self) {
+        let padded = self.buf.len().next_multiple_of(8);
+        self.buf.resize(padded, 0);
+    }
+
+    /// Appends an aligned slab: zero padding to an 8-byte offset, a
+    /// `u64` count, then the raw little-endian values.
+    pub fn put_slab<T: Scalar>(&mut self, values: &[T]) {
+        self.align8();
+        (values.len() as u64).encode(self);
+        self.buf.reserve(values.len() * T::WIDTH);
+        for &v in values {
+            v.put_le(&mut self.buf);
         }
     }
 
-    /// Appends a `u32` slab (aligned, raw little-endian values).
-    pub fn put_u32_slab(&mut self, values: &[u32]) {
-        self.align8();
-        self.put_u64(values.len() as u64);
-        for &v in values {
-            self.put_u32(v);
-        }
+    /// Appends a `u32` count, then each item.
+    pub fn put_seq32<'a, T: Codec + 'a, I>(&mut self, items: I)
+    where
+        I: IntoIterator<Item = &'a T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        (items.len() as u32).encode(self);
+        items.for_each(|v| v.encode(self));
     }
 
-    /// Appends a `u64` slab (aligned, raw little-endian values).
-    pub fn put_u64_slab(&mut self, values: &[u64]) {
-        self.align8();
-        self.put_u64(values.len() as u64);
-        for &v in values {
-            self.put_u64(v);
-        }
+    /// Appends a `u64` count, then each item.
+    pub fn put_seq64<'a, T: Codec + 'a, I>(&mut self, items: I)
+    where
+        I: IntoIterator<Item = &'a T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        (items.len() as u64).encode(self);
+        items.for_each(|v| v.encode(self));
     }
 
-    /// Appends an `i64` slab (aligned, raw little-endian values).
-    pub fn put_i64_slab(&mut self, values: &[i64]) {
-        self.align8();
-        self.put_u64(values.len() as u64);
-        for &v in values {
-            self.put_i64(v);
-        }
-    }
-
-    /// Appends an `f64` slab (aligned, raw bit patterns).
-    pub fn put_f64_slab(&mut self, values: &[f64]) {
-        self.align8();
-        self.put_u64(values.len() as u64);
-        for &v in values {
-            self.put_f64(v);
-        }
+    /// Appends an optional tag in one byte: 0 for `None`, else the tag
+    /// plus one.
+    pub fn put_opt_tag(&mut self, tag: Option<u8>) {
+        self.buf.push(tag.map_or(0, |t| t + 1));
     }
 }
 
-/// Bounds-checked little-endian reader over a snapshot payload. Every
+/// Bounds-checked little-endian reader over a snapshot or wire payload,
+/// and the owner of every decoding rule (see the module docs): every
 /// read returns [`SnapshotError::Truncated`] instead of running off the
-/// end; length prefixes are validated against the bytes remaining
-/// before any allocation sized by them.
+/// end, counts are validated against the bytes remaining before any
+/// allocation sized by them, padding must be zero, tags must be known,
+/// and [`Codec::from_bytes`] refuses leftover bytes.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -282,17 +453,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    /// Whether every byte was consumed.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
     /// Takes the next `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated);
         }
@@ -301,468 +467,338 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+    /// The leftover rule: every byte must have been consumed.
+    fn finish(&self) -> Result<(), SnapshotError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(corrupt(format!("{n} bytes left over after the payload"))),
+        }
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f64` bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a length prefix, validating it against `bytes_per_item`
-    /// still available.
-    fn get_len(&mut self, bytes_per_item: usize) -> Result<usize, SnapshotError> {
-        let n = self.get_u64()?;
-        if n > MAX_LEN || (n as usize).saturating_mul(bytes_per_item) > self.remaining() {
+    /// The count rule: a count of items at least `width` bytes each
+    /// must fit in the bytes left.
+    fn check_count(&self, n: u64, width: usize) -> Result<usize, SnapshotError> {
+        if n > MAX_LEN || (n as usize).saturating_mul(width) > self.remaining() {
             return Err(SnapshotError::Truncated);
         }
         Ok(n as usize)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<&'a str, SnapshotError> {
-        let n = self.get_len(1)?;
-        std::str::from_utf8(self.take(n)?)
-            .map_err(|_| SnapshotError::Corrupt("invalid utf-8 in string".into()))
-    }
-
-    /// Skips padding to the next 8-byte boundary (mirrors
-    /// [`ByteWriter::align8`]).
-    pub fn align8(&mut self) -> Result<(), SnapshotError> {
-        while !self.pos.is_multiple_of(8) {
-            self.take(1)?;
+    /// The padding rule: skips to the next 8-byte boundary over zero
+    /// bytes only (mirrors [`ByteWriter::align8`]).
+    fn align8(&mut self) -> Result<(), SnapshotError> {
+        let pad = self.pos.next_multiple_of(8) - self.pos;
+        if self.take(pad)?.iter().any(|&b| b != 0) {
+            return Err(corrupt("non-zero padding byte"));
         }
         Ok(())
     }
 
-    /// Reads a `u32` slab written by [`ByteWriter::put_u32_slab`].
-    pub fn get_u32_slab(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        self.align8()?;
-        let n = self.get_len(4)?;
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn get_str(&mut self) -> Result<&'a str, SnapshotError> {
+        let n = u64::decode(self)?;
+        let n = self.check_count(n, 1)?;
+        std::str::from_utf8(self.take(n)?).map_err(|_| corrupt("invalid utf-8 in string"))
     }
 
-    /// Reads a `u64` slab written by [`ByteWriter::put_u64_slab`].
-    pub fn get_u64_slab(&mut self) -> Result<Vec<u64>, SnapshotError> {
+    /// Reads an aligned slab written by [`ByteWriter::put_slab`].
+    pub fn get_slab<T: Scalar>(&mut self) -> Result<Vec<T>, SnapshotError> {
         self.align8()?;
-        let n = self.get_len(8)?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let n = u64::decode(self)?;
+        let n = self.check_count(n, T::WIDTH)?;
+        let raw = self.take(n * T::WIDTH)?;
+        Ok(raw.chunks_exact(T::WIDTH).map(T::get_le).collect())
     }
 
-    /// Reads an `i64` slab written by [`ByteWriter::put_i64_slab`].
-    pub fn get_i64_slab(&mut self) -> Result<Vec<i64>, SnapshotError> {
-        self.align8()?;
-        let n = self.get_len(8)?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    /// Reads `n` items, `n` a count read from the input or a
+    /// multiplicity fixed by what was decoded before — checked against
+    /// the bytes left before the vector is allocated.
+    pub fn get_n<T: Codec>(&mut self, n: usize) -> Result<Vec<T>, SnapshotError> {
+        let n = self.check_count(n as u64, 1)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::decode(self)?);
+        }
+        Ok(items)
     }
 
-    /// Reads an `f64` slab written by [`ByteWriter::put_f64_slab`].
-    pub fn get_f64_slab(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        self.align8()?;
-        let n = self.get_len(8)?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect())
+    /// Reads a sequence written by [`ByteWriter::put_seq32`].
+    pub fn get_seq32<T: Codec>(&mut self) -> Result<Vec<T>, SnapshotError> {
+        let n = u32::decode(self)?;
+        self.get_n(n as usize)
+    }
+
+    /// Reads a sequence written by [`ByteWriter::put_seq64`].
+    pub fn get_seq64<T: Codec>(&mut self) -> Result<Vec<T>, SnapshotError> {
+        let n = u64::decode(self)?;
+        self.get_n(n as usize)
+    }
+
+    /// The tag rule: reads a tag byte of `what` that `from_tag` must
+    /// know.
+    pub fn get_tag<T>(
+        &mut self,
+        what: &str,
+        from_tag: impl Fn(u8) -> Option<T>,
+    ) -> Result<T, SnapshotError> {
+        let tag = u8::decode(self)?;
+        from_tag(tag).ok_or_else(|| corrupt(format!("unknown {what} tag {tag}")))
+    }
+
+    /// Reads a tag written by [`ByteWriter::put_opt_tag`].
+    pub fn get_opt_tag<T>(
+        &mut self,
+        what: &str,
+        from_tag: impl Fn(u8) -> Option<T>,
+    ) -> Result<Option<T>, SnapshotError> {
+        self.get_tag(what, |tag| match tag {
+            0 => Some(None),
+            t => from_tag(t - 1).map(Some),
+        })
     }
 }
+
+// ---------------------------------------------------------------------
+// Storage types
+// ---------------------------------------------------------------------
+
+/// A tag byte (the variant's type rank: Null, Int, Float, Str), then
+/// the payload.
+impl Codec for Value {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.type_rank().encode(w);
+        match self {
+            Value::Null => {}
+            Value::Int(i) => i.encode(w),
+            Value::Float(x) => x.encode(w),
+            Value::Str(s) => s.encode(w),
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_tag("value", |t| (t < 4).then_some(t))? {
+            0 => Ok(Value::Null),
+            1 => i64::decode(r).map(Value::Int),
+            2 => f64::decode(r).map(Value::Float),
+            _ => Arc::<str>::decode(r).map(Value::Str),
+        }
+    }
+}
+
+/// A tag byte (the layout: `i64`, `f64`, `str`, `mixed`), then the
+/// layout's payload. Fixed-width payloads (`i64`/`f64` values, `u32`
+/// dictionary codes, validity words) are aligned slabs; a validity
+/// bitmap is an optional slab of words, present exactly when some row
+/// is NULL. Every layout carries its own length.
+impl Codec for Column {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            Column::Int64 { values, validity } => {
+                0u8.encode(w);
+                validity.words().encode(w);
+                values.encode(w);
+            }
+            Column::Float64 { values, validity } => {
+                1u8.encode(w);
+                validity.words().encode(w);
+                values.encode(w);
+            }
+            Column::Str {
+                codes,
+                pool,
+                validity,
+            } => {
+                2u8.encode(w);
+                validity.words().encode(w);
+                w.put_seq64(pool.strings());
+                codes.encode(w);
+            }
+            Column::Mixed { values } => {
+                3u8.encode(w);
+                w.put_seq64(values);
+            }
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let tag = r.get_tag("column", |t| (t < 4).then_some(t))?;
+        let words: Option<Vec<u64>> = if tag < 3 { Codec::decode(r)? } else { None };
+        let validity = |len: usize| {
+            Validity::from_words(words, len)
+                .ok_or_else(|| corrupt(format!("validity bitmap does not fit {len} rows")))
+        };
+        match tag {
+            0 => {
+                let values: Vec<i64> = r.get_slab()?;
+                let validity = validity(values.len())?;
+                Ok(Column::Int64 { values, validity })
+            }
+            1 => {
+                let values: Vec<f64> = r.get_slab()?;
+                let validity = validity(values.len())?;
+                Ok(Column::Float64 { values, validity })
+            }
+            2 => {
+                let mut pool = StrPool::new();
+                for s in r.get_seq64::<Arc<str>>()? {
+                    if pool.intern_arc(&s) as usize + 1 != pool.len() {
+                        return Err(corrupt("duplicate string in dictionary pool"));
+                    }
+                }
+                let codes: Vec<u32> = r.get_slab()?;
+                let validity = validity(codes.len())?;
+                let out_of_range = codes
+                    .iter()
+                    .enumerate()
+                    .find(|&(i, &c)| validity.is_valid(i) && c as usize >= pool.len());
+                if let Some((_, c)) = out_of_range {
+                    return Err(corrupt(format!(
+                        "dictionary code {c} out of range (pool has {})",
+                        pool.len()
+                    )));
+                }
+                Ok(Column::Str {
+                    codes,
+                    pool: Arc::new(pool),
+                    validity,
+                })
+            }
+            _ => Ok(Column::Mixed {
+                values: r.get_seq64()?,
+            }),
+        }
+    }
+}
+
+/// Name, attributes (`u32` count), original size, row count, then each
+/// column.
+impl Codec for Relation {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(self.name());
+        w.put_seq32(self.schema().attrs());
+        (self.original_size() as u64).encode(w);
+        (self.len() as u64).encode(w);
+        for column in self.columns() {
+            column.encode(w);
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let name = r.get_str()?;
+        let schema = Schema::new(r.get_seq32::<Arc<str>>()?)
+            .map_err(|e| corrupt(format!("invalid schema: {e}")))?;
+        let original_size = u64::decode(r)?;
+        let len = u64::decode(r)?;
+        let columns = r.get_n(schema.arity())?;
+        let rel = Relation::from_columns(name, schema, columns)
+            .map_err(|e| corrupt(format!("invalid relation: {e}")))?;
+        if rel.len() as u64 != len {
+            return Err(corrupt(format!(
+                "relation of {len} rows holds columns of {}",
+                rel.len()
+            )));
+        }
+        if original_size > MAX_LEN {
+            return Err(corrupt("original size out of range"));
+        }
+        Ok(rel.with_original_size(original_size as usize))
+    }
+}
+
+/// A tag byte per node (`True`, `Compare`, `And`, `Or`, `Not`), then
+/// the node's fields; `And`/`Or` children carry a `u64` count.
+impl Codec for Predicate {
+    fn encode(&self, w: &mut ByteWriter) {
+        match self {
+            Predicate::True => 0u8.encode(w),
+            Predicate::Compare { attr, op, value } => {
+                1u8.encode(w);
+                attr.encode(w);
+                op.encode(w);
+                value.encode(w);
+            }
+            Predicate::And(ps) => {
+                2u8.encode(w);
+                w.put_seq64(ps);
+            }
+            Predicate::Or(ps) => {
+                3u8.encode(w);
+                w.put_seq64(ps);
+            }
+            Predicate::Not(p) => {
+                4u8.encode(w);
+                p.encode(w);
+            }
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_tag("predicate", |t| (t < 5).then_some(t))? {
+            0 => Ok(Predicate::True),
+            1 => Ok(Predicate::Compare {
+                attr: Codec::decode(r)?,
+                op: Codec::decode(r)?,
+                value: Codec::decode(r)?,
+            }),
+            2 => r.get_seq64().map(Predicate::And),
+            3 => r.get_seq64().map(Predicate::Or),
+            _ => Predicate::decode(r).map(|p| Predicate::Not(Box::new(p))),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Container
+// ---------------------------------------------------------------------
 
 /// Assembles a snapshot container from `(kind, payload)` sections:
 /// magic, version, section count, then per section a 16-byte header
 /// (`kind: u32`, `len: u64`, `crc: u32`) followed by the payload padded
-/// to 8 bytes. Headers are 16 bytes and the preamble is 16 bytes, so
-/// every payload starts 8-aligned in the file.
+/// with zeros to 8 bytes. Headers are 16 bytes and the preamble is 16
+/// bytes, so every payload starts 8-aligned in the file.
 pub fn write_sections(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut w = ByteWriter::new();
+    w.buf.extend_from_slice(&MAGIC);
+    VERSION.encode(&mut w);
+    (sections.len() as u32).encode(&mut w);
     for (kind, payload) in sections {
-        out.extend_from_slice(&kind.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        while out.len() % 8 != 0 {
-            out.push(0);
-        }
+        (*kind, payload.len() as u64, crc32(payload)).encode(&mut w);
+        w.buf.extend_from_slice(payload);
+        w.align8();
     }
-    out
+    w.into_bytes()
 }
 
-/// Parses a snapshot container, validating magic, version, bounds, and
-/// every section checksum. Returns `(kind, payload)` views in file
-/// order.
+/// Parses a snapshot container, validating magic, version, bounds,
+/// every section checksum, zero padding, and that nothing follows the
+/// last section. Returns `(kind, payload)` views in file order.
 pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.take(8).map_err(|_| SnapshotError::BadMagic)?;
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    let version = r.get_u32()?;
+    let version = u32::decode(&mut r)?;
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let n_sections = r.get_u32()?;
+    let n_sections = u32::decode(&mut r)?;
     let mut sections = Vec::new();
     for _ in 0..n_sections {
-        let kind = r.get_u32()?;
-        let len = r.get_u64()?;
-        let crc = r.get_u32()?;
-        if len > MAX_LEN || len as usize > r.remaining() {
-            return Err(SnapshotError::Truncated);
-        }
-        let payload = r.take(len as usize)?;
+        let (kind, len, crc) = <(u32, u64, u32)>::decode(&mut r)?;
+        let len = r.check_count(len, 1)?;
+        let payload = r.take(len)?;
         if crc32(payload) != crc {
             return Err(SnapshotError::ChecksumMismatch { kind });
         }
         r.align8()?;
         sections.push((kind, payload));
     }
-    if r.remaining() != 0 {
-        // A corrupted section count can otherwise decode "successfully"
-        // with sections silently dropped; the writer never leaves
-        // trailing bytes, so any remainder is corruption.
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after the last section",
-            r.remaining()
-        )));
-    }
+    // A corrupted section count can otherwise decode "successfully"
+    // with sections silently dropped; the writer never leaves trailing
+    // bytes, so any remainder is corruption.
+    r.finish()?;
     Ok(sections)
-}
-
-/// Serializes one [`Value`] (tag byte + payload).
-pub fn encode_value(v: &Value, w: &mut ByteWriter) {
-    match v {
-        Value::Null => w.put_u8(0),
-        Value::Int(i) => {
-            w.put_u8(1);
-            w.put_i64(*i);
-        }
-        Value::Float(x) => {
-            w.put_u8(2);
-            w.put_f64(*x);
-        }
-        Value::Str(s) => {
-            w.put_u8(3);
-            w.put_str(s);
-        }
-    }
-}
-
-/// Deserializes one [`Value`].
-pub fn decode_value(r: &mut ByteReader<'_>) -> Result<Value, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Int(r.get_i64()?)),
-        2 => Ok(Value::Float(r.get_f64()?)),
-        3 => Ok(Value::str(r.get_str()?)),
-        tag => Err(SnapshotError::Corrupt(format!("unknown value tag {tag}"))),
-    }
-}
-
-/// Serializes a validity bitmap: a has-nulls flag, then (only when any
-/// row is NULL) the packed `u64` words as an aligned slab.
-fn encode_validity(validity: &Validity, w: &mut ByteWriter) {
-    if !validity.has_nulls() {
-        w.put_u8(0);
-        return;
-    }
-    w.put_u8(1);
-    let len = validity.len();
-    let mut words = vec![0u64; len.div_ceil(64)];
-    for i in 0..len {
-        if validity.is_valid(i) {
-            words[i >> 6] |= 1u64 << (i & 63);
-        }
-    }
-    w.put_u64_slab(&words);
-}
-
-/// Deserializes a validity bitmap for `len` rows.
-fn decode_validity(r: &mut ByteReader<'_>, len: usize) -> Result<Validity, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(Validity::all_valid(len)),
-        1 => {
-            let words = r.get_u64_slab()?;
-            if words.len() != len.div_ceil(64) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "validity bitmap has {} words for {len} rows",
-                    words.len()
-                )));
-            }
-            let mut validity = Validity::all_valid(0);
-            for i in 0..len {
-                validity.push(words[i >> 6] & (1u64 << (i & 63)) != 0);
-            }
-            Ok(validity)
-        }
-        tag => Err(SnapshotError::Corrupt(format!(
-            "unknown validity tag {tag}"
-        ))),
-    }
-}
-
-/// Serializes one [`Column`]. Fixed-width payloads (`i64`/`f64` values,
-/// `u32` dictionary codes, validity words) land as aligned raw slabs.
-pub fn encode_column(col: &Column, w: &mut ByteWriter) {
-    match col {
-        Column::Int64 { values, validity } => {
-            w.put_u8(0);
-            encode_validity(validity, w);
-            w.put_i64_slab(values);
-        }
-        Column::Float64 { values, validity } => {
-            w.put_u8(1);
-            encode_validity(validity, w);
-            w.put_f64_slab(values);
-        }
-        Column::Str {
-            codes,
-            pool,
-            validity,
-        } => {
-            w.put_u8(2);
-            encode_validity(validity, w);
-            w.put_u64(pool.len() as u64);
-            for s in pool.strings() {
-                w.put_str(s);
-            }
-            w.put_u32_slab(codes);
-        }
-        Column::Mixed { values } => {
-            w.put_u8(3);
-            w.put_u64(values.len() as u64);
-            for v in values {
-                encode_value(v, w);
-            }
-        }
-    }
-}
-
-/// Deserializes one [`Column`] of `len` rows.
-pub fn decode_column(r: &mut ByteReader<'_>, len: usize) -> Result<Column, SnapshotError> {
-    let tag = r.get_u8()?;
-    match tag {
-        0 => {
-            let validity = decode_validity(r, len)?;
-            let values = r.get_i64_slab()?;
-            if values.len() != len {
-                return Err(SnapshotError::Corrupt("int column length mismatch".into()));
-            }
-            Ok(Column::Int64 { values, validity })
-        }
-        1 => {
-            let validity = decode_validity(r, len)?;
-            let values = r.get_f64_slab()?;
-            if values.len() != len {
-                return Err(SnapshotError::Corrupt(
-                    "float column length mismatch".into(),
-                ));
-            }
-            Ok(Column::Float64 { values, validity })
-        }
-        2 => {
-            let validity = decode_validity(r, len)?;
-            let n_strings = r.get_u64()?;
-            if n_strings > MAX_LEN || n_strings as usize > r.remaining() {
-                return Err(SnapshotError::Truncated);
-            }
-            let mut pool = StrPool::new();
-            for _ in 0..n_strings {
-                let s = r.get_str()?;
-                let code = pool.intern(s);
-                if code as u64 + 1 != pool.len() as u64 {
-                    return Err(SnapshotError::Corrupt(
-                        "duplicate string in dictionary pool".into(),
-                    ));
-                }
-            }
-            let codes = r.get_u32_slab()?;
-            if codes.len() != len {
-                return Err(SnapshotError::Corrupt("str column length mismatch".into()));
-            }
-            for (i, &c) in codes.iter().enumerate() {
-                if validity.is_valid(i) && c as usize >= pool.len() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "dictionary code {c} out of range (pool has {})",
-                        pool.len()
-                    )));
-                }
-            }
-            Ok(Column::Str {
-                codes,
-                pool: Arc::new(pool),
-                validity,
-            })
-        }
-        3 => {
-            let n = r.get_len(1)?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(decode_value(r)?);
-            }
-            if values.len() != len {
-                return Err(SnapshotError::Corrupt(
-                    "mixed column length mismatch".into(),
-                ));
-            }
-            Ok(Column::Mixed { values })
-        }
-        tag => Err(SnapshotError::Corrupt(format!("unknown column tag {tag}"))),
-    }
-}
-
-/// Serializes one [`Relation`]: name, schema, original size, row count,
-/// then each column.
-pub fn encode_relation(rel: &Relation, w: &mut ByteWriter) {
-    w.put_str(rel.name());
-    w.put_u32(rel.schema().arity() as u32);
-    for attr in rel.schema().attrs() {
-        w.put_str(attr);
-    }
-    w.put_u64(rel.original_size() as u64);
-    w.put_u64(rel.len() as u64);
-    for p in 0..rel.schema().arity() {
-        encode_column(rel.column(p), w);
-    }
-}
-
-/// Deserializes one [`Relation`].
-pub fn decode_relation(r: &mut ByteReader<'_>) -> Result<Relation, SnapshotError> {
-    let name = r.get_str()?.to_string();
-    let arity = r.get_u32()? as usize;
-    if arity > r.remaining() {
-        return Err(SnapshotError::Truncated);
-    }
-    let mut attrs = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        attrs.push(r.get_str()?.to_string());
-    }
-    let schema =
-        Schema::new(attrs).map_err(|e| SnapshotError::Corrupt(format!("invalid schema: {e}")))?;
-    let original_size = r.get_u64()?;
-    let len = r.get_len(1)?;
-    let mut columns = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        columns.push(decode_column(r, len)?);
-    }
-    let rel = Relation::from_columns(&name, schema, columns)
-        .map_err(|e| SnapshotError::Corrupt(format!("invalid relation: {e}")))?;
-    if original_size > MAX_LEN {
-        return Err(SnapshotError::Corrupt("original size out of range".into()));
-    }
-    Ok(rel.with_original_size(original_size as usize))
-}
-
-/// Serializes one [`Predicate`] (tag byte per node, recursive).
-pub fn encode_predicate(p: &Predicate, w: &mut ByteWriter) {
-    match p {
-        Predicate::True => w.put_u8(0),
-        Predicate::Compare { attr, op, value } => {
-            w.put_u8(1);
-            w.put_str(attr);
-            w.put_u8(match op {
-                CompareOp::Eq => 0,
-                CompareOp::Ne => 1,
-                CompareOp::Lt => 2,
-                CompareOp::Le => 3,
-                CompareOp::Gt => 4,
-                CompareOp::Ge => 5,
-            });
-            encode_value(value, w);
-        }
-        Predicate::And(ps) => {
-            w.put_u8(2);
-            w.put_u64(ps.len() as u64);
-            for q in ps {
-                encode_predicate(q, w);
-            }
-        }
-        Predicate::Or(ps) => {
-            w.put_u8(3);
-            w.put_u64(ps.len() as u64);
-            for q in ps {
-                encode_predicate(q, w);
-            }
-        }
-        Predicate::Not(q) => {
-            w.put_u8(4);
-            encode_predicate(q, w);
-        }
-    }
-}
-
-/// Deserializes one [`Predicate`].
-pub fn decode_predicate(r: &mut ByteReader<'_>) -> Result<Predicate, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(Predicate::True),
-        1 => {
-            let attr: Arc<str> = Arc::from(r.get_str()?);
-            let op = match r.get_u8()? {
-                0 => CompareOp::Eq,
-                1 => CompareOp::Ne,
-                2 => CompareOp::Lt,
-                3 => CompareOp::Le,
-                4 => CompareOp::Gt,
-                5 => CompareOp::Ge,
-                tag => {
-                    return Err(SnapshotError::Corrupt(format!("unknown compare op {tag}")));
-                }
-            };
-            let value = decode_value(r)?;
-            Ok(Predicate::Compare { attr, op, value })
-        }
-        2 => {
-            let n = r.get_len(1)?;
-            let mut ps = Vec::with_capacity(n);
-            for _ in 0..n {
-                ps.push(decode_predicate(r)?);
-            }
-            Ok(Predicate::And(ps))
-        }
-        3 => {
-            let n = r.get_len(1)?;
-            let mut ps = Vec::with_capacity(n);
-            for _ in 0..n {
-                ps.push(decode_predicate(r)?);
-            }
-            Ok(Predicate::Or(ps))
-        }
-        4 => Ok(Predicate::Not(Box::new(decode_predicate(r)?))),
-        tag => Err(SnapshotError::Corrupt(format!(
-            "unknown predicate tag {tag}"
-        ))),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -839,7 +875,9 @@ pub fn atomic_replace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::CompareOp;
     use crate::tuple;
+    use crate::tuple::Tuple;
 
     fn sample_relation() -> Relation {
         let schema = Schema::new(["k", "name", "score"]).unwrap();
@@ -855,8 +893,6 @@ mod tests {
         )
         .unwrap()
     }
-
-    use crate::tuple::Tuple;
 
     fn assert_relations_equal(a: &Relation, b: &Relation) {
         assert_eq!(a.name(), b.name());
@@ -936,14 +972,11 @@ mod tests {
     #[test]
     fn relation_round_trip() {
         let rel = sample_relation().with_original_size(100);
-        let mut w = ByteWriter::new();
-        encode_relation(&rel, &mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = decode_relation(&mut r).unwrap();
-        assert!(r.is_empty());
+        let bytes = rel.to_bytes();
+        let back = Relation::from_bytes(&bytes).unwrap();
         assert_relations_equal(&rel, &back);
         assert_eq!(back.original_size(), 100);
+        assert_eq!(back.to_bytes(), bytes);
     }
 
     #[test]
@@ -961,10 +994,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rel.column(0).kind(), "mixed");
-        let mut w = ByteWriter::new();
-        encode_relation(&rel, &mut w);
-        let bytes = w.into_bytes();
-        let back = decode_relation(&mut ByteReader::new(&bytes)).unwrap();
+        let back = Relation::from_bytes(&rel.to_bytes()).unwrap();
         assert_relations_equal(&rel, &back);
     }
 
@@ -977,17 +1007,11 @@ mod tests {
                 Predicate::Not(Box::new(Predicate::True)),
             ]),
         ]);
-        let mut w = ByteWriter::new();
-        encode_predicate(&p, &mut w);
-        let bytes = w.into_bytes();
-        let back = decode_predicate(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(p, back);
+        assert_eq!(Predicate::from_bytes(&p.to_bytes()).unwrap(), p);
     }
 
     fn relation_section(rel: &Relation) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        encode_relation(rel, &mut w);
-        write_sections(&[(SECTION_RELATION, w.into_bytes())])
+        write_sections(&[(SECTION_RELATION, rel.to_bytes())])
     }
 
     #[test]
@@ -1036,7 +1060,7 @@ mod tests {
         let bytes = relation_section(&rel);
         let sections = read_sections(&bytes).unwrap();
         assert_eq!(sections.len(), 1);
-        let back = decode_relation(&mut ByteReader::new(sections[0].1)).unwrap();
+        let back = Relation::from_bytes(sections[0].1).unwrap();
         assert_relations_equal(&rel, &back);
 
         assert!(read_sections(&write_sections(&[])).unwrap().is_empty());
@@ -1044,17 +1068,18 @@ mod tests {
 
     #[test]
     fn slabs_are_eight_byte_aligned() {
-        // The alignment invariant future mmap support depends on: after
-        // align8, offsets are multiples of 8 from the payload start, and
-        // the section container keeps payload starts 8-aligned in-file.
+        // The alignment invariant future mmap support depends on: a
+        // slab's count and values sit at multiples of 8 from the payload
+        // start, and the section container keeps payload starts
+        // 8-aligned in-file: preamble (16) + header (16) → 32.
         let mut w = ByteWriter::new();
-        w.put_u8(7);
-        w.put_i64_slab(&[1, 2, 3]);
-        assert_eq!(w.len() % 8, 0);
-        let bytes = write_sections(&[(1, w.into_bytes())]);
-        // Preamble (16) + header (16) → payload starts at 32.
-        assert_eq!(32 % 8, 0);
-        let sections = read_sections(&bytes).unwrap();
-        assert_eq!(sections.len(), 1);
+        7u8.encode(&mut w);
+        w.put_slab(&[1i64, 2, 3]);
+        let payload = w.into_bytes();
+        assert_eq!(payload.len(), 8 + 8 + 3 * 8);
+        assert_eq!(payload[1..8], [0; 7]);
+        let bytes = write_sections(&[(1, payload.clone())]);
+        assert_eq!(&bytes[32..32 + payload.len()], payload);
+        assert_eq!(read_sections(&bytes).unwrap(), vec![(1, &payload[..])]);
     }
 }

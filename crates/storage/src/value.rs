@@ -72,7 +72,7 @@ impl Value {
 
     /// Rank used to order across variants: Null < Int < Float < Str.
     #[inline]
-    fn type_rank(&self) -> u8 {
+    pub(crate) fn type_rank(&self) -> u8 {
         match self {
             Value::Null => 0,
             Value::Int(_) => 1,

@@ -10,7 +10,10 @@
 use sample_union_joins::prelude::*;
 use sample_union_joins::{Client, NetError, Server, ServerOptions, ServiceConfig};
 use std::time::Duration;
-use suj_net::protocol::{self, Frame, ERR_BAD_REQUEST, ERR_UNKNOWN_PREPARED};
+use suj_net::protocol::{
+    self, decode_payload, ErrorReply, Frame, SamplePayload, ERR_BAD_REQUEST, ERR_UNKNOWN_PREPARED,
+};
+use suj_storage::snapshot::Codec;
 
 fn relation(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Relation {
     let schema = Schema::new(attrs.iter().copied()).unwrap();
@@ -158,7 +161,7 @@ fn unknown_opcode_gets_error_frame() {
     let response = Frame::read_from(&mut stream).unwrap();
     assert_eq!(response.opcode, protocol::OP_ERROR);
     assert_eq!(response.request_id, 99);
-    let (code, message) = protocol::decode_error(&response.payload).unwrap();
+    let ErrorReply { code, message } = decode_payload("Error", &response.payload).unwrap();
     assert_eq!(code, ERR_BAD_REQUEST);
     assert!(message.contains("opcode"));
     drop(stream);
@@ -172,7 +175,7 @@ fn unknown_opcode_gets_error_frame() {
 /// frame — never a sample — on a connection that stays usable.
 #[test]
 fn mis_sized_sample_payloads_are_refused_by_name() {
-    let well_formed = protocol::encode_sample(1, 4, 0, 0);
+    let well_formed = (1u64, 4u64, 0u64, 0u64).to_bytes();
     assert_eq!(well_formed.len(), 32);
     let mut long = well_formed.clone();
     long.extend_from_slice(&[0u8; 8]);
@@ -185,7 +188,7 @@ fn mis_sized_sample_payloads_are_refused_by_name() {
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     for (request_id, payload) in [(7, well_formed[..24].to_vec()), (8, long)] {
         let got = payload.len();
-        match protocol::decode_sample(&payload) {
+        match decode_payload::<SamplePayload>("Sample", &payload) {
             Err(NetError::Protocol(message)) => {
                 assert!(message.contains("Sample payload"), "{message}");
                 assert!(message.contains(&got.to_string()), "{message}");
@@ -201,9 +204,47 @@ fn mis_sized_sample_payloads_are_refused_by_name() {
         let response = Frame::read_from(&mut stream).unwrap();
         assert_eq!(response.opcode, protocol::OP_ERROR);
         assert_eq!(response.request_id, request_id);
-        let (code, message) = protocol::decode_error(&response.payload).unwrap();
+        let ErrorReply { code, message } = decode_payload("Error", &response.payload).unwrap();
         assert_eq!(code, ERR_BAD_REQUEST);
         assert!(message.contains("Sample payload"), "{message}");
+    }
+    drop(stream);
+    server.stop();
+    server.join().unwrap();
+}
+
+/// A `Prepare` payload is the query and nothing after it: one trailing
+/// byte is answered `ERR_BAD_REQUEST` instead of preparing the query
+/// the bytes before it spell, and the connection stays usable.
+#[test]
+fn prepare_payload_with_a_trailing_byte_is_a_bad_request() {
+    let server = Server::bind(
+        default_engine(),
+        "127.0.0.1:0",
+        ServiceConfig::with_workers(1),
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let exact = union_query().to_bytes();
+    let mut long = exact.clone();
+    long.push(0);
+    for (request_id, payload, opcode) in [
+        (5, long, protocol::OP_ERROR),
+        (6, exact, protocol::OP_PREPARED),
+    ] {
+        let request = Frame {
+            opcode: protocol::OP_PREPARE,
+            request_id,
+            payload,
+        };
+        request.write_to(&mut stream).unwrap();
+        let response = Frame::read_from(&mut stream).unwrap();
+        assert_eq!((response.opcode, response.request_id), (opcode, request_id));
+        if opcode == protocol::OP_ERROR {
+            let ErrorReply { code, message } = decode_payload("Error", &response.payload).unwrap();
+            assert_eq!(code, ERR_BAD_REQUEST);
+            assert!(message.contains("Prepare payload"), "{message}");
+        }
     }
     drop(stream);
     server.stop();

@@ -1,167 +1,16 @@
-//! Property-based tests for snapshot persistence: random relations
-//! (every column variant, NULLs, `Mixed`) survive a write → read round
-//! trip bit-identically, and corrupted, truncated, or wrong-version
-//! snapshot files always fail with a named [`SnapshotError`] — never a
-//! panic.
+//! Engine snapshot files: corrupted, truncated, or wrong-version files
+//! always fail with a named [`SnapshotError`] — never a panic — and a
+//! crash at any instant leaves a loadable generation behind. What each
+//! section's payload decodes to is `tests/codec.rs`'s totality
+//! property.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use suj_core::catalog::{Catalog, Engine};
 use suj_core::query::UnionQuery;
 use suj_core::CoreError;
-use suj_storage::snapshot::{
-    decode_relation, encode_relation, read_sections, write_sections, ByteReader, ByteWriter,
-    SECTION_RELATION,
-};
+use suj_storage::snapshot::{read_sections, write_sections, Codec};
 use suj_storage::{Relation, Schema, SnapshotError, Tuple, Value};
-
-// ---------------------------------------------------------------------
-// Random relation generator: per-column kind (Int / Float / Str /
-// Mixed), every kind salted with NULLs.
-// ---------------------------------------------------------------------
-
-/// Raw material for one cell; which parts are used depends on the
-/// column kind.
-type RawCell = (u8, i64, f64, String);
-
-fn cell_value(kind: u8, raw: &RawCell) -> Value {
-    let (tag, i, f, s) = raw;
-    if tag % 4 == 0 {
-        return Value::Null;
-    }
-    let variant = match kind {
-        0 => 1,       // Int column
-        1 => 2,       // Float column
-        2 => 3,       // Str column
-        _ => tag % 4, // Mixed column: whatever the tag says
-    };
-    match variant {
-        1 => Value::int(*i),
-        2 => Value::float(*f),
-        _ => Value::str(s),
-    }
-}
-
-/// A random relation: arity 1–3, up to ~24 rows, column kinds chosen
-/// independently per position.
-fn random_relation() -> impl Strategy<Value = Relation> {
-    (1usize..=3, 0u8..4, 0u8..4, 0u8..4).prop_flat_map(|(arity, k0, k1, k2)| {
-        let cell = (0u8..8, -50i64..50, -1e3f64..1e3, "[a-d]{0,3}");
-        (
-            Just((arity, [k0, k1, k2])),
-            prop::collection::vec(cell, 0..72),
-        )
-            .prop_map(|((arity, kinds), raw)| {
-                let names = ["a", "b", "c"];
-                let schema = Schema::new(names[..arity].to_vec()).unwrap();
-                let rows: Vec<Tuple> = raw
-                    .chunks_exact(arity)
-                    .map(|chunk| {
-                        Tuple::new(
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .map(|(p, raw)| cell_value(kinds[p], raw))
-                                .collect(),
-                        )
-                    })
-                    .collect();
-                Relation::new("r", schema, rows).unwrap()
-            })
-    })
-}
-
-fn assert_relations_equal(a: &Relation, b: &Relation) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.name(), b.name());
-    prop_assert_eq!(a.schema().attrs(), b.schema().attrs());
-    prop_assert_eq!(a.len(), b.len());
-    for p in 0..a.schema().arity() {
-        for i in 0..a.len() {
-            prop_assert_eq!(
-                a.column(p).value(i),
-                b.column(p).value(i),
-                "cell ({}, {})",
-                i,
-                p
-            );
-        }
-    }
-    Ok(())
-}
-
-fn encode_rel_bytes(rel: &Relation) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    encode_relation(rel, &mut w);
-    w.into_bytes()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Any relation — every column variant, NULLs, Mixed — survives
-    /// encode → decode, and re-encoding the restored relation yields
-    /// the exact same bytes.
-    #[test]
-    fn relation_round_trip_is_bit_identical(rel in random_relation()) {
-        let bytes = encode_rel_bytes(&rel);
-        let mut r = ByteReader::new(&bytes);
-        let back = decode_relation(&mut r).unwrap();
-        prop_assert!(r.is_empty(), "decoder left {} bytes", r.remaining());
-        assert_relations_equal(&rel, &back)?;
-        prop_assert_eq!(bytes, encode_rel_bytes(&back));
-    }
-
-    /// Every strict prefix of a sectioned snapshot file fails with a
-    /// named error — never a panic, never a silent partial read.
-    #[test]
-    fn truncated_snapshots_fail_with_named_errors(
-        rel in random_relation(),
-        cut_seed in 0usize..10_000,
-    ) {
-        let bytes = write_sections(&[(SECTION_RELATION, encode_rel_bytes(&rel))]);
-        let cut = cut_seed % bytes.len();
-        let err = read_sections(&bytes[..cut]).unwrap_err();
-        // Truncation must surface as a structural error, not a
-        // checksum accident on garbage.
-        prop_assert!(
-            matches!(
-                err,
-                SnapshotError::Truncated
-                    | SnapshotError::BadMagic
-                    | SnapshotError::Corrupt(_)
-            ),
-            "cut {} gave {:?}",
-            cut,
-            err
-        );
-    }
-
-    /// Flipping any single byte either fails with a named error or —
-    /// when the flip lands in alignment padding — still restores the
-    /// exact original relation. No panic, no corrupted data returned.
-    #[test]
-    fn corrupted_snapshots_never_panic_or_lie(
-        rel in random_relation(),
-        flip_seed in 0usize..10_000,
-        flip_bit in 0u8..8,
-    ) {
-        let bytes = write_sections(&[(SECTION_RELATION, encode_rel_bytes(&rel))]);
-        let mut corrupted = bytes.clone();
-        let pos = flip_seed % corrupted.len();
-        corrupted[pos] ^= 1 << flip_bit;
-        match read_sections(&corrupted) {
-            Err(_) => {} // named error: fine
-            Ok(sections) => {
-                // The flip landed in padding; the payload must be
-                // untouched.
-                prop_assert_eq!(sections.len(), 1);
-                let mut r = ByteReader::new(sections[0].1);
-                let back = decode_relation(&mut r).unwrap();
-                assert_relations_equal(&rel, &back)?;
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Deterministic edge cases the random sweeps don't pin precisely.
@@ -276,29 +125,6 @@ proptest! {
         let bytes = engine_snapshot_bytes();
         let cut = cut_seed % bytes.len();
         prop_assert!(Engine::load_snapshot_bytes(&bytes[..cut]).is_err());
-    }
-
-    /// Single-byte corruption aimed *inside* the exact-weight alias
-    /// arenas section is always rejected with a named error — the
-    /// section checksum catches the flip before the arena decoder, and
-    /// the decoder itself re-validates every structural invariant
-    /// (offset monotonicity, probability range, segment-local aliases)
-    /// so a forged checksum still cannot smuggle in a lying arena.
-    #[test]
-    fn corrupted_ew_arena_bytes_fail_with_named_errors(
-        flip_seed in 0usize..100_000,
-        flip_bit in 0u8..8,
-    ) {
-        let bytes = engine_snapshot_bytes();
-        let (start, len) = ew_arena_span();
-        let mut corrupted = bytes.to_vec();
-        let pos = start + flip_seed % len;
-        corrupted[pos] ^= 1 << flip_bit;
-        prop_assert!(
-            Engine::load_snapshot_bytes(&corrupted).is_err(),
-            "flip at arena byte {} must be rejected",
-            pos
-        );
     }
 }
 
@@ -423,13 +249,7 @@ fn format_2_engine_files_are_refused_by_version() {
     assert_eq!(meta.len(), 4 + 8 + 1);
     assert_eq!(meta[..4], 3u32.to_le_bytes());
 
-    let mut format_2 = ByteWriter::new();
-    format_2.put_u32(2);
-    format_2.put_f64(1.25);
-    format_2.put_u64(512);
-    format_2.put_f64(8.0);
-    format_2.put_u8(1);
-    *meta = format_2.into_bytes();
+    *meta = ((2u32, 1.25f64), (512u64, 8.0f64, true)).to_bytes();
     assert!(matches!(
         Engine::load_snapshot_bytes(&write_sections(&sections)),
         Err(CoreError::Snapshot(SnapshotError::UnsupportedVersion(2)))
