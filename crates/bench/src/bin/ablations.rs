@@ -151,10 +151,10 @@ fn degree_mode_panel(scale: usize, seed: u64) {
         let sizes = w.exact_join_sizes().expect("sizes");
         let all: Vec<usize> = (0..w.n_joins()).collect();
         let truth = exact.overlap.overlap(&all).max(1.0);
-        let max_b = HistogramEstimator::new(&w, DegreeMode::Max, sizes.clone(), 0.0)
+        let max_b = HistogramEstimator::new(&w, DegreeMode::Max, sizes.clone())
             .expect("est")
             .estimate_overlap(&all);
-        let avg_b = HistogramEstimator::new(&w, DegreeMode::Avg, sizes, 0.0)
+        let avg_b = HistogramEstimator::new(&w, DegreeMode::Avg, sizes)
             .expect("est")
             .estimate_overlap(&all);
         table.push_row(vec![
@@ -222,7 +222,7 @@ fn template_panel(scale: usize, seed: u64) {
     let truth = exact.overlap.overlap(&all).max(1.0);
 
     let specs: Vec<&suj_join::JoinSpec> = w.joins().iter().map(|j| j.as_ref()).collect();
-    let optimal = build_template(&specs, 0.0).expect("template");
+    let optimal = build_template(&specs).expect("template");
     // Note: reversing a chain template keeps the same adjacent pairs —
     // a genuinely bad template needs a real permutation that separates
     // same-relation attributes (Example 7's scenario).
@@ -325,7 +325,7 @@ fn cyclic_panel(scale: usize, seed: u64) {
 
     // Estimator quality.
     let sizes = w.exact_join_sizes().expect("sizes");
-    let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes, 0.0).expect("est");
+    let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes).expect("est");
     table.push_row(vec![
         "|U| histogram (Eq.1)".into(),
         format!("{:.0}", est.overlap_map().expect("map").union_size()),

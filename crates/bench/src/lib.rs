@@ -133,7 +133,7 @@ pub fn estimate_overlaps(
         }
         EstimatorKind::HistogramEw => {
             let sizes = workload.exact_join_sizes()?;
-            HistogramEstimator::new(workload, DegreeMode::Max, sizes, 0.0)?.overlap_map()?
+            HistogramEstimator::new(workload, DegreeMode::Max, sizes)?.overlap_map()?
         }
         EstimatorKind::RandomWalk => {
             let est = walk_warmup(workload, &WalkEstimatorConfig::default(), rng)?;
@@ -193,7 +193,6 @@ fn estimator_for(kind: EstimatorKind) -> Estimator {
         EstimatorKind::HistogramEo => Estimator::Histogram(HistogramOptions::default()),
         EstimatorKind::HistogramEw => Estimator::Histogram(HistogramOptions {
             exact_size_hints: true,
-            ..Default::default()
         }),
         EstimatorKind::RandomWalk => Estimator::Walk(WalkEstimatorConfig::default()),
     }

@@ -58,12 +58,13 @@ pub struct UnionSamplerConfig {
     pub strategy: CoverStrategy,
 }
 
-/// Cover-rejection retries within one join selection. Theorem 1
-/// requires the tuple accepted after selecting `J_j` to be uniform over
-/// the cover region `J'_j`, so cover-rejected tuples are redrawn from
-/// the *same* join; this caps that loop when a cover region is
-/// (near-)empty but its estimated size is positive.
-const MAX_COVER_RETRIES: u64 = 100_000;
+/// Cover-rejection retries within one join selection, in Algorithm 1
+/// and Algorithm 2 alike. Theorem 1 requires the tuple accepted after
+/// selecting `J_j` to be uniform over the cover region `J'_j`, so
+/// cover-rejected tuples are redrawn from the *same* join; this caps
+/// that loop when a cover region is (near-)empty but its estimated size
+/// is positive.
+pub(crate) const MAX_COVER_RETRIES: u64 = 100_000;
 
 impl Default for UnionSamplerConfig {
     fn default() -> Self {

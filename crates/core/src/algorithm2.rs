@@ -29,6 +29,7 @@
 //! Algorithm 2's inherently incremental refinement expressible through
 //! the streaming API.
 
+use crate::algorithm1::MAX_COVER_RETRIES;
 use crate::cover::{Cover, CoverStrategy};
 use crate::error::CoreError;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
@@ -75,8 +76,6 @@ pub struct OnlineConfig {
     pub reuse_burst_cap: u64,
     /// Enable backtracking (ablation toggle).
     pub backtrack: bool,
-    /// Cover-retry cap per join selection.
-    pub max_cover_retries: u64,
 }
 
 impl Default for OnlineConfig {
@@ -89,7 +88,6 @@ impl Default for OnlineConfig {
             reuse: true,
             reuse_burst_cap: 4096,
             backtrack: true,
-            max_cover_retries: 100_000,
         }
     }
 }
@@ -245,7 +243,7 @@ impl UnionSampler for OnlineUnionSampler {
             // (cover rejections retry within the join).
             loop {
                 let (j, retries) = st.cur.expect("set above");
-                if retries >= config.max_cover_retries {
+                if retries >= MAX_COVER_RETRIES {
                     st.cur = None;
                     break; // reselect a join
                 }

@@ -54,16 +54,14 @@ pub struct HistogramEstimator {
 impl HistogramEstimator {
     /// Builds the estimator. `size_hints` supplies `|J_j|`
     /// estimates (the paper instantiates these with EW ground truth or
-    /// EO bounds). `zero_weight` is the §8.1.2 alternating-score
-    /// hyper-parameter (0.0 = plain scores).
+    /// EO bounds).
     pub fn new(
         workload: &UnionWorkload,
         mode: DegreeMode,
         size_hints: Vec<f64>,
-        zero_weight: f64,
     ) -> Result<Self, CoreError> {
         let mut stats = StatsCache::default();
-        Self::with_stats(workload, mode, size_hints, zero_weight, &mut stats)
+        Self::with_stats(workload, mode, size_hints, &mut stats)
     }
 
     /// [`new`](Self::new) over a statistics cache the caller has
@@ -72,7 +70,6 @@ impl HistogramEstimator {
         workload: &UnionWorkload,
         mode: DegreeMode,
         size_hints: Vec<f64>,
-        zero_weight: f64,
         stats: &mut StatsCache,
     ) -> Result<Self, CoreError> {
         let n = workload.n_joins();
@@ -92,7 +89,7 @@ impl HistogramEstimator {
             .map_err(CoreError::Join)?;
 
         let spec_refs: Vec<&JoinSpec> = prepared_specs.iter().collect();
-        let template = build_template(&spec_refs, zero_weight).map_err(CoreError::Join)?;
+        let template = build_template(&spec_refs).map_err(CoreError::Join)?;
         let splits: Vec<SplitJoin> = prepared_specs
             .iter()
             .map(|s| split_join_with(s, &template, stats))
@@ -119,7 +116,7 @@ impl HistogramEstimator {
             .map(|j| olken_bound_with(j, &mut stats))
             .collect::<Result<Vec<_>, _>>()
             .map_err(CoreError::Join)?;
-        Self::with_stats(workload, mode, hints, 0.0, &mut stats)
+        Self::with_stats(workload, mode, hints, &mut stats)
     }
 
     /// The selected template.
@@ -348,7 +345,7 @@ mod tests {
         let w = overlapping_chains();
         let exact = full_join_union(&w).unwrap();
         let sizes = w.exact_join_sizes().unwrap();
-        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes, 0.0).unwrap();
+        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes).unwrap();
         let bound = est.estimate_overlap(&[0, 1]);
         let truth = exact.overlap.overlap(&[0, 1]);
         assert!(
@@ -361,15 +358,15 @@ mod tests {
     fn avg_mode_is_tighter_than_max_mode() {
         let w = overlapping_chains();
         let sizes = w.exact_join_sizes().unwrap();
-        let max_est = HistogramEstimator::new(&w, DegreeMode::Max, sizes.clone(), 0.0).unwrap();
-        let avg_est = HistogramEstimator::new(&w, DegreeMode::Avg, sizes, 0.0).unwrap();
+        let max_est = HistogramEstimator::new(&w, DegreeMode::Max, sizes.clone()).unwrap();
+        let avg_est = HistogramEstimator::new(&w, DegreeMode::Avg, sizes).unwrap();
         assert!(avg_est.estimate_overlap(&[0, 1]) <= max_est.estimate_overlap(&[0, 1]) + 1e-9);
     }
 
     #[test]
     fn singleton_returns_hint() {
         let w = overlapping_chains();
-        let est = HistogramEstimator::new(&w, DegreeMode::Max, vec![42.0, 7.0], 0.0).unwrap();
+        let est = HistogramEstimator::new(&w, DegreeMode::Max, vec![42.0, 7.0]).unwrap();
         assert_eq!(est.estimate_overlap(&[0]), 42.0);
         assert_eq!(est.estimate_overlap(&[1]), 7.0);
     }
@@ -378,7 +375,7 @@ mod tests {
     fn cap_by_min_join_size() {
         let w = overlapping_chains();
         // Tiny hints force the cap.
-        let est = HistogramEstimator::new(&w, DegreeMode::Max, vec![1.0, 1000.0], 0.0).unwrap();
+        let est = HistogramEstimator::new(&w, DegreeMode::Max, vec![1.0, 1000.0]).unwrap();
         assert!(est.estimate_overlap(&[0, 1]) <= 1.0);
     }
 
@@ -398,7 +395,7 @@ mod tests {
         let w = UnionWorkload::new(vec![Arc::new(mk()), Arc::new(mk())]).unwrap();
         let exact = full_join_union(&w).unwrap();
         let sizes = w.exact_join_sizes().unwrap();
-        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes.clone(), 0.0).unwrap();
+        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes.clone()).unwrap();
         let bound = est.estimate_overlap(&[0, 1]);
         let truth = exact.overlap.overlap(&[0, 1]);
         assert!(bound >= truth - 1e-9);
@@ -410,7 +407,7 @@ mod tests {
         let w = overlapping_chains();
         let exact = full_join_union(&w).unwrap();
         let sizes = w.exact_join_sizes().unwrap();
-        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes, 0.0).unwrap();
+        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes).unwrap();
         let map = est.overlap_map().unwrap();
         // Estimated |U| via Eq. 1: k-overlap clamping keeps it ≥ the
         // exact union's lower pieces; sanity: strictly positive and not
@@ -447,7 +444,7 @@ mod tests {
         let w = UnionWorkload::new(vec![Arc::new(tri("1", 5)), Arc::new(tri("2", 7))]).unwrap();
         let exact = full_join_union(&w).unwrap();
         let sizes = w.exact_join_sizes().unwrap();
-        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes, 0.0).unwrap();
+        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes).unwrap();
         let bound = est.estimate_overlap(&[0, 1]);
         let truth = exact.overlap.overlap(&[0, 1]);
         assert!(bound >= truth - 1e-9, "bound {bound} truth {truth}");
@@ -456,6 +453,6 @@ mod tests {
     #[test]
     fn rejects_wrong_hint_count() {
         let w = overlapping_chains();
-        assert!(HistogramEstimator::new(&w, DegreeMode::Max, vec![1.0], 0.0).is_err());
+        assert!(HistogramEstimator::new(&w, DegreeMode::Max, vec![1.0]).is_err());
     }
 }

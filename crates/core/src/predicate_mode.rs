@@ -131,15 +131,15 @@ fn flatten_conjuncts(p: &Predicate) -> Result<Vec<&Predicate>, CoreError> {
 ///
 /// Retraction events from the inner sampler are re-indexed into the
 /// filtered emission sequence; retractions of tuples the predicate had
-/// already rejected are swallowed.
+/// already rejected are swallowed. The wrapper keeps no report of its
+/// own: [`report`](UnionSampler::report) is the inner sampler's, which
+/// also counts `rejected_predicate`.
 pub struct PredicateSampler {
     inner: Box<dyn UnionSampler>,
     predicate: CompiledPredicate,
     /// Inner emission index → outer (filtered) emission index, for
     /// translating retractions. Entries are dropped once retracted.
     index_map: FxHashMap<u64, u64>,
-    report: RunReport,
-    rejected_predicate: u64,
     emitted: u64,
 }
 
@@ -150,32 +150,12 @@ impl PredicateSampler {
         let compiled = predicate
             .compile(inner.workload().canonical_schema())
             .map_err(CoreError::Storage)?;
-        let report = inner.report().clone();
         Ok(Self {
             inner,
             predicate: compiled,
             index_map: FxHashMap::default(),
-            report,
-            rejected_predicate: 0,
             emitted: 0,
         })
-    }
-
-    fn sync_report(&mut self) {
-        // The builder stamps the resolved configuration on the outer
-        // report, and the batch `sample` loop records draw latencies on
-        // the outer report too; don't let a sync from the (unstamped,
-        // latency-free) inner sampler erase either.
-        let config = self.report.config.take();
-        let latency = std::mem::take(&mut self.report.draw_latency);
-        self.report.copy_from(self.inner.report());
-        if self.report.config.is_none() {
-            self.report.config = config;
-        }
-        if self.report.draw_latency.is_empty() {
-            self.report.draw_latency = latency;
-        }
-        self.report.rejected_predicate = self.rejected_predicate;
     }
 }
 
@@ -194,32 +174,27 @@ impl UnionSampler for PredicateSampler {
                             self.index_map.insert(inner_idx, outer_idx);
                         }
                         self.emitted += 1;
-                        self.sync_report();
                         return Ok(Draw::Tuple(outer_idx, t));
                     }
-                    self.rejected_predicate += 1;
+                    self.inner.report_mut().rejected_predicate += 1;
                 }
                 Ok(Draw::Retract(inner_idx)) => {
                     if let Some(outer) = self.index_map.remove(&inner_idx) {
-                        self.sync_report();
                         return Ok(Draw::Retract(outer));
                     }
                     // The retracted tuple never passed the filter.
                 }
-                Err(e) => {
-                    self.sync_report();
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
         }
     }
 
     fn report(&self) -> &RunReport {
-        &self.report
+        self.inner.report()
     }
 
     fn report_mut(&mut self) -> &mut RunReport {
-        &mut self.report
+        self.inner.report_mut()
     }
 
     fn emitted(&self) -> u64 {

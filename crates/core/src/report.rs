@@ -334,58 +334,6 @@ impl RunReport {
         }
     }
 
-    /// Overwrites this report with `other`'s contents, reusing the
-    /// `join_draws` allocation (hot-path alternative to `clone`).
-    pub fn copy_from(&mut self, other: &RunReport) {
-        let RunReport {
-            accepted,
-            rejected_cover,
-            rejected_join,
-            revised,
-            revision_removed,
-            reuse_accepted,
-            reuse_copies,
-            reuse_rejected,
-            backtrack_dropped,
-            rejected_predicate,
-            update_rounds,
-            join_draws,
-            prepared_bytes,
-            snapshot_bytes,
-            restore_time,
-            config,
-            draw_latency,
-            warmup_time,
-            accepted_time,
-            rejected_time,
-            reuse_time,
-            update_time,
-        } = other;
-        self.prepared_bytes = *prepared_bytes;
-        self.snapshot_bytes = *snapshot_bytes;
-        self.restore_time = *restore_time;
-        self.accepted = *accepted;
-        self.rejected_cover = *rejected_cover;
-        self.rejected_join = *rejected_join;
-        self.revised = *revised;
-        self.revision_removed = *revision_removed;
-        self.reuse_accepted = *reuse_accepted;
-        self.reuse_copies = *reuse_copies;
-        self.reuse_rejected = *reuse_rejected;
-        self.backtrack_dropped = *backtrack_dropped;
-        self.rejected_predicate = *rejected_predicate;
-        self.update_rounds = *update_rounds;
-        self.join_draws.clear();
-        self.join_draws.extend_from_slice(join_draws);
-        self.config.clone_from(config);
-        self.draw_latency.clone_from(draw_latency);
-        self.warmup_time = *warmup_time;
-        self.accepted_time = *accepted_time;
-        self.rejected_time = *rejected_time;
-        self.reuse_time = *reuse_time;
-        self.update_time = *update_time;
-    }
-
     /// Folds another report's counters, timings, and latency histogram
     /// into this one — the aggregation direction
     /// ([`delta_since`](Self::delta_since) is the subtraction
@@ -395,9 +343,8 @@ impl RunReport {
     /// missing `config` is adopted from `other`; an existing one is
     /// kept.
     pub fn merge(&mut self, other: &RunReport) {
-        // Exhaustive destructuring (like `copy_from`): adding a field
-        // to `RunReport` must fail to compile until aggregation
-        // handles it.
+        // Exhaustive destructuring: adding a field to `RunReport` must
+        // fail to compile until aggregation handles it.
         let RunReport {
             accepted,
             rejected_cover,
@@ -578,9 +525,6 @@ mod tests {
         let baseline = RunReport::new(1);
         let delta = r.delta_since(&baseline);
         assert_eq!(delta.config, r.config);
-        let mut copy = RunReport::new(1);
-        copy.copy_from(&r);
-        assert_eq!(copy.config, r.config);
         let s = r.summary();
         assert!(s.contains("strategy=rejection"), "{s}");
         assert!(s.contains("estimator=histogram(EO)"), "{s}");
@@ -670,9 +614,6 @@ mod tests {
         // delta_since carries the property through.
         let baseline = RunReport::new(1);
         assert_eq!(delta.delta_since(&baseline).prepared_bytes, 4096);
-        let mut copy = RunReport::new(1);
-        copy.copy_from(&delta);
-        assert_eq!(copy.prepared_bytes, 4096);
         // Surfaced in the summary only when known.
         assert!(delta.summary().contains("prepared_bytes=4096"));
         assert!(!RunReport::new(1).summary().contains("prepared_bytes"));
@@ -692,9 +633,6 @@ mod tests {
         let d = delta.delta_since(&baseline);
         assert_eq!(d.snapshot_bytes, 1024);
         assert_eq!(d.restore_time, Duration::from_millis(7));
-        let mut copy = RunReport::new(1);
-        copy.copy_from(&delta);
-        assert_eq!(copy.snapshot_bytes, 1024);
         // Printed only for restored artifacts.
         assert!(delta.summary().contains("snapshot_bytes=1024"));
         assert!(delta.summary().contains("restore_time"));

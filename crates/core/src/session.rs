@@ -83,27 +83,15 @@ use suj_join::{JoinSampler, JoinSpec, WeightKind};
 use suj_stats::SujRng;
 use suj_storage::{Predicate, Tuple};
 
-/// Histogram-estimator options for the builder.
-#[derive(Debug, Clone, Copy)]
+/// Histogram-estimator options for the builder. The builder's
+/// estimator runs on maximum degrees ([`DegreeMode::Max`], §5.1's strict
+/// upper bound); [`HistogramEstimator::new`] takes the mode directly.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HistogramOptions {
-    /// Degree statistic driving the Theorem 4 multipliers.
-    pub degree_mode: DegreeMode,
-    /// §8.1.2 alternating-score hyper-parameter (0.0 = plain scores).
-    pub zero_weight: f64,
     /// Use exact join sizes as hints instead of extended-Olken bounds
     /// (§9's hist+EW vs hist+EO configurations) — read from the per-join
     /// samplers that know theirs, counted for the rest.
     pub exact_size_hints: bool,
-}
-
-impl Default for HistogramOptions {
-    fn default() -> Self {
-        Self {
-            degree_mode: DegreeMode::Max,
-            zero_weight: 0.0,
-            exact_size_hints: false,
-        }
-    }
 }
 
 /// How union/overlap parameters are obtained before sampling.
@@ -492,8 +480,7 @@ fn estimate(
                 })
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(CoreError::Join)?;
-            HistogramEstimator::new(workload, opts.degree_mode, hints, opts.zero_weight)?
-                .overlap_map()
+            HistogramEstimator::new(workload, DegreeMode::Max, hints)?.overlap_map()
         }
         Estimator::Walk(cfg) => {
             let mut rng = SujRng::seed_from_u64(seed);
@@ -1037,7 +1024,6 @@ mod tests {
             Estimator::Histogram(HistogramOptions::default()),
             Estimator::Histogram(HistogramOptions {
                 exact_size_hints: true,
-                ..Default::default()
             }),
             Estimator::Walk(WalkEstimatorConfig {
                 max_walks_per_join: 200,

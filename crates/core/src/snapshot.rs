@@ -66,7 +66,7 @@
 //! freeze over what was given. What it never does: estimate, build an
 //! alias table, or — unless the persisted plan probes membership while
 //! drawing — build a membership index
-//! ([`suj_storage::membership_builds`] is flat across a default-plan
+//! ([`suj_join::membership_builds`] is flat across a default-plan
 //! restore; the freeze indexes for the plans that need it).
 
 use crate::catalog::{Catalog, Engine};

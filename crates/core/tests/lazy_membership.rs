@@ -3,7 +3,7 @@
 //! probes, and before the first draw for the configurations that probe
 //! while drawing or estimating.
 //!
-//! One `#[test]` on purpose: [`suj_storage::membership_builds`] is a
+//! One `#[test]` on purpose: [`suj_join::membership_builds`] is a
 //! process-global counter, and exact-delta assertions are only
 //! race-free when no other test thread builds indexes concurrently
 //! (cargo runs test binaries sequentially). The phases below run in
@@ -11,8 +11,8 @@
 
 use std::sync::{Arc, Barrier};
 use suj_core::prelude::*;
-use suj_join::{JoinError, JoinSpec, MembershipOracle};
-use suj_storage::{membership_builds, Relation, Schema, Tuple, Value};
+use suj_join::{membership_builds, JoinError, JoinSpec, MembershipOracle};
+use suj_storage::{Relation, Schema, Tuple, Value};
 use suj_tpch::{uq1, UqOptions};
 
 /// UQ1 at scale 2 (> 512 base rows, so the default planner probes

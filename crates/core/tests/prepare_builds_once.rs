@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 use suj_core::prelude::*;
-use suj_join::JoinTree;
-use suj_storage::{hash_index_builds, membership_builds, FxHashSet};
+use suj_join::{membership_builds, JoinTree};
+use suj_storage::{hash_index_builds, FxHashSet};
 use suj_tpch::{uq1, UqOptions};
 
 #[test]

@@ -176,8 +176,8 @@ proptest! {
         let exact = full_join_union(&w).unwrap();
         let sizes = w.exact_join_sizes().unwrap();
         let max_est =
-            HistogramEstimator::new(&w, DegreeMode::Max, sizes.clone(), 0.0).unwrap();
-        let avg_est = HistogramEstimator::new(&w, DegreeMode::Avg, sizes, 0.0).unwrap();
+            HistogramEstimator::new(&w, DegreeMode::Max, sizes.clone()).unwrap();
+        let avg_est = HistogramEstimator::new(&w, DegreeMode::Avg, sizes).unwrap();
         let max_b = max_est.estimate_overlap(&[0, 1]);
         let avg_b = avg_est.estimate_overlap(&[0, 1]);
         prop_assert!(max_b >= exact.overlap.overlap(&[0, 1]) - 1e-6);

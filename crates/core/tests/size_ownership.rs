@@ -95,7 +95,6 @@ fn freeze_reads_sizes_where_they_are_computed() {
         freeze(|b| {
             b.estimator(Estimator::Histogram(HistogramOptions {
                 exact_size_hints: true,
-                ..Default::default()
             }))
         }),
         (Some(Sizing::Exact), 1)

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::error::JoinError;
     pub use crate::exec::JoinResult;
     pub use crate::graph::{JoinGraph, JoinShape};
-    pub use crate::membership::MembershipOracle;
+    pub use crate::membership::{membership_builds, MembershipOracle};
     pub use crate::residual::decompose_cyclic;
     pub use crate::spec::{JoinEdge, JoinSpec};
     pub use crate::template::{SplitJoin, Template};

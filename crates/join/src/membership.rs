@@ -8,35 +8,55 @@
 //! relation `R` of `J`, the projection of `t` onto `R`'s attributes is a
 //! row of `R`. (Shared attributes carry a single value in `t`, so the
 //! projections automatically agree on join attributes.)
+//!
+//! The index behind each check is the relation's [`HashIndex`] over all
+//! of its attributes — the same table, encoders and probe as a join
+//! edge's — so `π_R(t) ∈ R` is "does the projection encode to a key
+//! id".
 
 use crate::error::JoinError;
 use crate::spec::JoinSpec;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use suj_storage::{Relation, RowMembership, Schema, Tuple};
+use suj_storage::{HashIndex, Relation, Schema, Tuple};
 
 /// One base relation of the join, as the oracle checks it.
 #[derive(Debug, Clone)]
 struct Member {
     relation: Arc<Relation>,
-    /// Whole-row membership index, built by the first probe that
-    /// reaches this relation (concurrent first probes build it once).
-    index: OnceLock<RowMembership>,
+    /// Whole-row index (a [`HashIndex`] over every attribute), built
+    /// by the first probe that reaches this relation (concurrent first
+    /// probes build it once).
+    index: OnceLock<HashIndex>,
     /// Positions in the *canonical* schema of the relation's
     /// attributes, in relation-schema order.
     projection: Vec<usize>,
 }
 
+static MEMBERSHIP_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide count of membership index builds (one per relation a
+/// [`MembershipOracle`] indexes). Membership indexes are built by the
+/// first probe that needs them, and the plans the planner emits by
+/// default never probe one; the prepare and restore tests pin that by
+/// watching this counter.
+pub fn membership_builds() -> u64 {
+    MEMBERSHIP_BUILDS.load(Ordering::Relaxed)
+}
+
 impl Member {
-    fn index(&self) -> &RowMembership {
-        self.index
-            .get_or_init(|| RowMembership::build(&self.relation))
+    fn index(&self) -> &HashIndex {
+        self.index.get_or_init(|| {
+            MEMBERSHIP_BUILDS.fetch_add(1, Ordering::Relaxed);
+            HashIndex::build(&self.relation, self.relation.schema().attrs())
+        })
     }
 }
 
 /// Decides membership of canonical-schema tuples in one join.
 ///
 /// Construction validates the projections and indexes nothing: each
-/// relation's [`RowMembership`] is built by the first
+/// relation's whole-row index is built by the first
 /// [`contains`](Self::contains) that reaches it, so an oracle nothing
 /// probes costs no time and no memory. A caller about to serve draws
 /// that probe calls [`build_indexes`](Self::build_indexes) first, which
@@ -92,9 +112,11 @@ impl MembershipOracle {
     /// relation no probe reaches is never indexed.
     #[inline]
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.members
-            .iter()
-            .all(|m| m.index().contains_projection(tuple, &m.projection))
+        self.members.iter().all(|m| {
+            m.index()
+                .key_id_projected(tuple.values(), &m.projection)
+                .is_some()
+        })
     }
 
     /// Indexes every relation not yet indexed, so that no later
@@ -110,7 +132,7 @@ impl MembershipOracle {
         self.members
             .iter()
             .filter_map(|m| m.index.get())
-            .map(RowMembership::memory_bytes)
+            .map(HashIndex::memory_bytes)
             .sum()
     }
 

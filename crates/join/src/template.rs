@@ -14,8 +14,9 @@
 //! distance between the relations containing them; the template is the
 //! attribute ordering minimizing the total score of consecutive pairs
 //! (min-cost Hamiltonian path — exact Held–Karp DP up to 14 attributes,
-//! greedy + 2-opt beyond). The §8.1.2 *alternating score* replaces the
-//! 0 of same-relation pairs with a tunable weight.
+//! greedy + 2-opt beyond). Same-relation pairs score 0; §8.1.2's
+//! *alternating score*, which would replace that 0 with a tunable
+//! weight, is not implemented (no caller ever set one).
 //!
 //! When a template pair spans base relations, the split relation's
 //! statistics are *pre-estimated* along the join path (Example 7's
@@ -129,9 +130,8 @@ pub struct Template {
 }
 
 /// Builds the pairwise-score matrix and selects the minimum-cost
-/// attribute ordering. `zero_weight` is the §8.1.2 alternating-score
-/// hyper-parameter substituted for same-relation (distance 0) pairs.
-pub fn build_template(specs: &[&JoinSpec], zero_weight: f64) -> Result<Template, JoinError> {
+/// attribute ordering. A same-relation pair (distance 0) scores 0.
+pub fn build_template(specs: &[&JoinSpec]) -> Result<Template, JoinError> {
     if specs.is_empty() {
         return Err(JoinError::Invalid(
             "no joins given to build_template".into(),
@@ -166,8 +166,7 @@ pub fn build_template(specs: &[&JoinSpec], zero_weight: f64) -> Result<Template,
         for b in (a + 1)..m {
             let mut total = 0.0;
             for (j, spec) in specs.iter().enumerate() {
-                let d = attr_distance(spec, &trees[j], &attrs[a], &attrs[b]);
-                total += if d == 0 { zero_weight } else { d as f64 };
+                total += attr_distance(spec, &trees[j], &attrs[a], &attrs[b]) as f64;
             }
             score[a][b] = total;
             score[b][a] = total;
@@ -443,7 +442,7 @@ mod tests {
     #[test]
     fn template_prefers_same_relation_adjacency() {
         let spec = fig3a();
-        let template = build_template(&[&spec], 0.0).unwrap();
+        let template = build_template(&[&spec]).unwrap();
         assert_eq!(template.order.len(), 6);
         // Adjacent same-relation pairs cost 0; a & b must be adjacent
         // somewhere in the optimal order since score(a,b) = 0.
@@ -567,14 +566,14 @@ mod tests {
     fn template_rejects_mismatched_joins() {
         let a = JoinSpec::natural("a", vec![rel("r", &["x", "y"], vec![])]).unwrap();
         let b = JoinSpec::natural("b", vec![rel("s", &["x", "z"], vec![])]).unwrap();
-        assert!(build_template(&[&a, &b], 0.0).is_err());
-        assert!(build_template(&[], 0.0).is_err());
+        assert!(build_template(&[&a, &b]).is_err());
+        assert!(build_template(&[]).is_err());
     }
 
     #[test]
     fn single_attribute_template() {
         let a = JoinSpec::natural("a", vec![rel("r", &["x"], vec![vec![1]])]).unwrap();
-        let t = build_template(&[&a], 0.0).unwrap();
+        let t = build_template(&[&a]).unwrap();
         assert_eq!(t.order.len(), 1);
         let split = split_join(&a, &t).unwrap();
         assert!(split.relations.is_empty());

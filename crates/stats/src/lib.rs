@@ -12,8 +12,8 @@
 //! * [`ci`] — normal-approximation confidence intervals and z-values.
 //! * [`chi2`] — chi-square goodness-of-fit testing, used by the test suite
 //!   to check sampler uniformity against materialized ground truth.
-//! * [`sample`] — categorical sampling (cumulative and alias-table) and
-//!   Bernoulli draws.
+//! * [`sample`] — categorical sampling by cumulative weights, and Zipf
+//!   ranks.
 //! * [`arena`] — flat arenas of alias tables (one Walker/Vose table per
 //!   key id, shared slabs) powering the Exact-Weight alias cascade.
 //! * [`binom`] — exact binomial coefficients for the k-overlap recurrence
@@ -38,4 +38,4 @@ pub use ci::{half_width, z_value, ConfidenceInterval};
 pub use ht::HorvitzThompson;
 pub use rng::SujRng;
 pub use running::RunningMoments;
-pub use sample::{AliasTable, Categorical, Zipf};
+pub use sample::{Categorical, Zipf};

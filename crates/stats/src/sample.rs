@@ -2,14 +2,13 @@
 //!
 //! Join selection in the union framework draws a join index `j` with
 //! probability `|J'_j| / |U|` on every iteration (Algorithm 1 line 6).
-//! Two implementations are provided:
-//!
-//! * [`Categorical`] — cumulative-weights + binary search, O(log n) per
-//!   draw, cheap to rebuild when the weights change (Algorithm 2 updates
-//!   them after every backtracking round).
-//! * [`AliasTable`] — Walker/Vose alias method, O(1) per draw, best when
-//!   the distribution is fixed and drawn from millions of times (the
-//!   Exact-Weight join sampler's root selection).
+//! [`Categorical`] does it by cumulative weights and binary search,
+//! O(log n) per draw and cheap to rebuild when the weights change
+//! (Algorithm 2 updates them after every backtracking round). A fixed
+//! distribution drawn from millions of times — the Exact-Weight join
+//! sampler's root and per-key selections — is a segment of an
+//! [`AliasArena`](crate::arena::AliasArena) instead: Walker/Vose, O(1)
+//! per draw.
 
 use crate::rng::SujRng;
 
@@ -76,91 +75,6 @@ impl Categorical {
     }
 }
 
-/// Walker/Vose alias-method sampler: O(n) build, O(1) draw.
-#[derive(Debug, Clone)]
-pub struct AliasTable {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl AliasTable {
-    /// Builds an alias table from non-negative weights. Returns `None`
-    /// under the same conditions as [`Categorical::new`].
-    pub fn new(weights: &[f64]) -> Option<Self> {
-        let n = weights.len();
-        if n == 0 {
-            return None;
-        }
-        let total: f64 = {
-            let mut acc = 0.0;
-            for &w in weights {
-                if !w.is_finite() || w < 0.0 {
-                    return None;
-                }
-                acc += w;
-            }
-            acc
-        };
-        if total <= 0.0 {
-            return None;
-        }
-
-        let mut prob = vec![0.0f64; n];
-        let mut alias = vec![0usize; n];
-        let scale = n as f64 / total;
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-
-        let mut small: Vec<usize> = Vec::with_capacity(n);
-        let mut large: Vec<usize> = Vec::with_capacity(n);
-        for (i, &p) in scaled.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            large.pop();
-            prob[s] = scaled[s];
-            alias[s] = l;
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-            if scaled[l] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        for &l in &large {
-            prob[l] = 1.0;
-        }
-        for &s in &small {
-            prob[s] = 1.0; // numerical residue
-        }
-        Some(Self { prob, alias })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// Whether the table is empty (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Draws a category index in O(1).
-    pub fn draw(&self, rng: &mut SujRng) -> usize {
-        let i = rng.index(self.prob.len());
-        if rng.next_f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
 /// Zipf-distributed index sampler: `P(i) ∝ 1/(i+1)^s` over `[0, n)`.
 ///
 /// Exponent `s = 0` degenerates to the uniform distribution. Used by the
@@ -219,6 +133,7 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::AliasArenaBuilder;
 
     fn empirical(draws: usize, n: usize, mut f: impl FnMut(&mut SujRng) -> usize) -> Vec<f64> {
         let mut rng = SujRng::seed_from_u64(1234);
@@ -242,26 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn alias_matches_weights() {
-        let weights = [0.5, 0.0, 8.0, 1.5];
-        let total = 10.0;
-        let alias = AliasTable::new(&weights).unwrap();
-        let freqs = empirical(200_000, 4, |rng| alias.draw(rng));
-        for (i, &f) in freqs.iter().enumerate() {
-            let expect = weights[i] / total;
-            assert!((f - expect).abs() < 0.01, "cat {i}: {f} vs {expect}");
-        }
-    }
-
-    #[test]
     fn zero_weight_categories_never_drawn() {
         let weights = [0.0, 1.0, 0.0];
         let cat = Categorical::new(&weights).unwrap();
-        let alias = AliasTable::new(&weights).unwrap();
         let mut rng = SujRng::seed_from_u64(8);
         for _ in 0..1000 {
             assert_eq!(cat.draw(&mut rng), 1);
-            assert_eq!(alias.draw(&mut rng), 1);
         }
     }
 
@@ -271,19 +172,14 @@ mod tests {
         assert!(Categorical::new(&[0.0, 0.0]).is_none());
         assert!(Categorical::new(&[1.0, -1.0]).is_none());
         assert!(Categorical::new(&[f64::NAN]).is_none());
-        assert!(AliasTable::new(&[]).is_none());
-        assert!(AliasTable::new(&[0.0]).is_none());
-        assert!(AliasTable::new(&[f64::INFINITY]).is_none());
     }
 
     #[test]
     fn single_category_always_zero() {
         let cat = Categorical::new(&[3.0]).unwrap();
-        let alias = AliasTable::new(&[3.0]).unwrap();
         let mut rng = SujRng::seed_from_u64(77);
         for _ in 0..100 {
             assert_eq!(cat.draw(&mut rng), 0);
-            assert_eq!(alias.draw(&mut rng), 0);
         }
     }
 
@@ -324,9 +220,11 @@ mod tests {
     fn categorical_and_alias_agree_statistically() {
         let weights: Vec<f64> = (1..=16).map(|i| (i * i) as f64).collect();
         let cat = Categorical::new(&weights).unwrap();
-        let alias = AliasTable::new(&weights).unwrap();
+        let mut alias = AliasArenaBuilder::new();
+        alias.push_segment(&weights);
+        let alias = alias.finish();
         let fc = empirical(200_000, 16, |rng| cat.draw(rng));
-        let fa = empirical(200_000, 16, |rng| alias.draw(rng));
+        let fa = empirical(200_000, 16, |rng| alias.draw(0, rng) as usize);
         for i in 0..16 {
             assert!((fc[i] - fa[i]).abs() < 0.01, "category {i}");
         }

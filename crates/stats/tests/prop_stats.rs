@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use suj_stats::binom::binomial;
 use suj_stats::chi2::{chi_square_survival, ln_gamma, regularized_gamma_q};
-use suj_stats::{AliasTable, Categorical, HorvitzThompson, RunningMoments, SujRng};
+use suj_stats::{AliasArenaBuilder, Categorical, HorvitzThompson, RunningMoments, SujRng};
 
 proptest! {
     #[test]
@@ -132,10 +132,12 @@ proptest! {
     ) {
         prop_assume!(pattern.iter().any(|&b| b));
         let weights: Vec<f64> = pattern.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
-        let alias = AliasTable::new(&weights).unwrap();
+        let mut alias = AliasArenaBuilder::new();
+        alias.push_segment(&weights);
+        let alias = alias.finish();
         let mut rng = SujRng::seed_from_u64(seed);
         for _ in 0..200 {
-            let i = alias.draw(&mut rng);
+            let i = alias.draw(0, &mut rng) as usize;
             prop_assert!(pattern[i], "zero-weight category {} drawn", i);
         }
     }

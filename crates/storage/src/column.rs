@@ -239,7 +239,8 @@ impl Validity {
 /// impl, and equality is [`Value`]'s (floats via `total_cmp`, never
 /// across variants). This identity is what lets
 /// [`HashIndex`](crate::index::HashIndex) build from columns while
-/// serving `&[Value]` probes out of the same table.
+/// serving `&[Value]` probes, viewed as cells through `From<&Value>`,
+/// out of the same table.
 #[derive(Debug, Clone, Copy)]
 pub enum CellRef<'a> {
     /// SQL NULL.
@@ -267,17 +268,18 @@ impl<'a> CellRef<'a> {
     pub fn is_null(&self) -> bool {
         matches!(self, CellRef::Null)
     }
+}
 
-    /// Whether the cell denotes the same value as `v` (the [`Value`]
-    /// equality relation).
+impl<'a> From<&'a Value> for CellRef<'a> {
+    /// The cell view of a value, so a `&Value` key probes an index
+    /// exactly as a column cell does.
     #[inline]
-    pub fn eq_value(&self, v: &Value) -> bool {
-        match (self, v) {
-            (CellRef::Null, Value::Null) => true,
-            (CellRef::Int(a), Value::Int(b)) => a == b,
-            (CellRef::Float(a), Value::Float(b)) => a.total_cmp(b) == Ordering::Equal,
-            (CellRef::Str(a), Value::Str(b)) => *a == b.as_ref(),
-            _ => false,
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => CellRef::Null,
+            Value::Int(i) => CellRef::Int(*i),
+            Value::Float(x) => CellRef::Float(*x),
+            Value::Str(s) => CellRef::Str(s),
         }
     }
 }
@@ -429,12 +431,7 @@ impl Column {
                     CellRef::Null
                 }
             }
-            Column::Mixed { values } => match &values[i] {
-                Value::Null => CellRef::Null,
-                Value::Int(v) => CellRef::Int(*v),
-                Value::Float(v) => CellRef::Float(*v),
-                Value::Str(s) => CellRef::Str(s),
-            },
+            Column::Mixed { values } => CellRef::from(&values[i]),
         }
     }
 
@@ -928,7 +925,7 @@ mod tests {
             assert_eq!(col.len(), vals.len());
             for (i, v) in vals.iter().enumerate() {
                 assert_eq!(&col.value(i), v, "column {} cell {i}", col.kind());
-                assert!(col.cell(i).eq_value(v));
+                assert!(col.cell(i) == CellRef::from(v));
             }
         }
     }
@@ -993,7 +990,7 @@ mod tests {
         // Value's equality.
         for (i, a) in universe.iter().enumerate() {
             for b in &universe {
-                assert_eq!(col.cell(i).eq_value(b), (a == b), "{a} vs {b}");
+                assert_eq!(col.cell(i) == CellRef::from(b), a == b, "{a} vs {b}");
             }
         }
     }

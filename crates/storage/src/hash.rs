@@ -74,12 +74,11 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Fx-hashes a sequence of values in place — the shared key-encoding
-/// hash of [`HashIndex`](crate::index::HashIndex) and
-/// [`RowMembership`](crate::index::RowMembership). Equal value
-/// sequences hash equal regardless of where the values are read from,
-/// which is what lets index probes hash projections of rows and
-/// buffers without materializing a key.
+/// Fx-hashes a sequence of values in place. Equal to
+/// [`hash_cells`](crate::column::hash_cells) over the same values
+/// viewed as cells — the key-encoding hash of
+/// [`HashIndex`](crate::index::HashIndex) — so equal value sequences
+/// hash equal regardless of where the values are read from.
 #[inline]
 pub fn hash_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
     let mut hasher = FxHasher::default();

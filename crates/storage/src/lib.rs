@@ -17,9 +17,11 @@
 //!   vectorized filtering, projection, and the vertical/horizontal
 //!   splits used by the UQ3 workload. [`Tuple`] survives as the
 //!   materialized *output* representation only.
-//! * [`index`] — hash indexes on join attributes (value → row ids) and
-//!   whole-row membership indexes, built straight off the columns; the
-//!   backbone of the membership oracle.
+//! * [`index`] — the one hash index: key (one or more attributes) →
+//!   row ids, dictionary encoded with CSR postings over the relation's
+//!   shared columns. Over join attributes it drives the samplers; over
+//!   every attribute it is the whole-row index behind the membership
+//!   oracle.
 //! * [`sorted`] — sorted row-id permutations with order-preserving
 //!   `i64` key runs and duplicate-block prefix sums: run narrowing by
 //!   `partition_point` and O(1) distinct counts, the storage half of
@@ -49,10 +51,15 @@
 //!     Tuple::new(vec![Value::int(2), Value::str("z")]),
 //! ])?;
 //!
-//! // Hash index on the key attribute: degrees feed Olken bounds.
-//! let idx = HashIndex::build_single(&rel, "k");
-//! assert_eq!(idx.degree(&[Value::int(1)]), 2);
+//! // Hash index on the key attribute: key 1 holds rows 0 and 1.
+//! let idx = HashIndex::build(&rel, &["k".into()]);
+//! assert_eq!(idx.rows_matching_projected(&[Value::int(1)], &[0]), &[0, 1]);
 //! assert_eq!(idx.max_degree(), 2);
+//!
+//! // Over every attribute it is a whole-row membership index.
+//! let rows = HashIndex::build(&rel, rel.schema().attrs());
+//! let probe = [Value::int(2), Value::str("z")];
+//! assert!(rows.key_id_projected(&probe, &[0, 1]).is_some());
 //!
 //! // Histograms: the statistics tier of §5.
 //! let hist = FrequencyHistogram::build(&rel, "k");
@@ -88,9 +95,7 @@ pub mod prelude {
     pub use crate::error::StorageError;
     pub use crate::hash::{hash_values, FxHashMap, FxHashSet};
     pub use crate::histogram::{DegreeStats, FrequencyHistogram};
-    pub use crate::index::{
-        hash_index_builds, membership_builds, HashIndex, RowMembership, NO_KEY,
-    };
+    pub use crate::index::{hash_index_builds, HashIndex, NO_KEY};
     pub use crate::predicate::{CompareOp, CompiledPredicate, Predicate, SelectionBitmap};
     pub use crate::relation::{Relation, RelationBuilder, RowRef};
     pub use crate::schema::Schema;

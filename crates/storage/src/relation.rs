@@ -538,7 +538,7 @@ mod tests {
         let r = sample_relation();
         let row = r.row_ref(1);
         assert_eq!(row.arity(), 2);
-        assert!(row.get(0).eq_value(&Value::int(2)));
+        assert!(row.get(0) == CellRef::from(&Value::int(2)));
         assert_eq!(row.value(1), Value::int(20));
         assert_eq!(row.to_tuple(), tuple![2i64, 20i64]);
         // Structural equality across row ids.

@@ -514,10 +514,19 @@ impl<'a> ByteReader<'a> {
     /// multiplicity fixed by what was decoded before — checked against
     /// the bytes left before the vector is allocated.
     pub fn get_n<T: Codec>(&mut self, n: usize) -> Result<Vec<T>, SnapshotError> {
+        self.get_n_with(n, T::decode)
+    }
+
+    /// [`get_n`](Self::get_n) with each item read by `item`.
+    fn get_n_with<T>(
+        &mut self,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<Vec<T>, SnapshotError> {
         let n = self.check_count(n as u64, 1)?;
         let mut items = Vec::with_capacity(n);
         for _ in 0..n {
-            items.push(T::decode(self)?);
+            items.push(item(self)?);
         }
         Ok(items)
     }
@@ -733,17 +742,39 @@ impl Codec for Predicate {
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        match r.get_tag("predicate", |t| (t < 5).then_some(t))? {
-            0 => Ok(Predicate::True),
-            1 => Ok(Predicate::Compare {
-                attr: Codec::decode(r)?,
-                op: Codec::decode(r)?,
-                value: Codec::decode(r)?,
-            }),
-            2 => r.get_seq64().map(Predicate::And),
-            3 => r.get_seq64().map(Predicate::Or),
-            _ => Predicate::decode(r).map(|p| Predicate::Not(Box::new(p))),
+        decode_predicate(r, 0)
+    }
+}
+
+/// The deepest `And`/`Or`/`Not` nesting a decode accepts. Decoding
+/// recurses once per level, and a stack overflow aborts the process, so
+/// a frame or snapshot of deeper nesting is refused as corrupt instead.
+const MAX_PREDICATE_DEPTH: usize = 128;
+
+/// [`Predicate::decode`] at nesting `depth`.
+fn decode_predicate(r: &mut ByteReader<'_>, depth: usize) -> Result<Predicate, SnapshotError> {
+    let tag = r.get_tag("predicate", |t| (t < 5).then_some(t))?;
+    if tag >= 2 && depth == MAX_PREDICATE_DEPTH {
+        return Err(corrupt(format!(
+            "predicate nested deeper than {MAX_PREDICATE_DEPTH} levels"
+        )));
+    }
+    match tag {
+        0 => Ok(Predicate::True),
+        1 => Ok(Predicate::Compare {
+            attr: Codec::decode(r)?,
+            op: Codec::decode(r)?,
+            value: Codec::decode(r)?,
+        }),
+        2 | 3 => {
+            let n = u64::decode(r)?;
+            let children = r.get_n_with(n as usize, |r| decode_predicate(r, depth + 1))?;
+            Ok(match tag {
+                2 => Predicate::And(children),
+                _ => Predicate::Or(children),
+            })
         }
+        _ => decode_predicate(r, depth + 1).map(|p| Predicate::Not(Box::new(p))),
     }
 }
 

@@ -225,6 +225,98 @@ fn sorted_index_int_keys_at_edge_sizes() {
     }
 }
 
+/// `v` changed to a nearby value of a neighbouring kind: the float of
+/// opposite sign (−0.0 for +0.0, −NaN for NaN), the integer 0 for
+/// NULL, a longer string, another integer.
+fn one_cell_off(v: &Value) -> Value {
+    match v {
+        Value::Null => Value::int(0),
+        Value::Int(n) => Value::int(n.wrapping_add(100)),
+        Value::Float(x) => Value::float(-x),
+        Value::Str(s) => Value::str(format!("{s}z")),
+    }
+}
+
+/// For every row, a copy with exactly one cell changed by
+/// [`one_cell_off`] (cycling through the positions).
+fn one_cell_away(rows: &[Tuple]) -> Vec<Tuple> {
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let mut values = row.values().to_vec();
+            let k = i % values.len();
+            values[k] = one_cell_off(&values[k]);
+            Tuple::new(values)
+        })
+        .collect()
+}
+
+/// Checks a `HashIndex` over `attrs` of `r` against a naive
+/// `HashMap<Vec<Value>, Vec<u32>>` of the same keys: the same key set,
+/// the same postings (order included) and degrees, first postings as
+/// first-seen representatives, and three probes that agree with the
+/// map and each other — `key_id_projected` over each row's values,
+/// `key_id_at` over `r`'s own columns, and `key_id_at` over a second
+/// relation with its own string pool, holding `r`'s rows reversed and
+/// rows one cell away from them.
+fn assert_index_matches_naive_map(r: &Relation, attrs: &[&str]) {
+    let attrs: Vec<std::sync::Arc<str>> = attrs.iter().map(|&a| a.into()).collect();
+    let positions: Vec<usize> = attrs
+        .iter()
+        .map(|a| r.schema().position(a).unwrap())
+        .collect();
+    let idx = HashIndex::build(r, &attrs);
+
+    let tuples = r.tuples();
+    let key_of =
+        |t: &Tuple| -> Vec<Value> { positions.iter().map(|&p| t.get(p).clone()).collect() };
+    let mut oracle: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+    let mut first_seen: Vec<Vec<Value>> = Vec::new();
+    for (i, row) in tuples.iter().enumerate() {
+        let rows = oracle.entry(key_of(row)).or_default();
+        if rows.is_empty() {
+            first_seen.push(key_of(row));
+        }
+        rows.push(i as u32);
+    }
+
+    assert_eq!(idx.n_keys(), oracle.len(), "keys over {attrs:?}");
+    for (kid, key) in (0u32..).zip(&first_seen) {
+        let rows = &oracle[key];
+        assert_eq!(
+            idx.key_id_projected(key, &(0..key.len()).collect::<Vec<_>>()),
+            Some(kid)
+        );
+        assert_eq!(idx.postings(kid), rows.as_slice(), "postings of {key:?}");
+        assert_eq!(idx.degree_of(kid), rows.len());
+        assert_eq!(
+            idx.rows_matching_projected(tuples[rows[0] as usize].values(), &positions),
+            rows.as_slice()
+        );
+        assert_eq!(idx.key_id_at(r, &positions, rows[0] as usize), Some(kid));
+    }
+    assert_eq!(
+        idx.max_degree(),
+        oracle.values().map(Vec::len).max().unwrap_or(0)
+    );
+
+    // A second relation, built from tuples: its own pool and layouts.
+    let mut probes: Vec<Tuple> = tuples.iter().rev().cloned().collect();
+    probes.extend(one_cell_away(&tuples));
+    probes.push(Tuple::new(vec![Value::str("zz"); r.schema().arity()]));
+    let other = Relation::new("other", r.schema().clone(), probes.clone()).unwrap();
+    for (row, t) in probes.iter().enumerate() {
+        let want = oracle.get(&key_of(t)).map(Vec::as_slice);
+        let at = idx.key_id_at(&other, &positions, row);
+        assert_eq!(
+            at,
+            idx.key_id_projected(t.values(), &positions),
+            "probe {t}"
+        );
+        assert_eq!(at.map(|k| idx.postings(k)), want, "probe {t}");
+    }
+}
+
 proptest! {
     #[test]
     fn schema_union_laws(
@@ -290,7 +382,7 @@ proptest! {
             prop_assert_eq!(r.tuple_at(i), t.clone());
             let row = r.row_ref(i);
             for p in 0..t.arity() {
-                prop_assert!(row.get(p).eq_value(t.get(p)));
+                prop_assert!(row.get(p) == CellRef::from(t.get(p)));
                 prop_assert_eq!(&row.value(p), t.get(p));
             }
         }
@@ -417,83 +509,58 @@ proptest! {
 
     #[test]
     fn index_postings_cover_relation(r in relation_strategy()) {
-        let idx = HashIndex::build_single(&r, "b");
-        let total: usize = idx.entries().map(|(_, rows)| rows.len()).sum();
+        let idx = HashIndex::build(&r, &["b".into()]);
+        let total: usize = (0..idx.n_keys() as u32).map(|k| idx.postings(k).len()).sum();
         prop_assert_eq!(total, r.len());
         // Every row is reachable through its own key.
         for (i, row) in r.tuples().iter().enumerate() {
-            let key = [row.get(1).clone()];
-            prop_assert!(idx.rows_matching(&key).contains(&(i as u32)));
+            prop_assert!(idx.rows_matching_projected(row.values(), &[1]).contains(&(i as u32)));
         }
     }
 
-    /// ISSUE 4 satellite: the dictionary-encoded CSR index must
-    /// enumerate exactly the same key → row-id sets as a naive
-    /// `HashMap<Vec<Value>, Vec<u32>>` oracle, on random relations
-    /// (small domains force heavy key duplication), over single- and
-    /// multi-attribute keys, including the empty-relation and
-    /// max-degree edges. The build now reads typed columns; the oracle
-    /// still scans materialized tuples.
+    /// The dictionary-encoded CSR index must enumerate exactly the
+    /// same key → row-id sets as a naive `HashMap<Vec<Value>, Vec<u32>>`
+    /// oracle, on random relations (small domains force heavy key
+    /// duplication), over single-attribute, multi-attribute and
+    /// whole-row keys, on every column layout — small integers and
+    /// strings, and `Float64` with NaN and ±0.0, `Str`, `Mixed` and
+    /// `Int64` columns with NULLs — including the empty-relation and
+    /// max-degree edges. The build reads typed columns; the oracle
+    /// scans materialized tuples.
     #[test]
-    fn csr_postings_match_naive_oracle(r in relation_strategy(), attr_pick in 0usize..4) {
-        let attr_sets: [&[&str]; 4] = [&["a"], &["b"], &["a", "s"], &["b", "a", "s"]];
-        let attrs: Vec<std::sync::Arc<str>> = attr_sets[attr_pick]
-            .iter()
-            .map(|a| std::sync::Arc::from(*a))
-            .collect();
-        let positions: Vec<usize> = attr_sets[attr_pick]
-            .iter()
-            .map(|a| r.schema().position(a).unwrap())
-            .collect();
-        let idx = HashIndex::build(&r, &attrs);
-
-        let tuples = r.tuples();
-        let mut oracle: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for (i, row) in tuples.iter().enumerate() {
-            let key: Vec<Value> = positions.iter().map(|&p| row.get(p).clone()).collect();
-            oracle.entry(key).or_default().push(i as u32);
-        }
-
-        // Same key set, same posting lists (including order), same
-        // degrees, and round-tripping key ids.
-        prop_assert_eq!(idx.distinct_keys(), oracle.len());
-        prop_assert_eq!(idx.n_keys(), oracle.len());
-        for (key, rows) in &oracle {
-            prop_assert_eq!(idx.rows_matching(key), rows.as_slice());
-            let kid = idx.key_id(key).expect("present key encodes");
-            prop_assert_eq!(idx.key_values(kid), key.as_slice());
-            prop_assert_eq!(idx.postings(kid), rows.as_slice());
-            prop_assert_eq!(idx.degree_of(kid), rows.len());
-            // Projected probes agree with value probes.
-            prop_assert_eq!(idx.key_id_projected(tuples[rows[0] as usize].values(), &positions), Some(kid));
-            // Column-side probes agree too (probing the base relation
-            // itself through its own columns).
-            prop_assert_eq!(idx.key_id_at(&r, &positions, rows[0] as usize), Some(kid));
-        }
-        // entries() enumerates the oracle exactly once per key.
-        let mut enumerated = 0usize;
-        for (key, rows) in idx.entries() {
-            prop_assert_eq!(oracle.get(key).map(Vec::as_slice), Some(rows));
-            enumerated += 1;
-        }
-        prop_assert_eq!(enumerated, oracle.len());
-        // Max-degree edge (0 for the empty relation).
-        prop_assert_eq!(idx.max_degree(), oracle.values().map(Vec::len).max().unwrap_or(0));
-        // Absent (empty-posting) key.
-        let absent: Vec<Value> = positions.iter().map(|_| Value::int(777)).collect();
-        prop_assert!(!oracle.contains_key(&absent));
-        prop_assert!(idx.rows_matching(&absent).is_empty());
-        prop_assert_eq!(idx.key_id(&absent), None);
+    fn csr_postings_match_naive_oracle(
+        r in relation_strategy(),
+        coded in coded_keys_strategy(),
+        attr_pick in 0usize..5,
+        coded_pick in 0usize..7,
+    ) {
+        let attr_sets: [&[&str]; 5] = [&["a"], &["b"], &["a", "s"], &["b", "a", "s"], &["a", "b", "s"]];
+        let coded_sets: [&[&str]; 7] =
+            [&["f"], &["s"], &["m"], &["i"], &["f", "m"], &["i", "s"], &["f", "s", "m", "i"]];
+        assert_index_matches_naive_map(&r, attr_sets[attr_pick]);
+        assert_index_matches_naive_map(&coded, coded_sets[coded_pick]);
     }
 
+    /// The whole-row index (a `HashIndex` over every attribute) answers
+    /// membership exactly as a linear scan does — for every present
+    /// row, and for rows one cell away from a present one (−0.0 for
+    /// +0.0, 0 for NULL, …).
     #[test]
-    fn membership_matches_linear_scan(r in relation_strategy()) {
-        let m = RowMembership::build(&r);
-        for row in r.tuples() {
-            prop_assert!(m.contains(&row));
+    fn membership_matches_linear_scan(r in relation_strategy(), coded in coded_keys_strategy()) {
+        for r in [&r, &coded] {
+            let m = HashIndex::build(r, r.schema().attrs());
+            let all: Vec<usize> = (0..r.schema().arity()).collect();
+            let rows = r.tuples();
+            for row in &rows {
+                prop_assert!(m.key_id_projected(row.values(), &all).is_some());
+            }
+            for near in one_cell_away(&rows) {
+                let present = rows.contains(&near);
+                prop_assert_eq!(m.key_id_projected(near.values(), &all).is_some(), present, "{}", near);
+            }
+            let absent = Tuple::new(vec![Value::str("zz"); all.len()]);
+            prop_assert!(m.key_id_projected(absent.values(), &all).is_none());
         }
-        let absent = Tuple::new(vec![Value::int(999), Value::int(999), Value::str("zz")]);
-        prop_assert!(!m.contains(&absent));
     }
 
     #[test]

@@ -549,17 +549,15 @@ mod tests {
     fn skew_increases_fk_concentration() {
         let uniform = TpchConfig::new(4, 9);
         let skewed = TpchConfig::new(4, 9).with_skew(1.5);
-        let max_deg = |cfg: &TpchConfig| {
-            let o = orders(cfg, "o", 0, 1.0);
-            suj_storage::HashIndex::build_single(&o, "custkey").max_degree()
-        };
+        let custkey = |o: &Relation| suj_storage::HashIndex::build(o, &["custkey".into()]);
+        let max_deg = |cfg: &TpchConfig| custkey(&orders(cfg, "o", 0, 1.0)).max_degree();
         let mu = max_deg(&uniform);
         let ms = max_deg(&skewed);
         assert!(ms > mu * 2, "skewed max degree {ms} vs uniform {mu}");
         // Hot keys are the low ranks.
-        let o = orders(&skewed, "o", 0, 1.0);
-        let idx = suj_storage::HashIndex::build_single(&o, "custkey");
-        assert!(idx.degree(&[Value::int(0)]) > idx.degree(&[Value::int(50)]));
+        let idx = custkey(&orders(&skewed, "o", 0, 1.0));
+        let degree = |k: i64| idx.rows_matching_projected(&[Value::int(k)], &[0]).len();
+        assert!(degree(0) > degree(50));
     }
 
     #[test]

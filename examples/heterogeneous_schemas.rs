@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Template selection (§8.1.1): a shared attribute ordering. ---
     let specs: Vec<&JoinSpec> = workload.joins().iter().map(|j| j.as_ref()).collect();
-    let template = build_template(&specs, 0.0)?;
+    let template = build_template(&specs)?;
     println!(
         "\nstandard template (cost {:.1}): {}",
         template.cost,
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Overlap bounds from the splits (Theorem 4). ---
     let sizes = workload.exact_join_sizes()?;
-    let est = HistogramEstimator::new(&workload, DegreeMode::Max, sizes, 0.0)?;
+    let est = HistogramEstimator::new(&workload, DegreeMode::Max, sizes)?;
     let exact = full_join_union(&workload)?;
     println!("\noverlap bounds vs truth:");
     for delta in [vec![0usize, 1], vec![0, 2], vec![1, 2], vec![0, 1, 2]] {
@@ -80,7 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sampler = SamplerBuilder::for_workload(workload.clone())
         .estimator(Estimator::Histogram(HistogramOptions {
             exact_size_hints: true,
-            ..Default::default()
         }))
         .strategy(Strategy::Rejection)
         .build()?;

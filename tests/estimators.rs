@@ -65,7 +65,7 @@ fn histogram_bounds_dominate_truth() {
     ] {
         let exact = full_join_union(&w).unwrap();
         let sizes = w.exact_join_sizes().unwrap();
-        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes, 0.0).unwrap();
+        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes).unwrap();
         let n = w.n_joins();
         for a in 0..n {
             for b in (a + 1)..n {
@@ -195,7 +195,7 @@ fn histogram_bounds_hold_on_cyclic_workload() {
     let w = uq4_cyclic(&UqOptions::new(1, 38, 0.3)).unwrap();
     let exact = full_join_union(&w).unwrap();
     let sizes = w.exact_join_sizes().unwrap();
-    let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes, 0.0).unwrap();
+    let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes).unwrap();
     for a in 0..3 {
         for b in (a + 1)..3 {
             let bound = est.estimate_overlap(&[a, b]);

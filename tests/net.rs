@@ -251,6 +251,73 @@ fn prepare_payload_with_a_trailing_byte_is_a_bad_request() {
     server.join().unwrap();
 }
 
+/// The bytes of [`union_query`] with a predicate built by hand: `Some`,
+/// then `levels` (one per nesting level), then `True`. A `Predicate`
+/// value that deep could not even be dropped without overflowing the
+/// stack, so the test never builds one.
+fn prepare_with_nested_predicate(levels: &[u8]) -> Vec<u8> {
+    let plain = union_query().to_bytes();
+    // The query ends with its predicate (`false`: none) and its
+    // predicate mode (tag 0: none).
+    let tail = [false.to_bytes(), 0u8.to_bytes()].concat();
+    assert!(plain.ends_with(&tail));
+    let mut bytes = plain[..plain.len() - tail.len()].to_vec();
+    bytes.extend(true.to_bytes());
+    bytes.extend(levels);
+    bytes.extend(0u8.to_bytes()); // `True`
+    bytes.extend(0u8.to_bytes()); // no predicate mode
+    bytes
+}
+
+/// A predicate nested past the decoder's depth bound is refused as
+/// corrupt — by `decode_payload`, and by a live server as
+/// `ERR_BAD_REQUEST` on a connection that still answers the next
+/// request — instead of overflowing the stack, which would abort the
+/// process.
+#[test]
+fn deeply_nested_predicates_are_refused_not_a_stack_overflow() {
+    let not = 4u8.to_bytes();
+    let and_of_one = [2u8.to_bytes(), 1u64.to_bytes()].concat();
+    let shallow = prepare_with_nested_predicate(&[not.repeat(8), and_of_one.repeat(8)].concat());
+    let query = decode_payload::<UnionQuery>("Prepare", &shallow).unwrap();
+    assert_eq!(query.to_bytes(), shallow);
+    let deep_not = prepare_with_nested_predicate(&not.repeat(1 << 20));
+    let deep_and = prepare_with_nested_predicate(&and_of_one.repeat(1 << 17));
+    for deep in [&deep_not, &deep_and] {
+        let err = decode_payload::<UnionQuery>("Prepare", deep).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+    }
+
+    let server = Server::bind(
+        default_engine(),
+        "127.0.0.1:0",
+        ServiceConfig::with_workers(1),
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    for (request_id, payload, opcode) in [
+        (7, deep_not, protocol::OP_ERROR),
+        (8, union_query().to_bytes(), protocol::OP_PREPARED),
+    ] {
+        let request = Frame {
+            opcode: protocol::OP_PREPARE,
+            request_id,
+            payload,
+        };
+        request.write_to(&mut stream).unwrap();
+        let response = Frame::read_from(&mut stream).unwrap();
+        assert_eq!((response.opcode, response.request_id), (opcode, request_id));
+        if opcode == protocol::OP_ERROR {
+            let ErrorReply { code, message } = decode_payload("Error", &response.payload).unwrap();
+            assert_eq!(code, ERR_BAD_REQUEST);
+            assert!(message.contains("nested deeper"), "{message}");
+        }
+    }
+    drop(stream);
+    server.stop();
+    server.join().unwrap();
+}
+
 /// A request whose deadline budget cannot possibly be met comes back
 /// as the typed [`NetError::DeadlineExceeded`] — and a generous budget
 /// changes nothing about the sampled bits.

@@ -224,7 +224,7 @@ proptest! {
         let w = UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)]).unwrap();
         let exact = full_join_union(&w).unwrap();
         let sizes = w.exact_join_sizes().unwrap();
-        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes, 0.0).unwrap();
+        let est = HistogramEstimator::new(&w, DegreeMode::Max, sizes).unwrap();
         let bound = est.estimate_overlap(&[0, 1]);
         let truth = exact.overlap.overlap(&[0, 1]);
         prop_assert!(bound >= truth - 1e-6, "bound {} < truth {}", bound, truth);
