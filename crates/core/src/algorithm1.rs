@@ -185,10 +185,6 @@ impl UnionSampler for SetUnionSampler {
         &mut self.step.report
     }
 
-    fn emitted(&self) -> u64 {
-        self.step.emitted
-    }
-
     fn workload(&self) -> &Arc<UnionWorkload> {
         &self.step.workload
     }
@@ -506,7 +502,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(emitted, sampler.emitted());
+        assert_eq!(emitted, sampler.report().accepted);
         assert_eq!(retracted, sampler.report().revision_removed);
     }
 }

@@ -394,10 +394,6 @@ impl UnionSampler for OnlineUnionSampler {
         &mut self.report
     }
 
-    fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     fn workload(&self) -> &Arc<UnionWorkload> {
         &self.workload
     }
@@ -626,7 +622,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(live.len() as u64, sampler.emitted());
+        assert_eq!(live.len() as u64, sampler.report().accepted);
         assert_eq!(
             retractions,
             sampler.report().backtrack_dropped + sampler.report().revision_removed

@@ -130,10 +130,6 @@ impl UnionSampler for DisjointUnionSampler {
         &mut self.step.report
     }
 
-    fn emitted(&self) -> u64 {
-        self.step.emitted
-    }
-
     fn workload(&self) -> &Arc<UnionWorkload> {
         &self.step.workload
     }
@@ -292,7 +288,7 @@ mod tests {
             for _ in 0..500 {
                 assert!(matches!(sampler.draw(&mut rng).unwrap(), Draw::Tuple(..)));
             }
-            assert_eq!(sampler.emitted(), 500);
+            assert_eq!(sampler.report().accepted, 500);
         }
     }
 

@@ -477,16 +477,13 @@ impl Plan {
     /// the caller pinned it, or a snapshot restored it.
     pub fn summary(&self) -> PlanSummary {
         PlanSummary {
-            strategy: self.strategy.to_string(),
-            estimator: match &self.estimator {
-                Some(est) => est.to_string(),
-                None => "online".to_string(),
-            },
-            weights: self.weights.map(|w| w.label().to_string()),
-            cover: self.cover_strategy.map(|cs| cs.label().to_string()),
-            predicate: self.predicate_mode.map(|m| m.label().to_string()),
-            sizing: self.sizing.map(|s| s.label().to_string()),
-            rule: (self.rule != PlanRule::Explicit).then(|| self.rule.name().to_string()),
+            strategy: self.strategy.label(),
+            estimator: self.estimator.as_ref().map_or("online", Estimator::label),
+            weights: self.weights.map(Labeled::label),
+            cover: self.cover_strategy.map(Labeled::label),
+            predicate: self.predicate_mode.map(Labeled::label),
+            sizing: self.sizing.map(Labeled::label),
+            rule: (self.rule != PlanRule::Explicit).then(|| self.rule.name()),
         }
     }
 
@@ -792,8 +789,8 @@ mod tests {
         assert!(matches!(plan.strategy, Strategy::Rejection));
         assert_eq!(plan.weights, Some(WeightKind::AgmBox));
         let summary = plan.summary();
-        assert_eq!(summary.rule.as_deref(), Some("cyclic-join"));
-        assert_eq!(summary.weights.as_deref(), Some("agm-box"));
+        assert_eq!(summary.rule, Some("cyclic-join"));
+        assert_eq!(summary.weights, Some("agm-box"));
         let explain = plan.explain();
         assert!(explain.contains("AGM"), "{explain}");
         assert!(explain.contains("cyclic-join"), "{explain}");
@@ -830,7 +827,7 @@ mod tests {
     fn acyclic_plans_still_use_exact_weights() {
         let plan = Planner::default().plan(&identical_workload(), UnionSemantics::Set);
         assert_eq!(plan.weights, Some(WeightKind::Exact));
-        assert_eq!(plan.summary().weights.as_deref(), Some("exact"));
+        assert_eq!(plan.summary().weights, Some("exact"));
     }
 
     #[test]
@@ -851,7 +848,7 @@ mod tests {
         let plan = Planner::default().plan(&w, UnionSemantics::Set);
         let summary = plan.summary();
         assert_eq!(summary.strategy, "rejection");
-        assert_eq!(summary.rule.as_deref(), Some("high-overlap"));
+        assert_eq!(summary.rule, Some("high-overlap"));
         assert!(summary.cover.is_some());
     }
 

@@ -197,10 +197,6 @@ impl UnionSampler for PredicateSampler {
         self.inner.report_mut()
     }
 
-    fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     fn workload(&self) -> &Arc<UnionWorkload> {
         self.inner.workload()
     }

@@ -5,6 +5,11 @@
 //! answers, producing rejected answers, reuse-phase draws, revisions,
 //! and backtracking — the quantities the paper's time-breakdown and
 //! per-phase figures plot.
+//!
+//! Reports combine one way only, by [`RunReport::merge`]. A handle's
+//! report is cumulative; a batch call counts into a fresh report and
+//! folds it into the handle's once, and the serving pool folds each
+//! request's report into its aggregate.
 
 use std::fmt;
 use std::time::Duration;
@@ -18,20 +23,23 @@ use std::time::Duration;
 /// report means every table row can identify which configuration
 /// produced it, including configurations the planner picked on the
 /// caller's behalf ([`Strategy::Auto`](crate::session::Strategy)).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Every field is a static label, so the summary is `Copy`: stamping
+/// it into a minted handle or folding a report copies no string.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanSummary {
     /// Sampling strategy, e.g. `rejection` or `bernoulli(record)`.
-    pub strategy: String,
+    pub strategy: &'static str,
     /// Parameter estimator, e.g. `exact` or `histogram(EO)`; `online`
     /// when the strategy estimates while sampling.
-    pub estimator: String,
+    pub estimator: &'static str,
     /// Per-join weight instantiation, e.g. `exact` or `agm-box`;
     /// `None` when the strategy picks its own weights (online).
-    pub weights: Option<String>,
+    pub weights: Option<&'static str>,
     /// Cover ordering, for strategies that build a cover.
-    pub cover: Option<String>,
+    pub cover: Option<&'static str>,
     /// Predicate mode, when a selection predicate is attached.
-    pub predicate: Option<String>,
+    pub predicate: Option<&'static str>,
     /// Provenance of the join-size figures the plan consumed
     /// ([`Sizing`](crate::planner::Sizing)): `exact` when every size is
     /// an integer join cardinality (Exact-Weight count tables or the
@@ -39,29 +47,29 @@ pub struct PlanSummary {
     /// histogram bound, `walk` when some is a §6 random-walk estimate,
     /// `bound` when some is the upper bound a member sampler rejects
     /// against; `None` when no sizes drove the decision.
-    pub sizing: Option<String>,
+    pub sizing: Option<&'static str>,
     /// The planner rule that selected this configuration, when it came
     /// from [`Strategy::Auto`](crate::session::Strategy) or the
     /// [`Engine`](crate::catalog::Engine) rather than explicit calls.
-    pub rule: Option<String>,
+    pub rule: Option<&'static str>,
 }
 
 impl fmt::Display for PlanSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "strategy={} estimator={}", self.strategy, self.estimator)?;
-        if let Some(weights) = &self.weights {
+        if let Some(weights) = self.weights {
             write!(f, " weights={weights}")?;
         }
-        if let Some(cover) = &self.cover {
+        if let Some(cover) = self.cover {
             write!(f, " cover={cover}")?;
         }
-        if let Some(predicate) = &self.predicate {
+        if let Some(predicate) = self.predicate {
             write!(f, " predicate={predicate}")?;
         }
-        if let Some(sizing) = &self.sizing {
+        if let Some(sizing) = self.sizing {
             write!(f, " sizing={sizing}")?;
         }
-        if let Some(rule) = &self.rule {
+        if let Some(rule) = self.rule {
             write!(f, " rule={rule}")?;
         }
         Ok(())
@@ -148,17 +156,6 @@ impl LatencyHistogram {
     pub fn p99(&self) -> Option<Duration> {
         self.percentile(0.99)
     }
-
-    /// Counts accrued since `baseline` (an earlier snapshot of the same
-    /// histogram).
-    fn delta_since(&self, baseline: &LatencyHistogram) -> LatencyHistogram {
-        let mut out = LatencyHistogram::default();
-        for (i, (a, b)) in self.counts.iter().zip(&baseline.counts).enumerate() {
-            out.counts[i] = a.saturating_sub(*b);
-        }
-        out.recorded = self.recorded.saturating_sub(baseline.recorded);
-        out
-    }
 }
 
 /// Counters and timings for one sampling run.
@@ -197,8 +194,8 @@ pub struct RunReport {
     /// membership indexes) plus its shared join samplers (count tables,
     /// alias arenas, indexes) — stamped at freeze on every handle a
     /// [`PreparedQuery`](crate::catalog::PreparedQuery) mints. A
-    /// property of the prepared state, not a counter: `delta_since`
-    /// carries it through and `merge` keeps the maximum.
+    /// property of the prepared state, not a counter: a per-call report
+    /// keeps it and `merge` keeps the maximum.
     pub prepared_bytes: u64,
     /// Size in bytes of the snapshot this prepared artifact was
     /// restored from; 0 when it was frozen in-process. Same property
@@ -207,9 +204,8 @@ pub struct RunReport {
     /// Wall time of the snapshot restore that produced this prepared
     /// artifact (zero when frozen in-process) — the load half of the
     /// load-vs-prepare comparison, where
-    /// [`warmup_time`](Self::warmup_time) is the prepare half. Property
-    /// semantics: `delta_since` carries it through, `merge` keeps the
-    /// maximum.
+    /// [`warmup_time`](Self::warmup_time) is the prepare half. Same
+    /// property semantics as [`prepared_bytes`](Self::prepared_bytes).
     pub restore_time: Duration,
     /// The resolved configuration that produced this run (stamped by
     /// [`SamplerBuilder::build`](crate::session::SamplerBuilder::build)).
@@ -291,57 +287,27 @@ impl RunReport {
         }
     }
 
-    /// Counters and timings accrued since `baseline` (which must be an
-    /// earlier snapshot of the same report). Samplers accumulate one
-    /// cumulative report across their lifetime; batch APIs use this to
-    /// return per-call reports.
-    pub fn delta_since(&self, baseline: &RunReport) -> RunReport {
-        let dur = |a: Duration, b: Duration| a.checked_sub(b).unwrap_or_default();
+    /// A report over the same prepared state with every counter, timing
+    /// and latency at zero: `config`, `prepared_bytes`, `snapshot_bytes`
+    /// and `restore_time` are kept. A batch call counts into one and
+    /// [`merge`](Self::merge)s it into the handle's cumulative report.
+    pub(crate) fn fresh(&self) -> RunReport {
         RunReport {
-            accepted: self.accepted.saturating_sub(baseline.accepted),
-            rejected_cover: self.rejected_cover.saturating_sub(baseline.rejected_cover),
-            rejected_join: self.rejected_join.saturating_sub(baseline.rejected_join),
-            revised: self.revised.saturating_sub(baseline.revised),
-            revision_removed: self
-                .revision_removed
-                .saturating_sub(baseline.revision_removed),
-            reuse_accepted: self.reuse_accepted.saturating_sub(baseline.reuse_accepted),
-            reuse_copies: self.reuse_copies.saturating_sub(baseline.reuse_copies),
-            reuse_rejected: self.reuse_rejected.saturating_sub(baseline.reuse_rejected),
-            backtrack_dropped: self
-                .backtrack_dropped
-                .saturating_sub(baseline.backtrack_dropped),
-            rejected_predicate: self
-                .rejected_predicate
-                .saturating_sub(baseline.rejected_predicate),
-            update_rounds: self.update_rounds.saturating_sub(baseline.update_rounds),
-            join_draws: self
-                .join_draws
-                .iter()
-                .enumerate()
-                .map(|(j, &d)| d.saturating_sub(baseline.join_draws.get(j).copied().unwrap_or(0)))
-                .collect(),
+            join_draws: vec![0; self.join_draws.len()],
             prepared_bytes: self.prepared_bytes,
             snapshot_bytes: self.snapshot_bytes,
             restore_time: self.restore_time,
-            config: self.config.clone(),
-            draw_latency: self.draw_latency.delta_since(&baseline.draw_latency),
-            warmup_time: dur(self.warmup_time, baseline.warmup_time),
-            accepted_time: dur(self.accepted_time, baseline.accepted_time),
-            rejected_time: dur(self.rejected_time, baseline.rejected_time),
-            reuse_time: dur(self.reuse_time, baseline.reuse_time),
-            update_time: dur(self.update_time, baseline.update_time),
+            config: self.config,
+            ..RunReport::default()
         }
     }
 
     /// Folds another report's counters, timings, and latency histogram
-    /// into this one — the aggregation direction
-    /// ([`delta_since`](Self::delta_since) is the subtraction
-    /// direction). Used to accumulate per-handle / per-request deltas
-    /// into a [`PreparedQuery`](crate::catalog::PreparedQuery) or
-    /// [`SamplingService`](crate::serve::SamplingService) aggregate. A
-    /// missing `config` is adopted from `other`; an existing one is
-    /// kept.
+    /// into this one — the only way reports combine. A batch call
+    /// folds its report into the handle's cumulative one, and the
+    /// [`SamplingService`](crate::serve::SamplingService) folds every
+    /// request's into its aggregate. A missing `config` is adopted from
+    /// `other`; an existing one is kept.
     pub fn merge(&mut self, other: &RunReport) {
         // Exhaustive destructuring: adding a field to `RunReport` must
         // fail to compile until aggregation handles it.
@@ -392,7 +358,7 @@ impl RunReport {
             *a += b;
         }
         if self.config.is_none() {
-            self.config.clone_from(config);
+            self.config = *config;
         }
         self.draw_latency.merge(draw_latency);
         self.warmup_time += *warmup_time;
@@ -510,21 +476,23 @@ mod tests {
     }
 
     #[test]
-    fn config_survives_delta_copy_and_summary() {
+    fn config_survives_fresh_copy_and_summary() {
         let mut r = RunReport::new(1);
         r.config = Some(PlanSummary {
-            strategy: "rejection".into(),
-            estimator: "histogram(EO)".into(),
-            weights: Some("exact".into()),
-            cover: Some("as-given".into()),
+            strategy: "rejection",
+            estimator: "histogram(EO)",
+            weights: Some("exact"),
+            cover: Some("as-given"),
             predicate: None,
             sizing: None,
             rule: None,
         });
         r.accepted = 3;
-        let baseline = RunReport::new(1);
-        let delta = r.delta_since(&baseline);
-        assert_eq!(delta.config, r.config);
+        r.draw_latency.record(Duration::from_micros(1));
+        let fresh = r.fresh();
+        assert_eq!(fresh.config, r.config);
+        assert_eq!((fresh.accepted, fresh.join_draws.len()), (0, 1));
+        assert!(fresh.draw_latency.is_empty());
         let s = r.summary();
         assert!(s.contains("strategy=rejection"), "{s}");
         assert!(s.contains("estimator=histogram(EO)"), "{s}");
@@ -564,34 +532,33 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_merge_and_delta() {
+    fn latency_histogram_merge() {
         let mut a = LatencyHistogram::default();
         a.record(Duration::from_nanos(100));
-        let baseline = a.clone();
         a.record(Duration::from_micros(100));
-        let delta = a.delta_since(&baseline);
-        assert_eq!(delta.count(), 1);
         let mut b = LatencyHistogram::default();
+        b.record(Duration::from_micros(100));
         b.merge(&a);
-        b.merge(&delta);
         assert_eq!(b.count(), 3);
+        assert_eq!(b.percentile(0.0), a.percentile(0.0));
+        assert_eq!(b.percentile(1.0), a.percentile(1.0));
     }
 
     #[test]
     fn merge_accumulates_counters_and_latency() {
         let mut total = RunReport::new(2);
-        let mut delta = RunReport::new(2);
-        delta.accepted = 5;
-        delta.rejected_cover = 2;
-        delta.join_draws = vec![3, 4];
-        delta.draw_latency.record(Duration::from_micros(1));
-        delta.accepted_time = Duration::from_millis(2);
-        delta.config = Some(PlanSummary {
-            strategy: "rejection".into(),
+        let mut call = RunReport::new(2);
+        call.accepted = 5;
+        call.rejected_cover = 2;
+        call.join_draws = vec![3, 4];
+        call.draw_latency.record(Duration::from_micros(1));
+        call.accepted_time = Duration::from_millis(2);
+        call.config = Some(PlanSummary {
+            strategy: "rejection",
             ..Default::default()
         });
-        total.merge(&delta);
-        total.merge(&delta);
+        total.merge(&call);
+        total.merge(&call);
         assert_eq!(total.accepted, 10);
         assert_eq!(total.rejected_cover, 4);
         assert_eq!(total.join_draws, vec![6, 8]);
@@ -604,38 +571,36 @@ mod tests {
     #[test]
     fn prepared_bytes_is_a_property_not_a_counter() {
         let mut total = RunReport::new(1);
-        let mut delta = RunReport::new(1);
-        delta.prepared_bytes = 4096;
-        total.merge(&delta);
-        total.merge(&delta);
+        let mut call = RunReport::new(1);
+        call.prepared_bytes = 4096;
+        total.merge(&call);
+        total.merge(&call);
         // Folding reports over the same prepared artifact keeps the
         // footprint, never doubles it.
         assert_eq!(total.prepared_bytes, 4096);
-        // delta_since carries the property through.
-        let baseline = RunReport::new(1);
-        assert_eq!(delta.delta_since(&baseline).prepared_bytes, 4096);
+        // A fresh per-call report carries the property through.
+        assert_eq!(call.fresh().prepared_bytes, 4096);
         // Surfaced in the summary only when known.
-        assert!(delta.summary().contains("prepared_bytes=4096"));
+        assert!(call.summary().contains("prepared_bytes=4096"));
         assert!(!RunReport::new(1).summary().contains("prepared_bytes"));
     }
 
     #[test]
     fn snapshot_cost_is_a_property_not_a_counter() {
         let mut total = RunReport::new(1);
-        let mut delta = RunReport::new(1);
-        delta.snapshot_bytes = 1024;
-        delta.restore_time = Duration::from_millis(7);
-        total.merge(&delta);
-        total.merge(&delta);
+        let mut call = RunReport::new(1);
+        call.snapshot_bytes = 1024;
+        call.restore_time = Duration::from_millis(7);
+        total.merge(&call);
+        total.merge(&call);
         assert_eq!(total.snapshot_bytes, 1024);
         assert_eq!(total.restore_time, Duration::from_millis(7));
-        let baseline = RunReport::new(1);
-        let d = delta.delta_since(&baseline);
+        let d = call.fresh();
         assert_eq!(d.snapshot_bytes, 1024);
         assert_eq!(d.restore_time, Duration::from_millis(7));
         // Printed only for restored artifacts.
-        assert!(delta.summary().contains("snapshot_bytes=1024"));
-        assert!(delta.summary().contains("restore_time"));
+        assert!(call.summary().contains("snapshot_bytes=1024"));
+        assert!(call.summary().contains("restore_time"));
         assert!(!RunReport::new(1).summary().contains("snapshot_bytes"));
     }
 

@@ -84,15 +84,12 @@ pub trait UnionSampler: Send {
     /// Cumulative counters and timings since construction.
     fn report(&self) -> &RunReport;
 
-    /// Mutable access to the cumulative report. Exists so the builder
-    /// and engine can stamp the resolved configuration
-    /// ([`RunReport::config`]) into the sampler they assembled; not
-    /// intended for mutating counters.
+    /// Mutable access to the report the sampler counts into. Exists so
+    /// the builder and engine can stamp the resolved configuration
+    /// ([`RunReport::config`]) into the sampler they assembled, and so
+    /// a batch call can count into a fresh report; not intended for
+    /// mutating counters.
     fn report_mut(&mut self) -> &mut RunReport;
-
-    /// Total `Draw::Tuple` events emitted so far (the next tuple's
-    /// emission index).
-    fn emitted(&self) -> u64;
 
     /// The workload being sampled.
     fn workload(&self) -> &Arc<UnionWorkload>;
@@ -106,7 +103,7 @@ pub trait UnionSampler: Send {
     }
 
     /// Draws until `n` samples are *live* (emitted and not retracted),
-    /// returning them with the report delta for this call.
+    /// returning them with the report of this call.
     ///
     /// This reproduces the batch semantics of the paper's algorithms:
     /// retractions arriving during the batch remove their tuples from
@@ -131,56 +128,77 @@ pub trait UnionSampler: Send {
     /// bit-identical to [`sample`](UnionSampler::sample) with no
     /// deadline at all (the serving tier's determinism contract depends
     /// on this).
+    ///
+    /// The call counts into a fresh report (zero counters, the handle's
+    /// configuration and footprint), which is merged into the handle's
+    /// cumulative [`report`](UnionSampler::report) on every way out —
+    /// a deadline or a draw error included — and returned on success.
     fn sample_within(
         &mut self,
         n: usize,
         rng: &mut SujRng,
         deadline: Option<std::time::Instant>,
     ) -> Result<(Vec<Tuple>, RunReport), CoreError> {
-        let baseline = self.report().clone();
-        let mut out: Vec<Tuple> = Vec::with_capacity(n);
-        // Retraction books, kept only for samplers that can retract:
-        // emission index → position in `out`, and which positions died.
-        let books = self.may_retract();
-        let mut position: FxHashMap<u64, usize> = FxHashMap::default();
-        let mut removed: Vec<bool> = Vec::new();
-        let mut live = 0usize;
-        let mut now = std::time::Instant::now();
-        while live < n {
-            if deadline.is_some_and(|d| now >= d) {
-                return Err(CoreError::DeadlineExceeded);
-            }
-            let event = self.draw(rng);
-            let end = std::time::Instant::now();
-            self.report_mut().draw_latency.record(end - now);
-            now = end;
-            match event? {
-                Draw::Tuple(idx, t) => {
-                    if books {
-                        position.insert(idx, out.len());
-                        removed.push(false);
-                    }
-                    out.push(t);
-                    live += 1;
-                }
-                Draw::Retract(idx) => {
-                    // Indices absent from the map belong to earlier
-                    // batches the caller already consumed.
-                    if let Some(&i) = position.get(&idx) {
-                        if !removed[i] {
-                            removed[i] = true;
-                            live -= 1;
-                        }
-                    }
-                }
-            }
-        }
-        if live < out.len() {
-            let mut dead = removed.into_iter();
-            out.retain(|_| !dead.next().expect("one flag per emission"));
-        }
-        Ok((out, self.report().delta_since(&baseline)))
+        let fresh = self.report().fresh();
+        let cumulative = std::mem::replace(self.report_mut(), fresh);
+        let out = draw_live(self, n, rng, deadline);
+        let call = std::mem::replace(self.report_mut(), cumulative);
+        self.report_mut().merge(&call);
+        Ok((out?, call))
     }
+}
+
+/// The batch loop of [`UnionSampler::sample_within`]: draws until `n`
+/// samples are live, recording each event's latency in the sampler's
+/// report.
+fn draw_live<S: UnionSampler + ?Sized>(
+    sampler: &mut S,
+    n: usize,
+    rng: &mut SujRng,
+    deadline: Option<std::time::Instant>,
+) -> Result<Vec<Tuple>, CoreError> {
+    let mut out: Vec<Tuple> = Vec::with_capacity(n);
+    // Retraction books, kept only for samplers that can retract:
+    // emission index → position in `out`, and which positions died.
+    let books = sampler.may_retract();
+    let mut position: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut removed: Vec<bool> = Vec::new();
+    let mut live = 0usize;
+    let mut now = std::time::Instant::now();
+    while live < n {
+        if deadline.is_some_and(|d| now >= d) {
+            return Err(CoreError::DeadlineExceeded);
+        }
+        let event = sampler.draw(rng);
+        let end = std::time::Instant::now();
+        sampler.report_mut().draw_latency.record(end - now);
+        now = end;
+        match event? {
+            Draw::Tuple(idx, t) => {
+                if books {
+                    position.insert(idx, out.len());
+                    removed.push(false);
+                }
+                out.push(t);
+                live += 1;
+            }
+            Draw::Retract(idx) => {
+                // Indices absent from the map belong to earlier
+                // batches the caller already consumed.
+                if let Some(&i) = position.get(&idx) {
+                    if !removed[i] {
+                        removed[i] = true;
+                        live -= 1;
+                    }
+                }
+            }
+        }
+    }
+    if live < out.len() {
+        let mut dead = removed.into_iter();
+        out.retain(|_| !dead.next().expect("one flag per emission"));
+    }
+    Ok(out)
 }
 
 impl<S: UnionSampler + ?Sized> UnionSampler for Box<S> {
@@ -194,10 +212,6 @@ impl<S: UnionSampler + ?Sized> UnionSampler for Box<S> {
 
     fn report_mut(&mut self) -> &mut RunReport {
         (**self).report_mut()
-    }
-
-    fn emitted(&self) -> u64 {
-        (**self).emitted()
     }
 
     fn workload(&self) -> &Arc<UnionWorkload> {
@@ -233,7 +247,8 @@ mod tests {
     /// sampler whose queued burst copies straddle batch boundaries.
     struct Scripted {
         events: VecDeque<Draw>,
-        emitted: u64,
+        /// Wall time each draw takes.
+        pause: std::time::Duration,
         report: RunReport,
         workload: Arc<UnionWorkload>,
     }
@@ -252,7 +267,7 @@ mod tests {
             let workload = Arc::new(UnionWorkload::new(vec![Arc::new(spec)]).unwrap());
             Self {
                 events: events.into(),
-                emitted: 0,
+                pause: std::time::Duration::ZERO,
                 report: RunReport::new(1),
                 workload,
             }
@@ -261,9 +276,9 @@ mod tests {
 
     impl UnionSampler for Scripted {
         fn draw(&mut self, _rng: &mut SujRng) -> Result<Draw, CoreError> {
+            std::thread::sleep(self.pause);
             let event = self.events.pop_front().expect("script exhausted");
             if let Draw::Tuple(..) = &event {
-                self.emitted += 1;
                 self.report.accepted += 1;
             }
             self.events
@@ -277,10 +292,6 @@ mod tests {
 
         fn report_mut(&mut self) -> &mut RunReport {
             &mut self.report
-        }
-
-        fn emitted(&self) -> u64 {
-            self.emitted
         }
 
         fn workload(&self) -> &Arc<UnionWorkload> {
@@ -344,5 +355,30 @@ mod tests {
         assert_eq!(batch1, vec![t(20)]);
         let (batch2, _) = sampler.sample(2, &mut rng).unwrap();
         assert_eq!(batch2, vec![t(21), t(22)]);
+    }
+
+    /// A call cut short by its deadline still folds what it counted
+    /// into the handle's cumulative report, and the next call's report
+    /// counts that call alone.
+    #[test]
+    fn deadline_folds_partial_counts_into_the_cumulative_report() {
+        let mut sampler = Scripted::new(vec![Draw::Tuple(0, t(1))]);
+        sampler.pause = std::time::Duration::from_millis(2);
+        let mut rng = SujRng::seed_from_u64(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(20);
+        assert!(matches!(
+            sampler.sample_within(10_000, &mut rng, Some(deadline)),
+            Err(CoreError::DeadlineExceeded)
+        ));
+        let partial = sampler.report().accepted;
+        assert!((1..10_000).contains(&partial), "{partial} draws");
+        assert_eq!(sampler.report().draw_latency.count(), partial);
+
+        sampler.pause = std::time::Duration::ZERO;
+        let (tuples, call) = sampler.sample(3, &mut rng).unwrap();
+        assert_eq!((tuples.len(), call.accepted), (3, 3));
+        assert_eq!(call.draw_latency.count(), 3);
+        assert_eq!(sampler.report().accepted, partial + 3);
+        assert_eq!(sampler.report().draw_latency.count(), partial + 3);
     }
 }

@@ -339,27 +339,14 @@ pub struct ServiceStats {
     pub in_flight: u64,
     /// Total tuples across all completed responses.
     pub tuples_served: u64,
-    /// Median per-draw latency across all served requests.
-    pub draw_p50: Option<Duration>,
-    /// 99th-percentile per-draw latency across all served requests.
-    pub draw_p99: Option<Duration>,
     /// Median service time of a completed request (dequeue to result).
     pub request_p50: Option<Duration>,
     /// 99th-percentile service time of a completed request.
     pub request_p99: Option<Duration>,
-    /// Approximate resident bytes of the largest prepared artifact
-    /// served so far: its workload plus its shared join samplers, as
-    /// the freeze stamps them
-    /// ([`RunReport::prepared_bytes`](crate::report::RunReport::prepared_bytes)).
-    pub prepared_bytes: u64,
-    /// Size of the snapshot the served prepared artifact was restored
-    /// from; 0 when everything served so far was frozen in-process.
-    pub snapshot_bytes: u64,
-    /// Wall time of the snapshot restore behind the served artifact
-    /// (zero when frozen in-process) — compare against the aggregate's
-    /// `warmup_time` for load-vs-prepare.
-    pub restore_time: Duration,
-    /// Cumulative counters folded over every served request.
+    /// Cumulative counters folded over every served request. Its
+    /// `draw_latency` holds the per-draw percentiles across all served
+    /// requests; `prepared_bytes`, `snapshot_bytes` and `restore_time`
+    /// are those of the largest prepared artifact served so far.
     pub aggregate: RunReport,
 }
 
@@ -375,20 +362,22 @@ impl fmt::Display for ServiceStats {
             self.in_flight,
             self.tuples_served,
         )?;
-        if let (Some(p50), Some(p99)) = (self.draw_p50, self.draw_p99) {
+        let aggregate = &self.aggregate;
+        let draws = &aggregate.draw_latency;
+        if let (Some(p50), Some(p99)) = (draws.p50(), draws.p99()) {
             write!(f, " draw_p50≤{p50:?} draw_p99≤{p99:?}")?;
         }
         if let (Some(p50), Some(p99)) = (self.request_p50, self.request_p99) {
             write!(f, " request_p50≤{p50:?} request_p99≤{p99:?}")?;
         }
-        if self.prepared_bytes > 0 {
-            write!(f, " prepared_bytes={}", self.prepared_bytes)?;
+        if aggregate.prepared_bytes > 0 {
+            write!(f, " prepared_bytes={}", aggregate.prepared_bytes)?;
         }
-        if self.snapshot_bytes > 0 {
+        if aggregate.snapshot_bytes > 0 {
             write!(
                 f,
                 " snapshot_bytes={} restore_time={:?}",
-                self.snapshot_bytes, self.restore_time
+                aggregate.snapshot_bytes, aggregate.restore_time
             )?;
         }
         Ok(())
@@ -612,13 +601,8 @@ impl SamplingService {
             failed,
             in_flight: submitted.saturating_sub(completed + failed),
             tuples_served: self.counters.tuples_served.load(Ordering::Relaxed),
-            draw_p50: aggregate.draw_latency.p50(),
-            draw_p99: aggregate.draw_latency.p99(),
             request_p50: request_latency.p50(),
             request_p99: request_latency.p99(),
-            prepared_bytes: aggregate.prepared_bytes,
-            snapshot_bytes: aggregate.snapshot_bytes,
-            restore_time: aggregate.restore_time,
             aggregate,
         }
     }
@@ -726,7 +710,7 @@ mod tests {
         assert_eq!(stats.completed, 10);
         assert_eq!(stats.in_flight, 0);
         assert_eq!(stats.tuples_served, 40);
-        assert!(stats.draw_p50.is_some() && stats.draw_p99.is_some());
+        assert!(!stats.aggregate.draw_latency.is_empty());
         assert!(stats.to_string().contains("completed=10"));
         let final_stats = service.shutdown();
         assert_eq!(final_stats.completed, 10);

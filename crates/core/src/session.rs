@@ -138,29 +138,27 @@ pub enum Strategy {
 
 impl fmt::Display for Estimator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Estimator::Exact => write!(f, "exact"),
-            Estimator::Histogram(opts) if opts.exact_size_hints => write!(f, "histogram(EW)"),
-            Estimator::Histogram(_) => write!(f, "histogram(EO)"),
-            Estimator::Walk(_) => write!(f, "walk"),
-        }
+        f.write_str(self.label())
     }
 }
 
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Strategy::Rejection => write!(f, "rejection"),
-            Strategy::Online(_) => write!(f, "online"),
-            Strategy::Bernoulli(DesignationPolicy::Oracle) => write!(f, "bernoulli(oracle)"),
-            Strategy::Bernoulli(DesignationPolicy::Record) => write!(f, "bernoulli(record)"),
-            Strategy::Disjoint => write!(f, "disjoint"),
-            Strategy::Auto => write!(f, "auto"),
-        }
+        f.write_str(self.label())
     }
 }
 
 impl Estimator {
+    /// Stable label, as the plan summary prints it.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Estimator::Exact => "exact",
+            Estimator::Histogram(opts) if opts.exact_size_hints => "histogram(EW)",
+            Estimator::Histogram(_) => "histogram(EO)",
+            Estimator::Walk(_) => "walk",
+        }
+    }
+
     /// Snapshot tag. Only the variant is persisted: the planner emits
     /// default-configured estimators, which [`from_tag`](Self::from_tag)
     /// reconstructs.
@@ -184,6 +182,18 @@ impl Estimator {
 }
 
 impl Strategy {
+    /// Stable label, as the plan summary prints it.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Strategy::Rejection => "rejection",
+            Strategy::Online(_) => "online",
+            Strategy::Bernoulli(DesignationPolicy::Oracle) => "bernoulli(oracle)",
+            Strategy::Bernoulli(DesignationPolicy::Record) => "bernoulli(record)",
+            Strategy::Disjoint => "disjoint",
+            Strategy::Auto => "auto",
+        }
+    }
+
     /// Snapshot tag (variant plus designation policy; configurations
     /// are the planner's defaults). `None` for [`Strategy::Auto`],
     /// which is resolved before anything is frozen or persisted.
@@ -639,8 +649,6 @@ pub(crate) fn freeze(
     // arenas).
     let sampler_bytes: u64 = samplers.iter().map(|s| s.memory_bytes() as u64).sum();
     let summary = plan.summary();
-    let mut aggregate = RunReport::new(n_joins);
-    aggregate.config = Some(summary.clone());
     let (snapshot_bytes, restore_time) = match given.restore {
         Some((bytes, started)) => (bytes, started.elapsed()),
         None => (0, Duration::ZERO),
@@ -660,7 +668,6 @@ pub(crate) fn freeze(
         restore_time,
         minted: AtomicU64::new(0),
         source,
-        aggregate: Mutex::new(aggregate),
     })
 }
 
@@ -699,12 +706,11 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// and meant to be shared as `Arc<PreparedQuery>` across every serving
 /// thread. Threads draw by minting independent handles
 /// ([`sampler`](Self::sampler)) or through the seed-addressed
-/// conveniences ([`sample`](Self::sample), [`run`](Self::run));
-/// per-handle reports fold into a cumulative aggregate readable via
-/// [`report`](Self::report). Handles start with fresh record/report
-/// state, making every handle its own i.i.d. sampling process whose
-/// output depends only on the RNG it is driven with — the determinism
-/// contract concurrent serving relies on.
+/// conveniences ([`sample`](Self::sample), [`run`](Self::run)), each
+/// of which returns the report of its own call. Handles start with
+/// fresh record/report state, making every handle its own i.i.d.
+/// sampling process whose output depends only on the RNG it is driven
+/// with — the determinism contract concurrent serving relies on.
 pub struct PreparedQuery {
     workload: Arc<UnionWorkload>,
     kind: PreparedKind,
@@ -741,7 +747,6 @@ pub struct PreparedQuery {
     /// through the engine — retained so snapshots can persist and
     /// re-fingerprint it.
     source: Option<UnionQuery>,
-    aggregate: Mutex<RunReport>,
 }
 
 impl std::fmt::Debug for PreparedQuery {
@@ -817,7 +822,7 @@ impl PreparedQuery {
             None => base,
         };
         let report = sampler.report_mut();
-        report.config = Some(self.summary.clone());
+        report.config = Some(self.summary);
         report.prepared_bytes = self.prepared_bytes;
         report.snapshot_bytes = self.snapshot_bytes;
         report.restore_time = self.restore_time;
@@ -853,11 +858,12 @@ impl PreparedQuery {
         SujRng::derive(self.root_seed, seed)
     }
 
-    /// Seed-addressed sampling: mints a handle, drives it with
-    /// [`rng(seed)`](Self::rng), and folds the per-request report into
-    /// the cumulative aggregate. Same `(prepared state, n, seed)` →
+    /// Seed-addressed sampling: mints a handle and drives it with
+    /// [`rng(seed)`](Self::rng). Same `(prepared state, n, seed)` →
     /// bit-identical samples, on any thread — the serving determinism
-    /// contract.
+    /// contract. The returned report covers this call only; callers
+    /// that want a total [`merge`](RunReport::merge) the reports they
+    /// get back.
     pub fn sample(&self, n: usize, seed: u64) -> Result<(Vec<Tuple>, RunReport), CoreError> {
         self.run(n, &mut self.rng(seed))
     }
@@ -867,18 +873,7 @@ impl PreparedQuery {
     /// state (no re-estimation); the returned report covers this call
     /// only.
     pub fn run(&self, n: usize, rng: &mut SujRng) -> Result<(Vec<Tuple>, RunReport), CoreError> {
-        let mut handle = self.mint()?;
-        let (tuples, report) = handle.sample(n, rng)?;
-        lock(&self.aggregate).merge(&report);
-        Ok((tuples, report))
-    }
-
-    /// Cumulative counters across every [`sample`](Self::sample) /
-    /// [`run`](Self::run) on this prepared query (reports of handles
-    /// minted via [`sampler`](Self::sampler) are the caller's to
-    /// aggregate), including the stamped configuration.
-    pub fn report(&self) -> RunReport {
-        lock(&self.aggregate).clone()
+        self.mint()?.sample(n, rng)
     }
 
     /// Parameter-estimation passes paid when this query was prepared:
@@ -1189,7 +1184,7 @@ mod tests {
                     seen += 1;
                 }
             }
-            assert!(sampler.emitted() >= 10);
+            assert!(sampler.report().accepted >= 10);
         }
     }
 

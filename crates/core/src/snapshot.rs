@@ -492,6 +492,7 @@ fn revive(
 mod tests {
     use super::*;
     use crate::predicate_mode::PredicateMode;
+    use crate::report::RunReport;
     use suj_storage::{CompareOp, Predicate, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Relation {
@@ -600,18 +601,21 @@ mod tests {
             0,
             "restore must not re-run estimation"
         );
+        let mut reports = (RunReport::default(), RunReport::default());
         for seed in [0u64, 7, 41] {
-            let (a, _) = original.sample(10, seed).unwrap();
-            let (b, _) = restored.sample(10, seed).unwrap();
+            let (a, donor) = original.sample(10, seed).unwrap();
+            let (b, replica) = restored.sample(10, seed).unwrap();
             assert_eq!(a, b, "seed {seed} diverged after restore");
+            reports.0.merge(&donor);
+            reports.1.merge(&replica);
         }
         // Restore cost is stamped into reports.
-        let report = restored.report();
+        let report = &reports.1;
         assert_eq!(report.snapshot_bytes, bytes.len() as u64);
         assert!(report.restore_time > std::time::Duration::ZERO);
         assert!(report.summary().contains("snapshot_bytes="));
         // The donor never carried a restore cost.
-        assert_eq!(original.report().snapshot_bytes, 0);
+        assert_eq!(reports.0.snapshot_bytes, 0);
     }
 
     #[test]

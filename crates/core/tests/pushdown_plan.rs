@@ -70,7 +70,7 @@ fn pushdown_query_is_planned_and_built_once_on_filtered_data() {
     assert_eq!(sizes, [100.0, 0.0]);
     assert_eq!(plan.stats.size_hints.as_deref(), Some(&sizes[..]));
     assert_eq!(plan.stats.union_size_hint, Some(truth.union_size() as f64));
-    assert_eq!(prepared.summary().sizing.as_deref(), Some("exact"));
+    assert_eq!(prepared.summary().sizing, Some("exact"));
     assert!(
         prepared.explain().contains("Σ|Jᵢ|≈100.0 |∪Jᵢ|≈100.0"),
         "{}",

@@ -82,7 +82,7 @@ fn restored_engine_serves_without_alias_rebuild() {
     let donor_config = donor_report.config.as_ref().unwrap();
     let restored_config = restored_report.config.as_ref().unwrap();
     assert_eq!(
-        donor_config.sizing.as_deref(),
+        donor_config.sizing,
         Some("exact"),
         "acyclic prepare must carry exact-size provenance: {donor_config}"
     );

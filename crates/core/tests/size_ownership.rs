@@ -49,7 +49,7 @@ fn freeze(configure: fn(SamplerBuilder) -> SamplerBuilder) -> (Option<Sizing>, u
         Sizing::Walk => "walk",
         Sizing::Bound => "bound",
     });
-    assert_eq!(prepared.summary().sizing.as_deref(), label);
+    assert_eq!(prepared.summary().sizing, label);
     assert_eq!(
         prepared.explain().contains("sizing=none"),
         sizing.is_none(),

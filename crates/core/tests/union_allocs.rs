@@ -9,7 +9,9 @@
 //! (emitted ones plus those an ownership rule then rejected), however
 //! many join-level attempts were rejected on the way. The record
 //! policies add their record's growth, which is bounded by the number
-//! of *distinct* tuples, not by the number of draws.
+//! of *distinct* tuples, not by the number of draws. A whole request
+//! through a prepared query adds a fixed handful per request — the
+//! handle and the call's report — never a copied label.
 //!
 //! A counting global allocator wraps the system allocator. This file
 //! deliberately holds a single `#[test]` so no concurrent test thread
@@ -87,16 +89,40 @@ fn workload() -> Arc<UnionWorkload> {
     Arc::new(UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)]).unwrap())
 }
 
+/// The counters a measurement reads off a handle's report.
+#[derive(Debug)]
+struct Counts {
+    accepted: u64,
+    rejected_cover: u64,
+    rejected_join: u64,
+}
+
+impl Counts {
+    fn read(report: &RunReport) -> Self {
+        Self {
+            accepted: report.accepted,
+            rejected_cover: report.rejected_cover,
+            rejected_join: report.rejected_join,
+        }
+    }
+}
+
 /// Draws `events` events from a warm handle; returns the allocations
-/// they cost and the report delta.
-fn measure(sampler: &mut dyn UnionSampler, rng: &mut SujRng, events: usize) -> (u64, RunReport) {
-    let baseline = sampler.report().clone();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+/// they cost and what they counted.
+fn measure(sampler: &mut dyn UnionSampler, rng: &mut SujRng, events: usize) -> (u64, Counts) {
+    let before = Counts::read(sampler.report());
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..events {
         sampler.draw(rng).unwrap();
     }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    (allocations, sampler.report().delta_since(&baseline))
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
+    let after = Counts::read(sampler.report());
+    let counts = Counts {
+        accepted: after.accepted - before.accepted,
+        rejected_cover: after.rejected_cover - before.rejected_cover,
+        rejected_join: after.rejected_join - before.rejected_join,
+    };
+    (allocations, counts)
 }
 
 #[test]
@@ -135,18 +161,18 @@ fn a_warm_union_handle_allocates_the_tuple_and_nothing_else() {
         ),
     ] {
         let (mut sampler, mut rng) = build(strategy, cover);
-        let (allocations, report) = measure(sampler.as_mut(), &mut rng, EVENTS);
-        assert_eq!(report.accepted, EVENTS as u64, "{name}");
-        assert!(report.rejected_join > 0, "{name}: EO must reject attempts");
+        let (allocations, counts) = measure(sampler.as_mut(), &mut rng, EVENTS);
+        assert_eq!(counts.accepted, EVENTS as u64, "{name}");
+        assert!(counts.rejected_join > 0, "{name}: EO must reject attempts");
         assert_eq!(
-            report.rejected_cover > 0,
+            counts.rejected_cover > 0,
             !matches!(strategy, Strategy::Disjoint),
             "{name}: the joins overlap, and only a disjoint union keeps every copy"
         );
         assert_eq!(
             allocations,
-            report.accepted + report.rejected_cover,
-            "{name}: one allocation per gathered tuple ({report:?})"
+            counts.accepted + counts.rejected_cover,
+            "{name}: one allocation per gathered tuple ({counts:?})"
         );
     }
 
@@ -169,16 +195,40 @@ fn a_warm_union_handle_allocates_the_tuple_and_nothing_else() {
         ),
     ] {
         let (mut sampler, mut rng) = build(strategy, cover);
-        let (allocations, report) = measure(sampler.as_mut(), &mut rng, EVENTS);
+        let (allocations, counts) = measure(sampler.as_mut(), &mut rng, EVENTS);
         assert!(
-            report.rejected_join > 0 && report.rejected_cover > 0,
+            counts.rejected_join > 0 && counts.rejected_cover > 0,
             "{name}"
         );
-        let gathered = report.accepted + report.rejected_cover;
+        let gathered = counts.accepted + counts.rejected_cover;
         assert!(
             (gathered..=gathered + growth).contains(&allocations),
             "{name}: {allocations} allocations for {gathered} gathered tuples \
-             (record growth allowance {growth}; {report:?})"
+             (record growth allowance {growth}; {counts:?})"
         );
+    }
+
+    // A whole request through the prepared query: mint a handle, draw
+    // `n` tuples, count them into the call's report, fold that into the
+    // handle's and return it. Beyond the tuples that costs nine
+    // allocations, whatever `n` is: seven for the handle (its box, its
+    // list of shared join samplers, the selection bounds and their
+    // cumulative table, the per-join miss counters, its report's
+    // per-join draw counts, its row-id scratch) and two for the call
+    // (the call report's per-join draw counts and the batch vector).
+    // Folding the call's report copies no label and allocates nothing.
+    let prepared = SamplerBuilder::for_workload(w.clone())
+        .estimator(Estimator::Exact)
+        .strategy(Strategy::Disjoint)
+        .weights(WeightKind::ExtendedOlken)
+        .freeze()
+        .unwrap();
+    prepared.sample(16, 0).unwrap();
+    for (seed, n) in [(1, 16), (2, 256), (3, 1)] {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let (tuples, call) = prepared.sample(n, seed).unwrap();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!((tuples.len(), call.accepted), (n, n as u64));
+        assert_eq!(allocations, n as u64 + 9, "a request of {n} tuples");
     }
 }

@@ -500,13 +500,25 @@ fn handle_prepare(id: u64, payload: &[u8], shared: &Shared) -> Frame {
         Ok(p) => p,
         Err(e) => return error_frame(id, ERR_ENGINE, &e.to_string()),
     };
-    let prepared_id = shared.next_prepared.fetch_add(1, Ordering::Relaxed);
+    // One id per prepared query: a query prepared before comes back as
+    // the engine's cached `Arc`, which keeps the id it was given, so
+    // re-preparing it never grows the registry.
+    let prepared_id = {
+        let mut registry = lock(&shared.registry);
+        match registry.iter().find(|(_, p)| Arc::ptr_eq(p, &prepared)) {
+            Some((&id, _)) => id,
+            None => {
+                let id = shared.next_prepared.fetch_add(1, Ordering::Relaxed);
+                registry.insert(id, Arc::clone(&prepared));
+                id
+            }
+        }
+    };
     let estimations = prepared.estimations();
     // The freeze-time summary, not one recomputed from the plan: the
     // stamped copy preserves provenance (rule, sizing) across snapshot
     // restores, so donor and replica serve identical strings.
     let summary = prepared.summary().to_string();
-    lock(&shared.registry).insert(prepared_id, prepared);
     Frame {
         opcode: OP_PREPARED,
         request_id: id,
@@ -594,9 +606,9 @@ fn handle_stats(id: u64, shared: &Shared) -> Frame {
         completed: stats.completed,
         failed: stats.failed,
         tuples_served: stats.tuples_served,
-        prepared_bytes: stats.prepared_bytes,
-        snapshot_bytes: stats.snapshot_bytes,
-        restore_time_ns: u64::try_from(stats.restore_time.as_nanos()).unwrap_or(u64::MAX),
+        prepared_bytes: stats.aggregate.prepared_bytes,
+        snapshot_bytes: stats.aggregate.snapshot_bytes,
+        restore_time_ns: u64::try_from(stats.aggregate.restore_time.as_nanos()).unwrap_or(u64::MAX),
     };
     Frame {
         opcode: OP_STATS_REPLY,

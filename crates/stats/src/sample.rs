@@ -44,6 +44,20 @@ impl Categorical {
         })
     }
 
+    /// The Zipf distribution over `n` ranks: `P(i) ∝ 1/(i+1)^s`, rank 0
+    /// hottest; exponent `s = 0` is uniform. Returns `None` for
+    /// `n == 0` or a negative or non-finite exponent. The TPC-H
+    /// generator's skew knob draws its foreign keys from it (the
+    /// paper's §11 names "the impact of data skew on approximations" as
+    /// future work; the skew ablation explores it).
+    pub fn zipf(n: usize, s: f64) -> Option<Self> {
+        if !s.is_finite() || s < 0.0 {
+            return None;
+        }
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
+        Self::new(&weights)
+    }
+
     /// Number of categories.
     pub fn len(&self) -> usize {
         self.cumulative.len()
@@ -70,61 +84,6 @@ impl Categorical {
     pub fn draw(&self, rng: &mut SujRng) -> usize {
         let x = rng.next_f64() * self.total;
         // partition_point returns the first index with cumulative > x.
-        let idx = self.cumulative.partition_point(|&c| c <= x);
-        idx.min(self.cumulative.len() - 1)
-    }
-}
-
-/// Zipf-distributed index sampler: `P(i) ∝ 1/(i+1)^s` over `[0, n)`.
-///
-/// Exponent `s = 0` degenerates to the uniform distribution. Used by the
-/// TPC-H generator's skew knob (the paper's §11 names "the impact of
-/// data skew on approximations" as future work; the skew ablation
-/// explores it).
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cumulative: Vec<f64>,
-    total: f64,
-}
-
-impl Zipf {
-    /// Builds a Zipf sampler over `n` ranks with exponent `s ≥ 0`.
-    /// Returns `None` for `n == 0` or non-finite/negative exponents.
-    pub fn new(n: usize, s: f64) -> Option<Self> {
-        if n == 0 || !s.is_finite() || s < 0.0 {
-            return None;
-        }
-        let mut cumulative = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += 1.0 / ((i + 1) as f64).powf(s);
-            cumulative.push(acc);
-        }
-        Some(Self {
-            cumulative,
-            total: acc,
-        })
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the sampler is empty (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// Probability of rank `i`.
-    pub fn probability(&self, i: usize) -> f64 {
-        let prev = if i == 0 { 0.0 } else { self.cumulative[i - 1] };
-        (self.cumulative[i] - prev) / self.total
-    }
-
-    /// Draws a rank (0 is the hottest).
-    pub fn draw(&self, rng: &mut SujRng) -> usize {
-        let x = rng.next_f64() * self.total;
         let idx = self.cumulative.partition_point(|&c| c <= x);
         idx.min(self.cumulative.len() - 1)
     }
@@ -185,7 +144,7 @@ mod tests {
 
     #[test]
     fn zipf_zero_exponent_is_uniform() {
-        let z = Zipf::new(10, 0.0).unwrap();
+        let z = Categorical::zipf(10, 0.0).unwrap();
         for i in 0..10 {
             assert!((z.probability(i) - 0.1).abs() < 1e-12);
         }
@@ -197,7 +156,7 @@ mod tests {
 
     #[test]
     fn zipf_probabilities_decay_with_rank() {
-        let z = Zipf::new(20, 1.2).unwrap();
+        let z = Categorical::zipf(20, 1.2).unwrap();
         for i in 1..20 {
             assert!(z.probability(i) < z.probability(i - 1));
         }
@@ -211,9 +170,9 @@ mod tests {
 
     #[test]
     fn zipf_rejects_bad_inputs() {
-        assert!(Zipf::new(0, 1.0).is_none());
-        assert!(Zipf::new(5, -1.0).is_none());
-        assert!(Zipf::new(5, f64::NAN).is_none());
+        assert!(Categorical::zipf(0, 1.0).is_none());
+        assert!(Categorical::zipf(5, -1.0).is_none());
+        assert!(Categorical::zipf(5, f64::NAN).is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::tables::*;
 use crate::text;
-use suj_stats::{SujRng, Zipf};
+use suj_stats::{Categorical, SujRng};
 use suj_storage::{Catalog, ColumnBuilder, Relation};
 
 /// Generator configuration.
@@ -57,16 +57,16 @@ impl TpchConfig {
     /// Draws a foreign key in `[0, n)`: uniform at skew 0, Zipf-skewed
     /// otherwise (rank 0 hottest). The uniform path is kept bit-exact
     /// with the pre-skew generator so seeded datasets stay stable.
-    fn fk(&self, rng: &mut SujRng, n: i64, zipf: Option<&Zipf>) -> i64 {
+    fn fk(&self, rng: &mut SujRng, n: i64, zipf: Option<&Categorical>) -> i64 {
         match zipf {
             None => rng.range_i64(0, n),
             Some(z) => z.draw(rng) as i64,
         }
     }
 
-    fn zipf_for(&self, n: usize) -> Option<Zipf> {
+    fn zipf_for(&self, n: usize) -> Option<Categorical> {
         if self.skew > 0.0 {
-            Zipf::new(n, self.skew)
+            Categorical::zipf(n, self.skew)
         } else {
             None
         }
@@ -599,5 +599,28 @@ mod tests {
             // distinct whenever n_supp ≥ 2.
             assert_ne!(a, b, "part {} has duplicate supplier", i / 2);
         }
+    }
+
+    /// Skewed foreign keys are pinned bit for bit: a skewed catalog and
+    /// two skewed variant tables hash (FNV-1a over their rows) to one
+    /// recorded checksum, so any change to the skewed draw shows.
+    #[test]
+    fn skewed_generation_is_pinned() {
+        let c = TpchConfig::new(2, 7).with_skew(1.2);
+        let cat = generate_catalog(&c);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |r: &Relation| {
+            for b in format!("{:?}", r.tuples()).bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for name in [
+            "supplier", "customer", "orders", "lineitem", "part", "partsupp",
+        ] {
+            eat(&cat.get(name).unwrap());
+        }
+        eat(&orders(&c, "o", 1, 0.5));
+        eat(&partsupp(&c, "ps", 2, 0.5));
+        assert_eq!(h, 0x7f8e_8189_2bc8_ef66, "{h:#018x}");
     }
 }

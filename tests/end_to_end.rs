@@ -205,7 +205,7 @@ fn streaming_supports_early_stop() {
         }
     }
     assert_eq!(stream.yielded(), 17);
-    assert_eq!(sampler.emitted(), 17);
+    assert_eq!(sampler.report().accepted, 17);
 }
 
 /// The facade crate re-exports a working prelude.

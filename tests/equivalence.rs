@@ -416,7 +416,7 @@ fn every_plan_rule_agrees_across_prepare_builder_and_restore() {
         // The builder: Auto, or the knobs the plan names.
         let workload = case.query.resolve(engine.catalog()).unwrap().workload;
         let mut builder = SamplerBuilder::for_workload(workload).strategy(Strategy::Auto);
-        let mut builder_summary = fresh.summary().clone();
+        let mut builder_summary = *fresh.summary();
         if !case.auto {
             let plan = fresh.plan();
             builder = builder.strategy(plan.strategy);

@@ -145,6 +145,32 @@ fn unknown_prepared_id_is_a_typed_error() {
     server.join().unwrap();
 }
 
+/// Re-preparing a query answers with the id it was first given, so
+/// the server keeps one registry entry per distinct query however often
+/// clients prepare it; another query gets an id of its own.
+#[test]
+fn re_preparing_a_query_reuses_its_id() {
+    let server = Server::bind(
+        default_engine(),
+        "127.0.0.1:0",
+        ServiceConfig::with_workers(1),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let ids: Vec<u64> = (0..100)
+        .map(|_| client.prepare(&union_query()).unwrap().id)
+        .collect();
+    assert!(ids.iter().all(|&id| id == ids[0]), "{ids:?}");
+    let other = UnionQuery::set_union().chain("j2", ["rb", "s"]).unwrap();
+    let other_id = client.prepare(&other).unwrap().id;
+    assert_ne!(other_id, ids[0]);
+    for id in [ids[0], other_id] {
+        assert_eq!(client.sample_by_id(id, 4, 0).unwrap().tuples.len(), 4);
+    }
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 /// A frame with an unknown opcode gets an `Error` response (code
 /// `ERR_BAD_REQUEST`), not a dropped connection.
 #[test]

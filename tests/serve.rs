@@ -216,7 +216,7 @@ fn stress_worker_pools_stay_deterministic_under_load() {
         assert_eq!(stats.completed, requests, "workers={workers}");
         assert_eq!(stats.failed, 0, "workers={workers}");
         assert_eq!(stats.tuples_served, requests * n as u64);
-        assert!(stats.draw_p50.is_some() && stats.draw_p99.is_some());
+        assert!(stats.aggregate.draw_latency.p99().is_some());
         for (a, b) in reference.iter().zip(&responses) {
             assert_eq!(a.id, b.id);
             assert_eq!(

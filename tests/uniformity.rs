@@ -495,7 +495,7 @@ fn bound_only_members_sample_the_set_union_uniformly_under_designation() {
         .weights(WeightKind::AgmBox)
         .freeze()
         .expect("freeze");
-    assert_eq!(prepared.summary().sizing.as_deref(), Some("bound"));
+    assert_eq!(prepared.summary().sizing, Some("bound"));
 
     let exact = full_join_union(&workload).expect("ground truth");
     let uniform: FxHashMap<Tuple, f64> = exact.union_set.iter().map(|t| (t.clone(), 1.0)).collect();
