@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use suj_core::prelude::*;
-use suj_core::walk_estimator::walk_warmup;
+use suj_core::walk_estimator::{walk_warmup, walkers};
 use suj_join::WeightKind;
 use suj_stats::SujRng;
 pub use suj_tpch::prelude::*;
@@ -136,7 +136,8 @@ pub fn estimate_overlaps(
             HistogramEstimator::new(workload, DegreeMode::Max, sizes)?.overlap_map()?
         }
         EstimatorKind::RandomWalk => {
-            let est = walk_warmup(workload, &WalkEstimatorConfig::default(), rng)?;
+            let walkers = walkers(workload)?;
+            let est = walk_warmup(workload, &walkers, &WalkEstimatorConfig::default(), rng)?;
             est.overlap_map()?
         }
     };

@@ -22,6 +22,13 @@
 //!   the refined distribution. Updates stop once the tracked confidence
 //!   level reaches `γ`.
 //!
+//! Only the walks depend on a handle's RNG, so everything else is frozen
+//! once per plan in [`OnlineParts`], which every handle shares: one
+//! walker per join, built with the parts, and the line-1 histogram
+//! start, computed by the first draw of any handle that needs it and
+//! then read by all of them. Walks, warm-up estimate, cover and record
+//! stay per handle.
+//!
 //! The sampler implements [`UnionSampler`]: warm-up runs lazily on the
 //! first [`draw`](UnionSampler::draw) (it consumes the caller's RNG),
 //! and both uniformity devices surface as
@@ -37,10 +44,10 @@ use crate::overlap::OverlapMap;
 use crate::record::OwnershipRecord;
 use crate::report::RunReport;
 use crate::sampler::{Draw, UnionSampler};
-use crate::walk_estimator::{walk_warmup, WalkEstimate, WalkEstimatorConfig};
+use crate::walk_estimator::{walk_warmup, walkers, WalkEstimate, WalkEstimatorConfig};
 use crate::workload::UnionWorkload;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use suj_join::WanderJoin;
 use suj_stats::{Categorical, SujRng};
@@ -92,9 +99,61 @@ impl Default for OnlineConfig {
     }
 }
 
+/// What every handle of one online plan shares, none of it driven by a
+/// handle's RNG: the workload, one wander-join walker per join, and the
+/// line-1 histogram start.
+pub struct OnlineParts {
+    workload: Arc<UnionWorkload>,
+    walkers: Vec<WanderJoin>,
+    /// Computed by the first draw that needs it; a failing start is
+    /// kept, so every draw reports the same error.
+    start: OnceLock<Result<HistogramStart, CoreError>>,
+}
+
+/// Algorithm 2 line 1: the histogram overlap map the walk estimates
+/// fall back to, and its join sizes.
+struct HistogramStart {
+    map: OverlapMap,
+    fallback_sizes: Vec<f64>,
+}
+
+impl OnlineParts {
+    /// Builds one walker per join of `workload`; the histogram start
+    /// waits for the first draw.
+    pub fn new(workload: Arc<UnionWorkload>) -> Result<Self, CoreError> {
+        Ok(Self {
+            walkers: walkers(&workload)?,
+            workload,
+            start: OnceLock::new(),
+        })
+    }
+
+    /// Heap bytes of the walkers (hash indexes and edge-key tables).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.walkers.iter().map(WanderJoin::memory_bytes).sum()
+    }
+
+    fn start(&self) -> Result<&HistogramStart, CoreError> {
+        self.start
+            .get_or_init(|| {
+                let hist = HistogramEstimator::with_olken(&self.workload, DegreeMode::Max)?;
+                let map = hist.overlap_map()?;
+                let fallback_sizes = (0..self.workload.n_joins())
+                    .map(|j| map.join_size(j))
+                    .collect();
+                Ok(HistogramStart {
+                    map,
+                    fallback_sizes,
+                })
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
 /// The online union sampler (Algorithm 2).
 pub struct OnlineUnionSampler {
-    workload: Arc<UnionWorkload>,
+    parts: Arc<OnlineParts>,
     config: OnlineConfig,
     strategy: CoverStrategy,
     report: RunReport,
@@ -109,12 +168,9 @@ pub struct OnlineUnionSampler {
 /// Per-run online state: estimators, cover, and the record-policy
 /// emission history with retraction support.
 struct OnlineState {
-    fallback_sizes: Vec<f64>,
-    hist_map: OverlapMap,
     est: WalkEstimate,
     cover: Cover,
     selection: Categorical,
-    wanders: Vec<WanderJoin>,
     walks_at_last_update: u64,
     converged: bool,
     /// Live (unretracted) emissions still subject to backtracking:
@@ -144,42 +200,29 @@ fn q_emit(cover: &Cover, est: &WalkEstimate, j: usize) -> f64 {
 }
 
 fn init_state(
-    workload: &Arc<UnionWorkload>,
+    parts: &OnlineParts,
     config: &OnlineConfig,
     strategy: CoverStrategy,
     rng: &mut SujRng,
 ) -> Result<OnlineState, CoreError> {
-    let n_joins = workload.n_joins();
-    let hist = HistogramEstimator::with_olken(workload, DegreeMode::Max)?;
-    let hist_map = hist.overlap_map()?;
-    let fallback_sizes: Vec<f64> = (0..n_joins).map(|j| hist_map.join_size(j)).collect();
-
+    let hist = parts.start()?;
     let mut est = if config.warmup.max_walks_per_join > 0 {
-        walk_warmup(workload, &config.warmup, rng)?
+        walk_warmup(&parts.workload, &parts.walkers, &config.warmup, rng)?
     } else {
-        WalkEstimate::empty(n_joins)
+        WalkEstimate::empty(parts.workload.n_joins())
     };
-    est.refresh_sizes(&fallback_sizes);
-    let map = est.overlap_map_with_fallback(&hist_map)?;
+    est.refresh_sizes(&hist.fallback_sizes);
+    let map = est.overlap_map_with_fallback(&hist.map)?;
     let cover = Cover::build(&map, strategy);
     let selection = cover.selection().ok_or_else(|| {
         CoreError::Invalid("union size estimate is zero; nothing to sample".into())
     })?;
-    let wanders: Vec<WanderJoin> = workload
-        .joins()
-        .iter()
-        .map(|j| WanderJoin::new(j.clone()))
-        .collect::<Result<_, _>>()
-        .map_err(CoreError::Join)?;
     let walks_at_last_update = est.total_walks();
     let converged = est.worst_relative_half_width(config.gamma) <= config.ci_threshold;
     Ok(OnlineState {
-        fallback_sizes,
-        hist_map,
         est,
         cover,
         selection,
-        wanders,
         walks_at_last_update,
         converged,
         live_emissions: BTreeMap::new(),
@@ -190,15 +233,11 @@ fn init_state(
 }
 
 impl OnlineUnionSampler {
-    /// Builds the sampler.
-    pub fn new(
-        workload: Arc<UnionWorkload>,
-        config: OnlineConfig,
-        strategy: CoverStrategy,
-    ) -> Self {
-        let n_joins = workload.n_joins();
+    /// Builds a handle over the shared parts.
+    pub fn new(parts: Arc<OnlineParts>, config: OnlineConfig, strategy: CoverStrategy) -> Self {
+        let n_joins = parts.workload.n_joins();
         Self {
-            workload,
+            parts,
             config,
             strategy,
             report: RunReport::new(n_joins),
@@ -217,12 +256,12 @@ impl UnionSampler for OnlineUnionSampler {
         if self.state.is_none() {
             // ---- Warm-up: histogram initialization + optional walks. ----
             let warmup_start = Instant::now();
-            let st = init_state(&self.workload, &self.config, self.strategy, rng)?;
+            let st = init_state(&self.parts, &self.config, self.strategy, rng)?;
             self.report.warmup_time += warmup_start.elapsed();
             self.state = Some(st);
         }
         let Self {
-            workload,
+            parts,
             config,
             strategy,
             report,
@@ -231,6 +270,7 @@ impl UnionSampler for OnlineUnionSampler {
             state,
         } = self;
         let st = state.as_mut().expect("initialized above");
+        let workload = &parts.workload;
 
         loop {
             if st.cur.is_none() {
@@ -278,14 +318,15 @@ impl UnionSampler for OnlineUnionSampler {
                     // and allocates nothing; successful walks gather
                     // once, in canonical order, for the estimator's
                     // membership masks.
-                    match st.wanders[j].walk_rows(rng, &mut st.draw) {
+                    let walker = &parts.walkers[j];
+                    match walker.walk_rows(rng, &mut st.draw) {
                         Some(probability) => {
                             let canonical = workload.gather(j, st.draw.rows());
                             st.est
                                 .record_success(workload, j, &canonical, probability, false);
                             // Uniformization: accept with (1/p)/B.
                             let accept =
-                                (1.0 / probability) / st.wanders[j].bound().max(f64::MIN_POSITIVE);
+                                (1.0 / probability) / walker.bound().max(f64::MIN_POSITIVE);
                             if rng.bernoulli(accept) {
                                 obtained = Some((canonical, 1));
                                 report.accepted_time += start.elapsed();
@@ -339,8 +380,9 @@ impl UnionSampler for OnlineUnionSampler {
                 {
                     let update_start = Instant::now();
                     st.walks_at_last_update = st.est.total_walks();
-                    st.est.refresh_sizes(&st.fallback_sizes);
-                    let map = st.est.overlap_map_with_fallback(&st.hist_map)?;
+                    let hist = parts.start()?;
+                    st.est.refresh_sizes(&hist.fallback_sizes);
+                    let map = st.est.overlap_map_with_fallback(&hist.map)?;
                     st.cover = Cover::build(&map, *strategy);
                     if let Some(sel) = st.cover.selection() {
                         st.selection = sel;
@@ -395,7 +437,7 @@ impl UnionSampler for OnlineUnionSampler {
     }
 
     fn workload(&self) -> &Arc<UnionWorkload> {
-        &self.workload
+        &self.parts.workload
     }
 }
 
@@ -437,6 +479,10 @@ mod tests {
         Arc::new(UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)]).unwrap())
     }
 
+    fn parts(w: Arc<UnionWorkload>) -> Arc<OnlineParts> {
+        Arc::new(OnlineParts::new(w).unwrap())
+    }
+
     fn config_fast() -> OnlineConfig {
         OnlineConfig {
             phi: 128,
@@ -453,7 +499,7 @@ mod tests {
     fn produces_requested_count_of_members() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = OnlineUnionSampler::new(w, config_fast(), CoverStrategy::AsGiven);
+        let mut sampler = OnlineUnionSampler::new(parts(w), config_fast(), CoverStrategy::AsGiven);
         let mut rng = SujRng::seed_from_u64(11);
         let (samples, report) = sampler.sample(300, &mut rng).unwrap();
         assert_eq!(samples.len(), 300);
@@ -466,7 +512,7 @@ mod tests {
     #[test]
     fn reuse_pool_is_consumed() {
         let w = workload();
-        let mut sampler = OnlineUnionSampler::new(w, config_fast(), CoverStrategy::AsGiven);
+        let mut sampler = OnlineUnionSampler::new(parts(w), config_fast(), CoverStrategy::AsGiven);
         let mut rng = SujRng::seed_from_u64(12);
         let (_, report) = sampler.sample(200, &mut rng).unwrap();
         assert!(
@@ -477,13 +523,14 @@ mod tests {
 
     #[test]
     fn no_reuse_variant_walks_more() {
-        let w = workload();
+        // Two handles over one set of walkers.
+        let shared = parts(workload());
         let mut rng_a = SujRng::seed_from_u64(13);
         let mut rng_b = SujRng::seed_from_u64(13);
         let mut with_reuse =
-            OnlineUnionSampler::new(w.clone(), config_fast(), CoverStrategy::AsGiven);
+            OnlineUnionSampler::new(shared.clone(), config_fast(), CoverStrategy::AsGiven);
         let mut without_reuse = OnlineUnionSampler::new(
-            w,
+            shared,
             OnlineConfig {
                 reuse: false,
                 ..config_fast()
@@ -512,7 +559,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut sampler = OnlineUnionSampler::new(w, cfg, CoverStrategy::AsGiven);
+        let mut sampler = OnlineUnionSampler::new(parts(w), cfg, CoverStrategy::AsGiven);
         let mut rng = SujRng::seed_from_u64(14);
         let (samples, report) = sampler.sample(150, &mut rng).unwrap();
         assert_eq!(samples.len(), 150);
@@ -543,7 +590,7 @@ mod tests {
             },
             ..config_fast()
         };
-        let mut sampler = OnlineUnionSampler::new(w, cfg, CoverStrategy::AsGiven);
+        let mut sampler = OnlineUnionSampler::new(parts(w), cfg, CoverStrategy::AsGiven);
         let mut rng = SujRng::seed_from_u64(15);
         let n = 1_500 * exact.union_size();
         let (samples, _) = sampler.sample(n, &mut rng).unwrap();
@@ -580,7 +627,7 @@ mod tests {
             ci_threshold: 0.001, // keep updating for the whole run
             ..Default::default()
         };
-        let mut sampler = OnlineUnionSampler::new(w, cfg, CoverStrategy::AsGiven);
+        let mut sampler = OnlineUnionSampler::new(parts(w), cfg, CoverStrategy::AsGiven);
         let mut rng = SujRng::seed_from_u64(16);
         let (samples, report) = sampler.sample(400, &mut rng).unwrap();
         assert_eq!(samples.len(), 400);
@@ -605,7 +652,7 @@ mod tests {
             ci_threshold: 0.001,
             ..Default::default()
         };
-        let mut sampler = OnlineUnionSampler::new(w, cfg, CoverStrategy::AsGiven);
+        let mut sampler = OnlineUnionSampler::new(parts(w), cfg, CoverStrategy::AsGiven);
         let mut rng = SujRng::seed_from_u64(17);
         let mut live = vec![];
         let mut retractions = 0u64;

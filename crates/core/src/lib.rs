@@ -117,7 +117,7 @@ pub mod workload;
 /// the crate root re-exports exactly this set.
 pub mod prelude {
     pub use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
-    pub use crate::algorithm2::{OnlineConfig, OnlineUnionSampler};
+    pub use crate::algorithm2::{OnlineConfig, OnlineParts, OnlineUnionSampler};
     pub use crate::catalog::{Catalog, Engine, PreparedQuery};
     pub use crate::cover::{Cover, CoverStrategy};
     pub use crate::disjoint::{DesignationPolicy, DisjointUnionSampler};

@@ -60,7 +60,7 @@
 //! the rest.
 
 use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
-use crate::algorithm2::{OnlineConfig, OnlineUnionSampler};
+use crate::algorithm2::{OnlineConfig, OnlineParts, OnlineUnionSampler};
 use crate::cover::CoverStrategy;
 use crate::disjoint::{DesignationPolicy, DisjointUnionSampler};
 use crate::error::CoreError;
@@ -72,7 +72,7 @@ use crate::predicate_mode::{push_down, PredicateMode, PredicateSampler};
 use crate::query::{UnionQuery, UnionSemantics};
 use crate::report::{PlanSummary, RunReport};
 use crate::sampler::UnionSampler;
-use crate::walk_estimator::{walk_warmup, WalkEstimatorConfig};
+use crate::walk_estimator::{walk_warmup, walkers, WalkEstimatorConfig};
 use crate::workload::UnionWorkload;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -494,7 +494,7 @@ fn estimate(
         }
         Estimator::Walk(cfg) => {
             let mut rng = SujRng::seed_from_u64(seed);
-            walk_warmup(workload, cfg, &mut rng)?.overlap_map()
+            walk_warmup(workload, &walkers(workload)?, cfg, &mut rng)?.overlap_map()
         }
     }
 }
@@ -602,6 +602,7 @@ pub(crate) fn freeze(
             let kind = PreparedKind::Online {
                 config,
                 cover_strategy,
+                parts: Arc::new(OnlineParts::new(workload.clone())?),
             };
             (kind, Vec::new(), None)
         }
@@ -645,16 +646,20 @@ pub(crate) fn freeze(
 
     // Resident footprint of the frozen pipeline: base relations, the
     // membership indexes just built (if any), and everything the
-    // per-join samplers precomputed (hash indexes, count tables, alias
-    // arenas).
-    let sampler_bytes: u64 = samplers.iter().map(|s| s.memory_bytes() as u64).sum();
+    // per-join samplers or online walkers precomputed (hash indexes,
+    // edge-key tables, count tables, alias arenas).
+    let walker_bytes = match &kind {
+        PreparedKind::Online { parts, .. } => parts.memory_bytes(),
+        _ => 0,
+    };
+    let sampler_bytes: usize = samplers.iter().map(|s| s.memory_bytes()).sum();
     let summary = plan.summary();
     let (snapshot_bytes, restore_time) = match given.restore {
         Some((bytes, started)) => (bytes, started.elapsed()),
         None => (0, Duration::ZERO),
     };
     Ok(PreparedQuery {
-        prepared_bytes: workload.memory_bytes() as u64 + sampler_bytes,
+        prepared_bytes: (workload.memory_bytes() + sampler_bytes + walker_bytes) as u64,
         workload,
         kind,
         samplers,
@@ -678,10 +683,12 @@ enum PreparedKind {
     /// Algorithm 1 (rejection + revision) over the frozen map.
     Rejection { config: UnionSamplerConfig },
     /// Algorithm 2: estimates online, so each handle owns its own
-    /// estimation state (warm-up consumes the handle's RNG).
+    /// estimation state (warm-up consumes the handle's RNG) over the
+    /// walkers and histogram start every handle shares.
     Online {
         config: OnlineConfig,
         cover_strategy: CoverStrategy,
+        parts: Arc<OnlineParts>,
     },
     /// One join per draw in proportion to its sampler's bound: the
     /// disjoint union (Definition 1), or the set union under the §3
@@ -715,7 +722,8 @@ pub struct PreparedQuery {
     workload: Arc<UnionWorkload>,
     kind: PreparedKind,
     /// Per-join samplers built once and shared by every handle (none
-    /// for online pipelines, whose handles walk the base relations).
+    /// for online pipelines, whose handles share the walkers in
+    /// `PreparedKind::Online` instead).
     /// They own the join sizes: selection reads `size_info()`.
     samplers: Vec<Arc<dyn JoinSampler>>,
     /// The estimator's overlap map, when the freeze consulted one —
@@ -733,8 +741,8 @@ pub struct PreparedQuery {
     root_seed: u64,
     estimation_passes: u64,
     /// Resident bytes of the workload's base relations, its built
-    /// membership indexes and the shared per-join samplers, stamped
-    /// into every minted handle's report.
+    /// membership indexes and the shared per-join samplers or online
+    /// walkers, stamped into every minted handle's report.
     prepared_bytes: u64,
     /// Size of the snapshot this pipeline was restored from and wall
     /// time of that restore (both zero when frozen in-process);
@@ -795,10 +803,10 @@ impl PreparedQuery {
 
     /// Mints an independent sampler handle over the frozen state.
     ///
-    /// Cheap by construction: no estimation, no weight precomputation —
-    /// only fresh per-handle record/report state (plus, for
-    /// [`Strategy::Online`], the lazily-initialized online estimation
-    /// state, which by design is per-handle).
+    /// Cheap by construction: no estimation, no weight precomputation,
+    /// no index build — only fresh per-handle record/report state
+    /// (plus, for [`Strategy::Online`], the lazily-initialized warm-up
+    /// walks and cover, which by design are per-handle).
     pub(crate) fn mint(&self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
         let (workload, samplers) = (self.workload.clone(), self.samplers.clone());
         let base: Box<dyn UnionSampler + Send> = match &self.kind {
@@ -812,7 +820,12 @@ impl PreparedQuery {
             PreparedKind::Online {
                 config,
                 cover_strategy,
-            } => Box::new(OnlineUnionSampler::new(workload, *config, *cover_strategy)),
+                parts,
+            } => Box::new(OnlineUnionSampler::new(
+                parts.clone(),
+                *config,
+                *cover_strategy,
+            )),
             PreparedKind::Disjoint { designation } => {
                 Box::new(DisjointUnionSampler::new(workload, samplers, *designation)?)
             }
@@ -832,8 +845,9 @@ impl PreparedQuery {
 
     /// Mints an independent `Send` sampler handle over the frozen
     /// state; `seed` names the handle's RNG stream. Minting is cheap
-    /// and re-estimates nothing (exception: an online plan estimates
-    /// per handle *by design* — see [`estimations`](Self::estimations));
+    /// and re-estimates nothing (exception: an online plan walks its
+    /// warm-up per handle *by design* — see
+    /// [`estimations`](Self::estimations));
     /// every handle is a fresh i.i.d. sampling process, safe to use
     /// concurrently with any number of sibling handles.
     ///
@@ -882,11 +896,13 @@ impl PreparedQuery {
     /// sampling never repeat prepare-time estimation — the "estimate
     /// once, serve many" assertion for served workloads.
     ///
-    /// Exception: plans using [`Strategy::Online`] (the no-statistics
-    /// rule) estimate *while sampling* by design — Algorithm 2's
-    /// warm-up and refinement consume each handle's own RNG stream, so
-    /// that work is inherently per-handle, is not counted here, and
-    /// shows up as `warmup_time` in per-request reports instead.
+    /// Plans using [`Strategy::Online`] (the no-statistics rule) also
+    /// report 0: Algorithm 2's histogram start is paid once per
+    /// prepared query, by its first draw, and shared by every handle;
+    /// its warm-up walks and refinement consume each handle's own RNG
+    /// stream, so that work is inherently per-handle, is not counted
+    /// here, and shows up as `warmup_time` in per-request reports
+    /// instead.
     pub fn estimations(&self) -> u64 {
         self.estimation_passes
     }
@@ -899,8 +915,8 @@ impl PreparedQuery {
 
     /// Approximate resident bytes of the prepared workload's base
     /// relations, the membership indexes the freeze built (none unless
-    /// the plan probes membership) and the shared per-join samplers
-    /// (the number stamped into every handle's report).
+    /// the plan probes membership) and the shared per-join samplers or
+    /// online walkers (the number stamped into every handle's report).
     pub fn prepared_bytes(&self) -> u64 {
         self.prepared_bytes
     }
@@ -1058,15 +1074,38 @@ mod tests {
         let artifacts = prepared.ew_artifacts().expect("EW pipeline");
         assert_eq!(artifacts.len(), w.n_joins());
 
-        // Online builds no per-join samplers: workload bytes only — which
-        // now include the membership indexes its freeze built (the
-        // rejection plan above, under the record policy, built none).
+        // Wander-join samplers own a hash index and an edge-key table
+        // per non-root relation, and count them.
+        let walker_bytes: usize = walkers(&w)
+            .unwrap()
+            .iter()
+            .map(suj_join::WanderJoin::memory_bytes)
+            .sum();
+        assert!(walker_bytes > 0);
+        let wander = SamplerBuilder::for_workload(w.clone())
+            .estimator(Estimator::Exact)
+            .strategy(Strategy::Rejection)
+            .weights(WeightKind::WanderJoin)
+            .freeze()
+            .unwrap();
+        assert_eq!(
+            wander.prepared_bytes(),
+            workload_bytes + walker_bytes as u64
+        );
+
+        // Online builds no per-join samplers but one walker per join:
+        // workload bytes — which now include the membership indexes its
+        // freeze built (the plans above, under the record policy, built
+        // none) — plus exactly the walkers'.
         let online = SamplerBuilder::for_workload(w.clone())
             .strategy(Strategy::Online(OnlineConfig::default()))
             .freeze()
             .unwrap();
-        assert_eq!(online.prepared_bytes(), w.memory_bytes() as u64);
-        assert!(online.prepared_bytes() > workload_bytes);
+        assert!(w.memory_bytes() as u64 > workload_bytes);
+        assert_eq!(
+            online.prepared_bytes(),
+            (w.memory_bytes() + walker_bytes) as u64
+        );
         assert!(online.ew_artifacts().is_none());
     }
 

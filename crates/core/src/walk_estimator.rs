@@ -62,20 +62,36 @@ pub struct WalkEstimate {
     mask_weights: Vec<FxHashMap<u32, f64>>,
 }
 
-/// Runs the warm-up walks for every join.
+/// One wander-join walker per join of `workload`, in workload order —
+/// what [`walk_warmup`] walks. Building one indexes every non-root
+/// relation of its join; the walks themselves build nothing.
+pub fn walkers(workload: &UnionWorkload) -> Result<Vec<WanderJoin>, CoreError> {
+    workload
+        .joins()
+        .iter()
+        .map(|j| WanderJoin::new(j.clone()))
+        .collect::<Result<_, _>>()
+        .map_err(CoreError::Join)
+}
+
+/// Runs the warm-up walks for every join over its walker from
+/// [`walkers`].
+///
+/// # Panics
+/// Panics unless `walkers` holds exactly one walker per join.
 pub fn walk_warmup(
     workload: &UnionWorkload,
+    walkers: &[WanderJoin],
     cfg: &WalkEstimatorConfig,
     rng: &mut SujRng,
 ) -> Result<WalkEstimate, CoreError> {
-    let n = workload.n_joins();
-    let mut est = WalkEstimate::empty(n);
+    assert_eq!(walkers.len(), workload.n_joins(), "one walker per join");
+    let mut est = WalkEstimate::empty(workload.n_joins());
     let mut draw = RowDraw::new();
-    for j in 0..n {
-        let wander = WanderJoin::new(workload.join(j).clone()).map_err(CoreError::Join)?;
+    for (j, walker) in walkers.iter().enumerate() {
         let mut walks = 0u64;
         while walks < cfg.max_walks_per_join {
-            match wander.walk_rows(rng, &mut draw) {
+            match walker.walk_rows(rng, &mut draw) {
                 Some(probability) => {
                     let canonical = workload.gather(j, draw.rows());
                     est.record_success(workload, j, &canonical, probability, true);
@@ -328,7 +344,7 @@ mod tests {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
         let mut rng = SujRng::seed_from_u64(101);
-        let est = walk_warmup(&w, &cfg_large(), &mut rng).unwrap();
+        let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg_large(), &mut rng).unwrap();
         for j in 0..2 {
             let truth = exact.join_size(j) as f64;
             let got = est.join_sizes[j];
@@ -342,7 +358,7 @@ mod tests {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
         let mut rng = SujRng::seed_from_u64(102);
-        let est = walk_warmup(&w, &cfg_large(), &mut rng).unwrap();
+        let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg_large(), &mut rng).unwrap();
         let truth = exact.overlap.overlap(&[0, 1]);
         let got = est.estimate_overlap(&[0, 1]);
         let rel_err = (got - truth).abs() / truth;
@@ -357,7 +373,7 @@ mod tests {
         let mut hits = 0;
         for seed in 0..10 {
             let mut rng = SujRng::seed_from_u64(200 + seed);
-            let est = walk_warmup(&w, &cfg_large(), &mut rng).unwrap();
+            let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg_large(), &mut rng).unwrap();
             let ci = est.overlap_ci(&[0, 1], 0.95);
             if ci.contains(truth) {
                 hits += 1;
@@ -373,7 +389,13 @@ mod tests {
     fn pools_contain_member_tuples() {
         let w = workload();
         let mut rng = SujRng::seed_from_u64(103);
-        let est = walk_warmup(&w, &WalkEstimatorConfig::default(), &mut rng).unwrap();
+        let est = walk_warmup(
+            &w,
+            &walkers(&w).unwrap(),
+            &WalkEstimatorConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
         for j in 0..2 {
             assert!(!est.pools[j].is_empty(), "pool {j} empty");
             for (t, p) in &est.pools[j] {
@@ -390,7 +412,7 @@ mod tests {
         assert!((cfg.confidence - 0.9).abs() < 1e-12);
         let w = workload();
         let mut rng = SujRng::seed_from_u64(104);
-        let est = walk_warmup(&w, &cfg, &mut rng).unwrap();
+        let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg, &mut rng).unwrap();
         for j in 0..2 {
             assert!(est.walks_spent[j] <= 1000);
         }
@@ -401,7 +423,7 @@ mod tests {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
         let mut rng = SujRng::seed_from_u64(105);
-        let est = walk_warmup(&w, &cfg_large(), &mut rng).unwrap();
+        let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg_large(), &mut rng).unwrap();
         let map = est.overlap_map().unwrap();
         let got = map.union_size();
         let truth = exact.union_size() as f64;
@@ -413,7 +435,7 @@ mod tests {
     fn anchor_prefers_smaller_join() {
         let w = workload();
         let mut rng = SujRng::seed_from_u64(106);
-        let est = walk_warmup(&w, &cfg_large(), &mut rng).unwrap();
+        let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg_large(), &mut rng).unwrap();
         // j2 (16 results) is smaller than j1 (20 results).
         assert_eq!(est.anchor_of(&[0, 1]), 1);
     }
@@ -422,7 +444,7 @@ mod tests {
     fn worst_relative_half_width_reports_convergence() {
         let w = workload();
         let mut rng = SujRng::seed_from_u64(107);
-        let est = walk_warmup(&w, &cfg_large(), &mut rng).unwrap();
+        let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg_large(), &mut rng).unwrap();
         assert!(est.worst_relative_half_width(0.9) < 0.05);
     }
 }

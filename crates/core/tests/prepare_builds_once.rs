@@ -1,7 +1,9 @@
 //! A cold prepare builds each join-edge index once: the §5 probe reads
 //! every statistic — the Olken bounds' and the path pre-estimates'
 //! maximum degrees included — from column histograms, so the only
-//! `HashIndex` builds left are the ones the member samplers walk.
+//! `HashIndex` builds left are the ones the member samplers walk. An
+//! online (no-statistics) prepare builds its walkers' indexes once too,
+//! and its requests build none.
 //!
 //! One `#[test]` on purpose: the build counters are process-global,
 //! and exact-delta assertions are only race-free when no other test
@@ -19,19 +21,8 @@ fn default_prepare_builds_each_edge_index_once() {
     // UQ1 at scale 4 as a caller of the engine holds it: every base
     // relation registered once, the five joins over those names.
     let workload = uq1(&UqOptions::new(4, 7, 0.2)).unwrap();
-    let mut catalog = Catalog::new();
-    let mut query = UnionQuery::set_union();
-    for spec in workload.joins() {
-        for relation in spec.relations() {
-            if !catalog.contains(relation.name()) {
-                catalog.register_arc(relation.clone()).unwrap();
-            }
-        }
-        let names = spec.relations().iter().map(|r| r.name().to_string());
-        let def = JoinDef::with_edges(spec.name(), names, spec.edges().to_vec());
-        query = query.join(def).unwrap();
-    }
-    let engine = Engine::new(catalog);
+    let engine = Engine::new(catalog_of(&workload));
+    let query = query_of(&workload);
 
     let indexes_before = hash_index_builds();
     let memberships_before = membership_builds();
@@ -69,4 +60,62 @@ fn default_prepare_builds_each_edge_index_once() {
         "the default plan probes no membership index"
     );
     assert_eq!(aliases, 5, "one alias arena per member join");
+
+    // The no-statistics plan (Algorithm 2): the freeze builds one walker
+    // index per non-root relation of every join, beside the membership
+    // indexes its warm-up probes; requests build nothing.
+    let engine = Engine::with_planner(catalog_of(&workload), Planner::without_statistics());
+    let indexes_before = hash_index_builds();
+    let memberships_before = membership_builds();
+    let online = engine.prepare(&query).unwrap();
+    let indexes = hash_index_builds() - indexes_before;
+    let memberships = membership_builds() - memberships_before;
+    assert_eq!(online.plan().rule.name(), "no-statistics");
+    let non_root: usize = online
+        .workload()
+        .joins()
+        .iter()
+        .map(|j| j.n_relations() - 1)
+        .sum();
+    assert_eq!(non_root, 20);
+    assert_eq!(
+        indexes - memberships,
+        non_root as u64,
+        "an online freeze builds one walker index per non-root relation"
+    );
+    let indexes_before = hash_index_builds();
+    for seed in 0..3 {
+        let (batch, _) = online.sample(16, seed).unwrap();
+        assert_eq!(batch.len(), 16);
+    }
+    assert_eq!(
+        hash_index_builds() - indexes_before,
+        0,
+        "online requests share the frozen walkers"
+    );
+    assert_eq!(online.estimations(), 0);
+}
+
+/// Every base relation of `workload`, registered once.
+fn catalog_of(workload: &UnionWorkload) -> Catalog {
+    let mut catalog = Catalog::new();
+    for spec in workload.joins() {
+        for relation in spec.relations() {
+            if !catalog.contains(relation.name()) {
+                catalog.register_arc(relation.clone()).unwrap();
+            }
+        }
+    }
+    catalog
+}
+
+/// The set union of `workload`'s joins, over the catalog's names.
+fn query_of(workload: &UnionWorkload) -> UnionQuery {
+    let mut query = UnionQuery::set_union();
+    for spec in workload.joins() {
+        let names = spec.relations().iter().map(|r| r.name().to_string());
+        let def = JoinDef::with_edges(spec.name(), names, spec.edges().to_vec());
+        query = query.join(def).unwrap();
+    }
+    query
 }

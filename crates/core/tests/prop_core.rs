@@ -216,7 +216,8 @@ proptest! {
             min_walks_per_join: 64,
             ..Default::default()
         };
-        let est = suj_core::walk_estimator::walk_warmup(&w, &cfg, &mut rng).unwrap();
+        let walkers = suj_core::walk_estimator::walkers(&w).unwrap();
+        let est = suj_core::walk_estimator::walk_warmup(&w, &walkers, &cfg, &mut rng).unwrap();
         let o = est.estimate_overlap(&[0, 1]);
         prop_assert!(o >= 0.0);
         let anchor = est.anchor_of(&[0, 1]);

@@ -550,7 +550,6 @@ mod tests {
     use super::*;
     use crate::exec::execute;
     use crate::spec::JoinSpec;
-    use crate::weights::SampleOutcome;
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
     use suj_stats::chi_square_test;
@@ -795,12 +794,14 @@ mod tests {
         }
         let mut counts = vec![0u64; k];
         let mut rng = SujRng::seed_from_u64(seed);
+        let mut draw = RowDraw::new();
         let mut accepted = 0usize;
         let mut attempts = 0u64;
         while accepted < 2000 * k {
             attempts += 1;
             assert!(attempts < 20_000_000, "acceptance rate collapsed");
-            if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
+            if sampler.sample_rows(&mut rng, &mut draw) {
+                let t = sampler.materialize(&draw);
                 counts[*pos.get(&t).expect("sampled tuple not in join result")] += 1;
                 accepted += 1;
             }
@@ -888,9 +889,11 @@ mod tests {
         let members: HashSet<_> = result.tuples().iter().cloned().collect();
         assert!(sampler.size_info().bound >= result.tuples().len() as f64);
         let mut rng = SujRng::seed_from_u64(123);
+        let mut draw = RowDraw::new();
         let mut seen = 0;
         for _ in 0..50_000 {
-            if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
+            if sampler.sample_rows(&mut rng, &mut draw) {
+                let t = sampler.materialize(&draw);
                 assert!(members.contains(&t));
                 seen += 1;
             }
@@ -1217,8 +1220,10 @@ mod tests {
             let members: HashSet<Tuple> = execute(&spec).tuples().iter().cloned().collect();
             for sampler in at_every_budget(&spec) {
                 let mut rng = SujRng::seed_from_u64(17);
+                let mut draw = RowDraw::new();
                 for _ in 0..64 {
-                    if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
+                    if sampler.sample_rows(&mut rng, &mut draw) {
+                        let t = sampler.materialize(&draw);
                         prop_assert!(members.contains(&t));
                     }
                 }

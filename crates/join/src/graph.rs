@@ -73,56 +73,6 @@ pub fn has_graph_cycle(spec: &JoinSpec) -> bool {
     false
 }
 
-/// Analyzed join graph of one [`JoinSpec`]: the cyclicity facts the
-/// planner and sampler routing consume, computed once.
-///
-/// Two notions of cyclicity coexist and both matter:
-///
-/// * **Graph cyclicity** ([`is_cyclic`](Self::is_cyclic)) — the simple
-///   relation graph (nodes = relations, edges = join edges) contains a
-///   cycle. This is the routing-relevant notion: a tree walk over such
-///   a spec must *drop* the cycle-closing equalities and re-check them
-///   as residual predicates, so the box-splitting sampler takes over
-///   instead.
-/// * **α-acyclicity** ([`is_alpha_acyclic`](Self::is_alpha_acyclic)) —
-///   the GYO hypergraph notion. A graph-cyclic spec can still be
-///   α-acyclic (ears absorbed by a wider relation); the distinction is
-///   surfaced for diagnostics and planner explanations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinGraph {
-    shape: JoinShape,
-    graph_cyclic: bool,
-    alpha_acyclic: bool,
-}
-
-impl JoinGraph {
-    /// Analyzes `spec`.
-    pub fn of(spec: &JoinSpec) -> Self {
-        Self {
-            shape: classify(spec),
-            graph_cyclic: has_graph_cycle(spec),
-            alpha_acyclic: gyo_acyclic(spec),
-        }
-    }
-
-    /// The spec's topological class (chain / acyclic tree / cyclic).
-    pub fn shape(&self) -> JoinShape {
-        self.shape
-    }
-
-    /// Whether the relation graph contains a cycle — the condition
-    /// under which a spanning-tree walk drops equalities and the
-    /// planner routes to the AGM box-splitting sampler.
-    pub fn is_cyclic(&self) -> bool {
-        self.graph_cyclic
-    }
-
-    /// Whether the hypergraph is α-acyclic under GYO ear removal.
-    pub fn is_alpha_acyclic(&self) -> bool {
-        self.alpha_acyclic
-    }
-}
-
 /// GYO ear-removal test for hypergraph α-acyclicity.
 ///
 /// The hypergraph has one hyperedge per relation: its attribute set.
@@ -299,40 +249,5 @@ mod tests {
         // cycle); this is exactly why the residual machinery treats
         // graph-cyclic specs by decomposition.
         assert_eq!(classify(&s), JoinShape::Cyclic);
-    }
-
-    #[test]
-    fn join_graph_summarizes_both_notions() {
-        let tri = spec(
-            "tri",
-            vec![
-                rel("x", &["a", "b"]),
-                rel("y", &["b", "c"]),
-                rel("z", &["c", "a"]),
-            ],
-        );
-        let g = JoinGraph::of(&tri);
-        assert!(g.is_cyclic());
-        assert!(!g.is_alpha_acyclic());
-        assert_eq!(g.shape(), JoinShape::Cyclic);
-
-        let chain = spec("c", vec![rel("r1", &["a", "b"]), rel("r2", &["b", "c"])]);
-        let g = JoinGraph::of(&chain);
-        assert!(!g.is_cyclic());
-        assert!(g.is_alpha_acyclic());
-        assert_eq!(g.shape(), JoinShape::Chain);
-
-        // Graph-cyclic yet α-acyclic: the diagnostic distinction.
-        let ears = spec(
-            "ears",
-            vec![
-                rel("r", &["a", "b", "c"]),
-                rel("s", &["a", "b"]),
-                rel("t", &["b", "c"]),
-            ],
-        );
-        let g = JoinGraph::of(&ears);
-        assert!(g.is_cyclic());
-        assert!(g.is_alpha_acyclic());
     }
 }

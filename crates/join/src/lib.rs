@@ -33,7 +33,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use suj_join::{JoinSpec, JoinSampler, SampleOutcome, WeightKind};
+//! use suj_join::{JoinSpec, JoinSampler, RowDraw, WeightKind};
 //! use suj_join::weights::build_sampler;
 //! use suj_stats::SujRng;
 //! use suj_storage::{Relation, Schema, Tuple, Value};
@@ -52,10 +52,9 @@
 //! let sampler = build_sampler(spec, WeightKind::Exact)?;
 //! assert_eq!(sampler.size_info().exact, Some(2));
 //! let mut rng = SujRng::seed_from_u64(1);
-//! match sampler.sample(&mut rng) {
-//!     SampleOutcome::Accepted(t) => assert_eq!(t.arity(), 3),
-//!     SampleOutcome::Rejected => unreachable!("EW never rejects here"),
-//! }
+//! let mut draw = RowDraw::new();
+//! assert!(sampler.sample_rows(&mut rng, &mut draw), "EW never rejects here");
+//! assert_eq!(sampler.materialize(&draw).arity(), 3);
 //! # Ok(())
 //! # }
 //! ```
@@ -83,16 +82,16 @@ pub mod prelude {
     pub use crate::cyclic::{CyclicJoinSampler, FractionalEdgeCover};
     pub use crate::error::JoinError;
     pub use crate::exec::JoinResult;
-    pub use crate::graph::{JoinGraph, JoinShape};
+    pub use crate::graph::JoinShape;
     pub use crate::membership::{membership_builds, MembershipOracle};
     pub use crate::residual::decompose_cyclic;
     pub use crate::spec::{JoinEdge, JoinSpec};
     pub use crate::template::{SplitJoin, Template};
     pub use crate::tree::JoinTree;
-    pub use crate::wander::{WalkOutcome, WanderJoin, WanderSampler};
+    pub use crate::wander::{WanderJoin, WanderSampler};
     pub use crate::weights::{
         alias_builds, EwArtifacts, ExactWeightSampler, JoinSampler, OlkenSampler, RowDraw,
-        SampleOutcome, SizeInfo, WeightKind,
+        SizeInfo, WeightKind,
     };
 }
 

@@ -5,8 +5,9 @@
 //! `p(t) = 1/|R_1| · 1/d_2(t_1) · … · 1/d_m(t_{m−1})` is computed on the
 //! fly (Example 6), giving:
 //!
-//! * an online Horvitz–Thompson join-size estimator
-//!   `|J|_S = (1/m) Σ 1/p(t_k)` with running confidence intervals, and
+//! * the inverse probabilities an online Horvitz–Thompson join-size
+//!   estimator `|J|_S = (1/m) Σ 1/p(t_k)` averages (the union layer's
+//!   walk warm-up feeds them to one), and
 //! * [`WanderSampler`], a *uniform* sampler that accepts a walk result
 //!   with probability `(1/p(t))/B` for an upper bound `B ≥ max 1/p(t)`
 //!   (the "plug in any join size upper-bound estimation" instantiation
@@ -17,25 +18,10 @@
 
 use crate::error::JoinError;
 use crate::spec::JoinSpec;
-use crate::weights::{with_draw_scratch, JoinSampler, Prepared, RowDraw, SizeInfo};
+use crate::weights::{JoinSampler, Prepared, RowDraw, SizeInfo};
 use std::sync::Arc;
-use suj_stats::{HorvitzThompson, SujRng};
-use suj_storage::{Tuple, NO_KEY};
-
-/// Result of one random walk.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalkOutcome {
-    /// The walk reached every relation and produced a result tuple with
-    /// the given probability.
-    Success {
-        /// The joined result tuple (spec output order).
-        tuple: Tuple,
-        /// Probability of this exact walk.
-        probability: f64,
-    },
-    /// The walk hit a dead end (or a cycle-consistency violation).
-    Failure,
-}
+use suj_stats::SujRng;
+use suj_storage::NO_KEY;
 
 /// Random-walk engine over one join.
 #[derive(Debug)]
@@ -104,58 +90,10 @@ impl WanderJoin {
         Some(probability)
     }
 
-    /// Performs one random walk, materializing the result tuple on
-    /// success.
-    pub fn walk(&self, rng: &mut SujRng) -> WalkOutcome {
-        let spec = self.spec();
-        with_draw_scratch(|draw| match self.walk_rows(rng, draw) {
-            Some(probability) => WalkOutcome::Success {
-                tuple: spec.gather(draw.rows(), 0..spec.output_schema().arity()),
-                probability,
-            },
-            None => WalkOutcome::Failure,
-        })
-    }
-
-    /// Runs a fixed number of walks, feeding a Horvitz–Thompson size
-    /// estimator.
-    pub fn estimate_size(&self, rng: &mut SujRng, walks: u64) -> HorvitzThompson {
-        let mut ht = HorvitzThompson::new();
-        for _ in 0..walks {
-            match self.walk(rng) {
-                WalkOutcome::Success { probability, .. } => ht.push_success(probability),
-                WalkOutcome::Failure => ht.push_failure(),
-            }
-        }
-        ht
-    }
-
-    /// Walks until the relative CI half-width at `confidence` drops below
-    /// `threshold` or `max_walks` is reached (the paper's warm-up
-    /// termination: 90% confidence or 1,000 samples). Returns the
-    /// estimator and the walks spent.
-    pub fn estimate_until(
-        &self,
-        rng: &mut SujRng,
-        confidence: f64,
-        threshold: f64,
-        max_walks: u64,
-    ) -> (HorvitzThompson, u64) {
-        let mut ht = HorvitzThompson::new();
-        let mut walks = 0;
-        // Check convergence every few walks to amortize the CI cost.
-        const CHECK_EVERY: u64 = 32;
-        while walks < max_walks {
-            match self.walk(rng) {
-                WalkOutcome::Success { probability, .. } => ht.push_success(probability),
-                WalkOutcome::Failure => ht.push_failure(),
-            }
-            walks += 1;
-            if walks % CHECK_EVERY == 0 && ht.converged(confidence, threshold) {
-                break;
-            }
-        }
-        (ht, walks)
+    /// Heap bytes of the walk structures: one hash index and one
+    /// encoded edge-key table per non-root relation.
+    pub fn memory_bytes(&self) -> usize {
+        self.prepared.memory_bytes()
     }
 }
 
@@ -172,11 +110,6 @@ impl WanderSampler {
         Ok(Self {
             wander: WanderJoin::new(spec)?,
         })
-    }
-
-    /// Access to the underlying walk engine.
-    pub fn wander(&self) -> &WanderJoin {
-        &self.wander
     }
 }
 
@@ -204,6 +137,10 @@ impl JoinSampler for WanderSampler {
             exact: None,
         }
     }
+
+    fn memory_bytes(&self) -> usize {
+        self.wander.memory_bytes()
+    }
 }
 
 #[cfg(test)]
@@ -211,8 +148,8 @@ mod tests {
     use super::*;
     use crate::exec::execute;
     use crate::spec::JoinSpec;
-    use crate::weights::SampleOutcome;
-    use suj_storage::{FxHashMap, Relation, Schema, Value};
+    use suj_stats::HorvitzThompson;
+    use suj_storage::{FxHashMap, Relation, Schema, Tuple, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
         let schema = Schema::new(attrs.iter().copied()).unwrap();
@@ -246,6 +183,19 @@ mod tests {
             vec![vec![100, 1], vec![100, 2], vec![101, 3], vec![200, 4]],
         );
         Arc::new(JoinSpec::chain("skew", vec![r, s, t]).unwrap())
+    }
+
+    /// Feeds `walks` walks into a Horvitz–Thompson size estimator.
+    fn estimate_size(wander: &WanderJoin, rng: &mut SujRng, walks: u64) -> HorvitzThompson {
+        let mut ht = HorvitzThompson::new();
+        let mut draw = RowDraw::new();
+        for _ in 0..walks {
+            match wander.walk_rows(rng, &mut draw) {
+                Some(probability) => ht.push_success(probability),
+                None => ht.push_failure(),
+            }
+        }
+        ht
     }
 
     #[test]
@@ -285,9 +235,12 @@ mod tests {
         let spec = Arc::new(JoinSpec::chain("fig3d", vec![r1, r2, r3]).unwrap());
         let wander = WanderJoin::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(1);
+        let mut draw = RowDraw::new();
         let mut seen_target = false;
         for _ in 0..500 {
-            if let WalkOutcome::Success { tuple, probability } = wander.walk(&mut rng) {
+            if let Some(probability) = wander.walk_rows(&mut rng, &mut draw) {
+                let spec = wander.spec();
+                let tuple = spec.gather(draw.rows(), 0..spec.output_schema().arity());
                 if tuple.get(0) == &Value::int(1) && tuple.get(2).as_int() == Some(7) {
                     assert!((probability - (1.0 / 5.0) * (1.0 / 2.0) * (1.0 / 3.0)).abs() < 1e-12);
                     seen_target = true;
@@ -303,7 +256,7 @@ mod tests {
         let truth = execute(&spec).len() as f64;
         let wander = WanderJoin::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(21);
-        let ht = wander.estimate_size(&mut rng, 60_000);
+        let ht = estimate_size(&wander, &mut rng, 60_000);
         let rel_err = (ht.estimate() - truth).abs() / truth;
         assert!(rel_err < 0.05, "estimate {} truth {truth}", ht.estimate());
     }
@@ -313,7 +266,21 @@ mod tests {
         let spec = skewed_chain();
         let wander = WanderJoin::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(22);
-        let (ht, walks) = wander.estimate_until(&mut rng, 0.9, 0.05, 100_000);
+        // The warm-up's termination test: 90% confidence, 5% relative
+        // half-width, checked every 32 walks.
+        let mut ht = HorvitzThompson::new();
+        let mut draw = RowDraw::new();
+        let mut walks = 0u64;
+        while walks < 100_000 {
+            match wander.walk_rows(&mut rng, &mut draw) {
+                Some(probability) => ht.push_success(probability),
+                None => ht.push_failure(),
+            }
+            walks += 1;
+            if walks.is_multiple_of(32) && ht.converged(0.9, 0.05) {
+                break;
+            }
+        }
         assert!(walks < 100_000, "should converge before the cap");
         assert!(ht.converged(0.9, 0.05));
     }
@@ -323,8 +290,9 @@ mod tests {
         let spec = skewed_chain();
         let wander = WanderJoin::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(5);
+        let mut draw = RowDraw::new();
         for _ in 0..500 {
-            if let WalkOutcome::Success { probability, .. } = wander.walk(&mut rng) {
+            if let Some(probability) = wander.walk_rows(&mut rng, &mut draw) {
                 assert!(1.0 / probability <= wander.bound() + 1e-9);
             }
         }
@@ -340,8 +308,10 @@ mod tests {
         let mut counts: FxHashMap<Tuple, u64> = FxHashMap::default();
         let mut accepted = 0usize;
         let target = 2_000 * universe.len();
+        let mut draw = RowDraw::new();
         while accepted < target {
-            if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
+            if sampler.sample_rows(&mut rng, &mut draw) {
+                let t = sampler.materialize(&draw);
                 assert!(universe.contains(&t));
                 *counts.entry(t).or_insert(0) += 1;
                 accepted += 1;
@@ -385,7 +355,7 @@ mod tests {
         assert!(truth > 0.0);
         let wander = WanderJoin::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(77);
-        let ht = wander.estimate_size(&mut rng, 60_000);
+        let ht = estimate_size(&wander, &mut rng, 60_000);
         let rel_err = (ht.estimate() - truth).abs() / truth;
         assert!(rel_err < 0.1, "estimate {} truth {truth}", ht.estimate());
     }
@@ -404,10 +374,11 @@ mod tests {
         );
         let wander = WanderJoin::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(2);
+        let mut draw = RowDraw::new();
         for _ in 0..20 {
-            assert_eq!(wander.walk(&mut rng), WalkOutcome::Failure);
+            assert_eq!(wander.walk_rows(&mut rng, &mut draw), None);
         }
-        let ht = wander.estimate_size(&mut rng, 100);
+        let ht = estimate_size(&wander, &mut rng, 100);
         assert_eq!(ht.estimate(), 0.0);
     }
 }

@@ -108,16 +108,6 @@ pub fn alias_builds() -> u64 {
     ALIAS_BUILDS.load(Ordering::Relaxed)
 }
 
-/// Outcome of one sampling attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SampleOutcome {
-    /// A uniform result tuple (in the spec's output schema order).
-    Accepted(Tuple),
-    /// The attempt was rejected (dead end, failed acceptance test, or a
-    /// cycle-consistency violation).
-    Rejected,
-}
-
 /// Reusable scratch for allocation-free row-id draws: the chosen row id
 /// per relation of the join. Callers on a hot path hold one `RowDraw`
 /// across many [`JoinSampler::sample_rows`] attempts; after the first
@@ -147,9 +137,9 @@ impl RowDraw {
 }
 
 thread_local! {
-    /// Per-thread scratch backing the provided tuple-level
-    /// [`JoinSampler`] methods, so callers that never hold a [`RowDraw`]
-    /// still get allocation-free rejected attempts.
+    /// Per-thread scratch backing [`JoinSampler::sample_batch`], so
+    /// callers that never hold a [`RowDraw`] still get allocation-free
+    /// rejected attempts.
     static DRAW_SCRATCH: RefCell<RowDraw> = RefCell::new(RowDraw::new());
 }
 
@@ -165,9 +155,8 @@ pub(crate) fn with_draw_scratch<R>(f: impl FnOnce(&mut RowDraw) -> R) -> R {
 /// without allocating. Provided on top:
 /// [`sample_rows_within`](JoinSampler::sample_rows_within) retries it
 /// under a budget, [`materialize`](JoinSampler::materialize) gathers
-/// an accepted draw into the output tuple, and the tuple-level
-/// methods ([`sample`](JoinSampler::sample),
-/// [`sample_batch`](JoinSampler::sample_batch)) only materialize on
+/// an accepted draw into the output tuple, and
+/// [`sample_batch`](JoinSampler::sample_batch) materializes only on
 /// acceptance.
 pub trait JoinSampler: Send + Sync {
     /// The join being sampled.
@@ -222,18 +211,6 @@ pub trait JoinSampler: Send + Sync {
     /// writer can extract its count-table/alias-arena artifacts.
     fn as_exact(&self) -> Option<&ExactWeightSampler> {
         None
-    }
-
-    /// One sampling attempt, materializing the tuple only on
-    /// acceptance.
-    fn sample(&self, rng: &mut SujRng) -> SampleOutcome {
-        with_draw_scratch(|draw| {
-            if self.sample_rows(rng, draw) {
-                SampleOutcome::Accepted(self.materialize(draw))
-            } else {
-                SampleOutcome::Rejected
-            }
-        })
     }
 
     /// Batched entry point: draws until `n` tuples are accepted (or
@@ -1010,11 +987,9 @@ mod tests {
         let spec = skewed_chain();
         let sampler = ExactWeightSampler::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(1);
+        let mut draw = RowDraw::new();
         for _ in 0..200 {
-            assert!(matches!(
-                sampler.sample(&mut rng),
-                SampleOutcome::Accepted(_)
-            ));
+            assert!(sampler.sample_rows(&mut rng, &mut draw));
         }
     }
 
@@ -1025,10 +1000,11 @@ mod tests {
     ) -> FxHashMap<Tuple, u64> {
         let mut rng = SujRng::seed_from_u64(seed);
         let mut counts: FxHashMap<Tuple, u64> = FxHashMap::default();
+        let mut draw = RowDraw::new();
         let mut accepted = 0usize;
         while accepted < draws {
-            if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
-                *counts.entry(t).or_insert(0) += 1;
+            if sampler.sample_rows(&mut rng, &mut draw) {
+                *counts.entry(sampler.materialize(&draw)).or_insert(0) += 1;
                 accepted += 1;
             }
         }
@@ -1179,9 +1155,11 @@ mod tests {
         let universe = execute(&spec).distinct_set();
         let sampler = build_sampler(spec, WeightKind::Exact).unwrap();
         let mut rng = SujRng::seed_from_u64(19);
+        let mut draw = RowDraw::new();
         let mut accepted = 0;
         for _ in 0..2000 {
-            if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
+            if sampler.sample_rows(&mut rng, &mut draw) {
+                let t = sampler.materialize(&draw);
                 assert!(universe.contains(&t), "inconsistent cyclic sample {t}");
                 accepted += 1;
             }
@@ -1258,9 +1236,10 @@ mod tests {
         let ew = ExactWeightSampler::new(spec.clone()).unwrap();
         let eo = OlkenSampler::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(3);
+        let mut draw = RowDraw::new();
         for _ in 0..50 {
-            assert_eq!(ew.sample(&mut rng), SampleOutcome::Rejected);
-            assert_eq!(eo.sample(&mut rng), SampleOutcome::Rejected);
+            assert!(!ew.sample_rows(&mut rng, &mut draw));
+            assert!(!eo.sample_rows(&mut rng, &mut draw));
         }
         let mut out = Vec::new();
         assert_eq!(ew.sample_batch(1, 10, &mut rng, &mut out), 10);

@@ -9,7 +9,7 @@ use suj_join::residual::decompose_cyclic;
 use suj_join::weights::{build_sampler, exact_join_size};
 use suj_join::{
     CyclicJoinSampler, ExactWeightSampler, JoinSampler, JoinSpec, JoinTree, MembershipOracle,
-    RowDraw, SampleOutcome, WanderJoin, WeightKind,
+    RowDraw, WanderJoin, WeightKind,
 };
 use suj_stats::SujRng;
 use suj_storage::{FxHashMap, FxHashSet, Relation, Schema, Tuple, Value};
@@ -128,11 +128,13 @@ proptest! {
         let spec = Arc::new(spec);
         let set = execute(&spec).distinct_set();
         let mut rng = SujRng::seed_from_u64(seed);
+        let mut draw = RowDraw::new();
         for kind in [WeightKind::Exact, WeightKind::ExtendedOlken] {
             let sampler = build_sampler(spec.clone(), kind).unwrap();
             let mut emitted = 0;
             for _ in 0..64 {
-                if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
+                if sampler.sample_rows(&mut rng, &mut draw) {
+                    let t = sampler.materialize(&draw);
                     prop_assert!(set.contains(&t), "non-member from {:?}", kind);
                     emitted += 1;
                 }
@@ -159,8 +161,9 @@ proptest! {
     fn wander_bound_dominates_walk_probabilities(spec in star(), seed in 0u64..500) {
         let wander = WanderJoin::new(Arc::new(spec)).unwrap();
         let mut rng = SujRng::seed_from_u64(seed);
+        let mut draw = RowDraw::new();
         for _ in 0..32 {
-            if let suj_join::WalkOutcome::Success { probability, .. } = wander.walk(&mut rng) {
+            if let Some(probability) = wander.walk_rows(&mut rng, &mut draw) {
                 prop_assert!(1.0 / probability <= wander.bound() + 1e-9);
             }
         }
@@ -207,11 +210,9 @@ proptest! {
         let size = execute(&spec).len();
         let sampler = build_sampler(Arc::new(spec), WeightKind::Exact).unwrap();
         let mut rng = SujRng::seed_from_u64(seed);
+        let mut draw = RowDraw::new();
         for _ in 0..32 {
-            match sampler.sample(&mut rng) {
-                SampleOutcome::Accepted(_) => prop_assert!(size > 0),
-                SampleOutcome::Rejected => prop_assert_eq!(size, 0),
-            }
+            prop_assert_eq!(sampler.sample_rows(&mut rng, &mut draw), size > 0);
         }
     }
 

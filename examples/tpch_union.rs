@@ -7,7 +7,7 @@
 
 use sample_union_joins::prelude::*;
 use std::sync::Arc;
-use suj_core::walk_estimator::{walk_warmup, WalkEstimatorConfig};
+use suj_core::walk_estimator::{walk_warmup, walkers, WalkEstimatorConfig};
 use suj_join::WeightKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Random-walk estimation (centralized setting, §6). ---
     let mut rng = SujRng::seed_from_u64(1);
-    let walk = walk_warmup(&workload, &WalkEstimatorConfig::default(), &mut rng)?;
+    let walk = walk_warmup(
+        &workload,
+        &walkers(&workload)?,
+        &WalkEstimatorConfig::default(),
+        &mut rng,
+    )?;
     let walk_map = walk.overlap_map()?;
     println!(
         "random-walk estimate:     |U| ≈ {:.0} ({} walks total)",

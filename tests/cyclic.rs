@@ -11,7 +11,7 @@ use sample_union_joins::prelude::*;
 use sample_union_joins::{Client, Server};
 use std::sync::Arc;
 use suj_join::exec::execute;
-use suj_join::{CyclicJoinSampler, JoinSampler, JoinSpec, SampleOutcome};
+use suj_join::{CyclicJoinSampler, JoinSampler, JoinSpec, RowDraw};
 use suj_storage::{FxHashMap, FxHashSet};
 
 fn relation(name: &str, attrs: &[&str], rows: &[[i64; 2]]) -> Relation {
@@ -273,9 +273,11 @@ proptest! {
             members.len()
         );
         let mut rng = SujRng::seed_from_u64(seed);
+        let mut draw = RowDraw::new();
         let mut accepted = 0usize;
         for _ in 0..400 {
-            if let SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
+            if sampler.sample_rows(&mut rng, &mut draw) {
+                let t = sampler.materialize(&draw);
                 prop_assert!(members.contains(&t), "accepted non-member {t}");
                 accepted += 1;
             }

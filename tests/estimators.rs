@@ -3,7 +3,7 @@
 //! and random-walk convergence (§6).
 
 use sample_union_joins::prelude::*;
-use suj_core::walk_estimator::{walk_warmup, WalkEstimatorConfig};
+use suj_core::walk_estimator::{walk_warmup, walkers, WalkEstimatorConfig};
 
 /// With exact overlaps, the three union-size views (Eq. 1 over
 /// k-overlaps, inclusion–exclusion, and cover sums) agree exactly on
@@ -95,7 +95,7 @@ fn random_walk_estimates_converge_on_uq1() {
         ..Default::default()
     };
     let mut rng = SujRng::seed_from_u64(77);
-    let est = walk_warmup(&w, &cfg, &mut rng).unwrap();
+    let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg, &mut rng).unwrap();
 
     for j in 0..w.n_joins() {
         let truth = exact.join_size(j) as f64;
@@ -147,7 +147,13 @@ fn histogram_ratio_error_improves_with_overlap() {
 fn walk_overlap_ci_is_well_formed() {
     let w = uq2(&UqOptions::new(1, 36, 0.2)).unwrap();
     let mut rng = SujRng::seed_from_u64(5);
-    let est = walk_warmup(&w, &WalkEstimatorConfig::default(), &mut rng).unwrap();
+    let est = walk_warmup(
+        &w,
+        &walkers(&w).unwrap(),
+        &WalkEstimatorConfig::default(),
+        &mut rng,
+    )
+    .unwrap();
     let ci = est.overlap_ci(&[0, 1], 0.9);
     assert!(ci.estimate >= 0.0);
     assert!(ci.half_width.is_finite());
@@ -218,7 +224,7 @@ fn random_walk_estimates_cyclic_sizes() {
         ..Default::default()
     };
     let mut rng = SujRng::seed_from_u64(40);
-    let est = suj_core::walk_estimator::walk_warmup(&w, &cfg, &mut rng).unwrap();
+    let est = walk_warmup(&w, &walkers(&w).unwrap(), &cfg, &mut rng).unwrap();
     for j in 0..3 {
         let truth = exact.join_size(j) as f64;
         let got = est.join_sizes[j];

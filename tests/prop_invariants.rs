@@ -168,10 +168,12 @@ proptest! {
         let spec = Arc::new(spec);
         let set = execute(&spec).distinct_set();
         let mut rng = SujRng::seed_from_u64(seed);
+        let mut draw = RowDraw::new();
         for kind in [WeightKind::Exact, WeightKind::ExtendedOlken] {
             let sampler = build_sampler(spec.clone(), kind).unwrap();
             for _ in 0..20 {
-                if let suj_join::SampleOutcome::Accepted(t) = sampler.sample(&mut rng) {
+                if sampler.sample_rows(&mut rng, &mut draw) {
+                    let t = sampler.materialize(&draw);
                     prop_assert!(set.contains(&t));
                 }
             }
@@ -184,8 +186,9 @@ proptest! {
         let spec = Arc::new(spec);
         let wander = WanderJoin::new(spec).unwrap();
         let mut rng = SujRng::seed_from_u64(seed);
+        let mut draw = RowDraw::new();
         for _ in 0..20 {
-            if let WalkOutcome::Success { probability, .. } = wander.walk(&mut rng) {
+            if let Some(probability) = wander.walk_rows(&mut rng, &mut draw) {
                 prop_assert!(probability > 0.0 && probability <= 1.0);
                 prop_assert!(1.0 / probability <= wander.bound() + 1e-9);
             }
