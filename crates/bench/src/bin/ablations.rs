@@ -295,10 +295,8 @@ fn phi_panel(scale: usize, seed: u64) {
             ci_threshold: 0.02,
             ..Default::default()
         };
-        let mut sampler = SamplerBuilder::for_workload(w.clone())
-            .strategy(Strategy::Online(cfg))
-            .build()
-            .expect("sampler");
+        let parts = OnlineParts::new(w.clone()).expect("sampler");
+        let mut sampler = OnlineUnionSampler::new(Arc::new(parts), cfg, CoverStrategy::AsGiven);
         let mut rng = SujRng::seed_from_u64(seed);
         let ((_, report), t) = timed(|| sampler.sample(500, &mut rng).expect("run"));
         table.push_row(vec![

@@ -26,11 +26,9 @@ fn online_config(reuse: bool) -> OnlineConfig {
     }
 }
 
-fn online_sampler(w: Arc<UnionWorkload>, config: OnlineConfig) -> Box<dyn UnionSampler + Send> {
-    SamplerBuilder::for_workload(w)
-        .strategy(Strategy::Online(config))
-        .build()
-        .expect("sampler")
+fn online_sampler(w: Arc<UnionWorkload>, config: OnlineConfig) -> OnlineUnionSampler {
+    let parts = OnlineParts::new(w).expect("sampler");
+    OnlineUnionSampler::new(Arc::new(parts), config, CoverStrategy::AsGiven)
 }
 
 /// Fig 6a: total sampling time with and without reuse.

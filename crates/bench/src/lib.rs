@@ -275,15 +275,15 @@ mod tests {
         // *copies* of previously drawn tuples (§7's rate R), so with it on
         // the per-sample time measures duplication, not fresh-sample
         // throughput.
-        let online = SamplerBuilder::for_workload(workload.clone())
-            .strategy(Strategy::Online(OnlineConfig {
+        let online = OnlineUnionSampler::new(
+            Arc::new(OnlineParts::new(workload.clone()).expect("online candidate")),
+            OnlineConfig {
                 reuse: false,
                 ..OnlineConfig::default()
-            }))
-            .estimation_seed(seed)
-            .build()
-            .expect("online candidate");
-        out.push(("online".into(), online));
+            },
+            CoverStrategy::AsGiven,
+        );
+        out.push(("online".into(), Box::new(online)));
         out
     }
 

@@ -22,12 +22,19 @@
 //!   the refined distribution. Updates stop once the tracked confidence
 //!   level reaches `γ`.
 //!
-//! Only the walks depend on a handle's RNG, so everything else is frozen
-//! once per plan in [`OnlineParts`], which every handle shares: one
-//! walker per join, built with the parts, and the line-1 histogram
-//! start, computed by the first draw of any handle that needs it and
-//! then read by all of them. Walks, warm-up estimate, cover and record
-//! stay per handle.
+//! Only the walks depend on a handle's RNG, so everything else is built
+//! once in [`OnlineParts`], which every handle over it shares: one
+//! walker per join and the membership indexes, built with the parts,
+//! and the line-1 histogram start, computed by the first draw of any
+//! handle that needs it and then read by all of them. Walks, warm-up
+//! estimate, cover and record stay per handle.
+//!
+//! Algorithm 2 is only asymptotically uniform, so nothing serves it: the
+//! planner's `no-statistics` rule plans the §3 owner sampler, and the
+//! builder refuses [`Strategy::Online`](crate::session::Strategy). The
+//! paper's figures and examples construct it directly:
+//! `OnlineUnionSampler::new(Arc::new(OnlineParts::new(w)?), config,
+//! CoverStrategy::AsGiven)`.
 //!
 //! The sampler implements [`UnionSampler`]: warm-up runs lazily on the
 //! first [`draw`](UnionSampler::draw) (it consumes the caller's RNG),
@@ -118,19 +125,17 @@ struct HistogramStart {
 }
 
 impl OnlineParts {
-    /// Builds one walker per join of `workload`; the histogram start
-    /// waits for the first draw.
+    /// Builds one walker per join of `workload` and the membership
+    /// indexes its ownership checks probe, so no draw pays a build; the
+    /// histogram start waits for the first draw.
     pub fn new(workload: Arc<UnionWorkload>) -> Result<Self, CoreError> {
+        let walkers = walkers(&workload)?;
+        workload.build_membership_indexes();
         Ok(Self {
-            walkers: walkers(&workload)?,
+            walkers,
             workload,
             start: OnceLock::new(),
         })
-    }
-
-    /// Heap bytes of the walkers (hash indexes and edge-key tables).
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.walkers.iter().map(WanderJoin::memory_bytes).sum()
     }
 
     fn start(&self) -> Result<&HistogramStart, CoreError> {

@@ -13,20 +13,18 @@
 //! | `DisjointSemantics` | query asks for `⊎` | one join per draw, by its sampler's bound | Definition 1 |
 //! | `CyclicJoin` | some join graph is cyclic | AGM box-splitting weights | §8.2 + AGM bound |
 //! | `SingleJoin` | one join | per-join sampling, no union machinery | §2, §3.2 |
-//! | `NoStatistics` | no catalog statistics | Algorithm 2 (online estimation) | §6–§7 |
+//! | `NoStatistics` | no catalog statistics | one join per draw, kept by the first join that contains it | §3 + membership oracle |
 //! | `LowOverlap` | `Σ|Jᵢ|/|∪Jᵢ|` near 1 | one join per draw, kept by its designated join | §3 |
 //! | `HighOverlap` | otherwise | Algorithm 1 (cover selection) | §4–§5 |
 //!
 //! Cyclicity is decided *before* the statistics rules on purpose: the
-//! histogram probe can fail on cyclic shapes, and letting that failure
-//! route a cyclic workload to Algorithm 2 would bypass the sampler
-//! built for it.
+//! histogram probe can fail on cyclic shapes, and that failure must not
+//! change how a cyclic workload is planned.
 //!
 //! Every [`Plan`] carries the statistics that drove the decision and an
 //! [`explain`](Plan::explain) rendering that cites the rule, so served
 //! configurations stay auditable.
 
-use crate::algorithm2::OnlineConfig;
 use crate::cover::CoverStrategy;
 use crate::disjoint::DesignationPolicy;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
@@ -164,7 +162,9 @@ pub enum PlanRule {
     CyclicJoin,
     /// A single join needs no union machinery.
     SingleJoin,
-    /// No statistics: estimate online, while sampling.
+    /// No statistics: the union trick under the exact membership oracle,
+    /// which needs no `|∪Jᵢ|` and no overlap map, only the bounds the
+    /// member samplers own.
     NoStatistics,
     /// Overlap ratio near 1: the union trick's designation rarely
     /// rejects.
@@ -190,7 +190,9 @@ impl PlanRule {
                 "§8.2; AGM bound (Atserias–Grohe–Marx); box splitting (Wang & Tao, PODS'23)"
             }
             PlanRule::SingleJoin => "§2, §3.2",
-            PlanRule::NoStatistics => "§6–§7 (Algorithm 2)",
+            PlanRule::NoStatistics => {
+                "§3 (union trick, membership-oracle designation; Kamat & Nandi)"
+            }
             PlanRule::LowOverlap => "§3 (Bernoulli union trick)",
             PlanRule::HighOverlap => "§4–§5 (Algorithm 1, cover selection)",
             PlanRule::Explicit => "caller's choice",
@@ -217,7 +219,10 @@ pub struct PlannerConfig {
     /// at 20%).
     pub bernoulli_max_overlap_ratio: f64,
     /// Probe catalog statistics at all; `false` models the
-    /// decentralized cold start and always plans Algorithm 2.
+    /// decentralized cold start. Disjoint semantics, cyclic joins and
+    /// single joins keep their own rules, which read no statistics;
+    /// every other set union is then planned by the `no-statistics`
+    /// rule.
     pub use_statistics: bool,
 }
 
@@ -244,8 +249,13 @@ impl Planner {
     }
 
     /// A planner that never consults catalog statistics (the
-    /// decentralized / cold-start setting): every set-union plan is
-    /// Algorithm 2, which estimates parameters while sampling.
+    /// decentralized / cold-start setting). The rules that read no
+    /// statistics still decide first (disjoint semantics, a cyclic
+    /// join, a single join); any other set union is planned by the
+    /// `no-statistics` rule: one join per draw in proportion to its
+    /// sampler's bound, a tuple kept only by the first join whose
+    /// membership index contains it — exactly uniform, with no
+    /// `|∪Jᵢ|` and no overlap map.
     pub fn without_statistics() -> Self {
         Self::new(PlannerConfig {
             use_statistics: false,
@@ -308,8 +318,7 @@ impl Planner {
         } else if cyclic {
             // Decided before the statistics rules: the histogram probe
             // can fail on cyclic shapes, and that failure must not
-            // route the workload to Algorithm 2 (whose online machinery
-            // never engages the box sampler).
+            // change the plan.
             let strategy = if stats.n_joins == 1 {
                 Strategy::Disjoint
             } else {
@@ -321,9 +330,11 @@ impl Planner {
             // per-join sampling — no oracles, no cover, no rejection.
             (PlanRule::SingleJoin, Strategy::Disjoint)
         } else if !stats.available() {
+            // Designation by the exact membership oracle needs no
+            // |∪Jᵢ| and no overlap map, only the members' own bounds.
             (
                 PlanRule::NoStatistics,
-                Strategy::Online(OnlineConfig::default()),
+                Strategy::Bernoulli(DesignationPolicy::Oracle),
             )
         } else {
             // Inconsistent estimates (zero union under non-zero joins,
@@ -339,14 +350,13 @@ impl Planner {
             }
         };
 
-        // Online estimates its own parameters; every other strategy
-        // consumes the picked estimator. Weights are the exact (EW)
-        // instantiation on acyclic workloads: extended-Olken weights
-        // exist for the decentralized setting where base data cannot be
-        // scanned (§5, §9), but an engine that holds the relations can
-        // afford exact per-tuple weights, and they cut the
-        // join-subroutine rejection rate by an order of magnitude on
-        // skewed data. Cyclic workloads get AGM box weights instead;
+        // Weights are the exact (EW) instantiation on acyclic
+        // workloads: extended-Olken weights exist for the decentralized
+        // setting where base data cannot be scanned (§5, §9), but an
+        // engine that holds the relations can afford exact per-tuple
+        // weights, and they cut the join-subroutine rejection rate by
+        // an order of magnitude on skewed data. Cyclic workloads get
+        // AGM box weights instead;
         // `build_sampler` routes each member join by its own shape, so
         // acyclic members of a mixed union still tree-walk.
         let weight_kind = if cyclic {
@@ -354,31 +364,23 @@ impl Planner {
         } else {
             WeightKind::Exact
         };
-        let (estimator, weights) = match strategy {
-            Strategy::Online(_) => (None, None),
-            _ => (Some(estimator), Some(weight_kind)),
-        };
-
         let cover_strategy = match strategy {
             Strategy::Rejection => Some(match stats.size_skew() {
                 Some(skew) if skew >= SKEWED_COVER_RATIO => CoverStrategy::DescendingSize,
                 _ => CoverStrategy::AsGiven,
             }),
-            // Algorithm 2 also orders its cover; record the default so
-            // the plan summary matches what the builder reports.
-            Strategy::Online(_) => Some(CoverStrategy::AsGiven),
             _ => None,
         };
 
         // The probe ran the default histogram estimator; only a plan
         // that keeps exactly that estimator may reuse its map.
-        if let Some(Estimator::Histogram(_)) = estimator {
+        if let Estimator::Histogram(_) = estimator {
             given.map = probed_map;
         }
         let plan = Plan {
             strategy,
-            estimator,
-            weights,
+            estimator: Some(estimator),
+            weights: Some(weight_kind),
             cover_strategy,
             predicate_mode: None,
             sizing: None,
@@ -450,10 +452,11 @@ pub enum Sizing {
 pub struct Plan {
     /// The sampling strategy.
     pub strategy: Strategy,
-    /// Parameter estimator; `None` when the strategy estimates online.
+    /// Parameter estimator; `None` until the freeze fills in the
+    /// default for a caller who pinned none.
     pub estimator: Option<Estimator>,
-    /// Per-join weight instantiation; `None` when the strategy picks
-    /// its own.
+    /// Per-join weight instantiation; `None` until the freeze fills in
+    /// the default for a caller who pinned none.
     pub weights: Option<WeightKind>,
     /// Cover ordering, for strategies that build a cover.
     pub cover_strategy: Option<CoverStrategy>,
@@ -461,8 +464,7 @@ pub struct Plan {
     pub predicate_mode: Option<PredicateMode>,
     /// Where the join sizes the sampler selects by came from. `None`
     /// until the freeze stamps what it actually read (a planner's plan
-    /// has selected nothing yet), and for strategies that size nothing
-    /// up front (online).
+    /// has selected nothing yet).
     pub sizing: Option<Sizing>,
     /// The rule that fired.
     pub rule: PlanRule,
@@ -478,7 +480,7 @@ impl Plan {
     pub fn summary(&self) -> PlanSummary {
         PlanSummary {
             strategy: self.strategy.label(),
-            estimator: self.estimator.as_ref().map_or("online", Estimator::label),
+            estimator: self.estimator.as_ref().map_or("none", Estimator::label),
             weights: self.weights.map(Labeled::label),
             cover: self.cover_strategy.map(Labeled::label),
             predicate: self.predicate_mode.map(Labeled::label),
@@ -521,9 +523,11 @@ impl Plan {
                     .to_string()
             }
             PlanRule::NoStatistics => {
-                "no catalog statistics available: Algorithm 2 estimates overlap \
-                 parameters online, while sampling, with sample reuse and \
-                 backtracking"
+                "no catalog statistics available, so no |∪Jᵢ| and no overlap map: \
+                 sample one join per draw in proportion to the bound its sampler \
+                 rejects against (|Jᵢ| under exact weights), and keep a tuple only \
+                 if that join is the first whose membership index contains it — \
+                 exactly uniform over the set union, estimating nothing"
                     .to_string()
             }
             // Exact member sizes clamp the union estimate into
@@ -709,15 +713,19 @@ mod tests {
     }
 
     #[test]
-    fn no_statistics_plans_online() {
+    fn no_statistics_plans_owner_sampler() {
         let w = identical_workload();
         let plan = Planner::without_statistics().plan(&w, UnionSemantics::Set);
         assert_eq!(plan.rule, PlanRule::NoStatistics);
-        assert!(matches!(plan.strategy, Strategy::Online(_)));
-        assert!(plan.estimator.is_none());
-        assert!(plan.weights.is_none());
+        assert!(matches!(
+            plan.strategy,
+            Strategy::Bernoulli(DesignationPolicy::Oracle)
+        ));
+        assert_eq!(plan.weights, Some(WeightKind::Exact));
+        assert!(plan.cover_strategy.is_none());
         let explain = plan.explain();
-        assert!(explain.contains("§6–§7"), "{explain}");
+        assert!(explain.contains("§3"), "{explain}");
+        assert!(explain.contains("membership"), "{explain}");
     }
 
     #[test]

@@ -30,11 +30,11 @@ use std::time::Duration;
 pub struct PlanSummary {
     /// Sampling strategy, e.g. `rejection` or `bernoulli(record)`.
     pub strategy: &'static str,
-    /// Parameter estimator, e.g. `exact` or `histogram(EO)`; `online`
-    /// when the strategy estimates while sampling.
+    /// Parameter estimator, e.g. `exact` or `histogram(EO)`; `none`
+    /// for a plan that names none.
     pub estimator: &'static str,
     /// Per-join weight instantiation, e.g. `exact` or `agm-box`;
-    /// `None` when the strategy picks its own weights (online).
+    /// `None` for a plan that names none.
     pub weights: Option<&'static str>,
     /// Cover ordering, for strategies that build a cover.
     pub cover: Option<&'static str>,

@@ -2,10 +2,9 @@
 //!
 //! The framework has three orthogonal axes — *parameter estimation*
 //! (exact / histogram / random walk), *sampling strategy* (Algorithm 1
-//! rejection, Algorithm 2 online, Bernoulli union trick, disjoint
-//! union), and *predicate handling* (push-down / reject) — that every
-//! caller previously hand-wired. [`SamplerBuilder`] owns the whole
-//! pipeline:
+//! rejection, Bernoulli union trick, disjoint union), and *predicate
+//! handling* (push-down / reject) — that every caller previously
+//! hand-wired. [`SamplerBuilder`] owns the whole pipeline:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -60,7 +59,6 @@
 //! the rest.
 
 use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
-use crate::algorithm2::{OnlineConfig, OnlineParts, OnlineUnionSampler};
 use crate::cover::CoverStrategy;
 use crate::disjoint::{DesignationPolicy, DisjointUnionSampler};
 use crate::error::CoreError;
@@ -117,10 +115,13 @@ pub enum Strategy {
     /// [`SamplerBuilder::cover_strategy`], and
     /// [`SamplerBuilder::weights`].
     Rejection,
-    /// Algorithm 2: online estimation while sampling, with sample reuse
-    /// and backtracking. Pairs with [`Estimator::Walk`] (which then
-    /// configures the warm-up) or no explicit estimator.
-    Online(OnlineConfig),
+    /// Algorithm 2 (§6–§7), which is not served: it is only
+    /// asymptotically uniform, and it is built directly as an
+    /// [`OnlineUnionSampler`](crate::algorithm2::OnlineUnionSampler)
+    /// over [`OnlineParts`](crate::algorithm2::OnlineParts). The
+    /// variant remains because snapshot format 3 persisted it as tag 1:
+    /// the builder refuses it, and a restore re-plans such an entry.
+    Online,
     /// The §3 union trick: one join per draw in proportion to its
     /// sampler's size bound, a tuple kept only by the join the given
     /// policy designates — the set union, estimating nothing.
@@ -186,7 +187,7 @@ impl Strategy {
     pub fn label(&self) -> &'static str {
         match self {
             Strategy::Rejection => "rejection",
-            Strategy::Online(_) => "online",
+            Strategy::Online => "online",
             Strategy::Bernoulli(DesignationPolicy::Oracle) => "bernoulli(oracle)",
             Strategy::Bernoulli(DesignationPolicy::Record) => "bernoulli(record)",
             Strategy::Disjoint => "disjoint",
@@ -200,7 +201,7 @@ impl Strategy {
     pub(crate) fn tag(&self) -> Option<u8> {
         match self {
             Strategy::Rejection => Some(0),
-            Strategy::Online(_) => Some(1),
+            Strategy::Online => Some(1),
             Strategy::Bernoulli(DesignationPolicy::Oracle) => Some(2),
             Strategy::Bernoulli(DesignationPolicy::Record) => Some(3),
             Strategy::Disjoint => Some(4),
@@ -212,7 +213,7 @@ impl Strategy {
     pub(crate) fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(Strategy::Rejection),
-            1 => Some(Strategy::Online(OnlineConfig::default())),
+            1 => Some(Strategy::Online),
             2 => Some(Strategy::Bernoulli(DesignationPolicy::Oracle)),
             3 => Some(Strategy::Bernoulli(DesignationPolicy::Record)),
             4 => Some(Strategy::Disjoint),
@@ -577,34 +578,12 @@ pub(crate) fn freeze(
             plan.sizing = Some(sizing(&estimator, hinted));
             (PreparedKind::Rejection { config }, samplers, Some(map))
         }
-        Strategy::Online(mut config) => {
-            // Algorithm 2 always uses wander-join walks with the
-            // record policy; knobs it cannot honor are errors, not
-            // silent no-ops.
-            reject_knob(plan.weights.is_some(), "weights", "Strategy::Online")?;
-            reject_knob(cover_policy.is_some(), "cover_policy", "Strategy::Online")?;
-            // An explicit Walk estimator configures its warm-up,
-            // anything else is a contradiction worth surfacing.
-            match plan.estimator.take() {
-                None => {}
-                Some(Estimator::Walk(warmup)) => config.warmup = warmup,
-                Some(_) => {
-                    return Err(CoreError::Invalid(
-                        "Strategy::Online estimates parameters online; combine it \
-                         with Estimator::Walk (warm-up configuration) or no \
-                         estimator"
-                            .into(),
-                    ));
-                }
-            }
-            plan.strategy = Strategy::Online(config);
-            let cover_strategy = *plan.cover_strategy.get_or_insert(CoverStrategy::AsGiven);
-            let kind = PreparedKind::Online {
-                config,
-                cover_strategy,
-                parts: Arc::new(OnlineParts::new(workload.clone())?),
-            };
-            (kind, Vec::new(), None)
+        Strategy::Online => {
+            return Err(CoreError::Invalid(
+                "Strategy::Online is not served: Algorithm 2 is only asymptotically \
+                 uniform; construct an OnlineUnionSampler over OnlineParts directly"
+                    .into(),
+            ));
         }
         Strategy::Disjoint | Strategy::Bernoulli(_) => {
             let (name, designation) = match plan.strategy {
@@ -637,7 +616,6 @@ pub(crate) fn freeze(
             config.policy == CoverPolicy::MembershipOracle
                 || matches!(plan.estimator, Some(Estimator::Walk(_)))
         }
-        PreparedKind::Online { .. } => true,
         PreparedKind::Disjoint { designation } => *designation == Some(DesignationPolicy::Oracle),
     };
     if probes_membership {
@@ -646,12 +624,8 @@ pub(crate) fn freeze(
 
     // Resident footprint of the frozen pipeline: base relations, the
     // membership indexes just built (if any), and everything the
-    // per-join samplers or online walkers precomputed (hash indexes,
-    // edge-key tables, count tables, alias arenas).
-    let walker_bytes = match &kind {
-        PreparedKind::Online { parts, .. } => parts.memory_bytes(),
-        _ => 0,
-    };
+    // per-join samplers precomputed (hash indexes, edge-key tables,
+    // count tables, alias arenas).
     let sampler_bytes: usize = samplers.iter().map(|s| s.memory_bytes()).sum();
     let summary = plan.summary();
     let (snapshot_bytes, restore_time) = match given.restore {
@@ -659,7 +633,7 @@ pub(crate) fn freeze(
         None => (0, Duration::ZERO),
     };
     Ok(PreparedQuery {
-        prepared_bytes: (workload.memory_bytes() + sampler_bytes + walker_bytes) as u64,
+        prepared_bytes: (workload.memory_bytes() + sampler_bytes) as u64,
         workload,
         kind,
         samplers,
@@ -682,14 +656,6 @@ pub(crate) fn freeze(
 enum PreparedKind {
     /// Algorithm 1 (rejection + revision) over the frozen map.
     Rejection { config: UnionSamplerConfig },
-    /// Algorithm 2: estimates online, so each handle owns its own
-    /// estimation state (warm-up consumes the handle's RNG) over the
-    /// walkers and histogram start every handle shares.
-    Online {
-        config: OnlineConfig,
-        cover_strategy: CoverStrategy,
-        parts: Arc<OnlineParts>,
-    },
     /// One join per draw in proportion to its sampler's bound: the
     /// disjoint union (Definition 1), or the set union under the §3
     /// designation rule.
@@ -721,9 +687,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct PreparedQuery {
     workload: Arc<UnionWorkload>,
     kind: PreparedKind,
-    /// Per-join samplers built once and shared by every handle (none
-    /// for online pipelines, whose handles share the walkers in
-    /// `PreparedKind::Online` instead).
+    /// Per-join samplers built once and shared by every handle.
     /// They own the join sizes: selection reads `size_info()`.
     samplers: Vec<Arc<dyn JoinSampler>>,
     /// The estimator's overlap map, when the freeze consulted one —
@@ -741,8 +705,8 @@ pub struct PreparedQuery {
     root_seed: u64,
     estimation_passes: u64,
     /// Resident bytes of the workload's base relations, its built
-    /// membership indexes and the shared per-join samplers or online
-    /// walkers, stamped into every minted handle's report.
+    /// membership indexes and the shared per-join samplers, stamped
+    /// into every minted handle's report.
     prepared_bytes: u64,
     /// Size of the snapshot this pipeline was restored from and wall
     /// time of that restore (both zero when frozen in-process);
@@ -804,9 +768,7 @@ impl PreparedQuery {
     /// Mints an independent sampler handle over the frozen state.
     ///
     /// Cheap by construction: no estimation, no weight precomputation,
-    /// no index build — only fresh per-handle record/report state
-    /// (plus, for [`Strategy::Online`], the lazily-initialized warm-up
-    /// walks and cover, which by design are per-handle).
+    /// no index build — only fresh per-handle record/report state.
     pub(crate) fn mint(&self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
         let (workload, samplers) = (self.workload.clone(), self.samplers.clone());
         let base: Box<dyn UnionSampler + Send> = match &self.kind {
@@ -817,15 +779,6 @@ impl PreparedQuery {
                     .expect("a rejection freeze always commits to a map");
                 Box::new(SetUnionSampler::new(workload, map, *config, samplers)?)
             }
-            PreparedKind::Online {
-                config,
-                cover_strategy,
-                parts,
-            } => Box::new(OnlineUnionSampler::new(
-                parts.clone(),
-                *config,
-                *cover_strategy,
-            )),
             PreparedKind::Disjoint { designation } => {
                 Box::new(DisjointUnionSampler::new(workload, samplers, *designation)?)
             }
@@ -845,11 +798,9 @@ impl PreparedQuery {
 
     /// Mints an independent `Send` sampler handle over the frozen
     /// state; `seed` names the handle's RNG stream. Minting is cheap
-    /// and re-estimates nothing (exception: an online plan walks its
-    /// warm-up per handle *by design* — see
-    /// [`estimations`](Self::estimations));
-    /// every handle is a fresh i.i.d. sampling process, safe to use
-    /// concurrently with any number of sibling handles.
+    /// and re-estimates nothing; every handle is a fresh i.i.d.
+    /// sampling process, safe to use concurrently with any number of
+    /// sibling handles.
     ///
     /// The handle itself carries no mint-time randomness: two handles
     /// minted with different seeds are identical until driven. The seed
@@ -895,14 +846,6 @@ impl PreparedQuery {
     /// held the parameters. Constant afterwards: minting handles and
     /// sampling never repeat prepare-time estimation — the "estimate
     /// once, serve many" assertion for served workloads.
-    ///
-    /// Plans using [`Strategy::Online`] (the no-statistics rule) also
-    /// report 0: Algorithm 2's histogram start is paid once per
-    /// prepared query, by its first draw, and shared by every handle;
-    /// its warm-up walks and refinement consume each handle's own RNG
-    /// stream, so that work is inherently per-handle, is not counted
-    /// here, and shows up as `warmup_time` in per-request reports
-    /// instead.
     pub fn estimations(&self) -> u64 {
         self.estimation_passes
     }
@@ -915,8 +858,8 @@ impl PreparedQuery {
 
     /// Approximate resident bytes of the prepared workload's base
     /// relations, the membership indexes the freeze built (none unless
-    /// the plan probes membership) and the shared per-join samplers or
-    /// online walkers (the number stamped into every handle's report).
+    /// the plan probes membership) and the shared per-join samplers
+    /// (the number stamped into every handle's report).
     pub fn prepared_bytes(&self) -> u64 {
         self.prepared_bytes
     }
@@ -942,12 +885,9 @@ impl PreparedQuery {
     /// Per-join Exact-Weight artifacts (count tables + alias arenas)
     /// when *every* member sampler is exact-weight — what a snapshot
     /// persists so a restore can revive the samplers without any count
-    /// recomputation or alias rebuild. `None` for online pipelines or
-    /// any non-EW member (nothing to persist).
+    /// recomputation or alias rebuild. `None` when any member is not
+    /// EW (nothing to persist).
     pub(crate) fn ew_artifacts(&self) -> Option<Vec<suj_join::EwArtifacts>> {
-        if self.samplers.is_empty() {
-            return None;
-        }
         self.samplers
             .iter()
             .map(|s| s.as_exact().map(|e| e.artifacts()))
@@ -1000,24 +940,15 @@ mod tests {
         let exact = crate::exact::full_join_union(&w).unwrap();
         let strategies = [
             Strategy::Rejection,
-            Strategy::Online(OnlineConfig {
-                warmup: WalkEstimatorConfig {
-                    max_walks_per_join: 100,
-                    min_walks_per_join: 32,
-                    ..Default::default()
-                },
-                ..Default::default()
-            }),
             Strategy::Bernoulli(DesignationPolicy::Oracle),
             Strategy::Disjoint,
         ];
         for (i, strategy) in strategies.into_iter().enumerate() {
-            let builder = SamplerBuilder::for_workload(w.clone()).strategy(strategy);
-            let builder = match strategy {
-                Strategy::Online(_) => builder,
-                _ => builder.estimator(Estimator::Exact),
-            };
-            let mut sampler = builder.build().unwrap();
+            let mut sampler = SamplerBuilder::for_workload(w.clone())
+                .strategy(strategy)
+                .estimator(Estimator::Exact)
+                .build()
+                .unwrap();
             let mut rng = SujRng::seed_from_u64(100 + i as u64);
             let (samples, report) = sampler.sample(40, &mut rng).unwrap();
             assert_eq!(samples.len(), 40, "strategy #{i}");
@@ -1092,47 +1023,22 @@ mod tests {
             wander.prepared_bytes(),
             workload_bytes + walker_bytes as u64
         );
-
-        // Online builds no per-join samplers but one walker per join:
-        // workload bytes — which now include the membership indexes its
-        // freeze built (the plans above, under the record policy, built
-        // none) — plus exactly the walkers'.
-        let online = SamplerBuilder::for_workload(w.clone())
-            .strategy(Strategy::Online(OnlineConfig::default()))
-            .freeze()
-            .unwrap();
-        assert!(w.memory_bytes() as u64 > workload_bytes);
-        assert_eq!(
-            online.prepared_bytes(),
-            (w.memory_bytes() + walker_bytes) as u64
-        );
-        assert!(online.ew_artifacts().is_none());
-    }
-
-    #[test]
-    fn online_rejects_incompatible_estimator() {
-        let w = workload();
-        let err = SamplerBuilder::for_workload(w)
-            .estimator(Estimator::Exact)
-            .strategy(Strategy::Online(OnlineConfig::default()))
-            .build();
-        assert!(err.is_err());
+        assert!(wander.ew_artifacts().is_none());
     }
 
     #[test]
     fn inapplicable_knobs_are_rejected_not_ignored() {
         let w = workload();
-        // Online honors neither per-join weights nor a cover policy.
-        assert!(SamplerBuilder::for_workload(w.clone())
-            .strategy(Strategy::Online(OnlineConfig::default()))
-            .weights(WeightKind::ExtendedOlken)
+        // Algorithm 2 is not served; the refusal names what to build.
+        let err = SamplerBuilder::for_workload(w.clone())
+            .strategy(Strategy::Online)
             .build()
-            .is_err());
-        assert!(SamplerBuilder::for_workload(w.clone())
-            .strategy(Strategy::Online(OnlineConfig::default()))
-            .cover_policy(CoverPolicy::MembershipOracle)
-            .build()
-            .is_err());
+            .err()
+            .expect("Strategy::Online is refused");
+        assert!(
+            matches!(&err, CoreError::Invalid(m) if m.contains("OnlineUnionSampler")),
+            "{err}"
+        );
         // Bernoulli and Disjoint have no cover.
         assert!(SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)

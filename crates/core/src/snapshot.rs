@@ -37,7 +37,11 @@
 //! statistics that drove it, not as full configurations: the engine's
 //! planner only ever emits default-configured variants, so the tags
 //! reconstruct the plan exactly, and a replica's summary and `EXPLAIN`
-//! equal the donor's.
+//! equal the donor's. One tag reads back as a different plan: strategy
+//! tag 1, Algorithm 2, which format 3 persisted for the `no-statistics`
+//! rule and which is no longer served; the restore plans such an entry
+//! again with the snapshot's own [`PlannerConfig`], so it serves and
+//! re-takes what a fresh prepare of that engine does.
 //! The predicate mode is not stored: it is a function of the query.
 //! Prepared entries that did not come through the engine (no source
 //! query, e.g. [`PreparedQuery::auto`](crate::catalog::PreparedQuery::auto))
@@ -47,8 +51,8 @@
 //! restore path's substitute for estimation; join sizes are not stored
 //! beside it, the freeze reads them from the revived samplers as it
 //! does on a fresh prepare, and stamps the same `sizing=` label. A
-//! pipeline that estimated nothing (disjoint sampling over exact-weight
-//! members, Algorithm 2) stores no map. The map describes the workload
+//! pipeline that estimated nothing (one join per draw over exact-weight
+//! members) stores no map. The map describes the workload
 //! *after* any predicate push-down rewrite; restoring replays the
 //! rewrite deterministically (it is the first stage of the one prepare
 //! pipeline) and hands the map to the freeze as given.
@@ -432,8 +436,14 @@ impl Engine {
             let artifacts = arenas.remove(&id);
             // The one prepare pipeline, with the plan and everything
             // already computed for the rewritten workload given instead
-            // of probed.
-            let restored = engine.prepare_via(&query, root_seed, |workload, _| {
+            // of probed. Algorithm 2 is no longer served: an entry saved
+            // with its tag is planned again by the snapshot's planner.
+            let restored = engine.prepare_via(&query, root_seed, |workload, semantics| {
+                let restore = Some((snapshot_bytes, start));
+                if let Strategy::Online = plan.strategy {
+                    let (plan, given) = engine.planner().plan_with_given(workload, semantics);
+                    return Ok((plan, Given { restore, ..given }));
+                }
                 let n = workload.n_joins();
                 if plan.stats.n_joins != n || map.as_ref().is_some_and(|m| m.n() != n) {
                     return Err(CoreError::Snapshot(corrupt(
@@ -444,7 +454,7 @@ impl Engine {
                 let given = Given {
                     map,
                     samplers: artifacts.map(|a| revive(workload, a)).transpose()?,
-                    restore: Some((snapshot_bytes, start)),
+                    restore,
                 };
                 Ok((plan, given))
             })?;

@@ -12,6 +12,7 @@
 use std::sync::{Arc, Barrier};
 use suj_core::prelude::*;
 use suj_join::{membership_builds, JoinError, JoinSpec, MembershipOracle};
+use suj_stats::SujRng;
 use suj_storage::{Relation, Schema, Tuple, Value};
 use suj_tpch::{uq1, UqOptions};
 
@@ -109,21 +110,20 @@ fn default_plans_never_build_an_index() {
     );
 }
 
-/// The four configurations that probe membership while drawing or
-/// estimating are fully indexed when the freeze returns, pay for the
-/// indexes in `prepared_bytes`, and build nothing while drawing.
+/// The three served configurations that probe membership while
+/// drawing or estimating are fully indexed when the freeze returns, pay
+/// for the indexes in `prepared_bytes`, and build nothing while
+/// drawing; Algorithm 2's parts are indexed when `OnlineParts::new`
+/// returns.
 fn probing_plans_are_indexed_by_the_freeze() {
     type Configure = fn(SamplerBuilder) -> SamplerBuilder;
-    let configurations: [(&str, Configure); 4] = [
+    let configurations: [(&str, Configure); 3] = [
         ("bernoulli(oracle)", |b| {
             b.strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
         }),
         ("rejection + membership-oracle cover", |b| {
             b.strategy(Strategy::Rejection)
                 .cover_policy(CoverPolicy::MembershipOracle)
-        }),
-        ("online", |b| {
-            b.strategy(Strategy::Online(OnlineConfig::default()))
         }),
         ("walk estimator", |b| {
             b.strategy(Strategy::Rejection)
@@ -152,12 +152,38 @@ fn probing_plans_are_indexed_by_the_freeze() {
         assert_eq!(membership_builds(), frozen, "{name}: a draw built an index");
     }
 
-    // The same holds across a restore: an engine whose planner serves
-    // Algorithm 2 re-indexes at load, not at the replica's first draw.
+    // Algorithm 2 is built directly, over parts that hold every index.
+    let workload = uq1_workload();
+    let before = membership_builds();
+    let parts = Arc::new(OnlineParts::new(workload.clone()).unwrap());
+    assert_eq!(
+        membership_builds() - before,
+        index_count(&workload),
+        "online: every index exists when OnlineParts::new returns"
+    );
+    let built = membership_builds();
+    for seed in 0..3 {
+        let mut handle = OnlineUnionSampler::new(
+            parts.clone(),
+            OnlineConfig::default(),
+            CoverStrategy::AsGiven,
+        );
+        let (tuples, _) = handle.sample(50, &mut SujRng::seed_from_u64(seed)).unwrap();
+        assert_eq!(tuples.len(), 50);
+    }
+    assert_eq!(membership_builds(), built, "online: a draw built an index");
+
+    // The same holds across a restore: the no-statistics plan, the
+    // owner sampler under the membership oracle, re-indexes at load,
+    // not at the replica's first draw.
     let engine = uq1_engine(Planner::without_statistics());
     let query = uq1_query(UnionQuery::set_union());
     let donor = engine.prepare(&query).unwrap();
-    assert!(matches!(donor.plan().strategy, Strategy::Online(_)));
+    assert_eq!(donor.plan().rule.name(), "no-statistics");
+    assert!(matches!(
+        donor.plan().strategy,
+        Strategy::Bernoulli(DesignationPolicy::Oracle)
+    ));
     let bytes = engine.snapshot_to_bytes().unwrap();
     let before = membership_builds();
     let replica = Engine::load_snapshot_bytes(&bytes).unwrap();

@@ -1,9 +1,9 @@
 //! A cold prepare builds each join-edge index once: the §5 probe reads
 //! every statistic — the Olken bounds' and the path pre-estimates'
 //! maximum degrees included — from column histograms, so the only
-//! `HashIndex` builds left are the ones the member samplers walk. An
-//! online (no-statistics) prepare builds its walkers' indexes once too,
-//! and its requests build none.
+//! `HashIndex` builds left are the ones the member samplers walk.
+//! Algorithm 2's parts build their walkers' indexes once too, and the
+//! handles over them build none.
 //!
 //! One `#[test]` on purpose: the build counters are process-global,
 //! and exact-delta assertions are only race-free when no other test
@@ -13,6 +13,7 @@
 use std::sync::Arc;
 use suj_core::prelude::*;
 use suj_join::{membership_builds, JoinTree};
+use suj_stats::SujRng;
 use suj_storage::{hash_index_builds, FxHashSet};
 use suj_tpch::{uq1, UqOptions};
 
@@ -61,39 +62,37 @@ fn default_prepare_builds_each_edge_index_once() {
     );
     assert_eq!(aliases, 5, "one alias arena per member join");
 
-    // The no-statistics plan (Algorithm 2): the freeze builds one walker
+    // Algorithm 2, built directly: `OnlineParts::new` builds one walker
     // index per non-root relation of every join, beside the membership
-    // indexes its warm-up probes; requests build nothing.
-    let engine = Engine::with_planner(catalog_of(&workload), Planner::without_statistics());
+    // indexes its ownership checks probe; handles build nothing.
+    let workload = Arc::new(workload);
     let indexes_before = hash_index_builds();
     let memberships_before = membership_builds();
-    let online = engine.prepare(&query).unwrap();
+    let parts = Arc::new(OnlineParts::new(workload.clone()).unwrap());
     let indexes = hash_index_builds() - indexes_before;
     let memberships = membership_builds() - memberships_before;
-    assert_eq!(online.plan().rule.name(), "no-statistics");
-    let non_root: usize = online
-        .workload()
-        .joins()
-        .iter()
-        .map(|j| j.n_relations() - 1)
-        .sum();
+    let non_root: usize = workload.joins().iter().map(|j| j.n_relations() - 1).sum();
     assert_eq!(non_root, 20);
     assert_eq!(
         indexes - memberships,
         non_root as u64,
-        "an online freeze builds one walker index per non-root relation"
+        "the online parts build one walker index per non-root relation"
     );
     let indexes_before = hash_index_builds();
     for seed in 0..3 {
-        let (batch, _) = online.sample(16, seed).unwrap();
+        let mut handle = OnlineUnionSampler::new(
+            parts.clone(),
+            OnlineConfig::default(),
+            CoverStrategy::AsGiven,
+        );
+        let (batch, _) = handle.sample(16, &mut SujRng::seed_from_u64(seed)).unwrap();
         assert_eq!(batch.len(), 16);
     }
     assert_eq!(
         hash_index_builds() - indexes_before,
         0,
-        "online requests share the frozen walkers"
+        "online handles share the parts' walkers"
     );
-    assert_eq!(online.estimations(), 0);
 }
 
 /// Every base relation of `workload`, registered once.

@@ -108,11 +108,6 @@ fn freeze_reads_sizes_where_they_are_computed() {
         }),
         (Some(Sizing::Walk), 1)
     );
-    // Algorithm 2 sizes nothing up front.
-    assert_eq!(
-        freeze(|b| b.strategy(Strategy::Online(OnlineConfig::default()))),
-        (None, 0)
-    );
 }
 
 /// The sizes Bernoulli selects by are the samplers' (5 and 2), not the

@@ -29,9 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     for (label, reuse) in [("with sample reuse", true), ("without reuse", false)] {
-        let mut sampler = SamplerBuilder::for_workload(workload.clone())
-            .strategy(Strategy::Online(OnlineConfig { reuse, ..config }))
-            .build()?;
+        let parts = Arc::new(OnlineParts::new(workload.clone())?);
+        let mut sampler = OnlineUnionSampler::new(
+            parts,
+            OnlineConfig { reuse, ..config },
+            CoverStrategy::AsGiven,
+        );
         let mut rng = SujRng::seed_from_u64(99);
         let (samples, report) = sampler.sample(2000, &mut rng)?;
         println!("\n--- {label} ---");

@@ -26,19 +26,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Algorithm 2 behind the trait object: estimation refines online as
     // the stream is consumed.
-    let mut sampler: Box<dyn UnionSampler> = SamplerBuilder::for_workload(workload.clone())
-        .strategy(Strategy::Online(OnlineConfig {
-            warmup: WalkEstimatorConfig {
-                max_walks_per_join: 300,
-                ..Default::default()
-            },
-            // §7's reuse rate R = l/(p·|J|) emits pool-sized bursts of
-            // one tuple on joins this small; cap it so the stream stays
-            // diverse enough for a running-mean demo.
-            reuse_burst_cap: 4,
+    let parts = Arc::new(OnlineParts::new(workload.clone())?);
+    let config = OnlineConfig {
+        warmup: WalkEstimatorConfig {
+            max_walks_per_join: 300,
             ..Default::default()
-        }))
-        .build()?;
+        },
+        // §7's reuse rate R = l/(p·|J|) emits pool-sized bursts of one
+        // tuple on joins this small; cap it so the stream stays diverse
+        // enough for a running-mean demo.
+        reuse_burst_cap: 4,
+        ..Default::default()
+    };
+    let mut sampler: Box<dyn UnionSampler> = Box::new(OnlineUnionSampler::new(
+        parts,
+        config,
+        CoverStrategy::AsGiven,
+    ));
 
     // Aggregate over the order-price column (falls back to the last
     // attribute if a different workload is substituted).

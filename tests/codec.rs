@@ -175,7 +175,7 @@ fn plan(rng: &mut SujRng) -> Plan {
     Plan {
         strategy: match rng.index(5) {
             0 => Strategy::Rejection,
-            1 => Strategy::Online(OnlineConfig::default()),
+            1 => Strategy::Online,
             2 => Strategy::Bernoulli(DesignationPolicy::Oracle),
             3 => Strategy::Bernoulli(DesignationPolicy::Record),
             _ => Strategy::Disjoint,

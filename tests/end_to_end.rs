@@ -105,10 +105,8 @@ fn online_pipeline_all_workloads() {
                 },
                 ..Default::default()
             };
-            let mut sampler = SamplerBuilder::for_workload(w.clone())
-                .strategy(Strategy::Online(cfg))
-                .build()
-                .unwrap();
+            let parts = Arc::new(OnlineParts::new(w.clone()).unwrap());
+            let mut sampler = OnlineUnionSampler::new(parts, cfg, CoverStrategy::AsGiven);
             let mut rng = SujRng::seed_from_u64(3);
             let (samples, report) = sampler.sample(200, &mut rng).unwrap();
             assert_eq!(samples.len(), 200, "{name} reuse={reuse}");

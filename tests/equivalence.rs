@@ -133,12 +133,10 @@ fn online_builder_matches_legacy() {
         },
         ..Default::default()
     };
-    let mut via_builder = SamplerBuilder::for_workload(workload())
-        .strategy(Strategy::Online(cfg))
-        .build()
-        .unwrap();
+    let parts = Arc::new(OnlineParts::new(workload()).unwrap());
+    let mut direct = OnlineUnionSampler::new(parts, cfg, CoverStrategy::AsGiven);
     assert_golden(
-        &batch(&mut via_builder, 250, 10),
+        &batch(&mut direct, 250, 10),
         "[19, 10, Customer#000000019, 9, 892173, Supplier#000000009, 38, 31758618, -35783]",
         0x293a63c27d3ceb6c,
     );
@@ -364,9 +362,10 @@ fn rule_cases() -> Vec<RuleCase> {
             query: chain_union(UnionQuery::set_union(), &["p", "q"]),
             auto: false,
             golden: (
-                "strategy=online estimator=online cover=as-given rule=no-statistics",
-                "[13, 13, 113]",
-                0x25665626694c1a0c,
+                "strategy=bernoulli(oracle) estimator=exact weights=exact sizing=exact \
+                 rule=no-statistics",
+                "[1, 1, 101]",
+                0x49dbff8133680ace,
             ),
         },
         // 640 base rows: past the exact-estimation threshold, so these

@@ -5,7 +5,7 @@
 //! provably unchanged across a change of code.
 //!
 //! The files under `tests/data/` are the output of `write_fixtures`
-//! below (`cargo test --test format_stability -- --ignored`), in two
+//! below (`cargo test --test format_stability -- --ignored`), in four
 //! generations:
 //!
 //! * `engine-v3.snap` and `sample-batch-v3.frames`, written at commit
@@ -25,6 +25,14 @@
 //!   rule, estimator, weights, cover and predicate-mode tag, every
 //!   topology, comparison, value and column layout — and one frame of
 //!   every opcode. They pin that the trait writes the same bytes.
+//! * `engine-v3-rules-no-statistics-owner.snap`, written once the
+//!   `no-statistics` rule planned the §3 owner sampler (one join per
+//!   draw, kept by the first join whose membership index contains it)
+//!   instead of Algorithm 2. It replaces
+//!   `engine-v3-rules-no-statistics.snap` in the third set, which
+//!   stays as a read pin: its Algorithm 2 entry (strategy tag 1) loads,
+//!   is planned again by the snapshot's planner, and re-takes to the
+//!   new file.
 //!
 //! Regenerate the second pair or the third set only together with a
 //! format version bump or a deliberate change of the default stream.
@@ -118,8 +126,11 @@ fn write_fixtures() {
 const RULES_DEFAULT: &str = "engine-v3-rules-default.snap";
 /// Snapshot of the engine whose planner threshold is 0.
 const RULES_THRESHOLD_0: &str = "engine-v3-rules-threshold-0.snap";
-/// Snapshot of the engine whose planner reads no statistics.
+/// Snapshot of the engine whose planner reads no statistics, written
+/// while that rule planned Algorithm 2.
 const RULES_NO_STATISTICS: &str = "engine-v3-rules-no-statistics.snap";
+/// The same engine's snapshot since the rule plans the owner sampler.
+const RULES_NO_STATISTICS_OWNER: &str = "engine-v3-rules-no-statistics-owner.snap";
 /// One frame of every opcode, in `opcode_frames` order.
 const OPCODE_FRAMES: &str = "opcodes-v3.frames";
 
@@ -323,8 +334,8 @@ fn default_queries() -> Vec<UnionQuery> {
 
 /// Each planner configuration with the queries it prepares: the
 /// default; threshold 0, which routes the skewed shops to high-overlap
-/// with a descending-size cover; and no statistics, which plans
-/// Algorithm 2 and, for a disjoint union over more than 512 rows, the
+/// with a descending-size cover; and no statistics, which plans the
+/// membership-oracle owner sampler and, over more than 512 rows, the
 /// walk estimator.
 fn rule_configs() -> Vec<(&'static str, Planner, Vec<UnionQuery>)> {
     let skewed = UnionQuery::set_union()
@@ -343,13 +354,19 @@ fn rule_configs() -> Vec<(&'static str, Planner, Vec<UnionQuery>)> {
             vec![skewed],
         ),
         (
-            RULES_NO_STATISTICS,
+            RULES_NO_STATISTICS_OWNER,
             Planner::without_statistics(),
-            vec![
-                shops(UnionQuery::set_union()),
-                shops(UnionQuery::disjoint_union()),
-            ],
+            no_statistics_queries(),
         ),
+    ]
+}
+
+/// The queries of the no-statistics engine: the shops as a set union
+/// and as a disjoint union.
+fn no_statistics_queries() -> Vec<UnionQuery> {
+    vec![
+        shops(UnionQuery::set_union()),
+        shops(UnionQuery::disjoint_union()),
     ]
 }
 
@@ -516,6 +533,32 @@ fn rule_snapshots_load_replay_and_retake_byte_identically() {
             );
         }
     }
+}
+
+/// The no-statistics snapshot written while the rule planned Algorithm 2
+/// still loads: its set-union entry (strategy tag 1) is planned again by
+/// the snapshot's planner, so the replica estimates nothing, serves what
+/// a fresh prepare serves, and re-takes to the owner-sampler fixture.
+#[test]
+fn algorithm2_snapshot_loads_as_the_owner_sampler() {
+    let stored = std::fs::read(data(RULES_NO_STATISTICS)).unwrap();
+    let replica = Engine::load_snapshot_bytes(&stored).unwrap();
+    let fresh = Engine::with_planner(rules_catalog(), Planner::without_statistics());
+    let queries = no_statistics_queries();
+    assert_eq!(replica.cached_queries(), queries.len());
+    for q in &queries {
+        let restored = replica.prepare(q).unwrap();
+        let donor = fresh.prepare(q).unwrap();
+        assert_eq!(restored.estimations(), 0, "{q:?}");
+        assert_eq!(restored.summary().to_string(), donor.summary().to_string());
+        assert_eq!(
+            restored.sample(N, SEED).unwrap().0,
+            donor.sample(N, SEED).unwrap().0,
+            "{q:?}"
+        );
+    }
+    let owner = std::fs::read(data(RULES_NO_STATISTICS_OWNER)).unwrap();
+    assert!(replica.snapshot_to_bytes().unwrap() == owner);
 }
 
 /// Every opcode's stored frame verifies, decodes, and re-encodes from

@@ -182,11 +182,8 @@ fn explain_cites_the_rule_that_fired() {
         .plan(&high_overlap_workload(), UnionSemantics::Set)
         .explain();
     assert!(explain.contains("rule: no-statistics"), "{explain}");
-    assert!(explain.contains("§6–§7"), "{explain}");
-    assert!(
-        explain.contains("online") || explain.contains("Algorithm 2"),
-        "{explain}"
-    );
+    assert!(explain.contains("§3"), "{explain}");
+    assert!(explain.contains("membership index"), "{explain}");
 }
 
 /// On TPC-H data the histogram's `|∪Jᵢ|` (taken over Olken size
@@ -214,12 +211,14 @@ fn explain_says_when_the_union_estimate_was_clamped() {
 }
 
 #[test]
-fn no_statistics_auto_runs_online() {
-    // The no-statistics rule plans Algorithm 2, which estimates while
-    // sampling; verify the planned configuration actually runs.
+fn no_statistics_serves_owner_sampler() {
+    // The no-statistics rule plans the union trick under the membership
+    // oracle, which needs no statistics; verify the planned
+    // configuration actually runs.
     let w = high_overlap_workload();
     let plan = Planner::without_statistics().plan(&w, UnionSemantics::Set);
-    assert!(matches!(plan.strategy, SujStrategy::Online(_)));
+    let owner = SujStrategy::Bernoulli(DesignationPolicy::Oracle);
+    assert_eq!(plan.strategy.label(), owner.label());
     // An engine whose planner consults no statistics serves that plan.
     let mut catalog = Catalog::new();
     let mut query = UnionQuery::set_union();
@@ -232,7 +231,8 @@ fn no_statistics_auto_runs_online() {
     }
     let engine = Engine::with_planner(catalog, Planner::without_statistics());
     let prepared = engine.prepare(&query).unwrap();
-    assert!(matches!(prepared.plan().strategy, SujStrategy::Online(_)));
+    assert_eq!(prepared.plan().strategy.label(), owner.label());
+    assert_eq!(prepared.estimations(), 0);
     let exact = full_join_union(&w).unwrap();
     let mut rng = SujRng::seed_from_u64(17);
     let (samples, report) = prepared.run(40, &mut rng).unwrap();

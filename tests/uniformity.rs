@@ -3,7 +3,8 @@
 //! against materialized ground truth. The explicit configurations are
 //! assembled through the fluent `SamplerBuilder` and pin
 //! `Estimator::Exact`; the last section checks what the *planner* emits
-//! by default (histogram estimation, exact weights), served the way a
+//! by default (histogram estimation, exact weights) and without
+//! statistics (the membership-oracle owner sampler), served the way a
 //! service serves it — a fresh handle per request. Its `#[ignore]`d
 //! large-sample variant is CI's `cargo test --release --test uniformity
 //! -- --ignored` step.
@@ -269,14 +270,19 @@ fn streamed_samples_are_uniform_through_trait_object() {
 /// (`prepared.sample(request_n, seed)`), until every tuple of the union
 /// is expected `draws_per_tuple` times, and checks that joins were
 /// drawn in proportion to their exact sizes `|Jⱼ|/Σ|Jⱼ|` (4σ per join)
-/// — and, when no tuple is in two joins, that the pooled tuples are
-/// uniform over the union.
+/// — and, when no tuple is in two joins or the membership oracle
+/// designates each tuple's owner, that the pooled tuples are uniform
+/// over the set union.
 fn assert_drawn_in_proportion(prepared: &PreparedQuery, request_n: usize, draws_per_tuple: usize) {
     let exact = full_join_union(prepared.workload()).expect("ground truth");
     let n_joins = prepared.workload().n_joins();
     let sizes: Vec<f64> = (0..n_joins).map(|j| exact.join_size(j) as f64).collect();
     let total: f64 = sizes.iter().sum();
     let overlap_free = total == exact.union_size() as f64;
+    let oracle = matches!(
+        prepared.plan().strategy,
+        Strategy::Bernoulli(DesignationPolicy::Oracle)
+    );
 
     let mut join_draws = vec![0u64; n_joins];
     let mut counts: FxHashMap<Tuple, u64> = FxHashMap::default();
@@ -305,7 +311,7 @@ fn assert_drawn_in_proportion(prepared: &PreparedQuery, request_n: usize, draws_
             prepared.summary()
         );
     }
-    if overlap_free {
+    if overlap_free || oracle {
         let observed: Vec<u64> = exact
             .union_set
             .iter()
@@ -323,29 +329,33 @@ fn assert_drawn_in_proportion(prepared: &PreparedQuery, request_n: usize, draws_
     }
 }
 
-/// The three default configurations: what `PreparedQuery::auto` freezes
-/// for UQ1 (no tuple in two joins) and UQ3 (overlapping), and UQ1 as a
-/// disjoint union prepared through the engine — each checked to be the
-/// planner's default, histogram estimation over exact-weight samplers.
+/// The planner's configurations: what `PreparedQuery::auto` freezes for
+/// UQ1 (no tuple in two joins) and UQ3 (overlapping), UQ1 as a disjoint
+/// union prepared through the engine — each checked to be the planner's
+/// default, histogram estimation over exact-weight samplers — and UQ3
+/// prepared by an engine whose planner reads no statistics.
 fn default_plans() -> Vec<Arc<PreparedQuery>> {
     let uq1 = uq1(&UqOptions::new(2, 7, 0.2)).expect("uq1");
     let uq3 = uq3(&UqOptions::new(4, 7, 0.2)).expect("uq3");
 
-    // UQ1 as a caller of the engine holds it: every base relation
-    // registered once, and the disjoint union of its joins.
-    let mut catalog = Catalog::new();
-    let mut query = UnionQuery::disjoint_union();
-    for spec in uq1.joins() {
-        for relation in spec.relations() {
-            if !catalog.contains(relation.name()) {
-                catalog.register_arc(relation.clone()).expect("register");
+    // A workload as a caller of the engine holds it: every base
+    // relation registered once, and its joins added to `query`.
+    let prepare = |workload: &UnionWorkload, mut query: UnionQuery, planner| {
+        let mut catalog = Catalog::new();
+        for spec in workload.joins() {
+            for relation in spec.relations() {
+                if !catalog.contains(relation.name()) {
+                    catalog.register_arc(relation.clone()).expect("register");
+                }
             }
+            let names = spec.relations().iter().map(|r| r.name().to_string());
+            let def = JoinDef::with_edges(spec.name(), names, spec.edges().to_vec());
+            query = query.join(def).expect("join");
         }
-        let names = spec.relations().iter().map(|r| r.name().to_string());
-        let def = JoinDef::with_edges(spec.name(), names, spec.edges().to_vec());
-        query = query.join(def).expect("join");
-    }
-    let disjoint = Engine::new(catalog).prepare(&query).expect("prepare");
+        let engine = Engine::with_planner(catalog, planner);
+        engine.prepare(&query).expect("prepare")
+    };
+    let disjoint = prepare(&uq1, UnionQuery::disjoint_union(), Planner::default());
     assert!(disjoint.plan().stats.total_base_rows > 512);
     assert_eq!(
         disjoint.summary().to_string(),
@@ -354,6 +364,17 @@ fn default_plans() -> Vec<Arc<PreparedQuery>> {
     );
     // Every member knows its size: there was nothing to estimate.
     assert_eq!(disjoint.estimations(), 0);
+
+    // Without statistics the owner sampler selects by the same exact
+    // sizes and estimates nothing either.
+    let owner = prepare(&uq3, UnionQuery::set_union(), Planner::without_statistics());
+    assert!(owner.plan().stats.total_base_rows > 512);
+    assert_eq!(
+        owner.summary().to_string(),
+        "strategy=bernoulli(oracle) estimator=walk weights=exact sizing=exact \
+         rule=no-statistics"
+    );
+    assert_eq!(owner.estimations(), 0);
 
     let mut plans = vec![disjoint];
     for workload in [uq1, uq3] {
@@ -365,6 +386,7 @@ fn default_plans() -> Vec<Arc<PreparedQuery>> {
         );
         plans.push(Arc::new(auto));
     }
+    plans.push(owner);
     plans
 }
 
