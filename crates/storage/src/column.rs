@@ -28,6 +28,7 @@
 use crate::hash::{FxHashMap, FxHasher};
 use crate::value::Value;
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -84,6 +85,27 @@ impl StrPool {
             return code;
         }
         self.insert_new(s.clone())
+    }
+
+    /// An empty pool with room for `n` strings.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Self {
+            strings: Vec::with_capacity(n),
+            lookup: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+        }
+    }
+
+    /// Gives `s` the next code unless the pool holds it already — one
+    /// hash and one probe either way. Returns whether `s` was new.
+    pub(crate) fn push_distinct(&mut self, s: Arc<str>) -> bool {
+        match self.lookup.entry(s) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                self.strings.push(slot.key().clone());
+                slot.insert(self.strings.len() as u32 - 1);
+                true
+            }
+        }
     }
 
     fn insert_new(&mut self, s: Arc<str>) -> u32 {

@@ -18,10 +18,13 @@
 //! # Decoding rules
 //!
 //! [`ByteReader`] holds the only rules: every count is checked against
-//! the bytes left before anything is allocated by it; padding bytes
-//! must be zero, flag bytes 0 or 1, tags known; and every section or
-//! wire payload is decoded through [`Codec::from_bytes`], which refuses
-//! bytes left over. So each value has exactly one byte string: a
+//! the bytes left, at the least width an item is encoded in, before
+//! anything is allocated by it, and no reservation is larger than real
+//! items in those bytes would need (a sequence reserves at most bytes
+//! left ÷ `size_of::<T>()` items, then grows as items arrive); padding
+//! bytes must be zero, flag bytes 0 or 1, tags known; and every section
+//! or wire payload is decoded through [`Codec::from_bytes`], which
+//! refuses bytes left over. So each value has exactly one byte string: a
 //! decoded value re-encodes to the bytes it came from, and take →
 //! restore → re-take is byte-identical by construction.
 //!
@@ -114,6 +117,12 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(msg.into())
 }
 
+/// The IEEE 802.3 polynomial, bit-reflected.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Bytes in each of the four lanes of one [`crc32`] block.
+const CRC_LANE: usize = 256;
+
 /// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table, and
 /// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so the
 /// eight bytes of one step are looked up independently and xor-ed.
@@ -125,7 +134,7 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC_POLY
             } else {
                 crc >> 1
             };
@@ -149,31 +158,124 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the checksum of every
-/// snapshot section and every wire frame. Implemented locally (no
-/// external crates, no intrinsics): slicing-by-8, eight bytes a step
-/// with a byte-wise tail, the same value as the byte-at-a-time
-/// definition on every input.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = u32::MAX;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+/// The 32×32 GF(2) matrix `m` (column `i` is the image of bit `i`)
+/// applied to `v`: the xor of the columns of `v`'s set bits.
+const fn gf2_apply(m: &[u32; 32], mut v: u32) -> u32 {
+    let mut out = 0;
+    let mut i = 0;
+    while v != 0 {
+        if v & 1 != 0 {
+            out ^= m[i];
+        }
+        v >>= 1;
+        i += 1;
     }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    out
+}
+
+/// The lane-shift tables: the CRC register advanced over [`CRC_LANE`]
+/// zero bytes. Feeding zeros is linear over GF(2), so the advanced
+/// register is `t[0][s & 0xFF] ^ t[1][(s >> 8) & 0xFF] ^
+/// t[2][(s >> 16) & 0xFF] ^ t[3][s >> 24]`. The operator starts as one
+/// zero bit (the register shifts right, and the polynomial is xor-ed in
+/// when a one falls out) and is squared until it covers the lane.
+const fn build_lane_shift_tables() -> [[u32; 256]; 4] {
+    assert!(CRC_LANE.is_power_of_two());
+    let mut m = [0u32; 32];
+    m[0] = CRC_POLY;
+    let mut i = 1;
+    while i < 32 {
+        m[i] = 1 << (i - 1);
+        i += 1;
+    }
+    let mut zero_bits = 1;
+    while zero_bits < 8 * CRC_LANE {
+        let mut squared = [0u32; 32];
+        let mut i = 0;
+        while i < 32 {
+            squared[i] = gf2_apply(&m, m[i]);
+            i += 1;
+        }
+        m = squared;
+        zero_bits *= 2;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            tables[k][b] = gf2_apply(&m, (b as u32) << (8 * k));
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+static CRC_LANE_SHIFT: [[u32; 256]; 4] = build_lane_shift_tables();
+
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the checksum of every
+/// snapshot section and every wire frame, the byte-at-a-time value on
+/// every input. Implemented locally in safe Rust (no external crates,
+/// no intrinsics). Each 1 KiB block of four 256-byte lanes runs four
+/// independent slicing-by-8 chains side by side, the first from the
+/// running register and the others from zero; CRC is linear, so the
+/// block's register is the lanes' registers folded through the
+/// lane-shift tables, each shifted one lane along and xor-ed with the
+/// next. The bytes after the last whole block, and buffers shorter than
+/// one block, take the single chain.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = u32::MAX;
+    let mut blocks = bytes.chunks_exact(4 * CRC_LANE);
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(CRC_LANE);
+        let (b, rest) = rest.split_at(CRC_LANE);
+        let (c, d) = rest.split_at(CRC_LANE);
+        let (mut ca, mut cb, mut cc, mut cd) = (crc, 0, 0, 0);
+        let steps = a.chunks_exact(8).zip(b.chunks_exact(8));
+        let steps = steps.zip(c.chunks_exact(8).zip(d.chunks_exact(8)));
+        for ((sa, sb), (sc, sd)) in steps {
+            ca = crc32_step8(ca, sa);
+            cb = crc32_step8(cb, sb);
+            cc = crc32_step8(cc, sc);
+            cd = crc32_step8(cd, sd);
+        }
+        crc = lane_shift(lane_shift(lane_shift(ca) ^ cb) ^ cc) ^ cd;
+    }
+    let mut steps = blocks.remainder().chunks_exact(8);
+    for step in &mut steps {
+        crc = crc32_step8(crc, step);
+    }
+    for &b in steps.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// One slicing-by-8 step: the register `crc` advanced over eight bytes.
+#[inline(always)]
+fn crc32_step8(crc: u32, step: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = u32::from_le_bytes([step[0], step[1], step[2], step[3]]) ^ crc;
+    let hi = u32::from_le_bytes([step[4], step[5], step[6], step[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// The register `s` advanced over one lane of zero bytes.
+#[inline(always)]
+fn lane_shift(s: u32) -> u32 {
+    let t = &CRC_LANE_SHIFT;
+    t[0][(s & 0xFF) as usize]
+        ^ t[1][((s >> 8) & 0xFF) as usize]
+        ^ t[2][((s >> 16) & 0xFF) as usize]
+        ^ t[3][(s >> 24) as usize]
 }
 
 // ---------------------------------------------------------------------
@@ -438,7 +540,8 @@ impl ByteWriter {
 /// and the owner of every decoding rule (see the module docs): every
 /// read returns [`SnapshotError::Truncated`] instead of running off the
 /// end, counts are validated against the bytes remaining before any
-/// allocation sized by them, padding must be zero, tags must be known,
+/// allocation sized by them (and reserve no more than real items in
+/// those bytes would need), padding must be zero, tags must be known,
 /// and [`Codec::from_bytes`] refuses leftover bytes.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
@@ -512,7 +615,8 @@ impl<'a> ByteReader<'a> {
 
     /// Reads `n` items, `n` a count read from the input or a
     /// multiplicity fixed by what was decoded before — checked against
-    /// the bytes left before the vector is allocated.
+    /// the bytes left before the vector is allocated, which reserves no
+    /// more items than those bytes would fill in memory.
     pub fn get_n<T: Codec>(&mut self, n: usize) -> Result<Vec<T>, SnapshotError> {
         self.get_n_with(n, T::decode)
     }
@@ -524,7 +628,11 @@ impl<'a> ByteReader<'a> {
         mut item: impl FnMut(&mut Self) -> Result<T, SnapshotError>,
     ) -> Result<Vec<T>, SnapshotError> {
         let n = self.check_count(n as u64, 1)?;
-        let mut items = Vec::with_capacity(n);
+        // An item takes at least a byte, but may take more room decoded
+        // than encoded: reserve no more than the bytes left could fill,
+        // and let real items grow the vector past that.
+        let room = self.remaining() / std::mem::size_of::<T>().max(1);
+        let mut items = Vec::with_capacity(n.min(room));
         for _ in 0..n {
             items.push(item(self)?);
         }
@@ -648,9 +756,12 @@ impl Codec for Column {
                 Ok(Column::Float64 { values, validity })
             }
             2 => {
-                let mut pool = StrPool::new();
-                for s in r.get_seq64::<Arc<str>>()? {
-                    if pool.intern_arc(&s) as usize + 1 != pool.len() {
+                // A string takes at least its `u64` length.
+                let n = u64::decode(r)?;
+                let n = r.check_count(n, u64::WIDTH)?;
+                let mut pool = StrPool::with_capacity(n);
+                for _ in 0..n {
+                    if !pool.push_distinct(Arc::<str>::decode(r)?) {
                         return Err(corrupt("duplicate string in dictionary pool"));
                     }
                 }
@@ -969,12 +1080,17 @@ mod tests {
 
     #[test]
     fn crc32_matches_bytewise_at_every_length_and_offset() {
-        // Every split between the eight-byte steps and the tail, at
-        // every alignment of the slice start.
-        let buf = random_bytes(8 + 300, 1);
+        // Every split between the eight-byte steps and the tail, and
+        // every split around one, two and three whole four-lane blocks,
+        // at every alignment of the slice start.
+        const BLOCK: usize = 4 * CRC_LANE;
+        let buf = random_bytes(8 + 3 * BLOCK + 9, 1);
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        for start in 0..8 {
-            for len in 0..=300 {
+        let around_blocks = (1..=3).flat_map(|k| {
+            [-9isize, -8, -1, 0, 1, 7, 8, 9].map(|d| (k * BLOCK).checked_add_signed(d).unwrap())
+        });
+        for len in (0..=300).chain(around_blocks) {
+            for start in 0..8 {
                 let slice = &buf[start..start + len];
                 assert_eq!(
                     crc32(slice),
@@ -983,6 +1099,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn crc32_long_vectors() {
+        // Computed independently, with Python's `zlib.crc32`.
+        const MIB: usize = 1 << 20;
+        assert_eq!(crc32(&vec![0u8; MIB]), 0xA738_EA1C);
+        let ramp: Vec<u8> = (0..MIB).map(|i| (i * 131 + 7) as u8).collect();
+        assert_eq!(crc32(&ramp), 0xCC7A_0791);
     }
 
     #[test]

@@ -456,4 +456,35 @@ fn every_value_has_one_byte_string() {
         column(vec![0, 0], 3),
         Err(SnapshotError::Corrupt(_))
     ));
+
+    // A dictionary pool: its strings, then each row's code.
+    let str_column = |pool: &[&str], codes: &[u32]| {
+        let mut w = ByteWriter::new();
+        2u8.encode(&mut w);
+        None::<Vec<u64>>.encode(&mut w);
+        let pool: Vec<Arc<str>> = pool.iter().map(|&s| Arc::from(s)).collect();
+        w.put_seq64(&pool);
+        w.put_slab(codes);
+        Column::from_bytes(&w.into_bytes())
+    };
+    assert!(str_column(&["a", "b"], &[1, 0, 1]).is_ok());
+    assert!(matches!(
+        str_column(&["a", "b", "a"], &[0, 1, 2]),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    assert!(matches!(
+        str_column(&["a", "b"], &[0, 2]),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    // Each pooled string takes at least its `u64` length, so three
+    // strings cannot fit in the 16 bytes left: refused before any is
+    // read (read, the two empty strings there would be a duplicate).
+    let mut w = ByteWriter::new();
+    2u8.encode(&mut w);
+    None::<Vec<u64>>.encode(&mut w);
+    (3u64, 0u64, 0u64).encode(&mut w);
+    assert!(matches!(
+        Column::from_bytes(&w.into_bytes()),
+        Err(SnapshotError::Truncated)
+    ));
 }
