@@ -230,20 +230,17 @@ pub fn run_set_union(
 mod tests {
     use super::*;
 
-    /// Builds a [`Strategy::Auto`] sampler: the planner picks the
-    /// configuration, which lands in the report's
+    /// A handle of [`PreparedQuery::auto`]:
+    /// the planner picks the configuration, which lands in the report's
     /// [`config`](RunReport::config).
     fn build_auto_sampler(
         workload: Arc<UnionWorkload>,
         seed: u64,
     ) -> Result<Box<dyn suj_core::UnionSampler + Send>, CoreError> {
-        SamplerBuilder::for_workload(workload)
-            .strategy(Strategy::Auto)
-            .estimation_seed(seed)
-            .build()
+        PreparedQuery::auto(workload)?.sampler(seed)
     }
 
-    /// The manual set-union configurations `Strategy::Auto` competes with
+    /// The manual set-union configurations the planner competes with
     /// (§9's matrix: Algorithm 1 under each estimator, the Bernoulli
     /// union trick, and online Algorithm 2).
     fn manual_set_union_candidates(
@@ -404,7 +401,7 @@ mod tests {
         assert_eq!(config.estimator, "histogram(EO)");
     }
 
-    /// ISSUE 2 acceptance: on the set-union workloads, `Strategy::Auto`
+    /// On the set-union workloads, the planner (`PreparedQuery::auto`)
     /// must select a configuration whose steady-state sample throughput
     /// is within 2× of the best manual configuration.
     ///

@@ -36,6 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use suj_join::{JoinSampler, WeightKind};
 use suj_stats::{Categorical, SujRng};
+use suj_storage::CompiledPredicate;
 
 /// How cover ownership is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,14 +94,16 @@ impl SetUnionSampler {
     /// Builds the sampler from an overlap map (exact or estimated) over
     /// pre-built per-join samplers (shared with other handles of the
     /// same prepared query; `config.weights` records how they were
-    /// built). All mutable record / report state starts fresh, so
-    /// handles built over the same shared parts are fully independent
-    /// sampling processes.
+    /// built) and §8.3's reject-mode `predicate`, compiled against the
+    /// workload's canonical schema. All mutable record / report state
+    /// starts fresh, so handles built over the same shared parts are
+    /// fully independent sampling processes.
     pub fn new(
         workload: Arc<UnionWorkload>,
         overlap: &OverlapMap,
         config: UnionSamplerConfig,
         samplers: Vec<Arc<dyn JoinSampler>>,
+        predicate: Option<Arc<CompiledPredicate>>,
     ) -> Result<Self, CoreError> {
         let n_joins = workload.n_joins();
         if overlap.n() != n_joins {
@@ -112,7 +115,7 @@ impl SetUnionSampler {
         let cover = Cover::build(overlap, config.strategy);
         let selection = cover.selection();
         Ok(Self {
-            step: DrawStep::new(workload, samplers)?,
+            step: DrawStep::new(workload, samplers, predicate)?,
             cover,
             selection,
             config,
@@ -148,7 +151,12 @@ impl UnionSampler for SetUnionSampler {
                     self.step.report.rejected_time += start.elapsed();
                     break; // the join just died: reselect
                 };
+                // A tuple the predicate fails is claimed with no copy:
+                // it spends no emission index, and a revision has
+                // nothing of it to withdraw.
+                let passes = self.step.passes(&t);
                 let idx = self.step.emitted;
+                let copies = idx..idx + u64::from(passes);
                 let accept = match self.config.policy {
                     CoverPolicy::MembershipOracle => {
                         // Reject iff an earlier-cover join contains t.
@@ -158,22 +166,28 @@ impl UnionSampler for SetUnionSampler {
                     // Revision retractions queue ahead of the tuple.
                     CoverPolicy::Record => self
                         .record
-                        .claim(&t, j, idx..idx + 1, |i| self.cover.precedes(i, j))
+                        .claim(&t, j, copies, |i| self.cover.precedes(i, j))
                         .settle(&mut self.pending, &mut self.step.report, |_| {}),
                 };
 
-                if accept {
-                    let event = self.step.emit(t, start);
-                    if self.pending.is_empty() {
-                        return Ok(event);
-                    }
-                    self.pending.push_back(event);
-                    return Ok(self.pending.pop_front().expect("nonempty queue"));
+                if !accept {
+                    self.step.report.rejected_cover += 1;
+                    self.step.report.rejected_time += start.elapsed();
+                    continue;
                 }
-                self.step.report.rejected_cover += 1;
-                self.step.report.rejected_time += start.elapsed();
+                if !passes {
+                    self.step.reject_predicate(start);
+                    break;
+                }
+                let event = self.step.emit(t, start);
+                if self.pending.is_empty() {
+                    return Ok(event);
+                }
+                self.pending.push_back(event);
+                return Ok(self.pending.pop_front().expect("nonempty queue"));
             }
-            // Retry budget exhausted (or the join just died): reselect.
+            // Retry budget exhausted, the join just died, or the
+            // predicate rejected the cover's tuple: reselect.
         }
     }
 
@@ -420,7 +434,7 @@ mod tests {
         let map = OverlapMap::new(2, vec![0.0, 2.0, 5.0, 0.0]).unwrap();
         let config = UnionSamplerConfig::default();
         let samplers = shared_samplers(&w, config.weights).unwrap();
-        let mut sampler = SetUnionSampler::new(w, &map, config, samplers).unwrap();
+        let mut sampler = SetUnionSampler::new(w, &map, config, samplers, None).unwrap();
         let mut rng = SujRng::seed_from_u64(8);
         let (samples, report) = sampler.sample(50, &mut rng).unwrap();
         assert_eq!(samples.len(), 50);
@@ -433,7 +447,7 @@ mod tests {
         let bad = OverlapMap::new(1, vec![0.0, 5.0]).unwrap();
         let config = UnionSamplerConfig::default();
         let samplers = shared_samplers(&w, config.weights).unwrap();
-        assert!(SetUnionSampler::new(w, &bad, config, samplers).is_err());
+        assert!(SetUnionSampler::new(w, &bad, config, samplers, None).is_err());
     }
 
     #[test]

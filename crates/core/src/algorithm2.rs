@@ -30,9 +30,9 @@
 //! estimate, cover and record stay per handle.
 //!
 //! Algorithm 2 is only asymptotically uniform, so nothing serves it: the
-//! planner's `no-statistics` rule plans the §3 owner sampler, and the
-//! builder refuses [`Strategy::Online`](crate::session::Strategy). The
-//! paper's figures and examples construct it directly:
+//! planner's `no-statistics` rule plans the §3 owner sampler, and no
+//! [`Strategy`](crate::session::Strategy) names it. The paper's figures
+//! and examples construct it directly:
 //! `OnlineUnionSampler::new(Arc::new(OnlineParts::new(w)?), config,
 //! CoverStrategy::AsGiven)`.
 //!

@@ -38,6 +38,7 @@ use std::time::Instant;
 use suj_join::membership::first_containing;
 use suj_join::JoinSampler;
 use suj_stats::{Categorical, SujRng};
+use suj_storage::CompiledPredicate;
 
 /// How a set-union draw designates each value's owning join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,15 +67,18 @@ pub struct DisjointUnionSampler {
 impl DisjointUnionSampler {
     /// Builds the sampler over pre-built per-join samplers (shared with
     /// other handles of the same prepared query); record state starts
-    /// fresh per handle. `designation` is `None` for the disjoint union.
+    /// fresh per handle. `designation` is `None` for the disjoint union;
+    /// `predicate` is §8.3's reject-mode predicate, compiled against the
+    /// workload's canonical schema.
     pub fn new(
         workload: Arc<UnionWorkload>,
         samplers: Vec<Arc<dyn JoinSampler>>,
         designation: Option<DesignationPolicy>,
+        predicate: Option<Arc<CompiledPredicate>>,
     ) -> Result<Self, CoreError> {
         let bounds: Vec<f64> = samplers.iter().map(|s| s.size_info().bound).collect();
         Ok(Self {
-            step: DrawStep::new(workload, samplers)?,
+            step: DrawStep::new(workload, samplers, predicate)?,
             selection: Categorical::new(&bounds),
             designation,
             record: OwnershipRecord::default(),
@@ -114,11 +118,14 @@ impl UnionSampler for DisjointUnionSampler {
                     matches!(self.record.claim(&t, j, 0..0, |_| true), Claim::Accepted)
                 }
             };
-            if owned {
+            if !owned {
+                self.step.report.rejected_cover += 1;
+                self.step.report.rejected_time += start.elapsed();
+            } else if self.step.passes(&t) {
                 return Ok(self.step.emit(t, start));
+            } else {
+                self.step.reject_predicate(start);
             }
-            self.step.report.rejected_cover += 1;
-            self.step.report.rejected_time += start.elapsed();
         }
     }
 
@@ -262,15 +269,15 @@ mod tests {
     fn wrong_size_vector_rejected() {
         let w = workload();
         let samplers = shared_samplers(&w, WeightKind::Exact).unwrap();
-        assert!(DisjointUnionSampler::new(w.clone(), samplers[..1].to_vec(), None).is_err());
-        assert!(DisjointUnionSampler::new(w, samplers, None).is_ok());
+        assert!(DisjointUnionSampler::new(w.clone(), samplers[..1].to_vec(), None, None).is_err());
+        assert!(DisjointUnionSampler::new(w, samplers, None, None).is_ok());
     }
 
     #[test]
     fn invalid_inputs_rejected() {
         let w = workload();
         let new = |samplers: Vec<Arc<dyn JoinSampler>>| {
-            DisjointUnionSampler::new(w.clone(), samplers, Some(DesignationPolicy::Oracle))
+            DisjointUnionSampler::new(w.clone(), samplers, Some(DesignationPolicy::Oracle), None)
         };
         let samplers = shared_samplers(&w, WeightKind::Exact).unwrap();
         assert!(new(samplers[..1].to_vec()).is_err());

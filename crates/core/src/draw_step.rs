@@ -5,7 +5,9 @@
 //! owns a drawn tuple. In between is the paper's one
 //! join-sampling subroutine, here once: attempt the join's sampler on
 //! row ids, count the rejections, gather the accepted rows into a
-//! canonical tuple, give up on a join that never accepts.
+//! canonical tuple, give up on a join that never accepts — and, in
+//! §8.3's reject mode, test a tuple its owner kept against the
+//! selection predicate before it is emitted.
 
 use crate::error::CoreError;
 use crate::report::RunReport;
@@ -15,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use suj_join::{JoinSampler, RowDraw};
 use suj_stats::SujRng;
-use suj_storage::Tuple;
+use suj_storage::{CompiledPredicate, Tuple};
 
 /// Consecutive rejected attempts after which a join is dead (estimate
 /// said nonempty, data says empty). This bounds a single draw, inside
@@ -32,6 +34,8 @@ pub(crate) struct DrawStep {
     draw: RowDraw,
     /// Per join: rejected attempts since its last accepted one.
     misses: Vec<u64>,
+    /// The reject-mode predicate, compiled once by the freeze.
+    predicate: Option<Arc<CompiledPredicate>>,
     pub(crate) report: RunReport,
     pub(crate) emitted: u64,
 }
@@ -40,6 +44,7 @@ impl DrawStep {
     pub(crate) fn new(
         workload: Arc<UnionWorkload>,
         samplers: Vec<Arc<dyn JoinSampler>>,
+        predicate: Option<Arc<CompiledPredicate>>,
     ) -> Result<Self, CoreError> {
         let n_joins = workload.n_joins();
         if samplers.len() != n_joins {
@@ -53,6 +58,7 @@ impl DrawStep {
             samplers,
             draw: RowDraw::new(),
             misses: vec![0; n_joins],
+            predicate,
             report: RunReport::new(n_joins),
             emitted: 0,
         })
@@ -93,6 +99,19 @@ impl DrawStep {
             self.misses[j] += tries;
             None
         }
+    }
+
+    /// Whether `t` satisfies the reject-mode predicate (always, without
+    /// one).
+    pub(crate) fn passes(&self, t: &Tuple) -> bool {
+        self.predicate.as_ref().is_none_or(|p| p.eval(t))
+    }
+
+    /// Counts a tuple its owner kept but the predicate did not, drawn
+    /// since `start`; the caller selects a join again.
+    pub(crate) fn reject_predicate(&mut self, start: Instant) {
+        self.report.rejected_predicate += 1;
+        self.report.rejected_time += start.elapsed();
     }
 
     /// Emits `t`, drawn since `start`, under the next emission index.

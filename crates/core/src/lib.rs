@@ -126,7 +126,7 @@ pub mod prelude {
     pub use crate::hist_estimator::{DegreeMode, HistogramEstimator};
     pub use crate::overlap::OverlapMap;
     pub use crate::planner::{Plan, PlanRule, Planner, PlannerConfig, Sizing, WorkloadStats};
-    pub use crate::predicate_mode::{can_push_down, push_down, PredicateMode, PredicateSampler};
+    pub use crate::predicate_mode::{can_push_down, push_down, PredicateMode};
     pub use crate::query::{JoinDef, ResolvedQuery, UnionQuery, UnionSemantics};
     pub use crate::report::{LatencyHistogram, PlanSummary, RunReport};
     pub use crate::sampler::{Draw, UnionSampler};

@@ -4,9 +4,10 @@
 //! whose winner flips with overlap ratio, join-size skew, and
 //! statistics availability. The [`Planner`] encodes those findings as
 //! explicit rules so callers can say *what* to sample (a
-//! [`UnionQuery`](crate::query::UnionQuery) or
-//! [`Strategy::Auto`](crate::session::Strategy)) and let the system
-//! decide *how*:
+//! [`UnionQuery`](crate::query::UnionQuery) through the
+//! [`Engine`](crate::catalog::Engine), or a bare workload through
+//! [`PreparedQuery::auto`](crate::session::PreparedQuery::auto)) and
+//! let the system decide *how*:
 //!
 //! | Rule | Condition | Configuration | Paper |
 //! |---|---|---|---|

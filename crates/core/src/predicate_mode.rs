@@ -7,24 +7,23 @@
 //!   attributes, then sample the filtered join. Works for both
 //!   estimator families and is how the UQ2 workload applies its `Q2`
 //!   predicates.
-//! * **Reject-during-sampling** ([`PredicateSampler`],
-//!   [`PredicateMode::Reject`]): wrap any union sampler and reject
-//!   samples failing the predicate
-//!   — "works with only random-walk [style sampling] … most appropriate
-//!   for selection predicates that are not very selective" since it
-//!   adds a rejection factor equal to the selectivity.
+//! * **Reject-during-sampling** ([`PredicateMode::Reject`]): the freeze
+//!   compiles the predicate once against the workload's output schema,
+//!   and each handle's draw step tests a tuple after its owning join
+//!   kept it and before it is emitted; a failing tuple counts as
+//!   `rejected_predicate` and the sampler selects a join again, so the
+//!   output is uniform over `σ_pred(J_1 ∪ … ∪ J_n)`. It "works with
+//!   only random-walk [style sampling] … most appropriate for selection
+//!   predicates that are not very selective", since it adds a
+//!   rejection factor equal to the selectivity.
 //!
 //! [`SamplerBuilder::predicate`](crate::session::SamplerBuilder::predicate)
 //! applies either mode to any strategy.
 
 use crate::error::CoreError;
-use crate::report::RunReport;
-use crate::sampler::{Draw, UnionSampler};
-use crate::workload::UnionWorkload;
 use std::sync::Arc;
 use suj_join::JoinSpec;
-use suj_stats::SujRng;
-use suj_storage::{CompiledPredicate, FxHashMap, Predicate, Relation};
+use suj_storage::{Predicate, Relation};
 
 /// How a selection predicate is applied to a union sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,87 +122,6 @@ fn flatten_conjuncts(p: &Predicate) -> Result<Vec<&Predicate>, CoreError> {
     }
     walk(p, &mut out)?;
     Ok(out)
-}
-
-/// Reject-during-sampling over a whole union: wraps any
-/// [`UnionSampler`] and yields only tuples satisfying the predicate,
-/// making the output uniform over `σ_pred(J_1 ∪ … ∪ J_n)`.
-///
-/// Retraction events from the inner sampler are re-indexed into the
-/// filtered emission sequence; retractions of tuples the predicate had
-/// already rejected are swallowed. The wrapper keeps no report of its
-/// own: [`report`](UnionSampler::report) is the inner sampler's, which
-/// also counts `rejected_predicate`.
-pub struct PredicateSampler {
-    inner: Box<dyn UnionSampler>,
-    predicate: CompiledPredicate,
-    /// Inner emission index → outer (filtered) emission index, for
-    /// translating retractions. Entries are dropped once retracted.
-    index_map: FxHashMap<u64, u64>,
-    emitted: u64,
-}
-
-impl PredicateSampler {
-    /// Wraps a built union sampler; the predicate is compiled against
-    /// the workload's canonical output schema.
-    pub fn new(inner: Box<dyn UnionSampler>, predicate: &Predicate) -> Result<Self, CoreError> {
-        let compiled = predicate
-            .compile(inner.workload().canonical_schema())
-            .map_err(CoreError::Storage)?;
-        Ok(Self {
-            inner,
-            predicate: compiled,
-            index_map: FxHashMap::default(),
-            emitted: 0,
-        })
-    }
-}
-
-impl UnionSampler for PredicateSampler {
-    fn draw(&mut self, rng: &mut SujRng) -> Result<Draw, CoreError> {
-        // Inner→outer index translation is only needed when the inner
-        // sampler can actually retract; skipping it keeps wrappers over
-        // never-retracting samplers O(1) in memory.
-        let track_indices = self.inner.may_retract();
-        loop {
-            match self.inner.draw(rng) {
-                Ok(Draw::Tuple(inner_idx, t)) => {
-                    if self.predicate.eval(&t) {
-                        let outer_idx = self.emitted;
-                        if track_indices {
-                            self.index_map.insert(inner_idx, outer_idx);
-                        }
-                        self.emitted += 1;
-                        return Ok(Draw::Tuple(outer_idx, t));
-                    }
-                    self.inner.report_mut().rejected_predicate += 1;
-                }
-                Ok(Draw::Retract(inner_idx)) => {
-                    if let Some(outer) = self.index_map.remove(&inner_idx) {
-                        return Ok(Draw::Retract(outer));
-                    }
-                    // The retracted tuple never passed the filter.
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn report(&self) -> &RunReport {
-        self.inner.report()
-    }
-
-    fn report_mut(&mut self) -> &mut RunReport {
-        self.inner.report_mut()
-    }
-
-    fn workload(&self) -> &Arc<UnionWorkload> {
-        self.inner.workload()
-    }
-
-    fn may_retract(&self) -> bool {
-        self.inner.may_retract()
-    }
 }
 
 #[cfg(test)]

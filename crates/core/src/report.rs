@@ -4,7 +4,10 @@
 //! attempts went: parameter estimation (warm-up), producing accepted
 //! answers, producing rejected answers, reuse-phase draws, revisions,
 //! and backtracking — the quantities the paper's time-breakdown and
-//! per-phase figures plot.
+//! per-phase figures plot. A handle is one sampler counting into one
+//! report, so each attempt is counted once: a tuple a reject-mode
+//! predicate (§8.3) turns away is `rejected_predicate`, never
+//! `accepted`.
 //!
 //! Reports combine one way only, by [`RunReport::merge`]. A handle's
 //! report is cumulative; a batch call counts into a fresh report and
@@ -22,7 +25,8 @@ use std::time::Duration;
 /// configurations; carrying the resolved configuration inside the
 /// report means every table row can identify which configuration
 /// produced it, including configurations the planner picked on the
-/// caller's behalf ([`Strategy::Auto`](crate::session::Strategy)).
+/// caller's behalf
+/// ([`PreparedQuery::auto`](crate::session::PreparedQuery::auto)).
 ///
 /// Every field is a static label, so the summary is `Copy`: stamping
 /// it into a minted handle or folding a report copies no string.
@@ -49,8 +53,9 @@ pub struct PlanSummary {
     /// against; `None` when no sizes drove the decision.
     pub sizing: Option<&'static str>,
     /// The planner rule that selected this configuration, when it came
-    /// from [`Strategy::Auto`](crate::session::Strategy) or the
-    /// [`Engine`](crate::catalog::Engine) rather than explicit calls.
+    /// from [`PreparedQuery::auto`](crate::session::PreparedQuery::auto)
+    /// or the [`Engine`](crate::catalog::Engine) rather than explicit
+    /// calls.
     pub rule: Option<&'static str>,
 }
 
@@ -236,9 +241,11 @@ impl RunReport {
         }
     }
 
-    /// Total sampling attempts that reached the cover logic.
+    /// Total sampling attempts that reached the cover logic: the
+    /// returned tuples plus those the cover, the reuse phase or a
+    /// reject-mode predicate turned away.
     pub fn attempts(&self) -> u64 {
-        self.accepted + self.rejected_cover + self.reuse_rejected
+        self.accepted + self.rejected_cover + self.reuse_rejected + self.rejected_predicate
     }
 
     /// Overall acceptance ratio (accepted / attempts); 1.0 when no

@@ -3,7 +3,9 @@
 //! The paper presents one problem — i.i.d. sampling from a union of
 //! joins — realized by four algorithms (Algorithm 1 rejection sampling,
 //! Algorithm 2 online sampling, the Bernoulli union trick, and disjoint
-//! union sampling) plus predicate wrappers. [`UnionSampler`] is the
+//! union sampling); the three a prepared query serves apply a
+//! reject-mode selection predicate (§8.3) in their shared draw step.
+//! [`UnionSampler`] is the
 //! object-safe common surface: an incremental [`draw`](UnionSampler::draw)
 //! producing one [`Draw`] event at a time, a cumulative
 //! [`report`](UnionSampler::report), and a provided batch
@@ -97,7 +99,7 @@ pub trait UnionSampler: Send {
     /// Whether this sampler can ever emit [`Draw::Retract`]. Samplers
     /// returning `false` (disjoint union, Bernoulli designation,
     /// Algorithm 1 under the membership-oracle policy) stream exactly
-    /// i.i.d. and let wrappers skip retraction bookkeeping.
+    /// i.i.d. and let a batch skip retraction bookkeeping.
     fn may_retract(&self) -> bool {
         true
     }

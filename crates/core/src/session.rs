@@ -50,13 +50,14 @@
 //! thread via [`PreparedQuery::sampler`].
 //!
 //! Every serving sampler — built here explicitly, planned by
-//! [`Strategy::Auto`], prepared by the
-//! [`Engine`](crate::catalog::Engine), or restored from a snapshot — is
-//! assembled by the same chain: push-down `rewrite` → plan the
-//! rewritten workload → `freeze(workload, config, given)`, where
-//! `given` carries whatever the planner's probe or the snapshot already
-//! holds (union parameters, per-join samplers) and the freeze computes
-//! the rest.
+//! [`PreparedQuery::auto`] or the [`Engine`](crate::catalog::Engine),
+//! or restored from a snapshot — is assembled by the same chain:
+//! push-down `rewrite` → plan the rewritten workload →
+//! `freeze(workload, config, given)`, where `given` carries whatever
+//! the planner's probe or the snapshot already holds (union parameters,
+//! per-join samplers) and the freeze computes the rest. A reject-mode
+//! predicate is compiled once by the freeze and tested in each handle's
+//! draw step, so a handle is always one sampler.
 
 use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
 use crate::cover::CoverStrategy;
@@ -66,7 +67,7 @@ use crate::exact::full_join_union;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
 use crate::overlap::OverlapMap;
 use crate::planner::{Plan, PlanRule, Planner, Sizing, WorkloadStats};
-use crate::predicate_mode::{push_down, PredicateMode, PredicateSampler};
+use crate::predicate_mode::{push_down, PredicateMode};
 use crate::query::{UnionQuery, UnionSemantics};
 use crate::report::{PlanSummary, RunReport};
 use crate::sampler::UnionSampler;
@@ -79,7 +80,7 @@ use std::time::{Duration, Instant};
 use suj_join::weights::build_sampler;
 use suj_join::{JoinSampler, JoinSpec, WeightKind};
 use suj_stats::SujRng;
-use suj_storage::{Predicate, Tuple};
+use suj_storage::{CompiledPredicate, Predicate, Tuple};
 
 /// Histogram-estimator options for the builder. The builder's
 /// estimator runs on maximum degrees ([`DegreeMode::Max`], §5.1's strict
@@ -107,7 +108,14 @@ pub enum Estimator {
     Walk(WalkEstimatorConfig),
 }
 
-/// Which sampling algorithm runs over the estimated parameters.
+/// Which sampling algorithm runs over the estimated parameters — one
+/// per strategy a [`PreparedQuery`] can freeze. Algorithm 2 (§6–§7) is
+/// not among them: it is only asymptotically uniform, and it is built
+/// directly as an
+/// [`OnlineUnionSampler`](crate::algorithm2::OnlineUnionSampler) over
+/// [`OnlineParts`](crate::algorithm2::OnlineParts). To let the planner
+/// choose, use [`PreparedQuery::auto`] or
+/// [`Engine::prepare`](crate::catalog::Engine::prepare).
 #[derive(Debug, Clone, Copy)]
 pub enum Strategy {
     /// Algorithm 1: non-Bernoulli cover selection with rejection and
@@ -115,13 +123,6 @@ pub enum Strategy {
     /// [`SamplerBuilder::cover_strategy`], and
     /// [`SamplerBuilder::weights`].
     Rejection,
-    /// Algorithm 2 (§6–§7), which is not served: it is only
-    /// asymptotically uniform, and it is built directly as an
-    /// [`OnlineUnionSampler`](crate::algorithm2::OnlineUnionSampler)
-    /// over [`OnlineParts`](crate::algorithm2::OnlineParts). The
-    /// variant remains because snapshot format 3 persisted it as tag 1:
-    /// the builder refuses it, and a restore re-plans such an entry.
-    Online,
     /// The §3 union trick: one join per draw in proportion to its
     /// sampler's size bound, a tuple kept only by the join the given
     /// policy designates — the set union, estimating nothing.
@@ -129,12 +130,6 @@ pub enum Strategy {
     /// Disjoint-union sampling (Definition 1): one join per draw in
     /// proportion to its sampler's size bound, every tuple kept.
     Disjoint,
-    /// Let the [`Planner`] pick the strategy
-    /// (and any estimator / weights / cover left unset) from cheap
-    /// workload statistics. The planned configuration — including the
-    /// rule that fired — is recorded in the sampler's
-    /// [`RunReport::config`](crate::report::RunReport::config).
-    Auto,
 }
 
 impl fmt::Display for Estimator {
@@ -187,25 +182,21 @@ impl Strategy {
     pub fn label(&self) -> &'static str {
         match self {
             Strategy::Rejection => "rejection",
-            Strategy::Online => "online",
             Strategy::Bernoulli(DesignationPolicy::Oracle) => "bernoulli(oracle)",
             Strategy::Bernoulli(DesignationPolicy::Record) => "bernoulli(record)",
             Strategy::Disjoint => "disjoint",
-            Strategy::Auto => "auto",
         }
     }
 
     /// Snapshot tag (variant plus designation policy; configurations
-    /// are the planner's defaults). `None` for [`Strategy::Auto`],
-    /// which is resolved before anything is frozen or persisted.
-    pub(crate) fn tag(&self) -> Option<u8> {
+    /// are the planner's defaults). Tag 1 was Algorithm 2's, which
+    /// format 3 persisted and a restore plans again.
+    pub(crate) fn tag(&self) -> u8 {
         match self {
-            Strategy::Rejection => Some(0),
-            Strategy::Online => Some(1),
-            Strategy::Bernoulli(DesignationPolicy::Oracle) => Some(2),
-            Strategy::Bernoulli(DesignationPolicy::Record) => Some(3),
-            Strategy::Disjoint => Some(4),
-            Strategy::Auto => None,
+            Strategy::Rejection => 0,
+            Strategy::Bernoulli(DesignationPolicy::Oracle) => 2,
+            Strategy::Bernoulli(DesignationPolicy::Record) => 3,
+            Strategy::Disjoint => 4,
         }
     }
 
@@ -213,7 +204,6 @@ impl Strategy {
     pub(crate) fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(Strategy::Rejection),
-            1 => Some(Strategy::Online),
             2 => Some(Strategy::Bernoulli(DesignationPolicy::Oracle)),
             3 => Some(Strategy::Bernoulli(DesignationPolicy::Record)),
             4 => Some(Strategy::Disjoint),
@@ -324,47 +314,22 @@ impl SamplerBuilder {
     /// number of independent sampler handles via
     /// [`sampler`](PreparedQuery::sampler).
     ///
-    /// The same pipeline as [`Engine::prepare`](crate::catalog::Engine::prepare):
-    /// push-down rewrite, then (for [`Strategy::Auto`]) planning of the
-    /// rewritten workload with explicit knobs winning over planned
-    /// ones, then the freeze — so an `Auto` build is seed-for-seed
-    /// identical to the explicit configuration the planner selected.
+    /// The same pipeline as [`Engine::prepare`](crate::catalog::Engine::prepare),
+    /// with the caller's knobs in place of the planner's: push-down
+    /// rewrite, then the freeze.
     pub fn freeze(self) -> Result<PreparedQuery, CoreError> {
         let predicate = self.predicate.as_ref().map(|(p, mode)| (p, *mode));
         let workload = rewrite(&self.workload, predicate)?;
-        let predicate_mode = predicate.map(|(_, mode)| mode);
-        let (plan, given) = match self.strategy {
-            Strategy::Auto => {
-                let (planned, mut given) =
-                    Planner::default().plan_with_given(&workload, UnionSemantics::Set);
-                if self.estimator.is_some() {
-                    // The probed map belongs to the planned estimator.
-                    given.map = None;
-                }
-                let plan = Plan {
-                    estimator: self.estimator.or(planned.estimator),
-                    weights: self.weights.or(planned.weights),
-                    cover_strategy: self.cover_strategy.or(planned.cover_strategy),
-                    predicate_mode,
-                    ..planned
-                };
-                (plan, given)
-            }
-            strategy => {
-                let plan = Plan {
-                    strategy,
-                    estimator: self.estimator,
-                    weights: self.weights,
-                    cover_strategy: self.cover_strategy,
-                    predicate_mode,
-                    sizing: None,
-                    rule: PlanRule::Explicit,
-                    stats: WorkloadStats::unavailable(&workload),
-                };
-                (plan, Given::default())
-            }
+        let plan = Plan {
+            strategy: self.strategy,
+            estimator: self.estimator,
+            weights: self.weights,
+            cover_strategy: self.cover_strategy,
+            predicate_mode: predicate.map(|(_, mode)| mode),
+            sizing: None,
+            rule: PlanRule::Explicit,
+            stats: WorkloadStats::unavailable(&workload),
         };
-        let (planned, rule) = (plan.strategy, plan.rule);
         let config = FreezeConfig {
             plan,
             cover_policy: self.cover_policy,
@@ -375,16 +340,7 @@ impl SamplerBuilder {
             root_seed: self.estimation_seed,
             source: None,
         };
-        freeze(workload, config, given).map_err(|e| match e {
-            // A knob the caller pinned can be incompatible with the
-            // strategy the planner picked for *this data*; say so
-            // instead of blaming a strategy the caller never chose.
-            CoreError::Invalid(msg) if rule != PlanRule::Explicit => CoreError::Invalid(format!(
-                "Strategy::Auto planned `{planned}` (rule {}): {msg}",
-                rule.name()
-            )),
-            other => other,
-        })
+        freeze(workload, config, Given::default())
     }
 
     /// Validates the configuration and assembles one sampler — the
@@ -415,14 +371,14 @@ pub(crate) struct Given {
 
 /// Everything [`freeze`] commits to besides the workload.
 pub(crate) struct FreezeConfig {
-    /// Strategy (never `Auto`), estimator, weights, cover ordering, and
-    /// predicate mode — unset knobs take the documented defaults — plus
+    /// Strategy, estimator, weights, cover ordering, and predicate mode — unset knobs take the documented defaults — plus
     /// the rule and statistics that chose them.
     pub plan: Plan,
     /// Cover ownership policy (the planner never picks one).
     pub cover_policy: Option<CoverPolicy>,
-    /// The predicate of [`PredicateMode::Reject`], compiled per handle;
-    /// a push-down predicate is already folded into the workload.
+    /// The predicate of [`PredicateMode::Reject`], compiled once by the
+    /// freeze; a push-down predicate is already folded into the
+    /// workload.
     pub reject_predicate: Option<Predicate>,
     /// Estimation seed and root of per-handle stream derivation.
     pub root_seed: u64,
@@ -528,8 +484,8 @@ fn reject_knob(set: bool, knob: &str, strategy: &str) -> Result<(), CoreError> {
 /// them, and consults the estimator (`given.map`, else one pass) only
 /// for Algorithm 1, whose cover needs the overlap structure; the eager
 /// one-join-per-draw strategies select by the bounds their member
-/// samplers reject against and estimate nothing. Fresh prepares,
-/// [`Strategy::Auto`] and snapshot restores differ only in where
+/// samplers reject against and estimate nothing. Builder freezes,
+/// planned prepares and snapshot restores differ only in where
 /// `config` and `given` come from.
 pub(crate) fn freeze(
     workload: Arc<UnionWorkload>,
@@ -578,13 +534,6 @@ pub(crate) fn freeze(
             plan.sizing = Some(sizing(&estimator, hinted));
             (PreparedKind::Rejection { config }, samplers, Some(map))
         }
-        Strategy::Online => {
-            return Err(CoreError::Invalid(
-                "Strategy::Online is not served: Algorithm 2 is only asymptotically \
-                 uniform; construct an OnlineUnionSampler over OnlineParts directly"
-                    .into(),
-            ));
-        }
         Strategy::Disjoint | Strategy::Bernoulli(_) => {
             let (name, designation) = match plan.strategy {
                 Strategy::Bernoulli(policy) => ("Strategy::Bernoulli", Some(policy)),
@@ -604,8 +553,12 @@ pub(crate) fn freeze(
             });
             (PreparedKind::Disjoint { designation }, samplers, None)
         }
-        Strategy::Auto => unreachable!("Auto is planned before the freeze"),
     };
+
+    let predicate = reject_predicate
+        .map(|p| p.compile(workload.canonical_schema()).map(Arc::new))
+        .transpose()
+        .map_err(CoreError::Storage)?;
 
     // Membership indexes are built by their first probe. The
     // configurations that probe while drawing or estimating get theirs
@@ -638,7 +591,7 @@ pub(crate) fn freeze(
         kind,
         samplers,
         map,
-        reject_predicate,
+        predicate,
         plan,
         summary,
         root_seed,
@@ -694,9 +647,10 @@ pub struct PreparedQuery {
     /// held here only: Algorithm 1 handles are minted over it and
     /// snapshots persist it, so a restore pays no estimation.
     map: Option<OverlapMap>,
-    /// Reject-mode predicate, compiled per handle (push-down
-    /// predicates were already folded into `workload`).
-    reject_predicate: Option<Predicate>,
+    /// Reject-mode predicate, compiled once and tested in every
+    /// handle's draw step (push-down predicates were already folded
+    /// into `workload`).
+    predicate: Option<Arc<CompiledPredicate>>,
     /// The resolved configuration (defaults filled in) with the rule
     /// and statistics that chose it.
     plan: Plan,
@@ -735,11 +689,21 @@ impl PreparedQuery {
     /// Plans and freezes a set-union workload with the default planner
     /// — the catalog-free entry point benches and embedded callers use
     /// to get a shareable `PreparedQuery` straight from a
-    /// [`UnionWorkload`].
+    /// [`UnionWorkload`]. The plan, with the rule that fired, is
+    /// stamped into every handle's
+    /// [`RunReport::config`](crate::report::RunReport::config); the
+    /// freeze consumes what the planner's probe already computed, as
+    /// [`Engine::prepare`](crate::catalog::Engine::prepare) does.
     pub fn auto(workload: Arc<UnionWorkload>) -> Result<Self, CoreError> {
-        SamplerBuilder::for_workload(workload)
-            .strategy(Strategy::Auto)
-            .freeze()
+        let (plan, given) = Planner::default().plan_with_given(&workload, UnionSemantics::Set);
+        let config = FreezeConfig {
+            plan,
+            cover_policy: None,
+            reject_predicate: None,
+            root_seed: DEFAULT_ROOT_SEED,
+            source: None,
+        };
+        freeze(workload, config, given)
     }
 
     /// The configuration that was frozen, with the rule and statistics
@@ -771,21 +735,22 @@ impl PreparedQuery {
     /// no index build — only fresh per-handle record/report state.
     pub(crate) fn mint(&self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
         let (workload, samplers) = (self.workload.clone(), self.samplers.clone());
-        let base: Box<dyn UnionSampler + Send> = match &self.kind {
+        let predicate = self.predicate.clone();
+        let mut sampler: Box<dyn UnionSampler + Send> = match &self.kind {
             PreparedKind::Rejection { config } => {
                 let map = self
                     .map
                     .as_ref()
                     .expect("a rejection freeze always commits to a map");
-                Box::new(SetUnionSampler::new(workload, map, *config, samplers)?)
+                let sampler = SetUnionSampler::new(workload, map, *config, samplers, predicate)?;
+                Box::new(sampler)
             }
-            PreparedKind::Disjoint { designation } => {
-                Box::new(DisjointUnionSampler::new(workload, samplers, *designation)?)
-            }
-        };
-        let mut sampler: Box<dyn UnionSampler + Send> = match &self.reject_predicate {
-            Some(p) => Box::new(PredicateSampler::new(base, p)?),
-            None => base,
+            PreparedKind::Disjoint { designation } => Box::new(DisjointUnionSampler::new(
+                workload,
+                samplers,
+                *designation,
+                predicate,
+            )?),
         };
         let report = sampler.report_mut();
         report.config = Some(self.summary);
@@ -1029,16 +994,6 @@ mod tests {
     #[test]
     fn inapplicable_knobs_are_rejected_not_ignored() {
         let w = workload();
-        // Algorithm 2 is not served; the refusal names what to build.
-        let err = SamplerBuilder::for_workload(w.clone())
-            .strategy(Strategy::Online)
-            .build()
-            .err()
-            .expect("Strategy::Online is refused");
-        assert!(
-            matches!(&err, CoreError::Invalid(m) if m.contains("OnlineUnionSampler")),
-            "{err}"
-        );
         // Bernoulli and Disjoint have no cover.
         assert!(SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
@@ -1065,21 +1020,32 @@ mod tests {
     fn predicate_reject_mode_filters_output() {
         let w = workload();
         let p = Predicate::cmp("c", CompareOp::Le, Value::int(200));
-        let mut sampler = SamplerBuilder::for_workload(w)
-            .estimator(Estimator::Exact)
-            .predicate(p.clone(), PredicateMode::Reject)
-            .build()
-            .unwrap();
-        let compiled = p.compile(sampler.workload().canonical_schema()).unwrap();
-        let mut rng = SujRng::seed_from_u64(6);
-        let (samples, report) = sampler.sample(60, &mut rng).unwrap();
-        assert_eq!(samples.len(), 60);
-        for t in &samples {
-            assert!(compiled.eval(t));
+        let compiled = p.compile(w.canonical_schema()).unwrap();
+        for strategy in [
+            Strategy::Rejection,
+            Strategy::Disjoint,
+            Strategy::Bernoulli(DesignationPolicy::Record),
+            Strategy::Bernoulli(DesignationPolicy::Oracle),
+        ] {
+            let mut sampler = SamplerBuilder::for_workload(w.clone())
+                .estimator(Estimator::Exact)
+                .strategy(strategy)
+                .predicate(p.clone(), PredicateMode::Reject)
+                .build()
+                .unwrap();
+            let mut rng = SujRng::seed_from_u64(6);
+            let (samples, report) = sampler.sample(60, &mut rng).unwrap();
+            assert_eq!(samples.len(), 60, "{strategy}");
+            for t in &samples {
+                assert!(compiled.eval(t), "{strategy}");
+            }
+            // Only returned tuples are accepted. (9, 90, 900) fails the
+            // predicate and must have been rejected at least once in 60
+            // returned draws, which counts as an attempt.
+            assert_eq!(report.accepted, samples.len() as u64, "{strategy}");
+            assert!(report.rejected_predicate > 0, "{strategy}");
+            assert!(report.acceptance_ratio() < 1.0, "{strategy}");
         }
-        // (9, 90, 900) fails the predicate and must have been rejected
-        // at least once in 60 accepted draws.
-        assert!(report.rejected_predicate > 0);
     }
 
     #[test]
@@ -1164,7 +1130,8 @@ mod tests {
         let exact = crate::exact::full_join_union(&w).unwrap();
         let config = UnionSamplerConfig::default();
         let samplers = shared_samplers(&w, config.weights).unwrap();
-        let mut direct = SetUnionSampler::new(w.clone(), &exact.overlap, config, samplers).unwrap();
+        let mut direct =
+            SetUnionSampler::new(w.clone(), &exact.overlap, config, samplers, None).unwrap();
         let mut built = SamplerBuilder::for_workload(w)
             .estimator(Estimator::Exact)
             .build()

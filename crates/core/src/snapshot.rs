@@ -136,11 +136,13 @@ impl Codec for PlannerConfig {
 /// exactly. The predicate mode and the sizing label are not stored: the
 /// prepare pipeline derives the one from the query and stamps the
 /// other from the sizes it reads.
+///
+/// Strategy tag 1 is not a plan: format 3 wrote it for Algorithm 2,
+/// which is no longer served. A prepared entry reads such a plan as
+/// "plan this entry again"; a bare plan refuses it.
 impl Codec for Plan {
     fn encode(&self, w: &mut ByteWriter) {
-        // `Auto` never reaches here: `snapshot_to_bytes` refuses it, and
-        // its byte would fail the decode.
-        self.strategy.tag().unwrap_or(u8::MAX).encode(w);
+        self.strategy.tag().encode(w);
         w.put_opt_tag(self.estimator.as_ref().map(Estimator::tag));
         w.put_opt_tag(self.weights.map(Labeled::tag));
         w.put_opt_tag(self.cover_strategy.map(Labeled::tag));
@@ -152,36 +154,49 @@ impl Codec for Plan {
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        let strategy = r.get_tag("strategy", Strategy::from_tag)?;
-        let estimator = r.get_opt_tag("estimator", Estimator::from_tag)?;
-        let weights = r.get_opt_tag("weights", WeightKind::from_tag)?;
-        let cover_strategy = r.get_opt_tag("cover", Labeled::from_tag)?;
-        let rule = PlanRule::decode(r)?;
-        let total_base_rows = usize::try_from(u64::decode(r)?)
-            .map_err(|_| SnapshotError::Corrupt("total_base_rows overflow".into()))?;
-        let n_joins = u32::decode(r)? as usize;
-        let (union_size_hint, size_hints) = Option::<(f64, Vec<f64>)>::decode(r)?.unzip();
-        if size_hints.as_ref().is_some_and(|h| h.len() != n_joins) {
-            return Err(SnapshotError::Corrupt(
-                "size hints do not cover every join".into(),
-            ));
-        }
-        Ok(Plan {
-            strategy,
-            estimator,
-            weights,
-            cover_strategy,
-            predicate_mode: None,
-            sizing: None,
-            rule,
-            stats: WorkloadStats {
-                size_hints,
-                union_size_hint,
-                total_base_rows,
-                n_joins,
-            },
-        })
+        decode_stored_plan(r)?.ok_or_else(|| corrupt("strategy tag", ALGORITHM2_TAG))
     }
+}
+
+/// The strategy tag format 3 wrote for Algorithm 2.
+const ALGORITHM2_TAG: u8 = 1;
+
+/// Reads a stored plan: `None` for one with [`ALGORITHM2_TAG`], whose
+/// remaining bytes are read and dropped — the restore plans that entry
+/// again.
+fn decode_stored_plan(r: &mut ByteReader<'_>) -> Result<Option<Plan>, SnapshotError> {
+    let strategy = r.get_tag("strategy", |tag| match tag {
+        ALGORITHM2_TAG => Some(None),
+        tag => Strategy::from_tag(tag).map(Some),
+    })?;
+    let estimator = r.get_opt_tag("estimator", Estimator::from_tag)?;
+    let weights = r.get_opt_tag("weights", WeightKind::from_tag)?;
+    let cover_strategy = r.get_opt_tag("cover", Labeled::from_tag)?;
+    let rule = PlanRule::decode(r)?;
+    let total_base_rows = usize::try_from(u64::decode(r)?)
+        .map_err(|_| SnapshotError::Corrupt("total_base_rows overflow".into()))?;
+    let n_joins = u32::decode(r)? as usize;
+    let (union_size_hint, size_hints) = Option::<(f64, Vec<f64>)>::decode(r)?.unzip();
+    if size_hints.as_ref().is_some_and(|h| h.len() != n_joins) {
+        return Err(SnapshotError::Corrupt(
+            "size hints do not cover every join".into(),
+        ));
+    }
+    Ok(strategy.map(|strategy| Plan {
+        strategy,
+        estimator,
+        weights,
+        cover_strategy,
+        predicate_mode: None,
+        sizing: None,
+        rule,
+        stats: WorkloadStats {
+            size_hints,
+            union_size_hint,
+            total_base_rows,
+            n_joins,
+        },
+    }))
 }
 
 /// The join count `n` as a `u32`, then all `2^n` sizes as one slab.
@@ -215,12 +230,14 @@ impl Codec for OverlapMap {
 }
 
 /// One [`SECTION_PREPARED`] payload: entry id, query, root seed, plan,
-/// and the overlap map the freeze consulted (if any).
+/// and the overlap map the freeze consulted (if any). The plan is
+/// `None` in an entry stored with [`ALGORITHM2_TAG`], which the restore
+/// plans again; every entry a snapshot writes holds its frozen plan.
 struct PreparedEntry {
     id: u32,
     query: UnionQuery,
     root_seed: u64,
-    plan: Plan,
+    plan: Option<Plan>,
     map: Option<OverlapMap>,
 }
 
@@ -229,7 +246,10 @@ impl Codec for PreparedEntry {
         self.id.encode(w);
         self.query.encode(w);
         self.root_seed.encode(w);
-        self.plan.encode(w);
+        // Only a restore reads an entry without a plan, and it plans
+        // that entry again before anything is written.
+        let plan = self.plan.as_ref().expect("written entries hold a plan");
+        plan.encode(w);
         self.map.encode(w);
     }
 
@@ -238,7 +258,7 @@ impl Codec for PreparedEntry {
             id: Codec::decode(r)?,
             query: Codec::decode(r)?,
             root_seed: Codec::decode(r)?,
-            plan: Codec::decode(r)?,
+            plan: decode_stored_plan(r)?,
             map: Codec::decode(r)?,
         })
     }
@@ -299,16 +319,11 @@ impl Engine {
             let Some(query) = prepared.source_query() else {
                 continue;
             };
-            if prepared.plan().strategy.tag().is_none() {
-                return Err(CoreError::Snapshot(SnapshotError::Corrupt(
-                    "cannot snapshot an unresolved Auto plan".into(),
-                )));
-            }
             let entry = PreparedEntry {
                 id,
                 query: query.clone(),
                 root_seed: prepared.root_seed(),
-                plan: prepared.plan().clone(),
+                plan: Some(prepared.plan().clone()),
                 map: prepared.overlap_map().cloned(),
             };
             sections.push((SECTION_PREPARED, entry.to_bytes()));
@@ -440,10 +455,10 @@ impl Engine {
             // with its tag is planned again by the snapshot's planner.
             let restored = engine.prepare_via(&query, root_seed, |workload, semantics| {
                 let restore = Some((snapshot_bytes, start));
-                if let Strategy::Online = plan.strategy {
+                let Some(plan) = plan else {
                     let (plan, given) = engine.planner().plan_with_given(workload, semantics);
                     return Ok((plan, Given { restore, ..given }));
-                }
+                };
                 let n = workload.n_joins();
                 if plan.stats.n_joins != n || map.as_ref().is_some_and(|m| m.n() != n) {
                     return Err(CoreError::Snapshot(corrupt(
@@ -797,7 +812,7 @@ mod tests {
             id: 0,
             query: shop_query(),
             root_seed: prepared.root_seed(),
-            plan: prepared.plan().clone(),
+            plan: Some(prepared.plan().clone()),
             map: Some(OverlapMap::new(1, vec![0.0, 3.0]).unwrap()),
         };
 

@@ -46,7 +46,9 @@
 //! policy and Algorithm 2 it carries the same asymptotic-uniformity
 //! guarantee the paper proves for their output. Callers needing exact
 //! finite-sample semantics under retraction should use
-//! [`UnionSampler::sample`] instead.
+//! [`UnionSampler::sample`] instead. A reject-mode predicate adds no
+//! events: a tuple it fails is never emitted, so it is never retracted
+//! either.
 
 use crate::error::CoreError;
 use crate::sampler::{Draw, UnionSampler};
@@ -206,7 +208,7 @@ mod tests {
         let map = crate::overlap::OverlapMap::new(2, vec![0.0; 4]).unwrap();
         let config = UnionSamplerConfig::default();
         let samplers = shared_samplers(&w, config.weights).unwrap();
-        let mut sampler = SetUnionSampler::new(w, &map, config, samplers).unwrap();
+        let mut sampler = SetUnionSampler::new(w, &map, config, samplers, None).unwrap();
         let mut rng = SujRng::seed_from_u64(3);
         let mut stream = SampleStream::over(&mut sampler, &mut rng);
         assert!(matches!(stream.next(), Some(Err(_))));

@@ -182,7 +182,7 @@ impl WalkEstimate {
     }
 
     /// Whether join `j` has any successful walk statistics.
-    pub fn has_data(&self, j: usize) -> bool {
+    fn has_data(&self, j: usize) -> bool {
         !self.mask_weights[j].is_empty()
     }
 

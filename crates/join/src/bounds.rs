@@ -66,7 +66,7 @@ impl StatsCache {
 /// Per-node maximum degrees along a spanning tree of the join graph,
 /// rooted at relation 0. `max_degrees[i]` is `M(probe attrs)(R_i)` for
 /// non-root nodes and 1 for the root.
-pub fn spanning_max_degrees(spec: &JoinSpec, stats: &mut StatsCache) -> Vec<usize> {
+fn spanning_max_degrees(spec: &JoinSpec, stats: &mut StatsCache) -> Vec<usize> {
     let n = spec.n_relations();
     let mut degrees = vec![1usize; n];
     let mut visited = vec![false; n];

@@ -344,12 +344,6 @@ impl JoinSpec {
             })
             .collect()
     }
-
-    /// Product of relation sizes — the trivial upper bound used as a
-    /// sanity cap in tests.
-    pub fn cross_product_size(&self) -> f64 {
-        self.relations.iter().map(|r| r.len() as f64).product()
-    }
 }
 
 /// Whether relations `i` and `j` are connected in the subgraph of edges
@@ -538,11 +532,5 @@ mod tests {
     fn display_shows_pipeline() {
         let spec = JoinSpec::natural("j", chain_rels()).unwrap();
         assert_eq!(spec.to_string(), "j: r1 ⋈ r2 ⋈ r3");
-    }
-
-    #[test]
-    fn cross_product_size() {
-        let spec = JoinSpec::natural("j", chain_rels()).unwrap();
-        assert_eq!(spec.cross_product_size(), 2.0 * 2.0 * 1.0);
     }
 }

@@ -26,14 +26,6 @@ impl Tuple {
         }
     }
 
-    /// Builds a tuple by cloning a slice of values (a single exact-size
-    /// allocation, no intermediate `Vec`).
-    pub fn from_slice(values: &[Value]) -> Self {
-        Self {
-            values: Arc::from(values),
-        }
-    }
-
     /// Number of values.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -149,12 +141,6 @@ mod tests {
         let p = t.project(&[3, 0]);
         assert_eq!(p, tuple![4i64, 1i64]);
         assert_eq!(t.arity(), 4);
-    }
-
-    #[test]
-    fn from_slice_equals_new() {
-        let vals = vec![Value::int(1), Value::str("x")];
-        assert_eq!(Tuple::from_slice(&vals), Tuple::new(vals));
     }
 
     #[test]

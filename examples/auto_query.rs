@@ -1,12 +1,12 @@
 //! The planner end to end: declarative TPC-H queries, `EXPLAIN`
-//! output, and `Strategy::Auto` on the explicit builder.
+//! output, and `PreparedQuery::auto` over a bare workload.
 //!
 //! Registers the deterministic TPC-H style tables in a `Catalog`,
 //! then shows three queries whose planned configurations differ —
 //! overlapping chains (Algorithm 1), a single join (plain per-join
 //! sampling), and disjoint-union semantics (Definition 1) — plus
-//! `Strategy::Auto` picking a configuration for the paper's UQ1
-//! workload through the plain `SamplerBuilder`.
+//! `PreparedQuery::auto` planning the paper's UQ1 workload with no
+//! catalog.
 //!
 //! Run with: `cargo run --release --example auto_query`
 
@@ -46,13 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = engine.plan(&q3)?;
     println!("--- disjoint union ---\n{}\n", plan.explain());
 
-    // --- 3. Strategy::Auto through the explicit builder (UQ1). ---
+    // --- 3. The planner over a bare workload (UQ1), no catalog. ---
     let workload = Arc::new(uq1(&UqOptions::new(1, 7, 0.3))?);
-    let mut sampler = SamplerBuilder::for_workload(workload)
-        .strategy(Strategy::Auto)
-        .build()?;
-    let (samples, report) = sampler.sample(50, &mut rng)?;
-    println!("--- Strategy::Auto on UQ1 ---");
+    let prepared = PreparedQuery::auto(workload)?;
+    println!(
+        "--- PreparedQuery::auto on UQ1 ---\n{}\n",
+        prepared.explain()
+    );
+    let (samples, report) = prepared.run(50, &mut rng)?;
     println!("{} samples; {}", samples.len(), report.summary());
     Ok(())
 }

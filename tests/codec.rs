@@ -173,11 +173,10 @@ fn plan(rng: &mut SujRng) -> Plan {
     let n_joins = 1 + rng.index(4);
     let hints = rng.bernoulli(0.5);
     Plan {
-        strategy: match rng.index(5) {
+        strategy: match rng.index(4) {
             0 => Strategy::Rejection,
-            1 => Strategy::Online,
-            2 => Strategy::Bernoulli(DesignationPolicy::Oracle),
-            3 => Strategy::Bernoulli(DesignationPolicy::Record),
+            1 => Strategy::Bernoulli(DesignationPolicy::Oracle),
+            2 => Strategy::Bernoulli(DesignationPolicy::Record),
             _ => Strategy::Disjoint,
         },
         estimator: maybe(rng, |rng| match rng.index(3) {

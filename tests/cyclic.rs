@@ -1,4 +1,4 @@
-//! Cyclic-join integration tests: `Strategy::Auto` routes cyclic
+//! Cyclic-join integration tests: the planner routes cyclic
 //! topologies to the AGM box-splitting sampler (planner rule
 //! `cyclic-join`, weights `agm-box`), the accepted stream is exactly
 //! uniform over the union by chi-square against materialized ground
@@ -93,8 +93,8 @@ fn assert_prepared_uniform(prepared: &PreparedQuery, seed: u64, draws_per_tuple:
     );
 }
 
-/// The ISSUE's hard constraint: `Strategy::Auto` detects the cycle,
-/// explains the choice, and the sampled stream is uniform.
+/// The planner detects the cycle, explains the choice, and the sampled
+/// stream is uniform.
 #[test]
 fn auto_routes_triangle_union_to_cyclic_join_and_stays_uniform() {
     let engine = cyclic_engine();

@@ -8,9 +8,10 @@
 //!   checksum of the whole batch, so a refactor of the construction
 //!   path cannot drift a stream unnoticed. Samplers that never retract
 //!   also get stream-vs-batch parity.
-//! * **One case per plan rule.** A fresh `Engine::prepare`, the
-//!   builder (`Strategy::Auto` wherever the default planner reaches
-//!   the rule, else the explicit configuration the plan names) and a
+//! * **One case per plan rule.** A fresh `Engine::prepare`, a
+//!   catalog-free freeze (`PreparedQuery::auto` wherever the default
+//!   planner reaches the rule, else the builder configured as the plan
+//!   names) and a
 //!   snapshot-restored replica must agree on the `summary()` string and
 //!   on `sample(n, seed)` bit for bit, and match the golden recorded
 //!   from the same commit.
@@ -180,28 +181,59 @@ fn disjoint_builder_and_stream_match_legacy() {
     assert_eq!(streamed(&mut build(), 300, 12), out);
 }
 
+/// Reject mode (§8.3) under every eager strategy: a disjunction, which
+/// cannot be pushed down, filters what the draw step returns. Each case
+/// pins the checksum of `sample(200, 13)` (whose first tuple they
+/// share) and the predicate rejections it took; every returned tuple
+/// passes.
 #[test]
-fn predicate_wrapper_matches_hand_wrapped_sampler() {
-    let w = workload();
-    let pred = Predicate::cmp(
-        w.canonical_schema().attrs()[0].as_ref(),
-        CompareOp::Ge,
-        Value::int(0),
-    );
-    let builder = || {
-        SamplerBuilder::for_workload(w.clone())
+fn reject_mode_filters_every_strategy() {
+    let w = Arc::new(uq2(&UqOptions::new(1, 62, 0.2)).expect("uq2"));
+    let pred = Predicate::Or(vec![
+        Predicate::cmp("psize", CompareOp::Gt, Value::int(25)),
+        Predicate::cmp("nationkey", CompareOp::Ge, Value::int(20)),
+    ]);
+    let compiled = pred.compile(w.canonical_schema()).unwrap();
+    let first = "[1, AMERICA, 6, FRANCE, 4, 865955, Supplier#000000004, 4, 2426, \
+                 blanched steel, PROMO PLATED TIN, 31]";
+    let record = Some(CoverPolicy::Record);
+    let oracle = Some(CoverPolicy::MembershipOracle);
+    let designated = Strategy::Bernoulli;
+    let cases = [
+        (Strategy::Rejection, record, 0xfb41f9027a3112a4, 190),
+        (Strategy::Rejection, oracle, 0xe7100ec7725de9c5, 173),
+        (Strategy::Disjoint, None, 0x87debf207f5c30ea, 214),
+        (
+            designated(DesignationPolicy::Record),
+            None,
+            0xf098c962389b0efa,
+            162,
+        ),
+        (
+            designated(DesignationPolicy::Oracle),
+            None,
+            0xa9860d3b7c092e00,
+            154,
+        ),
+    ];
+    for (strategy, cover, sum, rejected) in cases {
+        let mut builder = SamplerBuilder::for_workload(w.clone())
             .estimator(Estimator::Exact)
-            .cover_policy(CoverPolicy::MembershipOracle)
-    };
-    // Build the unfiltered sampler, wrap by hand.
-    let mut hand_wrapped = PredicateSampler::new(builder().build().unwrap(), &pred).unwrap();
-    let hand_out = batch(&mut hand_wrapped, 200, 13);
-
-    let mut via_builder = builder()
-        .predicate(pred, PredicateMode::Reject)
-        .build()
-        .unwrap();
-    assert_eq!(batch(&mut via_builder, 200, 13), hand_out);
+            .strategy(strategy)
+            .predicate(pred.clone(), PredicateMode::Reject);
+        if let Some(policy) = cover {
+            builder = builder.cover_policy(policy);
+        }
+        let mut sampler = builder.build().unwrap();
+        let out = batch(&mut sampler, 200, 13);
+        assert!(out.iter().all(|t| compiled.eval(t)), "{strategy} {cover:?}");
+        assert_eq!(
+            sampler.report().rejected_predicate,
+            rejected,
+            "{strategy} {cover:?}"
+        );
+        assert_golden(&out, first, sum);
+    }
 }
 
 #[test]
@@ -302,8 +334,8 @@ struct RuleCase {
     planner: Planner,
     catalog: Catalog,
     query: UnionQuery,
-    /// Whether `Strategy::Auto` (default planner, set semantics) reaches
-    /// the rule on the builder; otherwise the builder leg pins the
+    /// Whether `PreparedQuery::auto` (default planner, set semantics)
+    /// reaches the rule; otherwise the builder leg pins the
     /// configuration the plan names, and its summary carries no rule.
     auto: bool,
     /// The summary, first tuple and checksum of `sample(48, 3)`.
@@ -412,13 +444,15 @@ fn every_plan_rule_agrees_across_prepare_builder_and_restore() {
         let (expected, _) = fresh.sample(48, 3).unwrap();
         assert_golden(&expected, first, sum);
 
-        // The builder: Auto, or the knobs the plan names.
+        // Without the catalog: the default planner, or the builder
+        // with the knobs the plan names.
         let workload = case.query.resolve(engine.catalog()).unwrap().workload;
-        let mut builder = SamplerBuilder::for_workload(workload).strategy(Strategy::Auto);
         let mut builder_summary = *fresh.summary();
-        if !case.auto {
+        let built = if case.auto {
+            PreparedQuery::auto(workload).unwrap()
+        } else {
             let plan = fresh.plan();
-            builder = builder.strategy(plan.strategy);
+            let mut builder = SamplerBuilder::for_workload(workload).strategy(plan.strategy);
             if let Some(estimator) = plan.estimator {
                 builder = builder.estimator(estimator);
             }
@@ -428,8 +462,8 @@ fn every_plan_rule_agrees_across_prepare_builder_and_restore() {
             // No rule fired; the sizing label is the freeze's, stamped
             // from the sizes it read, whoever configured it.
             builder_summary.rule = None;
-        }
-        let built = builder.freeze().unwrap();
+            builder.freeze().unwrap()
+        };
         assert_eq!(built.summary(), &builder_summary, "{rule}: builder summary");
 
         // A replica restored from the engine's snapshot.

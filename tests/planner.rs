@@ -1,6 +1,6 @@
 //! Integration tests for the declarative layer and the cost-based
-//! planner: `Strategy::Auto` must be seed-for-seed identical to the
-//! explicit configuration it selects, `Plan::explain()` must cite the
+//! planner: `PreparedQuery::auto` must be seed-for-seed identical to
+//! the explicit builder configuration it selects, `Plan::explain()` must cite the
 //! paper-derived rule that fired, and planning must be deterministic.
 
 use proptest::prelude::*;
@@ -61,16 +61,18 @@ fn empty_join_workload() -> Arc<UnionWorkload> {
     Arc::new(UnionWorkload::new(vec![j1, j2]).unwrap())
 }
 
+/// A handle of the default planner's plan for `workload`.
+fn auto_sampler(workload: Arc<UnionWorkload>) -> Box<dyn UnionSampler + Send> {
+    PreparedQuery::auto(workload).unwrap().sampler(0).unwrap()
+}
+
 /// Builds the explicit builder configuration a plan describes and
-/// checks seed-for-seed equality of `Strategy::Auto` against it.
+/// checks seed-for-seed equality of `PreparedQuery::auto` against it.
 fn assert_auto_matches_explicit(workload: Arc<UnionWorkload>, seed: u64) {
     let plan = Planner::default().plan(&workload, UnionSemantics::Set);
 
-    // Auto path.
-    let mut auto = SamplerBuilder::for_workload(workload.clone())
-        .strategy(SujStrategy::Auto)
-        .build()
-        .unwrap();
+    // Planned path.
+    let mut auto = auto_sampler(workload.clone());
 
     // Explicit path: exactly the knobs the plan names, via the public
     // setters.
@@ -90,9 +92,9 @@ fn assert_auto_matches_explicit(workload: Arc<UnionWorkload>, seed: u64) {
     let mut rng_b = SujRng::seed_from_u64(seed);
     let (a, report_a) = auto.sample(80, &mut rng_a).unwrap();
     let (b, report_b) = explicit.sample(80, &mut rng_b).unwrap();
-    assert_eq!(a, b, "Auto must replay the explicit configuration");
+    assert_eq!(a, b, "the plan must replay the explicit configuration");
     assert_eq!(report_a.accepted, report_b.accepted);
-    // Both record the same resolved configuration; Auto adds the rule.
+    // Both record the same resolved configuration; the plan adds the rule.
     let cfg_a = report_a.config.expect("auto config stamped");
     let cfg_b = report_b.config.expect("explicit config stamped");
     assert_eq!(cfg_a.strategy, cfg_b.strategy);
@@ -126,10 +128,7 @@ fn auto_matches_explicit_on_empty_join() {
     // Planning must succeed and sampling must only ever return live
     // tuples even with a dead join in the union.
     assert_auto_matches_explicit(w.clone(), 303);
-    let mut sampler = SamplerBuilder::for_workload(w.clone())
-        .strategy(SujStrategy::Auto)
-        .build()
-        .unwrap();
+    let mut sampler = auto_sampler(w.clone());
     let exact = full_join_union(&w).unwrap();
     let mut rng = SujRng::seed_from_u64(9);
     let (samples, _) = sampler.sample(30, &mut rng).unwrap();
@@ -282,7 +281,7 @@ proptest! {
 
     /// Planning is a pure function of the workload: for any generated
     /// two-join workload, two independent planners produce identical
-    /// plans (summary, rule, and explanation), and the Auto build is
+    /// plans (summary, rule, and explanation), and the planned build is
     /// reproducible seed-for-seed.
     #[test]
     fn planning_is_deterministic(
@@ -306,15 +305,9 @@ proptest! {
         prop_assert_eq!(p1.summary(), p2.summary());
         prop_assert_eq!(p1.explain(), p2.explain());
 
-        // Same workload + same seed → same Auto sample sequence.
-        let build = |w: Arc<UnionWorkload>| {
-            SamplerBuilder::for_workload(w)
-                .strategy(SujStrategy::Auto)
-                .build()
-                .unwrap()
-        };
-        let mut s1 = build(w1);
-        let mut s2 = build(w2);
+        // Same workload + same seed → same planned sample sequence.
+        let mut s1 = auto_sampler(w1);
+        let mut s2 = auto_sampler(w2);
         let mut rng1 = SujRng::seed_from_u64(seed);
         let mut rng2 = SujRng::seed_from_u64(seed);
         let (t1, _) = s1.sample(12, &mut rng1).unwrap();
