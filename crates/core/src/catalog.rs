@@ -277,8 +277,9 @@ impl Engine {
 
     /// The whole pipeline — resolve → rewrite → plan → freeze — with
     /// the plan and whatever is already computed for the rewritten
-    /// workload supplied by `plan_for`: the planner's probe on a fresh
-    /// prepare, the persisted plan and artifacts on a snapshot restore.
+    /// workload supplied by `plan_for`: gather and decide on a fresh
+    /// prepare; on a snapshot restore the same decide over the stored
+    /// statistics, with the stored map and artifacts given.
     pub(crate) fn prepare_via(
         &self,
         query: &UnionQuery,

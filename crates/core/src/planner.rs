@@ -25,6 +25,12 @@
 //! Every [`Plan`] carries the statistics that drove the decision and an
 //! [`explain`](Plan::explain) rendering that cites the rule, so served
 //! configurations stay auditable.
+//!
+//! Planning is two steps: a costly *gather* (the probe, and the
+//! Exact-Weight samplers whose counts make the size hints exact) and a
+//! pure *decide* over the workload's shape, the semantics, the
+//! statistics and the [`PlannerConfig`]. A snapshot stores the
+//! statistics, not the plan, and a restore runs the same decide.
 
 use crate::cover::CoverStrategy;
 use crate::disjoint::DesignationPolicy;
@@ -294,24 +300,56 @@ impl Planner {
     /// computed for exactly this workload — the overlap map (when the
     /// plan keeps the probe's estimator) and the Exact-Weight samplers
     /// behind the exact sizes — so the freeze computes neither twice.
+    /// Gather, then [`decide`](Self::decide).
     pub(crate) fn plan_with_given(
         &self,
         workload: &UnionWorkload,
         semantics: UnionSemantics,
     ) -> (Plan, Given) {
-        let (mut stats, probed_map) = if self.config.use_statistics {
-            WorkloadStats::probe_with_map(workload)
-        } else {
-            (WorkloadStats::unavailable(workload), None)
-        };
-        let cyclic = workload
-            .joins()
-            .iter()
-            .any(|j| suj_join::graph::has_graph_cycle(j));
-        let mut given = Given::default();
-        if self.config.use_statistics && !cyclic {
-            given.samplers = Self::refine_exact_sizes(&mut stats, workload);
+        let (stats, mut given) = self.gather(workload);
+        let plan = self.decide(workload, semantics, stats);
+        // The probe ran the default histogram estimator; only a plan
+        // that keeps exactly that estimator may reuse its map.
+        if !matches!(plan.estimator, Some(Estimator::Histogram(_))) {
+            given.map = None;
         }
+        (plan, given)
+    }
+
+    /// The costly half of planning: the §5 histogram probe and, on an
+    /// all-acyclic workload, the Exact-Weight samplers whose counts
+    /// refine its size hints. Returns the statistics and what was built
+    /// on the way (the probe's overlap map, the samplers).
+    fn gather(&self, workload: &UnionWorkload) -> (WorkloadStats, Given) {
+        if !self.config.use_statistics {
+            return (WorkloadStats::unavailable(workload), Given::default());
+        }
+        let (mut stats, map) = WorkloadStats::probe_with_map(workload);
+        let samplers = if is_cyclic(workload) {
+            None
+        } else {
+            Self::refine_exact_sizes(&mut stats, workload)
+        };
+        let given = Given {
+            map,
+            samplers,
+            restore: None,
+        };
+        (stats, given)
+    }
+
+    /// The cheap half of planning: a pure function of the workload's
+    /// shape (join count, cyclicity), the semantics, the statistics and
+    /// the planner's thresholds. A fresh prepare decides over what
+    /// [`gather`](Self::gather) measured; a snapshot restore decides
+    /// over the statistics it stored, so the two reach the same plan.
+    pub(crate) fn decide(
+        &self,
+        workload: &UnionWorkload,
+        semantics: UnionSemantics,
+        stats: WorkloadStats,
+    ) -> Plan {
+        let cyclic = is_cyclic(workload);
         let estimator = self.pick_estimator(&stats);
 
         let (rule, strategy) = if semantics == UnionSemantics::Disjoint {
@@ -373,12 +411,7 @@ impl Planner {
             _ => None,
         };
 
-        // The probe ran the default histogram estimator; only a plan
-        // that keeps exactly that estimator may reuse its map.
-        if let Estimator::Histogram(_) = estimator {
-            given.map = probed_map;
-        }
-        let plan = Plan {
+        Plan {
             strategy,
             estimator: Some(estimator),
             weights: Some(weight_kind),
@@ -387,8 +420,7 @@ impl Planner {
             sizing: None,
             rule,
             stats,
-        };
-        (plan, given)
+        }
     }
 
     /// On an all-acyclic workload, builds the Exact-Weight samplers
@@ -429,6 +461,14 @@ impl Planner {
             Estimator::Walk(WalkEstimatorConfig::default())
         }
     }
+}
+
+/// Whether some join's relation graph contains a cycle.
+fn is_cyclic(workload: &UnionWorkload) -> bool {
+    workload
+        .joins()
+        .iter()
+        .any(|j| suj_join::graph::has_graph_cycle(j))
 }
 
 /// Provenance of the join sizes a frozen pipeline selects joins by.

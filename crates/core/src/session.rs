@@ -154,27 +154,6 @@ impl Estimator {
             Estimator::Walk(_) => "walk",
         }
     }
-
-    /// Snapshot tag. Only the variant is persisted: the planner emits
-    /// default-configured estimators, which [`from_tag`](Self::from_tag)
-    /// reconstructs.
-    pub(crate) fn tag(&self) -> u8 {
-        match self {
-            Estimator::Exact => 0,
-            Estimator::Histogram(_) => 1,
-            Estimator::Walk(_) => 2,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Estimator::Exact),
-            1 => Some(Estimator::Histogram(HistogramOptions::default())),
-            2 => Some(Estimator::Walk(WalkEstimatorConfig::default())),
-            _ => None,
-        }
-    }
 }
 
 impl Strategy {
@@ -185,29 +164,6 @@ impl Strategy {
             Strategy::Bernoulli(DesignationPolicy::Oracle) => "bernoulli(oracle)",
             Strategy::Bernoulli(DesignationPolicy::Record) => "bernoulli(record)",
             Strategy::Disjoint => "disjoint",
-        }
-    }
-
-    /// Snapshot tag (variant plus designation policy; configurations
-    /// are the planner's defaults). Tag 1 was Algorithm 2's, which
-    /// format 3 persisted and a restore plans again.
-    pub(crate) fn tag(&self) -> u8 {
-        match self {
-            Strategy::Rejection => 0,
-            Strategy::Bernoulli(DesignationPolicy::Oracle) => 2,
-            Strategy::Bernoulli(DesignationPolicy::Record) => 3,
-            Strategy::Disjoint => 4,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag); `None` for an unknown tag.
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Strategy::Rejection),
-            2 => Some(Strategy::Bernoulli(DesignationPolicy::Oracle)),
-            3 => Some(Strategy::Bernoulli(DesignationPolicy::Record)),
-            4 => Some(Strategy::Disjoint),
-            _ => None,
         }
     }
 }

@@ -3,12 +3,13 @@
 //! A cold replica should serve the first request without re-running
 //! parameter estimation. [`Engine::save_snapshot`] persists the
 //! catalog plus every cached prepared query — its declarative query,
-//! plan tags, root seed, and the *estimator's overlap map* the freeze
-//! consulted — into the storage layer's sectioned,
-//! checksummed container ([`suj_storage::snapshot`]).
+//! root seed, the statistics its plan was decided over, and the
+//! *estimator's overlap map* the freeze consulted — into the storage
+//! layer's sectioned, checksummed container ([`suj_storage::snapshot`]).
 //! [`Engine::load_snapshot`] rebuilds the catalog, re-resolves each
-//! query, and re-freezes each pipeline **consuming the restored map
-//! instead of estimating**: after a restore,
+//! query, decides each plan again and re-freezes each pipeline
+//! **consuming the restored map instead of estimating**: after a
+//! restore,
 //! [`PreparedQuery::estimations`](crate::catalog::PreparedQuery::estimations) is 0 and samples are bit-identical
 //! to the donor engine's for the same root seed and request seed.
 //!
@@ -26,33 +27,40 @@
 //!
 //! | kind | payload |
 //! |------|---------|
-//! | 16 ([`SECTION_ENGINE_META`]) | [`PlannerConfig`]: engine format version `u32`, `f64` Bernoulli threshold, use-statistics flag |
+//! | 16 ([`SECTION_ENGINE_META`]) | [`PlannerConfig`]: engine format version `u32` (4), `f64` Bernoulli threshold (finite, `≥ 0`), use-statistics flag |
 //! | 1 ([`SECTION_RELATION`]) | one relation, in catalog registration order |
-//! | 17 ([`SECTION_PREPARED`]) | one prepared entry: entry id `u32`, query, root seed `u64`, plan, overlap map (if the freeze consulted an estimator) |
+//! | 17 ([`SECTION_PREPARED`]) | one [`PreparedEntry`]: entry id `u32`, query, root seed `u64`, optional `(f64` `|∪Jᵢ|` hint, `f64` slab of `|Jᵢ|` hints`)`, optional overlap map |
 //! | 18 ([`SECTION_EW_ARENAS`]) | entry id `u32` of the prepared entry it belongs to, then its per-join Exact-Weight artifacts (count tables + alias arenas) |
 //!
-//! A plan is stored as its own enums' tags (strategy / estimator /
-//! weights / cover / rule — the label enums through their one
-//! [`Labeled`] table, which also yields the summary labels) plus the
-//! statistics that drove it, not as full configurations: the engine's
-//! planner only ever emits default-configured variants, so the tags
-//! reconstruct the plan exactly, and a replica's summary and `EXPLAIN`
-//! equal the donor's. One tag reads back as a different plan: strategy
-//! tag 1, Algorithm 2, which format 3 persisted for the `no-statistics`
-//! rule and which is no longer served; the restore plans such an entry
-//! again with the snapshot's own [`PlannerConfig`], so it serves and
-//! re-takes what a fresh prepare of that engine does.
-//! The predicate mode is not stored: it is a function of the query.
-//! Prepared entries that did not come through the engine (no source
-//! query, e.g. [`PreparedQuery::auto`](crate::catalog::PreparedQuery::auto))
-//! are not persisted.
+//! A plan is not stored: it is cheap to work out, so the restore works
+//! it out again. The planner splits into a costly *gather* (the §5
+//! histogram probe and the Exact-Weight samplers whose counts refine
+//! it) and a pure *decide* over the workload's shape, the semantics,
+//! the gathered [`WorkloadStats`] and the [`PlannerConfig`]. A prepare
+//! runs both; a restore decodes the stored size hints, takes the base
+//! row and join counts from the restored workload, and runs the same
+//! decide (`Planner::decide`) — so a replica's plan, summary and
+//! `EXPLAIN` equal the donor's, and a routing change needs no
+//! compatibility shim. What the snapshot keeps is data and the two
+//! costly artifacts: the overlap map and the Exact-Weight arenas. The
+//! predicate mode is a function of the query. Prepared entries that did
+//! not come through the engine (no source query, e.g.
+//! [`PreparedQuery::auto`](crate::catalog::PreparedQuery::auto)) are
+//! not persisted. Any other engine format version — format 3's plan
+//! tags included — is refused by version before the rest is read.
+//!
+//! The restore checks what now drives a decision: a size hint or
+//! threshold that is not a finite, non-negative number, a hint count
+//! other than the workload's join count, and an overlap map stored for
+//! a plan that consults none, missing for one that consults one, or
+//! over another join count are all [`SnapshotError::Corrupt`].
 //!
 //! The overlap map is what the freeze asked its estimator for — the
 //! restore path's substitute for estimation; join sizes are not stored
 //! beside it, the freeze reads them from the revived samplers as it
 //! does on a fresh prepare, and stamps the same `sizing=` label. A
 //! pipeline that estimated nothing (one join per draw over exact-weight
-//! members) stores no map. The map describes the workload
+//! members) stores no map. The map and the hints describe the workload
 //! *after* any predicate push-down rewrite; restoring replays the
 //! rewrite deterministically (it is the first stage of the one prepare
 //! pipeline) and hands the map to the freeze as given.
@@ -66,26 +74,26 @@
 //! restore) and serves draw streams bit-identical to the donor's.
 //!
 //! What a restore does, then: verify each section's CRC-32, decode the
-//! relations, decode the artifacts, revive the samplers, re-run the
-//! freeze over what was given. What it never does: estimate, build an
-//! alias table, or — unless the persisted plan probes membership while
-//! drawing — build a membership index
-//! ([`suj_join::membership_builds`] is flat across a default-plan
+//! relations, decode the artifacts, revive the samplers, decide each
+//! plan, re-run the freeze over what was given. What it never does:
+//! probe statistics, estimate, build an alias table, or — unless the
+//! decided plan probes membership while drawing — build a membership
+//! index ([`suj_join::membership_builds`] is flat across a default-plan
 //! restore; the freeze indexes for the plans that need it).
 
 use crate::catalog::{Catalog, Engine};
 use crate::error::CoreError;
 use crate::overlap::OverlapMap;
-use crate::planner::{Plan, PlanRule, Planner, PlannerConfig, WorkloadStats};
+use crate::planner::{Planner, PlannerConfig, WorkloadStats};
 use crate::query::UnionQuery;
-use crate::session::{Estimator, Given, Strategy};
+use crate::session::{Given, Strategy};
 use crate::workload::UnionWorkload;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use suj_join::{EwArtifacts, ExactWeightSampler, JoinSampler, WeightKind};
+use suj_join::{EwArtifacts, ExactWeightSampler, JoinSampler};
 use suj_storage::snapshot::{
-    read_sections, write_sections, ByteReader, ByteWriter, Codec, Labeled, SECTION_RELATION,
+    read_sections, write_sections, ByteReader, ByteWriter, Codec, SECTION_RELATION,
 };
 use suj_storage::{FxHashMap, Relation, SnapshotError};
 
@@ -97,11 +105,10 @@ pub const SECTION_PREPARED: u32 = 17;
 /// arenas) of the prepared entry whose id leads the payload.
 pub const SECTION_EW_ARENAS: u32 = 18;
 /// Version of the engine sections' encoding (independent of the
-/// container version). Version 3 stores the two planner settings a
-/// deployment can change and, per prepared entry, the estimator's
-/// overlap map alone (version 2 carried four planner fields, an
-/// exact-sizes flag and a second copy of the join sizes).
-pub const ENGINE_FORMAT_VERSION: u32 = 3;
+/// container version). Version 4 stores, per prepared entry, the
+/// statistics its plan is decided over rather than the plan itself;
+/// files of any other version are refused.
+pub const ENGINE_FORMAT_VERSION: u32 = 4;
 
 fn corrupt(what: &str, got: impl std::fmt::Display) -> SnapshotError {
     SnapshotError::Corrupt(format!("{what}: unexpected value {got}"))
@@ -119,84 +126,19 @@ impl Codec for PlannerConfig {
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
         match u32::decode(r)? {
-            ENGINE_FORMAT_VERSION => Ok(PlannerConfig {
-                bernoulli_max_overlap_ratio: Codec::decode(r)?,
-                use_statistics: Codec::decode(r)?,
-            }),
+            ENGINE_FORMAT_VERSION => {
+                let ratio = f64::decode(r)?;
+                if !finite_non_negative(ratio) {
+                    return Err(corrupt("Bernoulli overlap-ratio threshold", ratio));
+                }
+                Ok(PlannerConfig {
+                    bernoulli_max_overlap_ratio: ratio,
+                    use_statistics: Codec::decode(r)?,
+                })
+            }
             format => Err(SnapshotError::UnsupportedVersion(format)),
         }
     }
-}
-
-/// A plan as its enums' tags (strategy, then estimator / weights /
-/// cover as optional tags, then rule) plus the statistics that drove
-/// it: base rows, join count, and the size hints, which exist together
-/// (the probe sets both) or not at all. The planner only ever emits
-/// default-configured variants, so the tags reconstruct the plan
-/// exactly. The predicate mode and the sizing label are not stored: the
-/// prepare pipeline derives the one from the query and stamps the
-/// other from the sizes it reads.
-///
-/// Strategy tag 1 is not a plan: format 3 wrote it for Algorithm 2,
-/// which is no longer served. A prepared entry reads such a plan as
-/// "plan this entry again"; a bare plan refuses it.
-impl Codec for Plan {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.strategy.tag().encode(w);
-        w.put_opt_tag(self.estimator.as_ref().map(Estimator::tag));
-        w.put_opt_tag(self.weights.map(Labeled::tag));
-        w.put_opt_tag(self.cover_strategy.map(Labeled::tag));
-        self.rule.encode(w);
-        let stats = &self.stats;
-        (stats.total_base_rows as u64, stats.n_joins as u32).encode(w);
-        let hints = stats.union_size_hint.zip(stats.size_hints.clone());
-        hints.encode(w);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        decode_stored_plan(r)?.ok_or_else(|| corrupt("strategy tag", ALGORITHM2_TAG))
-    }
-}
-
-/// The strategy tag format 3 wrote for Algorithm 2.
-const ALGORITHM2_TAG: u8 = 1;
-
-/// Reads a stored plan: `None` for one with [`ALGORITHM2_TAG`], whose
-/// remaining bytes are read and dropped — the restore plans that entry
-/// again.
-fn decode_stored_plan(r: &mut ByteReader<'_>) -> Result<Option<Plan>, SnapshotError> {
-    let strategy = r.get_tag("strategy", |tag| match tag {
-        ALGORITHM2_TAG => Some(None),
-        tag => Strategy::from_tag(tag).map(Some),
-    })?;
-    let estimator = r.get_opt_tag("estimator", Estimator::from_tag)?;
-    let weights = r.get_opt_tag("weights", WeightKind::from_tag)?;
-    let cover_strategy = r.get_opt_tag("cover", Labeled::from_tag)?;
-    let rule = PlanRule::decode(r)?;
-    let total_base_rows = usize::try_from(u64::decode(r)?)
-        .map_err(|_| SnapshotError::Corrupt("total_base_rows overflow".into()))?;
-    let n_joins = u32::decode(r)? as usize;
-    let (union_size_hint, size_hints) = Option::<(f64, Vec<f64>)>::decode(r)?.unzip();
-    if size_hints.as_ref().is_some_and(|h| h.len() != n_joins) {
-        return Err(SnapshotError::Corrupt(
-            "size hints do not cover every join".into(),
-        ));
-    }
-    Ok(strategy.map(|strategy| Plan {
-        strategy,
-        estimator,
-        weights,
-        cover_strategy,
-        predicate_mode: None,
-        sizing: None,
-        rule,
-        stats: WorkloadStats {
-            size_hints,
-            union_size_hint,
-            total_base_rows,
-            n_joins,
-        },
-    }))
 }
 
 /// The join count `n` as a `u32`, then all `2^n` sizes as one slab.
@@ -229,16 +171,25 @@ impl Codec for OverlapMap {
     }
 }
 
-/// One [`SECTION_PREPARED`] payload: entry id, query, root seed, plan,
-/// and the overlap map the freeze consulted (if any). The plan is
-/// `None` in an entry stored with [`ALGORITHM2_TAG`], which the restore
-/// plans again; every entry a snapshot writes holds its frozen plan.
-struct PreparedEntry {
-    id: u32,
-    query: UnionQuery,
-    root_seed: u64,
-    plan: Option<Plan>,
-    map: Option<OverlapMap>,
+/// One [`SECTION_PREPARED`] payload: entry id, query, root seed, the
+/// statistics the plan was decided over — `|∪Jᵢ|` and the per-join
+/// `|Jᵢ|` hints, which exist together or not at all — and the overlap
+/// map the freeze consulted (if any). A restore decides the plan again
+/// from the statistics (`Planner::decide`), so the entry stores no
+/// plan. The decode refuses a hint that is not a finite, non-negative
+/// size; what the hints must match (the workload's join count) is
+/// checked against the restored workload.
+pub struct PreparedEntry {
+    /// Pairs the entry with its [`SECTION_EW_ARENAS`] section.
+    pub id: u32,
+    /// The declarative query the entry was prepared from.
+    pub query: UnionQuery,
+    /// Root of the entry's per-handle stream derivation.
+    pub root_seed: u64,
+    /// `(|∪Jᵢ| hint, |Jᵢ| hints)`, when statistics were available.
+    pub estimates: Option<(f64, Vec<f64>)>,
+    /// The overlap map the freeze consulted, if any.
+    pub map: Option<OverlapMap>,
 }
 
 impl Codec for PreparedEntry {
@@ -246,22 +197,36 @@ impl Codec for PreparedEntry {
         self.id.encode(w);
         self.query.encode(w);
         self.root_seed.encode(w);
-        // Only a restore reads an entry without a plan, and it plans
-        // that entry again before anything is written.
-        let plan = self.plan.as_ref().expect("written entries hold a plan");
-        plan.encode(w);
+        self.estimates.encode(w);
         self.map.encode(w);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let id = Codec::decode(r)?;
+        let query = Codec::decode(r)?;
+        let root_seed = Codec::decode(r)?;
+        let estimates: Option<(f64, Vec<f64>)> = Codec::decode(r)?;
+        if let Some((union, hints)) = &estimates {
+            if let Some(bad) = std::iter::once(union)
+                .chain(hints)
+                .find(|&&x| !finite_non_negative(x))
+            {
+                return Err(corrupt("size estimate", bad));
+            }
+        }
         Ok(Self {
-            id: Codec::decode(r)?,
-            query: Codec::decode(r)?,
-            root_seed: Codec::decode(r)?,
-            plan: decode_stored_plan(r)?,
+            id,
+            query,
+            root_seed,
+            estimates,
             map: Codec::decode(r)?,
         })
     }
+}
+
+/// Whether `x` can be a size or a ratio threshold.
+fn finite_non_negative(x: f64) -> bool {
+    x.is_finite() && x >= 0.0
 }
 
 /// One [`SECTION_EW_ARENAS`] payload: the id of the prepared entry it
@@ -319,11 +284,12 @@ impl Engine {
             let Some(query) = prepared.source_query() else {
                 continue;
             };
+            let stats = &prepared.plan().stats;
             let entry = PreparedEntry {
                 id,
                 query: query.clone(),
                 root_seed: prepared.root_seed(),
-                plan: Some(prepared.plan().clone()),
+                estimates: stats.union_size_hint.zip(stats.size_hints.clone()),
                 map: prepared.overlap_map().cloned(),
             };
             sections.push((SECTION_PREPARED, entry.to_bytes()));
@@ -445,31 +411,41 @@ impl Engine {
                 id,
                 query,
                 root_seed,
-                plan,
+                estimates,
                 map,
             } = entry;
             let artifacts = arenas.remove(&id);
-            // The one prepare pipeline, with the plan and everything
-            // already computed for the rewritten workload given instead
-            // of probed. Algorithm 2 is no longer served: an entry saved
-            // with its tag is planned again by the snapshot's planner.
+            // The one prepare pipeline, deciding the plan over the
+            // stored statistics instead of probed ones, with everything
+            // already computed for the rewritten workload given.
             let restored = engine.prepare_via(&query, root_seed, |workload, semantics| {
-                let restore = Some((snapshot_bytes, start));
-                let Some(plan) = plan else {
-                    let (plan, given) = engine.planner().plan_with_given(workload, semantics);
-                    return Ok((plan, Given { restore, ..given }));
-                };
                 let n = workload.n_joins();
-                if plan.stats.n_joins != n || map.as_ref().is_some_and(|m| m.n() != n) {
-                    return Err(CoreError::Snapshot(corrupt(
-                        "planned join count",
-                        plan.stats.n_joins,
-                    )));
+                let (union_size_hint, size_hints) = estimates.unzip();
+                if let Some(hints) = size_hints.as_ref().filter(|h| h.len() != n) {
+                    let problem = format!("{} size hints for {n} joins", hints.len());
+                    return Err(CoreError::Snapshot(SnapshotError::Corrupt(problem)));
+                }
+                let stats = WorkloadStats {
+                    size_hints,
+                    union_size_hint,
+                    ..WorkloadStats::unavailable(workload)
+                };
+                let plan = engine.planner().decide(workload, semantics, stats);
+                // Only Algorithm 1 consults a map, over every join; its
+                // freeze would estimate a missing one silently.
+                let expected = matches!(plan.strategy, Strategy::Rejection).then_some(n);
+                let stored = map.as_ref().map(OverlapMap::n);
+                if stored != expected {
+                    let problem = format!(
+                        "an overlap map over {stored:?} joins where a {} plan reads {expected:?}",
+                        plan.strategy
+                    );
+                    return Err(CoreError::Snapshot(SnapshotError::Corrupt(problem)));
                 }
                 let given = Given {
                     map,
                     samplers: artifacts.map(|a| revive(workload, a)).transpose()?,
-                    restore,
+                    restore: Some((snapshot_bytes, start)),
                 };
                 Ok((plan, given))
             })?;
@@ -807,20 +783,16 @@ mod tests {
         // The entry re-encoded with a one-join map in place of its own:
         // selection would index the map by join.
         let engine = shop_engine();
-        let prepared = engine.prepare(&shop_query()).unwrap();
-        let entry = PreparedEntry {
-            id: 0,
-            query: shop_query(),
-            root_seed: prepared.root_seed(),
-            plan: Some(prepared.plan().clone()),
-            map: Some(OverlapMap::new(1, vec![0.0, 3.0]).unwrap()),
-        };
-
+        engine.prepare(&shop_query()).unwrap();
         let mut sections = owned_sections(&engine.snapshot_to_bytes().unwrap());
         let slot = sections
             .iter_mut()
             .find(|(kind, _)| *kind == SECTION_PREPARED)
             .unwrap();
+        let entry = PreparedEntry {
+            map: Some(OverlapMap::new(1, vec![0.0, 3.0]).unwrap()),
+            ..PreparedEntry::from_bytes(&slot.1).unwrap()
+        };
         slot.1 = entry.to_bytes();
         assert!(matches!(
             Engine::load_snapshot_bytes(&write_sections(&sections)),

@@ -11,7 +11,8 @@
 use sample_union_joins::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
-use suj_join::{EwArtifacts, WeightKind};
+use suj_core::snapshot::PreparedEntry;
+use suj_join::EwArtifacts;
 use suj_net::protocol::{
     decode_batch, Batch, ErrorReply, PreparedPayload, SamplePayload, WireStats,
 };
@@ -167,34 +168,19 @@ fn maybe<T>(rng: &mut SujRng, make: impl FnOnce(&mut SujRng) -> T) -> Option<T> 
     rng.bernoulli(0.7).then(|| make(rng))
 }
 
-/// A resolved plan: every strategy, estimator, weights, cover and rule
-/// tag, with or without size hints.
-fn plan(rng: &mut SujRng) -> Plan {
+/// A prepared entry: a random query and seed, with or without size
+/// hints (one per join, `|∪Jᵢ|` beside them) and an overlap map.
+fn entry(rng: &mut SujRng) -> PreparedEntry {
     let n_joins = 1 + rng.index(4);
-    let hints = rng.bernoulli(0.5);
-    Plan {
-        strategy: match rng.index(4) {
-            0 => Strategy::Rejection,
-            1 => Strategy::Bernoulli(DesignationPolicy::Oracle),
-            2 => Strategy::Bernoulli(DesignationPolicy::Record),
-            _ => Strategy::Disjoint,
-        },
-        estimator: maybe(rng, |rng| match rng.index(3) {
-            0 => Estimator::Exact,
-            1 => Estimator::Histogram(HistogramOptions::default()),
-            _ => Estimator::Walk(WalkEstimatorConfig::default()),
+    PreparedEntry {
+        id: rng.next_u64() as u32,
+        query: query(rng),
+        root_seed: rng.next_u64(),
+        estimates: maybe(rng, |rng| {
+            let hints = (0..n_joins).map(|_| rng.next_f64() * 1e6).collect();
+            (rng.next_f64() * 1e6, hints)
         }),
-        weights: maybe(rng, |rng| pick(rng, WeightKind::TABLE).0),
-        cover_strategy: maybe(rng, |rng| pick(rng, CoverStrategy::TABLE).0),
-        predicate_mode: None,
-        sizing: None,
-        rule: pick(rng, PlanRule::TABLE).0,
-        stats: WorkloadStats {
-            size_hints: hints.then(|| (0..n_joins).map(|_| rng.next_f64() * 1e6).collect()),
-            union_size_hint: hints.then(|| rng.next_f64() * 1e6),
-            total_base_rows: rng.index(1 << 20),
-            n_joins,
-        },
+        map: maybe(rng, overlap_map),
     }
 }
 
@@ -257,8 +243,8 @@ fn queries_are_total() {
 }
 
 #[test]
-fn plans_maps_and_planner_configs_are_total() {
-    for_random(5, plan);
+fn prepared_entries_maps_and_planner_configs_are_total() {
+    for_random(5, entry);
     for_random(6, |rng| maybe(rng, overlap_map));
     for_random(7, |rng| PlannerConfig {
         bernoulli_max_overlap_ratio: rng.next_f64() * 2.0,

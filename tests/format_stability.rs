@@ -4,38 +4,38 @@
 //! `ENGINE_FORMAT_VERSION`, `NET_VERSION` and every checksum are
 //! provably unchanged across a change of code.
 //!
-//! The files under `tests/data/` are the output of `write_fixtures`
-//! below (`cargo test --test format_stability -- --ignored`), in four
-//! generations:
+//! The files under `tests/data/` were written by `write_fixtures` below
+//! (`cargo test --test format_stability -- --ignored`, which writes the
+//! engine snapshots and checks that today's build spells the frames as
+//! stored), in four generations:
 //!
 //! * `engine-v3.snap` and `sample-batch-v3.frames`, written at commit
 //!   `0881a68` (byte-wise CRC-32, eager membership indexes, Bernoulli
-//!   rounds over an estimated `|U|`, whose overlap map the snapshot
-//!   carries). They pin reading: every CRC verifies, the snapshot
-//!   restores without estimating and serves what a fresh prepare
-//!   serves, and the frames re-encode from their own tuples.
-//! * `engine-v3-bound-selection.snap` and
-//!   `sample-batch-v3-bound-selection.frames`, written once the set
-//!   union selected one join per draw by its sampler's bound (no map is
-//!   stored). They also pin the stream and the re-taken bytes.
-//! * `engine-v3-rules-*.snap` and `opcodes-v3.frames`, written by the
-//!   last commit whose three codecs were hand-written (one per
-//!   crate), before one `Codec` trait replaced them: one snapshot per
+//!   rounds over an estimated `|U|`). The frames still pin reading:
+//!   both CRCs verify and they re-encode from their own tuples. The
+//!   snapshot is the one format-3 read pin: format 4 refuses it by
+//!   version, without falling back to a loadable `.prev`.
+//! * `sample-batch-v3-bound-selection.frames`, written once the set
+//!   union selected one join per draw by its sampler's bound. It pins
+//!   the default uq1 stream, which the format-4 snapshot of the same
+//!   engine replays.
+//! * `opcodes-v3.frames`, written by the last commit whose three codecs
+//!   were hand-written (one per crate), before one `Codec` trait
+//!   replaced them: one frame of every opcode. It pins that the trait
+//!   writes the same bytes.
+//! * `engine-v4-bound-selection.snap` and `engine-v4-rules-*.snap`, the
+//!   first format-4 snapshots (no plan tags: a restore decides each plan
+//!   again from the stored statistics). The rule snapshots are one per
 //!   planner configuration — together every section kind, every plan
-//!   rule, estimator, weights, cover and predicate-mode tag, every
-//!   topology, comparison, value and column layout — and one frame of
-//!   every opcode. They pin that the trait writes the same bytes.
-//! * `engine-v3-rules-no-statistics-owner.snap`, written once the
-//!   `no-statistics` rule planned the §3 owner sampler (one join per
-//!   draw, kept by the first join whose membership index contains it)
-//!   instead of Algorithm 2. It replaces
-//!   `engine-v3-rules-no-statistics.snap` in the third set, which
-//!   stays as a read pin: its Algorithm 2 entry (strategy tag 1) loads,
-//!   is planned again by the snapshot's planner, and re-takes to the
-//!   new file.
+//!   rule, estimator, weights, cover and predicate mode, every
+//!   topology, comparison, value and column layout. They replace the
+//!   format-3 snapshots of the same engines, and every query of each
+//!   replays [`GOLDENS`]: the summary and stream checksum that the last
+//!   format-3 build served from those format-3 snapshots.
 //!
-//! Regenerate the second pair or the third set only together with a
-//! format version bump or a deliberate change of the default stream.
+//! Regenerate a snapshot only together with a format version bump, and
+//! then against [`GOLDENS`], which are not regenerated: a change that
+//! moved both a fixture and a fresh prepare would otherwise pass.
 
 use sample_union_joins::prelude::*;
 use std::path::PathBuf;
@@ -95,8 +95,11 @@ fn exchange(attrs: &[Arc<str>], tuples: &[Tuple]) -> Vec<u8> {
     bytes
 }
 
-/// The newest fixtures' file names.
-const SNAPSHOT: &str = "engine-v3-bound-selection.snap";
+/// The format-3 read pin, and the frames written beside it.
+const V3_SNAPSHOT: &str = "engine-v3.snap";
+const V3_FRAMES: &str = "sample-batch-v3.frames";
+/// The default uq1 engine's snapshot and the exchange it serves.
+const SNAPSHOT: &str = "engine-v4-bound-selection.snap";
 const FRAMES: &str = "sample-batch-v3-bound-selection.frames";
 
 #[test]
@@ -106,33 +109,137 @@ fn write_fixtures() {
     let prepared = engine.prepare(&query).unwrap();
     let (tuples, _) = prepared.sample(N, SEED).unwrap();
     let attrs = prepared.workload().canonical_schema().attrs().to_vec();
-    std::fs::create_dir_all(data("")).unwrap();
     std::fs::write(data(SNAPSHOT), engine.snapshot_to_bytes().unwrap()).unwrap();
-    std::fs::write(data(FRAMES), exchange(&attrs, &tuples)).unwrap();
-
     for (file, engine) in rule_engines() {
         std::fs::write(data(file), engine.snapshot_to_bytes().unwrap()).unwrap();
     }
-    std::fs::write(data(OPCODE_FRAMES), opcode_frames()).unwrap();
+    // The frames are `NET_VERSION` 3's, which no format-4 change
+    // rewrites: this build must spell them as stored.
+    assert!(exchange(&attrs, &tuples) == std::fs::read(data(FRAMES)).unwrap());
+    assert!(opcode_frames() == std::fs::read(data(OPCODE_FRAMES)).unwrap());
 }
 
 // ---------------------------------------------------------------------
-// The third set: one engine snapshot per planner configuration, which
-// together carry every section kind and every tag a plan can hold, and
-// one frame of every opcode.
+// The rule snapshots: one engine snapshot per planner configuration,
+// which together carry every section kind and every rule a plan can
+// hold, and one frame of every opcode.
 // ---------------------------------------------------------------------
 
 /// Snapshot of the default planner's engine.
-const RULES_DEFAULT: &str = "engine-v3-rules-default.snap";
+const RULES_DEFAULT: &str = "engine-v4-rules-default.snap";
 /// Snapshot of the engine whose planner threshold is 0.
-const RULES_THRESHOLD_0: &str = "engine-v3-rules-threshold-0.snap";
-/// Snapshot of the engine whose planner reads no statistics, written
-/// while that rule planned Algorithm 2.
-const RULES_NO_STATISTICS: &str = "engine-v3-rules-no-statistics.snap";
-/// The same engine's snapshot since the rule plans the owner sampler.
-const RULES_NO_STATISTICS_OWNER: &str = "engine-v3-rules-no-statistics-owner.snap";
+const RULES_THRESHOLD_0: &str = "engine-v4-rules-threshold-0.snap";
+/// Snapshot of the engine whose planner reads no statistics.
+const RULES_NO_STATISTICS: &str = "engine-v4-rules-no-statistics.snap";
 /// One frame of every opcode, in `opcode_frames` order.
 const OPCODE_FRAMES: &str = "opcodes-v3.frames";
+
+/// Per fixture, per query (in `rule_configs` order): the summary and
+/// the [`checksum`] of `sample(N, SEED)` that the last format-3 build
+/// served after loading the format-3 snapshot of the same engine
+/// (`engine-v3-bound-selection.snap`, `engine-v3-rules-default.snap`,
+/// `engine-v3-rules-threshold-0.snap`, and both
+/// `engine-v3-rules-no-statistics.snap` and its `-owner` successor,
+/// which agreed). `engine-v3.snap` served the uq1 golden too.
+const GOLDENS: &[(&str, &[(&str, u64)])] = &[
+    (
+        SNAPSHOT,
+        &[(
+            "strategy=bernoulli(record) estimator=histogram(EO) weights=exact sizing=exact \
+             rule=low-overlap",
+            0x309c00f1cf44cb9a,
+        )],
+    ),
+    (
+        RULES_DEFAULT,
+        &[
+            (
+                "strategy=rejection estimator=histogram(EO) weights=exact cover=as-given \
+                 sizing=histogram rule=high-overlap",
+                0x7b224edeaaddebc5,
+            ),
+            (
+                "strategy=disjoint estimator=histogram(EO) weights=exact sizing=exact \
+                 rule=disjoint-semantics",
+                0x7b4c3712cb4ed924,
+            ),
+            (
+                "strategy=disjoint estimator=histogram(EO) weights=exact sizing=exact \
+                 rule=single-join",
+                0x7b224edeaaddebc5,
+            ),
+            (
+                "strategy=rejection estimator=histogram(EO) weights=agm-box cover=as-given \
+                 sizing=histogram rule=cyclic-join",
+                0x5236b23a38b49042,
+            ),
+            (
+                "strategy=bernoulli(record) estimator=exact weights=exact sizing=exact \
+                 rule=low-overlap",
+                0x5d6851ae87203b51,
+            ),
+            (
+                "strategy=rejection estimator=histogram(EO) weights=exact cover=as-given \
+                 predicate=push-down sizing=histogram rule=high-overlap",
+                0xc7be2f8be0e3d90e,
+            ),
+            (
+                "strategy=rejection estimator=histogram(EO) weights=exact cover=as-given \
+                 predicate=reject sizing=histogram rule=high-overlap",
+                0x875866e1db3e30ca,
+            ),
+        ],
+    ),
+    (
+        RULES_THRESHOLD_0,
+        &[(
+            "strategy=rejection estimator=histogram(EO) weights=exact cover=descending-size \
+             sizing=histogram rule=high-overlap",
+            0x7b224edeaaddebc5,
+        )],
+    ),
+    (
+        RULES_NO_STATISTICS,
+        &[
+            (
+                "strategy=bernoulli(oracle) estimator=walk weights=exact sizing=exact \
+                 rule=no-statistics",
+                0x7b4c3712cb4ed924,
+            ),
+            (
+                "strategy=disjoint estimator=walk weights=exact sizing=exact \
+                 rule=disjoint-semantics",
+                0x7b4c3712cb4ed924,
+            ),
+        ],
+    ),
+];
+
+/// Order-sensitive digest of a batch, as `tests/equivalence.rs` takes
+/// it (the workspace's own Fx hash of each tuple's values).
+fn checksum(tuples: &[Tuple]) -> u64 {
+    tuples.iter().fold(0u64, |h, t| {
+        h.rotate_left(5) ^ suj_storage::hash_values(t.values())
+    })
+}
+
+/// The recorded goldens of `file`'s queries.
+fn goldens(file: &str) -> &'static [(&'static str, u64)] {
+    GOLDENS.iter().find(|(f, _)| *f == file).unwrap().1
+}
+
+/// Asserts that `prepared` serves the recorded golden without
+/// estimating.
+#[track_caller]
+fn assert_replays(prepared: &PreparedQuery, (summary, sum): (&str, u64), what: &str) {
+    assert_eq!(prepared.estimations(), 0, "{what}");
+    assert_eq!(prepared.summary().to_string(), summary, "{what}");
+    assert_eq!(
+        checksum(&prepared.sample(N, SEED).unwrap().0),
+        sum,
+        "{what}: stream"
+    );
+}
 
 /// A relation of `rows` rows, one column per `(attr, cell)` pair.
 fn relation(name: &str, cols: &[(&str, &dyn Fn(i64) -> Value)], rows: i64) -> Relation {
@@ -354,19 +461,13 @@ fn rule_configs() -> Vec<(&'static str, Planner, Vec<UnionQuery>)> {
             vec![skewed],
         ),
         (
-            RULES_NO_STATISTICS_OWNER,
+            RULES_NO_STATISTICS,
             Planner::without_statistics(),
-            no_statistics_queries(),
+            vec![
+                shops(UnionQuery::set_union()),
+                shops(UnionQuery::disjoint_union()),
+            ],
         ),
-    ]
-}
-
-/// The queries of the no-statistics engine: the shops as a set union
-/// and as a disjoint union.
-fn no_statistics_queries() -> Vec<UnionQuery> {
-    vec![
-        shops(UnionQuery::set_union()),
-        shops(UnionQuery::disjoint_union()),
     ]
 }
 
@@ -446,15 +547,10 @@ fn opcode_frames() -> Vec<u8> {
     bytes
 }
 
-/// A stored pair, read back: the replica restored from the snapshot
-/// (every section CRC verified), the reply's tuples, and the stored
-/// frames' bytes, which must re-encode from those tuples.
-fn load(snapshot: &str, frames: &str) -> (Vec<u8>, Engine, Vec<Tuple>) {
-    let snapshot = std::fs::read(data(snapshot)).unwrap();
+/// A stored frame pair, read back: both CRCs verify, and the bytes
+/// re-encode from the reply's tuples, which are returned.
+fn load_frames(frames: &str) -> Vec<Tuple> {
     let frames = std::fs::read(data(frames)).unwrap();
-    let replica = Engine::load_snapshot_bytes(&snapshot).unwrap();
-
-    // Both frame CRCs verify under today's kernel.
     let mut wire = frames.as_slice();
     let request = Frame::read_from(&mut wire).unwrap();
     let reply = Frame::read_from(&mut wire).unwrap();
@@ -468,31 +564,47 @@ fn load(snapshot: &str, frames: &str) -> (Vec<u8>, Engine, Vec<Tuple>) {
     assert_eq!(tuples.len(), N);
     let attrs: Vec<Arc<str>> = attrs.into_iter().map(Arc::from).collect();
     assert!(exchange(&attrs, &tuples) == frames);
-    (snapshot, replica, tuples)
+    tuples
 }
 
+/// Format 4 refuses the format-3 snapshot by its version — through the
+/// file loader too, which does not fall back to the loadable format-4
+/// `.prev` beside it: serving an older generation would mask the
+/// deployment mismatch. The frames written with it still verify and
+/// re-encode.
 #[test]
-fn parent_written_snapshot_and_frames_load_replay_and_reencode() {
-    let (_, replica, _) = load("engine-v3.snap", "sample-batch-v3.frames");
-    // The replica serves without estimating, sample for sample what a
-    // fresh prepare of the same inputs serves.
-    let (fresh, query) = uq1_engine();
-    let restored = replica.prepare(&query).unwrap();
-    assert_eq!(restored.estimations(), 0);
-    assert_eq!(
-        restored.sample(N, SEED).unwrap().0,
-        fresh.prepare(&query).unwrap().sample(N, SEED).unwrap().0
-    );
+fn format_3_snapshot_is_refused_by_version_and_its_frames_reencode() {
+    load_frames(V3_FRAMES);
+    let v3 = std::fs::read(data(V3_SNAPSHOT)).unwrap();
+    let refused = |result: Result<Engine, CoreError>| {
+        matches!(
+            result,
+            Err(CoreError::Snapshot(SnapshotError::UnsupportedVersion(3)))
+        )
+    };
+    assert!(refused(Engine::load_snapshot_bytes(&v3)));
+
+    let dir = std::env::temp_dir().join("suj_format_3_refusal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("engine.snap");
+    let prev = suj_storage::snapshot::snapshot_prev_path(&path);
+    std::fs::write(&prev, std::fs::read(data(SNAPSHOT)).unwrap()).unwrap();
+    assert_eq!(Engine::load_snapshot(&prev).unwrap().cached_queries(), 1);
+    std::fs::write(&path, &v3).unwrap();
+    assert!(refused(Engine::load_snapshot(&path)));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn stored_stream_replays_and_snapshot_retakes_byte_identically() {
-    let (snapshot, replica, golden) = load(SNAPSHOT, FRAMES);
+    let snapshot = std::fs::read(data(SNAPSHOT)).unwrap();
+    let replica = Engine::load_snapshot_bytes(&snapshot).unwrap();
+    let golden = load_frames(FRAMES);
     // The recorded reply is the golden: the replica replays it without
     // estimating, and so does a fresh prepare of the same inputs.
     let (fresh, query) = uq1_engine();
     let restored = replica.prepare(&query).unwrap();
-    assert_eq!(restored.estimations(), 0);
+    assert_replays(&restored, goldens(SNAPSHOT)[0], SNAPSHOT);
     assert_eq!(restored.sample(N, SEED).unwrap().0, golden);
     assert_eq!(
         fresh.prepare(&query).unwrap().sample(N, SEED).unwrap().0,
@@ -505,8 +617,9 @@ fn stored_stream_replays_and_snapshot_retakes_byte_identically() {
 }
 
 /// Each configuration's snapshot restores without estimating, serves
-/// what a fresh prepare serves (summary and stream), and re-takes to the
-/// stored bytes — from the replica and from a fresh engine alike.
+/// the summary and stream recorded before format 4 (as does a fresh
+/// prepare), and re-takes to the stored bytes — from the replica and
+/// from a fresh engine alike.
 #[test]
 fn rule_snapshots_load_replay_and_retake_byte_identically() {
     for ((file, _, queries), (_, fresh)) in rule_configs().into_iter().zip(rule_engines()) {
@@ -521,44 +634,16 @@ fn rule_snapshots_load_replay_and_retake_byte_identically() {
             fresh.snapshot_to_bytes().unwrap() == stored,
             "{file}: fresh take"
         );
-        for q in &queries {
-            let restored = replica.prepare(q).unwrap();
+        let goldens = goldens(file);
+        assert_eq!(goldens.len(), queries.len(), "{file}");
+        for (q, &golden) in queries.iter().zip(goldens) {
+            let what = format!("{file}: {q:?}");
+            assert_replays(&replica.prepare(q).unwrap(), golden, &what);
             let donor = fresh.prepare(q).unwrap();
-            assert_eq!(restored.estimations(), 0, "{file}: {q:?}");
-            assert_eq!(restored.summary().to_string(), donor.summary().to_string());
-            assert_eq!(
-                restored.sample(N, SEED).unwrap().0,
-                donor.sample(N, SEED).unwrap().0,
-                "{file}: {q:?}"
-            );
+            assert_eq!(donor.summary().to_string(), golden.0, "{what}");
+            assert_eq!(checksum(&donor.sample(N, SEED).unwrap().0), golden.1);
         }
     }
-}
-
-/// The no-statistics snapshot written while the rule planned Algorithm 2
-/// still loads: its set-union entry (strategy tag 1) is planned again by
-/// the snapshot's planner, so the replica estimates nothing, serves what
-/// a fresh prepare serves, and re-takes to the owner-sampler fixture.
-#[test]
-fn algorithm2_snapshot_loads_as_the_owner_sampler() {
-    let stored = std::fs::read(data(RULES_NO_STATISTICS)).unwrap();
-    let replica = Engine::load_snapshot_bytes(&stored).unwrap();
-    let fresh = Engine::with_planner(rules_catalog(), Planner::without_statistics());
-    let queries = no_statistics_queries();
-    assert_eq!(replica.cached_queries(), queries.len());
-    for q in &queries {
-        let restored = replica.prepare(q).unwrap();
-        let donor = fresh.prepare(q).unwrap();
-        assert_eq!(restored.estimations(), 0, "{q:?}");
-        assert_eq!(restored.summary().to_string(), donor.summary().to_string());
-        assert_eq!(
-            restored.sample(N, SEED).unwrap().0,
-            donor.sample(N, SEED).unwrap().0,
-            "{q:?}"
-        );
-    }
-    let owner = std::fs::read(data(RULES_NO_STATISTICS_OWNER)).unwrap();
-    assert!(replica.snapshot_to_bytes().unwrap() == owner);
 }
 
 /// Every opcode's stored frame verifies, decodes, and re-encodes from

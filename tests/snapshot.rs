@@ -231,29 +231,134 @@ fn engine_snapshot_round_trip_is_bit_identical_with_arenas() {
     );
 }
 
-/// Engine format 3 keeps the two planner settings a deployment can
-/// change. A file whose meta section is laid out as format 2 wrote it
-/// (four planner fields) is refused by its version, before any of it is
-/// decoded under the new layout.
+/// Engine format 4 keeps format 3's meta layout: the two planner
+/// settings a deployment can change. A file whose meta section is laid
+/// out as format 2 wrote it (four planner fields) is refused by its
+/// version, before any of it is decoded under the new layout.
 #[test]
 fn format_2_engine_files_are_refused_by_version() {
     use suj_core::snapshot::SECTION_ENGINE_META;
-    let mut sections: Vec<(u32, Vec<u8>)> = read_sections(engine_snapshot_bytes())
-        .unwrap()
-        .into_iter()
-        .map(|(kind, payload)| (kind, payload.to_vec()))
-        .collect();
+    let mut sections = owned_sections(engine_snapshot_bytes());
     let (kind, meta) = &mut sections[0];
     assert_eq!(*kind, SECTION_ENGINE_META);
     // Version, Bernoulli threshold, use-statistics flag.
     assert_eq!(meta.len(), 4 + 8 + 1);
-    assert_eq!(meta[..4], 3u32.to_le_bytes());
+    assert_eq!(meta[..4], 4u32.to_le_bytes());
 
     *meta = ((2u32, 1.25f64), (512u64, 8.0f64, true)).to_bytes();
     assert!(matches!(
         Engine::load_snapshot_bytes(&write_sections(&sections)),
         Err(CoreError::Snapshot(SnapshotError::UnsupportedVersion(2)))
     ));
+}
+
+// ---------------------------------------------------------------------
+// A restore decides each plan again from what the entry stores, so what
+// drives that decision is validated: each payload below is hand-built
+// from a good one and must be refused as corrupt.
+// ---------------------------------------------------------------------
+
+use suj_core::overlap::OverlapMap;
+use suj_core::snapshot::PreparedEntry;
+
+fn owned_sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
+    let sections = read_sections(bytes).unwrap();
+    sections.into_iter().map(|(k, p)| (k, p.to_vec())).collect()
+}
+
+/// `bytes` with its first prepared entry replaced by `edit` of it.
+fn with_entry(bytes: &[u8], edit: impl FnOnce(&mut PreparedEntry)) -> Vec<u8> {
+    let mut sections = owned_sections(bytes);
+    let (_, payload) = sections
+        .iter_mut()
+        .find(|(kind, _)| *kind == SECTION_PREPARED)
+        .unwrap();
+    let mut entry = PreparedEntry::from_bytes(payload).unwrap();
+    edit(&mut entry);
+    *payload = entry.to_bytes();
+    write_sections(&sections)
+}
+
+#[track_caller]
+fn assert_corrupt(bytes: &[u8]) {
+    match Engine::load_snapshot_bytes(bytes) {
+        Err(CoreError::Snapshot(SnapshotError::Corrupt(_))) => {}
+        other => panic!("expected a corrupt snapshot, got {:?}", other.map(|_| ())),
+    }
+}
+
+/// The small engine's two joins taken twice over (`r ⋈ s` and
+/// `s ⋈ r`): total overlap, so the `high-overlap` rule decides
+/// Algorithm 1, whose freeze consults the stored overlap map.
+fn overlap_snapshot_bytes() -> Vec<u8> {
+    let engine = small_engine();
+    let query = UnionQuery::set_union()
+        .chain("q", ["r", "s"])
+        .unwrap()
+        .chain("q2", ["s", "r"])
+        .unwrap();
+    let prepared = engine.prepare(&query).unwrap();
+    assert_eq!(prepared.summary().rule, Some("high-overlap"));
+    let bytes = engine.snapshot_to_bytes().unwrap();
+    let replica = Engine::load_snapshot_bytes(&bytes).unwrap();
+    assert_eq!(replica.prepare(&query).unwrap().estimations(), 0);
+    bytes
+}
+
+#[test]
+fn a_hint_count_other_than_the_join_count_is_corrupt() {
+    let one_join = engine_snapshot_bytes();
+    assert_corrupt(&with_entry(one_join, |e| {
+        e.estimates.as_mut().unwrap().1.push(3.0)
+    }));
+    assert_corrupt(&with_entry(&overlap_snapshot_bytes(), |e| {
+        e.estimates.as_mut().unwrap().1.pop();
+    }));
+}
+
+#[test]
+fn a_non_finite_or_negative_estimate_is_corrupt() {
+    let bytes = engine_snapshot_bytes();
+    assert!(Engine::load_snapshot_bytes(&with_entry(bytes, |e| {
+        e.estimates.as_mut().unwrap().0 = 0.0
+    }))
+    .is_ok());
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        assert_corrupt(&with_entry(bytes, |e| {
+            e.estimates.as_mut().unwrap().0 = bad
+        }));
+        assert_corrupt(&with_entry(bytes, |e| {
+            e.estimates.as_mut().unwrap().1[0] = bad
+        }));
+    }
+}
+
+#[test]
+fn a_non_finite_or_negative_threshold_is_corrupt() {
+    let with_threshold = |threshold: f64| {
+        let mut sections = owned_sections(engine_snapshot_bytes());
+        sections[0].1[4..12].copy_from_slice(&threshold.to_le_bytes());
+        write_sections(&sections)
+    };
+    assert!(Engine::load_snapshot_bytes(&with_threshold(0.0)).is_ok());
+    for bad in [f64::NAN, f64::INFINITY, -0.5] {
+        assert_corrupt(&with_threshold(bad));
+    }
+}
+
+/// A stored map must be exactly the one the decided plan consults: a
+/// missing one would make the freeze estimate silently, a surplus or a
+/// mis-sized one means the entry is not what its plan reads.
+#[test]
+fn a_stored_map_must_match_the_decided_plan() {
+    let one_join_map = || Some(OverlapMap::new(1, vec![0.0, 3.0]).unwrap());
+    // The small engine's single join decides one join per draw: no map.
+    assert_corrupt(&with_entry(engine_snapshot_bytes(), |e| {
+        e.map = one_join_map()
+    }));
+    let overlap = overlap_snapshot_bytes();
+    assert_corrupt(&with_entry(&overlap, |e| e.map = None));
+    assert_corrupt(&with_entry(&overlap, |e| e.map = one_join_map()));
 }
 
 // ---------------------------------------------------------------------
