@@ -27,6 +27,15 @@ use suj_join::WeightKind;
 use suj_stats::SujRng;
 use suj_storage::{Relation, Schema, Tuple, Value};
 
+/// Algorithm 1 over exact parameters under the given cover policy.
+fn exact_rejection(policy: CoverPolicy) -> Strategy {
+    Strategy::Rejection(UnionSamplerConfig {
+        estimator: Estimator::Exact,
+        policy,
+        strategy: CoverStrategy::AsGiven,
+    })
+}
+
 /// Ablation 1: cover policy comparison on the high-overlap workload.
 fn cover_policy_panel(scale: usize, seed: u64) {
     let opts = UqOptions::new(scale, seed, 0.2);
@@ -49,8 +58,7 @@ fn cover_policy_panel(scale: usize, seed: u64) {
         ("oracle", CoverPolicy::MembershipOracle),
     ] {
         let mut sampler = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
-            .cover_policy(policy)
+            .strategy(exact_rejection(policy))
             .build()
             .expect("sampler");
         let mut rng = SujRng::seed_from_u64(seed);
@@ -65,7 +73,6 @@ fn cover_policy_panel(scale: usize, seed: u64) {
     }
 
     let mut bern = SamplerBuilder::for_workload(w.clone())
-        .estimator(Estimator::Exact)
         .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
         .build()
         .expect("bernoulli");
@@ -338,8 +345,7 @@ fn cyclic_panel(scale: usize, seed: u64) {
 
     // Sampling overhead from consistency rejection.
     let mut sampler = SamplerBuilder::for_workload(w.clone())
-        .estimator(Estimator::Exact)
-        .cover_policy(CoverPolicy::MembershipOracle)
+        .strategy(exact_rejection(CoverPolicy::MembershipOracle))
         .build()
         .expect("sampler");
     let ((_, report), t) = timed(|| sampler.sample(1000, &mut rng).expect("run"));
@@ -381,9 +387,8 @@ fn skew_panel(scale: usize, seed: u64) {
         let walk_err = mean(&ratio_errors(&walk_map, &exact));
 
         let mut sampler = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
+            .strategy(exact_rejection(CoverPolicy::MembershipOracle))
             .weights(WeightKind::ExtendedOlken)
-            .cover_policy(CoverPolicy::MembershipOracle)
             .build()
             .expect("sampler");
         let (_, report) = sampler.sample(500, &mut rng).expect("run");

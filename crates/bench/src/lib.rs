@@ -188,15 +188,21 @@ pub fn build_workload(name: &str, opts: &UqOptions) -> Result<UnionWorkload, Cor
     }
 }
 
-/// The builder-level estimator for a §9 configuration.
-fn estimator_for(kind: EstimatorKind) -> Estimator {
-    match kind {
+/// Algorithm 1 under the paper's record policy with a §9
+/// configuration's estimator.
+fn rejection_for(kind: EstimatorKind) -> Strategy {
+    let estimator = match kind {
         EstimatorKind::HistogramEo => Estimator::Histogram(HistogramOptions::default()),
         EstimatorKind::HistogramEw => Estimator::Histogram(HistogramOptions {
             exact_size_hints: true,
         }),
         EstimatorKind::RandomWalk => Estimator::Walk(WalkEstimatorConfig::default()),
-    }
+    };
+    Strategy::Rejection(UnionSamplerConfig {
+        estimator,
+        policy: CoverPolicy::Record,
+        strategy: CoverStrategy::AsGiven,
+    })
 }
 
 /// Runs Algorithm 1 end-to-end with the given estimator configuration;
@@ -213,9 +219,8 @@ pub fn run_set_union(
     // walks while sampling), so the estimation seed is derived.
     let (built, warmup) = timed(|| {
         SamplerBuilder::for_workload(workload.clone())
-            .estimator(estimator_for(kind))
+            .strategy(rejection_for(kind))
             .weights(weight_kind_for(kind))
-            .cover_policy(CoverPolicy::Record)
             .estimation_seed(seed ^ 0x9e37_79b9_7f4a_7c15)
             .build()
     });
@@ -254,7 +259,7 @@ mod tests {
             EstimatorKind::RandomWalk,
         ] {
             let sampler = SamplerBuilder::for_workload(workload.clone())
-                .estimator(estimator_for(kind))
+                .strategy(rejection_for(kind))
                 .weights(weight_kind_for(kind))
                 .estimation_seed(seed)
                 .build()
@@ -262,7 +267,6 @@ mod tests {
             out.push((format!("rejection/{}", kind.label()), sampler));
         }
         let bernoulli = SamplerBuilder::for_workload(workload.clone())
-            .estimator(estimator_for(EstimatorKind::HistogramEw))
             .strategy(Strategy::Bernoulli(DesignationPolicy::Record))
             .estimation_seed(seed)
             .build()
@@ -398,7 +402,7 @@ mod tests {
         let (report, _) = run_set_union(&w, EstimatorKind::HistogramEo, 30, 9).unwrap();
         let config = report.config.expect("config stamped");
         assert_eq!(config.strategy, "rejection");
-        assert_eq!(config.estimator, "histogram(EO)");
+        assert_eq!(config.estimator, Some("histogram(EO)"));
     }
 
     /// On the set-union workloads, the planner (`PreparedQuery::auto`)

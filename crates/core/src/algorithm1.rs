@@ -19,9 +19,14 @@
 //!
 //! Expected cost is `N + N log N` total join-sampling calls (Theorem 2).
 //!
-//! The sampler implements [`UnionSampler`]; build it through
-//! [`SamplerBuilder`](crate::session::SamplerBuilder) with
-//! [`Strategy::Rejection`](crate::session::Strategy).
+//! Algorithm 1 is the one strategy that reads an estimate, so its
+//! knobs live in its own variant:
+//! [`Strategy::Rejection`](crate::session::Strategy::Rejection) carries a
+//! [`UnionSamplerConfig`] — the estimator whose overlap map the cover
+//! is built from, the cover policy and the cover order. The sampler
+//! implements [`UnionSampler`]; build it through
+//! [`SamplerBuilder`](crate::session::SamplerBuilder) with that
+//! strategy.
 
 use crate::cover::{Cover, CoverStrategy};
 use crate::draw_step::DrawStep;
@@ -30,11 +35,12 @@ use crate::overlap::OverlapMap;
 use crate::record::OwnershipRecord;
 use crate::report::RunReport;
 use crate::sampler::{Draw, UnionSampler};
+use crate::session::{Estimator, HistogramOptions};
 use crate::workload::UnionWorkload;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use suj_join::{JoinSampler, WeightKind};
+use suj_join::JoinSampler;
 use suj_stats::{Categorical, SujRng};
 use suj_storage::CompiledPredicate;
 
@@ -48,11 +54,13 @@ pub enum CoverPolicy {
     MembershipOracle,
 }
 
-/// Configuration of the set-union sampler.
+/// Algorithm 1's configuration, carried by
+/// [`Strategy::Rejection`](crate::session::Strategy::Rejection):
+/// the only strategy that estimates, and the only one with a cover.
 #[derive(Debug, Clone, Copy)]
 pub struct UnionSamplerConfig {
-    /// Weight instantiation for the per-join subroutine (§3.2).
-    pub weights: WeightKind,
+    /// How the overlap map the cover is built from is obtained.
+    pub estimator: Estimator,
     /// Cover ownership policy.
     pub policy: CoverPolicy,
     /// Cover ordering strategy.
@@ -67,10 +75,12 @@ pub struct UnionSamplerConfig {
 /// is positive.
 pub(crate) const MAX_COVER_RETRIES: u64 = 100_000;
 
+/// Histogram estimation with extended-Olken hints, the paper's record
+/// policy, the workload's cover order.
 impl Default for UnionSamplerConfig {
     fn default() -> Self {
         Self {
-            weights: WeightKind::Exact,
+            estimator: Estimator::Histogram(HistogramOptions::default()),
             policy: CoverPolicy::Record,
             strategy: CoverStrategy::AsGiven,
         }
@@ -83,7 +93,7 @@ pub struct SetUnionSampler {
     step: DrawStep,
     cover: Cover,
     selection: Option<Categorical>,
-    config: UnionSamplerConfig,
+    policy: CoverPolicy,
     /// `orig_join` record of seen tuples (paper line 4) with their live
     /// emissions, for revision purges (Record policy).
     record: OwnershipRecord,
@@ -91,14 +101,14 @@ pub struct SetUnionSampler {
 }
 
 impl SetUnionSampler {
-    /// Builds the sampler from an overlap map (exact or estimated) over
-    /// pre-built per-join samplers (shared with other handles of the
-    /// same prepared query; `config.weights` records how they were
-    /// built) and §8.3's reject-mode `predicate`, compiled against the
-    /// workload's canonical schema. All mutable record / report state
-    /// starts fresh, so handles built over the same shared parts are
-    /// fully independent sampling processes.
-    pub fn new(
+    /// Builds the sampler from the overlap map `config.estimator`
+    /// produced over pre-built per-join samplers (shared with other
+    /// handles of the same prepared query) and §8.3's reject-mode
+    /// `predicate`, compiled against the workload's canonical schema.
+    /// All mutable record / report state starts fresh, so handles built
+    /// over the same shared parts are fully independent sampling
+    /// processes.
+    pub(crate) fn new(
         workload: Arc<UnionWorkload>,
         overlap: &OverlapMap,
         config: UnionSamplerConfig,
@@ -118,7 +128,7 @@ impl SetUnionSampler {
             step: DrawStep::new(workload, samplers, predicate)?,
             cover,
             selection,
-            config,
+            policy: config.policy,
             record: OwnershipRecord::default(),
             pending: VecDeque::new(),
         })
@@ -157,7 +167,7 @@ impl UnionSampler for SetUnionSampler {
                 let passes = self.step.passes(&t);
                 let idx = self.step.emitted;
                 let copies = idx..idx + u64::from(passes);
-                let accept = match self.config.policy {
+                let accept = match self.policy {
                     CoverPolicy::MembershipOracle => {
                         // Reject iff an earlier-cover join contains t.
                         let earlier = &self.cover.order()[..self.cover.rank(j)];
@@ -206,7 +216,7 @@ impl UnionSampler for SetUnionSampler {
     fn may_retract(&self) -> bool {
         // The membership oracle enforces the cover exactly; only the
         // record policy revises (and hence retracts).
-        self.config.policy == CoverPolicy::Record
+        self.policy == CoverPolicy::Record
     }
 }
 
@@ -214,18 +224,30 @@ impl UnionSampler for SetUnionSampler {
 mod tests {
     use super::*;
     use crate::exact::full_join_union;
-    use crate::session::{shared_samplers, Estimator, HistogramOptions, SamplerBuilder};
+    use crate::session::{shared_samplers, SamplerBuilder, Strategy};
+    use suj_join::WeightKind;
     use suj_storage::{FxHashMap, Relation, Schema, Tuple, Value};
 
-    /// The builder's Algorithm 1 over exact parameters.
-    fn build(w: Arc<UnionWorkload>, config: UnionSamplerConfig) -> Box<dyn UnionSampler + Send> {
+    /// The builder's Algorithm 1 over exact parameters and `weights`.
+    fn build_with(
+        w: Arc<UnionWorkload>,
+        weights: WeightKind,
+        config: UnionSamplerConfig,
+    ) -> Box<dyn UnionSampler + Send> {
+        let config = UnionSamplerConfig {
+            estimator: Estimator::Exact,
+            ..config
+        };
         SamplerBuilder::for_workload(w)
-            .estimator(Estimator::Exact)
-            .weights(config.weights)
-            .cover_policy(config.policy)
-            .cover_strategy(config.strategy)
+            .strategy(Strategy::Rejection(config))
+            .weights(weights)
             .build()
             .unwrap()
+    }
+
+    /// [`build_with`] under exact weights.
+    fn build(w: Arc<UnionWorkload>, config: UnionSamplerConfig) -> Box<dyn UnionSampler + Send> {
+        build_with(w, WeightKind::Exact, config)
     }
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Arc<Relation> {
@@ -343,10 +365,10 @@ mod tests {
     fn eo_weights_also_uniform() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        let mut sampler = build(
+        let mut sampler = build_with(
             w,
+            WeightKind::ExtendedOlken,
             UnionSamplerConfig {
-                weights: WeightKind::ExtendedOlken,
                 policy: CoverPolicy::MembershipOracle,
                 ..Default::default()
             },
@@ -362,7 +384,7 @@ mod tests {
     fn cover_strategies_preserve_uniformity() {
         let w = workload();
         let exact = full_join_union(&w).unwrap();
-        for strategy in [CoverStrategy::DescendingSize, CoverStrategy::AscendingSize] {
+        for strategy in [CoverStrategy::AsGiven, CoverStrategy::DescendingSize] {
             let mut sampler = build(
                 w.clone(),
                 UnionSamplerConfig {
@@ -384,9 +406,13 @@ mod tests {
         // members and the requested count is met; uniformity degrades
         // gracefully with estimate quality (§9 measures this).
         let w = workload();
+        let config = UnionSamplerConfig {
+            estimator: Estimator::Histogram(HistogramOptions::default()),
+            policy: CoverPolicy::MembershipOracle,
+            ..Default::default()
+        };
         let mut sampler = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Histogram(HistogramOptions::default()))
-            .cover_policy(CoverPolicy::MembershipOracle)
+            .strategy(Strategy::Rejection(config))
             .build()
             .unwrap();
         let mut rng = SujRng::seed_from_u64(5);
@@ -433,7 +459,7 @@ mod tests {
         // Deliberately wrong estimates giving the empty join mass.
         let map = OverlapMap::new(2, vec![0.0, 2.0, 5.0, 0.0]).unwrap();
         let config = UnionSamplerConfig::default();
-        let samplers = shared_samplers(&w, config.weights).unwrap();
+        let samplers = shared_samplers(&w, WeightKind::Exact).unwrap();
         let mut sampler = SetUnionSampler::new(w, &map, config, samplers, None).unwrap();
         let mut rng = SujRng::seed_from_u64(8);
         let (samples, report) = sampler.sample(50, &mut rng).unwrap();
@@ -446,7 +472,7 @@ mod tests {
         let w = workload();
         let bad = OverlapMap::new(1, vec![0.0, 5.0]).unwrap();
         let config = UnionSamplerConfig::default();
-        let samplers = shared_samplers(&w, config.weights).unwrap();
+        let samplers = shared_samplers(&w, WeightKind::Exact).unwrap();
         assert!(SetUnionSampler::new(w, &bad, config, samplers, None).is_err());
     }
 

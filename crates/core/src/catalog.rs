@@ -5,8 +5,9 @@
 //! [`SamplerBuilder`](crate::session::SamplerBuilder): register
 //! relations once (in memory, from CSV, or imported from a generated
 //! catalog), describe a [`UnionQuery`] by relation *name*, and let the
-//! engine's [`Planner`] pick the estimator × strategy × cover ×
-//! predicate-mode configuration.
+//! engine's [`Planner`] pick the configuration: the strategy (for
+//! Algorithm 1, with its estimator and cover), the weights and the
+//! predicate mode.
 //!
 //! # Concurrency model
 //!
@@ -289,7 +290,6 @@ impl Engine {
         let (workload, plan, given, reject_predicate) = self.planned(query, plan_for)?;
         let config = FreezeConfig {
             plan,
-            cover_policy: None,
             reject_predicate,
             root_seed,
             source: Some(query.clone()),

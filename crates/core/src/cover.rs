@@ -18,8 +18,6 @@ pub enum CoverStrategy {
     /// Largest estimated join first (claims overlaps early, giving later
     /// joins small residuals).
     DescendingSize,
-    /// Smallest estimated join first (ablation counterpart).
-    AscendingSize,
 }
 
 /// A materialized cover: order, per-join cover sizes, and the induced
@@ -39,14 +37,8 @@ impl Cover {
     pub fn build(overlap: &OverlapMap, strategy: CoverStrategy) -> Cover {
         let n = overlap.n();
         let mut order: Vec<usize> = (0..n).collect();
-        match strategy {
-            CoverStrategy::AsGiven => {}
-            CoverStrategy::DescendingSize => {
-                order.sort_by(|&a, &b| overlap.join_size(b).total_cmp(&overlap.join_size(a)));
-            }
-            CoverStrategy::AscendingSize => {
-                order.sort_by(|&a, &b| overlap.join_size(a).total_cmp(&overlap.join_size(b)));
-            }
+        if strategy == CoverStrategy::DescendingSize {
+            order.sort_by(|&a, &b| overlap.join_size(b).total_cmp(&overlap.join_size(a)));
         }
         let sizes = overlap.cover_sizes(&order);
         let union_size: f64 = sizes.iter().sum();
@@ -136,13 +128,6 @@ mod tests {
         assert!((cover.union_size() - 20.0).abs() < 1e-9);
         // J1 is fully covered by J0 ∪ J2 → its cover size is 0.
         assert_eq!(cover.sizes()[1], 0.0);
-    }
-
-    #[test]
-    fn ascending_puts_smallest_first() {
-        let cover = Cover::build(&map_three(), CoverStrategy::AscendingSize);
-        assert_eq!(cover.order(), &[1, 0, 2]);
-        assert!((cover.union_size() - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl DisjointUnionSampler {
     /// fresh per handle. `designation` is `None` for the disjoint union;
     /// `predicate` is §8.3's reject-mode predicate, compiled against the
     /// workload's canonical schema.
-    pub fn new(
+    pub(crate) fn new(
         workload: Arc<UnionWorkload>,
         samplers: Vec<Arc<dyn JoinSampler>>,
         designation: Option<DesignationPolicy>,
@@ -150,7 +150,7 @@ impl UnionSampler for DisjointUnionSampler {
 mod tests {
     use super::*;
     use crate::exact::full_join_union;
-    use crate::session::{shared_samplers, Estimator, SamplerBuilder, Strategy};
+    use crate::session::{shared_samplers, SamplerBuilder, Strategy};
     use suj_join::WeightKind;
     use suj_storage::{FxHashMap, Relation, Schema, Tuple, Value};
 
@@ -161,7 +161,6 @@ mod tests {
         weights: WeightKind,
     ) -> Box<dyn UnionSampler + Send> {
         SamplerBuilder::for_workload(w)
-            .estimator(Estimator::Exact)
             .strategy(strategy)
             .weights(weights)
             .build()

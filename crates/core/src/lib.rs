@@ -28,9 +28,9 @@
 //!   and phase timing breakdowns (Fig. 5f–h).
 //! * [`sampler`] — the unified [`UnionSampler`] trait (a `Send`
 //!   object-safe surface) and its incremental [`Draw`] event model.
-//! * [`session`] — the fluent [`SamplerBuilder`]: estimator selection,
-//!   strategy selection, predicate push-down, all in one validated
-//!   place; [`SamplerBuilder::freeze`] yields the `Send + Sync`
+//! * [`session`] — the fluent [`SamplerBuilder`]: strategy selection
+//!   (Algorithm 1's with its estimator and cover), weights, predicate
+//!   push-down, all in one validated place; [`SamplerBuilder::freeze`] yields the `Send + Sync`
 //!   [`PreparedQuery`] that mints independent per-thread handles.
 //! * [`serve`] — [`SamplingService`]: a bounded-queue `std::thread`
 //!   worker pool serving deterministic sampling requests over a shared
@@ -67,10 +67,11 @@
 //!     rel("s2", ["b", "c"], &[(10, 100), (30, 300)]),
 //! ])?;
 //!
-//! // One validated pipeline: estimator → strategy → sampler.
+//! // One validated pipeline: strategy (Algorithm 1 over exact
+//! // parameters) → sampler.
+//! let config = UnionSamplerConfig { estimator: Estimator::Exact, ..Default::default() };
 //! let mut sampler = SamplerBuilder::for_joins(vec![Arc::new(j1), Arc::new(j2)])?
-//!     .estimator(Estimator::Exact)
-//!     .strategy(Strategy::Rejection)
+//!     .strategy(Strategy::Rejection(config))
 //!     .build()?;
 //! let mut rng = SujRng::seed_from_u64(7);
 //!
@@ -116,11 +117,11 @@ pub mod workload;
 /// Commonly used items — the crate's public vocabulary, listed once;
 /// the crate root re-exports exactly this set.
 pub mod prelude {
-    pub use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
+    pub use crate::algorithm1::{CoverPolicy, UnionSamplerConfig};
     pub use crate::algorithm2::{OnlineConfig, OnlineParts, OnlineUnionSampler};
     pub use crate::catalog::{Catalog, Engine, PreparedQuery};
     pub use crate::cover::{Cover, CoverStrategy};
-    pub use crate::disjoint::{DesignationPolicy, DisjointUnionSampler};
+    pub use crate::disjoint::DesignationPolicy;
     pub use crate::error::CoreError;
     pub use crate::exact::{full_join_union, ExactUnion};
     pub use crate::hist_estimator::{DegreeMode, HistogramEstimator};

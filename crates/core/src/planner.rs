@@ -18,6 +18,13 @@
 //! | `LowOverlap` | `Σ|Jᵢ|/|∪Jᵢ|` near 1 | one join per draw, kept by its designated join | §3 |
 //! | `HighOverlap` | otherwise | Algorithm 1 (cover selection) | §4–§5 |
 //!
+//! Only Algorithm 1 reads an estimate, so only the two rules that emit
+//! it — `HighOverlap`, and `CyclicJoin` over more than one join — pick
+//! an estimator (exact on small data, the histogram with statistics, §6
+//! random walks without) and a cover order; the plan carries both in
+//! [`Strategy::Rejection`]. Every other rule selects by the bounds the
+//! member samplers own and names no estimator.
+//!
 //! Cyclicity is decided *before* the statistics rules on purpose: the
 //! histogram probe can fail on cyclic shapes, and that failure must not
 //! change how a cyclic workload is planned.
@@ -32,6 +39,7 @@
 //! statistics and the [`PlannerConfig`]. A snapshot stores the
 //! statistics, not the plan, and a restore runs the same decide.
 
+use crate::algorithm1::{CoverPolicy, UnionSamplerConfig};
 use crate::cover::CoverStrategy;
 use crate::disjoint::DesignationPolicy;
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
@@ -298,9 +306,9 @@ impl Planner {
 
     /// [`plan`](Self::plan), also handing over what the probe already
     /// computed for exactly this workload — the overlap map (when the
-    /// plan keeps the probe's estimator) and the Exact-Weight samplers
-    /// behind the exact sizes — so the freeze computes neither twice.
-    /// Gather, then [`decide`](Self::decide).
+    /// plan is Algorithm 1 over the probe's estimator) and the
+    /// Exact-Weight samplers behind the exact sizes — so the freeze
+    /// computes neither twice. Gather, then [`decide`](Self::decide).
     pub(crate) fn plan_with_given(
         &self,
         workload: &UnionWorkload,
@@ -308,9 +316,15 @@ impl Planner {
     ) -> (Plan, Given) {
         let (stats, mut given) = self.gather(workload);
         let plan = self.decide(workload, semantics, stats);
-        // The probe ran the default histogram estimator; only a plan
-        // that keeps exactly that estimator may reuse its map.
-        if !matches!(plan.estimator, Some(Estimator::Histogram(_))) {
+        // The probe ran the default histogram estimator; only an
+        // Algorithm 1 plan over exactly that estimator may reuse its map.
+        if !matches!(
+            plan.strategy,
+            Strategy::Rejection(UnionSamplerConfig {
+                estimator: Estimator::Histogram(_),
+                ..
+            })
+        ) {
             given.map = None;
         }
         (plan, given)
@@ -350,7 +364,6 @@ impl Planner {
         stats: WorkloadStats,
     ) -> Plan {
         let cyclic = is_cyclic(workload);
-        let estimator = self.pick_estimator(&stats);
 
         let (rule, strategy) = if semantics == UnionSemantics::Disjoint {
             (PlanRule::DisjointSemantics, Strategy::Disjoint)
@@ -361,7 +374,7 @@ impl Planner {
             let strategy = if stats.n_joins == 1 {
                 Strategy::Disjoint
             } else {
-                Strategy::Rejection
+                Strategy::Rejection(algorithm1(&stats))
             };
             (PlanRule::CyclicJoin, strategy)
         } else if stats.n_joins == 1 {
@@ -385,7 +398,10 @@ impl Planner {
                     PlanRule::LowOverlap,
                     Strategy::Bernoulli(DesignationPolicy::Record),
                 ),
-                _ => (PlanRule::HighOverlap, Strategy::Rejection),
+                _ => (
+                    PlanRule::HighOverlap,
+                    Strategy::Rejection(algorithm1(&stats)),
+                ),
             }
         };
 
@@ -403,19 +419,9 @@ impl Planner {
         } else {
             WeightKind::Exact
         };
-        let cover_strategy = match strategy {
-            Strategy::Rejection => Some(match stats.size_skew() {
-                Some(skew) if skew >= SKEWED_COVER_RATIO => CoverStrategy::DescendingSize,
-                _ => CoverStrategy::AsGiven,
-            }),
-            _ => None,
-        };
-
         Plan {
             strategy,
-            estimator: Some(estimator),
             weights: Some(weight_kind),
-            cover_strategy,
             predicate_mode: None,
             sizing: None,
             rule,
@@ -450,16 +456,27 @@ impl Planner {
         }
         Some(samplers)
     }
+}
 
-    /// Estimator for strategies that need parameters up front.
-    fn pick_estimator(&self, stats: &WorkloadStats) -> Estimator {
-        if stats.total_base_rows <= EXACT_MAX_BASE_ROWS {
-            Estimator::Exact
-        } else if stats.available() {
-            Estimator::Histogram(HistogramOptions::default())
-        } else {
-            Estimator::Walk(WalkEstimatorConfig::default())
-        }
+/// Algorithm 1's configuration under the paper's record policy: the
+/// estimator by data size and statistics availability, the cover order
+/// by join-size skew.
+fn algorithm1(stats: &WorkloadStats) -> UnionSamplerConfig {
+    let estimator = if stats.total_base_rows <= EXACT_MAX_BASE_ROWS {
+        Estimator::Exact
+    } else if stats.available() {
+        Estimator::Histogram(HistogramOptions::default())
+    } else {
+        Estimator::Walk(WalkEstimatorConfig::default())
+    };
+    let strategy = match stats.size_skew() {
+        Some(skew) if skew >= SKEWED_COVER_RATIO => CoverStrategy::DescendingSize,
+        _ => CoverStrategy::AsGiven,
+    };
+    UnionSamplerConfig {
+        estimator,
+        policy: CoverPolicy::Record,
+        strategy,
     }
 }
 
@@ -487,20 +504,16 @@ pub enum Sizing {
     Bound,
 }
 
-/// An executable configuration: strategy, estimator, weights, cover,
-/// predicate mode — plus the statistics and rule that produced it.
+/// An executable configuration: strategy (Algorithm 1's with its
+/// estimator and cover), weights, predicate mode — plus the statistics
+/// and rule that produced it.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The sampling strategy.
     pub strategy: Strategy,
-    /// Parameter estimator; `None` until the freeze fills in the
-    /// default for a caller who pinned none.
-    pub estimator: Option<Estimator>,
     /// Per-join weight instantiation; `None` until the freeze fills in
     /// the default for a caller who pinned none.
     pub weights: Option<WeightKind>,
-    /// Cover ordering, for strategies that build a cover.
-    pub cover_strategy: Option<CoverStrategy>,
     /// Predicate execution mode, when the query carries a predicate.
     pub predicate_mode: Option<PredicateMode>,
     /// Where the join sizes the sampler selects by came from. `None`
@@ -519,11 +532,15 @@ impl Plan {
     /// one place a configuration is rendered, whether a rule chose it,
     /// the caller pinned it, or a snapshot restored it.
     pub fn summary(&self) -> PlanSummary {
+        let algorithm1 = match &self.strategy {
+            Strategy::Rejection(config) => Some(config),
+            _ => None,
+        };
         PlanSummary {
             strategy: self.strategy.label(),
-            estimator: self.estimator.as_ref().map_or("none", Estimator::label),
+            estimator: algorithm1.map(|c| c.estimator.label()),
             weights: self.weights.map(Labeled::label),
-            cover: self.cover_strategy.map(Labeled::label),
+            cover: algorithm1.map(|c| c.strategy.label()),
             predicate: self.predicate_mode.map(Labeled::label),
             sizing: self.sizing.map(Labeled::label),
             rule: (self.rule != PlanRule::Explicit).then(|| self.rule.name()),
@@ -630,7 +647,6 @@ impl Labeled for CoverStrategy {
     const TABLE: &'static [(Self, &'static str)] = &[
         (CoverStrategy::AsGiven, "as-given"),
         (CoverStrategy::DescendingSize, "descending-size"),
-        (CoverStrategy::AscendingSize, "ascending-size"),
     ];
 }
 
@@ -728,8 +744,8 @@ mod tests {
         let w = identical_workload();
         let plan = Planner::default().plan(&w, UnionSemantics::Set);
         assert_eq!(plan.rule, PlanRule::HighOverlap);
-        assert!(matches!(plan.strategy, Strategy::Rejection));
-        assert!(plan.cover_strategy.is_some());
+        assert!(matches!(plan.strategy, Strategy::Rejection(_)));
+        assert!(plan.summary().cover.is_some());
         let explain = plan.explain();
         assert!(explain.contains("§4"), "{explain}");
         assert!(explain.contains("cover"), "{explain}");
@@ -763,7 +779,9 @@ mod tests {
             Strategy::Bernoulli(DesignationPolicy::Oracle)
         ));
         assert_eq!(plan.weights, Some(WeightKind::Exact));
-        assert!(plan.cover_strategy.is_none());
+        // Designation reads no estimate and builds no cover.
+        let summary = plan.summary();
+        assert!(summary.estimator.is_none() && summary.cover.is_none());
         let explain = plan.explain();
         assert!(explain.contains("§3"), "{explain}");
         assert!(explain.contains("membership"), "{explain}");
@@ -773,7 +791,13 @@ mod tests {
     fn tiny_workloads_get_exact_estimation() {
         let w = identical_workload();
         let plan = Planner::default().plan(&w, UnionSemantics::Set);
-        assert!(matches!(plan.estimator, Some(Estimator::Exact)));
+        assert!(matches!(
+            plan.strategy,
+            Strategy::Rejection(UnionSamplerConfig {
+                estimator: Estimator::Exact,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -790,7 +814,13 @@ mod tests {
         let w = UnionWorkload::new(vec![side("j1"), side("j2")]).unwrap();
         let (plan, given) = Planner::default().plan_with_given(&w, UnionSemantics::Set);
         assert!(plan.stats.total_base_rows > EXACT_MAX_BASE_ROWS);
-        assert!(matches!(plan.estimator, Some(Estimator::Histogram(_))));
+        assert!(matches!(
+            plan.strategy,
+            Strategy::Rejection(UnionSamplerConfig {
+                estimator: Estimator::Histogram(_),
+                ..
+            })
+        ));
         assert!(matches!(plan.weights, Some(WeightKind::Exact)));
         // The plan keeps the probe's estimator, so the probed map is
         // handed to the freeze instead of being estimated again.
@@ -835,7 +865,7 @@ mod tests {
         let w = Arc::new(UnionWorkload::new(vec![triangle("t1", 0), triangle("t2", 100)]).unwrap());
         let plan = Planner::default().plan(&w, UnionSemantics::Set);
         assert_eq!(plan.rule, PlanRule::CyclicJoin);
-        assert!(matches!(plan.strategy, Strategy::Rejection));
+        assert!(matches!(plan.strategy, Strategy::Rejection(_)));
         assert_eq!(plan.weights, Some(WeightKind::AgmBox));
         let summary = plan.summary();
         assert_eq!(summary.rule, Some("cyclic-join"));

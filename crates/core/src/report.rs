@@ -13,13 +13,17 @@
 //! report is cumulative; a batch call counts into a fresh report and
 //! folds it into the handle's once, and the serving pool folds each
 //! request's report into its aggregate.
+//!
+//! Each report carries the [`PlanSummary`] of the configuration that
+//! produced it. The summary names an estimator and a cover only for
+//! Algorithm 1, the one strategy that reads them.
 
 use std::fmt;
 use std::time::Duration;
 
-/// The resolved configuration that produced a run — strategy,
-/// estimator, cover, predicate mode — as recorded in
-/// [`RunReport::config`].
+/// The resolved configuration that produced a run — strategy, weights,
+/// predicate mode, and for Algorithm 1 its estimator and cover — as
+/// recorded in [`RunReport::config`].
 ///
 /// Fig. 5-style benchmark output compares many estimator × algorithm
 /// configurations; carrying the resolved configuration inside the
@@ -34,13 +38,14 @@ use std::time::Duration;
 pub struct PlanSummary {
     /// Sampling strategy, e.g. `rejection` or `bernoulli(record)`.
     pub strategy: &'static str,
-    /// Parameter estimator, e.g. `exact` or `histogram(EO)`; `none`
-    /// for a plan that names none.
-    pub estimator: &'static str,
+    /// Algorithm 1's parameter estimator, e.g. `exact` or
+    /// `histogram(EO)`; `None` for the strategies that estimate nothing.
+    pub estimator: Option<&'static str>,
     /// Per-join weight instantiation, e.g. `exact` or `agm-box`;
     /// `None` for a plan that names none.
     pub weights: Option<&'static str>,
-    /// Cover ordering, for strategies that build a cover.
+    /// Algorithm 1's cover ordering; `None` for the strategies that
+    /// build no cover.
     pub cover: Option<&'static str>,
     /// Predicate mode, when a selection predicate is attached.
     pub predicate: Option<&'static str>,
@@ -61,7 +66,10 @@ pub struct PlanSummary {
 
 impl fmt::Display for PlanSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "strategy={} estimator={}", self.strategy, self.estimator)?;
+        write!(f, "strategy={}", self.strategy)?;
+        if let Some(estimator) = self.estimator {
+            write!(f, " estimator={estimator}")?;
+        }
         if let Some(weights) = self.weights {
             write!(f, " weights={weights}")?;
         }
@@ -487,7 +495,7 @@ mod tests {
         let mut r = RunReport::new(1);
         r.config = Some(PlanSummary {
             strategy: "rejection",
-            estimator: "histogram(EO)",
+            estimator: Some("histogram(EO)"),
             weights: Some("exact"),
             cover: Some("as-given"),
             predicate: None,

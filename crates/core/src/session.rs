@@ -1,10 +1,13 @@
 //! One validated place to assemble a sampling pipeline.
 //!
-//! The framework has three orthogonal axes — *parameter estimation*
-//! (exact / histogram / random walk), *sampling strategy* (Algorithm 1
-//! rejection, Bernoulli union trick, disjoint union), and *predicate
-//! handling* (push-down / reject) — that every caller previously
-//! hand-wired. [`SamplerBuilder`] owns the whole pipeline:
+//! A pipeline is a *sampling strategy* (Algorithm 1 rejection,
+//! Bernoulli union trick, disjoint union), per-join *weights* and a
+//! *predicate mode* (push-down / reject). *Parameter estimation*
+//! (exact / histogram / random walk) is not a fourth axis: only
+//! Algorithm 1 reads an estimate, so its estimator, cover policy and
+//! cover order travel in its own variant, [`Strategy::Rejection`], as a
+//! [`UnionSamplerConfig`], and the eager strategies cannot be given
+//! one. [`SamplerBuilder`] owns the whole pipeline:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -28,10 +31,13 @@
 //! #     rel("s2", ["b", "c"], &[(10, 100), (30, 300)]),
 //! # ])?;
 //! # let workload = Arc::new(UnionWorkload::new(vec![Arc::new(j1), Arc::new(j2)])?);
+//! let config = UnionSamplerConfig {
+//!     estimator: Estimator::Exact,
+//!     policy: CoverPolicy::MembershipOracle,
+//!     ..Default::default()
+//! };
 //! let mut sampler = SamplerBuilder::for_workload(workload)
-//!     .estimator(Estimator::Exact)
-//!     .strategy(Strategy::Rejection)
-//!     .cover_policy(CoverPolicy::MembershipOracle)
+//!     .strategy(Strategy::Rejection(config))
 //!     .build()?;
 //! let mut rng = SujRng::seed_from_u64(7);
 //! let (samples, _report) = sampler.sample(5, &mut rng)?;
@@ -54,13 +60,14 @@
 //! or restored from a snapshot — is assembled by the same chain:
 //! push-down `rewrite` → plan the rewritten workload →
 //! `freeze(workload, config, given)`, where `given` carries whatever
-//! the planner's probe or the snapshot already holds (union parameters,
-//! per-join samplers) and the freeze computes the rest. A reject-mode
-//! predicate is compiled once by the freeze and tested in each handle's
-//! draw step, so a handle is always one sampler.
+//! the planner's probe or the snapshot already holds (Algorithm 1's
+//! overlap map, per-join samplers) and the freeze computes the rest.
+//! The freeze completes nothing but the weights: a plan arrives with
+//! its strategy whole. A reject-mode predicate is compiled once by the
+//! freeze and tested in each handle's draw step, so a handle is always
+//! one sampler.
 
 use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
-use crate::cover::CoverStrategy;
 use crate::disjoint::{DesignationPolicy, DisjointUnionSampler};
 use crate::error::CoreError;
 use crate::exact::full_join_union;
@@ -82,8 +89,8 @@ use suj_join::{JoinSampler, JoinSpec, WeightKind};
 use suj_stats::SujRng;
 use suj_storage::{CompiledPredicate, Predicate, Tuple};
 
-/// Histogram-estimator options for the builder. The builder's
-/// estimator runs on maximum degrees ([`DegreeMode::Max`], §5.1's strict
+/// Histogram-estimator options for Algorithm 1. Its estimator runs on
+/// maximum degrees ([`DegreeMode::Max`], §5.1's strict
 /// upper bound); [`HistogramEstimator::new`] takes the mode directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HistogramOptions {
@@ -93,7 +100,8 @@ pub struct HistogramOptions {
     pub exact_size_hints: bool,
 }
 
-/// How union/overlap parameters are obtained before sampling.
+/// How Algorithm 1's union/overlap parameters are obtained before
+/// sampling ([`UnionSamplerConfig::estimator`]).
 #[derive(Debug, Clone, Copy)]
 pub enum Estimator {
     /// Ground truth via `FullJoinUnion` (§9 baseline — expensive but
@@ -104,7 +112,7 @@ pub enum Estimator {
     Histogram(HistogramOptions),
     /// Random-walk warm-up estimation (§6): centralized configuration.
     /// Walks consume the builder's estimation RNG (see
-    /// [`SamplerBuilder::estimation_seed`]).
+    /// [`SamplerBuilder::estimation_seed`]) and probe membership.
     Walk(WalkEstimatorConfig),
 }
 
@@ -119,10 +127,9 @@ pub enum Estimator {
 #[derive(Debug, Clone, Copy)]
 pub enum Strategy {
     /// Algorithm 1: non-Bernoulli cover selection with rejection and
-    /// revision. Tune with [`SamplerBuilder::cover_policy`],
-    /// [`SamplerBuilder::cover_strategy`], and
-    /// [`SamplerBuilder::weights`].
-    Rejection,
+    /// revision, over the overlap map its configuration's estimator
+    /// produces — the only strategy that estimates.
+    Rejection(UnionSamplerConfig),
     /// The §3 union trick: one join per draw in proportion to its
     /// sampler's size bound, a tuple kept only by the join the given
     /// policy designates — the set union, estimating nothing.
@@ -160,7 +167,7 @@ impl Strategy {
     /// Stable label, as the plan summary prints it.
     pub fn label(&self) -> &'static str {
         match self {
-            Strategy::Rejection => "rejection",
+            Strategy::Rejection(_) => "rejection",
             Strategy::Bernoulli(DesignationPolicy::Oracle) => "bernoulli(oracle)",
             Strategy::Bernoulli(DesignationPolicy::Record) => "bernoulli(record)",
             Strategy::Disjoint => "disjoint",
@@ -174,16 +181,14 @@ pub(crate) const DEFAULT_ROOT_SEED: u64 = 0x5eed;
 
 /// Fluent assembly of a union sampling pipeline.
 ///
-/// Defaults: histogram estimation with extended-Olken hints,
-/// [`Strategy::Rejection`] with the paper's record policy, exact
-/// weights, workload cover order, no predicate.
+/// Defaults: [`Strategy::Rejection`] with
+/// [`UnionSamplerConfig::default`] (histogram estimation with
+/// extended-Olken hints, the paper's record policy, workload cover
+/// order), exact weights, no predicate.
 pub struct SamplerBuilder {
     workload: Arc<UnionWorkload>,
-    estimator: Option<Estimator>,
     strategy: Strategy,
     weights: Option<WeightKind>,
-    cover_policy: Option<CoverPolicy>,
-    cover_strategy: Option<CoverStrategy>,
     predicate: Option<(Predicate, PredicateMode)>,
     estimation_seed: u64,
 }
@@ -193,11 +198,8 @@ impl SamplerBuilder {
     pub fn for_workload(workload: Arc<UnionWorkload>) -> Self {
         Self {
             workload,
-            estimator: None,
-            strategy: Strategy::Rejection,
+            strategy: Strategy::Rejection(UnionSamplerConfig::default()),
             weights: None,
-            cover_policy: None,
-            cover_strategy: None,
             predicate: None,
             estimation_seed: DEFAULT_ROOT_SEED,
         }
@@ -209,15 +211,8 @@ impl SamplerBuilder {
         Ok(Self::for_workload(Arc::new(UnionWorkload::new(joins)?)))
     }
 
-    /// Selects the parameter estimator (default:
-    /// `Estimator::Histogram(HistogramOptions::default())`).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn estimator(mut self, estimator: Estimator) -> Self {
-        self.estimator = Some(estimator);
-        self
-    }
-
-    /// Selects the sampling strategy (default: `Strategy::Rejection`).
+    /// Selects the sampling strategy (default:
+    /// `Strategy::Rejection(UnionSamplerConfig::default())`).
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
@@ -229,21 +224,6 @@ impl SamplerBuilder {
     #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
     pub fn weights(mut self, weights: WeightKind) -> Self {
         self.weights = Some(weights);
-        self
-    }
-
-    /// Cover ownership policy for [`Strategy::Rejection`] (default: the
-    /// paper's record policy).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn cover_policy(mut self, policy: CoverPolicy) -> Self {
-        self.cover_policy = Some(policy);
-        self
-    }
-
-    /// Cover ordering strategy (default: workload order).
-    #[must_use = "builder methods return the updated builder; dropping it discards the configuration"]
-    pub fn cover_strategy(mut self, strategy: CoverStrategy) -> Self {
-        self.cover_strategy = Some(strategy);
         self
     }
 
@@ -278,9 +258,7 @@ impl SamplerBuilder {
         let workload = rewrite(&self.workload, predicate)?;
         let plan = Plan {
             strategy: self.strategy,
-            estimator: self.estimator,
             weights: self.weights,
-            cover_strategy: self.cover_strategy,
             predicate_mode: predicate.map(|(_, mode)| mode),
             sizing: None,
             rule: PlanRule::Explicit,
@@ -288,7 +266,6 @@ impl SamplerBuilder {
         };
         let config = FreezeConfig {
             plan,
-            cover_policy: self.cover_policy,
             reject_predicate: match self.predicate {
                 Some((p, PredicateMode::Reject)) => Some(p),
                 _ => None,
@@ -314,7 +291,7 @@ impl SamplerBuilder {
 /// snapshot. Anything absent is computed.
 #[derive(Default)]
 pub(crate) struct Given {
-    /// The configured estimator's overlap map; when used, the freeze
+    /// The overlap map of Algorithm 1's estimator; when used, the freeze
     /// pays no estimation pass ([`PreparedQuery::estimations`] stays 0).
     pub map: Option<OverlapMap>,
     /// Exact-Weight per-join samplers (count tables + alias arenas);
@@ -327,11 +304,9 @@ pub(crate) struct Given {
 
 /// Everything [`freeze`] commits to besides the workload.
 pub(crate) struct FreezeConfig {
-    /// Strategy, estimator, weights, cover ordering, and predicate mode — unset knobs take the documented defaults — plus
-    /// the rule and statistics that chose them.
+    /// Strategy, weights and predicate mode — unset weights are exact —
+    /// plus the rule and statistics that chose them.
     pub plan: Plan,
-    /// Cover ownership policy (the planner never picks one).
-    pub cover_policy: Option<CoverPolicy>,
     /// The predicate of [`PredicateMode::Reject`], compiled once by the
     /// freeze; a push-down predicate is already folded into the
     /// workload.
@@ -376,8 +351,8 @@ pub(crate) fn shared_samplers(
         .map_err(CoreError::Join)
 }
 
-/// Runs the configured estimator for what no single join can know: the
-/// overlap structure Algorithm 1 builds its cover from.
+/// Runs Algorithm 1's estimator for what no single join can know: the
+/// overlap structure its cover is built from.
 fn estimate(
     workload: &Arc<UnionWorkload>,
     estimator: &Estimator,
@@ -423,26 +398,13 @@ fn sizing(estimator: &Estimator, counted: bool) -> Sizing {
     }
 }
 
-/// Rejects a knob that the selected strategy cannot honor.
-fn reject_knob(set: bool, knob: &str, strategy: &str) -> Result<(), CoreError> {
-    if set {
-        Err(CoreError::Invalid(format!(
-            "`{knob}` does not apply to {strategy}; remove the call or pick a \
-             strategy that uses it"
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-/// The one place a serving sampler is assembled: validates the
-/// configuration, takes the per-join samplers from `given` or builds
-/// them, and consults the estimator (`given.map`, else one pass) only
-/// for Algorithm 1, whose cover needs the overlap structure; the eager
-/// one-join-per-draw strategies select by the bounds their member
-/// samplers reject against and estimate nothing. Builder freezes,
-/// planned prepares and snapshot restores differ only in where
-/// `config` and `given` come from.
+/// The one place a serving sampler is assembled: takes the per-join
+/// samplers from `given` or builds them, and consults the estimator
+/// (`given.map`, else one pass) only for Algorithm 1, whose cover needs
+/// the overlap structure; the eager one-join-per-draw strategies select
+/// by the bounds their member samplers reject against and estimate
+/// nothing. Builder freezes, planned prepares and snapshot restores
+/// differ only in where `config` and `given` come from.
 pub(crate) fn freeze(
     workload: Arc<UnionWorkload>,
     config: FreezeConfig,
@@ -450,31 +412,22 @@ pub(crate) fn freeze(
 ) -> Result<PreparedQuery, CoreError> {
     let FreezeConfig {
         mut plan,
-        cover_policy,
         reject_predicate,
         root_seed,
         source,
     } = config;
-    let n_joins = workload.n_joins();
     let mut estimation_passes = 0u64;
 
     // Given samplers are exact-weight, so any other weight kind builds
     // fresh.
-    let samplers_for = |weights: WeightKind| match given.samplers {
-        Some(s) if weights == WeightKind::Exact && s.len() == n_joins => Ok(s),
-        _ => shared_samplers(&workload, weights),
+    let weights = *plan.weights.get_or_insert(WeightKind::Exact);
+    let samplers = match given.samplers {
+        Some(s) if weights == WeightKind::Exact && s.len() == workload.n_joins() => s,
+        _ => shared_samplers(&workload, weights)?,
     };
-    let default_estimator = Estimator::Histogram(HistogramOptions::default());
 
-    let (kind, samplers, map) = match plan.strategy {
-        Strategy::Rejection => {
-            let estimator = *plan.estimator.get_or_insert(default_estimator);
-            let config = UnionSamplerConfig {
-                weights: *plan.weights.get_or_insert(WeightKind::Exact),
-                policy: cover_policy.unwrap_or(CoverPolicy::Record),
-                strategy: *plan.cover_strategy.get_or_insert(CoverStrategy::AsGiven),
-            };
-            let samplers = samplers_for(config.weights)?;
+    let map = match plan.strategy {
+        Strategy::Rejection(config) => {
             // Algorithm 1's cover sizes are a function of the whole
             // map, the estimator's own join sizes included. A given map
             // replaces the estimation pass (the estimations-paid
@@ -483,22 +436,14 @@ pub(crate) fn freeze(
                 Some(map) => map,
                 None => {
                     estimation_passes += 1;
-                    estimate(&workload, &estimator, &samplers, root_seed)?
+                    estimate(&workload, &config.estimator, &samplers, root_seed)?
                 }
             };
-            let hinted = matches!(estimator, Estimator::Histogram(o) if o.exact_size_hints);
-            plan.sizing = Some(sizing(&estimator, hinted));
-            (PreparedKind::Rejection { config }, samplers, Some(map))
+            let hinted = matches!(config.estimator, Estimator::Histogram(o) if o.exact_size_hints);
+            plan.sizing = Some(sizing(&config.estimator, hinted));
+            Some(map)
         }
         Strategy::Disjoint | Strategy::Bernoulli(_) => {
-            let (name, designation) = match plan.strategy {
-                Strategy::Bernoulli(policy) => ("Strategy::Bernoulli", Some(policy)),
-                _ => ("Strategy::Disjoint", None),
-            };
-            reject_knob(cover_policy.is_some(), "cover_policy", name)?;
-            reject_knob(plan.cover_strategy.is_some(), "cover_strategy", name)?;
-            plan.estimator.get_or_insert(default_estimator);
-            let samplers = samplers_for(*plan.weights.get_or_insert(WeightKind::Exact))?;
             // Selection reads each member's own bound — its exact size
             // wherever it knows one — so there is nothing to estimate.
             let counted = samplers.iter().all(|s| s.size_info().exact.is_some());
@@ -507,7 +452,7 @@ pub(crate) fn freeze(
             } else {
                 Sizing::Bound
             });
-            (PreparedKind::Disjoint { designation }, samplers, None)
+            None
         }
     };
 
@@ -520,12 +465,13 @@ pub(crate) fn freeze(
     // configurations that probe while drawing or estimating get theirs
     // here, so "frozen" keeps meaning "first batch requestable" and no
     // draw pays a build; every other plan never builds one.
-    let probes_membership = match &kind {
-        PreparedKind::Rejection { config } => {
+    let probes_membership = match plan.strategy {
+        Strategy::Rejection(config) => {
             config.policy == CoverPolicy::MembershipOracle
-                || matches!(plan.estimator, Some(Estimator::Walk(_)))
+                || matches!(config.estimator, Estimator::Walk(_))
         }
-        PreparedKind::Disjoint { designation } => *designation == Some(DesignationPolicy::Oracle),
+        Strategy::Bernoulli(policy) => policy == DesignationPolicy::Oracle,
+        Strategy::Disjoint => false,
     };
     if probes_membership {
         workload.build_membership_indexes();
@@ -544,7 +490,6 @@ pub(crate) fn freeze(
     Ok(PreparedQuery {
         prepared_bytes: (workload.memory_bytes() + sampler_bytes) as u64,
         workload,
-        kind,
         samplers,
         map,
         predicate,
@@ -557,20 +502,6 @@ pub(crate) fn freeze(
         minted: AtomicU64::new(0),
         source,
     })
-}
-
-/// What a frozen pipeline needs, besides the shared per-join samplers
-/// and the estimator's map, to mint a handle (everything immutable);
-/// per-handle record/report state is created fresh at mint time.
-enum PreparedKind {
-    /// Algorithm 1 (rejection + revision) over the frozen map.
-    Rejection { config: UnionSamplerConfig },
-    /// One join per draw in proportion to its sampler's bound: the
-    /// disjoint union (Definition 1), or the set union under the §3
-    /// designation rule.
-    Disjoint {
-        designation: Option<DesignationPolicy>,
-    },
 }
 
 /// Locks a mutex, recovering from poisoning (a panicked sampling
@@ -595,7 +526,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// with — the determinism contract concurrent serving relies on.
 pub struct PreparedQuery {
     workload: Arc<UnionWorkload>,
-    kind: PreparedKind,
     /// Per-join samplers built once and shared by every handle.
     /// They own the join sizes: selection reads `size_info()`.
     samplers: Vec<Arc<dyn JoinSampler>>,
@@ -607,8 +537,8 @@ pub struct PreparedQuery {
     /// handle's draw step (push-down predicates were already folded
     /// into `workload`).
     predicate: Option<Arc<CompiledPredicate>>,
-    /// The resolved configuration (defaults filled in) with the rule
-    /// and statistics that chose it.
+    /// The resolved configuration (weights filled in) with the rule
+    /// and statistics that chose it; minting reads its strategy.
     plan: Plan,
     /// `plan.summary()`, rendered once and stamped into every report.
     summary: PlanSummary,
@@ -654,7 +584,6 @@ impl PreparedQuery {
         let (plan, given) = Planner::default().plan_with_given(&workload, UnionSemantics::Set);
         let config = FreezeConfig {
             plan,
-            cover_policy: None,
             reject_predicate: None,
             root_seed: DEFAULT_ROOT_SEED,
             source: None,
@@ -692,20 +621,23 @@ impl PreparedQuery {
     pub(crate) fn mint(&self) -> Result<Box<dyn UnionSampler + Send>, CoreError> {
         let (workload, samplers) = (self.workload.clone(), self.samplers.clone());
         let predicate = self.predicate.clone();
-        let mut sampler: Box<dyn UnionSampler + Send> = match &self.kind {
-            PreparedKind::Rejection { config } => {
+        let mut sampler: Box<dyn UnionSampler + Send> = match self.plan.strategy {
+            Strategy::Rejection(config) => {
                 let map = self
                     .map
                     .as_ref()
                     .expect("a rejection freeze always commits to a map");
-                let sampler = SetUnionSampler::new(workload, map, *config, samplers, predicate)?;
+                let sampler = SetUnionSampler::new(workload, map, config, samplers, predicate)?;
                 Box::new(sampler)
             }
-            PreparedKind::Disjoint { designation } => Box::new(DisjointUnionSampler::new(
+            Strategy::Bernoulli(policy) => Box::new(DisjointUnionSampler::new(
                 workload,
                 samplers,
-                *designation,
+                Some(policy),
                 predicate,
+            )?),
+            Strategy::Disjoint => Box::new(DisjointUnionSampler::new(
+                workload, samplers, None, predicate,
             )?),
         };
         let report = sampler.report_mut();
@@ -831,6 +763,14 @@ mod tests {
         Arc::new(Relation::new(name, schema, tuples).unwrap())
     }
 
+    /// Algorithm 1 over exact parameters.
+    fn exact_rejection() -> Strategy {
+        Strategy::Rejection(UnionSamplerConfig {
+            estimator: Estimator::Exact,
+            ..Default::default()
+        })
+    }
+
     fn workload() -> Arc<UnionWorkload> {
         let j1 = suj_join::JoinSpec::chain(
             "j1",
@@ -860,14 +800,13 @@ mod tests {
         let w = workload();
         let exact = crate::exact::full_join_union(&w).unwrap();
         let strategies = [
-            Strategy::Rejection,
+            exact_rejection(),
             Strategy::Bernoulli(DesignationPolicy::Oracle),
             Strategy::Disjoint,
         ];
         for (i, strategy) in strategies.into_iter().enumerate() {
             let mut sampler = SamplerBuilder::for_workload(w.clone())
                 .strategy(strategy)
-                .estimator(Estimator::Exact)
                 .build()
                 .unwrap();
             let mut rng = SujRng::seed_from_u64(100 + i as u64);
@@ -893,9 +832,13 @@ mod tests {
                 ..Default::default()
             }),
         ] {
+            let config = UnionSamplerConfig {
+                estimator,
+                policy: CoverPolicy::MembershipOracle,
+                ..Default::default()
+            };
             let mut sampler = SamplerBuilder::for_workload(w.clone())
-                .estimator(estimator)
-                .cover_policy(CoverPolicy::MembershipOracle)
+                .strategy(Strategy::Rejection(config))
                 .build()
                 .unwrap();
             let mut rng = SujRng::seed_from_u64(5);
@@ -910,8 +853,7 @@ mod tests {
         // Exact weights build count tables + alias arenas per join, so
         // the frozen footprint must exceed the bare workload's bytes…
         let prepared = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
-            .strategy(Strategy::Rejection)
+            .strategy(exact_rejection())
             .weights(WeightKind::Exact)
             .freeze()
             .unwrap();
@@ -935,8 +877,7 @@ mod tests {
             .sum();
         assert!(walker_bytes > 0);
         let wander = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
-            .strategy(Strategy::Rejection)
+            .strategy(exact_rejection())
             .weights(WeightKind::WanderJoin)
             .freeze()
             .unwrap();
@@ -948,43 +889,17 @@ mod tests {
     }
 
     #[test]
-    fn inapplicable_knobs_are_rejected_not_ignored() {
-        let w = workload();
-        // Bernoulli and Disjoint have no cover.
-        assert!(SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
-            .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
-            .cover_strategy(CoverStrategy::DescendingSize)
-            .build()
-            .is_err());
-        assert!(SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
-            .strategy(Strategy::Disjoint)
-            .cover_policy(CoverPolicy::Record)
-            .build()
-            .is_err());
-        // Applicable knobs still work.
-        assert!(SamplerBuilder::for_workload(w)
-            .estimator(Estimator::Exact)
-            .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
-            .weights(WeightKind::Exact)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
     fn predicate_reject_mode_filters_output() {
         let w = workload();
         let p = Predicate::cmp("c", CompareOp::Le, Value::int(200));
         let compiled = p.compile(w.canonical_schema()).unwrap();
         for strategy in [
-            Strategy::Rejection,
+            exact_rejection(),
             Strategy::Disjoint,
             Strategy::Bernoulli(DesignationPolicy::Record),
             Strategy::Bernoulli(DesignationPolicy::Oracle),
         ] {
             let mut sampler = SamplerBuilder::for_workload(w.clone())
-                .estimator(Estimator::Exact)
                 .strategy(strategy)
                 .predicate(p.clone(), PredicateMode::Reject)
                 .build()
@@ -1009,7 +924,7 @@ mod tests {
         let w = workload();
         let p = Predicate::cmp("c", CompareOp::Le, Value::int(200));
         let mut sampler = SamplerBuilder::for_workload(w)
-            .estimator(Estimator::Exact)
+            .strategy(exact_rejection())
             .predicate(p.clone(), PredicateMode::PushDown)
             .build()
             .unwrap();
@@ -1029,16 +944,14 @@ mod tests {
         let w = workload();
         let mut samplers: Vec<Box<dyn UnionSampler>> = vec![
             SamplerBuilder::for_workload(w.clone())
-                .estimator(Estimator::Exact)
+                .strategy(exact_rejection())
                 .build()
                 .unwrap(),
             SamplerBuilder::for_workload(w.clone())
-                .estimator(Estimator::Exact)
                 .strategy(Strategy::Disjoint)
                 .build()
                 .unwrap(),
             SamplerBuilder::for_workload(w)
-                .estimator(Estimator::Exact)
                 .strategy(Strategy::Bernoulli(DesignationPolicy::Record))
                 .build()
                 .unwrap(),
@@ -1085,11 +998,11 @@ mod tests {
         let w = workload();
         let exact = crate::exact::full_join_union(&w).unwrap();
         let config = UnionSamplerConfig::default();
-        let samplers = shared_samplers(&w, config.weights).unwrap();
+        let samplers = shared_samplers(&w, WeightKind::Exact).unwrap();
         let mut direct =
             SetUnionSampler::new(w.clone(), &exact.overlap, config, samplers, None).unwrap();
         let mut built = SamplerBuilder::for_workload(w)
-            .estimator(Estimator::Exact)
+            .strategy(exact_rejection())
             .build()
             .unwrap();
         let mut rng_a = SujRng::seed_from_u64(9);
@@ -1103,7 +1016,7 @@ mod tests {
     fn workload_accessor_exposes_schema() {
         let w = workload();
         let sampler = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
+            .strategy(exact_rejection())
             .build()
             .unwrap();
         assert_eq!(sampler.workload().canonical_schema(), w.canonical_schema());

@@ -433,7 +433,7 @@ impl Engine {
                 let plan = engine.planner().decide(workload, semantics, stats);
                 // Only Algorithm 1 consults a map, over every join; its
                 // freeze would estimate a missing one silently.
-                let expected = matches!(plan.strategy, Strategy::Rejection).then_some(n);
+                let expected = matches!(plan.strategy, Strategy::Rejection(_)).then_some(n);
                 let stored = map.as_ref().map(OverlapMap::n);
                 if stored != expected {
                     let problem = format!(

@@ -24,8 +24,9 @@
 //! #     rel("s1", ["b", "c"], &[(10, 100), (20, 200)]),
 //! # ])?;
 //! # let workload = Arc::new(UnionWorkload::new(vec![Arc::new(j1)])?);
+//! let config = UnionSamplerConfig { estimator: Estimator::Exact, ..Default::default() };
 //! let mut sampler = SamplerBuilder::for_workload(workload)
-//!     .estimator(Estimator::Exact)
+//!     .strategy(Strategy::Rejection(config))
 //!     .build()?;
 //! let mut rng = SujRng::seed_from_u64(7);
 //! let first_three: Vec<Tuple> = SampleStream::over(&mut sampler, &mut rng)
@@ -128,7 +129,7 @@ mod tests {
     use super::*;
     use crate::algorithm1::{CoverPolicy, SetUnionSampler, UnionSamplerConfig};
     use crate::exact::full_join_union;
-    use crate::session::{shared_samplers, Estimator, SamplerBuilder};
+    use crate::session::{shared_samplers, Estimator, SamplerBuilder, Strategy};
     use crate::workload::UnionWorkload;
     use std::sync::Arc;
     use suj_storage::{Relation, Schema, Value};
@@ -163,9 +164,13 @@ mod tests {
     /// Algorithm 1 with the never-retracting oracle policy over exact
     /// parameters.
     fn oracle_sampler(w: Arc<UnionWorkload>) -> Box<dyn UnionSampler + Send> {
+        let config = UnionSamplerConfig {
+            estimator: Estimator::Exact,
+            policy: CoverPolicy::MembershipOracle,
+            ..Default::default()
+        };
         SamplerBuilder::for_workload(w)
-            .estimator(Estimator::Exact)
-            .cover_policy(CoverPolicy::MembershipOracle)
+            .strategy(Strategy::Rejection(config))
             .build()
             .unwrap()
     }
@@ -207,7 +212,7 @@ mod tests {
         // A zero overlap map → empty union → draw errors.
         let map = crate::overlap::OverlapMap::new(2, vec![0.0; 4]).unwrap();
         let config = UnionSamplerConfig::default();
-        let samplers = shared_samplers(&w, config.weights).unwrap();
+        let samplers = shared_samplers(&w, suj_join::WeightKind::Exact).unwrap();
         let mut sampler = SetUnionSampler::new(w, &map, config, samplers, None).unwrap();
         let mut rng = SujRng::seed_from_u64(3);
         let mut stream = SampleStream::over(&mut sampler, &mut rng);

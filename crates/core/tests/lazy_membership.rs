@@ -122,12 +122,16 @@ fn probing_plans_are_indexed_by_the_freeze() {
             b.strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
         }),
         ("rejection + membership-oracle cover", |b| {
-            b.strategy(Strategy::Rejection)
-                .cover_policy(CoverPolicy::MembershipOracle)
+            b.strategy(Strategy::Rejection(UnionSamplerConfig {
+                policy: CoverPolicy::MembershipOracle,
+                ..Default::default()
+            }))
         }),
         ("walk estimator", |b| {
-            b.strategy(Strategy::Rejection)
-                .estimator(Estimator::Walk(WalkEstimatorConfig::default()))
+            b.strategy(Strategy::Rejection(UnionSamplerConfig {
+                estimator: Estimator::Walk(WalkEstimatorConfig::default()),
+                ..Default::default()
+            }))
         }),
     ];
     for (name, configure) in configurations {

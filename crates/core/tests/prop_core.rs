@@ -133,11 +133,7 @@ proptest! {
         let exact = full_join_union(&w).unwrap();
         let truth = exact.union_size() as f64;
         prop_assert!((exact.overlap.union_size() - truth).abs() < 1e-6);
-        for strategy in [
-            CoverStrategy::AsGiven,
-            CoverStrategy::DescendingSize,
-            CoverStrategy::AscendingSize,
-        ] {
+        for strategy in [CoverStrategy::AsGiven, CoverStrategy::DescendingSize] {
             let cover = Cover::build(&exact.overlap, strategy);
             prop_assert!((cover.union_size() - truth).abs() < 1e-6);
             // Cover sizes never exceed their join sizes.
@@ -154,9 +150,13 @@ proptest! {
         prop_assume!(!exact.union_set.is_empty());
         let w = Arc::new(w);
         for policy in [CoverPolicy::Record, CoverPolicy::MembershipOracle] {
+            let config = UnionSamplerConfig {
+                estimator: Estimator::Exact,
+                policy,
+                ..Default::default()
+            };
             let mut sampler = SamplerBuilder::for_workload(w.clone())
-                .estimator(Estimator::Exact)
-                .cover_policy(policy)
+                .strategy(suj_core::session::Strategy::Rejection(config))
                 .build()
                 .unwrap();
             let mut rng = SujRng::seed_from_u64(seed);
@@ -192,7 +192,6 @@ proptest! {
         prop_assume!(exact.join_size(0) + exact.join_size(1) > 0);
         let w = Arc::new(w);
         let mut sampler = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
             .strategy(suj_core::session::Strategy::Disjoint)
             .build()
             .unwrap();

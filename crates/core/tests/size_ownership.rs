@@ -72,7 +72,7 @@ fn freeze_reads_sizes_where_they_are_computed() {
         (Some(Sizing::Exact), 0)
     );
     // …and bound-only members are selected by the bounds their samplers
-    // reject against, whatever the configured estimator.
+    // reject against: these strategies take no estimator.
     assert_eq!(
         freeze(|b| {
             b.strategy(Strategy::Disjoint)
@@ -84,7 +84,6 @@ fn freeze_reads_sizes_where_they_are_computed() {
         freeze(|b| {
             b.strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
                 .weights(WeightKind::WanderJoin)
-                .estimator(Estimator::Exact)
         }),
         (Some(Sizing::Bound), 0)
     );
@@ -93,16 +92,22 @@ fn freeze_reads_sizes_where_they_are_computed() {
     assert_eq!(freeze(|b| b), (Some(Sizing::Histogram), 1));
     assert_eq!(
         freeze(|b| {
-            b.estimator(Estimator::Histogram(HistogramOptions {
-                exact_size_hints: true,
+            b.strategy(Strategy::Rejection(UnionSamplerConfig {
+                estimator: Estimator::Histogram(HistogramOptions {
+                    exact_size_hints: true,
+                }),
+                ..Default::default()
             }))
         }),
         (Some(Sizing::Exact), 1)
     );
     assert_eq!(
         freeze(|b| {
-            b.estimator(Estimator::Walk(WalkEstimatorConfig {
-                max_walks_per_join: 100,
+            b.strategy(Strategy::Rejection(UnionSamplerConfig {
+                estimator: Estimator::Walk(WalkEstimatorConfig {
+                    max_walks_per_join: 100,
+                    ..Default::default()
+                }),
                 ..Default::default()
             }))
         }),

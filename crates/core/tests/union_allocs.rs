@@ -125,20 +125,26 @@ fn measure(sampler: &mut dyn UnionSampler, rng: &mut SujRng, events: usize) -> (
     (allocations, counts)
 }
 
+/// Algorithm 1 over exact parameters under the given cover policy.
+fn algorithm1(policy: CoverPolicy) -> Strategy {
+    Strategy::Rejection(UnionSamplerConfig {
+        estimator: Estimator::Exact,
+        policy,
+        ..Default::default()
+    })
+}
+
 #[test]
 fn a_warm_union_handle_allocates_the_tuple_and_nothing_else() {
     let w = workload();
     let distinct = full_join_union(&w).unwrap().union_size() as u64;
     const EVENTS: usize = 4_000;
-    let build = |strategy: Strategy, cover: Option<CoverPolicy>| {
-        let mut builder = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
+    let build = |strategy: Strategy| {
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
             .strategy(strategy)
-            .weights(WeightKind::ExtendedOlken);
-        if let Some(policy) = cover {
-            builder = builder.cover_policy(policy);
-        }
-        let mut sampler = builder.build().unwrap();
+            .weights(WeightKind::ExtendedOlken)
+            .build()
+            .unwrap();
         let mut rng = SujRng::seed_from_u64(11);
         // Warm-up: sizes the row-id scratch and the event queue.
         measure(sampler.as_mut(), &mut rng, 64);
@@ -147,20 +153,18 @@ fn a_warm_union_handle_allocates_the_tuple_and_nothing_else() {
 
     // Samplers with no record: exactly one allocation per gathered
     // tuple, none per rejected attempt.
-    for (name, strategy, cover) in [
-        ("disjoint", Strategy::Disjoint, None),
+    for (name, strategy) in [
+        ("disjoint", Strategy::Disjoint),
         (
             "bernoulli(oracle)",
             Strategy::Bernoulli(DesignationPolicy::Oracle),
-            None,
         ),
         (
             "algorithm 1 (oracle cover)",
-            Strategy::Rejection,
-            Some(CoverPolicy::MembershipOracle),
+            algorithm1(CoverPolicy::MembershipOracle),
         ),
     ] {
-        let (mut sampler, mut rng) = build(strategy, cover);
+        let (mut sampler, mut rng) = build(strategy);
         let (allocations, counts) = measure(sampler.as_mut(), &mut rng, EVENTS);
         assert_eq!(counts.accepted, EVENTS as u64, "{name}");
         assert!(counts.rejected_join > 0, "{name}: EO must reject attempts");
@@ -180,21 +184,19 @@ fn a_warm_union_handle_allocates_the_tuple_and_nothing_else() {
     // table doublings, and for Algorithm 1 the live-copy list of each
     // distinct tuple (doubling as copies accumulate).
     let doublings = u64::from(usize::BITS - EVENTS.leading_zeros());
-    for (name, strategy, cover, growth) in [
+    for (name, strategy, growth) in [
         (
             "bernoulli(record)",
             Strategy::Bernoulli(DesignationPolicy::Record),
-            None,
             doublings,
         ),
         (
             "algorithm 1 (record cover)",
-            Strategy::Rejection,
-            Some(CoverPolicy::Record),
+            algorithm1(CoverPolicy::Record),
             doublings + distinct * doublings,
         ),
     ] {
-        let (mut sampler, mut rng) = build(strategy, cover);
+        let (mut sampler, mut rng) = build(strategy);
         let (allocations, counts) = measure(sampler.as_mut(), &mut rng, EVENTS);
         assert!(
             counts.rejected_join > 0 && counts.rejected_cover > 0,
@@ -218,7 +220,6 @@ fn a_warm_union_handle_allocates_the_tuple_and_nothing_else() {
     // (the call report's per-join draw counts and the batch vector).
     // Folding the call's report copies no label and allocates nothing.
     let prepared = SamplerBuilder::for_workload(w.clone())
-        .estimator(Estimator::Exact)
         .strategy(Strategy::Disjoint)
         .weights(WeightKind::ExtendedOlken)
         .freeze()

@@ -77,11 +77,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Sample across the heterogeneous schemas through the builder:
     // the hist+EW configuration in one fluent pipeline. ---
-    let mut sampler = SamplerBuilder::for_workload(workload.clone())
-        .estimator(Estimator::Histogram(HistogramOptions {
+    let config = UnionSamplerConfig {
+        estimator: Estimator::Histogram(HistogramOptions {
             exact_size_hints: true,
-        }))
-        .strategy(Strategy::Rejection)
+        }),
+        ..Default::default()
+    };
+    let mut sampler = SamplerBuilder::for_workload(workload.clone())
+        .strategy(Strategy::Rejection(config))
         .build()?;
     let mut rng = SujRng::seed_from_u64(3);
     let (samples, report) = sampler.sample(12, &mut rng)?;

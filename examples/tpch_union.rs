@@ -50,8 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Sample with random-walk parameters (EW subroutine): the
     // builder owns estimation, cover construction, and sampling. ---
+    let config = UnionSamplerConfig {
+        estimator: Estimator::Walk(WalkEstimatorConfig::default()),
+        ..Default::default()
+    };
     let mut sampler = SamplerBuilder::for_workload(workload.clone())
-        .estimator(Estimator::Walk(WalkEstimatorConfig::default()))
+        .strategy(Strategy::Rejection(config))
         .estimation_seed(1)
         .weights(WeightKind::Exact)
         .build()?;

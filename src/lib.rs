@@ -10,8 +10,9 @@
 //! The declarative entry point is [`Catalog`] → [`UnionQuery`] →
 //! [`Engine`]: register relations by name (in memory, CSV, or TPC-H via
 //! [`CatalogTpchExt`]), describe the union of joins, and let the
-//! engine's planner choose estimator, strategy, cover, and predicate
-//! mode. `SamplerBuilder` remains the thin explicit-configuration path.
+//! engine's planner choose the strategy (for Algorithm 1, with its
+//! estimator and cover), weights and predicate mode. `SamplerBuilder`
+//! remains the thin explicit-configuration path.
 //!
 //! For concurrent serving, `Engine::prepare` yields a shareable
 //! `Arc<PreparedQuery>` (estimation paid once, handles minted per
@@ -46,6 +47,11 @@ pub use suj_net::{FaultConfig, FaultPlan};
 
 use suj_core::error::CoreError;
 use suj_tpch::TpchConfig;
+
+// The README's Rust blocks compile and run as this crate's doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 /// TPC-H loader hook for the engine's [`Catalog`]: registers the
 /// deterministic generator's base tables (`region`, `nation`,

@@ -8,15 +8,26 @@ use std::sync::Arc;
 use suj_core::walk_estimator::WalkEstimatorConfig;
 use suj_join::WeightKind;
 
+/// Algorithm 1 with the given estimator and cover policy.
+fn rejection(estimator: Estimator, policy: CoverPolicy) -> Strategy {
+    Strategy::Rejection(UnionSamplerConfig {
+        estimator,
+        policy,
+        ..Default::default()
+    })
+}
+
 /// Decentralized pipeline: histogram parameters only (no data access
 /// beyond statistics), EO subroutine — the data-market configuration.
 #[test]
 fn decentralized_pipeline_histogram_eo() {
     let w = Arc::new(uq1(&UqOptions::new(1, 41, 0.2)).unwrap());
     let mut sampler = SamplerBuilder::for_workload(w.clone())
-        .estimator(Estimator::Histogram(HistogramOptions::default()))
+        .strategy(rejection(
+            Estimator::Histogram(HistogramOptions::default()),
+            CoverPolicy::Record,
+        ))
         .weights(WeightKind::ExtendedOlken)
-        .cover_policy(CoverPolicy::Record)
         .build()
         .unwrap();
     let mut rng = SujRng::seed_from_u64(1);
@@ -44,9 +55,11 @@ fn reports_carry_prepared_footprint_bytes() {
         "workload must have a measurable footprint"
     );
     let mut sampler = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Histogram(HistogramOptions::default()))
+        .strategy(rejection(
+            Estimator::Histogram(HistogramOptions::default()),
+            CoverPolicy::Record,
+        ))
         .weights(WeightKind::ExtendedOlken)
-        .cover_policy(CoverPolicy::Record)
         .build()
         .unwrap();
     let total = sampler.report().prepared_bytes;
@@ -72,7 +85,10 @@ fn reports_carry_prepared_footprint_bytes() {
 fn centralized_pipeline_random_walk_ew() {
     let w = Arc::new(uq3(&UqOptions::new(1, 42, 0.3)).unwrap());
     let mut sampler = SamplerBuilder::for_workload(w.clone())
-        .estimator(Estimator::Walk(WalkEstimatorConfig::default()))
+        .strategy(rejection(
+            Estimator::Walk(WalkEstimatorConfig::default()),
+            CoverPolicy::Record,
+        ))
         .estimation_seed(2)
         .weights(WeightKind::Exact)
         .build()
@@ -128,8 +144,7 @@ fn online_pipeline_all_workloads() {
 fn sampling_cost_within_theorem2_bound() {
     let w = Arc::new(uq2(&UqOptions::new(1, 44, 0.2)).unwrap());
     let mut sampler = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Exact)
-        .cover_policy(CoverPolicy::MembershipOracle)
+        .strategy(rejection(Estimator::Exact, CoverPolicy::MembershipOracle))
         .build()
         .unwrap();
     let mut rng = SujRng::seed_from_u64(4);
@@ -151,7 +166,7 @@ fn sampling_is_with_replacement() {
     let exact = full_join_union(&w).unwrap();
     let u = exact.union_size();
     let mut sampler = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Exact)
+        .strategy(rejection(Estimator::Exact, CoverPolicy::Record))
         .build()
         .unwrap();
     let mut rng = SujRng::seed_from_u64(5);
@@ -170,7 +185,7 @@ fn runs_are_reproducible() {
     let w = Arc::new(uq1(&UqOptions::new(1, 46, 0.2)).unwrap());
     let run = |seed: u64| {
         let mut sampler = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
+            .strategy(rejection(Estimator::Exact, CoverPolicy::Record))
             .build()
             .unwrap();
         let mut rng = SujRng::seed_from_u64(seed);
@@ -187,8 +202,7 @@ fn streaming_supports_early_stop() {
     let w = Arc::new(uq1(&UqOptions::new(1, 48, 0.2)).unwrap());
     let exact = full_join_union(&w).unwrap();
     let mut sampler = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Exact)
-        .cover_policy(CoverPolicy::MembershipOracle)
+        .strategy(rejection(Estimator::Exact, CoverPolicy::MembershipOracle))
         .build()
         .unwrap();
     let mut rng = SujRng::seed_from_u64(6);

@@ -8,7 +8,8 @@
 //!   checksum of the whole batch, so a refactor of the construction
 //!   path cannot drift a stream unnoticed. Samplers that never retract
 //!   also get stream-vs-batch parity.
-//! * **One case per plan rule.** A fresh `Engine::prepare`, a
+//! * **One case per plan rule**, and one more for the only plan that
+//!   estimates by random walks. A fresh `Engine::prepare`, a
 //!   catalog-free freeze (`PreparedQuery::auto` wherever the default
 //!   planner reaches the rule, else the builder configured as the plan
 //!   names) and a
@@ -50,6 +51,15 @@ fn checksum(tuples: &[Tuple]) -> u64 {
     })
 }
 
+/// Algorithm 1 with the given estimator and cover policy.
+fn rejection(estimator: Estimator, policy: CoverPolicy) -> Strategy {
+    Strategy::Rejection(UnionSamplerConfig {
+        estimator,
+        policy,
+        ..Default::default()
+    })
+}
+
 /// Asserts a batch equals the recorded one: first tuple verbatim (a
 /// readable failure) and the checksum of all of it.
 #[track_caller]
@@ -63,8 +73,7 @@ fn algorithm1_oracle_builder_and_stream_match_legacy() {
     let w = workload();
     let build = || {
         SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
-            .cover_policy(CoverPolicy::MembershipOracle)
+            .strategy(rejection(Estimator::Exact, CoverPolicy::MembershipOracle))
             .build()
             .unwrap()
     };
@@ -85,8 +94,7 @@ fn algorithm1_record_builder_matches_legacy() {
     // rejections and revisions) actually fires here.
     let w = Arc::new(uq2(&UqOptions::new(1, 62, 0.2)).expect("uq2"));
     let mut via_builder = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Exact)
-        .cover_policy(CoverPolicy::Record)
+        .strategy(rejection(Estimator::Exact, CoverPolicy::Record))
         .build()
         .unwrap();
     let out = batch(&mut via_builder, 300, 8);
@@ -108,12 +116,14 @@ fn algorithm1_walk_estimator_builder_matches_legacy() {
     // constructor; the builder's estimation seed must drive the same
     // warm-up.
     let mut via_builder = SamplerBuilder::for_workload(workload())
-        .estimator(Estimator::Walk(WalkEstimatorConfig {
-            max_walks_per_join: 300,
-            ..Default::default()
-        }))
+        .strategy(rejection(
+            Estimator::Walk(WalkEstimatorConfig {
+                max_walks_per_join: 300,
+                ..Default::default()
+            }),
+            CoverPolicy::MembershipOracle,
+        ))
         .estimation_seed(123)
-        .cover_policy(CoverPolicy::MembershipOracle)
         .build()
         .unwrap();
     assert_golden(
@@ -148,7 +158,6 @@ fn bernoulli_builder_and_stream_match_legacy() {
     let w = workload();
     let build = || {
         SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
             .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
             .build()
             .unwrap()
@@ -167,7 +176,6 @@ fn disjoint_builder_and_stream_match_legacy() {
     let w = workload();
     let build = || {
         SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
             .strategy(Strategy::Disjoint)
             .build()
             .unwrap()
@@ -196,41 +204,42 @@ fn reject_mode_filters_every_strategy() {
     let compiled = pred.compile(w.canonical_schema()).unwrap();
     let first = "[1, AMERICA, 6, FRANCE, 4, 865955, Supplier#000000004, 4, 2426, \
                  blanched steel, PROMO PLATED TIN, 31]";
-    let record = Some(CoverPolicy::Record);
-    let oracle = Some(CoverPolicy::MembershipOracle);
     let designated = Strategy::Bernoulli;
     let cases = [
-        (Strategy::Rejection, record, 0xfb41f9027a3112a4, 190),
-        (Strategy::Rejection, oracle, 0xe7100ec7725de9c5, 173),
-        (Strategy::Disjoint, None, 0x87debf207f5c30ea, 214),
+        (
+            rejection(Estimator::Exact, CoverPolicy::Record),
+            0xfb41f9027a3112a4,
+            190,
+        ),
+        (
+            rejection(Estimator::Exact, CoverPolicy::MembershipOracle),
+            0xe7100ec7725de9c5,
+            173,
+        ),
+        (Strategy::Disjoint, 0x87debf207f5c30ea, 214),
         (
             designated(DesignationPolicy::Record),
-            None,
             0xf098c962389b0efa,
             162,
         ),
         (
             designated(DesignationPolicy::Oracle),
-            None,
             0xa9860d3b7c092e00,
             154,
         ),
     ];
-    for (strategy, cover, sum, rejected) in cases {
-        let mut builder = SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
+    for (strategy, sum, rejected) in cases {
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
             .strategy(strategy)
-            .predicate(pred.clone(), PredicateMode::Reject);
-        if let Some(policy) = cover {
-            builder = builder.cover_policy(policy);
-        }
-        let mut sampler = builder.build().unwrap();
+            .predicate(pred.clone(), PredicateMode::Reject)
+            .build()
+            .unwrap();
         let out = batch(&mut sampler, 200, 13);
-        assert!(out.iter().all(|t| compiled.eval(t)), "{strategy} {cover:?}");
+        assert!(out.iter().all(|t| compiled.eval(t)), "{strategy:?}");
         assert_eq!(
             sampler.report().rejected_predicate,
             rejected,
-            "{strategy} {cover:?}"
+            "{strategy:?}"
         );
         assert_golden(&out, first, sum);
     }
@@ -244,8 +253,7 @@ fn repeated_batches_continue_deterministically() {
     let w = workload();
     let build = || {
         SamplerBuilder::for_workload(w.clone())
-            .estimator(Estimator::Exact)
-            .cover_policy(CoverPolicy::MembershipOracle)
+            .strategy(rejection(Estimator::Exact, CoverPolicy::MembershipOracle))
             .build()
             .unwrap()
     };
@@ -329,6 +337,35 @@ fn triangles() -> Catalog {
     catalog
 }
 
+/// [`triangles`] over the symmetric edges of one G(`vertices`, ¼)
+/// random graph, `z2` keeping the edges among the first half of the
+/// vertices: past the exact-estimation threshold at 64 vertices.
+fn graph_triangles(vertices: i64) -> Catalog {
+    let mut rng = SujRng::seed_from_u64(2023);
+    let mut edges = Vec::new();
+    for u in 0..vertices {
+        for v in (u + 1)..vertices {
+            if rng.bernoulli(0.25) {
+                edges.extend([[u, v], [v, u]]);
+            }
+        }
+    }
+    let hub = edges
+        .iter()
+        .copied()
+        .filter(|e| e.iter().all(|&v| v < vertices / 2));
+    let mut catalog = Catalog::new();
+    for rel in [
+        relation("x", ["a", "b"], edges.iter().copied()),
+        relation("y", ["b", "c"], edges.iter().copied()),
+        relation("z", ["c", "a"], edges.iter().copied()),
+        relation("z2", ["c", "a"], hub),
+    ] {
+        catalog.register(rel).unwrap();
+    }
+    catalog
+}
+
 struct RuleCase {
     rule: PlanRule,
     planner: Planner,
@@ -352,7 +389,7 @@ fn rule_cases() -> Vec<RuleCase> {
             query: chain_union(UnionQuery::disjoint_union(), &["p", "q"]),
             auto: false,
             golden: (
-                "strategy=disjoint estimator=exact weights=exact sizing=exact \
+                "strategy=disjoint weights=exact sizing=exact \
                  rule=disjoint-semantics",
                 "[8, 8, 108]",
                 0xebd5c6e72c4b77f9,
@@ -375,6 +412,26 @@ fn rule_cases() -> Vec<RuleCase> {
                 0x3bb3a421927c63b0,
             ),
         },
+        // Without statistics and past the exact-estimation threshold,
+        // Algorithm 1's parameters come from random walks: the one plan
+        // that emits `Estimator::Walk`.
+        RuleCase {
+            rule: PlanRule::CyclicJoin,
+            planner: Planner::without_statistics(),
+            catalog: graph_triangles(64),
+            query: UnionQuery::set_union()
+                .join(JoinDef::natural("t1", ["x", "y", "z"]))
+                .unwrap()
+                .join(JoinDef::natural("t2", ["x", "y", "z2"]))
+                .unwrap(),
+            auto: false,
+            golden: (
+                "strategy=rejection estimator=walk weights=agm-box cover=as-given \
+                 sizing=walk rule=cyclic-join",
+                "[9, 48, 34]",
+                0x82f52c808a0149b6,
+            ),
+        },
         RuleCase {
             rule: PlanRule::SingleJoin,
             planner: Planner::default(),
@@ -382,7 +439,7 @@ fn rule_cases() -> Vec<RuleCase> {
             query: chain_union(UnionQuery::set_union(), &["p"]),
             auto: true,
             golden: (
-                "strategy=disjoint estimator=exact weights=exact sizing=exact rule=single-join",
+                "strategy=disjoint weights=exact sizing=exact rule=single-join",
                 "[2, 2, 102]",
                 0xcf5a54dc8bb90333,
             ),
@@ -394,7 +451,7 @@ fn rule_cases() -> Vec<RuleCase> {
             query: chain_union(UnionQuery::set_union(), &["p", "q"]),
             auto: false,
             golden: (
-                "strategy=bernoulli(oracle) estimator=exact weights=exact sizing=exact \
+                "strategy=bernoulli(oracle) weights=exact sizing=exact \
                  rule=no-statistics",
                 "[1, 1, 101]",
                 0x49dbff8133680ace,
@@ -410,7 +467,7 @@ fn rule_cases() -> Vec<RuleCase> {
             query: chain_union(UnionQuery::set_union(), &["p", "q"]),
             auto: true,
             golden: (
-                "strategy=bernoulli(record) estimator=histogram(EO) weights=exact \
+                "strategy=bernoulli(record) weights=exact \
                  sizing=exact rule=low-overlap",
                 "[1057, 1017, 1117]",
                 0x49dd6e2f6252190d,
@@ -453,9 +510,6 @@ fn every_plan_rule_agrees_across_prepare_builder_and_restore() {
         } else {
             let plan = fresh.plan();
             let mut builder = SamplerBuilder::for_workload(workload).strategy(plan.strategy);
-            if let Some(estimator) = plan.estimator {
-                builder = builder.estimator(estimator);
-            }
             if let Some(weights) = plan.weights {
                 builder = builder.weights(weights);
             }
@@ -509,8 +563,7 @@ fn chi_squared_uniformity_through_trait_object() {
     let exact = full_join_union(&w).unwrap();
     let universe: Vec<Tuple> = exact.union_set.iter().cloned().collect();
     let mut sampler: Box<dyn UnionSampler> = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Exact)
-        .cover_policy(CoverPolicy::MembershipOracle)
+        .strategy(rejection(Estimator::Exact, CoverPolicy::MembershipOracle))
         .build()
         .unwrap();
     let mut rng = SujRng::seed_from_u64(15);

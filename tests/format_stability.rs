@@ -145,7 +145,7 @@ const GOLDENS: &[(&str, &[(&str, u64)])] = &[
     (
         SNAPSHOT,
         &[(
-            "strategy=bernoulli(record) estimator=histogram(EO) weights=exact sizing=exact \
+            "strategy=bernoulli(record) weights=exact sizing=exact \
              rule=low-overlap",
             0x309c00f1cf44cb9a,
         )],
@@ -159,12 +159,12 @@ const GOLDENS: &[(&str, &[(&str, u64)])] = &[
                 0x7b224edeaaddebc5,
             ),
             (
-                "strategy=disjoint estimator=histogram(EO) weights=exact sizing=exact \
+                "strategy=disjoint weights=exact sizing=exact \
                  rule=disjoint-semantics",
                 0x7b4c3712cb4ed924,
             ),
             (
-                "strategy=disjoint estimator=histogram(EO) weights=exact sizing=exact \
+                "strategy=disjoint weights=exact sizing=exact \
                  rule=single-join",
                 0x7b224edeaaddebc5,
             ),
@@ -174,7 +174,7 @@ const GOLDENS: &[(&str, &[(&str, u64)])] = &[
                 0x5236b23a38b49042,
             ),
             (
-                "strategy=bernoulli(record) estimator=exact weights=exact sizing=exact \
+                "strategy=bernoulli(record) weights=exact sizing=exact \
                  rule=low-overlap",
                 0x5d6851ae87203b51,
             ),
@@ -202,12 +202,12 @@ const GOLDENS: &[(&str, &[(&str, u64)])] = &[
         RULES_NO_STATISTICS,
         &[
             (
-                "strategy=bernoulli(oracle) estimator=walk weights=exact sizing=exact \
+                "strategy=bernoulli(oracle) weights=exact sizing=exact \
                  rule=no-statistics",
                 0x7b4c3712cb4ed924,
             ),
             (
-                "strategy=disjoint estimator=walk weights=exact sizing=exact \
+                "strategy=disjoint weights=exact sizing=exact \
                  rule=disjoint-semantics",
                 0x7b4c3712cb4ed924,
             ),

@@ -75,16 +75,10 @@ fn assert_auto_matches_explicit(workload: Arc<UnionWorkload>, seed: u64) {
     let mut auto = auto_sampler(workload.clone());
 
     // Explicit path: exactly the knobs the plan names, via the public
-    // setters.
+    // setters (Algorithm 1's estimator and cover ride in its strategy).
     let mut builder = SamplerBuilder::for_workload(workload).strategy(plan.strategy);
-    if let Some(est) = plan.estimator {
-        builder = builder.estimator(est);
-    }
     if let Some(w) = plan.weights {
         builder = builder.weights(w);
-    }
-    if let Some(cs) = plan.cover_strategy {
-        builder = builder.cover_strategy(cs);
     }
     let mut explicit = builder.build().unwrap();
 
@@ -118,7 +112,7 @@ fn auto_matches_explicit_on_high_overlap() {
     let w = high_overlap_workload();
     let plan = Planner::default().plan(&w, UnionSemantics::Set);
     assert_eq!(plan.rule, PlanRule::HighOverlap);
-    assert!(matches!(plan.strategy, SujStrategy::Rejection));
+    assert!(matches!(plan.strategy, SujStrategy::Rejection(_)));
     assert_auto_matches_explicit(w, 202);
 }
 
@@ -139,17 +133,35 @@ fn auto_matches_explicit_on_empty_join() {
 
 #[test]
 fn auto_with_probed_map_matches_fresh_estimation() {
-    // UQ1 at scale 1 exceeds the exact-estimation row threshold, so
-    // the planner selects histogram estimation and hands its probed
-    // overlap map to the build; the explicit path re-estimates from
-    // scratch. Seed-for-seed equality proves the reused map is
-    // identical to a fresh estimation.
-    let w = Arc::new(uq1(&UqOptions::new(1, 7, 0.2)).unwrap());
+    // Two identical 320-row chains overlap fully and exceed the
+    // exact-estimation row threshold, so the planner selects Algorithm
+    // 1 over histogram estimation and hands its probed overlap map to
+    // the build; the explicit path re-estimates from scratch.
+    // Seed-for-seed equality proves the reused map is identical to a
+    // fresh estimation.
+    let side = |name| {
+        chain_join(
+            name,
+            (0..300).map(|i| vec![i, i % 20]).collect(),
+            (0..20).map(|b| vec![b, 100 + b]).collect(),
+        )
+    };
+    let w = Arc::new(UnionWorkload::new(vec![side("j1"), side("j2")]).unwrap());
     let plan = Planner::default().plan(&w, UnionSemantics::Set);
     assert!(matches!(
-        plan.estimator,
-        Some(suj_core::session::Estimator::Histogram(_))
+        plan.strategy,
+        SujStrategy::Rejection(UnionSamplerConfig {
+            estimator: suj_core::session::Estimator::Histogram(_),
+            ..
+        })
     ));
+    assert_auto_matches_explicit(w, 404);
+
+    // UQ1 at scale 1 is past the threshold too, but barely overlaps:
+    // its union-trick plan estimates nothing, and replays as well.
+    let w = Arc::new(uq1(&UqOptions::new(1, 7, 0.2)).unwrap());
+    let plan = Planner::default().plan(&w, UnionSemantics::Set);
+    assert_eq!(plan.summary().estimator, None);
     assert_auto_matches_explicit(w, 404);
 }
 

@@ -14,6 +14,15 @@ use std::sync::Arc;
 use suj_join::WeightKind;
 use suj_storage::FxHashMap;
 
+/// Algorithm 1 over exact parameters under the given cover policy.
+fn exact_rejection(policy: CoverPolicy) -> Strategy {
+    Strategy::Rejection(UnionSamplerConfig {
+        estimator: Estimator::Exact,
+        policy,
+        ..Default::default()
+    })
+}
+
 fn assert_uniform(
     workload: &Arc<UnionWorkload>,
     configure: impl FnOnce(SamplerBuilder) -> SamplerBuilder,
@@ -25,10 +34,9 @@ fn assert_uniform(
     let universe: Vec<Tuple> = exact.union_set.iter().cloned().collect();
     assert!(universe.len() >= 4, "universe too small to test");
 
-    let mut sampler =
-        configure(SamplerBuilder::for_workload(workload.clone()).estimator(Estimator::Exact))
-            .build()
-            .expect("build");
+    let mut sampler = configure(SamplerBuilder::for_workload(workload.clone()))
+        .build()
+        .expect("build");
     let mut rng = SujRng::seed_from_u64(seed);
     let n = draws_per_tuple * universe.len();
     let (samples, _) = sampler.sample(n, &mut rng).expect("sampling");
@@ -60,7 +68,7 @@ fn uq1_uniform_with_oracle_policy_and_exact_weights() {
         &w,
         |b| {
             b.weights(WeightKind::Exact)
-                .cover_policy(CoverPolicy::MembershipOracle)
+                .strategy(exact_rejection(CoverPolicy::MembershipOracle))
         },
         1,
         400,
@@ -75,7 +83,7 @@ fn uq1_uniform_with_record_policy() {
         &w,
         |b| {
             b.weights(WeightKind::Exact)
-                .cover_policy(CoverPolicy::Record)
+                .strategy(exact_rejection(CoverPolicy::Record))
         },
         2,
         400,
@@ -88,7 +96,7 @@ fn uq2_uniform_under_high_overlap() {
     let w = Arc::new(uq2(&UqOptions::new(1, 22, 0.2)).expect("uq2"));
     assert_uniform(
         &w,
-        |b| b.cover_policy(CoverPolicy::MembershipOracle),
+        |b| b.strategy(exact_rejection(CoverPolicy::MembershipOracle)),
         3,
         400,
         1e-3,
@@ -102,7 +110,7 @@ fn uq2_uniform_with_extended_olken_subroutine() {
         &w,
         |b| {
             b.weights(WeightKind::ExtendedOlken)
-                .cover_policy(CoverPolicy::MembershipOracle)
+                .strategy(exact_rejection(CoverPolicy::MembershipOracle))
         },
         4,
         400,
@@ -115,7 +123,7 @@ fn uq3_uniform_across_heterogeneous_schemas() {
     let w = Arc::new(uq3(&UqOptions::new(1, 23, 0.4)).expect("uq3"));
     assert_uniform(
         &w,
-        |b| b.cover_policy(CoverPolicy::MembershipOracle),
+        |b| b.strategy(exact_rejection(CoverPolicy::MembershipOracle)),
         5,
         400,
         1e-3,
@@ -128,8 +136,11 @@ fn uq3_uniform_with_descending_cover() {
     assert_uniform(
         &w,
         |b| {
-            b.cover_policy(CoverPolicy::MembershipOracle)
-                .cover_strategy(CoverStrategy::DescendingSize)
+            b.strategy(Strategy::Rejection(UnionSamplerConfig {
+                estimator: Estimator::Exact,
+                policy: CoverPolicy::MembershipOracle,
+                strategy: CoverStrategy::DescendingSize,
+            }))
         },
         6,
         400,
@@ -142,7 +153,6 @@ fn bernoulli_union_trick_uniform_on_uq3() {
     let w = Arc::new(uq3(&UqOptions::new(1, 24, 0.4)).expect("uq3"));
     let exact = full_join_union(&w).expect("ground truth");
     let mut sampler = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Exact)
         .strategy(Strategy::Bernoulli(DesignationPolicy::Oracle))
         .build()
         .expect("sampler");
@@ -171,7 +181,6 @@ fn disjoint_union_weights_tuples_by_multiplicity() {
     let w = Arc::new(uq2(&UqOptions::new(1, 25, 0.2)).expect("uq2"));
     let exact = full_join_union(&w).expect("ground truth");
     let mut sampler = SamplerBuilder::for_workload(w.clone())
-        .estimator(Estimator::Exact)
         .strategy(Strategy::Disjoint)
         .build()
         .expect("sampler");
@@ -206,7 +215,7 @@ fn uq4_cyclic_joins_sample_uniformly() {
     let w = Arc::new(uq4_cyclic(&UqOptions::new(1, 26, 0.3)).expect("uq4"));
     assert_uniform(
         &w,
-        |b| b.cover_policy(CoverPolicy::MembershipOracle),
+        |b| b.strategy(exact_rejection(CoverPolicy::MembershipOracle)),
         12,
         400,
         1e-3,
@@ -222,7 +231,7 @@ fn uq3_uniform_with_wander_join_subroutine() {
         &w,
         |b| {
             b.weights(WeightKind::WanderJoin)
-                .cover_policy(CoverPolicy::MembershipOracle)
+                .strategy(exact_rejection(CoverPolicy::MembershipOracle))
         },
         13,
         400,
@@ -239,8 +248,7 @@ fn streamed_samples_are_uniform_through_trait_object() {
     let exact = full_join_union(&w).expect("ground truth");
     let universe: Vec<Tuple> = exact.union_set.iter().cloned().collect();
     let mut sampler: Box<dyn UnionSampler> = SamplerBuilder::for_workload(w)
-        .estimator(Estimator::Exact)
-        .cover_policy(CoverPolicy::MembershipOracle)
+        .strategy(exact_rejection(CoverPolicy::MembershipOracle))
         .build()
         .expect("sampler");
     let mut rng = SujRng::seed_from_u64(29);
@@ -359,7 +367,7 @@ fn default_plans() -> Vec<Arc<PreparedQuery>> {
     assert!(disjoint.plan().stats.total_base_rows > 512);
     assert_eq!(
         disjoint.summary().to_string(),
-        "strategy=disjoint estimator=histogram(EO) weights=exact sizing=exact \
+        "strategy=disjoint weights=exact sizing=exact \
          rule=disjoint-semantics"
     );
     // Every member knows its size: there was nothing to estimate.
@@ -371,7 +379,7 @@ fn default_plans() -> Vec<Arc<PreparedQuery>> {
     assert!(owner.plan().stats.total_base_rows > 512);
     assert_eq!(
         owner.summary().to_string(),
-        "strategy=bernoulli(oracle) estimator=walk weights=exact sizing=exact \
+        "strategy=bernoulli(oracle) weights=exact sizing=exact \
          rule=no-statistics"
     );
     assert_eq!(owner.estimations(), 0);
@@ -381,7 +389,7 @@ fn default_plans() -> Vec<Arc<PreparedQuery>> {
         let auto = PreparedQuery::auto(Arc::new(workload)).expect("auto");
         assert_eq!(
             auto.summary().to_string(),
-            "strategy=bernoulli(record) estimator=histogram(EO) weights=exact sizing=exact \
+            "strategy=bernoulli(record) weights=exact sizing=exact \
              rule=low-overlap"
         );
         plans.push(Arc::new(auto));
@@ -488,7 +496,7 @@ fn bound_only_members_sample_the_disjoint_union_by_multiplicity() {
     assert!(prepared.plan().stats.total_base_rows > 512);
     assert_eq!(
         prepared.summary().to_string(),
-        "strategy=disjoint estimator=histogram(EO) weights=agm-box sizing=bound \
+        "strategy=disjoint weights=agm-box sizing=bound \
          rule=disjoint-semantics"
     );
 
