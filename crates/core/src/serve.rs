@@ -12,6 +12,10 @@
 //! * a bounded request queue ([`SamplingService::submit`] applies
 //!   backpressure by blocking; [`try_submit`](SamplingService::try_submit)
 //!   fails fast),
+//! * serving on the caller's thread: [`SamplingService::try_serve`]
+//!   runs a request where it arrives while fewer than `workers`
+//!   requests are running, and hands it back otherwise, so the queue is
+//!   the overflow path and a request with a free slot crosses no thread,
 //! * graceful shutdown ([`SamplingService::shutdown`] drains the queue,
 //!   then joins every worker),
 //! * queue / throughput / latency counters
@@ -19,16 +23,18 @@
 //!
 //! # Determinism contract
 //!
-//! Every request carries a `seed` (defaulting to its `id`). A worker
-//! serves it by minting a fresh handle from the prepared query and
-//! driving it with [`PreparedQuery::rng`]`(request.seed)` — a pure
-//! function of the prepared query (which owns the root seed) and the
-//! request, and the stream [`PreparedQuery::sample`] draws from.
+//! Every request carries a `seed` (defaulting to its `id`). Whichever
+//! thread runs it — a pool worker or the caller — serves it by minting
+//! a fresh handle from the prepared query and driving it with
+//! [`PreparedQuery::rng`]`(request.seed)` — a pure function of the
+//! prepared query (which owns the root seed) and the request, and the
+//! stream [`PreparedQuery::sample`] draws from.
 //! Therefore: **same prepared query + same request seeds ⇒
 //! bit-identical per-request samples**, in-process or served, for any
-//! worker count, any thread interleaving, and any submission order. A
-//! 4-worker service is sample-for-sample equal to a 1-worker service;
-//! only wall time changes.
+//! worker count, any thread interleaving, any submission order, and
+//! either path through the service. A 4-worker service is
+//! sample-for-sample equal to a 1-worker service; only wall time
+//! changes.
 //!
 //! ```
 //! use suj_core::catalog::{Catalog, Engine};
@@ -64,7 +70,7 @@ use crate::query::UnionQuery;
 use crate::report::{LatencyHistogram, RunReport};
 use crate::sampler::UnionSampler;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -146,16 +152,17 @@ pub struct SampleRequest {
     pub seed: u64,
     /// What to sample.
     pub target: RequestTarget,
-    /// Optional deadline: the worker checks it at dequeue and before
-    /// every draw, answering [`CoreError::DeadlineExceeded`] instead
-    /// of running unbounded. `None` (the default) keeps the old
+    /// Optional deadline: checked when the request starts (at dequeue,
+    /// or at admission on the caller's thread) and before every draw,
+    /// answering [`CoreError::DeadlineExceeded`] instead of running
+    /// unbounded. `None` (the default) keeps the old
     /// run-to-completion behavior. A deadline never changes the draw
     /// sequence — a request that finishes in time is bit-identical to
     /// the same request without one.
     pub deadline: Option<Instant>,
-    /// Fault-injection hook (chaos testing only): a worker panics
-    /// instead of serving this request, exercising the pool's panic
-    /// containment end-to-end.
+    /// Fault-injection hook (chaos testing only): the thread running
+    /// this request panics instead of serving it, exercising the
+    /// service's panic containment end-to-end.
     #[cfg(feature = "faults")]
     pub panic_for_test: bool,
 }
@@ -197,7 +204,7 @@ impl SampleRequest {
         self
     }
 
-    /// Sets an absolute deadline; the worker answers
+    /// Sets an absolute deadline; the service answers
     /// [`CoreError::DeadlineExceeded`] once it passes.
     #[must_use = "builder methods return the updated request"]
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
@@ -212,8 +219,8 @@ impl SampleRequest {
         self.with_deadline(Instant::now() + budget)
     }
 
-    /// Fault injection: the worker dequeuing this request panics
-    /// instead of serving it, so tests can prove panic containment
+    /// Fault injection: the thread running this request panics instead
+    /// of serving it, so tests can prove panic containment
     /// (the pool survives, the caller gets a typed error). Only
     /// compiled under the `faults` feature.
     #[cfg(feature = "faults")]
@@ -253,6 +260,10 @@ pub enum SubmitError {
         /// [`SamplingService::retry_after_hint`]).
         retry_after: Duration,
     },
+    /// Every one of the service's `workers` slots is running a request
+    /// ([`SamplingService::try_serve`] only); the request is handed
+    /// back to be queued instead.
+    Saturated(SampleRequest),
     /// The service is shutting down; the request is handed back.
     ShutDown(SampleRequest),
 }
@@ -268,6 +279,13 @@ impl fmt::Display for SubmitError {
                 "request {} rejected: queue full, retry after {retry_after:?}",
                 request.id
             ),
+            SubmitError::Saturated(r) => {
+                write!(
+                    f,
+                    "request {} not run here: every worker slot is busy",
+                    r.id
+                )
+            }
             SubmitError::ShutDown(r) => write!(f, "request {} rejected: shutting down", r.id),
         }
     }
@@ -312,14 +330,20 @@ struct Job {
 
 #[derive(Default)]
 struct Counters {
+    /// Requests running now, on pool workers and callers' threads alike:
+    /// [`SamplingService::try_serve`] admits a request only while this
+    /// is below `workers`. Updated `Relaxed`, like the statistics: it
+    /// bounds how many requests run and publishes no other data.
+    running: AtomicUsize,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
+    busy: AtomicU64,
     tuples_served: AtomicU64,
     /// Per-request reports folded together; its `draw_latency` is the
     /// service-wide latency histogram.
     aggregate: Mutex<RunReport>,
-    /// Service time of each completed request, dequeue to result: what
+    /// Service time of each completed request, start to result: what
     /// one queue slot costs one worker.
     request_latency: Mutex<LatencyHistogram>,
 }
@@ -329,17 +353,21 @@ struct Counters {
 pub struct ServiceStats {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Requests accepted into the queue so far.
+    /// Requests accepted so far, queued or run on a caller's thread.
     pub submitted: u64,
     /// Requests served successfully.
     pub completed: u64,
     /// Requests that errored.
     pub failed: u64,
+    /// Requests [`try_submit`](SamplingService::try_submit) refused as
+    /// [`SubmitError::Busy`] because the queue was full. A refused
+    /// request is not counted in `submitted`.
+    pub busy: u64,
     /// Requests accepted but not yet finished (queued or in flight).
     pub in_flight: u64,
     /// Total tuples across all completed responses.
     pub tuples_served: u64,
-    /// Median service time of a completed request (dequeue to result).
+    /// Median service time of a completed request (start to result).
     pub request_p50: Option<Duration>,
     /// 99th-percentile service time of a completed request.
     pub request_p99: Option<Duration>,
@@ -354,11 +382,12 @@ impl fmt::Display for ServiceStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "workers={} submitted={} completed={} failed={} in_flight={} tuples={}",
+            "workers={} submitted={} completed={} failed={} busy={} in_flight={} tuples={}",
             self.workers,
             self.submitted,
             self.completed,
             self.failed,
+            self.busy,
             self.in_flight,
             self.tuples_served,
         )?;
@@ -410,6 +439,48 @@ fn serve_request(engine: &Engine, request: &SampleRequest) -> Result<SampleRespo
     })
 }
 
+/// Runs one admitted request on the calling thread and keeps the
+/// service's books: the one body behind a pool worker and
+/// [`SamplingService::try_serve`]. A request whose deadline passed
+/// before it started is answered without touching the engine. A panic
+/// is contained into a typed error: the thread must survive (a
+/// shrinking pool would eventually deadlock `submit`), the caller must
+/// get an error, and the counters must balance.
+fn run(
+    engine: &Engine,
+    counters: &Counters,
+    request: &SampleRequest,
+) -> Result<SampleResponse, CoreError> {
+    let started = Instant::now();
+    let result = if request.deadline.is_some_and(|d| started >= d) {
+        Err(CoreError::DeadlineExceeded)
+    } else {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_request(engine, request)
+        }))
+        .unwrap_or_else(|_| {
+            Err(CoreError::Invalid(format!(
+                "request {} panicked while sampling",
+                request.id
+            )))
+        })
+    };
+    match &result {
+        Ok(response) => {
+            counters.completed.fetch_add(1, Ordering::Relaxed);
+            counters
+                .tuples_served
+                .fetch_add(response.tuples.len() as u64, Ordering::Relaxed);
+            lock(&counters.aggregate).merge(&response.report);
+            lock(&counters.request_latency).record(started.elapsed());
+        }
+        Err(_) => {
+            counters.failed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    result
+}
+
 /// A fixed worker pool serving sampling requests over a shared
 /// [`Engine`].
 ///
@@ -419,6 +490,7 @@ fn serve_request(engine: &Engine, request: &SampleRequest) -> Result<SampleRespo
 pub struct SamplingService {
     tx: Option<mpsc::SyncSender<Job>>,
     workers: Vec<thread::JoinHandle<()>>,
+    engine: Arc<Engine>,
     counters: Arc<Counters>,
     config: ServiceConfig,
 }
@@ -441,40 +513,9 @@ impl SamplingService {
                     // siblings serve in parallel.
                     let job = { lock(&rx).recv() };
                     let Ok(job) = job else { return }; // queue closed: graceful exit
-                                                       // A request whose deadline passed while queued is
-                                                       // answered without touching the engine at all.
-                    let dequeued = Instant::now();
-                    let expired = job.request.deadline.is_some_and(|d| dequeued >= d);
-                    // Contain panics from pathological requests: the
-                    // worker must survive (a shrinking pool would
-                    // eventually deadlock submit), the caller must get
-                    // an error, and the counters must balance.
-                    let result = if expired {
-                        Err(CoreError::DeadlineExceeded)
-                    } else {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            serve_request(&engine, &job.request)
-                        }))
-                        .unwrap_or_else(|_| {
-                            Err(CoreError::Invalid(format!(
-                                "request {} panicked while sampling",
-                                job.request.id
-                            )))
-                        })
-                    };
-                    match &result {
-                        Ok(response) => {
-                            counters.completed.fetch_add(1, Ordering::Relaxed);
-                            counters
-                                .tuples_served
-                                .fetch_add(response.tuples.len() as u64, Ordering::Relaxed);
-                            lock(&counters.aggregate).merge(&response.report);
-                            lock(&counters.request_latency).record(dequeued.elapsed());
-                        }
-                        Err(_) => {
-                            counters.failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                    counters.running.fetch_add(1, Ordering::Relaxed);
+                    let result = run(&engine, &counters, &job.request);
+                    counters.running.fetch_sub(1, Ordering::Relaxed);
                     // A caller that dropped its ticket is not an error.
                     let _ = job.reply.send(result);
                 })
@@ -483,6 +524,7 @@ impl SamplingService {
         Self {
             tx: Some(tx),
             workers: handles,
+            engine,
             counters,
             config: ServiceConfig {
                 workers,
@@ -535,12 +577,46 @@ impl SamplingService {
                 self.counters.submitted.fetch_add(1, Ordering::Relaxed);
                 Ok(ticket)
             }
-            Err(mpsc::TrySendError::Full(job)) => Err(SubmitError::Busy {
-                request: job.request,
-                retry_after: self.retry_after_hint(),
-            }),
+            Err(mpsc::TrySendError::Full(job)) => {
+                self.counters.busy.fetch_add(1, Ordering::Relaxed);
+                Err(SubmitError::Busy {
+                    request: job.request,
+                    retry_after: self.retry_after_hint(),
+                })
+            }
             Err(mpsc::TrySendError::Disconnected(job)) => Err(SubmitError::ShutDown(job.request)),
         }
+    }
+
+    /// Serves a request on the calling thread if one of the `workers`
+    /// slots is free, with the pool's deadline check, panic containment
+    /// and counters. Otherwise the request is handed back as
+    /// [`SubmitError::Saturated`], for [`submit`](Self::submit) or
+    /// [`try_submit`](Self::try_submit) to queue; after shutdown it is
+    /// handed back as [`SubmitError::ShutDown`]. The samples are those
+    /// a pool worker would draw for the same request.
+    #[allow(clippy::result_large_err)]
+    pub fn try_serve(
+        &self,
+        request: SampleRequest,
+    ) -> Result<Result<SampleResponse, CoreError>, SubmitError> {
+        if self.tx.is_none() {
+            return Err(SubmitError::ShutDown(request));
+        }
+        let workers = self.config.workers;
+        let claimed =
+            self.counters
+                .running
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |running| {
+                    (running < workers).then_some(running + 1)
+                });
+        if claimed.is_err() {
+            return Err(SubmitError::Saturated(request));
+        }
+        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let result = run(&self.engine, &self.counters, &request);
+        self.counters.running.fetch_sub(1, Ordering::Relaxed);
+        Ok(result)
     }
 
     /// Suggested back-off when the queue is full: the observed median
@@ -599,6 +675,7 @@ impl SamplingService {
             submitted,
             completed,
             failed,
+            busy: self.counters.busy.load(Ordering::Relaxed),
             in_flight: submitted.saturating_sub(completed + failed),
             tuples_served: self.counters.tuples_served.load(Ordering::Relaxed),
             request_p50: request_latency.p50(),
@@ -789,7 +866,7 @@ mod tests {
                     );
                     rejected += 1;
                 }
-                Err(SubmitError::ShutDown(_)) => unreachable!("service is running"),
+                Err(other) => unreachable!("service is running and try_submit queues: {other}"),
             }
         }
         for t in tickets {
@@ -799,6 +876,10 @@ mod tests {
             rejected > 0,
             "a capacity-1 queue must reject some of 64 bursts"
         );
+        let stats = service.stats();
+        assert_eq!(stats.busy, rejected, "every Busy refusal is counted");
+        assert_eq!(stats.submitted + stats.busy, 64);
+        assert!(stats.to_string().contains(&format!("busy={rejected}")));
         // Busy and ShutDown are distinguishable: after close, the same
         // submission fails as ShutDown, not Busy.
         let mut service = service;
@@ -807,6 +888,87 @@ mod tests {
             service.try_submit(SampleRequest::prepared(99, 1, &prepared)),
             Err(SubmitError::ShutDown(_))
         ));
+    }
+
+    #[test]
+    fn try_serve_draws_what_the_pool_draws_and_keeps_its_books() {
+        let engine = engine();
+        let prepared = engine.prepare(&union_query()).unwrap();
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(1));
+        assert!(service.stats().request_p50.is_none());
+        let here = service
+            .try_serve(SampleRequest::prepared(3, 8, &prepared))
+            .unwrap()
+            .unwrap();
+        assert_eq!(here.id, 3);
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (1, 1, 0));
+        assert_eq!((stats.in_flight, stats.tuples_served), (0, 8));
+        assert!(stats.request_p50.is_some());
+        assert_eq!(service.counters.running.load(Ordering::Relaxed), 0);
+        let pooled = service
+            .submit(SampleRequest::prepared(3, 8, &prepared))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(here.tuples, pooled.tuples, "same seed, same samples");
+        let stats = service.shutdown();
+        assert_eq!((stats.submitted, stats.completed), (2, 2));
+        assert_eq!((stats.in_flight, stats.tuples_served), (0, 16));
+    }
+
+    #[test]
+    fn try_serve_hands_the_request_back_when_every_slot_runs() {
+        let engine = engine();
+        let prepared = engine.prepare(&union_query()).unwrap();
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(2));
+        // Stand in for two requests already running.
+        service.counters.running.store(2, Ordering::Relaxed);
+        match service.try_serve(SampleRequest::prepared(4, 8, &prepared)) {
+            Err(SubmitError::Saturated(request)) => assert_eq!(request.id, 4),
+            other => panic!("expected Saturated, got {other:?}"),
+        }
+        assert_eq!(
+            service.stats().submitted,
+            0,
+            "a handed-back request is not admitted"
+        );
+        service.counters.running.store(1, Ordering::Relaxed);
+        assert!(service
+            .try_serve(SampleRequest::prepared(4, 8, &prepared))
+            .unwrap()
+            .is_ok());
+        assert_eq!(service.counters.running.load(Ordering::Relaxed), 1);
+        service.counters.running.store(0, Ordering::Relaxed);
+        service.shutdown();
+    }
+
+    #[test]
+    fn try_serve_past_deadline_is_a_counted_failure() {
+        let engine = engine();
+        let prepared = engine.prepare(&union_query()).unwrap();
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(1));
+        let late = SampleRequest::prepared(1, 4, &prepared)
+            .with_deadline(Instant::now() - Duration::from_millis(1));
+        assert_eq!(
+            service.try_serve(late).unwrap().unwrap_err(),
+            CoreError::DeadlineExceeded
+        );
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.failed, stats.in_flight), (1, 1, 0));
+        service.shutdown();
+    }
+
+    #[test]
+    fn try_serve_after_close_is_shut_down() {
+        let engine = engine();
+        let prepared = engine.prepare(&union_query()).unwrap();
+        let mut service = SamplingService::start(engine, ServiceConfig::with_workers(1));
+        service.close();
+        match service.try_serve(SampleRequest::prepared(7, 3, &prepared)) {
+            Err(SubmitError::ShutDown(r)) => assert_eq!(r.id, 7),
+            other => panic!("expected ShutDown, got {other:?}"),
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`NetError::ConnectionReset`](crate::NetError::ConnectionReset),
 //! and a delay either succeeds late or trips a deadline.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 use suj_stats::rng::SujRng;
@@ -218,6 +218,19 @@ impl Write for Conn {
         match &mut self.injector {
             Some(inj) => inj.write(&mut self.stream, buf),
             None => self.stream.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match &mut self.injector {
+            // One slice per `write`, as `Write`'s default does, so the
+            // injector rolls once per part of a frame and a seeded plan
+            // keeps its fault schedule.
+            Some(inj) => {
+                let buf = bufs.iter().find(|b| !b.is_empty()).map_or(&[][..], |b| b);
+                inj.write(&mut self.stream, buf)
+            }
+            None => self.stream.write_vectored(bufs),
         }
     }
 

@@ -7,8 +7,10 @@
 //!   async runtime, no HTTP). A [`Server`] fronts an
 //!   [`Engine`](suj_core::catalog::Engine) and a
 //!   [`SamplingService`](suj_core::serve::SamplingService) worker
-//!   pool; queue-full backpressure travels on the wire as a typed
-//!   `Busy` response with a retry hint.
+//!   pool; a request runs on its connection thread while a slot is
+//!   free and takes the pool's queue otherwise, and queue-full
+//!   backpressure travels on the wire as a typed `Busy` response with
+//!   a retry hint.
 //! - snapshot-restored replicas — combined with
 //!   `Engine::{save_snapshot, load_snapshot}` (in `suj-core`), a cold
 //!   process restores catalog + prepared-query cache from a snapshot

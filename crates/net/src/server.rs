@@ -2,30 +2,36 @@
 //! [`Engine`] + [`SamplingService`].
 //!
 //! Each accepted connection gets a reader thread that decodes frames,
-//! dispatches them, and writes the response back on the same socket —
+//! handles them, and writes the response back on the same socket —
 //! requests on one connection are answered in order; connections are
-//! independent and served concurrently by the shared worker pool.
+//! independent and served concurrently.
 //!
-//! Backpressure is end-to-end: `Sample` requests go through
-//! [`SamplingService::try_submit`], so a full worker queue surfaces as
-//! a `Busy` frame (with the service's drain-time retry hint) instead
-//! of unbounded buffering inside the server.
+//! A `Sample` request runs on the connection thread that read it
+//! ([`SamplingService::try_serve`]) while fewer than `workers` requests
+//! are running, so the common case crosses no thread. Only when every
+//! slot is taken does it go to the worker pool's queue
+//! ([`SamplingService::try_submit`]), and the connection thread waits
+//! for its reply. Backpressure is end-to-end: a full queue surfaces as
+//! a `Busy` frame (with the service's drain-time retry hint) instead of
+//! unbounded buffering inside the server.
 //!
 //! Determinism is preserved across the wire: a `Sample` frame carries
-//! an explicit seed and the worker draws from the prepared query's own
-//! `rng(seed)`, the stream the in-process path draws from, so the same
-//! prepared query + request seed yields bit-identical samples whether
-//! sampled in-process, over TCP, or on a snapshot-restored replica
-//! (whose snapshot carries the query's root seed).
+//! an explicit seed and whichever thread runs it draws from the
+//! prepared query's own `rng(seed)`, the stream the in-process path
+//! draws from, so the same prepared query + request seed yields
+//! bit-identical samples whether sampled in-process, over TCP, or on a
+//! snapshot-restored replica (whose snapshot carries the query's root
+//! seed).
 //!
 //! # Failure containment
 //!
 //! The server assumes every peer and every request can misbehave:
 //!
-//! - **Deadlines** — a `Sample` frame may carry a budget; the worker
-//!   pool checks it at dequeue and between draws, answering
+//! - **Deadlines** — a `Sample` frame may carry a budget; the service
+//!   checks it when the request starts and between draws, answering
 //!   [`ERR_DEADLINE`] instead of running away.
-//! - **Panic isolation** — frame handling runs under `catch_unwind`;
+//! - **Panic isolation** — a request runs under `catch_unwind` on
+//!   either path, and so does frame handling;
 //!   a panicking request yields a typed [`ERR_ENGINE`] frame and the
 //!   connection (and accept loop) keeps serving. Poisoned registry
 //!   locks are recovered, never unwrapped.
@@ -33,6 +39,9 @@
 //!   must make progress within [`ServerOptions::io_grace`]; writes get
 //!   the same timeout. A peer that stalls past the grace is dropped
 //!   instead of pinning its thread.
+//! - **Oversized replies** — a reply whose payload exceeds
+//!   [`MAX_PAYLOAD`] is answered with [`ERR_BAD_REQUEST`] naming its
+//!   size, and the connection stays open.
 //! - **Graceful drain** — after [`Server::stop`] (or a `Shutdown`
 //!   frame), connections keep reading for
 //!   [`ServerOptions::drain_grace`] so queued frames are answered with
@@ -44,8 +53,8 @@ use crate::faults::FaultPlan;
 use crate::protocol::{
     decode_payload, encode_batch, parse_header, verify_payload, ErrorReply, Frame, NetError,
     SamplePayload, WireStats, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_ENGINE, ERR_SHUTTING_DOWN,
-    ERR_UNKNOWN_PREPARED, HEADER_LEN, OP_BATCH, OP_BUSY, OP_ERROR, OP_PREPARE, OP_PREPARED,
-    OP_SAMPLE, OP_SHUTDOWN, OP_SHUTDOWN_ACK, OP_STATS, OP_STATS_REPLY,
+    ERR_UNKNOWN_PREPARED, HEADER_LEN, MAX_PAYLOAD, OP_BATCH, OP_BUSY, OP_ERROR, OP_PREPARE,
+    OP_PREPARED, OP_SAMPLE, OP_SHUTDOWN, OP_SHUTDOWN_ACK, OP_STATS, OP_STATS_REPLY,
 };
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -58,7 +67,7 @@ use std::time::{Duration, Instant};
 use suj_core::catalog::{Engine, PreparedQuery};
 use suj_core::error::CoreError;
 use suj_core::query::UnionQuery;
-use suj_core::serve::{SampleRequest, SamplingService, ServiceConfig, SubmitError};
+use suj_core::serve::{SampleRequest, SamplingService, ServiceConfig, SubmitError, Ticket};
 use suj_storage::snapshot::Codec;
 
 /// How long a blocked connection read waits before re-checking the
@@ -174,9 +183,11 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` and starts serving `engine` with a worker pool
-    /// configured by `config` and default [`ServerOptions`]. Use port
-    /// 0 to let the OS pick; the bound address is available via
-    /// [`Server::addr`].
+    /// configured by `config` and default [`ServerOptions`].
+    /// A connection thread runs a request itself only while fewer than
+    /// `config.workers` requests are running; otherwise the request
+    /// queues for the pool. Use port 0 to let the OS pick; the bound
+    /// address is available via [`Server::addr`].
     pub fn bind(
         engine: Engine,
         addr: impl ToSocketAddrs,
@@ -443,17 +454,37 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> Result<(), NetError> 
                 let is_shutdown = frame.opcode == OP_SHUTDOWN;
                 let response = dispatch(frame, shared);
                 if is_shutdown {
-                    response.write_to(&mut conn)?;
-                    conn.flush()?;
+                    send(&mut conn, &response)?;
                     request_shutdown(shared, local_addr);
                     return Ok(());
                 }
                 response
             }
         };
-        response.write_to(&mut conn)?;
-        conn.flush()?;
+        send(&mut conn, &response)?;
     }
+}
+
+/// Writes a reply and flushes. A reply too large for one frame is
+/// answered with a typed `Error` frame that names its size instead:
+/// `Sample.n` is capped in tuples, not in bytes, so a legal request can
+/// encode past [`MAX_PAYLOAD`]. [`Frame::write_to`] refuses such a
+/// frame before writing a byte, so the connection stays framed.
+fn send(conn: &mut impl Write, frame: &Frame) -> Result<(), NetError> {
+    match frame.write_to(conn) {
+        Err(NetError::FrameTooLarge(_)) => error_frame(
+            frame.request_id,
+            ERR_BAD_REQUEST,
+            &format!(
+                "reply of {} bytes exceeds the frame limit of {MAX_PAYLOAD} bytes",
+                frame.payload.len()
+            ),
+        )
+        .write_to(conn)?,
+        written => written?,
+    }
+    conn.flush()?;
+    Ok(())
 }
 
 /// Handles one frame with panic containment: a request that panics the
@@ -567,8 +598,15 @@ fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
     if panic_pill {
         request = request.with_panic_for_test();
     }
-    let ticket = match shared.service.try_submit(request) {
-        Ok(t) => t,
+    // Run here while a slot is free; only a saturated service queues.
+    let served = match shared.service.try_serve(request) {
+        Err(SubmitError::Saturated(request)) => {
+            shared.service.try_submit(request).map(Ticket::wait)
+        }
+        served => served,
+    };
+    let result = match served {
+        Ok(result) => result,
         Err(SubmitError::Busy { retry_after, .. }) => {
             return Frame {
                 opcode: OP_BUSY,
@@ -576,11 +614,9 @@ fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
                 payload: retry_after.to_bytes(),
             }
         }
-        Err(SubmitError::ShutDown(_)) => {
-            return error_frame(id, ERR_SHUTTING_DOWN, "worker pool is shut down")
-        }
+        Err(_) => return error_frame(id, ERR_SHUTTING_DOWN, "worker pool is shut down"),
     };
-    match ticket.wait() {
+    match result {
         Ok(response) => Frame {
             opcode: OP_BATCH,
             request_id: id,
@@ -626,5 +662,39 @@ fn error_frame(id: u64, code: u16, message: &str) -> Frame {
             message: message.to_string(),
         }
         .to_bytes(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::ErrorReply;
+
+    /// The payload is zero-mapped and never touched: `write_to` checks
+    /// the length before it computes the CRC.
+    #[test]
+    fn oversized_reply_is_a_typed_bad_request() {
+        let huge = Frame {
+            opcode: OP_BATCH,
+            request_id: 11,
+            payload: vec![0u8; MAX_PAYLOAD as usize + 1],
+        };
+        let mut sent = Vec::new();
+        send(&mut sent, &huge).unwrap();
+        let reply = Frame::read_from(&mut sent.as_slice()).unwrap();
+        assert_eq!((reply.opcode, reply.request_id), (OP_ERROR, 11));
+        let error: ErrorReply = decode_payload("Error", &reply.payload).unwrap();
+        assert_eq!(error.code, ERR_BAD_REQUEST);
+        let size = (MAX_PAYLOAD as usize + 1).to_string();
+        assert!(
+            error.message.contains(&size) && error.message.contains(&MAX_PAYLOAD.to_string()),
+            "{}",
+            error.message
+        );
+        assert_eq!(
+            sent.len(),
+            HEADER_LEN + reply.payload.len(),
+            "one frame, nothing else"
+        );
     }
 }

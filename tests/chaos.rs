@@ -252,8 +252,9 @@ fn fault_storms_are_reproducible() {
     assert_eq!(a, b, "same seeds must replay the same outcome sequence");
 }
 
-/// The wire panic pill (`n == u64::MAX`) panics inside the worker; the
-/// panic is contained into a typed error frame and the pool, the
+/// The wire panic pill (`n == u64::MAX`) panics inside the service,
+/// on the connection thread that runs it while a slot is free; the
+/// panic is contained into a typed error frame and the service, the
 /// registry, and the connection all keep working.
 #[test]
 fn wire_panic_pill_is_contained_and_typed() {
@@ -273,7 +274,7 @@ fn wire_panic_pill_is_contained_and_typed() {
         other => panic!("expected typed remote error for the panic pill, got {other:?}"),
     }
 
-    // Same connection, same worker pool: still serving, still typed.
+    // Same connection, same service: still serving, still typed.
     let batch = client.sample(&remote, 8, 3).unwrap();
     assert_eq!(batch.tuples.len(), 8);
     let stats = client.stats().unwrap();

@@ -4,8 +4,9 @@
 //! protocol-level failures surface as typed responses rather than
 //! hangups.
 //!
-//! The release-mode CI smoke step runs the `#[ignore]`d stress test at
-//! the bottom (`cargo test --release --test net -- --ignored`).
+//! The release-mode CI smoke step runs every test here, the
+//! `#[ignore]`d stress test at the bottom included
+//! (`cargo test --release --test net -- --include-ignored`).
 
 use sample_union_joins::prelude::*;
 use sample_union_joins::{Client, NetError, Server, ServerOptions, ServiceConfig};
@@ -463,6 +464,46 @@ fn local_stop_terminates_the_server() {
     assert!(!server.is_shutting_down());
     server.stop();
     assert!(server.is_shutting_down());
+    server.join().unwrap();
+}
+
+/// Both server paths at once: one slot and three clients sending
+/// concurrently, so a request that arrives while another runs on its
+/// connection thread takes the worker pool's queue instead. Either way
+/// every reply is the in-process sample for its seed, and the books
+/// count each request once.
+#[test]
+fn one_slot_serves_concurrent_clients_on_both_paths() {
+    let engine = default_engine();
+    let query = union_query();
+    let prepared = engine.prepare(&query).unwrap();
+    let (n, clients, requests_per_client) = (8usize, 3u64, 16u64);
+    let server = Server::bind(engine, "127.0.0.1:0", ServiceConfig::with_workers(1)).unwrap();
+    let addr = server.addr();
+    let start = std::sync::Barrier::new(clients as usize);
+    std::thread::scope(|scope| {
+        for c in 0..clients {
+            let (query, prepared, start) = (&query, &prepared, &start);
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let remote = client.prepare(query).unwrap();
+                start.wait();
+                for r in 0..requests_per_client {
+                    let seed = 1_000 * c + r;
+                    let batch = client.sample(&remote, n, seed).unwrap();
+                    let (reference, _) = prepared.sample(n, seed).unwrap();
+                    assert_eq!(batch.tuples, reference, "client {c} seed {seed}");
+                }
+            });
+        }
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let stats = client.stats().unwrap();
+    let total = clients * requests_per_client;
+    assert_eq!(stats.completed, total);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.tuples_served, total * n as u64);
+    client.shutdown().unwrap();
     server.join().unwrap();
 }
 
