@@ -8,6 +8,13 @@
 //! canonical tuple, give up on a join that never accepts — and, in
 //! §8.3's reject mode, test a tuple its owner kept against the
 //! selection predicate before it is emitted.
+//!
+//! The step books a join attempt whoever made it: the one-join-per-draw
+//! sampler walks most of its attempts in blocks of up to 64 from
+//! pre-drawn words (see [`disjoint`](crate::disjoint)) and hands the
+//! outcomes to [`DrawStep::book`], timing them as shares of the block's
+//! time; its first unplanned selection and Algorithm 1's attempts run
+//! through `attempt` and `until_accepted` here.
 
 use crate::error::CoreError;
 use crate::report::RunReport;
@@ -21,7 +28,8 @@ use suj_storage::{CompiledPredicate, Tuple};
 
 /// Consecutive rejected attempts after which a join is dead (estimate
 /// said nonempty, data says empty). This bounds a single draw, inside
-/// which no deadline is consulted.
+/// which no deadline is consulted (a deadline is checked between
+/// blocks of at most 64 draws).
 const MAX_JOIN_TRIES: u64 = 1_000_000;
 
 /// One sampler handle's join draws and their books.
@@ -77,6 +85,18 @@ impl DrawStep {
         Ok(!dead(&self.misses[j]))
     }
 
+    /// Whether join `j` is live for an attempt made `ahead` attempts
+    /// from now, however those end: a block plans an attempt on `j` only
+    /// where none of the attempts before it in the block can kill `j`.
+    pub(crate) fn live_ahead(&self, j: usize, ahead: u64) -> bool {
+        self.misses[j] + ahead < MAX_JOIN_TRIES
+    }
+
+    /// Join `j`'s sampler.
+    pub(crate) fn sampler(&self, j: usize) -> &dyn JoinSampler {
+        self.samplers[j].as_ref()
+    }
+
     /// One attempt on join `j`: the accepted rows as a canonical tuple.
     pub(crate) fn attempt(&mut self, j: usize, rng: &mut SujRng) -> Option<Tuple> {
         self.within(1, j, rng)
@@ -91,13 +111,18 @@ impl DrawStep {
     fn within(&mut self, max_tries: u64, j: usize, rng: &mut SujRng) -> Option<Tuple> {
         let budget = max_tries.min(MAX_JOIN_TRIES.saturating_sub(self.misses[j]));
         let (accepted, tries) = self.samplers[j].sample_rows_within(budget, rng, &mut self.draw);
+        self.book(j, tries, accepted);
+        accepted.then(|| self.workload.gather(j, self.draw.rows()))
+    }
+
+    /// Books `tries` attempts on join `j`, the last of them accepted iff
+    /// `accepted`.
+    pub(crate) fn book(&mut self, j: usize, tries: u64, accepted: bool) {
         self.report.rejected_join += tries - u64::from(accepted);
         if accepted {
             self.misses[j] = 0;
-            Some(self.workload.gather(j, self.draw.rows()))
         } else {
             self.misses[j] += tries;
-            None
         }
     }
 
@@ -116,9 +141,15 @@ impl DrawStep {
 
     /// Emits `t`, drawn since `start`, under the next emission index.
     pub(crate) fn emit(&mut self, t: Tuple, start: Instant) -> Draw {
+        self.report.accepted_time += start.elapsed();
+        self.number(t)
+    }
+
+    /// Emits `t` under the next emission index; the caller books its
+    /// time.
+    pub(crate) fn number(&mut self, t: Tuple) -> Draw {
         self.emitted += 1;
         self.report.accepted += 1;
-        self.report.accepted_time += start.elapsed();
         Draw::Tuple(self.emitted - 1, t)
     }
 }

@@ -84,6 +84,18 @@ impl OwnershipRecord {
         Claim::Revised(live.drain(..withdrawn))
     }
 
+    /// Whether no tuple has been seen yet.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.seen.is_empty()
+    }
+
+    /// Makes room for `additional` more distinct tuples at once, so a
+    /// batch that knows its size does not grow the map one doubling at
+    /// a time.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.seen.reserve(additional);
+    }
+
     /// Forgets live copy `idx` of `t`, which the caller withdrew itself
     /// (Algorithm 2's backtracking): no revision retracts it again.
     pub(crate) fn forget(&mut self, t: &Tuple, idx: u64) {

@@ -125,6 +125,17 @@ impl LatencyHistogram {
         self.recorded += 1;
     }
 
+    /// Records `events` events that took `total` between them, each
+    /// with an equal share of it.
+    pub(crate) fn record_shares(&mut self, total: Duration, events: u32) {
+        let share = match events {
+            1 => total,
+            _ => total / events,
+        };
+        self.counts[Self::bucket(share)] += u64::from(events);
+        self.recorded += u64::from(events);
+    }
+
     /// Total events recorded.
     pub fn count(&self) -> u64 {
         self.recorded
@@ -544,6 +555,19 @@ mod tests {
         // The slow draw is the 100th rank; p99 covers rank 99 (fast).
         assert!(p99 <= Duration::from_micros(2), "p99 = {p99:?}");
         assert!(h.percentile(1.0).unwrap() >= Duration::from_micros(512));
+    }
+
+    /// A block's events share its time: each is recorded as one equal
+    /// share, as that many separate records of the share would be.
+    #[test]
+    fn latency_histogram_records_shares() {
+        let mut shared = LatencyHistogram::default();
+        shared.record_shares(Duration::from_micros(64), 64);
+        shared.record_shares(Duration::from_micros(3), 1);
+        let mut one_by_one = LatencyHistogram::default();
+        (0..64).for_each(|_| one_by_one.record(Duration::from_micros(1)));
+        one_by_one.record(Duration::from_micros(3));
+        assert_eq!(shared, one_by_one);
     }
 
     #[test]

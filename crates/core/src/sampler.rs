@@ -9,7 +9,12 @@
 //! object-safe common surface: an incremental [`draw`](UnionSampler::draw)
 //! producing one [`Draw`] event at a time, a cumulative
 //! [`report`](UnionSampler::report), and a provided batch
-//! [`sample`](UnionSampler::sample) built on top of `draw`.
+//! [`sample`](UnionSampler::sample) built on top of
+//! [`draw_block`](UnionSampler::draw_block), which is one `draw` unless
+//! a sampler can overlap several (the one-join-per-draw sampler runs up
+//! to 64 selections per block, bit-identical to one draw at a time). The
+//! batch checks its deadline before every block and records each event's
+//! latency as a share of its block's time.
 //!
 //! # The event model
 //!
@@ -40,6 +45,7 @@ use crate::error::CoreError;
 use crate::report::RunReport;
 use crate::workload::UnionWorkload;
 use std::sync::Arc;
+use std::time::Instant;
 use suj_stats::SujRng;
 use suj_storage::{FxHashMap, Tuple};
 
@@ -83,6 +89,31 @@ pub trait UnionSampler: Send {
     /// estimated positive but every join is empty).
     fn draw(&mut self, rng: &mut SujRng) -> Result<Draw, CoreError>;
 
+    /// Advances the sampler by a block of events for a caller that
+    /// still needs `demand ≥ 1` live tuples, handing each event to
+    /// `sink` in order.
+    ///
+    /// A block is a whole number of the sampler's selection steps —
+    /// exactly the ones successive [`draw`](UnionSampler::draw) calls
+    /// would make, with the same events, counters and RNG advance —
+    /// and never more than the caller's demand could need, so a batch
+    /// built from blocks is bit-identical to one built from draws. A
+    /// block may end without an event (its steps were all rejected).
+    /// The default is one `draw`; a sampler that can overlap the work
+    /// of several steps (see
+    /// [`DisjointUnionSampler`](crate::disjoint::DisjointUnionSampler))
+    /// runs up to 64 of them.
+    fn draw_block(
+        &mut self,
+        demand: usize,
+        rng: &mut SujRng,
+        sink: &mut dyn FnMut(Draw),
+    ) -> Result<(), CoreError> {
+        let _ = demand;
+        sink(self.draw(rng)?);
+        Ok(())
+    }
+
     /// Cumulative counters and timings since construction.
     fn report(&self) -> &RunReport;
 
@@ -119,13 +150,14 @@ pub trait UnionSampler: Send {
     }
 
     /// [`sample`](UnionSampler::sample) with an optional deadline,
-    /// checked before every draw: once `deadline` passes the run
-    /// aborts with [`CoreError::DeadlineExceeded`] instead of running
-    /// unbounded.
+    /// checked before every [block](UnionSampler::draw_block) (at most
+    /// 64 draws): once `deadline` passes the run aborts with
+    /// [`CoreError::DeadlineExceeded`] instead of running unbounded.
     ///
-    /// The check piggybacks on the per-draw latency timestamp — one
-    /// clock read per event: the end of one event is the start of the
-    /// next — so it costs nothing extra, and it never alters the draw
+    /// The check piggybacks on the latency timestamp — one clock read
+    /// per block: the end of one block is the start of the next, and
+    /// each of a block's events is recorded with an equal share of its
+    /// time — so it costs nothing extra, and it never alters the draw
     /// sequence: a run that finishes before the deadline is
     /// bit-identical to [`sample`](UnionSampler::sample) with no
     /// deadline at all (the serving tier's determinism contract depends
@@ -139,7 +171,7 @@ pub trait UnionSampler: Send {
         &mut self,
         n: usize,
         rng: &mut SujRng,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<(Vec<Tuple>, RunReport), CoreError> {
         let fresh = self.report().fresh();
         let cumulative = std::mem::replace(self.report_mut(), fresh);
@@ -150,14 +182,14 @@ pub trait UnionSampler: Send {
     }
 }
 
-/// The batch loop of [`UnionSampler::sample_within`]: draws until `n`
-/// samples are live, recording each event's latency in the sampler's
-/// report.
+/// The batch loop of [`UnionSampler::sample_within`]: draws blocks
+/// until `n` samples are live, recording each event's latency in the
+/// sampler's report as its share of the time since the last event.
 fn draw_live<S: UnionSampler + ?Sized>(
     sampler: &mut S,
     n: usize,
     rng: &mut SujRng,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
 ) -> Result<Vec<Tuple>, CoreError> {
     let mut out: Vec<Tuple> = Vec::with_capacity(n);
     // Retraction books, kept only for samplers that can retract:
@@ -166,35 +198,48 @@ fn draw_live<S: UnionSampler + ?Sized>(
     let mut position: FxHashMap<u64, usize> = FxHashMap::default();
     let mut removed: Vec<bool> = Vec::new();
     let mut live = 0usize;
-    let mut now = std::time::Instant::now();
+    // `since` is where the time of events not yet recorded starts: a
+    // block without an event passes its time on to the next event.
+    let mut since = Instant::now();
+    let mut now = since;
     while live < n {
         if deadline.is_some_and(|d| now >= d) {
             return Err(CoreError::DeadlineExceeded);
         }
-        let event = sampler.draw(rng);
-        let end = std::time::Instant::now();
-        sampler.report_mut().draw_latency.record(end - now);
-        now = end;
-        match event? {
-            Draw::Tuple(idx, t) => {
-                if books {
-                    position.insert(idx, out.len());
-                    removed.push(false);
+        let mut events = 0u32;
+        let block = sampler.draw_block(n - live, rng, &mut |event| {
+            events += 1;
+            match event {
+                Draw::Tuple(idx, t) => {
+                    if books {
+                        position.insert(idx, out.len());
+                        removed.push(false);
+                    }
+                    out.push(t);
+                    live += 1;
                 }
-                out.push(t);
-                live += 1;
-            }
-            Draw::Retract(idx) => {
-                // Indices absent from the map belong to earlier
-                // batches the caller already consumed.
-                if let Some(&i) = position.get(&idx) {
-                    if !removed[i] {
-                        removed[i] = true;
-                        live -= 1;
+                Draw::Retract(idx) => {
+                    // Indices absent from the map belong to earlier
+                    // batches the caller already consumed.
+                    if let Some(&i) = position.get(&idx) {
+                        if !removed[i] {
+                            removed[i] = true;
+                            live -= 1;
+                        }
                     }
                 }
             }
+        });
+        now = Instant::now();
+        // A failed draw is an event too, as it was when each draw was
+        // timed on its own.
+        let timed = events + u32::from(block.is_err());
+        if timed > 0 {
+            let latency = &mut sampler.report_mut().draw_latency;
+            latency.record_shares(now - since, timed);
+            since = now;
         }
+        block?;
     }
     if live < out.len() {
         let mut dead = removed.into_iter();
@@ -224,6 +269,15 @@ impl<S: UnionSampler + ?Sized> UnionSampler for Box<S> {
         (**self).may_retract()
     }
 
+    fn draw_block(
+        &mut self,
+        demand: usize,
+        rng: &mut SujRng,
+        sink: &mut dyn FnMut(Draw),
+    ) -> Result<(), CoreError> {
+        (**self).draw_block(demand, rng, sink)
+    }
+
     fn sample(&mut self, n: usize, rng: &mut SujRng) -> Result<(Vec<Tuple>, RunReport), CoreError> {
         (**self).sample(n, rng)
     }
@@ -232,7 +286,7 @@ impl<S: UnionSampler + ?Sized> UnionSampler for Box<S> {
         &mut self,
         n: usize,
         rng: &mut SujRng,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<(Vec<Tuple>, RunReport), CoreError> {
         (**self).sample_within(n, rng, deadline)
     }

@@ -210,6 +210,39 @@ fn a_warm_union_handle_allocates_the_tuple_and_nothing_else() {
         );
     }
 
+    // Blocks add nothing: a warm exact-weight handle plans and walks
+    // its batch in blocks of up to 64 draws over a thread-local plan,
+    // so a whole batch costs the tuples it gathered plus the call's
+    // fixed two (its report's per-join draw counts and the batch
+    // vector), at a block's size and well past it.
+    for (name, strategy) in [
+        ("disjoint", Strategy::Disjoint),
+        (
+            "bernoulli(oracle)",
+            Strategy::Bernoulli(DesignationPolicy::Oracle),
+        ),
+    ] {
+        let mut sampler = SamplerBuilder::for_workload(w.clone())
+            .strategy(strategy)
+            .weights(WeightKind::Exact)
+            .build()
+            .unwrap();
+        let mut rng = SujRng::seed_from_u64(12);
+        sampler.sample(64, &mut rng).unwrap();
+        for n in [16, 256] {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let (tuples, call) = sampler.sample(n, &mut rng).unwrap();
+            let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            assert_eq!((tuples.len(), call.accepted), (n, n as u64), "{name}");
+            assert_eq!(
+                allocations,
+                call.accepted + call.rejected_cover + 2,
+                "{name}: a batch of {n} ({:?})",
+                Counts::read(&call)
+            );
+        }
+    }
+
     // A whole request through the prepared query: mint a handle, draw
     // `n` tuples, count them into the call's report, fold that into the
     // handle's and return it. Beyond the tuples that costs nine

@@ -213,6 +213,39 @@ pub trait JoinSampler: Send + Sync {
         None
     }
 
+    /// The RNG words one [`sample_rows`](JoinSampler::sample_rows)
+    /// attempt consumes when it takes no slow path and no defensive
+    /// exit, if that number is fixed by the join alone; `None` (the
+    /// default) when it depends on what the attempt draws. A caller
+    /// that knows it can pre-draw the words of many attempts and walk
+    /// them with [`sample_rows_words`](JoinSampler::sample_rows_words).
+    fn words_per_attempt(&self) -> Option<usize> {
+        None
+    }
+
+    /// Walks `starts.len()` attempts from pre-drawn RNG words, all of
+    /// them one tree level at a time so that their memory accesses
+    /// overlap. Attempt `w` reads its
+    /// [`words_per_attempt`](JoinSampler::words_per_attempt) words from
+    /// `words[starts[w]..]` and writes its row ids to
+    /// `rows[w · n .. (w + 1) · n]` (`n` relations). `outcomes[w]` is
+    /// what `sample_rows` returns on a generator whose next words those
+    /// are, or `None` when the words cannot tell: the attempt took a
+    /// defensive exit (consuming fewer words) or its slot draw needs the
+    /// sequential slow path. A caller re-runs a `None` attempt through
+    /// `sample_rows`. Allocation-free; the default leaves every outcome
+    /// `None`.
+    fn sample_rows_words(
+        &self,
+        starts: &[usize],
+        words: &[u64],
+        rows: &mut [u32],
+        outcomes: &mut [Option<bool>],
+    ) {
+        let _ = (starts, words, rows);
+        outcomes.fill(None);
+    }
+
     /// Batched entry point: draws until `n` tuples are accepted (or
     /// `max_tries` total attempts are spent), appending them to `out`.
     /// Returns the attempts consumed. One thread-local scratch access
@@ -795,6 +828,70 @@ impl JoinSampler for ExactWeightSampler {
     fn as_exact(&self) -> Option<&ExactWeightSampler> {
         Some(self)
     }
+
+    /// Two words per relation: the alias slot and its coin, root first,
+    /// then each relation in tree order.
+    fn words_per_attempt(&self) -> Option<usize> {
+        Some(2 * self.prepared.spec.n_relations())
+    }
+
+    /// [`sample_rows`](JoinSampler::sample_rows)' cascade, one tree
+    /// level for every attempt before the next level, with every check
+    /// it makes. The cycle-consistency check reads all the words, so an
+    /// attempt that fails only that check is a rejection (`Some(false)`).
+    fn sample_rows_words(
+        &self,
+        starts: &[usize],
+        words: &[u64],
+        rows: &mut [u32],
+        outcomes: &mut [Option<bool>],
+    ) {
+        let prepared = &self.prepared;
+        let n = prepared.spec.n_relations();
+        let root = prepared.tree.root();
+        for (w, &at) in starts.iter().enumerate() {
+            outcomes[w] = None;
+            if self.total == 0 {
+                continue; // `draw_root` exits before its first word
+            }
+            let Some(row) = self.root_arena.draw_words(0, words[at], words[at + 1]) else {
+                continue;
+            };
+            if self.counts[root][row as usize] != 0 {
+                rows[w * n + root] = row;
+                outcomes[w] = Some(true);
+            }
+        }
+        for (level, &v) in (1..).zip(&prepared.tree.order()[1..]) {
+            let p = prepared.tree.parent(v).expect("non-root has parent");
+            let (edge_keys, key_counts) = (&prepared.edge_keys[v], &self.key_counts[v]);
+            let arena = self.arenas[v].as_ref().expect("child arena");
+            let index = prepared.indexes[v].as_ref().expect("child index");
+            let counts = &self.counts[v];
+            for (w, &at) in starts.iter().enumerate() {
+                if outcomes[w].is_none() {
+                    continue;
+                }
+                let row = &mut rows[w * n..(w + 1) * n];
+                let kid = edge_keys[row[p] as usize];
+                let at = at + 2 * level;
+                let rid = (kid != NO_KEY && key_counts[kid as usize] != 0)
+                    .then(|| arena.draw_words(kid, words[at], words[at + 1]))
+                    .flatten()
+                    .map(|local| index.postings(kid)[local as usize])
+                    .filter(|&rid| counts[rid as usize] != 0);
+                match rid {
+                    Some(rid) => row[v] = rid,
+                    None => outcomes[w] = None,
+                }
+            }
+        }
+        for (w, outcome) in outcomes.iter_mut().enumerate() {
+            if outcome.is_some() {
+                *outcome = Some(prepared.consistent(&rows[w * n..(w + 1) * n]));
+            }
+        }
+    }
 }
 
 /// Extended-Olken sampler: max-degree weights plus dangling elimination.
@@ -1066,9 +1163,8 @@ mod tests {
         assert_eq!(eo.size_info().bound, 3.0 * 3.0 * 2.0);
     }
 
-    #[test]
-    fn star_join_sampling_uniform() {
-        let spec = Arc::new(
+    fn star_spec() -> Arc<JoinSpec> {
+        Arc::new(
             JoinSpec::natural(
                 "star",
                 vec![
@@ -1086,7 +1182,12 @@ mod tests {
                 ],
             )
             .unwrap(),
-        );
+        )
+    }
+
+    #[test]
+    fn star_join_sampling_uniform() {
+        let spec = star_spec();
         let ew = ExactWeightSampler::new(spec.clone()).unwrap();
         assert_uniform(&ew, 7);
         let eo = OlkenSampler::new(spec).unwrap();
@@ -1165,6 +1266,66 @@ mod tests {
             }
         }
         assert!(accepted > 0, "sampler never accepted");
+    }
+
+    /// Interleaved walks from pre-drawn words equal `sample_rows` on a
+    /// generator positioned at each walk's first word: the same outcome,
+    /// the same rows, and exactly the words the sampler says it takes —
+    /// on a chain, a star, a chain with many dangling rows and the
+    /// spanning tree of a triangle, whose cycle check rejects.
+    #[test]
+    fn interleaved_walks_equal_sample_rows() {
+        let mut rejected = 0;
+        for spec in [
+            skewed_chain(),
+            star_spec(),
+            dangling_heavy_chain(),
+            triangle_spec(),
+        ] {
+            let ew = ExactWeightSampler::new(spec.clone()).unwrap();
+            let n = spec.n_relations();
+            let per = ew.words_per_attempt().unwrap();
+            assert_eq!(per, 2 * n);
+            let origin = SujRng::seed_from_u64(5 + n as u64);
+            // Walks spaced as a union plan spaces them: one selection
+            // word, then the walk's own.
+            let starts: Vec<usize> = (0..300).map(|w| w * (per + 1) + 1).collect();
+            let mut source = origin.clone();
+            let words: Vec<u64> = (0..300 * (per + 1)).map(|_| source.next_u64()).collect();
+            let mut rows = vec![0u32; starts.len() * n];
+            let mut outcomes = vec![None; starts.len()];
+            ew.sample_rows_words(&starts, &words, &mut rows, &mut outcomes);
+            let mut draw = RowDraw::new();
+            for (w, &at) in starts.iter().enumerate() {
+                let mut rng = origin.clone();
+                (0..at).for_each(|_| {
+                    rng.next_u64();
+                });
+                let accepted = ew.sample_rows(&mut rng, &mut draw);
+                assert_eq!(outcomes[w], Some(accepted), "{} walk {w}", spec.name());
+                if accepted {
+                    assert_eq!(draw.rows(), &rows[w * n..(w + 1) * n]);
+                }
+                let mut ahead = origin.clone();
+                (0..at + per).for_each(|_| {
+                    ahead.next_u64();
+                });
+                assert_eq!(rng.next_u64(), ahead.next_u64(), "{} walk {w}", spec.name());
+                rejected += usize::from(!accepted);
+            }
+        }
+        assert!(
+            rejected > 0,
+            "the triangle's cycle check must reject some walks"
+        );
+
+        // A sampler with no fixed word count leaves every walk to
+        // `sample_rows`.
+        let eo = OlkenSampler::new(skewed_chain()).unwrap();
+        assert_eq!(eo.words_per_attempt(), None);
+        let mut outcomes = [Some(true); 3];
+        eo.sample_rows_words(&[0, 1, 2], &[0; 8], &mut [0; 9], &mut outcomes);
+        assert_eq!(outcomes, [None; 3]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! A counting global allocator wraps the system allocator; after a
 //! warm-up pass (which sizes the reusable [`RowDraw`] scratch), the
-//! test drives thousands of row-id draw attempts, random walks, and
+//! test drives thousands of row-id draw attempts, interleaved
+//! exact-weight walks from pre-drawn words, random walks, and
 //! membership-oracle probes and asserts the allocation counter did not
 //! move. This file deliberately holds a single `#[test]` so no
 //! concurrent test thread can pollute the counter.
@@ -174,6 +175,31 @@ fn draw_attempts_do_not_allocate() {
                 }
             }
         }
+    }
+
+    // --- Interleaved EW walks from pre-drawn words. ---
+    for spec in [skewed_chain(), triangle()] {
+        let ew = build_sampler(spec.clone(), WeightKind::Exact).unwrap();
+        let per = ew.words_per_attempt().unwrap();
+        let n = spec.n_relations();
+        let starts: Vec<usize> = (0..64).map(|w| w * per).collect();
+        let words: Vec<u64> = (0..64 * per).map(|_| rng.next_u64()).collect();
+        let mut rows = vec![0u32; 64 * n];
+        let mut outcomes = vec![None; 64];
+        let (accepted, allocs) = counting_settled(|| {
+            let mut accepted = 0;
+            for _ in 0..64 {
+                ew.sample_rows_words(&starts, &words, &mut rows, &mut outcomes);
+                accepted += outcomes.iter().filter(|&&o| o == Some(true)).count();
+            }
+            accepted
+        });
+        assert_eq!(allocs, 0, "interleaved walks on {} allocated", spec.name());
+        assert!(
+            accepted > 0,
+            "{}: no interleaved walk accepted",
+            spec.name()
+        );
     }
 
     // --- Wander walks through the raw walk API. ---

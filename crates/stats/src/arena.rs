@@ -123,10 +123,33 @@ impl AliasArena {
     /// arenas by key ids whose posting lists are never empty).
     #[inline]
     pub fn draw(&self, segment: u32, rng: &mut SujRng) -> u32 {
+        let (lo, n) = self.span(segment);
+        let i = rng.index(n);
+        self.settle(lo, i, rng.next_u64())
+    }
+
+    /// What [`draw`](Self::draw) returns when the generator's next two
+    /// words are `w_index` (the slot) and `w_coin` (the alias coin), or
+    /// `None` when the slot word has no word form
+    /// ([`SujRng::index_word`]) and the sequential draw decides.
+    #[inline]
+    pub fn draw_words(&self, segment: u32, w_index: u64, w_coin: u64) -> Option<u32> {
+        let (lo, n) = self.span(segment);
+        SujRng::index_word(w_index, n).map(|i| self.settle(lo, i, w_coin))
+    }
+
+    /// Segment `segment`'s first slot and its slot count.
+    #[inline]
+    fn span(&self, segment: u32) -> (usize, usize) {
         let lo = self.offsets[segment as usize] as usize;
-        let hi = self.offsets[segment as usize + 1] as usize;
-        let i = rng.index(hi - lo);
-        if rng.next_f64() < self.prob[lo + i] {
+        (lo, self.offsets[segment as usize + 1] as usize - lo)
+    }
+
+    /// Slot `i` of the segment starting at `lo`, or its alias, by the
+    /// coin word.
+    #[inline]
+    fn settle(&self, lo: usize, i: usize, coin: u64) -> u32 {
+        if SujRng::unit_f64(coin) < self.prob[lo + i] {
             i as u32
         } else {
             self.alias[lo + i]
@@ -319,6 +342,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `draw_words` on the generator's next two words is `draw`, slot
+    /// and alias alike, and `None` exactly where the slot word has no
+    /// word form.
+    #[test]
+    fn draw_words_equals_draw() {
+        let mut b = AliasArenaBuilder::new();
+        b.push_segment(&[0.5, 0.0, 8.0, 1.5, 3.0]);
+        b.push_segment(&[2.0]);
+        b.push_segment(&[1.0, 1.0, 0.0]);
+        let arena = b.finish();
+        let mut rng = SujRng::seed_from_u64(41);
+        for k in 0..30_000u32 {
+            let segment = k % 3;
+            let mut ahead = rng.clone();
+            let (w_index, w_coin) = (ahead.next_u64(), ahead.next_u64());
+            let drawn = arena.draw(segment, &mut rng);
+            assert_eq!(arena.draw_words(segment, w_index, w_coin), Some(drawn));
+            assert_eq!(ahead.next_u64(), rng.clone().next_u64());
+        }
+        assert_eq!(arena.draw_words(0, 0, 0), None, "low product 0 < 5");
     }
 
     #[test]

@@ -77,23 +77,48 @@ impl SujRng {
     /// Uniform double in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Self::unit_f64(self.next_u64())
+    }
+
+    /// The double in `[0, 1)` that [`next_f64`](Self::next_f64) makes
+    /// of the raw word `word`.
+    #[inline]
+    pub fn unit_f64(word: u64) -> f64 {
+        (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Lemire's fast path for one word: the index in `[0, n)` that
+    /// [`index`](Self::index) returns when its first word is `word`, or
+    /// `None` when that word's low product falls below `n` (and for
+    /// `n == 0`), where the sequential draw may take another word.
+    ///
+    /// A caller that pre-draws words falls back to the sequential draw
+    /// on `None`; the chance of it is `n / 2⁶⁴` per draw.
+    #[inline]
+    pub fn index_word(word: u64, n: usize) -> Option<usize> {
+        Self::bounded_word(word, n as u64).map(|i| i as usize)
+    }
+
+    #[inline]
+    fn bounded_word(word: u64, n: u64) -> Option<u64> {
+        let m = (word as u128) * (n as u128);
+        (m as u64 >= n && n > 0).then_some((m >> 64) as u64)
     }
 
     /// Uniform integer in `[0, n)` via Lemire's nearly-divisionless method.
     #[inline]
     fn bounded_u64(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
-        let mut x = self.next_u64();
+        let x = self.next_u64();
+        if let Some(i) = Self::bounded_word(x, n) {
+            return i;
+        }
+        // The rejection loop, in line: a call taking `&mut self` would
+        // keep the generator's state in memory on the fast path too.
+        let threshold = n.wrapping_neg() % n;
         let mut m = (x as u128) * (n as u128);
-        let mut lo = m as u64;
-        if lo < n {
-            let threshold = n.wrapping_neg() % n;
-            while lo < threshold {
-                x = self.next_u64();
-                m = (x as u128) * (n as u128);
-                lo = m as u64;
-            }
+        while (m as u64) < threshold {
+            m = (self.next_u64() as u128) * (n as u128);
         }
         (m >> 64) as u64
     }
@@ -299,6 +324,53 @@ mod tests {
         let mut b = SujRng::derive(2, 1);
         let same = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 4, "swapped (root, stream) must not alias");
+    }
+
+    /// The word forms are the sequential draws' arithmetic: on random
+    /// words they return what `index` and `next_f64` return from a
+    /// generator whose next word it is.
+    #[test]
+    fn word_forms_equal_the_sequential_draws() {
+        let mut rng = SujRng::seed_from_u64(19);
+        for n in [1usize, 2, 3, 7, 1_000, 1 << 40, usize::MAX] {
+            for _ in 0..2_000 {
+                let mut ahead = rng.clone();
+                let word = ahead.next_u64();
+                assert_eq!(SujRng::unit_f64(word), rng.clone().next_f64());
+                let sequential = rng.index(n);
+                match SujRng::index_word(word, n) {
+                    Some(i) => {
+                        assert_eq!(i, sequential, "n = {n}");
+                        assert_eq!(ahead.next_u64(), rng.clone().next_u64());
+                    }
+                    None => assert!(n > 1 << 32, "a fall-back at n = {n} is a 1 in 2^32 event"),
+                }
+            }
+        }
+    }
+
+    /// A word whose low product falls below `n` has no word form, and
+    /// the sequential draw decides whether it takes another word: at
+    /// `n = 3` Lemire's threshold is `2⁶⁴ mod 3 = 1`, so word 0 is
+    /// redrawn while the word with low product 1 is kept.
+    #[test]
+    fn a_low_product_word_falls_back_to_the_sequential_draw() {
+        assert_eq!(SujRng::index_word(0, 3), None);
+        let inverse_of_three = 0xAAAA_AAAA_AAAA_AAABu64; // 3 · x ≡ 1 (mod 2⁶⁴)
+        assert_eq!(SujRng::index_word(inverse_of_three, 3), None);
+        assert_eq!(SujRng::index_word(u64::MAX, 0), None);
+
+        // A generator whose next word is 0 (xoshiro256++ returns
+        // rotl(s0 + s3, 23) + s0): `index(3)` takes a second word.
+        let zero_next = SujRng { s: [0, 1, 2, 0] };
+        assert_eq!(zero_next.clone().next_u64(), 0);
+        let mut sequential = zero_next.clone();
+        sequential.index(3);
+        let mut two_words = zero_next;
+        two_words.next_u64();
+        let second = two_words.next_u64();
+        assert_eq!(sequential.next_u64(), two_words.next_u64());
+        assert_ne!(second, 0);
     }
 
     #[test]

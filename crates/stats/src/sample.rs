@@ -81,8 +81,15 @@ impl Categorical {
     }
 
     /// Draws a category index.
+    #[inline]
     pub fn draw(&self, rng: &mut SujRng) -> usize {
-        let x = rng.next_f64() * self.total;
+        self.pick(rng.next_u64())
+    }
+
+    /// The category [`draw`](Self::draw) returns when the generator's
+    /// next word is `word`.
+    pub fn pick(&self, word: u64) -> usize {
+        let x = SujRng::unit_f64(word) * self.total;
         // partition_point returns the first index with cumulative > x.
         let idx = self.cumulative.partition_point(|&c| c <= x);
         idx.min(self.cumulative.len() - 1)
@@ -113,6 +120,18 @@ mod tests {
             assert!((f - expect).abs() < 0.01, "cat {i}: {f} vs {expect}");
             assert!((cat.probability(i) - expect).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn pick_is_draw_on_the_next_word() {
+        let cat = Categorical::new(&[0.5, 0.0, 3.0, 1.25, 7.0]).unwrap();
+        let mut rng = SujRng::seed_from_u64(31);
+        for _ in 0..10_000 {
+            let word = rng.clone().next_u64();
+            assert_eq!(cat.pick(word), cat.draw(&mut rng));
+        }
+        assert_eq!(cat.pick(0), 0);
+        assert_eq!(cat.pick(u64::MAX), 4);
     }
 
     #[test]
