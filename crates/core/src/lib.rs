@@ -32,9 +32,9 @@
 //!   (Algorithm 1's with its estimator and cover), weights, predicate
 //!   push-down, all in one validated place; [`SamplerBuilder::freeze`] yields the `Send + Sync`
 //!   [`PreparedQuery`] that mints independent per-thread handles.
-//! * [`serve`] — [`SamplingService`]: a bounded-queue `std::thread`
-//!   worker pool serving deterministic sampling requests over a shared
-//!   engine.
+//! * [`serve`] — [`SamplingService`]: a slot gate serving deterministic
+//!   sampling requests over a shared engine on the callers' threads,
+//!   at most `workers` at once.
 //! * [`snapshot`] — engine snapshot persistence: save/restore the
 //!   catalog and every cached prepared query with its frozen estimated
 //!   parameters, so a cold replica serves without re-estimating.

@@ -7,34 +7,29 @@
 //! ([`Engine`], [`Arc<PreparedQuery>`](PreparedQuery), `Send` sampler
 //! handles) into an actual server:
 //!
-//! * a fixed pool of `std::thread` workers (the environment is
-//!   offline, so no async runtime — plain threads),
-//! * a bounded request queue ([`SamplingService::submit`] applies
-//!   backpressure by blocking; [`try_submit`](SamplingService::try_submit)
-//!   fails fast),
-//! * serving on the caller's thread: [`SamplingService::try_serve`]
-//!   runs a request where it arrives while fewer than `workers`
-//!   requests are running, and hands it back otherwise, so the queue is
-//!   the overflow path and a request with a free slot crosses no thread,
-//! * graceful shutdown ([`SamplingService::shutdown`] drains the queue,
-//!   then joins every worker),
-//! * queue / throughput / latency counters
-//!   ([`SamplingService::stats`]).
+//! * a slot gate: [`SamplingService::submit`] runs a request on the
+//!   thread that calls it once fewer than `workers` requests are
+//!   running, so a request crosses no thread and the service starts
+//!   none,
+//! * bounded waiting: a caller that finds every slot taken waits for
+//!   one, unless `queue_capacity` callers are waiting already, in which
+//!   case the request is handed back as [`SubmitError::Busy`] with a
+//!   retry hint; callers that arrive while others wait wait too,
+//! * throughput / latency counters ([`SamplingService::stats`]).
 //!
 //! # Determinism contract
 //!
 //! Every request carries a `seed` (defaulting to its `id`). Whichever
-//! thread runs it — a pool worker or the caller — serves it by minting
-//! a fresh handle from the prepared query and driving it with
+//! thread runs it serves it by minting a fresh handle from the
+//! prepared query and driving it with
 //! [`PreparedQuery::rng`]`(request.seed)` — a pure function of the
 //! prepared query (which owns the root seed) and the request, and the
 //! stream [`PreparedQuery::sample`] draws from.
 //! Therefore: **same prepared query + same request seeds ⇒
 //! bit-identical per-request samples**, in-process or served, for any
-//! worker count, any thread interleaving, any submission order, and
-//! either path through the service. A 4-worker service is
-//! sample-for-sample equal to a 1-worker service; only wall time
-//! changes.
+//! worker count, any thread interleaving and any submission order. A
+//! 4-worker service is sample-for-sample equal to a 1-worker service;
+//! only wall time changes.
 //!
 //! ```
 //! use suj_core::catalog::{Catalog, Engine};
@@ -70,23 +65,24 @@ use crate::query::UnionQuery;
 use crate::report::{LatencyHistogram, RunReport};
 use crate::sampler::UnionSampler;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 use suj_storage::Tuple;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Worker-pool and queue configuration.
+/// How many requests may run at once and how many callers may wait.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads. Defaults to the machine's available parallelism.
+    /// Requests that may run at once, each on its caller's thread.
+    /// Defaults to the machine's available parallelism.
     pub workers: usize,
-    /// Bounded request-queue capacity ([`SamplingService::submit`]
-    /// blocks, [`SamplingService::try_submit`] fails fast when full).
+    /// Callers that may wait for a slot; [`SamplingService::submit`]
+    /// refuses the next one as [`SubmitError::Busy`].
     pub queue_capacity: usize,
 }
 
@@ -108,7 +104,7 @@ impl ServiceConfig {
         }
     }
 
-    /// Sets the bounded queue capacity.
+    /// Sets how many callers may wait for a slot.
     #[must_use = "builder methods return the updated configuration"]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
@@ -152,10 +148,9 @@ pub struct SampleRequest {
     pub seed: u64,
     /// What to sample.
     pub target: RequestTarget,
-    /// Optional deadline: checked when the request starts (at dequeue,
-    /// or at admission on the caller's thread) and before every draw,
-    /// answering [`CoreError::DeadlineExceeded`] instead of running
-    /// unbounded. `None` (the default) keeps the old
+    /// Optional deadline: checked when the request gets its slot and
+    /// before every draw, answering [`CoreError::DeadlineExceeded`]
+    /// instead of running unbounded. `None` (the default) keeps the old
     /// run-to-completion behavior. A deadline never changes the draw
     /// sequence — a request that finishes in time is bit-identical to
     /// the same request without one.
@@ -213,15 +208,18 @@ impl SampleRequest {
     }
 
     /// Sets the deadline as a budget from now
-    /// (`deadline = Instant::now() + budget`).
+    /// (`deadline = Instant::now() + budget`). A budget that reaches
+    /// past what an `Instant` can hold leaves the request without a
+    /// deadline.
     #[must_use = "builder methods return the updated request"]
-    pub fn with_budget(self, budget: Duration) -> Self {
-        self.with_deadline(Instant::now() + budget)
+    pub fn with_budget(mut self, budget: Duration) -> Self {
+        self.deadline = Instant::now().checked_add(budget);
+        self
     }
 
     /// Fault injection: the thread running this request panics instead
     /// of serving it, so tests can prove panic containment
-    /// (the pool survives, the caller gets a typed error). Only
+    /// (the service keeps serving, the caller gets a typed error). Only
     /// compiled under the `faults` feature.
     #[cfg(feature = "faults")]
     #[must_use = "builder methods return the updated request"]
@@ -246,48 +244,31 @@ pub struct SampleResponse {
 /// Why a submission was not accepted.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// The bounded queue is full ([`SamplingService::try_submit`]
-    /// only); the request is handed back for retry, with a hint for
-    /// how long to back off first. Distinct from
-    /// [`ShutDown`](Self::ShutDown): a busy service will accept the
-    /// request again once the queue drains, a stopped one never will.
+    /// Every slot is running a request and `queue_capacity` callers are
+    /// already waiting for one; the request is handed back for retry,
+    /// with a hint for how long to back off first.
     Busy {
         /// The rejected request, handed back to the caller.
         request: SampleRequest,
         /// Suggested back-off before retrying: roughly the time the
-        /// pool needs to drain a full queue, derived from the observed
-        /// median request service time (see
+        /// slots need to serve every waiting caller, derived from the
+        /// observed median request service time (see
         /// [`SamplingService::retry_after_hint`]).
         retry_after: Duration,
     },
-    /// Every one of the service's `workers` slots is running a request
-    /// ([`SamplingService::try_serve`] only); the request is handed
-    /// back to be queued instead.
-    Saturated(SampleRequest),
-    /// The service is shutting down; the request is handed back.
-    ShutDown(SampleRequest),
 }
 
 impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SubmitError::Busy {
-                request,
-                retry_after,
-            } => write!(
-                f,
-                "request {} rejected: queue full, retry after {retry_after:?}",
-                request.id
-            ),
-            SubmitError::Saturated(r) => {
-                write!(
-                    f,
-                    "request {} not run here: every worker slot is busy",
-                    r.id
-                )
-            }
-            SubmitError::ShutDown(r) => write!(f, "request {} rejected: shutting down", r.id),
-        }
+        let SubmitError::Busy {
+            request,
+            retry_after,
+        } = self;
+        write!(
+            f,
+            "request {} rejected: every slot busy, retry after {retry_after:?}",
+            request.id
+        )
     }
 }
 
@@ -299,11 +280,10 @@ impl From<SubmitError> for CoreError {
     }
 }
 
-/// A pending response; [`wait`](Ticket::wait) blocks until the worker
-/// replies.
+/// A served request's outcome; [`wait`](Ticket::wait) hands it over.
 pub struct Ticket {
     id: u64,
-    rx: mpsc::Receiver<Result<SampleResponse, CoreError>>,
+    result: Result<SampleResponse, CoreError>,
 }
 
 impl Ticket {
@@ -312,29 +292,14 @@ impl Ticket {
         self.id
     }
 
-    /// Blocks until the request is served.
+    /// The request's response, or the error that ended it.
     pub fn wait(self) -> Result<SampleResponse, CoreError> {
-        self.rx.recv().map_err(|_| {
-            CoreError::Invalid(format!(
-                "request {} lost: its worker terminated before replying",
-                self.id
-            ))
-        })?
+        self.result
     }
-}
-
-struct Job {
-    request: SampleRequest,
-    reply: mpsc::SyncSender<Result<SampleResponse, CoreError>>,
 }
 
 #[derive(Default)]
 struct Counters {
-    /// Requests running now, on pool workers and callers' threads alike:
-    /// [`SamplingService::try_serve`] admits a request only while this
-    /// is below `workers`. Updated `Relaxed`, like the statistics: it
-    /// bounds how many requests run and publishes no other data.
-    running: AtomicUsize,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -344,26 +309,58 @@ struct Counters {
     /// service-wide latency histogram.
     aggregate: Mutex<RunReport>,
     /// Service time of each completed request, start to result: what
-    /// one queue slot costs one worker.
+    /// one slot costs a waiting caller.
     request_latency: Mutex<LatencyHistogram>,
+}
+
+/// The slot gate's state. While a caller waits every slot is held
+/// (`waiting > 0` implies `running == workers`), so a caller that finds
+/// a free slot has nobody ahead of it.
+#[derive(Default)]
+struct Slots {
+    /// Slots held, including those handed to woken callers.
+    running: usize,
+    /// Callers waiting without a slot.
+    waiting: usize,
+    /// Slots handed to waiting callers that have not woken yet.
+    granted: usize,
+}
+
+/// A held slot; dropping it, on every way out of a request including a
+/// panic, hands the slot to a waiting caller or frees it.
+struct Slot<'a> {
+    service: &'a SamplingService,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut slots = lock(&self.service.slots);
+        if slots.waiting > 0 {
+            slots.waiting -= 1;
+            slots.granted += 1;
+            self.service.freed.notify_one();
+        } else {
+            slots.running -= 1;
+        }
+    }
 }
 
 /// A point-in-time snapshot of service counters.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
-    /// Worker threads in the pool.
+    /// Requests that may run at once.
     pub workers: usize,
-    /// Requests accepted so far, queued or run on a caller's thread.
+    /// Requests accepted so far, running or waiting for a slot.
     pub submitted: u64,
     /// Requests served successfully.
     pub completed: u64,
     /// Requests that errored.
     pub failed: u64,
-    /// Requests [`try_submit`](SamplingService::try_submit) refused as
-    /// [`SubmitError::Busy`] because the queue was full. A refused
-    /// request is not counted in `submitted`.
+    /// Requests [`submit`](SamplingService::submit) refused as
+    /// [`SubmitError::Busy`] because `queue_capacity` callers were
+    /// waiting. A refused request is not counted in `submitted`.
     pub busy: u64,
-    /// Requests accepted but not yet finished (queued or in flight).
+    /// Requests accepted but not yet finished (waiting or running).
     pub in_flight: u64,
     /// Total tuples across all completed responses.
     pub tuples_served: u64,
@@ -439,97 +436,31 @@ fn serve_request(engine: &Engine, request: &SampleRequest) -> Result<SampleRespo
     })
 }
 
-/// Runs one admitted request on the calling thread and keeps the
-/// service's books: the one body behind a pool worker and
-/// [`SamplingService::try_serve`]. A request whose deadline passed
-/// before it started is answered without touching the engine. A panic
-/// is contained into a typed error: the thread must survive (a
-/// shrinking pool would eventually deadlock `submit`), the caller must
-/// get an error, and the counters must balance.
-fn run(
-    engine: &Engine,
-    counters: &Counters,
-    request: &SampleRequest,
-) -> Result<SampleResponse, CoreError> {
-    let started = Instant::now();
-    let result = if request.deadline.is_some_and(|d| started >= d) {
-        Err(CoreError::DeadlineExceeded)
-    } else {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_request(engine, request)
-        }))
-        .unwrap_or_else(|_| {
-            Err(CoreError::Invalid(format!(
-                "request {} panicked while sampling",
-                request.id
-            )))
-        })
-    };
-    match &result {
-        Ok(response) => {
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-            counters
-                .tuples_served
-                .fetch_add(response.tuples.len() as u64, Ordering::Relaxed);
-            lock(&counters.aggregate).merge(&response.report);
-            lock(&counters.request_latency).record(started.elapsed());
-        }
-        Err(_) => {
-            counters.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    result
-}
-
-/// A fixed worker pool serving sampling requests over a shared
-/// [`Engine`].
+/// Serves sampling requests over a shared [`Engine`], each on the
+/// thread that submits it, at most `workers` at once.
 ///
-/// See the [module docs](self) for queueing and determinism semantics.
-/// Dropping the service shuts it down gracefully (queued requests are
-/// still served).
+/// See the [module docs](self) for admission and determinism semantics.
 pub struct SamplingService {
-    tx: Option<mpsc::SyncSender<Job>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    engine: Arc<Engine>,
-    counters: Arc<Counters>,
+    engine: Engine,
+    counters: Counters,
     config: ServiceConfig,
+    slots: Mutex<Slots>,
+    /// Signalled when a slot is freed while a caller waits.
+    freed: Condvar,
 }
 
 impl SamplingService {
-    /// Starts the worker pool.
+    /// A service over `engine`; it starts no thread.
     pub fn start(engine: Engine, config: ServiceConfig) -> Self {
-        let workers = config.workers.max(1);
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let engine = Arc::new(engine);
-        let counters = Arc::new(Counters::default());
-        let handles = (0..workers)
-            .map(|_| {
-                let rx = rx.clone();
-                let engine = engine.clone();
-                let counters = counters.clone();
-                thread::spawn(move || loop {
-                    // Hold the receiver lock only while dequeuing, so
-                    // siblings serve in parallel.
-                    let job = { lock(&rx).recv() };
-                    let Ok(job) = job else { return }; // queue closed: graceful exit
-                    counters.running.fetch_add(1, Ordering::Relaxed);
-                    let result = run(&engine, &counters, &job.request);
-                    counters.running.fetch_sub(1, Ordering::Relaxed);
-                    // A caller that dropped its ticket is not an error.
-                    let _ = job.reply.send(result);
-                })
-            })
-            .collect();
         Self {
-            tx: Some(tx),
-            workers: handles,
             engine,
-            counters,
+            counters: Counters::default(),
             config: ServiceConfig {
-                workers,
-                ..config.clone()
+                workers: config.workers.max(1),
+                ..config
             },
+            slots: Mutex::new(Slots::default()),
+            freed: Condvar::new(),
         }
     }
 
@@ -538,91 +469,94 @@ impl SamplingService {
         &self.config
     }
 
-    fn make_job(request: SampleRequest) -> (Job, Ticket) {
-        let (reply, rx) = mpsc::sync_channel(1);
-        let id = request.id;
-        (Job { request, reply }, Ticket { id, rx })
-    }
-
-    /// Enqueues a request, blocking while the bounded queue is full
-    /// (backpressure). Returns a [`Ticket`] to wait on.
+    /// Runs a request on the calling thread once one of the `workers`
+    /// slots is free, waiting for one while every slot is taken or
+    /// other callers wait. When `queue_capacity` callers wait already,
+    /// the request is handed back as [`SubmitError::Busy`] with a
+    /// [`retry_after_hint`](Self::retry_after_hint). The returned
+    /// [`Ticket`] holds the finished result.
     // The error is as large as the request on purpose: rejection hands
     // the request back by value so the caller can retry it.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, request: SampleRequest) -> Result<Ticket, SubmitError> {
-        let Some(tx) = &self.tx else {
-            return Err(SubmitError::ShutDown(request));
+        let Some(_slot) = self.acquire() else {
+            self.counters.busy.fetch_add(1, Ordering::Relaxed);
+            return Err(SubmitError::Busy {
+                request,
+                retry_after: self.retry_after_hint(),
+            });
         };
-        let (job, ticket) = Self::make_job(request);
-        match tx.send(job) {
-            Ok(()) => {
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(ticket)
-            }
-            Err(mpsc::SendError(job)) => Err(SubmitError::ShutDown(job.request)),
-        }
+        let result = self.run(&request);
+        Ok(Ticket {
+            id: request.id,
+            result,
+        })
     }
 
-    /// Enqueues a request without blocking; a full queue hands the
-    /// request back as [`SubmitError::Busy`] with a
-    /// [`retry_after_hint`](Self::retry_after_hint).
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, request: SampleRequest) -> Result<Ticket, SubmitError> {
-        let Some(tx) = &self.tx else {
-            return Err(SubmitError::ShutDown(request));
-        };
-        let (job, ticket) = Self::make_job(request);
-        match tx.try_send(job) {
-            Ok(()) => {
-                self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(ticket)
-            }
-            Err(mpsc::TrySendError::Full(job)) => {
-                self.counters.busy.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::Busy {
-                    request: job.request,
-                    retry_after: self.retry_after_hint(),
-                })
-            }
-            Err(mpsc::TrySendError::Disconnected(job)) => Err(SubmitError::ShutDown(job.request)),
-        }
-    }
-
-    /// Serves a request on the calling thread if one of the `workers`
-    /// slots is free, with the pool's deadline check, panic containment
-    /// and counters. Otherwise the request is handed back as
-    /// [`SubmitError::Saturated`], for [`submit`](Self::submit) or
-    /// [`try_submit`](Self::try_submit) to queue; after shutdown it is
-    /// handed back as [`SubmitError::ShutDown`]. The samples are those
-    /// a pool worker would draw for the same request.
-    #[allow(clippy::result_large_err)]
-    pub fn try_serve(
-        &self,
-        request: SampleRequest,
-    ) -> Result<Result<SampleResponse, CoreError>, SubmitError> {
-        if self.tx.is_none() {
-            return Err(SubmitError::ShutDown(request));
-        }
-        let workers = self.config.workers;
-        let claimed =
-            self.counters
-                .running
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |running| {
-                    (running < workers).then_some(running + 1)
-                });
-        if claimed.is_err() {
-            return Err(SubmitError::Saturated(request));
+    /// Takes a free slot, or waits until a finishing request hands
+    /// one over; `None` when `queue_capacity` callers wait already. An
+    /// accepted request is counted in `submitted` before it waits.
+    fn acquire(&self) -> Option<Slot<'_>> {
+        let mut slots = lock(&self.slots);
+        let free = slots.running < self.config.workers;
+        if !free && slots.waiting >= self.config.queue_capacity {
+            return None;
         }
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let result = run(&self.engine, &self.counters, &request);
-        self.counters.running.fetch_sub(1, Ordering::Relaxed);
-        Ok(result)
+        if free {
+            slots.running += 1;
+        } else {
+            slots.waiting += 1;
+            slots = self
+                .freed
+                .wait_while(slots, |slots| slots.granted == 0)
+                .unwrap_or_else(PoisonError::into_inner);
+            slots.granted -= 1;
+        }
+        Some(Slot { service: self })
     }
 
-    /// Suggested back-off when the queue is full: the observed median
-    /// service time of a request (10 µs until one completed) times the
-    /// queue capacity, divided by the workers draining it — roughly
-    /// how long the pool needs to drain a full queue — clamped to
+    /// Runs one request on the calling thread, which holds a slot, and
+    /// keeps the service's books. A request whose deadline passed
+    /// before it got its slot is answered without touching the engine.
+    /// A panic is contained into a typed error: the caller must get an
+    /// error and the counters must balance.
+    fn run(&self, request: &SampleRequest) -> Result<SampleResponse, CoreError> {
+        let counters = &self.counters;
+        let started = Instant::now();
+        let result = if request.deadline.is_some_and(|d| started >= d) {
+            Err(CoreError::DeadlineExceeded)
+        } else {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                serve_request(&self.engine, request)
+            }))
+            .unwrap_or_else(|_| {
+                Err(CoreError::Invalid(format!(
+                    "request {} panicked while sampling",
+                    request.id
+                )))
+            })
+        };
+        match &result {
+            Ok(response) => {
+                counters.completed.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .tuples_served
+                    .fetch_add(response.tuples.len() as u64, Ordering::Relaxed);
+                lock(&counters.aggregate).merge(&response.report);
+                lock(&counters.request_latency).record(started.elapsed());
+            }
+            Err(_) => {
+                counters.failed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        result
+    }
+
+    /// Suggested back-off when callers are refused: the observed median
+    /// service time of a request (10 µs until one completed) times
+    /// `queue_capacity`, divided by the `workers` slots serving the
+    /// waiting callers — roughly how long they all take — clamped to
     /// `[100 µs, 1 s]`.
     pub fn retry_after_hint(&self) -> Duration {
         const DEFAULT_REQUEST: Duration = Duration::from_micros(10);
@@ -636,23 +570,38 @@ impl SamplingService {
         (per_request.saturating_mul(capacity) / workers).clamp(MIN_HINT, MAX_HINT)
     }
 
-    /// Submits a batch and waits for every response, returned in
+    /// Serves a batch on at most `min(workers, len)` scoped threads,
+    /// each submitting the next request, and returns every response in
     /// request order. Individual failures surface as the first error
-    /// after all tickets resolved.
-    #[allow(clippy::result_large_err)]
+    /// after all requests resolved.
     pub fn run_batch(
         &self,
         requests: Vec<SampleRequest>,
     ) -> Result<Vec<SampleResponse>, CoreError> {
-        let tickets = requests
-            .into_iter()
-            .map(|r| self.submit(r))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(CoreError::from)?;
-        let mut responses = Vec::with_capacity(tickets.len());
+        let threads = self.config.workers.min(requests.len());
+        let next = Mutex::new(requests.into_iter().enumerate());
+        let serve = || {
+            let mut served = Vec::new();
+            loop {
+                let Some((i, request)) = lock(&next).next() else {
+                    return served;
+                };
+                let result = self.submit(request).map_err(CoreError::from);
+                served.push((i, result.and_then(Ticket::wait)));
+            }
+        };
+        let mut served: Vec<_> = thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(serve)).collect();
+            handles
+                .into_iter()
+                .flat_map(|t| t.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        served.sort_unstable_by_key(|&(i, _)| i);
+        let mut responses = Vec::with_capacity(served.len());
         let mut first_err = None;
-        for ticket in tickets {
-            match ticket.wait() {
+        for (_, result) in served {
+            match result {
                 Ok(response) => responses.push(response),
                 Err(e) => first_err = first_err.or(Some(e)),
             }
@@ -684,26 +633,10 @@ impl SamplingService {
         }
     }
 
-    /// Graceful shutdown: stops accepting requests, serves everything
-    /// already queued, joins the workers, and returns the final stats.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.close();
+    /// Ends the service and returns its final stats. It takes the
+    /// service by value, so no request is running or waiting by then.
+    pub fn shutdown(self) -> ServiceStats {
         self.stats()
-    }
-
-    fn close(&mut self) {
-        // Dropping the sender closes the queue; workers drain the
-        // buffered jobs and exit on the disconnect.
-        self.tx.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for SamplingService {
-    fn drop(&mut self) {
-        self.close();
     }
 }
 
@@ -831,7 +764,7 @@ mod tests {
         assert!(ticket.wait().is_err());
         let stats = service.stats();
         assert_eq!(stats.failed, 1);
-        // The pool still serves good requests afterwards.
+        // The service still serves good requests afterwards.
         let ok = service
             .submit(SampleRequest::query(2, 3, union_query()))
             .unwrap();
@@ -840,118 +773,191 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_reports_busy_with_retry_hint() {
+    fn submit_reports_busy_with_retry_hint() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
-        // Zero workers is clamped to one; use a tiny queue and a pile
-        // of requests to race it full. A single worker with a
-        // capacity-1 queue and slow-ish requests will reject at least
-        // one try_submit in a burst.
         let service =
-            SamplingService::start(engine, ServiceConfig::with_workers(1).queue_capacity(1));
-        let mut rejected = 0;
-        let mut tickets = Vec::new();
-        for id in 0..64u64 {
-            match service.try_submit(SampleRequest::prepared(id, 50, &prepared)) {
-                Ok(t) => tickets.push(t),
-                Err(SubmitError::Busy {
-                    request,
-                    retry_after,
-                }) => {
-                    assert_eq!(request.id, id, "rejected request is handed back");
-                    assert!(
-                        retry_after >= Duration::from_micros(100)
-                            && retry_after <= Duration::from_secs(1),
-                        "hint out of bounds: {retry_after:?}"
-                    );
-                    rejected += 1;
-                }
-                Err(other) => unreachable!("service is running and try_submit queues: {other}"),
+            SamplingService::start(engine, ServiceConfig::with_workers(1).queue_capacity(3));
+        // Stand in for a running request and three waiting callers.
+        *lock(&service.slots) = Slots {
+            running: 1,
+            waiting: 3,
+            granted: 0,
+        };
+        match service.submit(SampleRequest::prepared(9, 4, &prepared)) {
+            Err(SubmitError::Busy {
+                request,
+                retry_after,
+            }) => {
+                assert_eq!(request.id, 9, "rejected request is handed back");
+                assert!(
+                    retry_after >= Duration::from_micros(100)
+                        && retry_after <= Duration::from_secs(1),
+                    "hint out of bounds: {retry_after:?}"
+                );
             }
+            Ok(_) => panic!("expected Busy, got a ticket"),
         }
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert!(
-            rejected > 0,
-            "a capacity-1 queue must reject some of 64 bursts"
-        );
         let stats = service.stats();
-        assert_eq!(stats.busy, rejected, "every Busy refusal is counted");
-        assert_eq!(stats.submitted + stats.busy, 64);
-        assert!(stats.to_string().contains(&format!("busy={rejected}")));
-        // Busy and ShutDown are distinguishable: after close, the same
-        // submission fails as ShutDown, not Busy.
-        let mut service = service;
-        service.close();
-        assert!(matches!(
-            service.try_submit(SampleRequest::prepared(99, 1, &prepared)),
-            Err(SubmitError::ShutDown(_))
-        ));
+        assert_eq!((stats.busy, stats.submitted), (1, 0));
+        assert!(stats.to_string().contains("busy=1"));
+        *lock(&service.slots) = Slots::default();
+        let ticket = service
+            .submit(SampleRequest::prepared(9, 4, &prepared))
+            .unwrap();
+        assert_eq!(ticket.id(), 9);
+        assert_eq!(ticket.wait().unwrap().tuples.len(), 4);
+        let stats = service.shutdown();
+        assert_eq!((stats.busy, stats.submitted, stats.completed), (1, 1, 1));
     }
 
     #[test]
-    fn try_serve_draws_what_the_pool_draws_and_keeps_its_books() {
+    fn submit_draws_what_the_library_draws_and_keeps_its_books() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
         let service = SamplingService::start(engine, ServiceConfig::with_workers(1));
         assert!(service.stats().request_p50.is_none());
-        let here = service
-            .try_serve(SampleRequest::prepared(3, 8, &prepared))
-            .unwrap()
-            .unwrap();
-        assert_eq!(here.id, 3);
-        let stats = service.stats();
-        assert_eq!((stats.submitted, stats.completed, stats.failed), (1, 1, 0));
-        assert_eq!((stats.in_flight, stats.tuples_served), (0, 8));
-        assert!(stats.request_p50.is_some());
-        assert_eq!(service.counters.running.load(Ordering::Relaxed), 0);
-        let pooled = service
+        let served = service
             .submit(SampleRequest::prepared(3, 8, &prepared))
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(here.tuples, pooled.tuples, "same seed, same samples");
+        assert_eq!(served.id, 3);
+        let (reference, _) = prepared.sample(8, 3).unwrap();
+        assert_eq!(served.tuples, reference, "same seed, same samples");
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (1, 1, 0));
+        assert_eq!((stats.in_flight, stats.tuples_served), (0, 8));
+        assert!(stats.request_p50.is_some());
+        assert_eq!(lock(&service.slots).running, 0, "the slot is released");
         let stats = service.shutdown();
-        assert_eq!((stats.submitted, stats.completed), (2, 2));
-        assert_eq!((stats.in_flight, stats.tuples_served), (0, 16));
+        assert_eq!((stats.submitted, stats.completed), (1, 1));
     }
 
+    /// The bound: with both slots held, a third request waits — counted
+    /// as accepted, not served — and runs once a slot is released.
     #[test]
-    fn try_serve_hands_the_request_back_when_every_slot_runs() {
+    fn submit_waits_for_a_slot_when_every_slot_runs() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
         let service = SamplingService::start(engine, ServiceConfig::with_workers(2));
         // Stand in for two requests already running.
-        service.counters.running.store(2, Ordering::Relaxed);
-        match service.try_serve(SampleRequest::prepared(4, 8, &prepared)) {
-            Err(SubmitError::Saturated(request)) => assert_eq!(request.id, 4),
-            other => panic!("expected Saturated, got {other:?}"),
-        }
+        lock(&service.slots).running = 2;
+        thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                service
+                    .submit(SampleRequest::prepared(4, 8, &prepared))
+                    .unwrap()
+                    .wait()
+                    .unwrap()
+            });
+            while lock(&service.slots).waiting == 0 && !waiter.is_finished() {
+                thread::yield_now();
+            }
+            thread::sleep(Duration::from_millis(20));
+            let stats = service.stats();
+            assert_eq!((stats.in_flight, stats.completed), (1, 0));
+            assert_eq!(lock(&service.slots).running, 2);
+            // Release one of the stand-ins the way a request does.
+            drop(Slot { service: &service });
+            assert_eq!(waiter.join().unwrap().tuples.len(), 8);
+        });
+        assert_eq!(lock(&service.slots).running, 1);
+        let stats = service.stats();
         assert_eq!(
-            service.stats().submitted,
-            0,
-            "a handed-back request is not admitted"
+            (stats.submitted, stats.completed, stats.in_flight),
+            (1, 1, 0)
         );
-        service.counters.running.store(1, Ordering::Relaxed);
-        assert!(service
-            .try_serve(SampleRequest::prepared(4, 8, &prepared))
-            .unwrap()
-            .is_ok());
-        assert_eq!(service.counters.running.load(Ordering::Relaxed), 1);
-        service.counters.running.store(0, Ordering::Relaxed);
-        service.shutdown();
+        lock(&service.slots).running = 0;
+    }
+
+    /// No barging: a slot freed while a caller waits passes to that
+    /// caller, so a caller arriving meanwhile finds no free slot.
+    #[test]
+    fn a_freed_slot_goes_to_the_waiting_caller() {
+        let service = SamplingService::start(engine(), ServiceConfig::with_workers(2));
+        // Stand in for two running requests and one waiting caller.
+        *lock(&service.slots) = Slots {
+            running: 2,
+            waiting: 1,
+            granted: 0,
+        };
+        drop(Slot { service: &service });
+        {
+            let slots = lock(&service.slots);
+            assert_eq!((slots.running, slots.waiting, slots.granted), (2, 0, 1));
+        }
+        // With nobody waiting, a finished request frees its slot.
+        drop(Slot { service: &service });
+        assert_eq!(lock(&service.slots).running, 1);
+        *lock(&service.slots) = Slots::default();
     }
 
     #[test]
-    fn try_serve_past_deadline_is_a_counted_failure() {
+    fn concurrent_callers_on_two_slots_draw_the_library_samples() {
+        let engine = engine();
+        let prepared = engine.prepare(&union_query()).unwrap();
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(2));
+        thread::scope(|scope| {
+            for t in 0..8u64 {
+                let (service, prepared) = (&service, &prepared);
+                scope.spawn(move || {
+                    for r in 0..32u64 {
+                        let seed = 100 * t + r;
+                        let request = SampleRequest::prepared(seed, 6, prepared);
+                        let served = service.submit(request).unwrap().wait().unwrap();
+                        let (reference, _) = prepared.sample(6, seed).unwrap();
+                        assert_eq!(served.tuples, reference, "seed {seed}");
+                    }
+                });
+            }
+        });
+        let stats = service.shutdown();
+        assert_eq!((stats.submitted, stats.completed), (256, 256));
+        assert_eq!((stats.failed, stats.busy, stats.in_flight), (0, 0, 0));
+    }
+
+    /// `run_batch` answers in request order, however its threads
+    /// interleave, and reports the first failure only after every
+    /// request resolved.
+    #[test]
+    fn run_batch_keeps_request_order_and_reports_the_first_error() {
+        let engine = engine();
+        let prepared = engine.prepare(&union_query()).unwrap();
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(3));
+        let batch: Vec<_> = (0..12u64)
+            .rev()
+            .map(|id| SampleRequest::prepared(id, 2, &prepared))
+            .collect();
+        let ids: Vec<u64> = service
+            .run_batch(batch)
+            .unwrap()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, (0..12).rev().collect::<Vec<_>>());
+        let bad = UnionQuery::set_union().chain("j", ["nope", "s"]).unwrap();
+        let mut batch: Vec<_> = (0..8u64)
+            .map(|id| SampleRequest::prepared(id, 2, &prepared))
+            .collect();
+        batch[5] = SampleRequest::query(5, 2, bad);
+        assert!(service.run_batch(batch).is_err());
+        let stats = service.shutdown();
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.failed),
+            (20, 19, 1)
+        );
+    }
+
+    #[test]
+    fn submit_past_deadline_is_a_counted_failure() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
         let service = SamplingService::start(engine, ServiceConfig::with_workers(1));
         let late = SampleRequest::prepared(1, 4, &prepared)
             .with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(
-            service.try_serve(late).unwrap().unwrap_err(),
+            service.submit(late).unwrap().wait().unwrap_err(),
             CoreError::DeadlineExceeded
         );
         let stats = service.stats();
@@ -959,22 +965,24 @@ mod tests {
         service.shutdown();
     }
 
+    /// `Instant::now() + Duration::MAX` overflows; such a budget means
+    /// no deadline at all.
     #[test]
-    fn try_serve_after_close_is_shut_down() {
+    fn unrepresentable_budget_is_no_deadline() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
-        let mut service = SamplingService::start(engine, ServiceConfig::with_workers(1));
-        service.close();
-        match service.try_serve(SampleRequest::prepared(7, 3, &prepared)) {
-            Err(SubmitError::ShutDown(r)) => assert_eq!(r.id, 7),
-            other => panic!("expected ShutDown, got {other:?}"),
-        }
+        let request = SampleRequest::prepared(2, 16, &prepared).with_budget(Duration::MAX);
+        assert!(request.deadline.is_none());
+        let service = SamplingService::start(engine, ServiceConfig::with_workers(1));
+        let served = service.submit(request).unwrap().wait().unwrap();
+        assert_eq!(served.tuples.len(), 16);
+        service.shutdown();
     }
 
     #[test]
     fn retry_after_hint_stays_clamped() {
         let engine = engine();
-        // Cold service, enormous queue: the default per-draw estimate
+        // Cold service, enormous wait limit: the default per-draw estimate
         // times the capacity would exceed a second — clamped down.
         let service = SamplingService::start(
             engine.clone(),
@@ -982,16 +990,17 @@ mod tests {
         );
         assert_eq!(service.retry_after_hint(), Duration::from_secs(1));
         service.shutdown();
-        // Tiny queue: the raw product underflows the floor — clamped up.
+        // One waiting caller: the raw product underflows the floor —
+        // clamped up.
         let service =
             SamplingService::start(engine, ServiceConfig::with_workers(1).queue_capacity(1));
         assert_eq!(service.retry_after_hint(), Duration::from_micros(100));
         service.shutdown();
     }
 
-    /// The queue holds requests, not draws: a pool that has been
-    /// serving 2048-draw requests must hint a far longer back-off than
-    /// an identical pool serving single draws.
+    /// Waiting callers hold requests, not draws: a service that has
+    /// been serving 2048-draw requests must hint a far longer back-off
+    /// than an identical service serving single draws.
     #[test]
     fn retry_after_hint_scales_with_request_size() {
         let hint_after_serving = |n: usize| {
@@ -1017,46 +1026,12 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_queued_requests() {
-        let engine = engine();
-        let prepared = engine.prepare(&union_query()).unwrap();
-        let service =
-            SamplingService::start(engine, ServiceConfig::with_workers(1).queue_capacity(64));
-        let tickets: Vec<Ticket> = (0..16u64)
-            .map(|id| {
-                service
-                    .submit(SampleRequest::prepared(id, 8, &prepared))
-                    .unwrap()
-            })
-            .collect();
-        // Shut down immediately: everything queued must still be
-        // served before the workers exit.
-        let stats = service.shutdown();
-        assert_eq!(stats.completed, 16);
-        for ticket in tickets {
-            assert_eq!(ticket.wait().unwrap().tuples.len(), 8);
-        }
-    }
-
-    #[test]
-    fn submit_after_shutdown_hands_request_back() {
-        let engine = engine();
-        let prepared = engine.prepare(&union_query()).unwrap();
-        let mut service = SamplingService::start(engine, ServiceConfig::with_workers(1));
-        service.close();
-        match service.submit(SampleRequest::prepared(7, 3, &prepared)) {
-            Err(SubmitError::ShutDown(r)) => assert_eq!(r.id, 7),
-            Err(other) => panic!("expected ShutDown, got {other:?}"),
-            Ok(_) => panic!("expected ShutDown, got a ticket"),
-        }
-    }
-
-    #[test]
     fn expired_deadline_is_a_typed_error_and_pool_survives() {
         let engine = engine();
         let prepared = engine.prepare(&union_query()).unwrap();
         let service = SamplingService::start(engine, ServiceConfig::with_workers(1));
-        // A deadline already in the past: rejected at dequeue, typed.
+        // A deadline already in the past: rejected when the request
+        // gets its slot, typed.
         let late = SampleRequest::prepared(1, 4, &prepared)
             .with_deadline(Instant::now() - Duration::from_millis(1));
         let ticket = service.submit(late).unwrap();
@@ -1068,7 +1043,7 @@ mod tests {
         assert_eq!(ticket.wait().unwrap_err(), CoreError::DeadlineExceeded);
         let stats = service.stats();
         assert_eq!(stats.failed, 2);
-        // The worker survives and keeps serving.
+        // The service keeps serving.
         let ok = service
             .submit(SampleRequest::prepared(3, 4, &prepared))
             .unwrap();
@@ -1112,7 +1087,7 @@ mod tests {
         let ticket = service.submit(pill).unwrap();
         let err = ticket.wait().unwrap_err();
         assert!(err.to_string().contains("panicked"), "got: {err}");
-        // The same (sole) worker still serves.
+        // The service still serves on its one slot.
         let ok = service
             .submit(SampleRequest::prepared(2, 4, &prepared))
             .unwrap();

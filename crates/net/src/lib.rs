@@ -6,9 +6,9 @@
 //!   length-prefixed binary protocol over plain `std::net` TCP (no
 //!   async runtime, no HTTP). A [`Server`] fronts an
 //!   [`Engine`](suj_core::catalog::Engine) and a
-//!   [`SamplingService`](suj_core::serve::SamplingService) worker
-//!   pool; a request runs on its connection thread while a slot is
-//!   free and takes the pool's queue otherwise, and queue-full
+//!   [`SamplingService`](suj_core::serve::SamplingService) slot
+//!   gate; a request runs on its connection thread once a slot is
+//!   free, and when too many connection threads wait for one the
 //!   backpressure travels on the wire as a typed `Busy` response with
 //!   a retry hint.
 //! - snapshot-restored replicas — combined with

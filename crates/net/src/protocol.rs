@@ -52,9 +52,9 @@
 //!
 //! # Backpressure
 //!
-//! A server whose worker queue is full answers `Sample` with `Busy`
-//! carrying the service's retry hint — the queue-full condition is a
-//! first-class wire citizen, distinct from `Error`, so clients can
+//! A server whose every slot is busy, with its wait limit reached,
+//! answers `Sample` with `Busy` carrying the service's retry hint — the
+//! condition is a first-class wire citizen, distinct from `Error`, so clients can
 //! back off and retry instead of failing.
 
 use std::fmt;
@@ -89,7 +89,7 @@ pub const OP_BATCH: u16 = 0x82;
 pub const OP_STATS_REPLY: u16 = 0x83;
 /// Response opcode: shutdown acknowledged.
 pub const OP_SHUTDOWN_ACK: u16 = 0x84;
-/// Response opcode: worker queue full, retry after the carried hint.
+/// Response opcode: every slot busy, retry after the carried hint.
 pub const OP_BUSY: u16 = 0x85;
 /// Response opcode: the request failed; payload carries code+message.
 pub const OP_ERROR: u16 = 0x86;
@@ -119,7 +119,7 @@ pub enum NetError {
     FrameTooLarge(u32),
     /// A payload failed to decode, or an unexpected opcode arrived.
     Protocol(String),
-    /// The server reported its queue full and the client exhausted its
+    /// The server reported every slot busy and the client exhausted its
     /// retries; the duration is the last retry hint received.
     Busy(std::time::Duration),
     /// The peer answered with an `Error` frame.
@@ -392,9 +392,9 @@ pub fn decode_batch(payload: &[u8]) -> Result<(Vec<String>, Vec<Tuple>), NetErro
 /// `Stats` response.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireStats {
-    /// Worker threads in the server's pool.
+    /// Requests the server runs at once.
     pub workers: u64,
-    /// Requests accepted so far, queued or run on a connection thread.
+    /// Requests accepted so far, running or waiting for a slot.
     pub submitted: u64,
     /// Requests served successfully.
     pub completed: u64,

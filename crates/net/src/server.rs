@@ -7,13 +7,12 @@
 //! independent and served concurrently.
 //!
 //! A `Sample` request runs on the connection thread that read it
-//! ([`SamplingService::try_serve`]) while fewer than `workers` requests
-//! are running, so the common case crosses no thread. Only when every
-//! slot is taken does it go to the worker pool's queue
-//! ([`SamplingService::try_submit`]), and the connection thread waits
-//! for its reply. Backpressure is end-to-end: a full queue surfaces as
-//! a `Busy` frame (with the service's drain-time retry hint) instead of
-//! unbounded buffering inside the server.
+//! ([`SamplingService::submit`]) once fewer than `workers` requests are
+//! running, so it crosses no thread; while every slot is taken the
+//! connection thread waits for one. Backpressure is end-to-end: when
+//! `queue_capacity` connection threads wait already, the request is
+//! answered with a `Busy` frame (with the service's retry hint) instead
+//! of waiting without bound inside the server.
 //!
 //! Determinism is preserved across the wire: a `Sample` frame carries
 //! an explicit seed and whichever thread runs it draws from the
@@ -30,8 +29,8 @@
 //! - **Deadlines** — a `Sample` frame may carry a budget; the service
 //!   checks it when the request starts and between draws, answering
 //!   [`ERR_DEADLINE`] instead of running away.
-//! - **Panic isolation** — a request runs under `catch_unwind` on
-//!   either path, and so does frame handling;
+//! - **Panic isolation** — a request runs under `catch_unwind`, and so
+//!   does frame handling;
 //!   a panicking request yields a typed [`ERR_ENGINE`] frame and the
 //!   connection (and accept loop) keeps serving. Poisoned registry
 //!   locks are recovered, never unwrapped.
@@ -67,7 +66,7 @@ use std::time::{Duration, Instant};
 use suj_core::catalog::{Engine, PreparedQuery};
 use suj_core::error::CoreError;
 use suj_core::query::UnionQuery;
-use suj_core::serve::{SampleRequest, SamplingService, ServiceConfig, SubmitError, Ticket};
+use suj_core::serve::{SampleRequest, SamplingService, ServiceConfig, SubmitError};
 use suj_storage::snapshot::Codec;
 
 /// How long a blocked connection read waits before re-checking the
@@ -182,12 +181,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` and starts serving `engine` with a worker pool
-    /// configured by `config` and default [`ServerOptions`].
-    /// A connection thread runs a request itself only while fewer than
-    /// `config.workers` requests are running; otherwise the request
-    /// queues for the pool. Use port 0 to let the OS pick; the bound
-    /// address is available via [`Server::addr`].
+    /// Binds `addr` and starts serving `engine` under the slot limits
+    /// of `config` and default [`ServerOptions`]. A connection thread
+    /// runs a request itself once fewer than `config.workers` requests
+    /// are running, and waits for a slot otherwise. Use port 0 to let
+    /// the OS pick; the bound address is available via
+    /// [`Server::addr`].
     pub fn bind(
         engine: Engine,
         addr: impl ToSocketAddrs,
@@ -208,8 +207,8 @@ impl Server {
         let addr = listener.local_addr()?;
         // The engine is cloned, not moved: both handles share the
         // catalog and the prepared-query cache, so queries prepared
-        // over the wire are visible to the service workers and vice
-        // versa.
+        // over the wire are visible to the service's `Query` requests
+        // and vice versa.
         let service = SamplingService::start(engine.clone(), config);
         let shared = Arc::new(Shared {
             engine,
@@ -564,7 +563,7 @@ fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
         Err(e) => return error_frame(id, ERR_BAD_REQUEST, &e.to_string()),
     };
     // Chaos builds: `n == u64::MAX` is a panic pill that exercises the
-    // worker-pool panic containment end to end.
+    // service's panic containment end to end.
     #[cfg(feature = "faults")]
     let panic_pill = n == u64::MAX;
     #[cfg(not(feature = "faults"))]
@@ -598,15 +597,8 @@ fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
     if panic_pill {
         request = request.with_panic_for_test();
     }
-    // Run here while a slot is free; only a saturated service queues.
-    let served = match shared.service.try_serve(request) {
-        Err(SubmitError::Saturated(request)) => {
-            shared.service.try_submit(request).map(Ticket::wait)
-        }
-        served => served,
-    };
-    let result = match served {
-        Ok(result) => result,
+    let result = match shared.service.submit(request) {
+        Ok(ticket) => ticket.wait(),
         Err(SubmitError::Busy { retry_after, .. }) => {
             return Frame {
                 opcode: OP_BUSY,
@@ -614,7 +606,6 @@ fn handle_sample(id: u64, payload: &[u8], shared: &Shared) -> Frame {
                 payload: retry_after.to_bytes(),
             }
         }
-        Err(_) => return error_frame(id, ERR_SHUTTING_DOWN, "worker pool is shut down"),
     };
     match result {
         Ok(response) => Frame {

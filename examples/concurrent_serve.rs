@@ -1,13 +1,14 @@
-//! Concurrent serving: share one prepared plan across a worker pool.
+//! Concurrent serving: share one prepared plan across several threads.
 //!
 //! Demonstrates the serving workflow end to end:
 //!
 //! 1. register relations and `prepare()` a union query once
 //!    (estimation is paid here, and only here),
-//! 2. start a [`SamplingService`] worker pool,
-//! 3. submit seed-addressed requests and collect responses,
-//! 4. read the service counters (throughput, queue, p50/p99 draw
-//!    latency),
+//! 2. start a [`SamplingService`], which runs each request on the
+//!    thread that submits it, at most `workers` at once,
+//! 3. serve a batch of seed-addressed requests (`run_batch` submits
+//!    them from up to `workers` scoped threads) and collect responses,
+//! 4. read the service counters (throughput, p50/p99 draw latency),
 //! 5. verify the determinism contract: re-serving the same request ids
 //!    against the same prepared query reproduces every sample bit for
 //!    bit, regardless of worker count.
@@ -64,7 +65,7 @@ fn main() {
     }
     let engine = Engine::new(catalog);
 
-    // Serve the same ids on one worker and on a full pool.
+    // Serve the same ids on one slot and on several.
     let single = serve_once(&engine, 1);
     let pooled = serve_once(&engine, ServiceConfig::default().workers.max(2));
 

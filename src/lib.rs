@@ -16,8 +16,9 @@
 //!
 //! For concurrent serving, `Engine::prepare` yields a shareable
 //! `Arc<PreparedQuery>` (estimation paid once, handles minted per
-//! thread) and [`SamplingService`] wraps the engine in a bounded-queue
-//! worker pool with a deterministic per-request RNG contract.
+//! thread) and [`SamplingService`] serves requests on their callers'
+//! threads, at most `workers` at once, with a deterministic
+//! per-request RNG contract.
 //!
 //! For network serving, [`Server`] exposes the engine over a
 //! length-prefixed TCP protocol (see `suj-net`), and

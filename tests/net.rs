@@ -359,7 +359,7 @@ fn wire_deadlines_are_typed_and_do_not_change_samples() {
     let mut client = Client::connect(server.addr()).unwrap();
     let remote = client.prepare(&union_query()).unwrap();
 
-    // A 1ns budget expires before the worker can even dequeue.
+    // A 1ns budget expires before the request can even get its slot.
     match client.sample_within(&remote, 1000, 7, Duration::from_nanos(1)) {
         Err(NetError::DeadlineExceeded) => {}
         other => panic!("expected typed deadline error, got {other:?}"),
@@ -467,13 +467,12 @@ fn local_stop_terminates_the_server() {
     server.join().unwrap();
 }
 
-/// Both server paths at once: one slot and three clients sending
-/// concurrently, so a request that arrives while another runs on its
-/// connection thread takes the worker pool's queue instead. Either way
-/// every reply is the in-process sample for its seed, and the books
-/// count each request once.
+/// One slot and three clients sending concurrently, so a request that
+/// arrives while another runs on its connection thread waits for the
+/// slot. Every reply is the in-process sample for its seed, and the
+/// books count each request once.
 #[test]
-fn one_slot_serves_concurrent_clients_on_both_paths() {
+fn one_slot_serves_concurrent_clients_in_turn() {
     let engine = default_engine();
     let query = union_query();
     let prepared = engine.prepare(&query).unwrap();
@@ -507,10 +506,11 @@ fn one_slot_serves_concurrent_clients_on_both_paths() {
     server.join().unwrap();
 }
 
-/// Release-mode stress: concurrent clients over a deliberately tiny
-/// queue. `Busy` frames occur and are absorbed by the client's bounded
-/// retry; every request eventually succeeds and every response matches
-/// the in-process reference bit-for-bit.
+/// Release-mode stress: more concurrent clients than slots, so
+/// connection threads wait for a slot under a small wait limit; any
+/// `Busy` frame is absorbed by the client's bounded retry. Every request
+/// eventually succeeds and every response matches the in-process
+/// reference bit-for-bit.
 #[test]
 #[ignore = "stress profile: run via CI's release-mode net smoke step"]
 fn stress_concurrent_tcp_clients_stay_deterministic() {
