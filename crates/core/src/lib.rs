@@ -99,6 +99,7 @@ pub mod disjoint;
 mod draw_step;
 pub mod error;
 pub mod exact;
+mod fan_out;
 pub mod hist_estimator;
 pub mod overlap;
 pub mod planner;

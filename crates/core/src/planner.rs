@@ -42,6 +42,8 @@
 use crate::algorithm1::{CoverPolicy, UnionSamplerConfig};
 use crate::cover::CoverStrategy;
 use crate::disjoint::DesignationPolicy;
+use crate::error::CoreError;
+use crate::fan_out::{fan_out, parallelism};
 use crate::hist_estimator::{DegreeMode, HistogramEstimator};
 use crate::overlap::OverlapMap;
 use crate::predicate_mode::PredicateMode;
@@ -220,6 +222,15 @@ impl PlanRule {
 /// toy scale and the most accurate.
 const EXACT_MAX_BASE_ROWS: usize = 512;
 
+/// Gather the §5 probe and the member builds side by side only when the
+/// base data has at least this many rows. Below it each half takes
+/// about a millisecond or less, mostly fixed costs, so a helper thread
+/// buys nothing measurable: on `chatty_hot` (uq3 at scale 4, 1 260
+/// rows) it left `setup_s` even and read `wire_p50_ms` ×1.2 against a
+/// gather on the caller alone; on `overlap_rej` (24 109 rows) it takes
+/// `setup_s` ×0.57.
+const SIDE_BY_SIDE_MIN_BASE_ROWS: usize = 8192;
+
 /// Order the cover by descending size when the largest join hint
 /// exceeds the smallest by this factor (claiming overlaps early leaves
 /// later joins small residuals, §3.1).
@@ -255,6 +266,14 @@ impl Default for PlannerConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Planner {
     config: PlannerConfig,
+}
+
+/// What one half of the planner's gather returns.
+enum Gathered {
+    /// The members' Exact-Weight samplers.
+    Samplers(Result<Vec<Arc<dyn JoinSampler>>, CoreError>),
+    /// The §5 probe's statistics and overlap map.
+    Probe((WorkloadStats, Option<OverlapMap>)),
 }
 
 impl Planner {
@@ -295,11 +314,14 @@ impl Planner {
     /// alias arenas (half of a cold prepare). A prepare loses nothing
     /// by it: the freeze serves from those same samplers. The other
     /// half is the §5 probe, which costs what its data costs: each
-    /// column counted once, K(1) of every subset in one pass per domain
-    /// — on `bulk_cold`'s 1.13 M rows (scratch timers) Olken bounds
-    /// 12 → 3–4 ms, template 10 → 10–12, `split_join` 128–152 → 23–25,
-    /// `overlap_map` 23–26 (+15 of drops) → 5–7, samplers 33–79 → 40–57;
-    /// 235–268 → 86–99 ms in all (DESIGN.md, "What planning costs").
+    /// column counted once, K(1) of every subset in one pass per
+    /// domain. The halves are independent, so on a machine with two or
+    /// more CPUs and at least `SIDE_BY_SIDE_MIN_BASE_ROWS` (8 192) base
+    /// rows they run side by side — the caller builds the members, a
+    /// helper thread probes — and with a core free a plan costs about
+    /// its longer half. On `bulk_cold`'s 1.13 M rows the probe takes
+    /// ≈ 58 ms and the five builds ≈ 50 ms (DESIGN.md, "What planning
+    /// costs").
     pub fn plan(&self, workload: &UnionWorkload, semantics: UnionSemantics) -> Plan {
         self.plan_with_given(workload, semantics).0
     }
@@ -314,7 +336,24 @@ impl Planner {
         workload: &UnionWorkload,
         semantics: UnionSemantics,
     ) -> (Plan, Given) {
-        let (stats, mut given) = self.gather(workload);
+        let rows = WorkloadStats::unavailable(workload).total_base_rows;
+        let threads = if rows < SIDE_BY_SIDE_MIN_BASE_ROWS {
+            1
+        } else {
+            parallelism()
+        };
+        self.plan_on(workload, semantics, threads)
+    }
+
+    /// [`plan_with_given`](Self::plan_with_given), gathering on at most
+    /// `threads` threads.
+    fn plan_on(
+        &self,
+        workload: &UnionWorkload,
+        semantics: UnionSemantics,
+        threads: usize,
+    ) -> (Plan, Given) {
+        let (stats, mut given) = self.gather(workload, threads);
         let plan = self.decide(workload, semantics, stats);
         // The probe ran the default histogram estimator; only an
         // Algorithm 1 plan over exactly that estimator may reuse its map.
@@ -334,16 +373,37 @@ impl Planner {
     /// all-acyclic workload, the Exact-Weight samplers whose counts
     /// refine its size hints. Returns the statistics and what was built
     /// on the way (the probe's overlap map, the samplers).
-    fn gather(&self, workload: &UnionWorkload) -> (WorkloadStats, Given) {
+    ///
+    /// The probe and the member builds are pure functions of the
+    /// workload, so they run side by side when `threads` allows two
+    /// lanes. A cyclic workload builds no member here, so its gather
+    /// starts no thread.
+    fn gather(&self, workload: &UnionWorkload, threads: usize) -> (WorkloadStats, Given) {
         if !self.config.use_statistics {
             return (WorkloadStats::unavailable(workload), Given::default());
         }
-        let (mut stats, map) = WorkloadStats::probe_with_map(workload);
-        let samplers = if is_cyclic(workload) {
-            None
+        let samplers: fn(&UnionWorkload) -> Gathered =
+            |w| Gathered::Samplers(shared_samplers(w, WeightKind::Exact));
+        let probe: fn(&UnionWorkload) -> Gathered =
+            |w| Gathered::Probe(WorkloadStats::probe_with_map(w));
+        // The members come first, so the caller builds every sampler
+        // while a helper lane probes: the samplers' long-lived tables
+        // stay where a one-thread gather allocates them, which keeps the
+        // wire face even (DESIGN.md, "What planning costs").
+        let halves = if is_cyclic(workload) {
+            vec![probe]
         } else {
-            Self::refine_exact_sizes(&mut stats, workload)
+            vec![samplers, probe]
         };
+        let (mut probed, mut built) = (None, None);
+        for half in fan_out(halves, threads, |half| half(workload)) {
+            match half {
+                Gathered::Samplers(samplers) => built = Some(samplers),
+                Gathered::Probe(stats_and_map) => probed = Some(stats_and_map),
+            }
+        }
+        let (mut stats, map) = probed.expect("the probe is one of the halves");
+        let samplers = built.and_then(|samplers| Self::refine_exact_sizes(&mut stats, samplers));
         let given = Given {
             map,
             samplers,
@@ -429,20 +489,21 @@ impl Planner {
         }
     }
 
-    /// On an all-acyclic workload, builds the Exact-Weight samplers
-    /// once — their count tables yield *exact* integer join sizes — and
-    /// (when the probe's statistics are available to supply overlap
-    /// context) replaces the histogram's size hints with the exact
-    /// figures, clamping the union estimate into its sound bracket
-    /// `[max |Jᵢ|, Σ|Jᵢ|]`. Returns the samplers so the freeze reuses
-    /// their alias arenas instead of building them a second time. The
-    /// hints stay as probed when any count saturated `u64` (they would
-    /// not be exact); `None` when a sampler failed to build.
+    /// On an all-acyclic workload, takes the Exact-Weight samplers the
+    /// gather built — their count tables yield *exact* integer join
+    /// sizes — and (when the probe's statistics are available to supply
+    /// overlap context) replaces the histogram's size hints with the
+    /// exact figures, clamping the union estimate into its sound
+    /// bracket `[max |Jᵢ|, Σ|Jᵢ|]`. Returns the samplers so the freeze
+    /// reuses their alias arenas instead of building them a second
+    /// time. The hints stay as probed when any count saturated `u64`
+    /// (they would not be exact); `None` when a sampler failed to
+    /// build.
     fn refine_exact_sizes(
         stats: &mut WorkloadStats,
-        workload: &UnionWorkload,
+        samplers: Result<Vec<Arc<dyn JoinSampler>>, CoreError>,
     ) -> Option<Vec<Arc<dyn JoinSampler>>> {
-        let samplers = shared_samplers(workload, WeightKind::Exact).ok()?;
+        let samplers = samplers.ok()?;
         let exact: Option<Vec<u64>> = samplers.iter().map(|s| s.size_info().exact).collect();
         if let (Some(exact), true) = (exact, stats.available()) {
             let hints: Vec<f64> = exact.iter().map(|&n| n as f64).collect();
@@ -969,5 +1030,85 @@ mod tests {
             .plan_with_given(&identical_workload(), UnionSemantics::Set);
         assert!(!plan.stats.available());
         assert!(given.samplers.is_none() && given.map.is_none());
+    }
+
+    /// Everything a gather hands on, bit for bit, and the draws of the
+    /// query frozen from it.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        summary: String,
+        size_hints: Option<Vec<u64>>,
+        union_size_hint: Option<u64>,
+        map: Option<Vec<u8>>,
+        artifacts: Option<Vec<Option<Vec<u8>>>>,
+        draws: Vec<Vec<suj_storage::Tuple>>,
+    }
+
+    fn gathered_on(planner: &Planner, workload: &Arc<UnionWorkload>, threads: usize) -> Outcome {
+        use crate::session::{freeze, FreezeConfig, DEFAULT_ROOT_SEED};
+        use suj_storage::snapshot::Codec;
+        let (plan, given) = planner.plan_on(workload, UnionSemantics::Set, threads);
+        let size_hints = plan.stats.size_hints.as_ref();
+        let size_hints = size_hints.map(|h| h.iter().map(|x| x.to_bits()).collect());
+        let union_size_hint = plan.stats.union_size_hint.map(f64::to_bits);
+        let map = given.map.as_ref().map(Codec::to_bytes);
+        let artifacts = given.samplers.as_ref().map(|samplers| {
+            let artifacts = samplers.iter().map(|s| s.as_exact().map(|e| e.artifacts()));
+            artifacts.map(|a| a.as_ref().map(Codec::to_bytes)).collect()
+        });
+        let config = FreezeConfig {
+            plan,
+            reject_predicate: None,
+            root_seed: DEFAULT_ROOT_SEED,
+            source: None,
+        };
+        let prepared = freeze(workload.clone(), config, given).unwrap();
+        let draws = [1, 2, 3].map(|seed| prepared.sample(64, seed).unwrap().0);
+        Outcome {
+            summary: prepared.summary().to_string(),
+            size_hints,
+            union_size_hint,
+            map,
+            artifacts,
+            draws: draws.into(),
+        }
+    }
+
+    #[test]
+    fn fan_out_width_changes_no_plan() {
+        use suj_tpch::{uq1, uq2, uq3, UqOptions};
+        // The TPC-H workloads come from the library build of this
+        // crate; their joins make this build's workload.
+        let tpch = |joins: &[Arc<suj_join::JoinSpec>]| {
+            Arc::new(UnionWorkload::new(joins.to_vec()).unwrap())
+        };
+        let algorithm1 = Planner::new(PlannerConfig {
+            bernoulli_max_overlap_ratio: 0.0,
+            ..PlannerConfig::default()
+        });
+        let uq1 = tpch(uq1(&UqOptions::new(4, 7, 0.2)).unwrap().joins());
+        let cases = [
+            ("uq1@4", Planner::default(), uq1.clone()),
+            (
+                "uq2@8, threshold 0",
+                algorithm1,
+                tpch(uq2(&UqOptions::new(8, 7, 0.2)).unwrap().joins()),
+            ),
+            (
+                "uq3@2",
+                Planner::default(),
+                tpch(uq3(&UqOptions::new(2, 7, 0.2)).unwrap().joins()),
+            ),
+            (
+                "two triangles",
+                Planner::default(),
+                Arc::new(UnionWorkload::new(vec![triangle("t1", 0), triangle("t2", 100)]).unwrap()),
+            ),
+            ("uq1@4, no statistics", Planner::without_statistics(), uq1),
+        ];
+        for (name, planner, workload) in cases {
+            let alone = gathered_on(&planner, &workload, 1);
+            assert_eq!(alone, gathered_on(&planner, &workload, 4), "{name}");
+        }
     }
 }

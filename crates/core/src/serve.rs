@@ -61,13 +61,13 @@
 
 use crate::catalog::{Engine, PreparedQuery};
 use crate::error::CoreError;
+use crate::fan_out::{fan_out, parallelism};
 use crate::query::UnionQuery;
 use crate::report::{LatencyHistogram, RunReport};
 use crate::sampler::UnionSampler;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread;
 use std::time::{Duration, Instant};
 use suj_storage::Tuple;
 
@@ -89,7 +89,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
-            workers: thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: parallelism(),
             queue_capacity: 1024,
         }
     }
@@ -570,46 +570,21 @@ impl SamplingService {
         (per_request.saturating_mul(capacity) / workers).clamp(MIN_HINT, MAX_HINT)
     }
 
-    /// Serves a batch on at most `min(workers, len)` scoped threads,
-    /// each submitting the next request, and returns every response in
-    /// request order. Individual failures surface as the first error
-    /// after all requests resolved.
+    /// Serves a batch on at most `min(workers, len)` lanes, the calling
+    /// thread one of them, each submitting the next request, and
+    /// returns every response in request order. Individual failures
+    /// surface as the first error after all requests resolved.
     pub fn run_batch(
         &self,
         requests: Vec<SampleRequest>,
     ) -> Result<Vec<SampleResponse>, CoreError> {
-        let threads = self.config.workers.min(requests.len());
-        let next = Mutex::new(requests.into_iter().enumerate());
-        let serve = || {
-            let mut served = Vec::new();
-            loop {
-                let Some((i, request)) = lock(&next).next() else {
-                    return served;
-                };
-                let result = self.submit(request).map_err(CoreError::from);
-                served.push((i, result.and_then(Ticket::wait)));
-            }
-        };
-        let mut served: Vec<_> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(serve)).collect();
-            handles
-                .into_iter()
-                .flat_map(|t| t.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        served.sort_unstable_by_key(|&(i, _)| i);
-        let mut responses = Vec::with_capacity(served.len());
-        let mut first_err = None;
-        for (_, result) in served {
-            match result {
-                Ok(response) => responses.push(response),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(responses),
-        }
+        fan_out(requests, self.config.workers, |request| {
+            self.submit(request)
+                .map_err(CoreError::from)
+                .and_then(Ticket::wait)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// A snapshot of the service counters.
@@ -644,6 +619,7 @@ impl SamplingService {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use std::thread;
     use suj_storage::{Relation, Schema, Value};
 
     fn rel(name: &str, attrs: &[&str], rows: Vec<Vec<i64>>) -> Relation {

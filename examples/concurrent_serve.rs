@@ -7,7 +7,8 @@
 //! 2. start a [`SamplingService`], which runs each request on the
 //!    thread that submits it, at most `workers` at once,
 //! 3. serve a batch of seed-addressed requests (`run_batch` submits
-//!    them from up to `workers` scoped threads) and collect responses,
+//!    them from up to `workers` lanes, the calling thread one of them)
+//!    and collect responses,
 //! 4. read the service counters (throughput, p50/p99 draw latency),
 //! 5. verify the determinism contract: re-serving the same request ids
 //!    against the same prepared query reproduces every sample bit for
