@@ -319,14 +319,11 @@ impl Prepared {
                             .expect("probe attr shared with parent")
                     })
                     .collect();
-                // Dictionary-encode the edge: one hash probe per parent
-                // row now buys hash-free walk steps forever after. The
-                // probe reads the parent's columns in place — no row is
+                // Dictionary-encode the edge: one probe per parent row
+                // now buys hash-free walk steps forever after. The scan
+                // reads the parent's columns in place — no row is
                 // materialized.
-                let parent = spec.relation(p);
-                edge_keys[v] = (0..parent.len())
-                    .map(|ri| index.key_id_at(parent, &positions, ri).unwrap_or(NO_KEY))
-                    .collect();
+                edge_keys[v] = index.key_ids_at(spec.relation(p), &positions);
                 indexes[v] = Some(index);
             }
         }

@@ -25,21 +25,32 @@
 //! what lets hash indexes and membership tables mix column-side and
 //! tuple-side probes in one table.
 
-use crate::hash::{FxHashMap, FxHasher};
+use crate::hash::{FxHasher, IdTable};
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An interned pool of distinct strings backing a [`Column::Str`].
 ///
 /// Code `c` denotes `strings[c]`; interning returns the existing code
-/// for a known string, so equal cells always carry equal codes.
+/// for a known string, so equal cells always carry equal codes. Codes
+/// are handed out in first-seen order. The string → code direction is
+/// the crate's one open-addressing table (`IdTable` in
+/// [`hash`](crate::hash)), which stores 32-bit hash tags and codes,
+/// never the strings themselves.
 #[derive(Debug, Clone, Default)]
 pub struct StrPool {
     strings: Vec<Arc<str>>,
-    lookup: FxHashMap<Arc<str>, u32>,
+    lookup: IdTable,
+}
+
+/// The Fx hash of a string's bytes — the key of a pool's table.
+#[inline]
+fn str_hash(s: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(s.as_bytes());
+    h.finish()
 }
 
 impl StrPool {
@@ -67,52 +78,56 @@ impl StrPool {
     /// The code of `s`, if interned.
     #[inline]
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.lookup.get(s).copied()
+        let strings = &self.strings;
+        self.lookup
+            .lookup(str_hash(s), |c| *strings[c as usize] == *s)
     }
 
     /// Interns `s`, allocating a new `Arc<str>` only for unseen strings.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&code) = self.lookup.get(s) {
-            return code;
+        let code = self.code_or_next(s);
+        if code as usize == self.strings.len() {
+            self.strings.push(Arc::from(s));
         }
-        self.insert_new(Arc::from(s))
+        code
     }
 
     /// Interns an already-shared string (an `Arc` bump for new entries —
     /// no byte copy).
     pub fn intern_arc(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(&code) = self.lookup.get(s.as_ref()) {
-            return code;
+        let code = self.code_or_next(s);
+        if code as usize == self.strings.len() {
+            self.strings.push(s.clone());
         }
-        self.insert_new(s.clone())
+        code
     }
 
     /// An empty pool with room for `n` strings.
     pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
             strings: Vec::with_capacity(n),
-            lookup: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            lookup: IdTable::with_capacity_for(n),
         }
     }
 
     /// Gives `s` the next code unless the pool holds it already — one
     /// hash and one probe either way. Returns whether `s` was new.
     pub(crate) fn push_distinct(&mut self, s: Arc<str>) -> bool {
-        match self.lookup.entry(s) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                self.strings.push(slot.key().clone());
-                slot.insert(self.strings.len() as u32 - 1);
-                true
-            }
+        let new = self.code_or_next(&s) as usize == self.strings.len();
+        if new {
+            self.strings.push(s);
         }
+        new
     }
 
-    fn insert_new(&mut self, s: Arc<str>) -> u32 {
-        let code = self.strings.len() as u32;
-        self.strings.push(s.clone());
-        self.lookup.insert(s, code);
-        code
+    /// The code of `s`, or the next code — entered in the table, so the
+    /// caller must push `s` — when `s` is unseen: one hash, one probe.
+    #[inline]
+    fn code_or_next(&mut self, s: &str) -> u32 {
+        let next = self.strings.len() as u32;
+        let strings = &self.strings;
+        self.lookup
+            .lookup_or_insert(str_hash(s), next, |c| *strings[c as usize] == *s)
     }
 
     /// Iterates the pooled strings in code order.
@@ -120,14 +135,17 @@ impl StrPool {
         self.strings.iter()
     }
 
-    /// Approximate resident bytes: string payloads, `Arc` headers, and
-    /// both sides of the intern table.
+    /// Resident bytes: the string payloads and their `Arc` headers,
+    /// one `Arc<str>` per code, and the table's slots at their real
+    /// capacity. The code vector is charged at its length: its
+    /// doubling slack (up to one `Arc<str>` per string in a pool
+    /// interned string by string, none in a decoded pool) is left out, so
+    /// a pool reports the same bytes however it was filled.
     pub fn memory_bytes(&self) -> usize {
         let payload: usize = self.strings.iter().map(|s| s.len()).sum();
-        // Each distinct string: one Arc header (2 words) + one Vec slot
-        // + one table entry (Arc clone + code + bucket overhead).
-        let per_entry = 16 + std::mem::size_of::<Arc<str>>() * 2 + 4 + 8;
-        payload + self.strings.len() * per_entry
+        let arc_header = 2 * std::mem::size_of::<usize>();
+        let per_string = arc_header + std::mem::size_of::<Arc<str>>();
+        payload + self.strings.len() * per_string + self.lookup.memory_bytes()
     }
 }
 
@@ -1085,5 +1103,26 @@ mod tests {
         assert_eq!(pool.code_of("missing"), None);
         assert_eq!(pool.get(a).as_ref(), "abc");
         assert_eq!(pool.len(), 2);
+    }
+
+    /// A pool charges its payloads, one `Arc` header and one
+    /// `Arc<str>` per string (the code vector's slack left out), and
+    /// its table at the table's real slot capacity — the same for a
+    /// pool interned string by string and one decoded with its size
+    /// known up front.
+    #[test]
+    fn str_pool_memory_counts_table_slots() {
+        let strings = ["a", "bb", "ccc"];
+        let mut built = StrPool::new();
+        let mut decoded = StrPool::with_capacity(strings.len());
+        for s in strings {
+            built.intern(s);
+            assert!(decoded.push_distinct(Arc::from(s)));
+        }
+        // 6 payload bytes, 3 × (16-byte header + 16-byte `Arc<str>`),
+        // and (2 · 3).next_power_of_two() = 8 slots of 8 bytes.
+        assert_eq!(built.memory_bytes(), 6 + 3 * 32 + 8 * 8);
+        assert_eq!(decoded.memory_bytes(), built.memory_bytes());
+        assert_eq!(StrPool::new().memory_bytes(), 0);
     }
 }

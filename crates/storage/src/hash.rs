@@ -74,6 +74,144 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The 64-bit golden-ratio multiplier that spreads an Fx hash before
+/// [`IdTable`] takes its tag. Fx's last step is a multiply, and a
+/// product's low bits depend only on its factors' low bits, so keys
+/// that differ in their high-order bytes (`Customer#000000001`, …)
+/// share low hash bits and would crowd into runs of neighbouring slots
+/// if indexed by them.
+const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A vacant [`IdTable`] slot: code `u32::MAX`, which no entry carries.
+const VACANT: u64 = u64::MAX;
+
+/// The crate's one open-addressing table: a hash → dense `u32` code
+/// dictionary whose caller owns the keys and confirms equality.
+/// [`StrPool`](crate::column::StrPool) interns strings through it and
+/// [`HashIndex`](crate::index::HashIndex) encodes generic keys through
+/// it; neither stores a key here.
+///
+/// One `Vec<u64>` of slots, each `tag << 32 | code`, with power-of-two
+/// capacity, linear probing and load ≤ ½. The tag is the high 32 bits
+/// of `hash · SPREAD`, and a key's home slot is the tag's top bits, so
+/// a lookup compares a tag before it asks the caller's `eq`, and the
+/// table doubles by re-placing slots from their tags without reading a
+/// key again. Codes are whatever the caller inserts — callers insert
+/// `0, 1, 2, …` in first-seen order. Capacity is a pure function of
+/// the entry count: [`with_capacity_for`](Self::with_capacity_for)`(n)`
+/// and `n` inserts into an empty table both end at
+/// `(2n).next_power_of_two()` slots.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IdTable {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl IdTable {
+    /// An empty table with room for `n` entries before it grows.
+    pub(crate) fn with_capacity_for(n: usize) -> Self {
+        let cap = if n == 0 {
+            0
+        } else {
+            (n * 2).next_power_of_two()
+        };
+        Self {
+            slots: vec![VACANT; cap],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn tag(hash: u64) -> u32 {
+        (hash.wrapping_mul(SPREAD) >> 32) as u32
+    }
+
+    /// The home slot of `tag`: its top `log2(capacity)` bits.
+    #[inline]
+    fn home(&self, tag: u32) -> usize {
+        ((tag as u64 * self.slots.len() as u64) >> 32) as usize
+    }
+
+    /// The code whose slot carries `tag` and satisfies `eq`, or the
+    /// vacant slot that ends the probe (slot 0 of a table with none).
+    #[inline]
+    fn find(&self, tag: u32, eq: impl Fn(u32) -> bool) -> Result<u32, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        loop {
+            let slot = self.slots[i];
+            if slot == VACANT {
+                return Err(i);
+            }
+            if (slot >> 32) as u32 == tag && eq(slot as u32) {
+                return Ok(slot as u32);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The code of the entry matching `hash` and `eq`, if present.
+    #[inline]
+    pub(crate) fn lookup(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
+        self.find(Self::tag(hash), eq).ok()
+    }
+
+    /// The code of the entry matching `hash` and `eq`, inserting
+    /// `next` on a miss (the table grows first when the insert would
+    /// take it past half full). Returns the resident or inserted code.
+    #[inline]
+    pub(crate) fn lookup_or_insert(
+        &mut self,
+        hash: u64,
+        next: u32,
+        eq: impl Fn(u32) -> bool,
+    ) -> u32 {
+        debug_assert!(next != u32::MAX, "code u32::MAX marks a vacant slot");
+        let tag = Self::tag(hash);
+        let mut vacant = match self.find(tag, eq) {
+            Ok(code) => return code,
+            Err(i) => i,
+        };
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+            vacant = self.vacant_slot(tag);
+        }
+        self.slots[vacant] = (tag as u64) << 32 | next as u64;
+        self.len += 1;
+        next
+    }
+
+    /// The first vacant slot on `tag`'s probe path.
+    #[inline]
+    fn vacant_slot(&self, tag: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        while self.slots[i] != VACANT {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Doubles the capacity, re-placing every slot from its tag.
+    #[cold]
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(2);
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; cap]);
+        for slot in old.into_iter().filter(|&s| s != VACANT) {
+            let i = self.vacant_slot((slot >> 32) as u32);
+            self.slots[i] = slot;
+        }
+    }
+
+    /// Resident bytes: the slot array's capacity.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
 /// Fx-hashes a sequence of values in place. Equal to
 /// [`hash_cells`](crate::column::hash_cells) over the same values
 /// viewed as cells — the key-encoding hash of
@@ -134,6 +272,64 @@ mod tests {
         }
         assert_eq!(s.len(), 1000);
         assert!(s.contains(&(13 * 7919)));
+    }
+
+    /// An `IdTable` over `u64` keys, as `StrPool` drives one over
+    /// strings: codes in first-seen order, `keys[code]` the key.
+    fn intern(table: &mut IdTable, keys: &mut Vec<u64>, key: u64) -> u32 {
+        let mut h = FxHasher::default();
+        h.write_u64(key);
+        let next = keys.len() as u32;
+        let code = table.lookup_or_insert(h.finish(), next, |c| keys[c as usize] == key);
+        if code == next {
+            keys.push(key);
+        }
+        code
+    }
+
+    fn find(table: &IdTable, keys: &[u64], key: u64) -> Option<u32> {
+        let mut h = FxHasher::default();
+        h.write_u64(key);
+        table.lookup(h.finish(), |c| keys[c as usize] == key)
+    }
+
+    /// Interning `n` keys one by one ends at the capacity
+    /// `with_capacity_for(n)` reserves, so a pool's footprint does not
+    /// depend on how it was filled.
+    #[test]
+    fn id_table_grows_to_its_reserved_capacity() {
+        let mut table = IdTable::default();
+        let mut keys = Vec::new();
+        assert_eq!(table.memory_bytes(), 0);
+        assert_eq!(find(&table, &keys, 7), None);
+        for n in 1..=300u64 {
+            intern(&mut table, &mut keys, n << 40);
+            // A repeat never grows the table.
+            intern(&mut table, &mut keys, n << 40);
+            let reserved = IdTable::with_capacity_for(n as usize);
+            assert_eq!(table.memory_bytes(), reserved.memory_bytes(), "n = {n}");
+            assert_eq!(table.len, n as usize);
+        }
+    }
+
+    /// Across every growth step, re-placed slots keep their codes: each
+    /// key is found at its first-seen code and absent keys miss.
+    #[test]
+    fn id_table_finds_every_code_after_each_growth() {
+        let mut table = IdTable::default();
+        let mut keys = Vec::new();
+        for i in 0..200u64 {
+            // Keys that differ only in their high-order bytes.
+            let key = i.reverse_bits();
+            assert_eq!(intern(&mut table, &mut keys, key), i as u32);
+            for code in 0..keys.len() as u32 {
+                let k = keys[code as usize];
+                assert_eq!(find(&table, &keys, k), Some(code));
+                assert_eq!(intern(&mut table, &mut keys, k), code);
+            }
+            assert_eq!(find(&table, &keys, (i + 1).reverse_bits()), None);
+            assert_eq!(find(&table, &keys, u64::MAX), None);
+        }
     }
 
     #[test]

@@ -28,10 +28,12 @@
 //!   against. The index holds the relation's `Arc<[Column]>`, so a
 //!   hash hit is confirmed by comparing the probe key with that row's
 //!   cells.
-//! * The dictionary is a flat open-addressing table (power-of-two
-//!   capacity, linear probing, cached hashes) over the locally
-//!   implemented [Fx hasher](crate::hash::FxHasher), or, for a single
-//!   dense integer or string attribute, a direct array (see `Probe`).
+//! * The dictionary is the crate's one open-addressing table (`IdTable`
+//!   in [`hash`](crate::hash): power-of-two capacity, linear probing,
+//!   one `u64` slot per key holding a 32-bit hash tag and the key id)
+//!   over the locally implemented [Fx hasher](crate::hash::FxHasher),
+//!   or, for a single dense integer or string attribute, a direct
+//!   array (see `Probe`).
 //! * There is **one probe**, over [`CellRef`] keys: hashes and
 //!   equality of cells match [`Value`]'s bit for bit, so
 //!   [`HashIndex::key_id_projected`] reads a `&[Value]` buffer through
@@ -44,7 +46,7 @@
 //!   not a string compare.
 
 use crate::column::{dense_int_slots, hash_cells, CellRef, Column, StrPool, Validity};
-use crate::hash::FxHasher;
+use crate::hash::{FxHasher, IdTable};
 use crate::relation::Relation;
 use crate::value::Value;
 use std::hash::Hasher;
@@ -53,65 +55,6 @@ use std::sync::Arc;
 
 /// Sentinel key id: "this key is not in the dictionary" (no posting).
 pub const NO_KEY: u32 = u32::MAX;
-
-/// Empty slot marker inside the open-addressing tables.
-const EMPTY: u32 = u32::MAX;
-
-/// A minimal open-addressing id table: hash → dense `u32` id, with the
-/// caller supplying value equality. Power-of-two capacity, linear
-/// probing, load factor ≤ ½ (capacity is fixed up front from the row
-/// count, which bounds the number of distinct ids).
-#[derive(Debug, Clone)]
-struct IdTable {
-    ids: Vec<u32>,
-    hashes: Vec<u64>,
-    mask: usize,
-}
-
-impl IdTable {
-    fn with_capacity_for(n: usize) -> Self {
-        let cap = (n.max(1) * 2).next_power_of_two();
-        Self {
-            ids: vec![EMPTY; cap],
-            hashes: vec![0; cap],
-            mask: cap - 1,
-        }
-    }
-
-    /// Finds the id whose entry matches `hash` and `eq`, if present.
-    #[inline]
-    fn lookup(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
-        let mut slot = hash as usize & self.mask;
-        loop {
-            let id = self.ids[slot];
-            if id == EMPTY {
-                return None;
-            }
-            if self.hashes[slot] == hash && eq(id) {
-                return Some(id);
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    /// Looks up `hash`/`eq`, inserting `next_id` on a miss. Returns the
-    /// resident or inserted id.
-    fn lookup_or_insert(&mut self, hash: u64, next_id: u32, eq: impl Fn(u32) -> bool) -> u32 {
-        let mut slot = hash as usize & self.mask;
-        loop {
-            let id = self.ids[slot];
-            if id == EMPTY {
-                self.ids[slot] = next_id;
-                self.hashes[slot] = hash;
-                return next_id;
-            }
-            if self.hashes[slot] == hash && eq(id) {
-                return id;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-}
 
 /// How probes map key values to dense key ids. Hashing is the general
 /// mechanism; single-attribute typed layouts get direct structures —
@@ -125,8 +68,9 @@ impl IdTable {
 ///   hashes a string and probes pay one pool lookup.
 #[derive(Debug, Clone)]
 enum Probe {
-    /// Open-addressing table over cached hashes (multi-attribute,
-    /// float, sparse-int, mixed, and nullable-int keys).
+    /// The crate's open-addressing table (multi-attribute, float,
+    /// sparse-int, mixed, and nullable-int keys); a tag match is
+    /// confirmed against the key's representative row.
     Hash(IdTable),
     /// Direct-array mapping for dense, null-free integer keys.
     DenseInt {
@@ -518,6 +462,43 @@ impl HashIndex {
         self.probe(|i| relation.column(positions[i]).cell(row))
     }
 
+    /// [`key_id_at`](Self::key_id_at) over every row of `relation`,
+    /// [`NO_KEY`] for a miss: how prepared join structures encode a
+    /// parent's probe keys at build time. A dense integer key over an
+    /// `Int64` column is one array read a row; any other pairing
+    /// probes row by row.
+    pub fn key_ids_at(&self, relation: &Relation, positions: &[usize]) -> Vec<u32> {
+        debug_assert_eq!(
+            positions.len(),
+            self.positions.len(),
+            "probe arity mismatch"
+        );
+        let column = positions.first().map(|&p| relation.column(p));
+        match (&self.probe, column) {
+            (Probe::DenseInt { min, val_kid }, Some(Column::Int64 { values, validity })) => {
+                let kid = |v: i64| {
+                    let off = v.checked_sub(*min).and_then(|o| usize::try_from(o).ok());
+                    off.and_then(|o| val_kid.get(o).copied()).unwrap_or(NO_KEY)
+                };
+                if !validity.has_nulls() {
+                    return values.iter().map(|&v| kid(v)).collect();
+                }
+                // NULL rows hold placeholders `kid` must not see.
+                let cell = |(row, &v): (usize, &i64)| {
+                    if validity.is_valid(row) {
+                        kid(v)
+                    } else {
+                        NO_KEY
+                    }
+                };
+                values.iter().enumerate().map(cell).collect()
+            }
+            _ => (0..relation.len())
+                .map(|row| self.key_id_at(relation, positions, row).unwrap_or(NO_KEY))
+                .collect(),
+        }
+    }
+
     /// CSR postings of key id `kid`: matching row ids in insertion
     /// order.
     #[inline]
@@ -553,7 +534,7 @@ impl HashIndex {
     /// CSR arrays; the columns are shared with the relation).
     pub fn memory_bytes(&self) -> usize {
         let probe_bytes = match &self.probe {
-            Probe::Hash(table) => table.ids.len() * (4 + 8),
+            Probe::Hash(table) => table.memory_bytes(),
             Probe::DenseInt { val_kid, .. } => val_kid.len() * 4,
             Probe::StrCodes { code_kid, .. } => code_kid.len() * 4,
         };

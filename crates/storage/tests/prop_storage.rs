@@ -699,4 +699,97 @@ proptest! {
             }
         }
     }
+
+    /// A `StrPool` against a first-seen `Vec<String>` oracle, over
+    /// random strings, `Customer#…` names that differ only in their
+    /// high-order bytes, and the empty string: after every intern —
+    /// so across every growth step of the pool's table — codes are in
+    /// first-seen order, `code_of` finds every interned string at its
+    /// code and misses absent ones, and `intern` and `intern_arc` hand
+    /// out the same codes.
+    #[test]
+    fn str_pool_codes_match_first_seen_oracle(
+        picks in prop::collection::vec((0u8..4, 0u32..400, "[a-z0-9]{0,12}"), 0..160),
+    ) {
+        let spell = |(kind, n, s): &(u8, u32, String)| match kind {
+            0 => format!("Customer#{n:09}"),
+            1 => String::new(),
+            _ => s.clone(),
+        };
+        let mut by_str = StrPool::new();
+        let mut by_arc = StrPool::new();
+        let mut oracle: Vec<String> = Vec::new();
+        for pick in &picks {
+            let s = spell(pick);
+            let want = oracle.iter().position(|o| *o == s).unwrap_or(oracle.len());
+            if want == oracle.len() {
+                oracle.push(s.clone());
+            }
+            prop_assert_eq!(by_str.intern(&s) as usize, want);
+            prop_assert_eq!(by_arc.intern_arc(&std::sync::Arc::from(s.as_str())) as usize, want);
+            prop_assert_eq!(by_str.len(), oracle.len());
+            for (code, o) in (0u32..).zip(&oracle) {
+                prop_assert_eq!(by_str.code_of(o), Some(code));
+                prop_assert_eq!(by_arc.code_of(o), Some(code));
+                prop_assert_eq!(by_str.get(code).as_ref(), o.as_str());
+            }
+            for absent in [format!("{s}~"), format!("Customer#{:09}", pick.1 + 400)] {
+                prop_assert_eq!(by_str.code_of(&absent), None);
+            }
+        }
+        let strings: Vec<&str> = by_arc.strings().map(|s| s.as_ref()).collect();
+        prop_assert_eq!(strings, oracle.iter().map(String::as_str).collect::<Vec<_>>());
+    }
+
+    /// `key_ids_at` (one scan over a parent's columns) agrees with
+    /// `key_id_at` row by row, on every probe kind and parent layout:
+    /// the index's own relation, a second relation with its own string
+    /// pool, and a relation whose columns are laid out differently
+    /// (`Mixed` against `Int64`, NULLs against dense integers).
+    #[test]
+    fn key_ids_at_matches_key_id_at(
+        r in relation_strategy(),
+        coded in coded_keys_strategy(),
+        ints in int_columns_strategy(),
+        mixed in mixed_relation_strategy(),
+    ) {
+        let probe_all = |idx: &HashIndex, parent: &Relation, positions: &[usize]| {
+            let want: Vec<u32> = (0..parent.len())
+                .map(|row| idx.key_id_at(parent, positions, row).unwrap_or(NO_KEY))
+                .collect();
+            prop_assert_eq!(idx.key_ids_at(parent, positions), want);
+            Ok(())
+        };
+        let attr_sets: [(&Relation, &[&str]); 10] = [
+            (&r, &["a"]),
+            (&r, &["s"]),
+            (&r, &["a", "s"]),
+            (&coded, &["f"]),
+            (&coded, &["s"]),
+            (&coded, &["m"]),
+            (&coded, &["i"]),
+            (&ints, &["dense"]),
+            (&ints, &["sparse"]),
+            (&mixed, &["x"]),
+        ];
+        for (rel, attrs) in attr_sets {
+            let owned: Vec<std::sync::Arc<str>> = attrs.iter().map(|&a| a.into()).collect();
+            let idx = HashIndex::build(rel, &owned);
+            let positions: Vec<usize> =
+                attrs.iter().map(|a| rel.schema().position(a).unwrap()).collect();
+            probe_all(&idx, rel, &positions)?;
+            let mut rows: Vec<Tuple> = rel.tuples().into_iter().rev().collect();
+            rows.extend(one_cell_away(&rel.tuples()));
+            let other = Relation::new("other", rel.schema().clone(), rows).unwrap();
+            probe_all(&idx, &other, &positions)?;
+            // Every single-attribute parent column of another layout.
+            if let [_] = attrs {
+                for parent in [&r, &coded, &ints, &mixed] {
+                    for p in 0..parent.schema().arity() {
+                        probe_all(&idx, parent, &[p])?;
+                    }
+                }
+            }
+        }
+    }
 }

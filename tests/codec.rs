@@ -14,8 +14,9 @@ use std::time::Duration;
 use suj_core::snapshot::PreparedEntry;
 use suj_join::EwArtifacts;
 use suj_net::protocol::{
-    decode_batch, Batch, ErrorReply, PreparedPayload, SamplePayload, WireStats,
+    decode_batch, decode_payload, Batch, ErrorReply, PreparedPayload, SamplePayload, WireStats,
 };
+use suj_net::NetError;
 use suj_stats::AliasArena;
 use suj_storage::snapshot::{
     read_sections, write_sections, ByteWriter, Codec, Labeled, SECTION_RELATION,
@@ -360,6 +361,53 @@ fn a_section_with_bytes_left_over_is_corrupt() {
         load_error(&write_sections(&sections)),
         SnapshotError::Corrupt(_)
     ));
+}
+
+/// `bytes` with the one occurrence of `from` spelled `to` instead.
+fn respell(bytes: &mut [u8], from: &[u8], to: &[u8]) {
+    let at: Vec<usize> = (0..bytes.len().saturating_sub(from.len() - 1))
+        .filter(|&i| bytes[i..].starts_with(from))
+        .collect();
+    assert_eq!(at.len(), 1, "{} occurs once", String::from_utf8_lossy(from));
+    bytes[at[0]..at[0] + to.len()].copy_from_slice(to);
+}
+
+/// The pool rule: a dictionary pool is a set, so a `Str` column whose
+/// pool spells one string twice is corrupt — in an engine snapshot's
+/// relation section (its CRC recomputed) and in a wire `Batch`.
+#[test]
+fn a_duplicate_pool_string_is_corrupt() {
+    let names = ["pool-one", "pool-two", "pool-one"].map(|s| Tuple::new(vec![Value::str(s)]));
+    let rel = Relation::new("n", Schema::new(["name"]).unwrap(), names.to_vec()).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.register(rel.clone()).unwrap();
+    let bytes = Engine::new(catalog).snapshot_to_bytes().unwrap();
+    let mut sections = owned_sections(&bytes);
+    let relation = sections
+        .iter_mut()
+        .find(|(k, _)| *k == SECTION_RELATION)
+        .unwrap();
+    respell(&mut relation.1, b"pool-two", b"pool-one");
+    match load_error(&write_sections(&sections)) {
+        SnapshotError::Corrupt(why) => assert!(why.contains("duplicate string"), "{why}"),
+        other => panic!("expected a corrupt snapshot, got {other:?}"),
+    }
+
+    let mut payload = Batch {
+        attrs: rel.schema().attrs().to_vec(),
+        columns: rel.columns().to_vec(),
+    }
+    .to_bytes();
+    assert_eq!(decode_batch(&payload).unwrap().1, rel.tuples());
+    respell(&mut payload, b"pool-two", b"pool-one");
+    match Batch::from_bytes(&payload) {
+        Err(SnapshotError::Corrupt(why)) => assert!(why.contains("duplicate string"), "{why}"),
+        other => panic!("expected a corrupt batch, got {:?}", other.map(|_| ())),
+    }
+    match decode_payload::<Batch>("Batch", &payload) {
+        Err(NetError::Protocol(why)) => assert!(why.contains("duplicate string"), "{why}"),
+        other => panic!("expected a refused batch, got {:?}", other.map(|_| ())),
+    }
 }
 
 /// The padding rule: the 13-byte meta section is followed by three
